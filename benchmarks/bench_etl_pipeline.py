@@ -1,10 +1,10 @@
-"""ETL pipeline benchmark: serial vs batched/parallel vs incremental.
+"""ETL pipeline benchmark: serial vs batched vs incremental.
 
 Two experiments, both against the serial seed paths kept as oracles:
 
 * **pipeline** — one full compiled study (Study-1 elements plus the
   smoking/ex-smoker columns and four cleaning rules) run through
-  ``Workflow.run()`` serially and through the batched/parallel engine.
+  ``Workflow.run()`` serially and through the batched (fused) engine.
   Modes are interleaved within each round (the measurement noise on a
   shared box dwarfs the ordering effects otherwise) and the best round
   per mode is reported.
@@ -48,7 +48,6 @@ WORLD_SIZE = 1_500
 SEED = 7
 ROUNDS = 12
 BATCH_SIZE = 512
-PARALLELISM = 4
 DELTA_RECORDS = 5
 
 ELEMENTS = STUDY1_ELEMENTS + [("Smoking", "habits4"), ("ExSmoker", "flag")]
@@ -122,10 +121,6 @@ def bench_pipeline(world) -> list[dict]:
     modes = [
         ("serial", {}),
         ("batched", {"batch_size": BATCH_SIZE}),
-        (
-            "parallel_batched",
-            {"parallelism": PARALLELISM, "batch_size": BATCH_SIZE},
-        ),
     ]
     oracle, _ = run_pipeline(study)
     best = {name: float("inf") for name, _ in modes}
@@ -215,7 +210,6 @@ def run(json_path: str | None = None) -> list[dict]:
             "seed": SEED,
             "rounds": ROUNDS,
             "batch_size": BATCH_SIZE,
-            "parallelism": PARALLELISM,
             "delta_records": DELTA_RECORDS,
             "results": results,
         }
@@ -240,7 +234,7 @@ def test_engine_and_incremental_agree_with_serial():
     world = build_world(80, seed=SEED)
     study = build_pipeline_study(world)
     serial, _ = run_pipeline(study)
-    engine, _ = run_pipeline(study, parallelism=2, batch_size=32)
+    engine, _ = run_pipeline(study, batch_size=32)
     assert engine == serial
 
     source = world.source("cori_warehouse_feed")

@@ -64,15 +64,14 @@ N_VITALS_COLUMNS = 12
 CHAIN_ROWS = 300
 CHAIN_DEPTH = 4
 
-# -- partitioned / parallel (PP) tier ------------------------------------------
-# A million-row tier sized so partition pruning and morsel parallelism are
-# measured where they matter; REPRO_PP_ROWS scales it down for quick local
-# iterations (the committed baseline is produced at the default).
+# -- partitioned (PP) tier -----------------------------------------------------
+# A million-row tier sized so partition pruning is measured where it
+# matters; REPRO_PP_ROWS scales it down for quick local iterations (the
+# committed baseline is produced at the default).
 PP_ROWS = int(os.environ.get("REPRO_PP_ROWS", "1000000"))
 PP_LAB_ROWS = max(1, PP_ROWS // 4)
 PP_PARTITIONS = 64
 PP_PATIENTS = max(1, PP_ROWS // 500)
-PP_WORKERS = 4
 
 # -- cost-based (CB) tier ------------------------------------------------------
 # Sized so the three cost-based decisions are measured at the scale where
@@ -436,26 +435,14 @@ def _pp_aggregate_plan():
     )
 
 
-def _pp_worker_utilization(plan, db) -> list[dict]:
-    """Per-worker utilization from one traced parallel run of ``plan``."""
-    from repro.obs import explain_analyze
-
-    report = explain_analyze(plan, db, executor="parallel", workers=PP_WORKERS)
-    for _, span in report.node_spans():
-        utilization = span.attrs.get("worker_utilization")
-        if utilization is not None:
-            return list(utilization)
-    return []
-
-
 def run_pp() -> list[dict]:
-    """The PP tier: pruning vs full batch scans, serial vs parallel.
+    """The PP tier: pruning vs full batch scans, plus a serial aggregate.
 
     The comparison partner here is NOT the interpreter (at 10^6 rows it
     only inflates speedups); pruning cases are measured against the same
-    predicate on the unpruned batch path, and the parallel aggregate
-    against its own serial batch execution — honest numbers for exactly
-    the change each case isolates.
+    predicate on the unpruned batch path — honest numbers for exactly the
+    change each case isolates.  The serial scan-aggregate is the
+    million-row reference the MP tier's process runs are read against.
     """
     db = build_pp_database()
     results = []
@@ -484,11 +471,7 @@ def run_pp() -> list[dict]:
 
     agg = optimize(_pp_aggregate_plan(), db)
     serial_rows = agg.execute(db)
-    assert serial_rows == agg.execute(db, parallel=PP_WORKERS), (
-        "parallel aggregate disagrees with serial"
-    )
     serial_s = _time(lambda: agg.execute(db), repeats=3)
-    par_s = _time(lambda: agg.execute(db, parallel=PP_WORKERS), repeats=3)
     results.append(
         {
             "case": "pp_scan_aggregate_serial",
@@ -497,22 +480,8 @@ def run_pp() -> list[dict]:
             "speedup": 1.0,
         }
     )
-    results.append(
-        {
-            "case": f"pp_scan_aggregate_parallel{PP_WORKERS}",
-            "rows_out": len(serial_rows),
-            "baseline_ms": round(serial_s * 1000, 3),
-            "optimized_ms": round(par_s * 1000, 3),
-            # Honest thread-pool number: ~1.0x under the GIL on CPU-bound
-            # kernels; the utilization trace explains where time went.
-            "speedup": round(serial_s / par_s, 2),
-            "workers": PP_WORKERS,
-            "worker_utilization": _pp_worker_utilization(_pp_aggregate_plan(), db),
-        }
-    )
     print(
-        f"{'pp_scan_aggregate':<28} serial     {serial_s * 1000:9.3f} ms   "
-        f"parallel{PP_WORKERS} {par_s * 1000:8.3f} ms   x{serial_s / par_s:6.2f}",
+        f"{'pp_scan_aggregate_serial':<28} serial     {serial_s * 1000:9.3f} ms",
         flush=True,
     )
     return results
@@ -759,7 +728,7 @@ def run_mp() -> list[dict]:
     """The MP tier: process workers over shared segments vs serial batch.
 
     The pool mode is *forced* to ``process`` for the measured runs (the
-    auto policy would keep sub-50k-row stages on threads), the shared
+    auto policy would run sub-50k-row stages serially), the shared
     segment is warmed once before timing, and every parallel result is
     asserted bit-identical to its serial partner before the clock starts.
     """
@@ -1024,13 +993,9 @@ if "pytest" in sys.modules:  # imported by pytest collection
         assert by_case["indexed_lookup"] >= 3.0
         assert by_case[f"pattern_chain_depth{CHAIN_DEPTH}"] >= 1.5
         assert by_case["join_aggregate_vectorized"] >= 3.0
-        # PP tier: pruning must cut scans by an order of magnitude.  The
-        # thread-parallel case is deliberately NOT gated on a speedup —
-        # under the GIL ~1.0x is the honest expectation; the number is
-        # reported, not asserted.
+        # PP tier: pruning must cut scans by an order of magnitude.
         assert by_case["pp_point_pruned"] >= 10.0
         assert by_case["pp_range_pruned"] >= 10.0
-        assert f"pp_scan_aggregate_parallel{PP_WORKERS}" in by_case
         # ZM tier: chunk skipping must dominate a 1/64-selective clustered
         # scan; dictionary-coded grouping must beat value-keyed grouping.
         assert by_case["zm_selective_scan"] >= 5.0

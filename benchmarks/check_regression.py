@@ -37,7 +37,6 @@ REQUIRED_CASES: dict[str, tuple[str, ...]] = {
         "pp_point_pruned",
         "pp_range_pruned",
         "pp_scan_aggregate_serial",
-        "pp_scan_aggregate_parallel4",
         "zm_selective_scan",
         "zm_groupby_dict",
         "cb_build_side_flip",

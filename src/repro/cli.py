@@ -85,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(explain_analyze) or a compiled study workflow run",
     )
     trace.add_argument(
-        "--parallelism", type=int, default=4, help="workflow threads (default 4)"
-    )
-    trace.add_argument(
         "--batch-size", type=int, default=256, help="workflow batch size (default 256)"
     )
     trace.add_argument(
@@ -95,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["row", "batch", "parallel"],
         default="batch",
         help="query execution path: columnar batch kernels (default), "
-        "row-at-a-time streaming, or morsel-parallel batch kernels "
-        "(target query only)",
+        "row-at-a-time streaming, or batch kernels with eligible stages "
+        "on worker processes (target query only)",
     )
     trace.add_argument(
         "--workers",
@@ -106,10 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--pool",
-        choices=["auto", "thread", "process"],
+        choices=["auto", "process"],
         default="auto",
-        help="worker pool for --executor parallel: auto (core/size policy), "
-        "thread, or process (forced, shared-segment morsels)",
+        help="process gate for --executor parallel: auto (core/size "
+        "policy, serial below it) or process (forced, shared-segment "
+        "morsels)",
     )
     trace.add_argument(
         "--json",
@@ -330,7 +328,7 @@ def _cmd_trace(args) -> int:
             build_cohort_study("trace", world, STUDY1_ELEMENTS), Database("warehouse")
         )
         with tracing() as tracer:
-            workflow.run(parallelism=args.parallelism, batch_size=args.batch_size)
+            workflow.run(batch_size=args.batch_size)
         stats_db = None
         traced_plan = None
     if args.flame:

@@ -6,28 +6,25 @@ Two execution paths share one DAG:
   executor, preserved verbatim as the behavioural oracle.  Steps run in
   insertion (topological) order, each handing its full ``list[Row]`` to
   the next.
-* ``run(parallelism=..., batch_size=...)`` — the level-scheduled engine.
-  Steps fuse into *units*: maximal linear chains whose interior results
-  nobody else consumes.  Units whose dependencies are satisfied dispatch
-  together (a wave) onto a thread pool, and inside a unit rows flow as an
-  iterator of chunks, with at most one defensive copy per chain instead of
-  one per step.  Output rows, per-step row counts, and shared artifacts
-  (the cleaning quarantine) are identical to the serial path; only timing
+* ``run(batch_size=...)`` — the fused engine.  Steps fuse into *units*:
+  maximal linear chains whose interior results nobody else consumes.
+  Units whose dependencies are satisfied form a wave; waves run in order
+  on the calling thread, and inside a unit rows flow as an iterator of
+  chunks, with at most one defensive copy per chain instead of one per
+  step.  Output rows, per-step row counts, and shared artifacts (the
+  cleaning quarantine) are identical to the serial path; only timing
   differs.  Equivalence is asserted by tests/test_etl/test_engine.py.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import WorkflowError
 from repro.etl.components import Component, Extract, Row, UnionInputs
-from repro.obs.trace import Span, current_tracer
+from repro.obs.trace import Span, current_tracer, span
 
 
 @dataclass
@@ -59,7 +56,7 @@ class RunReport:
     steps: list[StepRun] = field(default_factory=list)
     #: Span tree for the run when executed under ``repro.obs.tracing()``;
     #: None otherwise.  The engine path groups spans wave -> unit -> step
-    #: with queue waits and thread attribution; the serial path is flat.
+    #: with queue waits; the serial path is flat.
     trace: Span | None = None
 
     def rows_out(self, step_name: str) -> int:
@@ -110,20 +107,6 @@ class _Unit:
     @property
     def tail(self) -> Step:
         return self.steps[-1]
-
-
-@dataclass
-class _UnitRecord:
-    """Raw engine timings for one executed unit (trace assembly input)."""
-
-    unit: _Unit
-    wave: int
-    #: ``perf_counter`` when the unit's wave became dispatchable.
-    ready_s: float
-    started_s: float
-    ended_s: float
-    batches: int
-    thread: str
 
 
 class Workflow:
@@ -187,18 +170,16 @@ class Workflow:
     # -- execution -----------------------------------------------------------
 
     def run(
-        self, parallelism: int = 1, batch_size: int | None = None
+        self, batch_size: int | None = None
     ) -> tuple[dict[str, list[Row]], RunReport]:
         """Execute all steps; returns ({output step: rows}, report).
 
-        ``parallelism`` > 1 dispatches independent steps onto that many
-        worker threads; ``batch_size`` streams rows through fused chains in
-        chunks of that size.  Either option engages the level-scheduled
-        engine; the defaults keep the serial oracle path.
+        ``batch_size`` streams rows through fused chains in chunks of that
+        size (the fused engine); the default keeps the serial oracle path.
         """
-        if parallelism <= 1 and batch_size is None:
+        if batch_size is None:
             return self._run_serial()
-        return self._run_engine(max(1, parallelism), batch_size)
+        return self._run_engine(batch_size)
 
     def _run_serial(self) -> tuple[dict[str, list[Row]], RunReport]:
         results: dict[str, list[Row]] = {}
@@ -276,7 +257,7 @@ class Workflow:
         return units
 
     def _run_engine(
-        self, parallelism: int, batch_size: int | None
+        self, batch_size: int
     ) -> tuple[dict[str, list[Row]], RunReport]:
         units = self._fuse()
         producer = {unit.tail.name: index for index, unit in enumerate(units)}
@@ -289,16 +270,13 @@ class Workflow:
             {producer[dep] for dep in unit.head.inputs} for unit in units
         ]
 
-        # Worker threads start with fresh contexts and so see tracing as
-        # disabled; the engine instead records raw per-unit timings here
-        # (list.append is atomic) and assembles the span tree afterwards
-        # in the calling thread.
+        # Waves run on the calling thread, so spans opened by the steps
+        # themselves (GUAVA translation, relational execution) nest under
+        # their unit's span in one tree.
         tracer = current_tracer()
-        records: list[_UnitRecord] | None = [] if tracer is not None else None
-        run_started = time.perf_counter()
 
-        def execute_unit(unit: _Unit, wave: int = 0, ready_s: float = 0.0) -> None:
-            started_s = time.perf_counter()
+        def execute_unit(unit: _Unit) -> int:
+            """Run one fused chain to completion; returns its chunk count."""
             chunks, owned, tail_ops = self._open_unit(unit, results, stats, batch_size)
             for step, op in tail_ops:
                 if op.commit is not None:
@@ -317,65 +295,40 @@ class Workflow:
                     step_stats.rows_out += len(chunk)
                 out.extend(chunk)
             results[unit.tail.name] = out
-            if records is not None:
-                records.append(
-                    _UnitRecord(
-                        unit=unit,
-                        wave=wave,
-                        ready_s=ready_s,
-                        started_s=started_s,
-                        ended_s=time.perf_counter(),
-                        batches=batches,
-                        thread=threading.current_thread().name,
-                    )
-                )
+            return batches
 
         pending = set(range(len(units)))
         completed: set[int] = set()
-        pool = ThreadPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
-        # Batch workers are pure CPU between yields; the interpreter's
-        # default 5ms switch interval makes them fight over the GIL (the
-        # convoy effect).  A coarser interval for the duration of the run
-        # keeps each worker on core through a whole chunk.
-        switch_interval = sys.getswitchinterval() if pool is not None else None
-        if switch_interval is not None:
-            sys.setswitchinterval(max(switch_interval, 0.05))
         wave_count = 0
-        try:
+        with span(
+            f"workflow:{self.name}", mode="engine", batch_size=batch_size
+        ) as root:
             while pending:
                 wave = sorted(
                     index for index in pending if unit_deps[index] <= completed
                 )
                 if not wave:  # unreachable while add() keeps the DAG acyclic
                     raise WorkflowError(f"workflow {self.name!r} is cyclic")
-                wave_index = wave_count
-                wave_count += 1
                 ready_s = time.perf_counter()
-                if pool is None or len(wave) == 1:
+                with span(f"wave:{wave_count}"):
                     for index in wave:
-                        execute_unit(units[index], wave_index, ready_s)
-                else:
-                    futures = [
-                        (index, pool.submit(execute_unit, units[index], wave_index, ready_s))
-                        for index in wave
-                    ]
-                    errors = []
-                    for index, future in futures:
-                        exc = future.exception()
-                        if exc is not None:
-                            errors.append((index, exc))
-                    if errors:
-                        raise errors[0][1]  # deterministic: lowest unit first
+                        unit = units[index]
+                        queue_wait_s = max(0.0, time.perf_counter() - ready_s)
+                        with span(
+                            f"unit:{unit.tail.name}",
+                            queue_wait_ms=round(queue_wait_s * 1000, 3),
+                        ) as unit_span:
+                            unit_span.set("batches", execute_unit(unit))
+                            if tracer is not None:
+                                _trace_steps(unit_span, unit, stats)
+                wave_count += 1
                 pending -= set(wave)
                 completed |= set(wave)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-            if switch_interval is not None:
-                sys.setswitchinterval(switch_interval)
 
-        for _, commit in sorted(commits, key=lambda entry: entry[0]):
-            commit()
+            for _, commit in sorted(commits, key=lambda entry: entry[0]):
+                commit()
+            root.set("units", len(units))
+            root.set("waves", wave_count)
 
         report = RunReport(
             steps=[
@@ -389,12 +342,7 @@ class Workflow:
                 for step in self._steps.values()
             ]
         )
-        if tracer is not None and records is not None:
-            wall_s = time.perf_counter() - run_started
-            root = self._assemble_trace(
-                records, stats, parallelism, batch_size, wall_s
-            )
-            tracer.attach(root)
+        if tracer is not None:
             report.trace = root
         outputs = (
             {name: results[name] for name in self.outputs}
@@ -402,66 +350,6 @@ class Workflow:
             else results
         )
         return outputs, report
-
-    def _assemble_trace(
-        self,
-        records: list[_UnitRecord],
-        stats: dict[str, _StepStats],
-        parallelism: int,
-        batch_size: int | None,
-        wall_s: float,
-    ) -> Span:
-        """Build the engine run's span tree from raw unit timings.
-
-        Grouping is wave -> unit -> step.  Unit spans carry their queue
-        wait (dispatchable to actually started) and worker thread; the
-        root carries thread utilization — summed busy time over the
-        pool's wall-clock capacity.
-        """
-        root = Span(
-            f"workflow:{self.name}",
-            attrs={
-                "mode": "engine",
-                "parallelism": parallelism,
-                "batch_size": batch_size,
-                "units": len(records),
-                "waves": len({record.wave for record in records}),
-            },
-        )
-        root.duration_s = wall_s
-        busy_s = sum(record.ended_s - record.started_s for record in records)
-        if wall_s > 0 and parallelism > 0:
-            root.attrs["thread_utilization"] = round(
-                busy_s / (wall_s * parallelism), 3
-            )
-        wave_spans: dict[int, Span] = {}
-        for record in sorted(records, key=lambda r: (r.wave, r.started_s)):
-            wave_span = wave_spans.get(record.wave)
-            if wave_span is None:
-                wave_span = root.child(f"wave:{record.wave}")
-                wave_spans[record.wave] = wave_span
-            wave_span.duration_s = max(
-                wave_span.duration_s, record.ended_s - record.ready_s
-            )
-            unit_span = wave_span.child(
-                f"unit:{record.unit.tail.name}",
-                thread=record.thread,
-                batches=record.batches,
-                queue_wait_ms=round(
-                    max(0.0, record.started_s - record.ready_s) * 1000, 3
-                ),
-            )
-            unit_span.duration_s = record.ended_s - record.started_s
-            for step in record.unit.steps:
-                step_stats = stats[step.name]
-                step_span = unit_span.child(
-                    f"step:{step.name}",
-                    stage=step.stage,
-                    rows_in=step_stats.rows_in,
-                    rows_out=step_stats.rows_out,
-                )
-                step_span.duration_s = step_stats.seconds
-        return root
 
     def _open_unit(self, unit, results, stats, batch_size):
         """The unit's input chunk iterator, its ownership, and its tail ops.
@@ -551,6 +439,19 @@ class Workflow:
 
     def __len__(self) -> int:
         return len(self._steps)
+
+
+def _trace_steps(unit_span: Span, unit: _Unit, stats: dict[str, _StepStats]) -> None:
+    """Step spans under a finished unit, carrying its steps' row counts."""
+    for step in unit.steps:
+        step_stats = stats[step.name]
+        step_span = unit_span.child(
+            f"step:{step.name}",
+            stage=step.stage,
+            rows_in=step_stats.rows_in,
+            rows_out=step_stats.rows_out,
+        )
+        step_span.duration_s = step_stats.seconds
 
 
 def _chunks(rows: list[Row], batch_size: int | None):

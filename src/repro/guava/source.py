@@ -27,9 +27,8 @@ from repro.guava.query import GTreeQuery
 from repro.guava.translate import translate_query
 from repro.patterns.chain import PatternChain
 from repro.relational.algebra import Select
-from repro.relational.database import Database
+from repro.relational.database import Database, database_version
 from repro.relational.query import optimize, prepare_stream_plan
-from repro.relational.snapshot import database_version
 from repro.relational.sql import to_sql
 from repro.ui.form import RECORD_ID
 from repro.ui.session import DataEntrySession

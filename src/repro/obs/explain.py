@@ -127,8 +127,9 @@ def explain_analyze(
     ``executor="row"`` disables the vectorize pass so the same query can be
     profiled on the row-at-a-time path (batch operator spans additionally
     carry ``batches`` and ``rows_per_batch``); ``executor="parallel"`` runs
-    any vectorized subtree morsel-parallel on ``workers`` threads
-    (default 4) and annotates per-worker utilization into its span.
+    any vectorized subtree with ``parallel=workers`` (default 4): eligible
+    stages on worker processes, the rest serially, with the pool decision
+    and per-worker utilization annotated into its span.
 
     Every operator span that reports actual ``rows_out`` is additionally
     annotated post-execution with the planner's ``estimated_rows`` and the

@@ -22,9 +22,8 @@ Three ways to use it::
     report = explain_analyze(query, db)  # repro.obs.explain, one-call API
 
 Span context managers nest via a per-tracer stack and are meant for
-single-threaded use; cross-thread work (the parallel ETL engine) records
-raw timings and assembles its span tree after the run — worker threads
-start with a fresh context and therefore see tracing as disabled.
+single-threaded use; work done in worker processes (the process-parallel
+executor) returns pickle-safe spans that the parent grafts into its tree.
 
 Exports are JSON (``to_dict``/``to_json``), an annotated tree
 (``render``), and collapsed-stack flamegraph text (``flamegraph_lines``),

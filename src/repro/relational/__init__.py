@@ -14,7 +14,7 @@ from repro.relational.schema import (
     TableSchema,
 )
 from repro.relational.table import Table
-from repro.relational.database import Database
+from repro.relational.database import Database, database_version
 from repro.relational.index import HashIndex
 from repro.relational.algebra import (
     Aggregate,
@@ -53,13 +53,10 @@ from repro.relational.cost import (
 )
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, plan_fingerprint, prepare_stream_plan
-from repro.relational.snapshot import database_version, load_database, save_database
 from repro.relational.sql import to_sql
 from repro.relational.parallel import (
-    ThreadWorkerPool,
     available_cores,
     execute_parallel,
-    set_worker_pool_factory,
     set_worker_pool_mode,
     worker_pool_mode,
 )
@@ -110,7 +107,6 @@ __all__ = [
     "Sort",
     "Table",
     "TableSchema",
-    "ThreadWorkerPool",
     "TopK",
     "Union",
     "Unpivot",
@@ -132,13 +128,10 @@ __all__ = [
     "execute_parallel",
     "execute_vectorized",
     "database_version",
-    "load_database",
     "optimize",
     "plan_fingerprint",
     "prepare_stream_plan",
-    "save_database",
     "set_statistics_enabled",
-    "set_worker_pool_factory",
     "set_worker_pool_mode",
     "statistics_enabled",
     "worker_pool_mode",

@@ -55,7 +55,7 @@ class Database:
         ever increases within one process, so the sum is monotone: any
         insert, delete, update, index create/drop, table create/drop, or
         repartition yields a new epoch and invalidates cached plans.
-        (``snapshot.database_version`` — data versions only — is left
+        (:func:`database_version` — data versions only — is left
         untouched; the GUAVA change feed keys on it.)
         """
         total = self._structure_version
@@ -148,3 +148,14 @@ class Database:
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, tables={self.table_names()})"
+
+
+def database_version(db: Database) -> int:
+    """Monotone data version of a whole database.
+
+    The sum of per-table versions, which only grows while tables are
+    mutated in place.  Dropping a table makes the sum regress; consumers
+    (incremental materialization) treat any unexpected value as broken
+    lineage and fall back to a full rebuild, so regression is safe.
+    """
+    return sum(table.version for table in db)

@@ -1,69 +1,56 @@
-"""Morsel-driven parallel execution of vectorized subtrees.
+"""Morsel-driven process-parallel execution of vectorized subtrees.
 
 The third execution strategy over the same plan semantics: a fully
-vectorized subtree is decomposed into *morsels* — contiguous runs of
-source batches (partition × chunk work units for a pruned
-:class:`~repro.relational.algebra.PartitionScan`) — and the per-morsel
-work self-schedules onto a shared worker pool, the dispatch discipline of
-Leis et al.'s morsel-driven parallelism: a worker that finishes early
-claims the next unstarted morsel, so load imbalance is stolen away at
-morsel granularity without a separate stealing protocol.
+vectorized subtree is decomposed into *stages* — a record-wise pipeline
+over a Scan/PartitionScan leaf, an Aggregate over such a pipeline, or the
+probe side of a Join — and each eligible stage is split into *morsels*,
+contiguous runs of source chunks.  Morsels self-schedule onto a warm
+:class:`~repro.relational.procpool.ProcessWorkerPool`, the dispatch
+discipline of Leis et al.'s morsel-driven scheduling: a worker that
+finishes early claims the next unstarted morsel, so load imbalance is
+stolen away at morsel granularity without a separate stealing protocol.
 
-Reuse over reimplementation: each morsel task substitutes its batches for
-the pipeline's source leaf (via the :class:`_BatchSource` kernel) and runs
-the *existing* batch kernels from :mod:`repro.relational.vectorize`.
-Partition-wise operators share state the same way —
+Morsels travel as *descriptors*, not data: the stage plan is cloned with
+its source leaf replaced by a :class:`~repro.storage.segments.SegmentScan`
+naming a shared mmap-backed segment file plus one morsel's chunk indices,
+pickled, and executed by workers running the *existing* batch kernels
+from :mod:`repro.relational.vectorize`.  Partition-wise operators share
+state the same way —
 
 - Aggregate: each morsel consumes into its own
   :class:`~repro.relational.vectorize.GroupedAggregation`; partials merge
   in morsel order, reproducing the serial pass's first-seen group order
   and per-group value order exactly.
-- Join: one :class:`~repro.relational.vectorize.JoinBuild` is built
-  serially and shared read-only across workers probing left-side morsels.
+- Join: the build side is broadcast once through a segment file; workers
+  build their hash table locally and probe their morsels (JoinBuildLeft
+  pair lists are absorbed in task order for left-built joins).
 - Everything else (Sort, TopK, Distinct, Limit, Union, …) runs serially
-  over its children's parallelized outputs.
+  over its children's outputs.
 
-Determinism contract: morsel outputs are concatenated in morsel index
-order, which is source batch order, which is extent order — so results
-are row-for-row identical (values AND order) to the serial batch executor
-and therefore to the interpreter.  When a morsel raises, the exception of
-the lowest morsel index is re-raised (error-*type* parity only, the same
-relaxation the batch path documents).
+Determinism contract: segment chunk order is extent order and results are
+absorbed in task order, so rows are identical (values AND order) to the
+serial batch executor and therefore to the interpreter.  When a morsel
+raises, the exception of the lowest task index is re-raised (error-*type*
+parity only, the same relaxation the batch path documents).
 
-Honesty about the GIL: on CPython threads the pool buys parallel speedup
-only for the allocator/C-level slices of the work; measured speedups are
-reported as-is in EXPERIMENTS.md, and per-worker utilization is annotated
-into the trace so numbers are explainable.  The pool is pluggable
-(:func:`set_worker_pool_factory`) so a process pool or a free-threaded
-runtime can slot in without touching the executor.
-
-Breaking the GIL barrier: when the resolved pool mode is ``process``
-(:func:`set_worker_pool_mode`, ``REPRO_WORKER_POOL``, or ``auto`` on a
-multi-core machine with a large enough input), eligible stages ship
-morsel *descriptors* instead of closures — the stage plan is cloned with
-its source leaf replaced by a
-:class:`~repro.storage.segments.SegmentScan` naming a shared mmap-backed
-segment file plus one morsel's chunk indices, pickled, and executed by
-:class:`~repro.relational.procpool.ProcessWorkerPool` workers running
-the same serial batch kernels.  Join build sides broadcast through a
-segment file the same way.  The determinism contract is unchanged:
-segment chunk order is extent order, results are absorbed in task order,
-and partition-wise merges (Aggregate partials, JoinBuildLeft pair lists)
-happen in the parent exactly as on threads.  Stages a process cannot run
-(multi-partition scans, stale schemes, unpicklable plans) and inputs too
-small to amortize a segment build (``cost.py`` row estimates, auto mode
-only) fall back to the thread pool, with every decision recorded in the
-trace gauges.
+Serial is the floor.  The process gate (:func:`set_worker_pool_mode`,
+``REPRO_WORKER_POOL``) is *forced* for the equivalence and crash suites,
+and otherwise *auto*: on a single core or a single worker it is off, and
+per stage it refuses inputs too small to amortize the pickling and a
+segment build (``cost.py`` row estimates).  Stages a process cannot run
+(multi-partition scans, stale schemes, unpicklable plans) are refused in
+either mode.  A refused stage runs inline through the serial batch
+kernels on the calling thread; every decision is recorded in the trace
+gauges (``pool``, ``process_pool_disabled``, ``parallel_fallbacks``).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from repro.relational.algebra import (
     Aggregate,
@@ -92,115 +79,22 @@ from repro.relational.vectorize import (
 
 if TYPE_CHECKING:
     from repro.relational.table import Table
-    from repro.storage.segments import Segment
+    from repro.storage.segments import Segment, SegmentScan
 
-#: Source batches per morsel: 8 × BATCH_SIZE = 8192 rows.  Large enough to
-#: amortize per-task scheduling, small enough that work stealing can
+#: Source chunks per morsel: 8 × BATCH_SIZE = 8192 rows.  Large enough to
+#: amortize per-task pickling, small enough that work stealing can
 #: rebalance a skewed pipeline.
 MORSEL_BATCHES = 8
 
 #: Auto-mode floor for routing a stage to worker processes: below this
 #: many source rows the per-task pickling and queue hops cost more than
-#: the GIL costs threads.
+#: running the stage inline.
 PROCESS_MIN_ROWS = 50_000
 
 #: Auto-mode floor when the extent's segment is cold (not yet built at
 #: this data version): the one-off materialization write must be
 #: amortizable against the estimated scan work, so the bar is higher.
 PROCESS_COLD_MIN_ROWS = 200_000
-
-
-# -- worker pool ---------------------------------------------------------------
-
-
-@dataclass
-class WorkerStats:
-    """Per-worker accounting for one pool run."""
-
-    worker: int
-    morsels: int = 0
-    busy_s: float = 0.0
-
-
-class ThreadWorkerPool:
-    """Self-scheduling thread pool over a shared morsel queue.
-
-    ``run(tasks)`` executes every task and returns ``(results, stats)``
-    with results in task order.  Workers claim the next unstarted task
-    under a lock — the morsel-driven equivalent of work stealing, since an
-    early finisher takes work a slower worker would otherwise have run.
-    A single worker (or a single task) runs inline on the calling thread.
-    Task exceptions are collected and the one with the lowest task index
-    is re-raised after the pool drains.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = max(1, int(workers))
-
-    def run(
-        self, tasks: Sequence[Callable[[], object]]
-    ) -> tuple[list[object], list[WorkerStats]]:
-        n = len(tasks)
-        count = min(self.workers, n) if n else 1
-        stats = [WorkerStats(i) for i in range(count)]
-        results: list[object] = [None] * n
-        errors: list[BaseException | None] = [None] * n
-        cursor = [0]
-        lock = threading.Lock()
-
-        def drain(stat: WorkerStats) -> None:
-            timer = perf_counter
-            while True:
-                with lock:
-                    i = cursor[0]
-                    if i >= n:
-                        return
-                    cursor[0] = i + 1
-                started = timer()
-                try:
-                    results[i] = tasks[i]()
-                except BaseException as exc:  # re-raised below, by index
-                    errors[i] = exc
-                stat.busy_s += timer() - started
-                stat.morsels += 1
-
-        if count == 1:
-            drain(stats[0])
-        else:
-            threads = [
-                threading.Thread(
-                    target=drain,
-                    args=(stat,),
-                    name=f"repro-morsel-{stat.worker}",
-                    daemon=True,
-                )
-                for stat in stats
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        for error in errors:
-            if error is not None:
-                raise error
-        return results, stats
-
-
-#: Pool constructor used by the engine; swap via set_worker_pool_factory.
-_POOL_FACTORY: Callable[[int], ThreadWorkerPool] = ThreadWorkerPool
-
-
-def set_worker_pool_factory(
-    factory: Callable[[int], ThreadWorkerPool] | None = None,
-) -> None:
-    """Install a custom worker-pool factory (None restores threads).
-
-    The contract is ``factory(workers).run(tasks) -> (results, stats)``
-    with results in task order; a process pool or a free-threaded runtime
-    can slot in here without touching the executor.
-    """
-    global _POOL_FACTORY
-    _POOL_FACTORY = ThreadWorkerPool if factory is None else factory
 
 
 # -- pool mode policy ----------------------------------------------------------
@@ -210,9 +104,9 @@ _POOL_MODE: str | None = None
 
 
 def set_worker_pool_mode(mode: str | None = None) -> None:
-    """Pin the worker pool kind: ``"thread"``, ``"process"``, or
-    ``None``/``"auto"`` to restore the default resolution (environment
-    variable ``REPRO_WORKER_POOL``, then the auto policy).
+    """Pin the worker pool mode: ``"process"``, or ``None``/``"auto"`` to
+    restore the default resolution (environment variable
+    ``REPRO_WORKER_POOL``, then the auto policy).
 
     ``"process"`` *forces* descriptor-capable stages onto worker
     processes regardless of core count or input size — the equivalence
@@ -220,7 +114,7 @@ def set_worker_pool_mode(mode: str | None = None) -> None:
     machinery on single-vCPU CI.
     """
     global _POOL_MODE
-    if mode not in (None, "auto", "thread", "process"):
+    if mode not in (None, "auto", "process"):
         raise ValueError(f"unknown worker pool mode {mode!r}")
     _POOL_MODE = None if mode in (None, "auto") else mode
 
@@ -230,17 +124,15 @@ def worker_pool_mode() -> str:
     if _POOL_MODE is not None:
         return _POOL_MODE
     env = os.environ.get("REPRO_WORKER_POOL", "").strip().lower()
-    if env in ("thread", "process"):
-        return env
-    return "auto"
+    return "process" if env == "process" else "auto"
 
 
 def available_cores() -> int:
     """CPU cores this process may actually run on (affinity-aware).
 
     The auto policy and the bench provenance both consult this, so a
-    single-vCPU CI box reports 1 and gates on correctness-with-fallback
-    instead of fictitious speedups.
+    single-vCPU CI box reports 1 and runs serially instead of reporting
+    fictitious speedups.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
@@ -248,16 +140,16 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-# -- morsel source substitution ------------------------------------------------
+# -- stage decomposition -------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class _BatchSource(Plan):
-    """A plan leaf standing in for precomputed batches (one morsel's input).
+    """A plan leaf standing in for precomputed batches.
 
-    Per-morsel tasks clone the pipeline with its Scan/PartitionScan leaf
-    replaced by one of these, so every existing batch kernel runs unchanged
-    over just that morsel's rows.
+    A serial operator above a process-run stage gets its children's
+    batches through one of these, so its existing batch kernel runs
+    unchanged over them.
     """
 
     source_columns: tuple[str, ...]
@@ -312,75 +204,39 @@ def _replace_source(plan: Plan, source: Plan, replacement: Plan) -> Plan:
     )
 
 
-def _morsels(batches: list[Batch]) -> list[list[Batch]]:
-    return [
-        batches[start : start + MORSEL_BATCHES]
-        for start in range(0, len(batches), MORSEL_BATCHES)
-    ]
 
 
 # -- the engine ----------------------------------------------------------------
 
 
 class _Engine:
-    """One parallel execution: pool bookkeeping plus the recursive driver."""
+    """One parallel execution: the process gate, pool bookkeeping, and the
+    recursive stage driver."""
 
     def __init__(self, ctx: ExecContext, workers: int):
         self.ctx = ctx
-        self.workers = workers
         self.morsels = 0
         self.stages = 0
-        self.thread_stages = 0
-        self.process_stages = 0
         self.wall_s = 0.0
         self.cores = available_cores()
-        self._busy: dict[tuple[str, int], float] = {}
-        self._claimed: dict[tuple[str, int], int] = {}
+        self._busy: dict[int, float] = {}
+        self._claimed: dict[int, int] = {}
         self._worker_spans: dict[int, list[object]] = {}
         self.fallbacks: list[dict[str, object]] = []
-        # Resolve the process-pool gate once per execution.  "forced"
-        # skips the size/core policy (tests and CI exercise the real
-        # machinery on one core); "auto" applies the cost thresholds per
-        # stage; "off" records why.  A custom factory whose pools are not
-        # process-kind always wins — it was installed deliberately.
-        mode = worker_pool_mode()
-        factory_kind = getattr(_POOL_FACTORY, "kind", None)
-        self.process_workers = workers
-        if _POOL_FACTORY is not ThreadWorkerPool and factory_kind != "process":
-            self._process_gate = "off"
-            self._off_reason = "custom_pool_factory"
-        elif mode == "thread":
-            self._process_gate = "off"
-            self._off_reason = "mode_thread"
-        elif mode == "process":
-            self._process_gate = "forced"
-            self._off_reason = ""
-        else:
-            self.process_workers = min(workers, self.cores)
-            if self.process_workers >= 2:
-                self._process_gate = "auto"
-                self._off_reason = ""
-            else:
-                self._process_gate = "off"
-                self._off_reason = (
-                    "single_core" if self.cores < 2 else "single_worker"
-                )
-
-    def run_tasks(self, tasks: list[Callable[[], object]]) -> list[object]:
-        started = perf_counter()
-        results, stats = _POOL_FACTORY(self.workers).run(tasks)
-        self.wall_s += perf_counter() - started
-        self.stages += 1
-        self.thread_stages += 1
-        self.morsels += len(tasks)
-        for stat in stats:
-            key = ("thread", stat.worker)
-            self._busy[key] = self._busy.get(key, 0.0) + stat.busy_s
-            self._claimed[key] = self._claimed.get(key, 0) + stat.morsels
-        return results
+        # Resolve the process gate once per execution.  Forced mode skips
+        # the core/size policy (tests and CI exercise the real machinery
+        # on one core); auto mode applies the row thresholds per stage and
+        # is off outright — with the reason recorded — below two workers.
+        self.forced = worker_pool_mode() == "process"
+        self.process_workers = workers if self.forced else min(workers, self.cores)
+        self.off_reason = ""
+        if not self.forced and self.process_workers < 2:
+            self.off_reason = "single_core" if self.cores < 2 else "single_worker"
 
     def run_specs(self, specs: list[dict[str, object]]) -> list[object]:
         """Execute morsel descriptors on the warm process pool."""
+        if not specs:
+            return []
         from repro.relational.procpool import ProcessWorkerPool
 
         started = perf_counter()
@@ -389,12 +245,10 @@ class _Engine:
         )
         self.wall_s += perf_counter() - started
         self.stages += 1
-        self.process_stages += 1
         self.morsels += len(specs)
         for worker_id, claimed, busy, spans in accounts:
-            key = ("process", worker_id)
-            self._busy[key] = self._busy.get(key, 0.0) + busy
-            self._claimed[key] = self._claimed.get(key, 0) + claimed
+            self._busy[worker_id] = self._busy.get(worker_id, 0.0) + busy
+            self._claimed[worker_id] = self._claimed.get(worker_id, 0) + claimed
             self._worker_spans.setdefault(worker_id, []).extend(spans)
         return results
 
@@ -404,23 +258,13 @@ class _Engine:
         return [
             {
                 "worker": worker,
-                "pool": pool,
-                "morsels": self._claimed.get((pool, worker), 0),
+                "pool": "process",
+                "morsels": self._claimed.get(worker, 0),
                 "busy_s": round(busy, 6),
                 "utilization": round(busy / wall, 3) if wall else 0.0,
             }
-            for (pool, worker), busy in sorted(self._busy.items())
+            for worker, busy in sorted(self._busy.items())
         ]
-
-    def pool_label(self) -> str:
-        """Which pool(s) this execution actually used, for the trace."""
-        if self.process_stages and self.thread_stages:
-            return "mixed"
-        if self.process_stages:
-            return "process"
-        if self.thread_stages:
-            return "thread"
-        return "thread" if self._process_gate == "off" else "process"
 
     def graft_worker_spans(self, target: Plan) -> None:
         """Re-graft pickle-safe worker spans under the target's span.
@@ -456,8 +300,8 @@ class _Engine:
         """The (table, partition) extent a process morsel can describe.
 
         A string return is the fallback reason.  Multi-partition
-        PartitionScans stay on threads: their serial output order is the
-        merged ascending position order across partitions, which a
+        PartitionScans run serially: their output order is the merged
+        ascending position order across partitions, which a
         partition-major segment read would not reproduce.
         """
         db = self.ctx.db
@@ -479,20 +323,18 @@ class _Engine:
     ) -> "tuple[Segment, list[tuple[int, ...]]] | None":
         """(segment, chunk-index morsels) when this stage goes to processes.
 
-        ``None`` means run on threads; the reason is recorded.  Zone-map
-        skipping happens here in the parent — the same
-        :class:`SelectAnalysis` decision the thread path makes per batch,
-        applied to chunk indices before any descriptor is formed — so
-        workers never even receive a chunk statistics rule out.
+        ``None`` means run the stage serially; the reason is recorded.
+        Zone-map skipping happens here in the parent — the same
+        :class:`SelectAnalysis` decision the serial Select kernel makes
+        per batch, applied to chunk indices before any descriptor is
+        formed — so workers never even receive a chunk statistics rule out.
         """
-        if self._process_gate == "off":
-            return None
         resolved = self._resolve_extent(source)
         if isinstance(resolved, str):
             self._fallback(stage, resolved)
             return None
         table, partition = resolved
-        if self._process_gate == "auto":
+        if not self.forced:
             from repro.relational.cost import estimate_plan_rows
             from repro.storage.segments import cached_table_segment
 
@@ -573,14 +415,15 @@ class _Engine:
             str(segment.path), self.ctx.columns(source), chunks
         )
 
+
     def _pickle_specs(
-        self, stage: str, mode: str, plans: list[Plan], build_key: str | None = None
+        self, stage: str, plans: list[Plan], build_key: str | None = None
     ) -> list[dict[str, object]] | None:
         """Pickle per-morsel plans into specs; None if any plan refuses.
 
         Plans are plain dataclasses over the expression AST and should
         always pickle; this guard exists so an exotic hand-built plan
-        degrades to threads instead of failing the query.
+        degrades to the serial kernels instead of failing the query.
         """
         specs: list[dict[str, object]] = []
         for plan in plans:
@@ -589,16 +432,48 @@ class _Engine:
             except Exception:
                 self._fallback(stage, "unpicklable_plan")
                 return None
-            spec: dict[str, object] = {"mode": mode, "plan": blob}
+            spec: dict[str, object] = {"mode": stage, "plan": blob}
             if build_key is not None:
                 spec["build_key"] = build_key
             specs.append(spec)
         return specs
 
+    def _morsel_plans(
+        self,
+        plan: Plan,
+        source: Plan,
+        segment: "Segment",
+        chunk_morsels: list[tuple[int, ...]],
+    ) -> list[Plan]:
+        """``plan`` cloned once per morsel over that morsel's SegmentScan."""
+        return [
+            _replace_source(plan, source, self._segment_scan(segment, source, chunks))
+            for chunks in chunk_morsels
+        ]
+
+    def _broadcast_scan(self, side: Plan, batches: list[Batch]) -> "SegmentScan":
+        """Write one join side to a broadcast segment, scanned whole.
+
+        Every worker attaches it read-only and builds its hash table
+        locally (cached by path), so the build rows cross the process
+        boundary zero times per worker instead of once per morsel.
+        """
+        from repro.storage.segments import (
+            SegmentScan,
+            attach_segment,
+            write_broadcast_segment,
+        )
+
+        columns = self.ctx.columns(side)
+        path = write_broadcast_segment(columns, batches)
+        return SegmentScan(
+            str(path), columns, tuple(range(attach_segment(path).chunk_count))
+        )
+
     # -- drivers ---------------------------------------------------------------
 
     def batches(self, plan: Plan) -> list[Batch]:
-        """All output batches of ``plan``, parallelizing where possible."""
+        """All output batches of ``plan``, eligible stages on processes."""
         source = _pipeline_source(plan)
         if source is not None:
             return self._run_pipeline(plan, source)
@@ -615,67 +490,13 @@ class _Engine:
         children = plan.children()
         if not children:
             return list(_node_batches(plan, self.ctx))
-        # Serial operator over parallelized children: each child's batches
+        # Serial operator over its children's outputs: each child's batches
         # become a _BatchSource and the node's own kernel runs unchanged.
         replaced = tuple(
             _BatchSource(self.ctx.columns(child), tuple(self.batches(child)))
             for child in children
         )
         return list(_node_batches(_with_children(plan, replaced), self.ctx))
-
-    def _source_morsels(
-        self, source: Plan, pipeline: Plan | None = None
-    ) -> list[list[Batch]]:
-        # Source batches materialize serially (they are lazy chunk views;
-        # the per-row work lives in the pipeline above) through the
-        # *traced* context, so PartitionScan prune gauges land in the span
-        # tree.  When the pipeline filters directly over the source, chunks
-        # the zone maps rule out are dropped here — before any morsel is
-        # formed — and the skip gauges annotate the Select's span (the
-        # in-task contexts have no recorder, so this is where they must
-        # land).  Retained batches keep their zone tags; the per-task
-        # Select kernel still drops the all-match conjuncts.
-        batches = list(_node_batches(source, self.ctx))
-        select = (
-            _source_select(pipeline, source) if pipeline is not None else None
-        )
-        if select is not None and statistics_enabled():
-            analysis = SelectAnalysis(select.predicate)
-            if analysis.analyzable:
-                chunks_total = 0
-                chunks_skipped = 0
-                short_circuited = 0
-                retained: list[Batch] = []
-                for batch in batches:
-                    zone = batch.zone
-                    if zone is None:
-                        retained.append(batch)
-                        continue
-                    chunks_total += 1
-                    decision = analysis.decide(zone[0], zone[1], zone[2])
-                    if decision is SKIP_CHUNK:
-                        chunks_skipped += 1
-                        continue
-                    short_circuited += decision[1]
-                    retained.append(batch)
-                if chunks_total:
-                    self.ctx.annotate(
-                        select,
-                        chunks_total=chunks_total,
-                        chunks_skipped=chunks_skipped,
-                        conjuncts_short_circuited=short_circuited,
-                    )
-                batches = retained
-        return _morsels(batches)
-
-    def _morsel_plans(
-        self, plan: Plan, source: Plan, morsels: list[list[Batch]]
-    ) -> list[Plan]:
-        columns = self.ctx.columns(source)
-        return [
-            _replace_source(plan, source, _BatchSource(columns, tuple(morsel)))
-            for morsel in morsels
-        ]
 
     @staticmethod
     def _unpack_batches(results: list[object]) -> list[Batch]:
@@ -688,48 +509,19 @@ class _Engine:
     def _run_pipeline(self, plan: Plan, source: Plan) -> list[Batch]:
         prepared = self._process_morsels("pipeline", source, plan)
         if prepared is not None:
-            segment, chunk_morsels = prepared
-            if not chunk_morsels:
-                return []
             specs = self._pickle_specs(
-                "pipeline",
-                "pipeline",
-                [
-                    _replace_source(
-                        plan, source, self._segment_scan(segment, source, chunks)
-                    )
-                    for chunks in chunk_morsels
-                ],
+                "pipeline", self._morsel_plans(plan, source, *prepared)
             )
             if specs is not None:
                 return self._unpack_batches(self.run_specs(specs))
-        morsels = self._source_morsels(source, plan)
-        if not morsels:
-            return []
-        db = self.ctx.db
-        tasks = [
-            (lambda sub=sub: list(_node_batches(sub, ExecContext(db))))
-            for sub in self._morsel_plans(plan, source, morsels)
-        ]
-        results = self.run_tasks(tasks)
-        return [batch for out in results for batch in out]
+        return list(_node_batches(plan, self.ctx))
 
     def _run_aggregate(self, plan: Aggregate, source: Plan) -> list[Batch]:
-        columns = aggregate_output_columns(plan, self.ctx)
         prepared = self._process_morsels("aggregate", source, plan.child)
         if prepared is not None:
-            segment, chunk_morsels = prepared
-            if not chunk_morsels:
-                return list(GroupedAggregation(plan).finalize(columns))
+            columns = aggregate_output_columns(plan, self.ctx)
             specs = self._pickle_specs(
-                "aggregate",
-                "aggregate",
-                [
-                    _replace_source(
-                        plan, source, self._segment_scan(segment, source, chunks)
-                    )
-                    for chunks in chunk_morsels
-                ],
+                "aggregate", self._morsel_plans(plan, source, *prepared)
             )
             if specs is not None:
                 # Each worker returns its morsel's GroupedAggregation
@@ -740,108 +532,43 @@ class _Engine:
                     assert isinstance(partial, GroupedAggregation)
                     merged.merge(partial)
                 return list(merged.finalize(columns))
-        morsels = self._source_morsels(source, plan.child)
-        if not morsels:
-            return list(GroupedAggregation(plan).finalize(columns))
-        db = self.ctx.db
-
-        def make_task(sub: Plan) -> Callable[[], GroupedAggregation]:
-            def task() -> GroupedAggregation:
-                grouped = GroupedAggregation(plan)
-                for batch in _node_batches(sub, ExecContext(db)):
-                    grouped.consume(batch)
-                return grouped
-
-            return task
-
-        partials = self.run_tasks(
-            [make_task(sub) for sub in self._morsel_plans(plan.child, source, morsels)]
-        )
-        merged = partials[0]
-        for partial in partials[1:]:
-            merged.merge(partial)
-        return list(merged.finalize(columns))
+        return list(_node_batches(plan, self.ctx))
 
     def _run_join(self, plan: Join, source: Plan) -> list[Batch]:
         build = JoinBuild(plan, self.ctx)  # validates the join up front
         prepared = self._process_morsels("join_probe", source, plan.left)
+        right_batches = self.batches(plan.right)
         if prepared is not None:
-            right_batches = self.batches(plan.right)
             segment, chunk_morsels = prepared
-            if chunk_morsels:
-                from repro.storage.segments import (
-                    SegmentScan,
-                    attach_segment,
-                    write_broadcast_segment,
-                )
-
-                # Broadcast the materialized build side once through a
-                # segment file; every worker attaches it read-only and
-                # builds its hash table locally (cached by build_key), so
-                # the build rows cross the process boundary zero times
-                # per worker instead of once per morsel.
-                right_cols = self.ctx.columns(plan.right)
-                broadcast = write_broadcast_segment(right_cols, right_batches)
-                right_scan = SegmentScan(
-                    str(broadcast),
-                    right_cols,
-                    tuple(range(attach_segment(broadcast).chunk_count)),
-                )
-                specs = self._pickle_specs(
-                    "join_probe",
-                    "join_probe",
-                    [
-                        _with_children(
-                            plan,
-                            (
-                                _replace_source(
-                                    plan.left,
-                                    source,
-                                    self._segment_scan(segment, source, chunks),
-                                ),
-                                right_scan,
-                            ),
-                        )
-                        for chunks in chunk_morsels
-                    ],
-                    build_key=str(broadcast),
-                )
-                if specs is not None:
-                    return self._unpack_batches(self.run_specs(specs))
-            for rbatch in right_batches:
-                build.add(rbatch)
-        else:
-            for rbatch in self.batches(plan.right):
-                build.add(rbatch)
-        morsels = self._source_morsels(source, plan.left)
-        if not morsels:
-            return []
-        db = self.ctx.db
-
-        def make_task(sub: Plan) -> Callable[[], list[Batch]]:
-            def task() -> list[Batch]:
-                out: list[Batch] = []
-                for batch in _node_batches(sub, ExecContext(db)):
-                    joined = build.probe(batch)
-                    if joined is not None:
-                        out.append(joined)
-                return out
-
-            return task
-
-        results = self.run_tasks(
-            [make_task(sub) for sub in self._morsel_plans(plan.left, source, morsels)]
-        )
-        return [batch for out in results for batch in out]
+            if not chunk_morsels:
+                return []
+            right_scan = self._broadcast_scan(plan.right, right_batches)
+            specs = self._pickle_specs(
+                "join_probe",
+                [
+                    _with_children(plan, (left, right_scan))
+                    for left in self._morsel_plans(
+                        plan.left, source, segment, chunk_morsels
+                    )
+                ],
+                build_key=right_scan.path,
+            )
+            if specs is not None:
+                return self._unpack_batches(self.run_specs(specs))
+        for rbatch in right_batches:
+            build.add(rbatch)
+        out: list[Batch] = []
+        for batch in _node_batches(plan.left, self.ctx):
+            joined = build.probe(batch)
+            if joined is not None:
+                out.append(joined)
+        return out
 
     def _run_join_left(self, plan: Join) -> list[Batch]:
-        """Shared left-side build; right morsels probe it concurrently.
-
-        Each task returns its morsel's (left position, payload) pairs
-        without touching shared state; the serial absorb loop then merges
-        them in task order — which *is* right-stream order — so the final
-        left-major emission is bit-identical to the serial executors.
-        """
+        """Left-side build; right morsels collect (left position, payload)
+        pairs in workers, absorbed here in task order — which *is*
+        right-stream order — so the final left-major emission is
+        bit-identical to the serial executors."""
         build = JoinBuildLeft(plan, self.ctx)
         left_batches = self.batches(plan.left)
         for lbatch in left_batches:
@@ -856,78 +583,39 @@ class _Engine:
             segment, chunk_morsels = prepared
             if not chunk_morsels:
                 return list(build.emit())
-            from repro.storage.segments import (
-                SegmentScan,
-                attach_segment,
-                write_broadcast_segment,
-            )
-
             # Broadcast the LEFT side; workers rebuild the position table
             # from the same row sequence (global positions are boundary-
-            # independent) and return (left position, payload) pairs the
-            # parent absorbs in task order — which is right-stream order —
-            # before the serial left-major emission.
-            left_cols = self.ctx.columns(plan.left)
-            broadcast = write_broadcast_segment(left_cols, left_batches)
-            left_scan = SegmentScan(
-                str(broadcast),
-                left_cols,
-                tuple(range(attach_segment(broadcast).chunk_count)),
-            )
+            # independent).
+            left_scan = self._broadcast_scan(plan.left, left_batches)
             specs = self._pickle_specs(
                 "join_collect",
-                "join_collect",
                 [
-                    _with_children(
-                        plan,
-                        (
-                            left_scan,
-                            _replace_source(
-                                plan.right,
-                                source,
-                                self._segment_scan(segment, source, chunks),
-                            ),
-                        ),
+                    _with_children(plan, (left_scan, right))
+                    for right in self._morsel_plans(
+                        plan.right, source, segment, chunk_morsels
                     )
-                    for chunks in chunk_morsels
                 ],
-                build_key=str(broadcast),
+                build_key=left_scan.path,
             )
             if specs is not None:
                 for pairs in self.run_specs(specs):
                     build.absorb(pairs)  # type: ignore[arg-type]
                 return list(build.emit())
-        morsels = self._source_morsels(source, plan.right)
-        if not morsels:
-            return list(build.emit())
-        db = self.ctx.db
-
-        def make_task(sub: Plan) -> Callable[[], list]:
-            def task() -> list:
-                pairs: list = []
-                for batch in _node_batches(sub, ExecContext(db)):
-                    pairs.extend(build.collect(batch))
-                return pairs
-
-            return task
-
-        results = self.run_tasks(
-            [make_task(sub) for sub in self._morsel_plans(plan.right, source, morsels)]
-        )
-        for pairs in results:
-            build.absorb(pairs)
+        for rbatch in _node_batches(plan.right, self.ctx):
+            build.add_right(rbatch)
         return list(build.emit())
 
 
 def execute_parallel(
     plan: Plan, ctx: ExecContext, annotate: Plan | None = None
 ) -> list[Row]:
-    """Run a vectorized subtree morsel-parallel and materialize the rows.
+    """Run a vectorized subtree process-parallel and materialize the rows.
 
-    ``ctx.parallel`` carries the worker count (1 = inline, still through
-    the morsel machinery).  ``annotate`` names the plan node whose span
-    receives the executor gauges — the optimizer's ``Vectorized`` wrapper
-    when routed from there.
+    ``ctx.parallel`` carries the requested worker count.  Stages the
+    process gate refuses — and the whole subtree when the gate is off —
+    run inline through the serial batch kernels.  ``annotate`` names the
+    plan node whose span receives the executor gauges — the optimizer's
+    ``Vectorized`` wrapper when routed from there.
     """
     workers = ctx.parallel or 1
     target = annotate if annotate is not None else plan
@@ -945,8 +633,11 @@ def execute_parallel(
         )
         return rows
     engine = _Engine(ctx, workers)
+    batches = (
+        _node_batches(plan, ctx) if engine.off_reason else engine.batches(plan)
+    )
     out: list[Row] = []
-    for batch in engine.batches(plan):
+    for batch in batches:
         out.extend(batch.to_rows())
     gauges: dict[str, object] = dict(
         executor="parallel-batch",
@@ -954,16 +645,12 @@ def execute_parallel(
         morsels=engine.morsels,
         parallel_stages=engine.stages,
         worker_utilization=engine.worker_report(),
-        pool=engine.pool_label(),
+        pool="process" if engine.stages else "serial",
         cores=engine.cores,
     )
-    if engine._process_gate == "off" and engine._off_reason not in (
-        "",
-        "mode_thread",
-        "custom_pool_factory",
-    ):
-        gauges["process_pool_disabled"] = engine._off_reason
-    if engine.process_stages:
+    if engine.off_reason:
+        gauges["process_pool_disabled"] = engine.off_reason
+    if engine.stages:
         gauges["process_workers"] = engine.process_workers
     if engine.fallbacks:
         gauges["parallel_fallbacks"] = engine.fallbacks

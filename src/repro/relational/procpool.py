@@ -1,9 +1,9 @@
 """Spawn-based process worker pool executing morsel descriptors.
 
-This is the pool that breaks the GIL barrier for the morsel-parallel
-executor: instead of closures (which cannot cross a process boundary),
-the scheduler in :mod:`repro.relational.parallel` ships *specs* — small
-picklable dicts carrying a pickled morsel plan whose source leaf is a
+This is the pool behind the process-parallel executor: instead of
+closures (which cannot cross a process boundary), the scheduler in
+:mod:`repro.relational.parallel` ships *specs* — small picklable dicts
+carrying a pickled morsel plan whose source leaf is a
 :class:`~repro.storage.segments.SegmentScan` descriptor (segment path +
 chunk indices) — and workers return packed result columns, aggregation
 partials, or join pair lists.  Table data itself never crosses the pipe:
@@ -13,19 +13,18 @@ only the chunks their morsels name.
 Pool mechanics:
 
 * **spawn-based, warm.**  Workers are started with the ``spawn`` start
-  method (``REPRO_MP_START=forkserver`` opts into fork-server) and kept
-  alive across queries in a module-level registry keyed by pool size, so
-  the interpreter-startup cost is paid once per process, not per query.
-* **self-scheduling.**  All specs go onto one shared task queue; workers
-  claim the next unstarted spec — the same morsel-stealing discipline as
-  the thread pool, across processes.
+  method (no inherited locks, mmaps or file descriptors) and kept alive
+  across queries in a module-level registry keyed by pool size, so the
+  interpreter-startup cost is paid once per process, not per query.
+* **self-scheduling.**  Specs go onto one shared task queue, at most two
+  per worker in flight; workers claim the next unstarted spec —
+  morsel-driven work stealing across processes.
 * **ordered results.**  Every result carries its task index; the parent
   reassembles in task order, so downstream merges see morsel order
   exactly as the serial executors would.
 * **error parity.**  An exception raised *by the query* inside a worker
   is pickled (round-trip verified in the worker) and re-raised in the
-  parent with its original type, lowest task index first — the same
-  contract as :class:`~repro.relational.parallel.ThreadWorkerPool`.  An
+  parent with its original type, lowest task index first.  An
   exception of the *machinery* — a worker killed mid-morsel, an
   unstartable pool — raises
   :class:`~repro.errors.ParallelExecutionError` after the wounded pool
@@ -61,13 +60,6 @@ Spec = dict[str, Any]
 
 #: (worker id, morsels claimed, busy seconds, per-task spans).
 WorkerAccount = tuple[int, int, float, list[Span]]
-
-
-def _mp_context() -> multiprocessing.context.BaseContext:
-    method = os.environ.get("REPRO_MP_START", "spawn").strip().lower()
-    if method not in ("spawn", "forkserver"):
-        method = "spawn"
-    return multiprocessing.get_context(method)
 
 
 # -- worker side ----------------------------------------------------------------
@@ -241,7 +233,7 @@ class _PoolState:
     """One warm set of worker processes plus their shared queues."""
 
     def __init__(self, workers: int):
-        ctx = _mp_context()
+        ctx = multiprocessing.get_context("spawn")
         self.workers = workers
         self.tasks = ctx.SimpleQueue()
         self.results = ctx.SimpleQueue()
@@ -332,29 +324,10 @@ def _discard_pool(workers: int, state: _PoolState) -> None:
 
 
 class ProcessWorkerPool:
-    """The process-backed worker pool behind ``set_worker_pool_factory``.
-
-    Satisfies the factory signature (``ProcessWorkerPool`` itself can be
-    installed as the pool factory); the scheduler detects ``kind ==
-    "process"`` and routes morsel *descriptors* through
-    :meth:`run_specs` instead of closures through ``run`` — closures
-    cannot cross a process boundary, so ``run`` refuses loudly rather
-    than degrade silently.
-    """
-
-    kind = "process"
+    """A handle on the warm worker processes for one pool size."""
 
     def __init__(self, workers: int):
         self.workers = max(1, int(workers))
-
-    def run(
-        self, tasks: Any
-    ) -> Any:  # pragma: no cover - contract documentation
-        raise ParallelExecutionError(
-            "ProcessWorkerPool executes morsel descriptors (run_specs), "
-            "not closures; stages that cannot be described fall back to "
-            "the thread pool"
-        )
 
     def run_specs(self, specs: list[Spec]) -> tuple[list[Any], list[WorkerAccount]]:
         """Execute specs on warm worker processes; results in spec order."""
@@ -372,15 +345,20 @@ class ProcessWorkerPool:
         state = _acquire_pool(count)
         _RUN_COUNTER += 1
         run_id = _RUN_COUNTER
-        for index, spec in enumerate(specs):
-            state.tasks.put((run_id, index, spec))
         results: list[Any] = [None] * n
         errors: list[BaseException | None] = [None] * n
         accounts: dict[int, list[Any]] = {}
+        sent = 0
         collected = 0
         reader = state.results._reader  # type: ignore[attr-defined]
         sentinels = [p.sentinel for p in state.processes]
         while collected < n:
+            # At most two specs per worker in flight, topped up between
+            # reads: queuing every spec up front fills the task pipe while
+            # workers block writing results nobody is reading — a deadlock.
+            while sent < n and sent - collected < 2 * count:
+                state.tasks.put((run_id, sent, specs[sent]))
+                sent += 1
             _connection_wait([reader, *sentinels])
             progressed = False
             while not state.results.empty():

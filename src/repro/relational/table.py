@@ -482,11 +482,6 @@ class Table:
 
     # -- restore (snapshot load / WAL replay only) ----------------------------
 
-    def restore_version(self, version: int) -> None:
-        """Set the data version (snapshot restore only); never rewinds."""
-        if version > self._version:
-            self._version = version
-
     def restore_extent(
         self,
         rows: list[Row],
@@ -519,9 +514,8 @@ class Table:
     ) -> None:
         """Set the monotone counters to exact recovered values (restore only).
 
-        Unlike :meth:`restore_version` this CAN rewind — recovery needs the
-        recovered table's counters bit-identical to the crashed process's,
-        not merely fresh.  Because an arbitrary version assignment breaks the
+        This CAN rewind — recovery needs the recovered table's counters
+        bit-identical to the crashed process's, not merely fresh.  Because an arbitrary version assignment breaks the
         "version equality implies content equality" contract every
         version-keyed cache relies on, all of them are dropped here:
         ``derived`` artifacts (zone maps, dictionaries), row/column

@@ -608,9 +608,9 @@ class JoinBuild:
     Constructed once per execution: validates the join, keys the whole
     right input into buckets (payloads as value tuples, zip-transposed per
     batch so there is no per-row tuple comprehension).  :meth:`probe` is
-    read-only on the build state afterwards, so the morsel-parallel
-    executor shares one build across worker threads and probes left
-    morsels concurrently.
+    read-only on the build state afterwards, so each process-parallel
+    worker builds one from the broadcast right side and probes many left
+    morsels against it.
     """
 
     __slots__ = (
@@ -696,8 +696,8 @@ class JoinBuild:
         """Join one probe-side batch against the build; None when empty.
 
         Gathers output columns by index lists instead of merging dicts per
-        match.  Pure with respect to build state — safe to call from
-        multiple threads once the build is complete.
+        match.  Pure with respect to build state once the build is
+        complete.
         """
         get = self.buckets.get
         id_types = _IDENTITY_KEY_TYPES
@@ -806,9 +806,9 @@ class JoinBuildLeft:
     path when the left subtree provably cannot raise, so consuming the
     left side first never changes which error surfaces.
 
-    :meth:`collect` is read-only on build state, so the morsel-parallel
-    executor probes right morsels concurrently and absorbs the pair lists
-    serially in morsel order.
+    :meth:`collect` is read-only on build state, so process-parallel
+    workers collect right morsels against one broadcast build and the
+    parent absorbs the pair lists in morsel order.
     """
 
     __slots__ = (
@@ -895,8 +895,8 @@ class JoinBuildLeft:
     def collect(self, rbatch: Batch) -> list[tuple[int, tuple[object, ...]]]:
         """(left position, payload) pairs for one right batch, in row order.
 
-        Pure with respect to build state — safe to call from multiple
-        threads once the left side is fully added.
+        Pure with respect to build state once the left side is fully
+        added.
         """
         get = self.positions.get
         id_types = _IDENTITY_KEY_TYPES

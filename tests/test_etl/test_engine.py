@@ -1,19 +1,21 @@
-"""Equivalence tests for the batched/parallel ETL engine.
+"""Equivalence tests for the fused (batched) ETL engine.
 
 The serial path (``Workflow.run()`` with default arguments) is the
-oracle: every engine configuration — batched, parallel, or both — must
-produce row-identical outputs, identical quarantine contents, identical
-warehouse tables, and identical per-step row counts.
+oracle: every batch size — from one row per chunk to one chunk for the
+whole input — must produce row-identical outputs, identical quarantine
+contents, identical warehouse tables, and identical per-step row counts.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.analysis import build_study2
 from repro.clinical import build_world
 from repro.etl import compile_study
-from repro.etl.workflow import RunReport, StepRun
+from repro.etl.workflow import RunReport, StepRun, Workflow
 from repro.multiclass import CleaningRule
 from repro.relational import Database
 
@@ -68,9 +70,9 @@ def table_dump(db: Database) -> dict:
 ENGINE_CONFIGS = [
     {"batch_size": 64},
     {"batch_size": 7},
-    {"parallelism": 4},
-    {"parallelism": 2, "batch_size": 32},
-    {"parallelism": 3, "batch_size": 1},
+    {"batch_size": 100_000},
+    {"batch_size": 32},
+    {"batch_size": 1},
 ]
 
 
@@ -102,7 +104,7 @@ class TestEngineEquivalence:
         assert table_dump(warehouse) == table_dump(oracle[3])
 
     def test_step_order_in_report_matches_serial(self, cleaned_study, oracle):
-        _, report, _, _ = run_study(cleaned_study, parallelism=4, batch_size=16)
+        _, report, _, _ = run_study(cleaned_study, batch_size=16)
         assert [r.step for r in report.steps] == [r.step for r in oracle[1].steps]
 
 
@@ -111,15 +113,20 @@ class TestRunArguments:
         outputs, report, _, _ = run_study(cleaned_study)
         assert outputs and report.steps
 
-    def test_parallelism_one_is_serial(self, cleaned_study, small_world):
-        a, _, _, _ = run_study(cleaned_study)
-        b, _, _, _ = run_study(cleaned_study, parallelism=1)
-        assert a == b
+    def test_engine_units_run_on_the_calling_thread(
+        self, cleaned_study, monkeypatch
+    ):
+        idents = []
+        open_unit = Workflow._open_unit
 
-    def test_zero_parallelism_clamped(self, cleaned_study):
-        outputs, _, _, _ = run_study(cleaned_study, parallelism=0, batch_size=8)
-        oracle, _, _, _ = run_study(cleaned_study)
-        assert outputs == oracle
+        def recording(self, unit, *args):
+            idents.append(threading.get_ident())
+            return open_unit(self, unit, *args)
+
+        monkeypatch.setattr(Workflow, "_open_unit", recording)
+        outputs, _, _, _ = run_study(cleaned_study, batch_size=32)
+        assert len(idents) == len(compile_study(cleaned_study, Database("u"))._fuse())
+        assert set(idents) == {threading.get_ident()}
 
 
 class TestReportSummary:

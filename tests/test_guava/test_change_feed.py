@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.relational.schema import Column, TableSchema
-from repro.relational.snapshot import database_version
+from repro.relational.database import database_version
 from repro.relational.types import DataType
 from repro.relational.database import Database
 

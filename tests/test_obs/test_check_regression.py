@@ -107,7 +107,7 @@ class TestRequiredCases:
         assert "pp_point_pruned" in REQUIRED_CASES["relational_core"]
         problems = missing_required("relational_core", BASELINE)
         assert "pp_point_pruned" in problems
-        assert "pp_scan_aggregate_parallel4" in problems
+        assert "pp_scan_aggregate_serial" in problems
 
     def test_gate_fails_on_baseline_missing_required_cases(self):
         stripped = {"benchmark": "relational_core", "results": BASELINE["results"]}

@@ -27,10 +27,8 @@ def run_traced(small_world, **kwargs):
 
 
 class TestWorkflowTrace:
-    def test_parallel_trace_covers_every_step(self, small_world):
-        workflow, report, tracer = run_traced(
-            small_world, parallelism=4, batch_size=64
-        )
+    def test_engine_trace_covers_every_step(self, small_world):
+        workflow, report, tracer = run_traced(small_world, batch_size=64)
         assert report.trace is not None
         assert report.trace is tracer.root
         traced_steps = {
@@ -39,7 +37,7 @@ class TestWorkflowTrace:
         assert traced_steps == {f"step:{step.name}" for step in workflow.steps}
 
     def test_step_spans_carry_rows_and_time(self, small_world):
-        _, report, _ = run_traced(small_world, parallelism=4, batch_size=64)
+        _, report, _ = run_traced(small_world, batch_size=64)
         by_name = {
             s.name: s for s in report.trace.walk() if s.name.startswith("step:")
         }
@@ -50,19 +48,16 @@ class TestWorkflowTrace:
             assert node_span.duration_s == pytest.approx(run.seconds)
 
     def test_engine_trace_structure_and_gauges(self, small_world):
-        _, report, _ = run_traced(small_world, parallelism=4, batch_size=64)
+        _, report, _ = run_traced(small_world, batch_size=64)
         root = report.trace
         assert root.attrs["mode"] == "engine"
-        assert root.attrs["parallelism"] == 4
         assert root.attrs["batch_size"] == 64
         assert root.attrs["waves"] >= 1
-        assert 0.0 < root.attrs["thread_utilization"] <= 1.0
         units = [s for s in root.walk() if s.name.startswith("unit:")]
         assert units and root.attrs["units"] == len(units)
         for unit in units:
             assert unit.attrs["queue_wait_ms"] >= 0.0
             assert unit.attrs["batches"] >= 1
-            assert unit.attrs["thread"]
 
     def test_serial_trace_covers_every_step(self, small_world):
         workflow, report, _ = run_traced(small_world)
@@ -77,12 +72,12 @@ class TestWorkflowTrace:
             build_cohort_study("obs_plain", small_world, STUDY1_ELEMENTS),
             Database("wh"),
         )
-        _, report = workflow.run(parallelism=4, batch_size=64)
+        _, report = workflow.run(batch_size=64)
         assert report.trace is None
         assert "no trace" in report.render_trace()
 
     def test_render_trace_lists_steps(self, small_world):
-        _, report, _ = run_traced(small_world, parallelism=2, batch_size=32)
+        _, report, _ = run_traced(small_world, batch_size=32)
         text = report.render_trace()
         for run in report.steps:
             assert f"step:{run.step}" in text

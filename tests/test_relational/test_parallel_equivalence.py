@@ -1,21 +1,23 @@
-"""Morsel-parallel executor ≡ serial batch ≡ interpreted, randomized.
+"""Auto-mode routing: ``parallel=N`` ≡ serial batch ≡ interpreted, randomized.
 
-The parallel executor is the fourth implementation of plan semantics and
-inherits the strictest guarantee: bit-identical rows (values *and* order)
-against the reference interpreter, for any worker count, any morsel size,
-any partitioning scheme on the underlying tables — including NULL
-partition keys, operators with no batch kernel (forced row-wise fallback
-inside the tree), and merge-sensitive operators (Aggregate group order,
-AVG summation order, left-join NULL padding).
+In auto mode the executor sends a stage to worker processes only when
+it is big enough to amortize the trip (and the machine has the cores);
+every other stage runs inline through the serial batch kernels.  These
+suites hold that routing to the strictest guarantee: bit-identical rows
+(values *and* order) against the reference interpreter for any worker
+count and any partitioning scheme on the underlying tables — including
+NULL partition keys, operators with no batch kernel (forced row-wise
+fallback inside the tree), and merge-sensitive operators (Aggregate
+group order, AVG summation order, left-join NULL padding).  The forced
+process path is proven separately, four ways, in
+``test_process_parallel_equivalence.py``.
 
-Shrunken morsels: the suite patches ``BATCH_SIZE``/``MORSEL_BATCHES`` down
-so even 30-row hypothesis examples split across several morsels and
-actually exercise claiming, merging, and morsel-order concatenation.
+Shrunken batches: the suite patches ``BATCH_SIZE`` down so even 30-row
+hypothesis examples span several batches.
 """
 
 import threading
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
@@ -42,12 +44,8 @@ from repro.relational import (
     Vectorized,
     execute_interpreted,
 )
-from repro.relational import parallel as parallel_mod
+from repro.relational import set_worker_pool_mode
 from repro.relational import vectorize as vectorize_mod
-from repro.relational.parallel import (
-    ThreadWorkerPool,
-    set_worker_pool_factory,
-)
 from repro.expr.parser import parse
 
 _SCHEMES = [
@@ -112,7 +110,7 @@ def _outcome(fn):
 
 
 def _assert_parallel_agrees(plan, db, workers) -> None:
-    """Interpreter, serial batch, and morsel-parallel execution agree."""
+    """Interpreter, serial batch, and auto-routed execution agree."""
     reference = _outcome(lambda: execute_interpreted(plan, db))
     serial = _outcome(lambda: Vectorized(plan).execute(db))
     par = _outcome(lambda: Vectorized(plan).execute(db, parallel=workers))
@@ -123,20 +121,17 @@ def _assert_parallel_agrees(plan, db, workers) -> None:
         assert par == reference
 
 
-def _tiny_morsels():
-    """Context manager shrinking batches/morsels for multi-morsel coverage."""
+def _tiny_batches():
+    """Context manager shrinking batches for multi-batch coverage."""
 
     class _Patch:
         def __enter__(self):
             self.batch = vectorize_mod.BATCH_SIZE
-            self.morsel = parallel_mod.MORSEL_BATCHES
             vectorize_mod.BATCH_SIZE = 7
-            parallel_mod.MORSEL_BATCHES = 1
             return self
 
         def __exit__(self, *exc):
             vectorize_mod.BATCH_SIZE = self.batch
-            parallel_mod.MORSEL_BATCHES = self.morsel
             return False
 
     return _Patch()
@@ -214,7 +209,7 @@ class TestRandomizedParallelEquivalence:
     ):
         db = _load(patients, visits, _SCHEMES[scheme_i])
         plan = _PLANS[plan_i]()
-        with _tiny_morsels():
+        with _tiny_batches():
             _assert_parallel_agrees(plan, db, workers)
 
     @given(_patient_rows, st.integers(1, 4))
@@ -222,8 +217,8 @@ class TestRandomizedParallelEquivalence:
     def test_forced_rowwise_fallback_inside_parallel_tree(
         self, patients, workers
     ):
-        # Pivot/Unpivot have no batch kernels: the parallel executor must
-        # route them through the serial fallback and still agree.
+        # Pivot/Unpivot have no batch kernels: the auto-routed executor
+        # must stream them row-wise inside the tree and still agree.
         unique = list({row["patient_id"]: row for row in patients}.values())
         db = _load(unique, [], HashPartitioning("patient_id", 3))
         unpivoted = Unpivot(
@@ -243,7 +238,7 @@ class TestRandomizedParallelEquivalence:
         plan = Sort(
             Select(pivoted, parse("age IS NOT NULL")), (("patient_id", True),)
         )
-        with _tiny_morsels():
+        with _tiny_batches():
             _assert_parallel_agrees(plan, db, workers)
 
     @given(_patient_rows, _visit_rows, st.integers(1, 4))
@@ -257,7 +252,7 @@ class TestRandomizedParallelEquivalence:
         plan = Select(Scan("patients"), parse("patient_id = 7"))
         optimized = optimize(plan, db)
         reference = execute_interpreted(plan, db)
-        with _tiny_morsels():
+        with _tiny_batches():
             assert optimized.execute(db, parallel=workers) == reference
 
 
@@ -281,45 +276,47 @@ class TestDeterminism:
             assert Vectorized(plan).execute(db, parallel=workers) == serial
 
 
-class TestWorkerPool:
-    def test_results_come_back_in_task_order(self):
-        pool = ThreadWorkerPool(4)
-        results, stats = pool.run([lambda i=i: i * i for i in range(20)])
-        assert results == [i * i for i in range(20)]
-        assert sum(stat.morsels for stat in stats) == 20
+class TestAutoModeRouting:
+    def test_small_input_runs_every_kernel_on_the_calling_thread(
+        self, monkeypatch
+    ):
+        from repro.obs.explain import explain_analyze
 
-    def test_lowest_index_error_wins(self):
-        def boom(i):
-            raise ValueError(i)
+        set_worker_pool_mode(None)
+        monkeypatch.delenv("REPRO_WORKER_POOL", raising=False)
+        idents = set()
+        for node_type, kernel in list(vectorize_mod._KERNELS.items()):
 
-        tasks = [lambda: 1, lambda: boom(1), lambda: boom(2)]
-        with pytest.raises(ValueError) as err:
-            ThreadWorkerPool(3).run(tasks)
-        assert err.value.args == (1,)
+            def recording(plan, ctx, kernel=kernel):
+                idents.add(threading.get_ident())
+                yield from kernel(plan, ctx)
 
-    def test_single_worker_runs_inline(self):
-        ident = []
-        ThreadWorkerPool(1).run(
-            [lambda: ident.append(threading.get_ident())]
-        )
-        assert ident == [threading.get_ident()]
-
-    def test_factory_is_pluggable(self):
-        calls = []
-
-        class RecordingPool(ThreadWorkerPool):
-            def run(self, tasks):
-                calls.append(len(tasks))
-                return super().run(tasks)
-
-        rows = [{"patient_id": i % 5, "age": i % 3, "name": "x"} for i in range(40)]
+            monkeypatch.setitem(vectorize_mod._KERNELS, node_type, recording)
+        # Several source batches, yet far below the process-routing floor.
+        rows = [
+            {"patient_id": i % 11, "age": i % 7, "name": f"p{i % 5}"}
+            for i in range(20_000)
+        ]
         db = _load(rows, [], None)
-        plan = Select(Scan("patients"), parse("age >= 1"))
-        try:
-            set_worker_pool_factory(RecordingPool)
-            with _tiny_morsels():
-                out = Vectorized(plan).execute(db, parallel=2)
-        finally:
-            set_worker_pool_factory(None)
-        assert calls, "custom pool factory was never used"
-        assert out == execute_interpreted(plan, db)
+        plan = Aggregate(
+            Select(Scan("patients"), parse("age >= 1")),
+            ("name",),
+            (AggregateSpec("COUNT", None, "n"),),
+        )
+        report = explain_analyze(
+            Vectorized(plan), db, optimized=False, executor="parallel", workers=2
+        )
+        assert report.rows == Vectorized(plan).execute(db)
+        assert idents == {threading.get_ident()}
+        (attrs,) = [
+            span.attrs
+            for span in report.execute_span.walk()
+            if "pool" in span.attrs
+        ]
+        assert attrs["pool"] == "serial"
+        reasons = {
+            entry["reason"].split(":")[0]
+            for entry in attrs.get("parallel_fallbacks", ())
+        }
+        reasons.add(attrs.get("process_pool_disabled"))
+        assert reasons & {"small_input", "single_core", "single_worker"}

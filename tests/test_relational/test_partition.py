@@ -26,8 +26,6 @@ from repro.relational import (
     TableSchema,
     execute_interpreted,
     optimize,
-    save_database,
-    load_database,
 )
 
 
@@ -179,19 +177,6 @@ class TestMaintenance:
             "vitals", tuple(range(db.table("vitals").partition_count))
         )
         assert full.execute(db) == Scan("vitals").execute(db)
-
-    def test_snapshot_round_trips_partitioning(self, tmp_path):
-        db = _range_db()
-        path = tmp_path / "db.json"
-        save_database(db, path)
-        loaded = load_database(path)
-        scheme = loaded.table("labs").partitioning
-        assert isinstance(scheme, RangePartitioning)
-        assert scheme.boundaries == (10, 20, 30)
-        plan = Query.table("labs").where("day >= 20").plan
-        assert optimize(plan, loaded).execute(loaded) == execute_interpreted(
-            plan, db
-        )
 
 
 class TestPruning:

@@ -1,15 +1,16 @@
 """Process-parallel executor ≡ serial batch ≡ streaming ≡ interpreted.
 
-The process pool is the fifth implementation of plan semantics and the
-first to cross a process boundary, so this suite forces the pool mode to
-``process`` (the auto policy would fall back to threads on small inputs
-and single-vCPU CI) and proves the strictest guarantee four ways:
+The process pool is the fourth implementation of plan semantics and the
+only one to cross a process boundary, so this suite forces the pool mode
+to ``process`` (the auto policy would run small inputs, and everything on
+single-vCPU CI, serially) and proves the strictest guarantee four ways:
 bit-identical rows (values *and* order) against the reference
 interpreter, the row-at-a-time streaming executor, and the serial batch
 executor — over *mutating* workloads (insert/update/delete/repartition
 between runs, proving a stale segment file is never read), forced worker
-crashes, and error-raising queries (error-type parity through the
-pickled exception transfer).
+crashes, error-raising queries (error-type parity through the pickled
+exception transfer), operators without batch kernels inside the tree,
+and pruned partition scans.
 
 Shrunken chunks: ``segments.BATCH_SIZE`` and ``MORSEL_BATCHES`` are
 patched down so 30-row examples split across several descriptors and
@@ -20,6 +21,7 @@ the descriptors fully describe the work.
 """
 
 import pickle
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,15 +33,21 @@ from repro.relational import (
     Compute,
     Database,
     DataType,
+    Distinct,
     HashPartitioning,
     Join,
+    Limit,
     PartitionScan,
+    Pivot,
     Project,
     RangePartitioning,
     Scan,
     Select,
     Sort,
     TableSchema,
+    TopK,
+    Union,
+    Unpivot,
     Vectorized,
     execute_interpreted,
     optimize,
@@ -69,8 +77,8 @@ def _force_process_pool():
 class _tiny_chunks:
     """Context manager shrinking segment chunks and morsels.
 
-    Mirrors ``_tiny_morsels`` in the thread-pool suite, but patches the
-    *segment* chunk size — that is what decides worker batch boundaries.
+    Patches the *segment* chunk size — that is what decides worker batch
+    boundaries — and the morsel length, so small inputs span many tasks.
     """
 
     def __init__(self, batch: int = 7, morsel: int = 1):
@@ -188,6 +196,27 @@ _PLANS = [
         Select(Scan("patients"), parse("age >= 1")),
         (("patient_id", True), ("name", False)),
     ),
+    lambda: Aggregate(
+        Scan("patients"),
+        ("patient_id", "name"),
+        (AggregateSpec("MAX", "age", "top"),),
+    ),
+    # No group-by over a possibly-empty selection: the one-row empty-input
+    # case must survive the partial-merge path too.
+    lambda: Aggregate(
+        Select(Scan("patients"), parse("age > 99")),
+        (),
+        (AggregateSpec("COUNT", None, "n"),),
+    ),
+    lambda: Distinct(Project(Scan("patients"), ("name",))),
+    lambda: Limit(Select(Scan("patients"), parse("age >= 0")), 5),
+    lambda: TopK(Scan("visits"), (("score", False),), 4),
+    lambda: Union(
+        (
+            Select(Scan("patients"), parse("age >= 2")),
+            Select(Scan("patients"), parse("age < 2")),
+        )
+    ),
     # Error parity across the process boundary: name + 1 raises for
     # non-null names, and the worker's pickled exception must come back
     # as the same type the serial executors raise.
@@ -236,6 +265,42 @@ class TestRandomizedFourWayEquivalence:
                     table.repartition(HashPartitioning("patient_id", 4))
                 _assert_four_way(plan, db)
 
+    @given(_patient_rows, st.integers(1, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_rowwise_operators_inside_process_tree(self, patients, workers):
+        # Pivot/Unpivot have no batch kernels: they stream row-wise inside
+        # the tree while the Scan-side stages below run on processes.
+        unique = list({row["patient_id"]: row for row in patients}.values())
+        with _tiny_chunks():
+            db = _load(unique, HashPartitioning("patient_id", 3))
+            unpivoted = Unpivot(
+                Scan("patients"),
+                id_columns=("patient_id",),
+                value_columns=("age", "name"),
+                attribute_column="attribute",
+                value_column="value",
+            )
+            pivoted = Pivot(
+                unpivoted,
+                key_columns=("patient_id",),
+                attribute_column="attribute",
+                value_column="value",
+                attributes=("age", "name"),
+            )
+            plan = Sort(
+                Select(pivoted, parse("age IS NOT NULL")), (("patient_id", True),)
+            )
+            _assert_four_way(plan, db, workers)
+
+    @given(_patient_rows, st.integers(1, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_pruned_partition_scan_on_processes(self, patients, workers):
+        with _tiny_chunks():
+            db = _load(patients, HashPartitioning("patient_id", 4))
+            plan = Select(Scan("patients"), parse("patient_id = 7"))
+            reference = execute_interpreted(plan, db)
+            assert optimize(plan, db).execute(db, parallel=workers) == reference
+
 
 def _executor_attrs(report):
     for span in report.execute_span.walk():
@@ -260,7 +325,7 @@ class TestPartitionPruning:
             attrs = _executor_attrs(report)
             assert attrs["pool"] == "process"
 
-    def test_multi_partition_scan_falls_back_to_threads(self):
+    def test_multi_partition_scan_falls_back_to_serial(self):
         from repro.obs.explain import explain_analyze
 
         rows = [
@@ -279,7 +344,7 @@ class TestPartitionPruning:
                 plan, db, optimized=False, executor="parallel", workers=2
             )
             attrs = _executor_attrs(report)
-            assert attrs["pool"] == "thread"
+            assert attrs["pool"] == "serial"
             reasons = {
                 entry["reason"] for entry in attrs["parallel_fallbacks"]
             }
@@ -349,6 +414,29 @@ class TestDeterminismAndTraces:
 
 
 class TestCrashRobustness:
+    def test_more_morsels_than_the_pipes_hold_do_not_deadlock(self):
+        """1 250 specs out and 20 000 rows back overflow both OS pipe
+        buffers, so dispatch has to interleave with reading results."""
+        rows = [
+            {"patient_id": i, "age": i % 5, "name": f"name-{i}"}
+            for i in range(20_000)
+        ]
+
+        def expire(signum, frame):
+            raise TimeoutError("process pool deadlocked")
+
+        with _tiny_chunks(batch=16):
+            db = _load(rows)
+            plan = Select(Scan("patients"), parse("age >= 0"))
+            reference = Vectorized(plan).execute(db)
+            previous = signal.signal(signal.SIGALRM, expire)
+            signal.alarm(120)
+            try:
+                assert Vectorized(plan).execute(db, parallel=2) == reference
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+
     def test_sigkilled_worker_surfaces_parallel_execution_error(self):
         rows = [
             {"patient_id": i % 11, "age": i % 7, "name": f"p{i % 5}"}
@@ -394,21 +482,10 @@ class TestCrashRobustness:
 
 
 class TestFallbackPolicy:
-    def test_thread_mode_never_uses_processes(self):
-        from repro.obs.explain import explain_analyze
-
-        set_worker_pool_mode("thread")
-        try:
-            rows = [
-                {"patient_id": i, "age": i % 5, "name": "x"}
-                for i in range(400)
-            ]
-            db = _load(rows)
-            plan = Select(Scan("patients"), parse("age >= 1"))
-            report = explain_analyze(plan, db, executor="parallel", workers=2)
-            assert _executor_attrs(report)["pool"] == "thread"
-        finally:
-            set_worker_pool_mode("process")
+    def test_thread_mode_is_rejected(self):
+        with pytest.raises(ValueError):
+            set_worker_pool_mode("thread")
+        assert worker_pool_mode() == "process"
 
     def test_env_variable_resolves_mode(self, monkeypatch):
         set_worker_pool_mode(None)
@@ -416,13 +493,13 @@ class TestFallbackPolicy:
             monkeypatch.setenv("REPRO_WORKER_POOL", "process")
             assert worker_pool_mode() == "process"
             monkeypatch.setenv("REPRO_WORKER_POOL", "thread")
-            assert worker_pool_mode() == "thread"
+            assert worker_pool_mode() == "auto"
             monkeypatch.delenv("REPRO_WORKER_POOL")
             assert worker_pool_mode() == "auto"
         finally:
             set_worker_pool_mode("process")
 
-    def test_auto_mode_small_input_stays_on_threads(self, monkeypatch):
+    def test_auto_mode_small_input_runs_serially(self, monkeypatch):
         from repro.obs.explain import explain_analyze
 
         set_worker_pool_mode(None)
@@ -436,7 +513,7 @@ class TestFallbackPolicy:
             plan = Select(Scan("patients"), parse("age >= 1"))
             report = explain_analyze(plan, db, executor="parallel", workers=2)
             attrs = _executor_attrs(report)
-            assert attrs["pool"] == "thread"
+            assert attrs["pool"] == "serial"
             if "parallel_fallbacks" in attrs:
                 reasons = {
                     entry["reason"].split(":")[0]

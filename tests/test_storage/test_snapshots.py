@@ -95,6 +95,7 @@ def test_roundtrip_rebuilds_partitions(tmp_path):
     )
     loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
     table = loaded.table("mixed")
+    assert table.partitioning.boundaries == (10, 20, 30)
     assert table.partition_count == 4
     scattered = [
         pos for pid in range(4) for pos in table.partition_positions(pid)
