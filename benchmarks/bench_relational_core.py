@@ -441,8 +441,7 @@ def run_pp() -> list[dict]:
     The comparison partner here is NOT the interpreter (at 10^6 rows it
     only inflates speedups); pruning cases are measured against the same
     predicate on the unpruned batch path — honest numbers for exactly the
-    change each case isolates.  The serial scan-aggregate is the
-    million-row reference the MP tier's process runs are read against.
+    change each case isolates.
     """
     db = build_pp_database()
     results = []
@@ -650,223 +649,6 @@ def run_cb() -> list[dict]:
     return results
 
 
-# -- morsel-process (MP) tier --------------------------------------------------
-# Process-pool execution over shared durable segments, measured against the
-# same plan's serial batch execution with a *warm* segment (the cold build
-# is its own case).  On a single-vCPU runner the process numbers honestly
-# sit at or below 1.0x — pickling and queue hops with no second core to pay
-# for them; the auto fallback policy exists precisely because of that — so
-# the committed baseline gates wall-time, never the speedup column.
-MP_ROWS = int(os.environ.get("REPRO_MP_ROWS", "400000"))
-MP_PATIENTS = max(1, MP_ROWS // 200)
-MP_WORKER_STEPS = (1, 2, 4)
-
-
-def build_mp_database() -> Database:
-    db = Database("bench-mp")
-    db.create_table(
-        TableSchema.build(
-            "mp_events",
-            [
-                ("patient_id", DataType.INTEGER),
-                ("day", DataType.INTEGER),
-                ("value", DataType.INTEGER),
-            ],
-        )
-    )
-    db.insert(
-        "mp_events",
-        [
-            {
-                "patient_id": i % MP_PATIENTS,
-                "day": i % 365,
-                "value": (i * 37) % 1000,
-            }
-            for i in range(MP_ROWS)
-        ],
-    )
-    db.create_table(
-        TableSchema.build(
-            "mp_patients",
-            [("patient_id", DataType.INTEGER), ("site", DataType.TEXT)],
-        )
-    )
-    db.insert(
-        "mp_patients",
-        [{"patient_id": i, "site": f"s{i % 7}"} for i in range(MP_PATIENTS)],
-    )
-    return db
-
-
-def _mp_aggregate_plan():
-    return Aggregate(
-        Select(
-            Scan("mp_events"),
-            BinaryOp(">=", Identifier.of("value"), Literal(500)),
-        ),
-        ("day",),
-        (
-            AggregateSpec("COUNT", None, "n"),
-            AggregateSpec("AVG", "value", "mean_value"),
-        ),
-    )
-
-
-def _mp_join_plan():
-    return Join(
-        Select(
-            Scan("mp_events"),
-            BinaryOp("<", Identifier.of("day"), Literal(120)),
-        ),
-        Scan("mp_patients"),
-        (("patient_id", "patient_id"),),
-        how="inner",
-    )
-
-
-def run_mp() -> list[dict]:
-    """The MP tier: process workers over shared segments vs serial batch.
-
-    The pool mode is *forced* to ``process`` for the measured runs (the
-    auto policy would run sub-50k-row stages serially), the shared
-    segment is warmed once before timing, and every parallel result is
-    asserted bit-identical to its serial partner before the clock starts.
-    """
-    from repro.relational import available_cores, set_worker_pool_mode
-    from repro.relational.procpool import shutdown_worker_pools
-    from repro.storage.segments import (
-        Segment,
-        segment_scratch_dir,
-        table_segment,
-        write_segment,
-    )
-
-    db = build_mp_database()
-    table = db.table("mp_events")
-    cores = available_cores()
-    results = []
-
-    agg = optimize(_mp_aggregate_plan(), db)
-    serial_rows = agg.execute(db)
-    serial_s = _time(lambda: agg.execute(db), repeats=3)
-    results.append(
-        {
-            "case": "mp_scan_aggregate_serial",
-            "rows_out": len(serial_rows),
-            "optimized_ms": round(serial_s * 1000, 3),
-            "speedup": 1.0,
-            "cores": cores,
-        }
-    )
-    print(
-        f"{'mp_scan_aggregate_serial':<28} serial     {serial_s * 1000:9.3f} ms"
-        f"   ({cores} core{'s' if cores != 1 else ''})",
-        flush=True,
-    )
-
-    set_worker_pool_mode("process")
-    try:
-        table_segment(table)  # warm the shared segment once, off the clock
-        for workers in MP_WORKER_STEPS:
-            assert agg.execute(db, parallel=workers) == serial_rows, (
-                f"mp aggregate proc{workers} disagrees with serial"
-            )
-            par_s = _time(lambda: agg.execute(db, parallel=workers), repeats=3)
-            results.append(
-                {
-                    "case": f"mp_scan_aggregate_proc{workers}",
-                    "rows_out": len(serial_rows),
-                    "baseline_ms": round(serial_s * 1000, 3),
-                    "optimized_ms": round(par_s * 1000, 3),
-                    "speedup": round(serial_s / par_s, 2),
-                    "workers": workers,
-                    "cores": cores,
-                }
-            )
-            print(
-                f"{'mp_scan_aggregate_proc' + str(workers):<28} serial     "
-                f"{serial_s * 1000:9.3f} ms   proc{workers}     "
-                f"{par_s * 1000:9.3f} ms   x{serial_s / par_s:6.2f}",
-                flush=True,
-            )
-
-        join = optimize(_mp_join_plan(), db)
-        join_rows = join.execute(db)
-        join_s = _time(lambda: join.execute(db), repeats=3)
-        assert join.execute(db, parallel=4) == join_rows, (
-            "mp join proc4 disagrees with serial"
-        )
-        jpar_s = _time(lambda: join.execute(db, parallel=4), repeats=3)
-        results.append(
-            {
-                "case": "mp_join_probe_proc4",
-                "rows_out": len(join_rows),
-                "baseline_ms": round(join_s * 1000, 3),
-                "optimized_ms": round(jpar_s * 1000, 3),
-                "speedup": round(join_s / jpar_s, 2),
-                "workers": 4,
-                "cores": cores,
-            }
-        )
-        print(
-            f"{'mp_join_probe_proc4':<28} serial     {join_s * 1000:9.3f} ms   "
-            f"proc4     {jpar_s * 1000:9.3f} ms   x{join_s / jpar_s:6.2f}",
-            flush=True,
-        )
-    finally:
-        set_worker_pool_mode(None)
-        shutdown_worker_pools()
-
-    # Segment amortization: the cold build (columnar encode + CRC frames +
-    # fsync + attach) against the warm full read (mmap page-in only).  The
-    # fixed target path bypasses the uuid scheme on purpose — Segment() is
-    # opened directly, never through the path-keyed attach cache.
-    columns = table.column_snapshot()
-    names = table.schema.column_names
-    dtypes = {name: table.schema.column(name).dtype for name in names}
-    target = segment_scratch_dir() / "bench-mp-cold.seg"
-
-    def cold() -> None:
-        path = write_segment(target, columns, names, dtypes, table="mp_events")
-        Segment(path).close()
-
-    cold_s = _time(cold, repeats=3)
-    target.unlink(missing_ok=True)
-    warm_segment = table_segment(table)
-    warm_s = _time(
-        lambda: sum(batch.length for batch in warm_segment.batches()),
-        repeats=3,
-    )
-    results.append(
-        {
-            "case": "mp_segment_cold",
-            "rows_out": MP_ROWS,
-            "optimized_ms": round(cold_s * 1000, 3),
-            "speedup": 1.0,
-        }
-    )
-    results.append(
-        {
-            "case": "mp_segment_warm",
-            "rows_out": MP_ROWS,
-            "baseline_ms": round(cold_s * 1000, 3),
-            "optimized_ms": round(warm_s * 1000, 3),
-            # Amortization ratio: how many warm reads one cold build buys.
-            "speedup": round(cold_s / warm_s, 2),
-        }
-    )
-    print(
-        f"{'mp_segment_cold':<28} build      {cold_s * 1000:9.3f} ms",
-        flush=True,
-    )
-    print(
-        f"{'mp_segment_warm':<28} cold       {cold_s * 1000:9.3f} ms   "
-        f"warm read {warm_s * 1000:9.3f} ms   x{cold_s / warm_s:6.2f}",
-        flush=True,
-    )
-    return results
-
-
 # -- standalone runner ---------------------------------------------------------
 
 
@@ -916,10 +698,7 @@ def run(json_path: str | None = None) -> list[dict]:
     results.extend(run_pp())
     results.extend(run_zm())
     results.extend(run_cb())
-    results.extend(run_mp())
     if json_path:
-        from repro.relational import available_cores
-
         payload = {
             "benchmark": "relational_core",
             "n_rows": N_ROWS,
@@ -928,10 +707,8 @@ def run(json_path: str | None = None) -> list[dict]:
             "chain_depth": CHAIN_DEPTH,
             "pp_rows": PP_ROWS,
             "pp_partitions": PP_PARTITIONS,
-            "mp_rows": MP_ROWS,
-            # Bench provenance: process-pool speedups only mean anything
-            # relative to the cores the producing machine actually had.
-            "cores": available_cores(),
+            # Bench provenance: the cores the producing machine had.
+            "cores": len(os.sched_getaffinity(0)),
             "results": results,
         }
         write_payload(json_path, payload)

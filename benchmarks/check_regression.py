@@ -27,8 +27,8 @@ DEFAULT_THRESHOLD = 1.25
 DEFAULT_RUNS = 3
 
 #: Cases every committed baseline of a benchmark must carry: a
-#: re-promoted baseline that silently drops a tier (e.g. the partitioned/
-#: parallel PP cases) fails the gate instead of shrinking its coverage.
+#: re-promoted baseline that silently drops a tier (e.g. the partitioned
+#: PP cases) fails the gate instead of shrinking its coverage.
 REQUIRED_CASES: dict[str, tuple[str, ...]] = {
     "relational_core": (
         "filtered_scan",
@@ -42,13 +42,6 @@ REQUIRED_CASES: dict[str, tuple[str, ...]] = {
         "cb_build_side_flip",
         "cb_join_reorder",
         "cb_conjunct_reorder",
-        "mp_scan_aggregate_serial",
-        "mp_scan_aggregate_proc1",
-        "mp_scan_aggregate_proc2",
-        "mp_scan_aggregate_proc4",
-        "mp_join_probe_proc4",
-        "mp_segment_cold",
-        "mp_segment_warm",
     ),
     "durability": (
         "du_etl_wal_off",

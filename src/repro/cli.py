@@ -89,25 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--executor",
-        choices=["row", "batch", "parallel"],
+        choices=["row", "batch"],
         default="batch",
-        help="query execution path: columnar batch kernels (default), "
-        "row-at-a-time streaming, or batch kernels with eligible stages "
-        "on worker processes (target query only)",
-    )
-    trace.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="workers for --executor parallel (default 4)",
-    )
-    trace.add_argument(
-        "--pool",
-        choices=["auto", "process"],
-        default="auto",
-        help="process gate for --executor parallel: auto (core/size "
-        "policy, serial below it) or process (forced, shared-segment "
-        "morsels)",
+        help="query execution path: columnar batch kernels (default) or "
+        "row-at-a-time streaming (target query only)",
     )
     trace.add_argument(
         "--json",
@@ -307,15 +292,7 @@ def _cmd_trace(args) -> int:
         plan = translate_query(
             GTreeQuery(source.gtree(ec.form)).where(ec.condition), source.chain
         )
-        from repro.relational import set_worker_pool_mode
-
-        set_worker_pool_mode(args.pool)
-        try:
-            report = explain_analyze(
-                plan, source.db, executor=args.executor, workers=args.workers
-            )
-        finally:
-            set_worker_pool_mode(None)
+        report = explain_analyze(plan, source.db, executor=args.executor)
         tracer: Tracer = report.tracer
         stats_db = source.db
         traced_plan = report.plan

@@ -83,15 +83,6 @@ class QueryError(RelationalError):
     """Raised when a logical query plan is malformed or cannot execute."""
 
 
-class ParallelExecutionError(RelationalError):
-    """Raised when the process worker pool itself fails (a worker dies,
-    the pool cannot start, or a result cannot cross the process boundary).
-
-    Deliberately distinct from errors the *query* raises inside a worker —
-    those are re-raised with their original type for error parity with the
-    serial executors; this type means the execution machinery broke."""
-
-
 # --------------------------------------------------------------------------
 # UI model
 
@@ -221,12 +212,6 @@ class WalCorruptionError(StorageError):
 
 class SnapshotCorruptionError(StorageError):
     """Raised when a snapshot file fails its CRC or framing checks."""
-
-
-class SegmentCorruptionError(StorageError):
-    """Raised when a shared columnar segment file fails its CRC, framing,
-    or footer checks — same framing as snapshots, separate type so a
-    damaged scratch segment is never mistaken for a damaged checkpoint."""
 
 
 class RecoveryError(StorageError):

@@ -116,7 +116,6 @@ def explain_analyze(
     db: Database,
     optimized: bool = True,
     executor: str = "batch",
-    workers: int | None = None,
 ) -> ExplainReport:
     """Optimize and execute ``query`` under tracing; return the profile.
 
@@ -126,10 +125,7 @@ def explain_analyze(
     EXPERIMENTS.md before/after traces are produced exactly that way.
     ``executor="row"`` disables the vectorize pass so the same query can be
     profiled on the row-at-a-time path (batch operator spans additionally
-    carry ``batches`` and ``rows_per_batch``); ``executor="parallel"`` runs
-    any vectorized subtree with ``parallel=workers`` (default 4): eligible
-    stages on worker processes, the rest serially, with the pool decision
-    and per-worker utilization annotated into its span.
+    carry ``batches`` and ``rows_per_batch``).
 
     Every operator span that reports actual ``rows_out`` is additionally
     annotated post-execution with the planner's ``estimated_rows`` and the
@@ -137,18 +133,15 @@ def explain_analyze(
     sides floored at one row, so 1.0 is a perfect estimate and the metric
     is symmetric in over- and under-estimation.
     """
-    if executor not in ("row", "batch", "parallel"):
-        raise ValueError(
-            f"executor must be 'row', 'batch', or 'parallel', got {executor!r}"
-        )
-    parallel = (workers or 4) if executor == "parallel" else None
+    if executor not in ("row", "batch"):
+        raise ValueError(f"executor must be 'row' or 'batch', got {executor!r}")
     plan = query.plan if isinstance(query, Query) else query
     tracer = Tracer()
     with tracing(tracer):
         final = (
             optimize(plan, db, vectorize=executor != "row") if optimized else plan
         )
-        rows = final.execute(db, parallel=parallel)
+        rows = final.execute(db)
     report = ExplainReport(rows=rows, plan=final, tracer=tracer, optimized=optimized)
     _annotate_estimates(report, db)
     return report

@@ -22,8 +22,7 @@ Three ways to use it::
     report = explain_analyze(query, db)  # repro.obs.explain, one-call API
 
 Span context managers nest via a per-tracer stack and are meant for
-single-threaded use; work done in worker processes (the process-parallel
-executor) returns pickle-safe spans that the parent grafts into its tree.
+single-threaded use.
 
 Exports are JSON (``to_dict``/``to_json``), an annotated tree
 (``render``), and collapsed-stack flamegraph text (``flamegraph_lines``),

@@ -54,12 +54,6 @@ from repro.relational.cost import (
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, plan_fingerprint, prepare_stream_plan
 from repro.relational.sql import to_sql
-from repro.relational.parallel import (
-    available_cores,
-    execute_parallel,
-    set_worker_pool_mode,
-    worker_pool_mode,
-)
 from repro.relational.stats import (
     ChunkStats,
     Dictionary,
@@ -112,7 +106,6 @@ __all__ = [
     "Unpivot",
     "Values",
     "Vectorized",
-    "available_cores",
     "canonical_key",
     "column_ndv",
     "column_null_fraction",
@@ -125,16 +118,13 @@ __all__ = [
     "refresh_planning_stats",
     "set_costing_enabled",
     "execute_interpreted",
-    "execute_parallel",
     "execute_vectorized",
     "database_version",
     "optimize",
     "plan_fingerprint",
     "prepare_stream_plan",
     "set_statistics_enabled",
-    "set_worker_pool_mode",
     "statistics_enabled",
-    "worker_pool_mode",
     "table_statistics_report",
     "to_sql",
 ]

@@ -56,23 +56,13 @@ class ExecContext:
     base :meth:`Plan.stream` meters every node's iterator into the
     recorder's span tree.  The disabled cost is one attribute check per
     operator per execution — never per row.
-
-    ``parallel`` (normally None) is a worker count: when set, Vectorized
-    subtrees route to the morsel-parallel executor in
-    :mod:`repro.relational.parallel` instead of the serial batch loop.
     """
 
-    __slots__ = ("db", "recorder", "parallel", "_columns")
+    __slots__ = ("db", "recorder", "_columns")
 
-    def __init__(
-        self,
-        db: Database,
-        recorder: TreeRecorder | None = None,
-        parallel: int | None = None,
-    ):
+    def __init__(self, db: Database, recorder: TreeRecorder | None = None):
         self.db = db
         self.recorder = recorder
-        self.parallel = parallel
         # Keyed by node identity; the entry pins the node so a recycled id()
         # of a garbage-collected plan can never alias a stale cache hit.
         self._columns: dict[int, tuple["Plan", tuple[str, ...]]] = {}
@@ -100,32 +90,29 @@ class Plan:
     def children(self) -> tuple["Plan", ...]:
         return ()
 
-    def execute(self, db: Database, parallel: int | None = None) -> list[Row]:
+    def execute(self, db: Database) -> list[Row]:
         """Run the plan against ``db`` and materialize the result.
 
         Under an installed tracer (``repro.obs.tracing()``) the execution
         is profiled: a span tree mirroring the plan records per-node row
-        counts and wall time.  ``parallel`` carries a worker count down to
-        any ``Vectorized`` subtree, which then runs morsel-parallel.
+        counts and wall time.
         """
         tracer = current_tracer()
         if tracer is not None:
-            return self._execute_traced(db, tracer, parallel)
-        rows = self.stream(ExecContext(db, parallel=parallel))
+            return self._execute_traced(db, tracer)
+        rows = self.stream(ExecContext(db))
         if self.shares_storage():
             # The stream may yield dicts owned by table storage; copy at the
             # boundary so callers can mutate results freely.
             return [dict(row) for row in rows]
         return list(rows)
 
-    def _execute_traced(
-        self, db: Database, tracer, parallel: int | None = None
-    ) -> list[Row]:
+    def _execute_traced(self, db: Database, tracer) -> list[Row]:
         with tracer.span(f"execute:{type(self).__name__}") as root:
             recorder = TreeRecorder(
                 self, root, label=trace_label, children=lambda p: p.children()
             )
-            rows = self.stream(ExecContext(db, recorder, parallel))
+            rows = self.stream(ExecContext(db, recorder))
             if self.shares_storage():
                 result = [dict(row) for row in rows]
             else:

@@ -108,11 +108,11 @@ class Batch:
     def _gather_runs(self) -> "list[tuple[int, int]] | None":
         """Slice runs covering ``_indices``, or None to gather per element.
 
-        Selection vectors from low-selectivity filters (and the morsel
-        splitter's ``range`` slices) are mostly ascending stretches of
-        consecutive positions; copying those as list slices moves the loop
-        into C.  Decomposition is abandoned once runs average under 4
-        elements — at that density per-element indexing wins.
+        Selection vectors from low-selectivity filters are mostly
+        ascending stretches of consecutive positions; copying those as
+        list slices moves the loop into C.  Decomposition is abandoned once
+        runs average under 4 elements — at that density per-element
+        indexing wins.
         """
         runs = self._runs
         if runs is not False:

@@ -453,7 +453,7 @@ SKIP_CHUNK = object()
 class SelectAnalysis:
     """A Select predicate decomposed into zone-map-probeable conjuncts.
 
-    Built once per (vectorized or parallel) Select execution; ``decide``
+    Built once per vectorized Select execution; ``decide``
     classifies each scanned chunk.  Conjuncts the analysis cannot probe
     (non-literal, dotted paths, NOT IN, …) are always kept for evaluation.
     """

@@ -250,7 +250,7 @@ class Table:
     def partition_columns(self, partition: int) -> dict[str, list[object]]:
         """One partition as column → value list, cached per data version.
 
-        Columnar source for partition-pruned and morsel-parallel scans.
+        Columnar source for partition-pruned scans.
         Shared and read-only under the same contract as
         :meth:`column_snapshot`.
         """

@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import EvaluationError, QueryError
 from repro.expr.ast import (
@@ -132,12 +132,6 @@ class Vectorized(Plan):
         return (self.child,)
 
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        if ctx.parallel is not None:
-            # Route to the morsel-parallel executor; lazy import because
-            # parallel.py builds on this module's kernels.
-            from repro.relational.parallel import execute_parallel
-
-            return iter(execute_parallel(self.child, ctx, annotate=self))
         return iter(execute_vectorized(self.child, ctx))
 
     def shares_storage(self) -> bool:
@@ -607,10 +601,7 @@ class JoinBuild:
 
     Constructed once per execution: validates the join, keys the whole
     right input into buckets (payloads as value tuples, zip-transposed per
-    batch so there is no per-row tuple comprehension).  :meth:`probe` is
-    read-only on the build state afterwards, so each process-parallel
-    worker builds one from the broadcast right side and probes many left
-    morsels against it.
+    batch so there is no per-row tuple comprehension).
     """
 
     __slots__ = (
@@ -646,8 +637,8 @@ class JoinBuild:
         self.null_payload = (None,) * len(self.payload_cols)
         # (dictionary, code → bucket|None) translation for dictionary-coded
         # probe columns: one buckets.get per distinct *string*, not per row.
-        # Recomputing on a dictionary change (or a concurrent-probe race) is
-        # benign — the map is a pure function of build state + dictionary.
+        # Recomputing on a dictionary change is benign — the map is a pure
+        # function of build state + dictionary.
         self._probe_map: tuple[object, list] | None = None
 
     def add(self, rbatch: Batch) -> None:
@@ -696,8 +687,7 @@ class JoinBuild:
         """Join one probe-side batch against the build; None when empty.
 
         Gathers output columns by index lists instead of merging dicts per
-        match.  Pure with respect to build state once the build is
-        complete.
+        match.
         """
         get = self.buckets.get
         id_types = _IDENTITY_KEY_TYPES
@@ -805,10 +795,6 @@ class JoinBuildLeft:
     same columns, same batch boundaries.  The optimizer only selects this
     path when the left subtree provably cannot raise, so consuming the
     left side first never changes which error surfaces.
-
-    :meth:`collect` is read-only on build state, so process-parallel
-    workers collect right morsels against one broadcast build and the
-    parent absorbs the pair lists in morsel order.
     """
 
     __slots__ = (
@@ -892,12 +878,10 @@ class JoinBuildLeft:
                     else:
                         bucket.append(offset + i)
 
-    def collect(self, rbatch: Batch) -> list[tuple[int, tuple[object, ...]]]:
-        """(left position, payload) pairs for one right batch, in row order.
-
-        Pure with respect to build state once the left side is fully
-        added.
-        """
+    def add_right(self, rbatch: Batch) -> None:
+        """Append one right batch's payloads to ``matches``, in row order."""
+        matches = self.matches
+        matched = matches.get
         get = self.positions.get
         id_types = _IDENTITY_KEY_TYPES
         rks = [rk for _, rk in self.on]
@@ -906,56 +890,34 @@ class JoinBuildLeft:
         # so an eager transpose would pay for rows that never join.
         pcols = [rbatch.column(c) for c in self.payload_cols]
         empty = ()
-        pairs: list[tuple[int, tuple[object, ...]]] = []
-        append = pairs.append
+        # NULL keys (and key tuples holding a NULL) never enter
+        # ``positions``, so they miss like any other absent key.
         if self.single:
             kcol = _gather(rbatch, rks[0])
             if set(map(type, kcol)) <= id_types:
-                for i, key in enumerate(kcol):
-                    bucket = get(key)
-                    if bucket:
-                        payload = tuple(c[i] for c in pcols) if pcols else empty
-                        for pos in bucket:
-                            append((pos, payload))
-                return pairs
-            for i, key in enumerate(kcol):
-                if key is None:
-                    continue
-                if type(key) not in id_types:
-                    key = canonical_key(key)
-                bucket = get(key)
-                if bucket:
-                    payload = tuple(c[i] for c in pcols) if pcols else empty
-                    for pos in bucket:
-                        append((pos, payload))
+                keys: Iterable[object] = kcol
+            else:
+                keys = (
+                    key if key is None or type(key) in id_types else canonical_key(key)
+                    for key in kcol
+                )
         else:
             kcols = [_gather(rbatch, rk) for rk in rks]
-            for i, kraw in enumerate(zip(*kcols)):
-                key = tuple(
-                    v if type(v) in id_types else canonical_key(v) for v in kraw
-                )
-                if None in key:
-                    continue
-                bucket = get(key)
-                if bucket:
-                    payload = tuple(c[i] for c in pcols) if pcols else empty
-                    for pos in bucket:
-                        append((pos, payload))
-        return pairs
-
-    def absorb(self, pairs: list[tuple[int, tuple[object, ...]]]) -> None:
-        """Merge one right batch's pairs; call in right-stream order."""
-        matches = self.matches
-        get = matches.get
-        for pos, payload in pairs:
-            bucket = get(pos)
-            if bucket is None:
-                matches[pos] = [payload]
-            else:
-                bucket.append(payload)
-
-    def add_right(self, rbatch: Batch) -> None:
-        self.absorb(self.collect(rbatch))
+            keys = (
+                tuple(v if type(v) in id_types else canonical_key(v) for v in kraw)
+                for kraw in zip(*kcols)
+            )
+        for i, key in enumerate(keys):
+            bucket = get(key)
+            if not bucket:
+                continue
+            payload = tuple(c[i] for c in pcols) if pcols else empty
+            for pos in bucket:
+                payloads = matched(pos)
+                if payloads is None:
+                    matches[pos] = [payload]
+                else:
+                    payloads.append(payload)
 
     def emit(self) -> Iterator[Batch]:
         """Left-major emission: one output batch per non-empty left batch.
@@ -1019,10 +981,8 @@ class GroupedAggregation:
     Holds per-group ``[row_count, values-per-spec...]`` states; values
     lists feed the shared ``_aggregate_values`` finalizer, so results match
     the row paths exactly (including ``sum()`` over the same value
-    sequence).  The serial kernel consumes every batch into one instance;
-    the morsel-parallel executor consumes each morsel into its own and
-    merges them in morsel order — first-seen group order and per-group
-    value order are then identical to the serial pass by construction.
+    sequence).  The kernel consumes every batch into one instance, so
+    first-seen group order and per-group value order match the row paths.
     """
 
     __slots__ = (
@@ -1044,7 +1004,7 @@ class GroupedAggregation:
         self.representatives: dict[object, tuple[object, ...]] = {}
         # (dictionary, code → group state|None) for the single-key coded
         # path: replaces one string hash + dict probe per row with a list
-        # index.  Group keys stay the decoded strings, so merge/finalize
+        # index.  Group keys stay the decoded strings, so finalize
         # (and interleaving with un-coded batches) are unaffected.
         self._code_groups: tuple[object, list] | None = None
 
@@ -1166,36 +1126,6 @@ class GroupedAggregation:
                     if value is not None:
                         state[j].append(value)
 
-    def __getstate__(self) -> dict[str, object]:
-        # Partial aggregation states cross the process boundary (worker →
-        # parent merge); drop the coded-path cache — it holds references
-        # to worker-side Dictionary objects and is rebuilt on demand.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_code_groups"
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._code_groups = None
-
-    def merge(self, other: "GroupedAggregation") -> None:
-        """Fold ``other``'s partial state into this one (in morsel order)."""
-        groups = self.groups
-        for key in other.order:
-            incoming = other.groups[key]
-            state = groups.get(key)
-            if state is None:
-                groups[key] = incoming
-                self.order.append(key)
-                self.representatives[key] = other.representatives[key]
-            else:
-                state[0] += incoming[0]
-                for j in range(1, len(state)):
-                    state[j].extend(incoming[j])
-
     def finalize(self, columns: tuple[str, ...]) -> Iterator[Batch]:
         """Yield the result batch (``columns`` pre-deduped, see kernel)."""
         specs = self.specs
@@ -1230,21 +1160,14 @@ class GroupedAggregation:
         yield Batch(columns, data, len(order))
 
 
-def aggregate_output_columns(plan: Aggregate, ctx: ExecContext) -> tuple[str, ...]:
-    """The Aggregate result's column tuple, deduped to first occurrence.
-
-    An alias may repeat a group column (or another alias); the row paths
-    collapse those through dict assignment, so the batch result dedups the
-    column list and lets ``finalize`` reproduce the last-wins value.
-    """
-    return tuple(dict.fromkeys(ctx.columns(plan)))
-
-
 def _aggregate_batches(plan: Aggregate, ctx: ExecContext) -> Iterator[Batch]:
     grouped = GroupedAggregation(plan)
     for batch in _node_batches(plan.child, ctx):
         grouped.consume(batch)
-    yield from grouped.finalize(aggregate_output_columns(plan, ctx))
+    # An alias may repeat a group column (or another alias); the row paths
+    # collapse those through dict assignment, so the batch result dedups the
+    # column list and lets ``finalize`` reproduce the last-wins value.
+    yield from grouped.finalize(tuple(dict.fromkeys(ctx.columns(plan))))
 
 
 def _sort_batches(plan: Sort, ctx: ExecContext) -> Iterator[Batch]:

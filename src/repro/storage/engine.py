@@ -16,9 +16,9 @@ into the log.  Because replay drives the same mutation methods the
 original process used (``insert``, ``apply_update_at``, ``delete_at``,
 ``create_index``, ``repartition``, ``create_table`` …), every version
 counter, index epoch, partition epoch, and the structural counter land
-bit-identical — all four executors (interpreted, streaming, batch,
-parallel) give byte-for-byte the same answers on a recovered database,
-and the plan cache can never confuse pre- and post-crash epochs.
+bit-identical — all three executors (interpreted, streaming, batch)
+give byte-for-byte the same answers on a recovered database, and the
+plan cache can never confuse pre- and post-crash epochs.
 
 Beyond the relational state the store persists two engine-level maps:
 

@@ -2,8 +2,8 @@
 
 The three cost-based decisions (hash-join build side, join-chain order,
 Select conjunct order) must be *bit-identical* to the interpreted oracle
-in rows AND row order across the serial streaming, vectorized batch, and
-morsel-parallel executors — including NULL-heavy columns and skewed join
+in rows AND row order across the streaming and vectorized batch
+executors — including NULL-heavy columns and skewed join
 keys.  Error parity is exact for the reorders (a pinned case proves an
 error-raising conjunct is never hoisted past the conjunct that would
 have short-circuited it), and the plan cache must never serve a plan
@@ -92,16 +92,14 @@ def _outcome(fn):
         return ("err", type(exc))
 
 
-def _assert_four_way(db, plan) -> None:
-    """Interpreted oracle vs streaming vs batch vs parallel, rows AND order."""
+def _assert_three_way(db, plan) -> None:
+    """Interpreted oracle vs streaming vs batch, rows AND order."""
     reference = _outcome(lambda: execute_interpreted(plan, db))
     optimized = optimize(plan, db)
     streaming = _outcome(lambda: optimize(plan, db, vectorize=False).execute(db))
     batch = _outcome(lambda: optimized.execute(db))
-    parallel = _outcome(lambda: optimized.execute(db, parallel=3))
     assert streaming == reference
     assert batch == reference
-    assert parallel == reference
 
 
 def _the_join(plan) -> Join:
@@ -116,19 +114,19 @@ def _the_join(plan) -> Join:
 def test_build_side_flips_to_smaller_left_input(db):
     plan = Join(Scan("small"), Scan("big"), (("key", "key"),))
     assert _the_join(optimize(plan, db)).build == "left"
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 def test_build_side_flip_left_join(db):
     plan = Join(Scan("small"), Scan("big"), (("key", "key"),), "left")
     assert _the_join(optimize(plan, db)).build == "left"
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 def test_no_flip_when_left_is_larger(db):
     plan = Join(Scan("big"), Scan("small"), (("key", "key"),))
     assert _the_join(optimize(plan, db)).build == "right"
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 def test_no_flip_without_error_freedom_proof(db):
@@ -137,14 +135,14 @@ def test_no_flip_without_error_freedom_proof(db):
     left = Select(Scan("small"), parse("key + 0 >= 0"))
     plan = Join(left, Scan("big"), (("key", "key"),))
     assert _the_join(optimize(plan, db)).build == "right"
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 def test_flip_with_safe_filtered_left_input(db):
     left = Select(Scan("small"), parse("key != 3"))
     plan = Join(left, Scan("big"), (("key", "key"),))
     assert _the_join(optimize(plan, db)).build == "left"
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 # -- join-chain reordering -----------------------------------------------------
@@ -209,7 +207,7 @@ def test_chain_reorder_bit_identical_all_executors():
     plan = _worst_first_chain()
     reference = _outcome(lambda: execute_interpreted(plan, db))
     assert reference[0] == "ok"
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
     # Column order is restored by the wrapping projection.
     rows = optimize(plan, db).execute(db)
     assert list(rows[0]) == list(reference[1][0])
@@ -236,7 +234,7 @@ def test_chain_without_primary_keys_keeps_authored_order():
         if isinstance(node, Join) and isinstance(node.right, Scan)
     ]
     assert list(reversed(order)) == ["d_nopk", "d_a", "d_b"]
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 # -- conjunct reordering -------------------------------------------------------
@@ -251,7 +249,7 @@ def test_cheap_selective_conjunct_hoisted_before_like(db):
     assert selects, "Select vanished"
     source = selects[0].predicate.to_source()
     assert source.index("value = 7") < source.index("LIKE")
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 def test_dictionary_like_stays_before_weaker_equality(db):
@@ -264,7 +262,7 @@ def test_dictionary_like_stays_before_weaker_equality(db):
     selects = [n for n in optimized.walk() if isinstance(n, Select)]
     source = selects[0].predicate.to_source()
     assert source.index("LIKE") < source.index("key = 1")
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 def test_error_conjunct_is_never_hoisted(db):
@@ -279,7 +277,7 @@ def test_error_conjunct_is_never_hoisted(db):
     plan = Query.table("big").where("seq < 0 AND mixed > 5").plan
     reference = _outcome(lambda: execute_interpreted(plan, db))
     assert reference == ("ok", [])
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 def test_safe_conjuncts_do_not_cross_a_barrier(db):
@@ -291,10 +289,10 @@ def test_safe_conjuncts_do_not_cross_a_barrier(db):
     source = selects[0].predicate.to_source()
     assert source.index("mixed") < source.index("vendor")
     # Both orders raise here (mixed > 5 is first and always evaluated).
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
-# -- randomized four-way equivalence -------------------------------------------
+# -- randomized equivalence (interpreted, streaming, batch) --------------------
 
 SAFE_CONJUNCTS = [
     "value = 7",
@@ -327,7 +325,7 @@ BARRIER_CONJUNCTS = [
 )
 def test_randomized_predicates_four_way(db, conjuncts):
     plan = Query.table("big").where(" AND ".join(conjuncts)).plan
-    _assert_four_way(db, plan)
+    _assert_three_way(db, plan)
 
 
 @settings(max_examples=20, deadline=None)
@@ -346,7 +344,7 @@ def test_randomized_skewed_joins_four_way(db, keys):
     )
     probe.insert("dim", [{"key": k, "tag": f"t{k}"} for k in keys])
     plan = Join(Scan("dim"), Scan("big"), (("key", "key"),))
-    _assert_four_way(probe, plan)
+    _assert_three_way(probe, plan)
 
 
 # -- estimates surfaced in explain_analyze -------------------------------------
@@ -442,10 +440,10 @@ def test_stale_estimates_never_leak_into_executed_rows():
     # current-version data.
     local = _build_db()
     plan = Query.table("big").where("vendor = 'acme' AND value = 7").plan
-    _assert_four_way(local, plan)  # warm planning stats
+    _assert_three_way(local, plan)  # warm planning stats
     local.insert("big", [{"seq": ROWS + 7, "key": 2, "vendor": "acme",
                           "value": 7, "note": "note-3", "mixed": "mZ"}])
     kind, rows = _outcome(lambda: execute_interpreted(plan, local))
     assert kind == "ok"
     assert any(r["seq"] == ROWS + 7 for r in rows)
-    _assert_four_way(local, plan)
+    _assert_three_way(local, plan)

@@ -18,6 +18,7 @@ from repro.relational.schema import (
     TableSchema,
 )
 from repro.relational.types import DataType
+from repro.relational.vectorize import Vectorized
 from repro.storage.engine import DurableStore, state_fingerprint
 from repro.storage.snapshots import list_snapshots, snapshot_name
 from repro.warehouse import Warehouse
@@ -104,7 +105,7 @@ class TestReopenFidelity:
         assert execute_interpreted(plan, db) == expected
         assert prepare_stream_plan(plan, db).execute(db) == expected
         assert optimize(plan, db).execute(db) == expected
-        assert plan.execute(db, parallel=2) == expected
+        assert Vectorized(plan).execute(db) == expected
 
     def test_close_without_commit_discards_uncommitted_tail(self, tmp_path):
         store = DurableStore(tmp_path)
