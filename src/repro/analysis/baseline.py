@@ -71,9 +71,10 @@ def guava_smoking(world: ClinicalWorld) -> SmokingExtraction:
             if c.target_attribute == "Smoking" and c.target_domain == "status3"
         )
         form = vendor.entity_classifier.form
+        classify = status3.compile()
         for record in source.execute(GTreeQuery(source.gtree(form))):
             key = (source.name, int(record[RECORD_ID]))
-            label = status3.classify(record)
+            label = classify(record)
             if label == "Current":
                 current.add(key)
             elif label == "Previous":
@@ -214,15 +215,16 @@ def global_etl_ex_smokers(
         vendor = vendor_classifiers_for(source)
         form = vendor.entity_classifier.form
         records = source.execute(GTreeQuery(source.gtree(form)))
+        frozen_classify = vendor.ex_smoker(global_definition).compile()
+        study_classify = {
+            definition: vendor.ex_smoker(definition).compile()
+            for definition in definitions
+        }
         for record in records:
             key = (source.name, int(record[RECORD_ID]))
-            frozen[key] = (
-                vendor.ex_smoker(global_definition).classify(record) is True
-            )
-            for definition in definitions:
-                per_study.setdefault(definition, {})[key] = (
-                    vendor.ex_smoker(definition).classify(record) is True
-                )
+            frozen[key] = frozen_classify(record) is True
+            for definition, classify in study_classify.items():
+                per_study.setdefault(definition, {})[key] = classify(record) is True
 
     comparisons = []
     within = {"1y": 1.0, "10y": 10.0, "ever": None}

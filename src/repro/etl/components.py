@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import ETLError
-from repro.expr.ast import Expression, Identifier
+from repro.expr.ast import Expression
 from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.multiclass.classifier import Classifier
 from repro.multiclass.domain import Domain
 from repro.relational.algebra import ExecContext, Plan
 from repro.relational.database import Database
+from repro.relational.query import optimize, prepare_stream_plan
 from repro.relational.schema import TableSchema
 
 Row = dict[str, object]
@@ -93,7 +94,12 @@ class Extract(Component):
 
     In a compiled study the plan is GUAVA's translation of the entity
     classifier's g-tree query — the bridge from Figure 6's "Source" box to
-    the first temporary database.
+    the first temporary database.  Both protocols run the plan through the
+    relational optimizer: :meth:`run` calls ``optimize(plan, db)`` exactly
+    as :meth:`~repro.guava.source.GuavaSource.execute` does, so a publish
+    reuses the plan-cache entry a ``Study.run`` preview left behind.  The
+    relational oracle stays :mod:`repro.relational.interpret` and the
+    optimizer-equivalence suites.
     """
 
     db: Database
@@ -101,14 +107,21 @@ class Extract(Component):
 
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(0, inputs)
-        return self.plan.execute(self.db)
+        plan = optimize(self.plan, self.db)
+        rows = plan.execute(self.db)
+        if plan.shares_storage():
+            # execute() of a bare batch scan returns the table snapshot's
+            # own dicts (the one zero-copy result); step outputs must stay
+            # independent of storage.
+            return [dict(row) for row in rows]
+        return rows
 
     def stream_chunks(self, batch_size: int | None):
         """Yield result chunks lazily (rows are fresh — chains own them).
 
-        The streaming path runs the plan through the relational optimizer
-        (cached per component); the serial :meth:`run` keeps executing the
-        plan exactly as compiled, preserving the oracle's cost profile.
+        The streaming path prepares the plan once per component with
+        :func:`~repro.relational.query.prepare_stream_plan`, which may also
+        build the hash indexes its equality filters want.
         """
         plan = self._optimized_plan()
         rows = plan.stream(ExecContext(self.db))
@@ -129,8 +142,6 @@ class Extract(Component):
     def _optimized_plan(self) -> Plan:
         cached = getattr(self, "_stream_plan", None)
         if cached is None:
-            from repro.relational.query import prepare_stream_plan
-
             cached = prepare_stream_plan(self.plan, self.db)
             self._stream_plan = cached
         return cached
@@ -229,64 +240,22 @@ class Classify(Component):
 
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(1, inputs)
+        classify = self.classifier.compile(self.domain)
         out = []
         for row in inputs[0]:
             extended = dict(row)
-            extended[self.column] = self.classifier.classify(row, self.domain)
+            extended[self.column] = classify(row)
             out.append(extended)
         return out
 
     def open_stream(self) -> StreamOp:
-        # Hoist the per-rule closure lookups out of the row loop; the loop
-        # below replicates Classifier.explain exactly (first satisfied
-        # guard wins, domain check only on a fired rule, no rule -> NULL).
-        rules = [
-            (compile_predicate(rule.guard), compile_expression(rule.output))
-            for rule in self.classifier.rules
-        ]
+        classify = self.classifier.compile(self.domain)
         column = self.column
-        domain = self.domain
-
-        def classify_row(row: Row) -> object:
-            for guard, output in rules:
-                if guard(row):
-                    value = output(row)
-                    if domain is not None:
-                        value = domain.check(value)
-                    return value
-            return None
-
-        # Classification is a pure function of the columns the rules read,
-        # and clinical rows cluster into few distinct value combinations —
-        # memoize per combination.  Only rows carrying every referenced name
-        # directly qualify (missing names trigger the evaluator's dotted
-        # suffix fallback, which this key cannot see); those rows, and rows
-        # with unhashable values, fall back to direct evaluation.
-        names = sorted(
-            {
-                node.name
-                for rule in self.classifier.rules
-                for expr in (rule.guard, rule.output)
-                for node in expr.walk()
-                if isinstance(node, Identifier)
-            }
-        )
-        cache: dict[tuple, object] = {}
-        missing = cache  # unique sentinel
 
         def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
             chunk = _owned(chunk, owned)
             for row in chunk:
-                try:
-                    key = tuple(row[name] for name in names)
-                    value = cache.get(key, missing)
-                    if value is missing:
-                        value = classify_row(row)
-                        if len(cache) < 65536:
-                            cache[key] = value
-                except (KeyError, TypeError):
-                    value = classify_row(row)
-                row[column] = value
+                row[column] = classify(row)
             return chunk, True
 
         return StreamOp(transform)

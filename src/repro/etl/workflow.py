@@ -2,10 +2,12 @@
 
 Two execution paths share one DAG:
 
-* :meth:`Workflow.run` with default arguments — the seed's strictly serial
-  executor, preserved verbatim as the behavioural oracle.  Steps run in
-  insertion (topological) order, each handing its full ``list[Row]`` to
-  the next.
+* :meth:`Workflow.run` with default arguments — the strictly serial
+  executor, kept as the behavioural oracle for the fused engine.  Steps
+  run in insertion (topological) order, each handing its full
+  ``list[Row]`` to the next.  Its extracts execute the *optimized* plan
+  (``Extract.run``), sharing the plan cache with ``Study.run`` previews;
+  the relational oracle is :mod:`repro.relational.interpret`.
 * ``run(batch_size=...)`` — the fused engine.  Steps fuse into *units*:
   maximal linear chains whose interior results nobody else consumes.
   Units whose dependencies are satisfied form a wave; waves run in order

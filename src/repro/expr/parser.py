@@ -25,6 +25,8 @@ Grammar (precedence low to high)::
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import ParseError
 from repro.expr.ast import (
     BinaryOp,
@@ -45,8 +47,23 @@ def parse(source: str) -> Expression:
     """Parse ``source`` into an expression AST.
 
     Raises :class:`repro.errors.ParseError` (or ``LexError``) on malformed
-    input.  The result round-trips: ``parse(e.to_source()) == e``.
+    input, and ``ParseError`` on input that is not a ``str``.  The result
+    round-trips: ``parse(e.to_source()) == e``.
+
+    Results are memoized on the source text.  ASTs are frozen, so sharing
+    one is safe, and a rebuilt study definition gets the very AST objects
+    it had before — which keeps the id-keyed closure caches of
+    :mod:`repro.expr.compile` warm.  Errors are never cached.
     """
+    if not isinstance(source, str):
+        raise ParseError(
+            f"expression source must be a str, not {type(source).__name__}"
+        )
+    return _parse_text(source)
+
+
+@lru_cache(maxsize=4096)
+def _parse_text(source: str) -> Expression:
     return _Parser(tokenize(source)).parse()
 
 

@@ -9,10 +9,11 @@ is a Boolean condition.  Both clauses use nodes in a g-tree as arguments."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import ClassifierError
 from repro.expr.analysis import is_union_of_conjunctions, referenced_identifiers
-from repro.expr.ast import Expression, Literal
+from repro.expr.ast import Expression, Identifier, Literal
 from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.guava.gtree import GTree
@@ -20,6 +21,10 @@ from repro.multiclass.domain import Domain
 from repro.util.annotations import Annotated
 
 Environment = dict[str, object]
+CompiledClassifier = Callable[[Environment], object]
+
+#: Distinct input combinations one compiled classifier remembers.
+MEMO_LIMIT = 65536
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,11 @@ class Classifier(Annotated):
     def explain(
         self, env: Environment, domain: Domain | None = None
     ) -> tuple[object, int | None]:
-        """Like :meth:`classify` but also reports which rule fired (index)."""
+        """Like :meth:`classify` but also reports which rule fired (index).
+
+        This is the reference semantics; :meth:`compile` must agree with it
+        on every record (property-tested).
+        """
         # Guards and outputs compile to closures once per distinct expression
         # (memoized in repro.expr.compile), so classifying N records walks
         # each rule's AST once, not N times.
@@ -83,6 +92,66 @@ class Classifier(Annotated):
                     value = domain.check(value)
                 return value, index
         return None, None
+
+    def compile(self, domain: Domain | None = None) -> CompiledClassifier:
+        """One ``env -> value`` closure equal to ``explain(env, domain)[0]``.
+
+        Compile once per run and call the closure per record: the rule
+        closures are resolved here, not per record.  First satisfied guard
+        wins, the domain check runs only on the rule that fired, and no
+        satisfied guard yields NULL.
+
+        Classification is a pure function of the referenced names' values,
+        and clinical records cluster into few distinct combinations, so the
+        closure memoizes per combination.  The key holds the values *and*
+        their types: ``True == 1 == 1.0`` hash alike, yet ``x = 1`` and a
+        ``TRUE`` guard treat them differently.  Records that lack a
+        referenced name (the evaluator would resolve it by dotted suffix,
+        which the key cannot see) or carry an unhashable value bypass the
+        memo.  Errors, including a :class:`~repro.errors.DomainError` from
+        an out-of-domain output, propagate and are never cached.
+        """
+        rules = [
+            (compile_predicate(rule.guard), compile_expression(rule.output))
+            for rule in self.rules
+        ]
+        check = domain.check if domain is not None else None
+
+        def evaluate(env: Environment) -> object:
+            for guard, output in rules:
+                if guard(env):
+                    value = output(env)
+                    return value if check is None else check(value)
+            return None
+
+        names = tuple(
+            sorted(
+                {
+                    node.name
+                    for rule in self.rules
+                    for expr in (rule.guard, rule.output)
+                    for node in expr.walk()
+                    if isinstance(node, Identifier)
+                }
+            )
+        )
+        memo: dict[tuple, object] = {}
+        miss = memo  # unique sentinel
+
+        def classify(env: Environment) -> object:
+            try:
+                values = tuple([env[name] for name in names])
+                key = (values, tuple(map(type, values)))
+                value = memo.get(key, miss)
+            except (KeyError, TypeError):
+                return evaluate(env)
+            if value is miss:
+                value = evaluate(env)
+                if len(memo) < MEMO_LIMIT:
+                    memo[key] = value
+            return value
+
+        return classify
 
     # -- static analysis ----------------------------------------------------------
 

@@ -196,6 +196,24 @@ class Study(Annotated):
                 f"source {binding.source.name!r} has no entity classifier "
                 f"for {entity!r}"
             )
+        # Resolve every element's classifier and domain once per (binding,
+        # entity) and compile it once, before any record is read: a missing
+        # classifier fails the same way whatever the source holds.
+        columns = []
+        for element in self.elements_of(entity):
+            classifier = binding.classifiers.get(element)
+            if classifier is None:
+                raise StudyError(
+                    f"source {binding.source.name!r} has no classifier for "
+                    f"{element}"
+                )
+            _, attribute, domain_name = element
+            columns.append(
+                (
+                    element_column(attribute, domain_name),
+                    classifier.compile(self.schema.domain_of(*element)),
+                )
+            )
         gtree = binding.source.gtree(ec.form)
         base = GTreeQuery(gtree).where(ec.condition)
         records = binding.source.execute(base)
@@ -207,26 +225,15 @@ class Study(Annotated):
                 "record",
                 quarantine,
             )
+        source_name = binding.source.name
+        parent_link = ec.parent_link
         out: list[Row] = []
         for record in records:
-            row: Row = {
-                RECORD_ID: record[RECORD_ID],
-                "source": binding.source.name,
-            }
-            if ec.parent_link is not None:
-                row[PARENT_RECORD_ID] = record.get(ec.parent_link)
-            for element in self.elements_of(entity):
-                _, attribute, domain_name = element
-                classifier = binding.classifiers.get(element)
-                if classifier is None:
-                    raise StudyError(
-                        f"source {binding.source.name!r} has no classifier for "
-                        f"{element}"
-                    )
-                domain = self.schema.domain_of(*element)
-                row[element_column(attribute, domain_name)] = classifier.classify(
-                    record, domain
-                )
+            row: Row = {RECORD_ID: record[RECORD_ID], "source": source_name}
+            if parent_link is not None:
+                row[PARENT_RECORD_ID] = record.get(parent_link)
+            for column, classify in columns:
+                row[column] = classify(record)
             out.append(row)
         return out
 

@@ -972,9 +972,9 @@ def prepare_stream_plan(plan: Plan, db: Database) -> Plan:
     get a supporting hash index built (idempotent — ``create_index``
     returns the existing one), then the plan is re-optimized so the
     :class:`IndexLookup` lowering fires.  Index creation is invisible to
-    query semantics; callers that must preserve the exact cost profile of
-    the written plan (the serial ETL oracle) should execute the raw plan
-    instead.
+    query semantics, but it is a side effect on the source database;
+    callers that must not build indexes (``Study.run`` previews and the
+    serial ETL path) call :func:`optimize` instead.
     """
     optimized = optimize(plan, db)
     built = False

@@ -68,6 +68,7 @@ from repro.expr.evaluator import (
     resolve_suffix_key,
 )
 from repro.expr.functions import default_registry
+from repro.obs.trace import current_tracer
 from repro.relational.algebra import (
     Aggregate,
     Compute,
@@ -134,12 +135,20 @@ class Vectorized(Plan):
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         return iter(execute_vectorized(self.child, ctx))
 
+    def execute(self, db: Database) -> list[Row]:
+        if type(self.child) is Scan and current_tracer() is None:
+            # The one zero-copy result (DESIGN.md §7): a bare whole-table
+            # scan at the root returns the snapshot's own row dicts.
+            return list(execute_vectorized(self.child, ExecContext(db)))
+        return super().execute(db)
+
     def shares_storage(self) -> bool:
-        # Kernels build fresh dicts at the row boundary; a bare Scan root
-        # returns the table's engine-owned snapshot rows (not live storage,
-        # but shared between executions — read-only by contract, like
-        # ``Table.snapshot_rows``).
-        return False
+        # Kernels build fresh dicts at the row boundary, but a bare Scan
+        # yields the table's engine-owned snapshot rows (not live storage,
+        # yet shared between executions).  Saying so makes parents that
+        # pass rows through or convert them in place (Select, Coerce, ...)
+        # and streaming consumers copy instead of mutating the snapshot.
+        return type(self.child) is Scan
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import MaterializationError
 from repro.obs.trace import NULL_SPAN, Span, span as trace_span
@@ -38,8 +38,11 @@ from repro.expr.compile import compile_expression
 from repro.expr.parser import parse
 from repro.guava.query import GTreeQuery
 from repro.guava.source import GuavaSource
-from repro.multiclass.classifier import Classifier, EntityClassifier
-from repro.multiclass.domain import Domain
+from repro.multiclass.classifier import (
+    Classifier,
+    CompiledClassifier,
+    EntityClassifier,
+)
 from repro.multiclass.study_schema import StudySchema
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -201,10 +204,6 @@ class MaterializationStrategy(abc.ABC):
         if not self._built:
             raise MaterializationError("strategy not built yet; call build()")
 
-    def _classify_row(self, record: Row, classifier: Classifier) -> object:
-        domain = self.job.schema.domain_of(*classifier.target)
-        return classifier.classify(record, domain)
-
     # -- refresh machinery (strategies that own the entity table) -------------
 
     def _stored_columns(self) -> list[tuple[str, Classifier]]:
@@ -224,19 +223,24 @@ class MaterializationStrategy(abc.ABC):
             columns.append(Column(name, self.job.column_type(classifier)))
         return TableSchema(self.job.table_name(), tuple(columns))
 
-    def _prefetched(self) -> list[tuple[str, Classifier, Domain]]:
-        """Stored columns with their domains resolved once, not per row."""
+    def _compiled(
+        self, columns: Iterable[tuple[str, Classifier]]
+    ) -> list[tuple[str, CompiledClassifier]]:
+        """(column name, compiled classifier) pairs, compiled once per pass."""
         return [
-            (name, classifier, self.job.schema.domain_of(*classifier.target))
-            for name, classifier in self._stored_columns()
+            (name, classifier.compile(self.job.schema.domain_of(*classifier.target)))
+            for name, classifier in columns
         ]
 
     def _classified(
-        self, record: Row, source_name: str, stored: list[tuple[str, Classifier, Domain]]
+        self,
+        record: Row,
+        source_name: str,
+        compiled: list[tuple[str, CompiledClassifier]],
     ) -> Row:
         row: Row = {RECORD_ID: record[RECORD_ID], "source": source_name}
-        for name, classifier, domain in stored:
-            row[name] = classifier.classify(record, domain)
+        for name, classify in compiled:
+            row[name] = classify(record)
         return row
 
     def _definition_fingerprint(self) -> str:
@@ -271,10 +275,10 @@ class MaterializationStrategy(abc.ABC):
         if self.warehouse.has_table(schema.name):
             self.warehouse.drop_table(schema.name)
         table = self.warehouse.ensure_table(schema)
-        stored = self._prefetched()
+        compiled = self._compiled(self._stored_columns())
         for source in self.job.sources:
             for record in self.job.base_records(source):
-                table.insert(self._classified(record, source.name, stored))
+                table.insert(self._classified(record, source.name, compiled))
         self.warehouse.record_load(
             "materializer", schema.name, len(table), self._load_note()
         )
@@ -312,7 +316,7 @@ class MaterializationStrategy(abc.ABC):
                 return False
             deltas.append((source, changed))
         table = self.warehouse.table(name)
-        stored = self._prefetched()
+        compiled = self._compiled(self._stored_columns())
         refreshed = 0
         reextracted = 0
         for source, changed in deltas:
@@ -325,7 +329,7 @@ class MaterializationStrategy(abc.ABC):
             # Records that stopped qualifying simply don't come back; the
             # delete above already removed their stale rows.
             for record in self.job.base_records(source, record_ids=changed):
-                table.insert(self._classified(record, source.name, stored))
+                table.insert(self._classified(record, source.name, compiled))
                 reextracted += 1
             refreshed += len(changed)
         if refreshed:
@@ -405,20 +409,15 @@ class SelectiveStrategy(MaterializationStrategy):
             return rows
         # Recompute cold classifiers straight from the sources (cached in
         # the job, so this does not re-extract right after a build).
-        cold_stored = [
+        cold_compiled = self._compiled(
             (name, self.job.classifier(name)) for name in cold
-        ]
-        cold_prefetched = [
-            (name, classifier, self.job.schema.domain_of(*classifier.target))
-            for name, classifier in cold_stored
-        ]
+        )
         recomputed: dict[tuple[object, str], Row] = {}
         for source in self.job.sources:
             for record in self.job.base_records(source):
                 key = (record[RECORD_ID], source.name)
                 recomputed[key] = {
-                    name: classifier.classify(record, domain)
-                    for name, classifier, domain in cold_prefetched
+                    name: classify(record) for name, classify in cold_compiled
                 }
         for row in rows:
             extra = recomputed.get((row[RECORD_ID], row["source"]), {})

@@ -100,3 +100,45 @@ class TestCompileErrors:
         study.bind(world.sources[0], [vendor.entity_classifier], [])
         with pytest.raises(CompileError):
             compile_study(study, Database("wh"))
+
+    def test_missing_classifier_fails_whatever_the_data(self, world):
+        """A selected element with no bound classifier is an error in both
+        the compiler and the direct run, even when no record qualifies."""
+        from repro.analysis import build_endoscopy_schema
+        from repro.analysis.classifiers import vendor_classifiers_for
+        from repro.errors import StudyError
+        from repro.multiclass import EntityClassifier
+
+        source = world.sources[0]
+        form = vendor_classifiers_for(source).entity_classifier.form
+        study = Study("unclassified", build_endoscopy_schema())
+        study.add_element("Procedure", "TransientHypoxia", "flag")
+        nothing = EntityClassifier("none", "Procedure", form, condition="FALSE")
+        study.bind(source, [nothing], [])
+        with pytest.raises(CompileError):
+            compile_study(study, Database("wh"))
+        with pytest.raises(StudyError, match="no classifier"):
+            study.run()
+
+
+class TestSharedPlanCache:
+    def test_publish_reuses_the_preview_plans(self, world):
+        """After a preview, every extract of the serial publish is a
+        plan-cache hit: ETL and ``Study.run`` read through one plan."""
+        from repro.obs import tracing
+
+        study = build_study2(world)
+        study.run()
+        with tracing() as tracer:
+            compile_study(study, Database("wh")).run()
+        spans = [
+            span
+            for root in tracer.roots
+            for span in root.walk()
+            if span.name == "optimize"
+        ]
+        assert len(spans) >= len(world.sources)
+        assert {span.attrs.get("plan_cache") for span in spans} == {"hit"}
+        assert not any(
+            key.startswith("rewrite.") for span in spans for key in span.attrs
+        )

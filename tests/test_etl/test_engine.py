@@ -15,9 +15,10 @@ import pytest
 from repro.analysis import build_study2
 from repro.clinical import build_world
 from repro.etl import compile_study
+from repro.etl.components import Classify, DeriveColumn, Extract, Values
 from repro.etl.workflow import RunReport, StepRun, Workflow
-from repro.multiclass import CleaningRule
-from repro.relational import Database
+from repro.multiclass import Classifier, CleaningRule, Rule
+from repro.relational import Column, DataType, Database, Scan, TableSchema
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +143,67 @@ class TestReportSummary:
         _, report, _, _ = run_study(cleaned_study, batch_size=32)
         assert all(run.seconds >= 0 for run in report.steps)
         assert any(run.seconds > 0 for run in report.steps)
+
+
+class TestClassifyMemo:
+    """The compiled classifier's memo keys on value *and* type."""
+
+    @staticmethod
+    def classify_workflow(rows):
+        classifier = Classifier(
+            "typed",
+            "Procedure",
+            "Answer",
+            "text",
+            rules=[Rule.of("'yes'", "x = 1"), Rule.of("'other'", "TRUE")],
+        )
+        workflow = Workflow("typed_memo")
+        workflow.add("values", Values(rows))
+        workflow.add("classify", Classify("c", classifier), inputs=("values",))
+        workflow.mark_output("classify")
+        return classifier, workflow
+
+    def test_true_one_and_float_one_classify_apart(self):
+        rows = [{"x": True}, {"x": 1}, {"x": 1.0}, {"x": True}]
+        classifier, workflow = self.classify_workflow(rows)
+        reference = [classifier.explain(row)[0] for row in rows]
+        assert reference == ["other", "yes", "yes", "other"]
+        serial, _ = workflow.run()
+        assert [row["c"] for row in serial["classify"]] == reference
+        for config in ENGINE_CONFIGS:
+            engine, _ = workflow.run(**config)
+            assert [row["c"] for row in engine["classify"]] == reference
+
+
+class TestExtractRowsAreFresh:
+    """A bare whole-table extract optimizes to a zero-copy batch scan; the
+    rows a workflow hands out or mutates must still be its own."""
+
+    @staticmethod
+    def scanned_db():
+        db = Database("src")
+        db.create_table(TableSchema("t", (Column("a", DataType.INTEGER),)))
+        db.insert("t", [{"a": i} for i in range(400)])
+        return db
+
+    @pytest.mark.parametrize("config", [{}] + ENGINE_CONFIGS)
+    def test_downstream_steps_leave_the_table_alone(self, config):
+        db = self.scanned_db()
+        workflow = Workflow("scan")
+        workflow.add("extract", Extract(db, Scan("t")))
+        workflow.add("derive", DeriveColumn("b", "a + 1"), inputs=("extract",))
+        workflow.mark_output("derive")
+        outputs, _ = workflow.run(**config)
+        assert outputs["derive"][0] == {"a": 0, "b": 1}
+        assert db.table("t").snapshot_rows()[0] == {"a": 0}
+
+    @pytest.mark.parametrize("config", [{}] + ENGINE_CONFIGS)
+    def test_extract_output_is_independent(self, config):
+        db = self.scanned_db()
+        workflow = Workflow("scan")
+        workflow.add("extract", Extract(db, Scan("t")))
+        workflow.mark_output("extract")
+        outputs, _ = workflow.run(**config)
+        outputs["extract"][0]["a"] = -1
+        assert db.table("t").snapshot_rows()[0] == {"a": 0}
+        assert db.table("t").rows()[0] == {"a": 0}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import LexError, ParseError
 from repro.expr import (
     BinaryOp,
     FunctionCall,
@@ -144,6 +144,28 @@ class TestErrors:
     def test_trailing_input_raises(self):
         with pytest.raises(ParseError):
             parse("1 + 2 extra")
+
+    @pytest.mark.parametrize("source", [123, 1.5, None, b"x = 1", ["x"], {"x": 1}])
+    def test_non_str_input_raises_parse_error(self, source):
+        with pytest.raises(ParseError, match="must be a str"):
+            parse(source)
+
+    @pytest.mark.parametrize("source", ["1 +", "x IS 3", "'unterminated", "a $ b"])
+    def test_errors_are_not_memoized(self, source):
+        for _ in range(3):
+            with pytest.raises((ParseError, LexError)):
+                parse(source)
+
+
+class TestMemo:
+    def test_same_text_shares_one_ast(self):
+        assert parse("a = 1 AND b IS NULL") is parse("a = 1 AND b IS NULL")
+
+    def test_memo_keys_on_exact_text(self):
+        # ``Literal(1) == Literal(True)`` under dataclass equality, so an
+        # equality-keyed memo would alias these two; a text key cannot.
+        assert parse("x = 1").right.value is 1
+        assert parse("x = TRUE").right.value is True
 
 
 class TestRoundTrip:

@@ -1,7 +1,9 @@
 """Property-based tests for MultiClass (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import DomainError, ReproError
 from repro.multiclass import (
     Classifier,
     Domain,
@@ -90,6 +92,113 @@ class TestClassifierProperties:
     @settings(max_examples=100)
     def test_guards_are_ucq(self, cutoffs):
         assert _threshold_classifier(cutoffs).is_union_of_conjunctions()
+
+
+# -- compiled classifiers ---------------------------------------------------------
+
+_literals = ("1", "0", "1.0", "2.5", "TRUE", "FALSE", "NULL", "'a'")
+_atoms = st.one_of(
+    st.just("TRUE"),
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(("x", "y")),
+        st.sampled_from(("=", "!=", ">", "<=")),
+        st.sampled_from(_literals),
+    ),
+    st.builds("{} IS NULL".format, st.sampled_from(("x", "y"))),
+    st.builds("{} IS NOT NULL".format, st.sampled_from(("x", "y"))),
+)
+_guards = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.builds("({}) AND ({})".format, inner, inner),
+        st.builds("({}) OR ({})".format, inner, inner),
+        st.builds("NOT ({})".format, inner),
+    ),
+    max_leaves=4,
+)
+# 'zzz' and the raw inputs can fall outside the categorical domain.
+_outputs = st.sampled_from(("'a'", "'b'", "'c'", "'zzz'", "x", "y"))
+_rule_lists = st.lists(st.tuples(_outputs, _guards), min_size=1, max_size=5)
+# bool, int and float values that compare (and hash) equal, NULL, a
+# string, and one unhashable value.
+_values = st.sampled_from((None, True, False, 0, 1, 1.0, 2, 2.5, "a", "b", [1]))
+
+
+@st.composite
+def _records(draw):
+    record = {"x": draw(_values), "y": draw(_values)}
+    if draw(st.booleans()):
+        # ``y`` is then reachable only through the evaluator's dotted
+        # suffix fallback, which the memo key cannot see.
+        record["form.y"] = record.pop("y")
+    return record
+
+
+def _outcome(call, record):
+    try:
+        value = call(record)
+    except ReproError as error:
+        return ("error", type(error))
+    return ("value", type(value), value)
+
+
+def _classifier_of(rules):
+    return Classifier(
+        name="random",
+        target_entity="Procedure",
+        target_attribute="Answer",
+        target_domain="abc",
+        rules=[Rule.of(output, guard) for output, guard in rules],
+    )
+
+
+_abc = Domain.categorical("abc", ["a", "b", "c"])
+
+
+class TestCompiledClassifierProperties:
+    """``Classifier.compile(domain)(env) == Classifier.explain(env, domain)[0]``."""
+
+    @given(
+        _rule_lists,
+        st.lists(_records(), min_size=1, max_size=8),
+        st.sampled_from((None, _abc)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_equals_explain(self, rules, records, domain):
+        classifier = _classifier_of(rules)
+        compiled = classifier.compile(domain)
+        # Every record twice: the second pass hits whatever the memo kept.
+        for record in records + records:
+            expected = _outcome(lambda env: classifier.explain(env, domain)[0], record)
+            assert _outcome(compiled, record) == expected
+
+    def test_true_one_and_float_one_are_distinct_keys(self):
+        classifier = _classifier_of([("'a'", "x = 1"), ("'b'", "TRUE")])
+        compiled = classifier.compile(_abc)
+        records = [{"x": True}, {"x": 1}, {"x": 1.0}, {"x": True}]
+        assert [compiled(r) for r in records] == ["b", "a", "a", "b"]
+
+    def test_suffix_resolved_records_bypass_the_memo(self):
+        classifier = _classifier_of([("'a'", "y = 1"), ("'b'", "TRUE")])
+        compiled = classifier.compile(_abc)
+        assert compiled({"form.y": 1}) == "a"
+        assert compiled({"form.y": 2}) == "b"
+        assert compiled({"form.y": 1}) == "a"
+
+    def test_unhashable_values_bypass_the_memo(self):
+        classifier = _classifier_of([("'a'", "x IS NULL"), ("'b'", "TRUE")])
+        compiled = classifier.compile(_abc)
+        assert compiled({"x": [1]}) == "b"
+        assert compiled({"x": None}) == "a"
+
+    def test_out_of_domain_raises_on_every_call(self):
+        classifier = _classifier_of([("'zzz'", "x = 1"), ("'a'", "TRUE")])
+        compiled = classifier.compile(_abc)
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                compiled({"x": 1})
+        assert compiled({"x": 2}) == "a"
 
 
 _rows = st.lists(

@@ -431,6 +431,22 @@ class TestZeroCopyScanContract:
         assert plan.execute(db) == reference
         assert db.table("patients").rows()[0]["age"] == 0
 
+    def test_parents_of_a_bare_scan_copy_the_snapshot(self):
+        """Pass-through and convert-in-place parents (a streaming Select,
+        Coerce) never hand out or mutate the snapshot's own dicts."""
+        from repro.relational.algebra import Coerce
+
+        db = _load([{"patient_id": 1, "age": 2, "name": "ann", "smoker": True}], [])
+        snapshot = db.table("patients").snapshot_rows()
+        for plan in (
+            Select(Vectorized(Scan("patients")), parse("age >= 0")),
+            Coerce(Vectorized(Scan("patients")), (("age", DataType.TEXT),)),
+        ):
+            rows = plan.execute(db)
+            assert rows[0] is not snapshot[0]
+            rows[0]["name"] = "mutated"
+        assert snapshot[0] == {"patient_id": 1, "age": 2, "name": "ann", "smoker": True}
+
     def test_table_mutation_refreshes_the_snapshot(self):
         db = _load([{"patient_id": 1, "age": 2, "name": "ann", "smoker": True}], [])
         first = Vectorized(Scan("patients")).execute(db)
