@@ -27,7 +27,7 @@ tree-walking :class:`~repro.expr.evaluator.Evaluator` is property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import ETLError
 from repro.expr.ast import Expression
@@ -108,13 +108,11 @@ class Extract(Component):
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(0, inputs)
         plan = optimize(self.plan, self.db)
-        rows = plan.execute(self.db)
         if plan.shares_storage():
-            # execute() of a bare batch scan returns the table snapshot's
-            # own dicts (the one zero-copy result); step outputs must stay
-            # independent of storage.
-            return [dict(row) for row in rows]
-        return rows
+            # A bare scan: execute() may hand out the table snapshot's own
+            # dicts (the one zero-copy result), so copy once while streaming.
+            return list(self._fresh_rows(plan))
+        return plan.execute(self.db)
 
     def stream_chunks(self, batch_size: int | None):
         """Yield result chunks lazily (rows are fresh — chains own them).
@@ -123,21 +121,25 @@ class Extract(Component):
         :func:`~repro.relational.query.prepare_stream_plan`, which may also
         build the hash indexes its equality filters want.
         """
-        plan = self._optimized_plan()
-        rows = plan.stream(ExecContext(self.db))
-        copy = plan.shares_storage()
+        rows = self._fresh_rows(self._optimized_plan())
         if batch_size is None:
-            chunk = [dict(row) for row in rows] if copy else list(rows)
-            yield chunk
+            yield list(rows)
             return
         chunk: Chunk = []
         for row in rows:
-            chunk.append(dict(row) if copy else row)
+            chunk.append(row)
             if len(chunk) >= batch_size:
                 yield chunk
                 chunk = []
         if chunk:
             yield chunk
+
+    def _fresh_rows(self, plan: Plan) -> Iterator[Row]:
+        """Stream ``plan``, copying rows that may alias table storage."""
+        rows = plan.stream(ExecContext(self.db))
+        if plan.shares_storage():
+            return (dict(row) for row in rows)
+        return rows
 
     def _optimized_plan(self) -> Plan:
         cached = getattr(self, "_stream_plan", None)

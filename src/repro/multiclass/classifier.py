@@ -13,7 +13,7 @@ from typing import Callable
 
 from repro.errors import ClassifierError
 from repro.expr.analysis import is_union_of_conjunctions, referenced_identifiers
-from repro.expr.ast import Expression, Identifier, Literal
+from repro.expr.ast import Expression, Literal
 from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.guava.gtree import GTree
@@ -23,8 +23,11 @@ from repro.util.annotations import Annotated
 Environment = dict[str, object]
 CompiledClassifier = Callable[[Environment], object]
 
-#: Distinct input combinations one compiled classifier remembers.
-MEMO_LIMIT = 65536
+#: Distinct input combinations one compiled classifier remembers; a run
+#: that meets more drops the memo (see :meth:`Classifier.compile`).
+MEMO_LIMIT = 1024
+
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,20 @@ class Classifier(Annotated):
         satisfied guard yields NULL.
 
         Classification is a pure function of the referenced names' values,
-        and clinical records cluster into few distinct combinations, so the
-        closure memoizes per combination.  The key holds the values *and*
-        their types: ``True == 1 == 1.0`` hash alike, yet ``x = 1`` and a
-        ``TRUE`` guard treat them differently.  Records that lack a
-        referenced name (the evaluator would resolve it by dotted suffix,
-        which the key cannot see) or carry an unhashable value bypass the
-        memo.  Errors, including a :class:`~repro.errors.DomainError` from
-        an out-of-domain output, propagate and are never cached.
+        and most classifiers read coded answers that take few distinct
+        combinations, so the closure memoizes per combination (hit shares
+        per site are in EXPERIMENTS.md, "Classify once, extract once").  A
+        classifier over near-unique inputs (a date, a free-text field)
+        would pay the key and the lookup on every record for nothing, so
+        once the memo holds :data:`MEMO_LIMIT` combinations the closure
+        drops it and evaluates directly for the rest of the run.  The key
+        holds the values *and* their types: ``True == 1 == 1.0`` hash
+        alike, yet ``x = 1`` and a ``TRUE`` guard treat them differently.
+        Records that lack a referenced name (the evaluator would resolve it
+        by dotted suffix, which the key cannot see) or carry an unhashable
+        value bypass the memo.  Errors, including a
+        :class:`~repro.errors.DomainError` from an out-of-domain output,
+        propagate and are never cached.
         """
         rules = [
             (compile_predicate(rule.guard), compile_expression(rule.output))
@@ -126,29 +135,33 @@ class Classifier(Annotated):
 
         names = tuple(
             sorted(
-                {
-                    node.name
-                    for rule in self.rules
-                    for expr in (rule.guard, rule.output)
-                    for node in expr.walk()
-                    if isinstance(node, Identifier)
-                }
+                set().union(
+                    *(
+                        referenced_identifiers(expr)
+                        for rule in self.rules
+                        for expr in (rule.guard, rule.output)
+                    )
+                )
             )
         )
-        memo: dict[tuple, object] = {}
-        miss = memo  # unique sentinel
+        memo: dict[tuple, object] | None = {}
 
         def classify(env: Environment) -> object:
+            nonlocal memo
+            if memo is None:
+                return evaluate(env)
             try:
                 values = tuple([env[name] for name in names])
                 key = (values, tuple(map(type, values)))
-                value = memo.get(key, miss)
+                value = memo.get(key, _MISS)
             except (KeyError, TypeError):
                 return evaluate(env)
-            if value is miss:
+            if value is _MISS:
                 value = evaluate(env)
                 if len(memo) < MEMO_LIMIT:
                     memo[key] = value
+                else:
+                    memo = None
             return value
 
         return classify

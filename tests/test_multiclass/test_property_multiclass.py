@@ -1,9 +1,12 @@
 """Property-based tests for MultiClass (hypothesis)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DomainError, ReproError
+from repro.multiclass import classifier as classifier_module
 from repro.multiclass import (
     Classifier,
     Domain,
@@ -163,15 +166,20 @@ class TestCompiledClassifierProperties:
         _rule_lists,
         st.lists(_records(), min_size=1, max_size=8),
         st.sampled_from((None, _abc)),
+        st.sampled_from((0, 2, classifier_module.MEMO_LIMIT)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_compiled_equals_explain(self, rules, records, domain):
+    def test_compiled_equals_explain(self, rules, records, domain, limit):
         classifier = _classifier_of(rules)
-        compiled = classifier.compile(domain)
-        # Every record twice: the second pass hits whatever the memo kept.
-        for record in records + records:
-            expected = _outcome(lambda env: classifier.explain(env, domain)[0], record)
-            assert _outcome(compiled, record) == expected
+        # A small limit makes the closure drop its memo part-way through.
+        with mock.patch.object(classifier_module, "MEMO_LIMIT", limit):
+            compiled = classifier.compile(domain)
+            # Every record twice: the second pass hits whatever the memo kept.
+            for record in records + records:
+                expected = _outcome(
+                    lambda env: classifier.explain(env, domain)[0], record
+                )
+                assert _outcome(compiled, record) == expected
 
     def test_true_one_and_float_one_are_distinct_keys(self):
         classifier = _classifier_of([("'a'", "x = 1"), ("'b'", "TRUE")])
@@ -199,6 +207,18 @@ class TestCompiledClassifierProperties:
             with pytest.raises(DomainError):
                 compiled({"x": 1})
         assert compiled({"x": 2}) == "a"
+
+    def test_near_unique_inputs_drop_the_memo(self):
+        classifier = _classifier_of([("'zzz'", "x = -1"), ("'a'", "x >= 0")])
+        compiled = classifier.compile(_abc)
+        count = classifier_module.MEMO_LIMIT + 10
+        assert [compiled({"x": i}) for i in range(count)] == ["a"] * count
+        assert compiled({"x": None}) is None
+        with pytest.raises(DomainError):
+            compiled({"x": -1})
+        # The memo is gone: the closure holds no key of any record.
+        cells = [cell.cell_contents for cell in compiled.__closure__]
+        assert not any(isinstance(cell, dict) for cell in cells)
 
 
 _rows = st.lists(
