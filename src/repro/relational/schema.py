@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType
@@ -256,9 +257,16 @@ class TableSchema:
                 normalized.append(Column(col_name, dtype))
         return cls(name, tuple(normalized), tuple(primary_key), partition_by)
 
-    @property
+    # Cached in the instance ``__dict__``, which a frozen dataclass leaves
+    # out of eq, hash and repr: both are pure functions of ``columns``.
+    @cached_property
     def column_names(self) -> tuple[str, ...]:
         return tuple(column.name for column in self.columns)
+
+    @cached_property
+    def column_set(self) -> frozenset[str]:
+        """The column names as a set, for membership checks."""
+        return frozenset(self.column_names)
 
     def column(self, name: str) -> Column:
         """Look up a column by name."""

@@ -540,8 +540,8 @@ class Table:
     # -- internals -------------------------------------------------------------
 
     def _validate(self, values: Mapping[str, object]) -> Row:
-        unknown = set(values) - set(self.schema.column_names)
-        if unknown:
+        if not self.schema.column_set.issuperset(values):
+            unknown = set(values) - self.schema.column_set
             raise SchemaError(
                 f"table {self.name} has no column(s) {sorted(unknown)}"
             )

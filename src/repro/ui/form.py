@@ -9,10 +9,14 @@ naïve schema for a tool."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Mapping
 
-from repro.errors import ControlError
+from repro.errors import ControlError, EvaluationError
 from repro.expr.analysis import referenced_identifiers
+from repro.expr.ast import FunctionCall
+from repro.expr.compile import CompiledPredicate, compile_predicate
+from repro.expr.functions import default_registry
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.ui.controls import Control
@@ -21,10 +25,37 @@ from repro.ui.controls import Control
 #: saved screen (e.g. one endoscopy report).
 RECORD_ID = "record_id"
 
+_FUNCTIONS = default_registry()
+
+#: One enablement check: a data control's name and its compiled condition.
+EnablementCheck = tuple[str, CompiledPredicate]
+
+
+@dataclass(frozen=True)
+class EnablementGraph:
+    """A form's enablement edges (paper Figure 2: Smoking → Frequency).
+
+    ``conditions`` maps each control that has an enablement condition to
+    that condition, compiled.  ``checks`` holds the data controls' checks
+    in document order.  ``affected[name]`` holds, in document order, the
+    checks of every data control whose condition transitively reads
+    ``name``: the only controls an answer to ``name`` can disable.
+    """
+
+    conditions: Mapping[str, CompiledPredicate]
+    checks: tuple[EnablementCheck, ...]
+    affected: Mapping[str, tuple[EnablementCheck, ...]]
+
 
 @dataclass
 class Form:
-    """One screen of a reporting tool: a tree of controls."""
+    """One screen of a reporting tool: a tree of controls.
+
+    A form is fixed once built.  Its control index and data controls are
+    derived from ``controls`` at construction, and its enablement graph on
+    first use; a control appended to ``controls`` later is unknown to the
+    form (entering data into it raises :class:`ControlError`).
+    """
 
     name: str
     title: str
@@ -42,19 +73,36 @@ class Form:
         if RECORD_ID in names:
             raise ControlError(f"form {self.name}: {RECORD_ID!r} is reserved")
         self._by_name = {control.name: control for control in self.iter_controls()}
+        self._data_controls = tuple(
+            control for control in self._by_name.values() if control.stores_data
+        )
         self._validate_enablement()
 
     def _validate_enablement(self) -> None:
+        # A condition can only read data controls (a layout control holds no
+        # value) and call built-in functions with a valid argument count;
+        # anything else would first fail at data entry.
+        data_names = {control.name for control in self._data_controls}
         for control in self.iter_controls():
             if control.enabled_when is None:
                 continue
             for name in referenced_identifiers(control.enabled_when):
                 leaf = name.split(".")[-1]
-                if leaf not in self._by_name:
+                if leaf not in data_names:
+                    kind = "layout" if leaf in self._by_name else "unknown"
                     raise ControlError(
                         f"{self.name}.{control.name}: enablement references "
-                        f"unknown control {name!r}"
+                        f"{kind} control {name!r}"
                     )
+            for node in control.enabled_when.walk():
+                if isinstance(node, FunctionCall):
+                    try:
+                        _FUNCTIONS.bind(node.name, len(node.args))
+                    except EvaluationError as exc:
+                        raise ControlError(
+                            f"{self.name}.{control.name}: enablement calls "
+                            f"{node.name}: {exc}"
+                        ) from exc
 
     # -- traversal -----------------------------------------------------------
 
@@ -63,9 +111,9 @@ class Form:
         for top in self.controls:
             yield from top.iter_tree()
 
-    def data_controls(self) -> list[Control]:
+    def data_controls(self) -> tuple[Control, ...]:
         """Controls that store data (one naive-schema column each)."""
-        return [control for control in self.iter_controls() if control.stores_data]
+        return self._data_controls
 
     def control(self, name: str) -> Control:
         """Look up a control by name."""
@@ -90,6 +138,39 @@ class Form:
             if leaf in self._by_name and leaf != control.name:
                 return self._by_name[leaf]
         return None
+
+    @cached_property
+    def enablement_graph(self) -> EnablementGraph:
+        """The form's enablement edges, derived once on first use."""
+        conditions = {
+            control.name: compile_predicate(control.enabled_when)
+            for control in self._by_name.values()
+            if control.enabled_when is not None
+        }
+        checks = tuple(
+            (control.name, conditions[control.name])
+            for control in self._data_controls
+            if control.name in conditions
+        )
+        # readers[name]: the controls whose condition reads ``name`` directly.
+        readers: dict[str, set[str]] = {}
+        for control in self._data_controls:
+            if control.enabled_when is not None:
+                for name in referenced_identifiers(control.enabled_when):
+                    readers.setdefault(name.split(".")[-1], set()).add(control.name)
+        affected: dict[str, tuple[EnablementCheck, ...]] = {}
+        for control in self._data_controls:
+            reached: set[str] = set()
+            frontier = [control.name]
+            while frontier:
+                for reader in readers.get(frontier.pop(), ()):
+                    if reader not in reached:
+                        reached.add(reader)
+                        frontier.append(reader)
+            affected[control.name] = tuple(
+                check for check in checks if check[0] in reached
+            )
+        return EnablementGraph(conditions, checks, affected)
 
 
 def naive_schema(form: Form) -> TableSchema:

@@ -21,28 +21,35 @@ from repro.errors import (
     DisabledControlError,
     RequiredControlError,
 )
-from repro.expr.evaluator import Evaluator
-from repro.ui.form import RECORD_ID, Form
+from repro.ui.form import RECORD_ID, EnablementCheck, Form
 from repro.ui.toolkit import ReportingTool
 
 NaiveRow = dict[str, object]
 Writer = Callable[[str, NaiveRow], None]
 
-_EVALUATOR = Evaluator()
-
 
 class FormInstance:
-    """One open screen: current values plus enablement state."""
+    """One open screen: current values plus enablement state.
+
+    Between calls every control holding a value is enabled.  An answer can
+    only disable the controls whose condition transitively reads it, so
+    :meth:`set` re-checks just those (``Form.enablement_graph``); every
+    other control was enabled or empty before the call, and nothing it
+    reads has changed.
+    """
 
     def __init__(self, form: Form, record_id: int):
         self.form = form
         self.record_id = record_id
-        self._values: dict[str, object] = {}
-        for control in form.data_controls():
-            self._values[control.name] = control.validate(control.default)
+        self._enablement = form.enablement_graph
+        self._values: dict[str, object] = {
+            control.name: control.validate(control.default)
+            for control in form.data_controls()
+        }
+        self._settled = True
         # Controls that open disabled hold no data, even if they declare a
         # default — the GUI greys them out before anything is stored.
-        self._clear_disabled()
+        self._clear_disabled(self._enablement.checks)
 
     # -- state ----------------------------------------------------------------
 
@@ -63,10 +70,9 @@ class FormInstance:
         A control with no condition is always enabled; a condition that
         evaluates to NULL (because its inputs are unanswered) disables.
         """
-        control = self.form.control(control_name)
-        if control.enabled_when is None:
-            return True
-        return _EVALUATOR.satisfied(control.enabled_when, self._values)
+        self.form.control(control_name)  # unknown names raise ControlError
+        enabled = self._enablement.conditions.get(control_name)
+        return enabled is None or enabled(self._values)
 
     # -- interaction ------------------------------------------------------------
 
@@ -82,24 +88,30 @@ class FormInstance:
         control = self.form.control(control_name)
         if not control.stores_data:
             raise DataEntryError(f"cannot enter data into {control_name}")
-        if not self.is_enabled(control_name):
+        enabled = self._enablement.conditions.get(control_name)
+        if enabled is not None and not enabled(self._values):
             raise DisabledControlError(
                 f"{self.form.name}.{control_name} is disabled"
             )
         self._values[control_name] = control.validate(value)
-        self._clear_disabled()
+        self._clear_disabled(self._enablement.affected[control_name])
 
-    def _clear_disabled(self) -> None:
+    def _clear_disabled(self, scope: tuple[EnablementCheck, ...]) -> None:
+        # A walk that raised may have stopped before checking the rest of its
+        # scope, so the walk after it covers every condition on the form.
+        if not self._settled:
+            scope = self._enablement.checks
+        self._settled = False
+        values = self._values
         # Iterate to a fixed point: clearing one control may disable another.
         changed = True
         while changed:
             changed = False
-            for control in self.form.data_controls():
-                if self._values[control.name] is not None and not self.is_enabled(
-                    control.name
-                ):
-                    self._values[control.name] = None
+            for name, enabled in scope:
+                if values[name] is not None and not enabled(values):
+                    values[name] = None
                     changed = True
+        self._settled = True
 
     def save(self) -> NaiveRow:
         """Validate required fields and return the naive row.

@@ -47,6 +47,13 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             TableSchema.build("", [("a", DataType.TEXT)])
 
+    def test_cached_names_leave_eq_hash_repr_unchanged(self):
+        schema, fresh = patients_schema(), patients_schema()
+        assert schema.column_names is schema.column_names
+        assert schema.column_set == frozenset({"id", "name", "smoker"})
+        assert schema == fresh and hash(schema) == hash(fresh)
+        assert repr(schema) == repr(fresh)
+
 
 class TestTableInsert:
     def test_insert_and_read(self):

@@ -39,6 +39,56 @@ class TestForm:
                 controls=[TextBox("a", "A", enabled_when="ghost = TRUE")],
             )
 
+    def test_enablement_must_not_reference_layout_controls(self):
+        # A group box holds no value, so the condition could never evaluate.
+        with pytest.raises(ControlError, match="layout control"):
+            Form(
+                "f",
+                "F",
+                [GroupBox("g", "G"), NumericBox("x", "X", enabled_when="g IS NULL")],
+            )
+
+    def test_enablement_must_call_known_functions(self):
+        with pytest.raises(ControlError, match="NOPE"):
+            Form(
+                "f",
+                "F",
+                [NumericBox("a", "A"), NumericBox("x", "X", enabled_when="NOPE(a) = 1")],
+            )
+        with pytest.raises(ControlError, match="ABS"):
+            Form(
+                "f",
+                "F",
+                [NumericBox("a", "A"), NumericBox("x", "X", enabled_when="ABS(a, a) = 1")],
+            )
+
+    def test_form_is_fixed_once_built(self, fig2_form):
+        fig2_form.controls.append(NumericBox("late", "Late"))
+        assert "late" not in [c.name for c in fig2_form.data_controls()]
+        assert "late" not in naive_schema(fig2_form).column_names
+        instance = DataEntrySession(ReportingTool("t", "1", [fig2_form])).open_form(
+            "procedure"
+        )
+        assert "late" not in instance.values()
+        with pytest.raises(ControlError):
+            instance.set("late", 1)
+
+    def test_enablement_graph_is_transitive_in_document_order(self):
+        form = Form(
+            "f",
+            "F",
+            controls=[
+                CheckBox("a", "A"),
+                GroupBox("g", "G", children=[NumericBox("c", "C", enabled_when="b = TRUE")]),
+                CheckBox("b", "B", enabled_when="f.a = TRUE"),
+                TextBox("d", "D"),
+            ],
+        )
+        affected = form.enablement_graph.affected
+        assert [name for name, _ in affected["a"]] == ["c", "b"]
+        assert [name for name, _ in affected["b"]] == ["c"]
+        assert affected["c"] == () and affected["d"] == ()
+
     def test_data_controls_excludes_groups(self, fig2_form):
         names = [c.name for c in fig2_form.data_controls()]
         assert "complications" not in names
