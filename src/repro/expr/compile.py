@@ -15,14 +15,19 @@ expressions and environments.
 Compilation against the default function registry is memoized per
 expression object, so plan nodes and classifier rules pay the lowering cost
 once per distinct expression, not once per execute.
+
+A *code book* — ``IIF(x = 'Y', TRUE, IIF(x = 'N', FALSE, NULL))``, the
+chain the Encoding pattern decodes stored codes with — lowers to one dict
+probe (:func:`code_book`), with the generic chain kept for input types the
+probe cannot decide.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, UnknownFunctionError
 from repro.expr.ast import (
     BinaryOp,
     Expression,
@@ -97,6 +102,102 @@ def compile_predicate(
     return compiled
 
 
+# -- code books ----------------------------------------------------------------
+
+_DEFAULT_IIF = _DEFAULT_REGISTRY.lookup("IIF")
+
+
+class CodeBook(NamedTuple):
+    """An ``IIF`` chain mapping one identifier's literal codes to literals."""
+
+    identifier: Identifier
+    table: dict[object, object]
+    default: object
+    #: Input types the table decides exactly: ``str`` for text codes,
+    #: ``int``/``float`` for integer codes.
+    types: frozenset[type]
+
+
+def code_book(expr: Expression, registry: FunctionRegistry) -> CodeBook | None:
+    """The code book ``expr`` spells, or None when it is not one.
+
+    A code book is ``IIF(<identifier> = <Literal code>, <Literal value>,
+    ...)`` nested through the else arm down to a final ``Literal`` (the
+    default), reading one identifier throughout, whose ``IIF`` is the
+    default registry's.  Every code must be a ``str``, or every code a
+    non-bool ``int``.  A repeated code keeps its first value, the arm the
+    chain reaches first.
+
+    The table decides inputs of exactly the listed types: ``_compare``
+    treats ``str``/``str`` and int/float pairs as plain ``==``, which is
+    what a dict probe computes, and a miss falls to the default.  NULL
+    fails every test, so it yields the default too.  Every other input
+    (``True`` against code ``1``, a date, a list) must run the chain.
+    """
+    try:
+        if registry.lookup("IIF") is not _DEFAULT_IIF:
+            return None
+    except UnknownFunctionError:
+        return None
+    identifier: Identifier | None = None
+    table: dict[object, object] = {}
+    codes: list[object] = []
+    node = expr
+    while isinstance(node, FunctionCall):
+        if node.name.upper() != "IIF" or len(node.args) != 3:
+            return None
+        test, value, node = node.args
+        if not (
+            isinstance(test, BinaryOp)
+            and test.op == "="
+            and isinstance(test.left, Identifier)
+            and isinstance(test.right, Literal)
+            and isinstance(value, Literal)
+        ):
+            return None
+        if identifier is None:
+            identifier = test.left
+        elif test.left != identifier:
+            return None
+        code = test.right.value
+        codes.append(code)
+        table.setdefault(code, value.value)
+    if identifier is None or not isinstance(node, Literal):
+        return None
+    if all(type(code) is str for code in codes):
+        types: frozenset[type] = frozenset((str,))
+    elif all(type(code) is int for code in codes):
+        types = frozenset((int, float))
+    else:
+        return None
+    return CodeBook(identifier, table, node.value, types)
+
+
+def _lower_code_book(
+    expr: FunctionCall, book: CodeBook, registry: FunctionRegistry
+) -> CompiledExpression:
+    resolve = _lower_identifier(book.identifier)
+    get = book.table.get
+    default = book.default
+    exact = book.types
+    # The generic chain is lowered on the first input the table cannot
+    # decide; most code books never meet one.
+    generic: CompiledExpression | None = None
+
+    def decode(env: Environment) -> object:
+        nonlocal generic
+        value = resolve(env)
+        if type(value) in exact:
+            return get(value, default)
+        if value is None:
+            return default
+        if generic is None:
+            generic = _lower_function_call(expr, registry)
+        return generic(env)
+
+    return decode
+
+
 # -- lowering ------------------------------------------------------------------
 
 
@@ -111,6 +212,9 @@ def _lower(expr: Expression, registry: FunctionRegistry) -> CompiledExpression:
     if isinstance(expr, BinaryOp):
         return _lower_binary(expr, registry)
     if isinstance(expr, FunctionCall):
+        book = code_book(expr, registry)
+        if book is not None:
+            return _lower_code_book(expr, book, registry)
         return _lower_function_call(expr, registry)
     if isinstance(expr, InList):
         return _lower_in_list(expr, registry)

@@ -38,7 +38,7 @@ from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.evaluator import sql_equal
 from repro.obs.trace import TreeRecorder, current_tracer
 from repro.relational.database import Database
-from repro.relational.types import DataType
+from repro.relational.types import Converter, DataType
 
 Row = dict[str, object]
 
@@ -719,7 +719,7 @@ class Coerce(Plan):
 
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         converters = tuple(
-            (column, dtype.coerce) for column, dtype in self.column_types
+            (column, Converter(dtype)) for column, dtype in self.column_types
         )
         # Rows that already left table storage (fresh dicts from the child)
         # can be converted in place; aliased rows still get copied.

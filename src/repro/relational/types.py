@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from datetime import date, datetime
+from typing import Callable
 
 from repro.errors import TypeMismatchError
 
@@ -31,7 +32,9 @@ class DataType(enum.Enum):
         if value is None:
             return None
         try:
-            return _COERCERS[self](value)
+            # Keyed on the member's value string: hashing the member itself
+            # goes through the Python-level ``Enum.__hash__`` on every call.
+            return _COERCERS[self._value_](value)
         except (ValueError, TypeError) as exc:
             raise TypeMismatchError(
                 f"cannot coerce {value!r} to {self.value}: {exc}"
@@ -111,10 +114,93 @@ def _coerce_date(value: object) -> date:
     raise TypeError(f"unsupported source type {type(value).__name__}")
 
 
-_COERCERS = {
-    DataType.INTEGER: _coerce_integer,
-    DataType.FLOAT: _coerce_float,
-    DataType.TEXT: _coerce_text,
-    DataType.BOOLEAN: _coerce_boolean,
-    DataType.DATE: _coerce_date,
+_COERCERS: dict[str, Callable[[object], object]] = {
+    DataType.INTEGER.value: _coerce_integer,
+    DataType.FLOAT.value: _coerce_float,
+    DataType.TEXT.value: _coerce_text,
+    DataType.BOOLEAN.value: _coerce_boolean,
+    DataType.DATE.value: _coerce_date,
 }
+
+#: Per member, the one input type ``coerce`` returns unchanged.
+_NATIVE_TYPES: dict[str, type] = {
+    DataType.INTEGER.value: int,
+    DataType.FLOAT.value: float,
+    DataType.TEXT.value: str,
+    DataType.BOOLEAN.value: bool,
+    DataType.DATE.value: date,
+}
+
+#: Distinct text inputs one :class:`Converter` memoizes before it drops the
+#: memo and parses directly (the bound ``Classifier.compile`` uses too).
+MEMO_LIMIT = 1024
+
+_MISS = object()
+_NONE_TYPE = type(None)
+_TEXT_OR_NULL = frozenset((str, _NONE_TYPE))
+
+
+class Converter:
+    """``dtype.coerce`` for one execution of one column, with a text memo.
+
+    Values of the type's native class (``int`` for INTEGER, ``date`` for
+    DATE, ... compared by exact type) come back unchanged, as ``coerce``
+    returns them.  Text inputs to a non-TEXT type are parsed once per
+    distinct string: stored EAV answers repeat ("true", "2", ...), so
+    most rows cost one dict probe.  The memo is keyed by the exact ``str``
+    only, so ``1``, ``True`` and ``"1"`` never share an entry.  A column of
+    near-unique strings (dates) would pay for the memo on every row, so
+    once it meets more than :data:`MEMO_LIMIT` distinct strings it drops
+    the memo and parses directly for the rest of the execution.  Errors propagate from ``coerce`` with
+    its exact message and are never cached.
+    """
+
+    __slots__ = ("coerce", "native", "memo")
+
+    def __init__(self, dtype: DataType):
+        self.coerce = dtype.coerce
+        self.native = _NATIVE_TYPES[dtype.value]
+        self.memo: dict[str, object] | None = (
+            None if self.native is str else {}
+        )
+
+    def __call__(self, value: object) -> object:
+        kind = type(value)
+        if kind is self.native or value is None:
+            return value
+        memo = self.memo
+        if kind is not str or memo is None:
+            return self.coerce(value)
+        result = memo.get(value, _MISS)
+        if result is _MISS:
+            result = self.coerce(value)
+            if len(memo) < MEMO_LIMIT:
+                memo[value] = result
+            else:
+                self.memo = None
+        return result
+
+    def column(self, values: list[object]) -> list[object]:
+        """``[self(value) for value in values]``, always a fresh list.
+
+        An all-text column is converted per *distinct* string, in order of
+        first occurrence (so a bad value raises exactly where the row loop
+        would), then mapped through the memo at C speed.
+        """
+        kinds = set(map(type, values))
+        if kinds <= {self.native, _NONE_TYPE}:
+            return list(values)
+        memo = self.memo
+        if memo is not None and kinds <= _TEXT_OR_NULL:
+            fresh = [
+                value
+                for value in dict.fromkeys(values)
+                if value is not None and value not in memo
+            ]
+            if len(memo) + len(fresh) <= MEMO_LIMIT:
+                coerce = self.coerce
+                for value in fresh:
+                    memo[value] = coerce(value)
+                return list(map(memo.get, values))
+            self.memo = None
+        return [self(value) for value in values]

@@ -19,13 +19,22 @@ Parity is by construction where it matters:
 - Grouping, distinct, and hash-join keys go through the shared
   :func:`~repro.relational.algebra.canonical_key`, and aggregate results
   through the shared ``_aggregate_values`` finalizer.
+- ``Pivot`` folds key/attribute/value columns into per-group slot lists
+  with ``Pivot._stream``'s rules (first-seen group order, last value
+  wins, only ``str`` attributes match), and ``Coerce`` converts whole
+  columns through the same per-execution ``types.Converter`` the
+  streaming ``Coerce`` uses, so a Generic/EAV extract never builds a row
+  dict before the row boundary.
+- Code books (``IIF(x = 'Y', TRUE, IIF(x = 'N', FALSE, NULL))``, the
+  Encoding pattern's decode) map a batch through one dict, as the row
+  compiler does (:func:`repro.expr.compile.code_book`).
 
-Operators without a kernel (Pivot, Unpivot, Coerce) and the index probes
-(IndexLookup, InLookup) fall back per-subtree to the streaming executor;
-their rows are packed into batches at the boundary.  One intended
-divergence: when a plan raises, the batch path may surface the error from
-a different row than the row path (column-major vs row-major evaluation
-order), so only the exception *type* is comparable across executors.
+The operator without a kernel (Unpivot) and the index probes (IndexLookup,
+InLookup) fall back per-subtree to the streaming executor; their rows are
+packed into batches at the boundary.  One intended divergence: when a plan
+raises, the batch path may surface the error from a different row than the
+row path (column-major vs row-major evaluation order), so only the
+exception *type* is comparable across executors.
 
 Obs hooks carry over: under a tracer every kernel's span records
 ``rows_out``, ``batches``, ``rows_per_batch``, and wall time, so
@@ -57,7 +66,9 @@ from repro.expr.ast import (
 from repro.expr.compile import (
     _COMPARE_OPS,
     _TOTAL_ARITHMETIC_OPS,
+    CodeBook,
     _boolean_valued,
+    code_book,
     compile_expression,
 )
 from repro.expr.evaluator import (
@@ -71,6 +82,7 @@ from repro.expr.functions import default_registry
 from repro.obs.trace import current_tracer
 from repro.relational.algebra import (
     Aggregate,
+    Coerce,
     Compute,
     Distinct,
     ExecContext,
@@ -79,6 +91,7 @@ from repro.relational.algebra import (
     Join,
     Limit,
     PartitionScan,
+    Pivot,
     Plan,
     Project,
     Rename,
@@ -103,6 +116,7 @@ from repro.relational.stats import (
     encoded_columns,
     statistics_enabled,
 )
+from repro.relational.types import Converter
 
 #: Estimated input rows below which the planner leaves a subtree on the
 #: row-at-a-time path: batch setup overhead only pays off with volume.
@@ -1250,6 +1264,78 @@ def _limit_batches(plan: Limit, ctx: ExecContext) -> Iterator[Batch]:
             return
 
 
+def _pivot_batches(plan: Pivot, ctx: ExecContext) -> Iterator[Batch]:
+    """EAV → wide, folding key/attribute/value columns without row dicts.
+
+    Same fold as ``Pivot._stream``: groups in first-seen key order (the
+    dict keeps the first key object, so ``1`` and ``True`` fold together
+    exactly as there), the last value of a repeated (key, attribute)
+    wins, and only ``str`` attributes can match a declared name.  Each
+    group is one list of attribute slots; output batches are transposed
+    from those lists at the end.
+    """
+    key_columns = plan.key_columns
+    # A repeated attribute name shares one slot, as the row paths' dict
+    # template collapses it.
+    slot_of = {
+        attribute: slot
+        for slot, attribute in enumerate(dict.fromkeys(plan.attributes))
+    }
+    blank = [None] * len(slot_of)
+    groups: dict[object, list[object]] = {}
+    get = groups.get
+    single = len(key_columns) == 1
+    slot_get = slot_of.get
+    for batch in _node_batches(plan.child, ctx):
+        if single:
+            keys: Iterable[object] = _gather(batch, key_columns[0])
+        elif key_columns:
+            keys = zip(*[_gather(batch, column) for column in key_columns])
+        else:
+            keys = [()] * batch.length
+        slots = [
+            slot_get(attribute) if isinstance(attribute, str) else None
+            for attribute in _gather(batch, plan.attribute_column)
+        ]
+        for key, slot, value in zip(keys, slots, _gather(batch, plan.value_column)):
+            row = get(key)
+            if row is None:
+                row = groups[key] = blank.copy()
+            if slot is not None:
+                row[slot] = value
+    if not groups:
+        return
+    columns = ctx.columns(plan)
+    group_keys = list(groups)
+    rows = list(groups.values())
+    for start in range(0, len(rows), BATCH_SIZE):
+        stop = start + BATCH_SIZE
+        data: dict[str, list[object]] = {}
+        if single:
+            data[key_columns[0]] = group_keys[start:stop]
+        elif key_columns:
+            for name, values in zip(key_columns, zip(*group_keys[start:stop])):
+                data[name] = list(values)
+        chunk = rows[start:stop]
+        # An attribute named like a key column overwrites it, as the row
+        # paths' template does.
+        for (attribute, _), values in zip(slot_of.items(), zip(*chunk)):
+            data[attribute] = list(values)
+        yield Batch(columns, data, len(chunk))
+
+
+def _coerce_batches(plan: Coerce, ctx: ExecContext) -> Iterator[Batch]:
+    converters = tuple(
+        (column, Converter(dtype)) for column, dtype in plan.column_types
+    )
+    for batch in _node_batches(plan.child, ctx):
+        data = batch.materialize()
+        for column, convert in converters:
+            if column in data:
+                data[column] = convert.column(data[column])
+        yield Batch(batch.columns, data, batch.length)
+
+
 _KERNELS: dict[type, Callable[..., Iterator[Batch]]] = {
     Scan: _scan_batches,
     PartitionScan: _partition_scan_batches,
@@ -1265,6 +1351,8 @@ _KERNELS: dict[type, Callable[..., Iterator[Batch]]] = {
     Sort: _sort_batches,
     TopK: _topk_batches,
     Limit: _limit_batches,
+    Pivot: _pivot_batches,
+    Coerce: _coerce_batches,
 }
 
 
@@ -1652,6 +1740,40 @@ def _wrap_code_like(
 
 
 def _lower_function_call_batch(expr: FunctionCall) -> BatchExpression:
+    book = code_book(expr, _DEFAULT_REGISTRY)
+    if book is not None:
+        return _lower_code_book_batch(expr, book)
+    return _lower_generic_call_batch(expr)
+
+
+def _lower_code_book_batch(expr: FunctionCall, book: CodeBook) -> BatchExpression:
+    """Batch twin of the row path's code-book lookup (``code_book``).
+
+    A batch whose values are all of the table's exact types (or NULL,
+    which is never a code) maps through the table in one comprehension;
+    any other batch runs the generic chain, lowered on first need.
+    """
+    resolve = _lower_identifier_batch(book.identifier)
+    get = book.table.get
+    default = book.default
+    decidable = book.types | {type(None)}
+    generic: BatchExpression | None = None
+
+    def decode(batch: Batch) -> list[object]:
+        nonlocal generic
+        values = resolve(batch)
+        if set(map(type, values)) <= decidable:
+            if default is None:
+                return list(map(get, values))
+            return [get(value, default) for value in values]
+        if generic is None:
+            generic = _lower_generic_call_batch(expr)
+        return generic(batch)
+
+    return decode
+
+
+def _lower_generic_call_batch(expr: FunctionCall) -> BatchExpression:
     name = expr.name
     arg_fns = tuple(_lower_batch(arg) for arg in expr.args)
     arg_count = len(arg_fns)

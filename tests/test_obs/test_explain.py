@@ -136,3 +136,27 @@ def _walk(plan):
     yield plan
     for child in plan.children():
         yield from _walk(child)
+
+
+class TestEavExtractTrace:
+    """A CORI extract (Generic/EAV pattern) runs on the batch kernels, and
+    its profile says so: no fast path skips the spans."""
+
+    def test_pivot_and_coerce_spans_are_batch(self):
+        from repro.clinical.sources import build_world
+        from repro.guava.query import GTreeQuery
+        from repro.guava.translate import translate_query
+        from repro.relational.algebra import Coerce, Pivot
+        from repro.relational.interpret import execute_interpreted
+
+        source = build_world(300, seed=7).source("cori_warehouse_feed")
+        plan = translate_query(GTreeQuery(source.gtree("procedure")), source.chain)
+        report = explain_analyze(plan, source.db)
+        assert report.rows == execute_interpreted(plan, source.db)
+        spans = {type(node): span for node, span in report.node_spans()}
+        assert Pivot in spans and Coerce in spans
+        for kind in (Pivot, Coerce):
+            attrs = spans[kind].attrs
+            assert attrs["executor"] == "batch"
+            assert attrs["rows_out"] == len(report.rows) > 0
+            assert attrs["batches"] >= 1

@@ -4,8 +4,9 @@ The only suite that runs the batch kernels over partitioned tables: every
 plan runs once through the reference interpreter and once forced through
 ``Vectorized``, on tables carrying each partitioning scheme in
 ``_SCHEMES`` (including NULL partition keys), and the two must agree
-bit for bit — values *and* order.  Plans cover operators with no batch
-kernel (Pivot/Unpivot, streamed row-wise inside the tree), pruned and
+bit for bit — values *and* order.  Plans cover the operator with no
+batch kernel (Unpivot, streamed row-wise inside the tree, feeding the
+Pivot kernel), pruned and
 multi-partition ``PartitionScan`` leaves, order-sensitive operators
 (Aggregate group order, AVG summation order, left-join NULL padding),
 and error parity (a query that raises must raise on both paths).
@@ -267,8 +268,8 @@ class TestRandomized:
     @given(_patient_rows)
     @settings(max_examples=40, deadline=None)
     def test_forced_rowwise_fallback_inside_batch_tree(self, patients):
-        # Pivot/Unpivot have no batch kernels: the batch executor must
-        # stream them row-wise inside the tree and still agree.
+        # Unpivot has no batch kernel: the batch executor must stream it
+        # row-wise inside the tree, feed the Pivot kernel, and still agree.
         unique = list({row["patient_id"]: row for row in patients}.values())
         db = _load(unique, [], HashPartitioning("patient_id", 3))
         pivoted = Pivot(

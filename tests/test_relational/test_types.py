@@ -1,11 +1,12 @@
 """Tests for column types and coercion."""
 
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import pytest
 
 from repro.errors import TypeMismatchError
 from repro.relational import DataType
+from repro.relational.types import MEMO_LIMIT, Converter
 
 
 class TestInteger:
@@ -104,3 +105,102 @@ class TestAccepts:
 
     def test_accepts_false(self):
         assert not DataType.INTEGER.accepts("abc")
+
+
+class TestErrorMessagesPerMember:
+    """Messages and ``accepts`` are pinned byte for byte: the dispatch
+    table behind ``coerce`` is an implementation detail."""
+
+    @pytest.mark.parametrize(
+        "dtype,value,message",
+        [
+            (
+                DataType.INTEGER,
+                "abc",
+                "cannot coerce 'abc' to integer: invalid literal for int() with base 10: 'abc'",
+            ),
+            (
+                DataType.FLOAT,
+                "x",
+                "cannot coerce 'x' to float: could not convert string to float: 'x'",
+            ),
+            (DataType.TEXT, [1], "cannot coerce [1] to text: unsupported source type list"),
+            (
+                DataType.BOOLEAN,
+                "maybe",
+                "cannot coerce 'maybe' to boolean: not a boolean literal: 'maybe'",
+            ),
+            (
+                DataType.DATE,
+                "yesterday",
+                "cannot coerce 'yesterday' to date: Invalid isoformat string: 'yesterday'",
+            ),
+        ],
+        ids=lambda case: case.name if isinstance(case, DataType) else None,
+    )
+    def test_message_and_accepts(self, dtype, value, message):
+        with pytest.raises(TypeMismatchError) as raised:
+            dtype.coerce(value)
+        assert str(raised.value) == message
+        assert not dtype.accepts(value)
+        assert dtype.accepts(None)
+
+    def test_every_member_is_covered(self):
+        assert {member.value for member in DataType} == {
+            "integer",
+            "float",
+            "text",
+            "boolean",
+            "date",
+        }
+
+
+class TestConverter:
+    """The per-execution converter behind both Coerce executors."""
+
+    @pytest.mark.parametrize("dtype", list(DataType), ids=lambda d: d.name)
+    def test_matches_coerce_value_and_type(self, dtype):
+        values = [None, 1, True, 1.0, "1", " true ", "2020-01-02", date(2020, 1, 2), "x", [1]]
+        expected = []
+        for value in values:
+            try:
+                expected.append(("ok", type(dtype.coerce(value)), dtype.coerce(value)))
+            except TypeMismatchError as exc:
+                expected.append(("err", str(exc)))
+        converter = Converter(dtype)
+        for value, want in zip(values, expected):
+            try:
+                result = converter(value)
+                assert ("ok", type(result), result) == want
+            except TypeMismatchError as exc:
+                assert ("err", str(exc)) == want
+
+    def test_column_is_always_a_fresh_list(self):
+        values = [1, 2, None]
+        result = Converter(DataType.INTEGER).column(values)
+        assert result == values
+        assert result is not values
+
+    def test_errors_are_not_memoized(self):
+        converter = Converter(DataType.INTEGER)
+        for _ in range(2):
+            with pytest.raises(TypeMismatchError, match="'x'"):
+                converter.column(["1", "x"])
+        assert converter.memo == {"1": 1}
+
+    def test_near_unique_text_drops_the_memo(self):
+        texts = [(date(2000, 1, 1) + timedelta(days=i)).isoformat() for i in range(3000)]
+        for convert in (
+            lambda converter: converter.column(texts),
+            lambda converter: [converter(text) for text in texts],
+        ):
+            converter = Converter(DataType.DATE)
+            assert convert(converter) == [DataType.DATE.coerce(text) for text in texts]
+            assert converter.memo is None
+
+    def test_repeated_text_stays_memoized(self):
+        converter = Converter(DataType.BOOLEAN)
+        for _ in range(3):
+            assert converter.column(["yes", " N", None] * 500) == [True, False, None] * 500
+        assert converter.memo is not None
+        assert len(converter.memo) <= MEMO_LIMIT

@@ -13,10 +13,12 @@ pulling rows after ``count``, so the row-pulling executors may return
 rows where the materializing interpreter raises on a row past the limit.
 """
 
+from datetime import date, datetime, timedelta
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EvaluationError, QueryError, ReproError
+from repro.errors import EvaluationError, QueryError, ReproError, TypeMismatchError
 from repro.expr.ast import BinaryOp, Identifier, InList, IsNull, Literal, UnaryOp
 from repro.expr.parser import parse
 from repro.relational import (
@@ -43,7 +45,9 @@ from repro.relational import (
     execute_interpreted,
     optimize,
 )
+from repro.relational.algebra import Coerce
 from repro.relational.query import _with_children
+from repro.relational.vectorize import _KERNELS
 
 _NAMES = ["ann", "bob", "cal", None]
 
@@ -293,8 +297,10 @@ class TestFallbackSubtrees:
             value_column="value",
             attributes=("age", "name"),
         )
-        # Pivot/Unpivot have no kernels: the batch executor must pack their
-        # streamed rows at the boundary and still agree bit for bit.
+        # Unpivot has no kernel: the batch executor packs its streamed rows
+        # at the boundary, and Pivot's kernel folds those batches.
+        assert Unpivot not in _KERNELS
+        assert Pivot in _KERNELS
         plan = Sort(Select(pivoted, parse("age IS NOT NULL")), (("patient_id", True),))
         _assert_batch_agrees(plan, db)
 
@@ -514,3 +520,188 @@ class TestBatchBoundaries:
         rows = tuple((i, f"v{i}") for i in range(2100))
         plan = Limit(Values(("a", "b"), rows), 1500)
         _assert_batch_agrees(plan, db)
+
+
+# -- Pivot and Coerce kernels --------------------------------------------------
+
+_EAV_COLS = ("k", "k2", "attribute", "value")
+
+_eav_rows = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 4), st.none(), st.booleans(), st.just(1.0)),
+        st.sampled_from(["a", "b", None]),
+        # Unknown, non-str and NULL attributes never match a declared name.
+        st.one_of(
+            st.sampled_from(["age", "name", "smoker", "other"]),
+            st.integers(0, 2),
+            st.none(),
+            st.booleans(),
+        ),
+        st.one_of(
+            st.sampled_from(["1", " 2 ", "true", "N", "2020-01-02", "x"]),
+            st.integers(-1, 3),
+            st.none(),
+        ),
+    ),
+    max_size=40,
+)
+
+_pivot_keys = st.sampled_from([("k",), ("k2",), ("k", "k2"), ("k2", "k"), ()])
+_pivot_attributes = st.lists(
+    st.sampled_from(["age", "name", "smoker", "missing", "k"]), max_size=4
+).map(tuple)
+
+_TYPES = list(DataType)
+
+#: Inputs for every coercion: text with whitespace and case, numbers,
+#: booleans, dates, NULL, and literals that cannot coerce.
+_coercible = st.one_of(
+    st.sampled_from(
+        [" true ", "TRUE", "Yes", "n", "0", "1", " 7 ", "-3", "1.5", "2020-01-02",
+         " 2021-12-31 ", "maybe", ""]
+    ),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([date(2020, 1, 2), datetime(2020, 1, 2, 3, 4)]),
+)
+
+
+def _typed(rows):
+    return [{column: (type(v), v) for column, v in row.items()} for row in rows]
+
+
+def _assert_typed_agree(plan, db) -> None:
+    """``_assert_batch_agrees`` plus value *types*: ``1 == True == 1.0``
+    would let a coercion that returns the wrong type pass."""
+    _assert_batch_agrees(plan, db)
+    reference = _outcome(lambda: execute_interpreted(plan, db))
+    if reference[0] == "ok":
+        expected = _typed(reference[1])
+        assert _typed(plan.execute(db)) == expected
+        assert _typed(Vectorized(plan).execute(db)) == expected
+
+
+class TestPivotCoerceKernels:
+    """Pivot and Coerce batch kernels against the interpreter."""
+
+    @given(_eav_rows, _pivot_keys, _pivot_attributes)
+    @settings(max_examples=150, deadline=None)
+    def test_random_pivots_agree(self, rows, keys, attributes):
+        db = _load([], [])
+        plan = Pivot(Values(_EAV_COLS, tuple(rows)), keys, "attribute", "value", attributes)
+        _assert_typed_agree(plan, db)
+
+    @given(_eav_rows, st.sampled_from(_TYPES), st.sampled_from(_TYPES))
+    @settings(max_examples=150, deadline=None)
+    def test_random_coerced_pivots_agree(self, rows, first, second):
+        db = _load([], [])
+        pivoted = Pivot(
+            Values(_EAV_COLS, tuple(rows)), ("k",), "attribute", "value", ("age", "name")
+        )
+        plan = Coerce(pivoted, (("age", first), ("name", second), ("absent", first)))
+        _assert_typed_agree(plan, db)
+
+    @given(
+        st.lists(st.tuples(_coercible, _coercible), max_size=30),
+        st.sampled_from(_TYPES),
+        st.sampled_from(_TYPES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_coercion_to_every_type_agrees(self, rows, first, second):
+        db = _load([], [])
+        # A column coerced twice applies both conversions in order.
+        plan = Coerce(Values(("a", "b"), tuple(rows)), (("a", first), ("b", second), ("a", second)))
+        _assert_typed_agree(plan, db)
+
+    def test_zero_rows(self):
+        db = _load([], [])
+        pivoted = Pivot(Values(_EAV_COLS, ()), ("k",), "attribute", "value", ("age",))
+        for plan in (pivoted, Coerce(pivoted, (("age", DataType.INTEGER),))):
+            assert Vectorized(plan).execute(db) == []
+            _assert_typed_agree(plan, db)
+
+    def test_bad_literal_raises_the_same_message(self):
+        db = _load([], [])
+        rows = tuple((value,) for value in ("1", " 2", "two", "3"))
+        plan = Coerce(Values(("n",), rows), (("n", DataType.INTEGER),))
+        messages = []
+        for run in (
+            lambda: execute_interpreted(plan, db),
+            lambda: plan.execute(db),
+            lambda: Vectorized(plan).execute(db),
+        ):
+            with pytest.raises(TypeMismatchError) as raised:
+                run()
+            messages.append(str(raised.value))
+        assert len(set(messages)) == 1
+        assert "'two'" in messages[0]
+
+    def test_text_coercion_keeps_one_true_and_text_one_apart(self):
+        db = _load([], [])
+        rows = ((1,), (True,), ("1",), (1.0,), ("true",), (False,), (0,))
+        plan = Coerce(Values(("v",), rows), (("v", DataType.TEXT),))
+        expected = ["1", "true", "1", "1.0", "true", "false", "0"]
+        for run in (
+            lambda: execute_interpreted(plan, db),
+            lambda: plan.execute(db),
+            lambda: Vectorized(plan).execute(db),
+        ):
+            assert [row["v"] for row in run()] == expected
+
+    def test_booleans_ignore_whitespace_and_case(self):
+        db = _load([], [])
+        rows = tuple((text,) for text in (" TRUE", "yes ", "Y", "f", " No ", "0", "1"))
+        plan = Coerce(Values(("b",), rows), (("b", DataType.BOOLEAN),))
+        expected = [True, True, True, False, False, False, True]
+        assert [row["b"] for row in Vectorized(plan).execute(db)] == expected
+        _assert_typed_agree(plan, db)
+
+    def test_coded_eav_table_across_batches(self):
+        """A CORI-shaped extract: a dictionary-coded EAV table over several
+        batches, with repeated (key, attribute) pairs and near-unique dates
+        (enough distinct values to drop the coercion memo)."""
+        db = Database("eav")
+        db.create_table(
+            TableSchema.build(
+                "eav",
+                [
+                    ("entity", DataType.TEXT),
+                    ("k", DataType.INTEGER),
+                    ("attribute", DataType.TEXT),
+                    ("value", DataType.TEXT),
+                ],
+            )
+        )
+        rows = []
+        for i in range(4000):
+            rows.append(
+                {
+                    "entity": "procedure" if i % 7 else "finding",
+                    "k": i % 1500 if i % 97 else None,
+                    "attribute": ["when", "smoker", "age", "note"][i % 4],
+                    "value": (
+                        str(date(2000, 1, 1) + timedelta(days=i)),
+                        "true" if i % 3 else " N ",
+                        str(i % 90),
+                        None,
+                    )[i % 4],
+                }
+            )
+        db.insert("eav", rows)
+        pivoted = Pivot(
+            Select(Scan("eav"), parse("entity = 'procedure'")),
+            ("k",),
+            "attribute",
+            "value",
+            ("when", "smoker", "age", "unknown"),
+        )
+        plan = Coerce(
+            pivoted,
+            (("when", DataType.DATE), ("smoker", DataType.BOOLEAN), ("age", DataType.INTEGER)),
+        )
+        _assert_typed_agree(plan, db)
+        optimized = optimize(plan, db)
+        assert isinstance(optimized, Vectorized)
+        assert optimized.execute(db) == execute_interpreted(plan, db)
