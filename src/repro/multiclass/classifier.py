@@ -18,14 +18,11 @@ from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.guava.gtree import GTree
 from repro.multiclass.domain import Domain
+from repro.relational.types import MEMO_LIMIT
 from repro.util.annotations import Annotated
 
 Environment = dict[str, object]
 CompiledClassifier = Callable[[Environment], object]
-
-#: Distinct input combinations one compiled classifier remembers; a run
-#: that meets more drops the memo (see :meth:`Classifier.compile`).
-MEMO_LIMIT = 1024
 
 _MISS = object()
 

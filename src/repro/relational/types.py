@@ -131,8 +131,9 @@ _NATIVE_TYPES: dict[str, type] = {
     DataType.DATE.value: date,
 }
 
-#: Distinct text inputs one :class:`Converter` memoizes before it drops the
-#: memo and parses directly (the bound ``Classifier.compile`` uses too).
+#: Distinct inputs a per-run memo keeps before it drops the memo and
+#: computes directly: one :class:`Converter`'s text inputs, or one compiled
+#: classifier's input combinations (``Classifier.compile``).
 MEMO_LIMIT = 1024
 
 _MISS = object()
@@ -146,13 +147,15 @@ class Converter:
     Values of the type's native class (``int`` for INTEGER, ``date`` for
     DATE, ... compared by exact type) come back unchanged, as ``coerce``
     returns them.  Text inputs to a non-TEXT type are parsed once per
-    distinct string: stored EAV answers repeat ("true", "2", ...), so
-    most rows cost one dict probe.  The memo is keyed by the exact ``str``
-    only, so ``1``, ``True`` and ``"1"`` never share an entry.  A column of
-    near-unique strings (dates) would pay for the memo on every row, so
-    once it meets more than :data:`MEMO_LIMIT` distinct strings it drops
-    the memo and parses directly for the rest of the execution.  Errors propagate from ``coerce`` with
-    its exact message and are never cached.
+    distinct string: stored EAV answers repeat ("true", "2", ...), so a
+    repeat costs one dict probe (99% of the rows of CORI's boolean
+    answers are repeats; EXPERIMENTS.md).  The memo is keyed by the exact
+    ``str`` only, so ``1``, ``True`` and ``"1"`` never share an entry.  A
+    column of near-unique strings (dates) would pay for the memo on every
+    row, so once it meets more than :data:`MEMO_LIMIT` distinct strings it
+    drops the memo and parses directly for the rest of the execution.
+    Errors propagate from ``coerce`` with its exact message and are never
+    cached.
     """
 
     __slots__ = ("coerce", "native", "memo")
@@ -160,7 +163,7 @@ class Converter:
     def __init__(self, dtype: DataType):
         self.coerce = dtype.coerce
         self.native = _NATIVE_TYPES[dtype.value]
-        self.memo: dict[str, object] | None = (
+        self.memo: dict[object, object] | None = (
             None if self.native is str else {}
         )
 

@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import EvaluationError, QueryError
 from repro.expr.ast import (
@@ -1281,8 +1281,9 @@ def _pivot_batches(plan: Pivot, ctx: ExecContext) -> Iterator[Batch]:
         attribute: slot
         for slot, attribute in enumerate(dict.fromkeys(plan.attributes))
     }
-    blank = [None] * len(slot_of)
-    groups: dict[object, list[object]] = {}
+    blank: list[object] = [None] * len(slot_of)
+    # A group key is the key value itself (one key column) or a tuple.
+    groups: dict[Any, list[object]] = {}
     get = groups.get
     single = len(key_columns) == 1
     slot_get = slot_of.get
@@ -1763,8 +1764,6 @@ def _lower_code_book_batch(expr: FunctionCall, book: CodeBook) -> BatchExpressio
         nonlocal generic
         values = resolve(batch)
         if set(map(type, values)) <= decidable:
-            if default is None:
-                return list(map(get, values))
             return [get(value, default) for value in values]
         if generic is None:
             generic = _lower_generic_call_batch(expr)
