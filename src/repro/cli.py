@@ -390,7 +390,7 @@ def _cmd_storage(args) -> int:
     try:
         store = DurableStore(args.dir)
     except StorageError as exc:
-        print(f"recovery failed: {exc}", file=sys.stderr)
+        print(f"recovery failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:
         report = store.report.to_doc()

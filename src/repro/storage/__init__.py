@@ -3,16 +3,17 @@
 The engine in :mod:`repro.relational` is purely in-memory; this package
 makes a database survive process death.  Three pieces:
 
-* :mod:`repro.storage.wal` — an append-only, CRC-framed redo log fed by
-  the relational layer's mutation/structure listeners, with explicit
-  commit records and torn-tail-tolerant replay.
+* :mod:`repro.storage.wal` — an append-only, CRC-framed redo log in
+  numbered segment files, fed by the relational layer's
+  mutation/structure listeners, with explicit commit records and
+  torn-tail-tolerant replay.
 * :mod:`repro.storage.snapshots` — periodic columnar checkpoints that
   serialize each table as :data:`~repro.relational.batch.BATCH_SIZE`
   column slices (the vectorized in-memory format doubling as the on-disk
   format), so a cold start rehydrates into scan-ready columns.
 * :mod:`repro.storage.engine` — :class:`DurableStore`, which wires the
   two together: recovery loads the latest valid snapshot and replays the
-  WAL suffix up to the last commit, restoring table versions, index and
+  WAL segments after it up to the last commit, restoring table versions, index and
   partition epochs, the structural counter, GUAVA change feeds, and
   warehouse lineage exactly — all four executors produce bit-identical
   results on a recovered database.

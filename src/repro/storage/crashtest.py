@@ -9,9 +9,11 @@ The child executes a deterministic seeded workload against a
 :class:`~repro.storage.DurableStore` and SIGKILLs *itself* at an
 injected point — mid-WAL-append (a genuinely torn frame, half its bytes
 durable), right after a commit's fsync, mid-snapshot-write (a partial
-temp file on disk), or right after a completed snapshot but before the
-WAL prune.  The parent then recovers the directory and asserts the
-recovered state is **bit-identical** to an oracle.
+temp file on disk), mid-rotation (snapshot written, old segment sealed,
+no new segment yet), right after rotation (new segment open, no old
+segment deleted), or right after a completed checkpoint.  The parent
+then recovers the directory and asserts the recovered state is
+**bit-identical** to an oracle.
 
 The oracle needs no IPC: the workload is a pure function of the seed
 (:func:`build_ops`), and both the durable run and an in-memory oracle
@@ -193,6 +195,16 @@ def _die() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _then_die(step: Any) -> Any:
+    """``step``, followed by SIGKILL."""
+
+    def run(*args: Any) -> Any:
+        step(*args)
+        _die()
+
+    return run
+
+
 def run_workload(
     directory: str | Path,
     seed: int,
@@ -211,8 +223,13 @@ def run_workload(
     * ``post_commit:K`` — SIGKILL right after the K-th commit's fsync
     * ``mid_snapshot:K`` — after the K-th commit, leave a half-written
       snapshot temp file on disk (a crash mid-checkpoint), SIGKILL
+    * ``mid_rotation:K`` — after the K-th commit, checkpoint and SIGKILL
+      once the snapshot is written and the active segment sealed, before
+      the next segment exists
+    * ``post_rotation:K`` — after the K-th commit, checkpoint and SIGKILL
+      once the next segment exists, before any obsolete segment is deleted
     * ``post_snapshot:K`` — after the K-th commit, complete a snapshot
-      (including the WAL prune), then SIGKILL
+      (including the segment prune), then SIGKILL
 
     ``snapshot_every`` > 0 checkpoints after every that-many commits —
     combined with a later kill it exercises snapshot + WAL-suffix
@@ -251,6 +268,13 @@ def run_workload(
             temp = store.directory / (snapshot_name(store.last_lsn) + ".tmp")
             temp.write_bytes(data[: len(data) // 2])
             _die()
+        if spec in ("mid_rotation", "post_rotation") and commit_count == arg:
+            # Die inside the real checkpoint: rotate() seals the active
+            # segment with close() and then opens the next one.
+            wal = store.wal
+            step = "close" if spec == "mid_rotation" else "rotate"
+            setattr(wal, step, _then_die(getattr(wal, step)))
+            store.snapshot()
         if spec == "post_snapshot" and commit_count == arg:
             store.snapshot()
             _die()

@@ -3,14 +3,17 @@
 One :class:`DurableStore` owns a directory::
 
     store/
-      wal.log                    the append-only redo log
+      wal-<first lsn>.log        the redo log, one segment per checkpoint
+                                 interval (12-digit LSNs; the newest is
+                                 the active segment)
       snapshot-<lsn>.snap        columnar checkpoints (newest 2 kept)
 
 Opening the store *is* recovery: load the newest valid snapshot (falling
 back to the previous one if the newest is damaged at rest), replay the
-WAL suffix with ``lsn`` beyond the snapshot up to the **last commit
-record** (a durable-but-uncommitted tail is discarded, never silently —
-the recovery report counts it), then attach the relational layer's
+WAL from the segment holding the record just past the snapshot, up to
+the **last commit record** (a durable-but-uncommitted tail is discarded,
+never silently — the recovery report counts it, and the file is cut back
+to the last commit), then attach the relational layer's
 mutation/structure listeners so every subsequent mutation is mirrored
 into the log.  Because replay drives the same mutation methods the
 original process used (``insert``, ``apply_update_at``, ``delete_at``,
@@ -18,7 +21,10 @@ original process used (``insert``, ``apply_update_at``, ``delete_at``,
 counter, index epoch, partition epoch, and the structural counter land
 bit-identical — all three executors (interpreted, streaming, batch)
 give byte-for-byte the same answers on a recovered database, and the
-plan cache can never confuse pre- and post-crash epochs.
+plan cache can never confuse pre- and post-crash epochs.  Recovery also
+deletes ``*.tmp`` files a crash left behind (a half-written snapshot),
+and refuses a directory holding a single-file ``wal.log`` from the
+older store format with a :class:`~repro.errors.RecoveryError`.
 
 Beyond the relational state the store persists two engine-level maps:
 
@@ -30,18 +36,21 @@ Beyond the relational state the store persists two engine-level maps:
   changed since version v" still answers after a restart instead of
   degrading every refresh to a full rebuild.
 
-Checkpointing (:meth:`DurableStore.snapshot`) first commits, then writes
-the snapshot atomically, keeps the newest two, and prunes the WAL prefix
-older than the *oldest retained* snapshot — so recovery always has a
-valid (snapshot, WAL-suffix) pair even when the newest snapshot file is
-corrupt, and never replays more WAL than was written since the snapshot
-it recovered from.
+Checkpointing (:meth:`DurableStore.snapshot`) commits, writes the
+snapshot atomically, keeps the newest two, then rotates the log to a
+fresh segment starting just past the snapshot's LSN and deletes the
+segments whose records all sit at or below the *oldest retained*
+snapshot — so recovery always has a valid (snapshot, WAL-suffix) pair
+even when the newest snapshot file is corrupt, and a checkpoint never
+reads the log back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -65,13 +74,22 @@ from repro.storage.snapshots import (
     snapshot_lsn,
     write_snapshot,
 )
-from repro.storage.wal import AppendHook, WriteAheadLog, read_wal
+from repro.storage.wal import (
+    AppendHook,
+    WriteAheadLog,
+    list_segments,
+    prune_segments,
+    read_segments,
+    segment_first_lsn,
+    segment_name,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.guava.source import GuavaSource
     from repro.warehouse.store import Warehouse
 
-WAL_NAME = "wal.log"
+#: The single-file log of the older store format, refused on open.
+LEGACY_WAL_NAME = "wal.log"
 
 
 @dataclass
@@ -83,6 +101,8 @@ class RecoveryReport:
     snapshot_lsn: int = 0
     #: (path, error) per damaged snapshot skipped on the way to a valid one.
     snapshot_fallbacks: list[tuple[str, str]] = field(default_factory=list)
+    #: WAL segment files decoded (those from the snapshot's on).
+    segments_read: int = 0
     wal_records: int = 0
     replayed: int = 0
     #: Records at or below the snapshot LSN (already inside the snapshot).
@@ -91,6 +111,8 @@ class RecoveryReport:
     discarded_uncommitted: int = 0
     #: Crash-artifact bytes dropped from the physical WAL tail.
     torn_bytes: int = 0
+    #: Leftover ``*.tmp`` files (half-written snapshots) deleted.
+    temp_files_removed: int = 0
     tables: int = 0
     rows: int = 0
     duration_s: float = 0.0
@@ -101,11 +123,13 @@ class RecoveryReport:
             "snapshot": self.snapshot,
             "snapshot_lsn": self.snapshot_lsn,
             "snapshot_fallbacks": [list(f) for f in self.snapshot_fallbacks],
+            "segments_read": self.segments_read,
             "wal_records": self.wal_records,
             "replayed": self.replayed,
             "skipped": self.skipped,
             "discarded_uncommitted": self.discarded_uncommitted,
             "torn_bytes": self.torn_bytes,
+            "temp_files_removed": self.temp_files_removed,
             "tables": self.tables,
             "rows": self.rows,
             "duration_ms": round(self.duration_s * 1000, 3),
@@ -179,7 +203,7 @@ class DurableStore:
             for key, value in self.report.to_doc().items():
                 span.set(key, value)
         self._wal = WriteAheadLog(
-            self.directory / WAL_NAME, fsync=fsync, append_hook=append_hook
+            self._active_segment, fsync=fsync, append_hook=append_hook
         )
         self._wal.next_lsn = self._next_lsn
         self._wire()
@@ -187,7 +211,16 @@ class DurableStore:
     # -- recovery --------------------------------------------------------------
 
     def _recover(self) -> RecoveryReport:
+        legacy = self.directory / LEGACY_WAL_NAME
+        if legacy.exists():
+            raise RecoveryError(
+                f"{legacy}: a single-file WAL from an older store format; "
+                "this version reads only segmented logs (wal-<lsn>.log)"
+            )
         report = RecoveryReport()
+        for temp in self.directory.glob("*.tmp"):
+            temp.unlink()
+            report.temp_files_removed += 1
         db: Database | None = None
         snap_lsn = 0
         state: dict[str, Any] = {}
@@ -207,11 +240,18 @@ class DurableStore:
             # if the log reaches back to lsn 1 (checked below); an empty or
             # pruned log must fail loudly rather than come up empty.
             db = Database(self.name)
-        # A WalCorruptionError from read_wal propagates: damage strictly
-        # before the last durable commit must fail loudly, never lose data.
-        records, tail = read_wal(self.directory / WAL_NAME)
+        segments = list_segments(self.directory)
+        # Replay starts in the last segment whose first LSN is at most one
+        # past the snapshot; the segments before it hold nothing to redo.
+        firsts = [segment_first_lsn(path) for path in segments]
+        start = max(bisect_right(firsts, snap_lsn + 1) - 1, 0)
+        # A WalCorruptionError or RecoveryError from read_segments
+        # propagates: damage strictly before the last durable commit must
+        # fail loudly, never lose data.
+        records, read = read_segments(segments[start:])
+        report.segments_read = len(read)
         report.wal_records = len(records)
-        report.torn_bytes = tail["torn_bytes"]
+        report.torn_bytes = read[-1]["torn_bytes"] if read else 0
         last_commit = -1
         for index, record in enumerate(records):
             if record.get("op") == "commit":
@@ -225,13 +265,12 @@ class DurableStore:
                     f"{self.directory}: every snapshot is corrupt ({details}) "
                     "and the WAL does not reach back to lsn 1"
                 )
+        if read and read[0]["first_lsn"] > snap_lsn + 1:
+            raise RecoveryError(
+                f"{self.directory}: WAL begins at lsn {read[0]['first_lsn']} "
+                f"but the recovered snapshot covers only lsn {snap_lsn}"
+            )
         if committed:
-            first = committed[0]["lsn"]
-            if first > snap_lsn + 1:
-                raise RecoveryError(
-                    f"{self.directory}: WAL begins at lsn {first} but the "
-                    f"recovered snapshot covers only lsn {snap_lsn}"
-                )
             report.cold_start = False
         self._meta = dict(state.get("meta", {}))
         self._feeds = {
@@ -248,12 +287,20 @@ class DurableStore:
         last_lsn = committed[-1]["lsn"] if committed else 0
         self._next_lsn = max(snap_lsn, last_lsn) + 1
         self._committed_lsn = max(snap_lsn, last_lsn)
-        if report.discarded_uncommitted or report.torn_bytes:
-            # Drop the uncommitted/torn tail from the physical log so the
-            # LSNs we hand out next don't collide with dead frames.
-            rewrite = WriteAheadLog(self.directory / WAL_NAME, fsync="never")
-            rewrite.truncate_to(committed, self._next_lsn)
-            rewrite.close()
+        self._active_segment = self.directory / segment_name(self._next_lsn)
+        if read:
+            tail = read[-1]
+            if report.discarded_uncommitted or report.torn_bytes:
+                # Rotation follows a commit, so a torn or uncommitted tail
+                # lies in the last segment: cut it off in place, so the
+                # LSNs handed out next don't collide with dead frames.
+                with open(tail["path"], "r+b") as handle:
+                    handle.truncate(tail["commit_end"])
+                    os.fsync(handle.fileno())
+            if tail["last_lsn"] - report.discarded_uncommitted == self._committed_lsn:
+                # Appends continue the last segment unless the snapshot
+                # runs past the log's end (its writes never reached disk).
+                self._active_segment = Path(tail["path"])
         report.tables = len(db.table_names())
         report.rows = db.total_rows()
         return report
@@ -391,10 +438,12 @@ class DurableStore:
 
         Committing first makes the checkpoint a committed point — a
         snapshot may never capture effects that could later be rolled back
-        as uncommitted.  The newest :attr:`snapshots_kept` snapshots stay;
-        the WAL prefix at or below the *oldest retained* snapshot's LSN is
-        pruned, so a fallback to that older snapshot still finds every
-        record it needs to replay.
+        as uncommitted.  The newest :attr:`snapshots_kept` snapshots stay.
+        The log then rotates to a segment starting just past the snapshot,
+        and the segments whose records all sit at or below the *oldest
+        retained* snapshot's LSN are deleted, so a fallback to that older
+        snapshot still finds every record it needs to replay.  No log
+        record is read back.
         """
         with trace_span("storage.snapshot", directory=str(self.directory)) as span:
             started = perf_counter()
@@ -405,14 +454,12 @@ class DurableStore:
             }
             path = write_snapshot(self._db, self.directory, lsn, state=state)
             prune_snapshots(self.directory, keep=self.snapshots_kept)
+            self._wal.rotate()
             oldest = snapshot_lsn(list_snapshots(self.directory)[0])
-            records, _ = read_wal(self._wal.path)
-            kept = [r for r in records if r["lsn"] > oldest]
-            if len(kept) < len(records):
-                self._wal.truncate_to(kept, self._wal.next_lsn)
+            pruned = prune_segments(self.directory, oldest)
             span.set("lsn", lsn)
             span.set("bytes", path.stat().st_size)
-            span.set("wal_records_pruned", len(records) - len(kept))
+            span.set("wal_segments_pruned", len(pruned))
             span.set("duration_ms", round((perf_counter() - started) * 1000, 3))
         return path
 
@@ -492,9 +539,11 @@ class DurableStore:
     def verify(self) -> dict[str, Any]:
         """Read-only audit of every durable artifact plus the live state.
 
-        Re-reads the WAL and re-loads every snapshot file from disk (each
-        reporting ok/error instead of raising), and fingerprints the live
-        database — the document the CI recovery-trace artifact captures.
+        Re-reads every WAL segment as one log (one entry per segment:
+        path, first and last LSN, record count, torn bytes) and re-loads
+        every snapshot file from disk (each reporting ok/error instead of
+        raising), and fingerprints the live database — the document the
+        CI recovery-trace artifact captures.
         """
         snapshots = []
         for path in list_snapshots(self.directory):
@@ -513,19 +562,27 @@ class DurableStore:
                 entry["tables"] = len(snap_db.table_names())
                 entry["rows"] = snap_db.total_rows()
             snapshots.append(entry)
-        wal_entry: dict[str, Any] = {"path": str(self._wal.path)}
         self._wal.flush()
+        paths = list_segments(self.directory)
+        wal_entry: dict[str, Any]
         try:
-            records, tail = read_wal(self._wal.path)
+            records, segments = read_segments(paths)
         except Exception as exc:  # noqa: BLE001 - audit reports, never raises
-            wal_entry["ok"] = False
-            wal_entry["error"] = str(exc)
+            wal_entry = {
+                "ok": False,
+                "error": str(exc),
+                "segments": [
+                    {"path": str(p), "first_lsn": segment_first_lsn(p)} for p in paths
+                ],
+            }
         else:
-            wal_entry["ok"] = True
-            wal_entry["records"] = len(records)
-            wal_entry["torn_bytes"] = tail["torn_bytes"]
             commits = [r["lsn"] for r in records if r.get("op") == "commit"]
-            wal_entry["last_commit_lsn"] = commits[-1] if commits else 0
+            wal_entry = {
+                "ok": True,
+                "records": len(records),
+                "last_commit_lsn": commits[-1] if commits else 0,
+                "segments": segments,
+            }
         return {
             "directory": str(self.directory),
             "recovery": self.report.to_doc(),

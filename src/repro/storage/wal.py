@@ -9,21 +9,31 @@ at the last commit record).  One frame per record::
 Payloads are compact JSON documents carrying a monotone ``lsn`` plus the
 operation (see :mod:`repro.storage.engine` for the op vocabulary).
 
+**Segments.**  The log is a run of numbered files,
+``wal-<first lsn, 12 digits>.log`` (:func:`segment_name`); appends go to
+the newest, the *active* segment.  :meth:`WriteAheadLog.rotate` seals it
+and opens the next one at a checkpoint, right after a commit record, so
+every sealed segment ends with a commit and the segments chain without
+gaps: each one's name is one past the previous one's last LSN.  Old
+segments are deleted whole (:func:`prune_segments`), never rewritten.
+
 **Torn-tail tolerance vs. corruption.**  A crash mid-append leaves a
 strict *prefix* of the intended frame bytes at the physical end of the
-file (appends are sequential; nothing valid can follow a torn write).
-Replay therefore distinguishes:
+active segment (appends are sequential; nothing valid can follow a torn
+write).  Replay therefore distinguishes:
 
 * *torn tail* — the file ends inside a frame (header or payload cut
   short), the magic prefix matches as far as bytes exist, or the
   remaining bytes are all zero (filesystem zero-fill after a crash).
-  Tolerated: replay stops at the last complete frame.
+  Tolerated in the last segment only: replay stops at the last complete
+  frame, and recovery cuts the file back in place.
 * *corruption* — a complete frame whose CRC or JSON fails, a magic
   mismatch, or a bad region with any valid frame *after* it (a torn
   write cannot be followed by durable bytes).  Raises
   :class:`~repro.errors.WalCorruptionError`: a committed region was
   damaged and recovery must fail loudly rather than silently drop a
-  durable write.
+  durable write.  In a sealed segment any damage is corruption, torn
+  tails included: nothing was appending to it when the process died.
 
 **Fsync policy** (:data:`FSYNC_POLICIES`): ``"commit"`` (default)
 fsyncs once per commit record — the classic group-commit durability
@@ -35,12 +45,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.errors import StorageError, WalCorruptionError
+from repro.errors import RecoveryError, StorageError, WalCorruptionError
 
 try:  # the hot serializer when present; stdlib json otherwise
     import orjson
@@ -58,6 +69,9 @@ _PACK_HEADER = struct.Struct(">2sII").pack
 MAX_FRAME_PAYLOAD = 1 << 26  # 64 MiB
 
 FSYNC_POLICIES = ("commit", "always", "never")
+
+#: Segment files are named ``wal-<first lsn padded to 12>.log``.
+_SEGMENT_NAME = re.compile(r"wal-(\d{12,})\.log")
 
 #: Test-only crash-injection hook signature: called with (record, frame
 #: bytes, open file) *instead of* the normal write; used by the crash
@@ -106,8 +120,23 @@ def encode_row(row: dict[str, object]) -> dict[str, object]:
     }
 
 
+def segment_name(first_lsn: int) -> str:
+    return f"wal-{first_lsn:012d}.log"
+
+
+def segment_first_lsn(path: Path) -> int:
+    """The first LSN a segment holds, read from its file name."""
+    return int(path.stem[len("wal-") :])
+
+
+def list_segments(directory: Path) -> list[Path]:
+    """Segment files in ``directory``, oldest first."""
+    paths = [p for p in directory.glob("wal-*.log") if _SEGMENT_NAME.fullmatch(p.name)]
+    return sorted(paths, key=segment_first_lsn)
+
+
 class WriteAheadLog:
-    """One append-only redo log file with explicit fsync control."""
+    """The active segment of the redo log, with explicit fsync control."""
 
     def __init__(
         self,
@@ -174,27 +203,16 @@ class WriteAheadLog:
             self.sync()
         # "always" already synced inside append()
 
-    def truncate_to(self, records: list[dict[str, Any]], next_lsn: int) -> None:
-        """Atomically rewrite the log to hold only ``records`` (checkpoint).
+    def rotate(self) -> None:
+        """Seal the active segment and start ``wal-<next_lsn>.log``.
 
-        The replacement is built in a temp file, fsynced, then renamed over
-        the live log — a crash at any point leaves either the old or the
-        new log complete, never a spliced one.
+        Called right after a commit, so the sealed segment ends with a
+        commit record.  One directory fsync makes the new name durable.
         """
-        self._file.close()
-        temp = self.path.with_suffix(".tmp")
-        with open(temp, "wb") as handle:
-            for record in records:
-                payload = _dumps(record)
-                handle.write(
-                    _PACK_HEADER(MAGIC, len(payload), zlib.crc32(payload)) + payload
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, self.path)
-        _fsync_directory(self.path.parent)
+        self.close()
+        self.path = self.path.with_name(segment_name(self.next_lsn))
         self._file = open(self.path, "ab")
-        self.next_lsn = next_lsn
+        _fsync_directory(self.path.parent)
 
     def close(self) -> None:
         self._file.flush()
@@ -240,18 +258,21 @@ def read_wal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, int]]:
     """Replay a WAL file: (records in LSN order, tail report).
 
     The tail report carries ``torn_bytes`` (crash-artifact bytes dropped
-    at the physical tail, 0 for a clean log) and ``frames``.  Raises
+    at the physical tail, 0 for a clean log), ``frames``, and
+    ``commit_end``: the byte offset just past the last commit frame (0
+    when there is none), where recovery cuts off an uncommitted tail.  Raises
     :class:`WalCorruptionError` under the rules in the module docstring,
     including non-contiguous LSNs (a spliced or partially rewritten log).
     """
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
-        return [], {"frames": 0, "torn_bytes": 0}
+        return [], {"frames": 0, "torn_bytes": 0, "commit_end": 0}
     records: list[dict[str, Any]] = []
     offset = 0
     total = len(data)
     torn = 0
+    commit_end = 0
     previous_lsn: int | None = None
     while offset < total:
         remaining = total - offset
@@ -306,7 +327,82 @@ def read_wal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, int]]:
         previous_lsn = lsn
         records.append(record)
         offset = end
-    return records, {"frames": len(records), "torn_bytes": torn}
+        if record.get("op") == "commit":
+            commit_end = end
+    return records, {
+        "frames": len(records),
+        "torn_bytes": torn,
+        "commit_end": commit_end,
+    }
+
+
+def read_segments(
+    paths: list[Path],
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """Replay consecutive segments as one log: (records, one report each).
+
+    Each report carries the segment's ``path``, ``first_lsn``,
+    ``last_lsn`` (``first_lsn - 1`` when empty), ``records``,
+    ``torn_bytes`` and ``commit_end``.  The torn-tail rules apply to the
+    last segment only; a sealed one must be whole and end with a commit
+    record, or :class:`WalCorruptionError` is raised, as it is for a file
+    name that disagrees with the first record's LSN.  A segment that does
+    not start one past the previous one's last LSN raises
+    :class:`~repro.errors.RecoveryError`: records are missing.
+    """
+    records: list[dict[str, Any]] = []
+    reports: list[dict[str, Any]] = []
+    expected: int | None = None
+    for position, path in enumerate(paths):
+        first = segment_first_lsn(path)
+        if expected is not None and first != expected:
+            raise RecoveryError(
+                f"{path}: WAL gap: the previous segment ends at lsn {expected - 1}"
+            )
+        chunk, tail = read_wal(path)
+        if chunk and chunk[0]["lsn"] != first:
+            raise WalCorruptionError(
+                f"{path}: the file name says lsn {first} but the first "
+                f"record is lsn {chunk[0]['lsn']}"
+            )
+        sealed = position < len(paths) - 1
+        if sealed and (
+            tail["torn_bytes"] or not chunk or chunk[-1].get("op") != "commit"
+        ):
+            raise WalCorruptionError(
+                f"{path}: sealed segment is torn or does not end with a commit"
+            )
+        expected = chunk[-1]["lsn"] + 1 if chunk else first
+        reports.append(
+            {
+                "path": str(path),
+                "first_lsn": first,
+                "last_lsn": expected - 1,
+                "records": len(chunk),
+                "torn_bytes": tail["torn_bytes"],
+                "commit_end": tail["commit_end"],
+            }
+        )
+        records.extend(chunk)
+    return records, reports
+
+
+def prune_segments(directory: Path, covered_lsn: int) -> list[Path]:
+    """Delete the segments whose records all sit at or below ``covered_lsn``.
+
+    Returns what was removed, oldest first.  A segment's last LSN is the
+    next segment's first LSN minus one, so no file is read.  The active
+    (newest) segment is never removed, and a crash between unlinks leaves
+    a contiguous run of segments.
+    """
+    segments = list_segments(directory)
+    removed: list[Path] = []
+    for path, successor in zip(segments, segments[1:]):
+        if segment_first_lsn(successor) - 1 > covered_lsn:
+            break
+        path.unlink()
+        removed.append(path)
+    return removed
 
 
 def _all_zero(data: bytes, offset: int) -> bool:

@@ -2,12 +2,13 @@
 
 Each test launches ``python -m repro.storage.crashtest`` as a real
 subprocess, lets the crash-injection hook SIGKILL it at a chosen point
-(mid-WAL-append, right after a commit, mid-snapshot write, right after a
-checkpoint), then opens the directory with :class:`DurableStore` in this
-process and asserts the recovered state is **bit-identical** to an
-in-memory oracle replay of the same seeded workload up to the commit the
-child durably reached.  The ``ckpt`` table inside the workload declares
-that commit number, so no IPC with the dead child is needed.
+(mid-WAL-append, right after a commit, mid-snapshot write, mid-rotation,
+right after rotation, right after a checkpoint), then opens the
+directory with :class:`DurableStore` in this process and asserts the
+recovered state is **bit-identical** to an in-memory oracle replay of
+the same seeded workload up to the commit the child durably reached.
+The ``ckpt`` table inside the workload declares that commit number, so
+no IPC with the dead child is needed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from repro.storage.crashtest import (
     run_workload,
 )
 from repro.storage.engine import DurableStore, state_fingerprint
+from repro.storage.snapshots import list_snapshots, snapshot_lsn
+from repro.storage.wal import list_segments, segment_name
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -73,6 +76,21 @@ def _assert_recovered_matches_oracle(directory, seed, commits=8):
         store.close()
 
 
+def _checkpoint_and_reopen(directory):
+    """After recovery, one more checkpoint still round-trips exactly."""
+    store = DurableStore(directory)
+    expected = state_fingerprint(store.db)
+    store.snapshot()
+    store.close()
+    reopened = DurableStore(directory)
+    try:
+        assert state_fingerprint(reopened.db) == expected
+        assert reopened.report.skipped == 0
+        assert reopened.report.segments_read == 1
+    finally:
+        reopened.close()
+
+
 class TestKillPoints:
     @pytest.mark.parametrize("append_index", [40, 120, 333])
     def test_sigkill_mid_wal_append(self, tmp_path, append_index):
@@ -90,9 +108,47 @@ class TestKillPoints:
     @pytest.mark.parametrize("commit_index", [2, 4])
     def test_sigkill_mid_snapshot_write(self, tmp_path, commit_index):
         _crash_child(tmp_path, seed=13, kill=f"mid_snapshot:{commit_index}")
-        reached, _ = _assert_recovered_matches_oracle(tmp_path, seed=13)
+        assert len(list(tmp_path.glob("*.tmp"))) == 1
+        reached, report = _assert_recovered_matches_oracle(tmp_path, seed=13)
         assert reached == commit_index  # the commit was durable; only the
-        # half-written checkpoint (a .tmp file) is lost
+        # half-written checkpoint (a .tmp file) is lost, and recovery
+        # deletes it
+        assert report.temp_files_removed == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("commit_index,snapshot_every", [(2, 0), (5, 2)])
+    def test_sigkill_mid_rotation(self, tmp_path, commit_index, snapshot_every):
+        _crash_child(
+            tmp_path,
+            seed=47,
+            kill=f"mid_rotation:{commit_index}",
+            snapshot_every=snapshot_every,
+        )
+        lsn = snapshot_lsn(list_snapshots(tmp_path)[-1])
+        assert not (tmp_path / segment_name(lsn + 1)).exists()
+        reached, report = _assert_recovered_matches_oracle(tmp_path, seed=47)
+        assert reached == commit_index
+        assert report.snapshot_lsn == lsn
+        assert report.replayed == 0
+        _checkpoint_and_reopen(tmp_path)
+
+    @pytest.mark.parametrize("commit_index,snapshot_every", [(2, 0), (5, 2)])
+    def test_sigkill_post_rotation(self, tmp_path, commit_index, snapshot_every):
+        _crash_child(
+            tmp_path,
+            seed=53,
+            kill=f"post_rotation:{commit_index}",
+            snapshot_every=snapshot_every,
+        )
+        lsn = snapshot_lsn(list_snapshots(tmp_path)[-1])
+        segments = list_segments(tmp_path)
+        assert segments[-1] == tmp_path / segment_name(lsn + 1)
+        # The obsolete segments were not deleted yet.
+        assert len(segments) == (2 if snapshot_every == 0 else 3)
+        reached, report = _assert_recovered_matches_oracle(tmp_path, seed=53)
+        assert reached == commit_index
+        assert (report.segments_read, report.skipped, report.replayed) == (1, 0, 0)
+        _checkpoint_and_reopen(tmp_path)
 
     @pytest.mark.parametrize("commit_index", [2, 5])
     def test_sigkill_right_after_checkpoint(self, tmp_path, commit_index):

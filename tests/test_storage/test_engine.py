@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,8 @@ from repro.relational.schema import (
 from repro.relational.types import DataType
 from repro.relational.vectorize import Vectorized
 from repro.storage.engine import DurableStore, state_fingerprint
-from repro.storage.snapshots import list_snapshots, snapshot_name
+from repro.storage.snapshots import list_snapshots, snapshot_lsn, snapshot_name
+from repro.storage.wal import list_segments, segment_name
 from repro.warehouse import Warehouse
 
 
@@ -156,6 +161,79 @@ class TestCheckpoints:
         assert reopened.report.skipped == 0
         reopened.close()
 
+    def test_reopen_after_second_snapshot_skips_nothing(self, tmp_path):
+        """Recovery starts at the segment the newest snapshot rotated to."""
+        store = DurableStore(tmp_path)
+        _populate(store)
+        store.snapshot()
+        store.db.table("events").insert(
+            {"id": 3000, "kind": "mid", "score": 1.0, "day": None}
+        )
+        store.snapshot()
+        store.db.table("events").insert(
+            {"id": 3001, "kind": "post", "score": 2.0, "day": None}
+        )
+        store.commit()
+        expected = state_fingerprint(store.db)
+        store.close()
+        newest = snapshot_lsn(list_snapshots(tmp_path)[-1])
+        # One segment per retained snapshot interval; the first is gone.
+        assert [p.name for p in list_segments(tmp_path)][-1] == segment_name(
+            newest + 1
+        )
+        reopened = DurableStore(tmp_path)
+        assert state_fingerprint(reopened.db) == expected
+        assert reopened.report.skipped == 0
+        assert reopened.report.segments_read == 1
+        assert reopened.report.replayed == 2
+        reopened.close()
+
+    def test_log_ending_before_the_snapshot_starts_a_fresh_segment(self, tmp_path):
+        """Lost log writes the snapshot covers must not leave an LSN gap."""
+        store = DurableStore(tmp_path, fsync="never")
+        _populate(store, rows=5)
+        store.snapshot()
+        store.db.table("events").insert(
+            {"id": 600, "kind": "lost", "score": 0.0, "day": None}
+        )
+        store.commit()
+        store.snapshot()
+        expected = state_fingerprint(store.db)
+        store.close()
+        sealed, active = list_segments(tmp_path)
+        # Writes the newest snapshot covers never reached the log (an OS
+        # crash under fsync="never"): appends must not continue there.
+        sealed.write_bytes(b"")
+        active.unlink()
+        store = DurableStore(tmp_path)
+        assert state_fingerprint(store.db) == expected
+        assert store.wal.path == active
+        store.db.table("events").insert(
+            {"id": 601, "kind": "after", "score": 1.0, "day": None}
+        )
+        store.commit()
+        expected = state_fingerprint(store.db)
+        store.close()
+        reopened = DurableStore(tmp_path)
+        assert state_fingerprint(reopened.db) == expected
+        reopened.close()
+
+    def test_snapshot_rotates_without_reading_the_log(self, tmp_path, monkeypatch):
+        import repro.storage.wal as wal_module
+
+        store = DurableStore(tmp_path)
+        _populate(store)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint decoded the log")
+
+        monkeypatch.setattr(wal_module, "read_wal", refuse)
+        lsn = snapshot_lsn(store.snapshot())
+        monkeypatch.undo()
+        assert store.wal.path == tmp_path / segment_name(lsn + 1)
+        assert list_segments(tmp_path) == [store.wal.path]
+        store.close()
+
     def test_snapshot_only_recovery_reads_no_wal(self, tmp_path):
         store = DurableStore(tmp_path)
         _populate(store)
@@ -218,6 +296,43 @@ class TestCheckpoints:
             path.write_bytes(b"garbage")
         with pytest.raises(RecoveryError):
             DurableStore(tmp_path)
+
+
+class TestFormat:
+    def _legacy(self, directory: Path) -> Path:
+        directory.mkdir(exist_ok=True)
+        legacy = directory / "wal.log"
+        legacy.write_bytes(b"")
+        return legacy
+
+    def test_single_file_wal_is_refused(self, tmp_path):
+        legacy = self._legacy(tmp_path)
+        with pytest.raises(RecoveryError, match="wal.log"):
+            DurableStore(tmp_path)
+        assert legacy.exists()
+        assert list_segments(tmp_path) == []
+
+    def test_cli_refuses_single_file_wal_without_traceback(self, tmp_path):
+        self._legacy(tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        argv = [sys.executable, "-m", "repro", "storage", "recover"]
+        proc = subprocess.run(
+            argv + ["--dir", str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "RecoveryError" in proc.stderr and "wal.log" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_fresh_store_starts_segment_one(self, tmp_path):
+        store = DurableStore(tmp_path)
+        _populate(store, rows=3)
+        store.close()
+        assert list_segments(tmp_path) == [tmp_path / segment_name(1)]
 
 
 class TestMeta:
@@ -350,6 +465,17 @@ class TestVerify:
         store.commit()
         audit = store.verify()
         assert audit["wal"]["ok"] is True
+        segments = audit["wal"]["segments"]
+        assert [s["path"] for s in segments] == [
+            str(p) for p in list_segments(tmp_path)
+        ]
+        lsn = snapshot_lsn(list_snapshots(tmp_path)[-1])
+        assert segments[-1]["first_lsn"] == lsn + 1
+        assert segments[-1]["last_lsn"] == store.committed_lsn
+        assert segments[-1]["records"] == 2
+        assert segments[-1]["torn_bytes"] == 0
+        assert audit["wal"]["last_commit_lsn"] == store.committed_lsn
+        assert audit["recovery"]["segments_read"] == 0
         assert all(s["ok"] for s in audit["snapshots"])
         assert audit["live"]["fingerprint"] == state_fingerprint(store.db)
         assert audit["live"]["committed_lsn"] == store.committed_lsn

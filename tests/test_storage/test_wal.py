@@ -4,13 +4,17 @@ import zlib
 
 import pytest
 
-from repro.errors import StorageError, WalCorruptionError
+from repro.errors import RecoveryError, StorageError, WalCorruptionError
 from repro.storage.wal import (
     HEADER_LEN,
     MAGIC,
     WriteAheadLog,
     iter_commits,
+    list_segments,
+    prune_segments,
+    read_segments,
     read_wal,
+    segment_name,
 )
 
 
@@ -28,7 +32,20 @@ def test_roundtrip_preserves_records_and_lsns(tmp_path):
     records, tail = read_wal(path)
     assert [r["op"] for r in records] == ["insert", "commit"]
     assert [r["lsn"] for r in records] == [1, 2]
-    assert tail == {"frames": 2, "torn_bytes": 0}
+    assert tail == {"frames": 2, "torn_bytes": 0, "commit_end": path.stat().st_size}
+
+
+def test_commit_end_marks_the_last_commit_frame(tmp_path):
+    path = tmp_path / "wal.log"
+    _write(path, [{"op": "insert"}, {"op": "commit"}])
+    committed = path.stat().st_size
+    wal = WriteAheadLog(path, fsync="never")
+    wal.next_lsn = 3
+    wal.append({"op": "insert"})
+    wal.close()
+    records, tail = read_wal(path)
+    assert len(records) == 3
+    assert tail["commit_end"] == committed < path.stat().st_size
 
 
 def test_missing_file_reads_empty(tmp_path):
@@ -205,19 +222,83 @@ def test_record_without_lsn_is_loud(tmp_path):
         read_wal(path)
 
 
-def test_truncate_to_rewrites_and_resumes(tmp_path):
-    path = tmp_path / "wal.log"
-    wal = WriteAheadLog(path, fsync="never")
-    for _ in range(4):
-        wal.append({"op": "commit"})
-    wal.sync()
-    records, _ = read_wal(path)
-    wal.truncate_to(records[2:], next_lsn=5)
-    wal.append({"op": "commit"})
+def _segmented(tmp_path, commits_per_segment=(2, 2, 1)):
+    """A log rotated after each group of commits; returns its segments."""
+    wal = WriteAheadLog(tmp_path / segment_name(1), fsync="never")
+    for position, count in enumerate(commits_per_segment):
+        if position:
+            wal.rotate()
+        for _ in range(count):
+            wal.append({"op": "insert"})
+            wal.append({"op": "commit"})
     wal.close()
-    kept, tail = read_wal(path)
-    assert [r["lsn"] for r in kept] == [3, 4, 5]
-    assert tail["torn_bytes"] == 0
+    return list_segments(tmp_path)
+
+
+def test_rotate_seals_segment_and_resumes(tmp_path):
+    segments = _segmented(tmp_path)
+    assert [p.name for p in segments] == [
+        segment_name(1),
+        segment_name(5),
+        segment_name(9),
+    ]
+    records, reports = read_segments(segments)
+    assert [r["lsn"] for r in records] == list(range(1, 11))
+    assert [(r["first_lsn"], r["last_lsn"], r["records"]) for r in reports] == [
+        (1, 4, 4),
+        (5, 8, 4),
+        (9, 10, 2),
+    ]
+
+
+def test_list_segments_ignores_other_files(tmp_path):
+    segments = _segmented(tmp_path, (1,))
+    for name in ("wal.log", "wal-1.log", segment_name(3) + ".tmp", "wal-x.log"):
+        (tmp_path / name).write_bytes(b"")
+    assert list_segments(tmp_path) == segments
+
+
+def test_sealed_segment_torn_tail_is_loud(tmp_path):
+    first, second, last = _segmented(tmp_path)
+    first.write_bytes(first.read_bytes()[:-3])
+    with pytest.raises(WalCorruptionError):
+        read_segments([first, second, last])
+    # The same cut in the last segment is a crash artifact.
+    last.write_bytes(last.read_bytes()[:-3])
+    records, reports = read_segments([last])
+    assert len(records) == 1 and reports[0]["torn_bytes"] > 0
+
+
+def test_sealed_segment_must_end_with_a_commit(tmp_path):
+    first, second, _ = _segmented(tmp_path)
+    records, _ = read_wal(first)
+    (tmp_path / segment_name(1)).unlink()
+    _write(tmp_path / segment_name(1), [{"op": r["op"]} for r in records[:-1]])
+    with pytest.raises(WalCorruptionError):
+        read_segments([first, second])
+
+
+def test_segment_name_must_match_first_record(tmp_path):
+    _, second, _ = _segmented(tmp_path)
+    renamed = second.with_name(segment_name(6))
+    second.rename(renamed)
+    with pytest.raises(WalCorruptionError):
+        read_segments([renamed])
+
+
+def test_missing_middle_segment_is_a_gap(tmp_path):
+    first, second, last = _segmented(tmp_path)
+    second.unlink()
+    with pytest.raises(RecoveryError):
+        read_segments([first, last])
+
+
+def test_prune_segments_deletes_only_covered_prefix(tmp_path):
+    first, second, last = _segmented(tmp_path)
+    assert prune_segments(tmp_path, covered_lsn=7) == [first]
+    assert prune_segments(tmp_path, covered_lsn=10) == [second]
+    # The active segment stays even when everything in it is covered.
+    assert list_segments(tmp_path) == [last]
 
 
 def test_iter_commits_indexes(tmp_path):
