@@ -7,16 +7,19 @@ exposes it all through g-trees.
 The source also keeps a *change feed* for incremental consumers: every
 record saved through :meth:`GuavaSource.session` (and every out-of-band
 mutation registered via :meth:`GuavaSource.track_change`) is logged
-against the database's monotone data version, so a warehouse refresh can
-ask "which records changed since version v?" and reclassify only those.
-Mutations that bypass both paths are detected by comparing the database
-version against the last accounted write, and answered with "unknown" —
-the caller then falls back to a full rebuild instead of trusting a stale
-feed.
+against the source's monotone data version — the summed data versions of
+the tables its pattern chain deploys, so writes to other tables sharing
+the database (a warehouse, say) never move it — and a warehouse refresh
+can ask "which records changed since version v?" and reclassify only
+those.  Mutations to the chain's tables that bypass both paths are
+detected by comparing that version against the last accounted write, and
+answered with "unknown" — the caller then falls back to a full rebuild
+instead of trusting a stale feed.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Iterable
 
 from repro.errors import GuavaError
@@ -26,9 +29,22 @@ from repro.guava.gtree import GTree
 from repro.guava.query import GTreeQuery
 from repro.guava.translate import translate_query
 from repro.patterns.chain import PatternChain
-from repro.relational.algebra import Select
-from repro.relational.database import Database, database_version
-from repro.relational.query import optimize, prepare_stream_plan
+from repro.relational.algebra import (
+    IndexLookup,
+    InLookup,
+    PartitionScan,
+    Plan,
+    Scan,
+    Select,
+)
+from repro.relational.database import Database
+from repro.relational.query import (
+    _fingerprint,
+    cached_plan,
+    optimize,
+    prepare_stream_plan,
+    rebind_in_lists,
+)
 from repro.relational.sql import to_sql
 from repro.ui.form import RECORD_ID
 from repro.ui.session import DataEntrySession
@@ -40,6 +56,10 @@ Row = dict[str, object]
 #: Change-feed entries kept before the oldest half is pruned; pruned spans
 #: can no longer be enumerated and force a full rebuild.
 CHANGE_LOG_LIMIT = 100_000
+
+#: Tags each source's plan-cache keys, so two sources sharing a database
+#: (even under one name, with different chains) never share an entry.
+_SOURCE_SERIALS = count(1)
 
 
 class ChangeFeedState:
@@ -123,10 +143,13 @@ class GuavaSource:
         self.chain = chain
         self.db = db or Database(name)
         chain.deploy(self.db)
+        #: The tables whose data versions make up :meth:`data_version`.
+        self._chain_tables = tuple(chain.physical_schemas)
+        self._plan_prefix = f"guava:{name}#{next(_SOURCE_SERIALS)}:"
         self.gtrees: dict[str, GTree] = derive_all(tool, clock=clock)
         #: The durable change-feed state; a DurableStore may swap in a
         #: recovered instance via :meth:`adopt_feed`.
-        self.feed = ChangeFeedState(database_version(self.db))
+        self.feed = ChangeFeedState(self.data_version())
         #: Durability hook: called as ``(version, record_id, form)`` after
         #: every feed note so the storage layer can mirror it into the WAL.
         self.on_feed_change: (
@@ -154,8 +177,13 @@ class GuavaSource:
     # -- change tracking ---------------------------------------------------------
 
     def data_version(self) -> int:
-        """The physical database's monotone data version."""
-        return database_version(self.db)
+        """The monotone data version of the tables the pattern chain owns.
+
+        The sum of their per-table versions: it moves on every mutation of
+        those tables and on nothing else, so a warehouse or another source
+        writing into the same database leaves this source's feed accounted.
+        """
+        return self.db.tables_version(self._chain_tables)
 
     def track_change(
         self, record_id: int | None = None, form: str | None = None
@@ -175,11 +203,12 @@ class GuavaSource:
         ``form`` restricts the answer to one form's record-id space (entries
         logged without a form always match, conservatively).  Returns
         ``None`` when the span cannot be enumerated: untracked mutations
-        happened (the database version drifted from the feed), ``since``
-        predates the pruned log, or ``since`` comes from another lineage
-        entirely.  Callers must treat ``None`` as "rebuild fully".
+        happened (the data version drifted from the feed — which includes a
+        feed recovered from a tree that versioned the whole database), or
+        ``since`` predates the pruned log, or ``since`` comes from another
+        lineage entirely.  Callers must treat ``None`` as "rebuild fully".
         """
-        current = database_version(self.db)
+        current = self.data_version()
         feed = self.feed
         if current != feed.accounted:
             return None  # mutations bypassed the feed
@@ -201,7 +230,7 @@ class GuavaSource:
         self.feed = state
 
     def _note_change(self, record_id: object, form: str | None = None) -> None:
-        version = database_version(self.db)
+        version = self.data_version()
         rid = record_id if isinstance(record_id, int) else None
         self.feed.note(version, rid, form)
         hook = self.on_feed_change
@@ -230,24 +259,77 @@ class GuavaSource:
         The restriction composes at the relational level (``record_id`` is
         the reserved key column every translation emits, not a g-tree node,
         so it cannot appear in the g-tree query itself).
+
+        The plan is made once per query *shape*: the database's plan cache
+        is keyed on this source, the form, a type-tagged fingerprint of the
+        query's nodes, condition and derivations, and the scope (full read
+        or record-scoped).  A hit skips translation and optimization
+        entirely, for as long as the plan's assumptions hold (see
+        :func:`~repro.relational.query.optimize`).  A record-scoped key
+        leaves the ids out: the first call plans with its real ids, and
+        later hits rebind the membership slots to theirs.
         """
-        plan = translate_query(query, self.chain)
-        if record_ids is not None:
-            membership = InList(
-                Identifier.of(RECORD_ID),
-                tuple(Literal(rid) for rid in sorted(set(record_ids))),
-            )
-            # Record-scoped extraction is the hot delta path of incremental
-            # materialization: let the optimizer push the membership test
-            # down to the base tables and build the record-id index it
-            # needs, so a small delta costs proportionally, not a full
-            # re-extraction.
-            plan = prepare_stream_plan(Select(plan, membership), self.db)
+        key = self._plan_key(query, scoped=record_ids is not None)
+        plan = cached_plan(self.db, key) if key is not None else None
+        if record_ids is None:
+            if plan is None:
+                # Passing the database unlocks index lowering, the
+                # vectorize pass and the plan cache.
+                plan = optimize(
+                    translate_query(query, self.chain), self.db, cache_key=key
+                )
             return plan.execute(self.db)
-        # Passing the database unlocks index lowering, the vectorize pass,
-        # and the plan cache — pattern-chain pulls re-translate structurally
-        # identical plans, so repeat executions skip lowering entirely.
-        return optimize(plan, self.db).execute(self.db)
+        ids = tuple(sorted(set(record_ids)))
+        if plan is not None:
+            plan, _ = rebind_in_lists(plan, RECORD_ID, ids)
+            return plan.execute(self.db)
+        translated = translate_query(query, self.chain)
+        if key is not None and not self._rebindable(translated):
+            key = None
+        membership = InList(
+            Identifier.of(RECORD_ID), tuple(Literal(rid) for rid in ids)
+        )
+        # Record-scoped extraction is the hot delta path of incremental
+        # materialization: let the optimizer push the membership test down
+        # to the base tables and build the record-id index it needs, so a
+        # small delta costs proportionally, not a full re-extraction.
+        plan = prepare_stream_plan(
+            Select(translated, membership), self.db, cache_key=key
+        )
+        return plan.execute(self.db)
+
+    def _plan_key(self, query: GTreeQuery, scoped: bool) -> str | None:
+        """The plan-cache key of a query's shape, or None if it has none.
+
+        A query over a g-tree object this source did not derive could
+        select different default nodes under the same form name, so it is
+        planned fresh (through the structural cache) instead.
+        """
+        form = query.gtree.form_name
+        if self.gtrees.get(form) is not query.gtree:
+            return None
+        parts = [self._plan_prefix, form, ":ids:" if scoped else ":all:"]
+        _fingerprint((query.nodes, query.condition, query.derivations), parts.append)
+        return "".join(parts)
+
+    def _rebindable(self, translated: Plan) -> bool:
+        """Can a record-scoped plan of ``translated`` be rebound to new ids?
+
+        Only when the record-id membership is the plan's *only* record-id
+        ``IN`` slot (so rebinding cannot touch the chain's own filters),
+        and no table it reads is partitioned (a partition choice derived
+        from the ids would not follow them).
+        """
+        _, slots = rebind_in_lists(translated, RECORD_ID, ())
+        if slots:
+            return False
+        db = self.db
+        return not any(
+            isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup))
+            and db.has_table(node.table)
+            and db.table(node.table).partition_count > 1
+            for node in translated.walk()
+        )
 
     def explain(self, query: GTreeQuery) -> str:
         """The SQL the translated query corresponds to (documentation)."""

@@ -68,12 +68,13 @@ from repro.relational.algebra import (
     Values,
     canonical_key,
 )
+from repro.relational.database import PLANNING_STALENESS_FRACTION
 from repro.relational.stats import (
     _comparison_item,
     _conjuncts,
     _value_band,
+    column_dictionary,
     column_zone_map,
-    encoded_columns,
     statistics_enabled,
 )
 
@@ -105,10 +106,6 @@ def set_costing_enabled(enabled: bool) -> bool:
 
 
 # -- stale-tolerant estimate cache --------------------------------------------
-
-#: A cached planning estimate survives data mutations until the table's
-#: row count drifts by this fraction from the count at build time.
-PLANNING_STALENESS_FRACTION = 0.10
 
 _PLANNING_CACHE: "weakref.WeakKeyDictionary[Table, dict[object, tuple[int, int, object]]]" = (
     weakref.WeakKeyDictionary()
@@ -185,10 +182,10 @@ def column_ndv(table: "Table", column: str) -> tuple[float, str] | None:
         return None
 
     def build() -> tuple[float, str]:
-        dictionary = encoded_columns(table).get(column)
+        dictionary = column_dictionary(table, column)
         if dictionary is not None:
             return (float(dictionary.cardinality), NDV_SOURCE_DICTIONARY)
-        values = table.column_snapshot()[column]
+        values = table.column_values(column)
         length = len(values)
         stride = length // NDV_SAMPLE_ROWS
         if stride <= 1:
@@ -360,7 +357,7 @@ def _like_selectivity(table: "Table | None", conjunct: BinaryOp) -> float:
     pattern = conjunct.right.value
 
     def build() -> float:
-        dictionary = encoded_columns(table).get(column)
+        dictionary = column_dictionary(table, column)
         if dictionary is None:
             return DEFAULT_LIKE_SELECTIVITY
         values = [value for value in dictionary.values if value is not None]
@@ -403,7 +400,9 @@ def conjunct_cost(table: "Table | None", conjunct: Expression) -> float:
             ):
                 name = conjunct.left.name
                 encoded = _planning_cached(
-                    table, ("dict_column", name), lambda: name in encoded_columns(table)
+                    table,
+                    ("dict_column", name),
+                    lambda: column_dictionary(table, name) is not None,
                 )
                 if encoded:
                     return 0.75

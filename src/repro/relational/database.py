@@ -8,6 +8,12 @@ from repro.errors import SchemaError
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 
+#: A row-count estimate survives data mutations until its table's row
+#: count drifts by this fraction from the count at build time.  Shared by
+#: the planning-estimate memo (:mod:`repro.relational.cost`) and the plan
+#: cache's estimate facts (:meth:`Database.plan_cache_get`).
+PLANNING_STALENESS_FRACTION = 0.10
+
 
 class Database:
     """One contributor database (or the warehouse)."""
@@ -22,7 +28,11 @@ class Database:
         self.name = name
         self._tables: dict[str, Table] = {}
         self._structure_version = 0
-        self._plan_cache: dict[str, tuple[int, object]] = {}
+        #: key -> (plan epoch, pinned versions, estimated row counts, plan).
+        self._plan_cache: dict[
+            str,
+            tuple[int, tuple[tuple[str, int], ...], tuple[tuple[str, int], ...], object],
+        ] = {}
         # Structure listener: the durability layer's DDL hook, called after
         # create_table/drop_table with (op, payload).  Payloads carry the
         # Table on create so the listener can chain a mutation listener.
@@ -48,32 +58,84 @@ class Database:
 
     @property
     def epoch(self) -> int:
-        """Monotone schema/data/index version for plan-cache keying.
+        """Monotone schema/data/index version of the whole database.
 
         Sums the structural counter (table create/drop) with every table's
         data version, index epoch, and partition epoch.  Each component only
         ever increases within one process, so the sum is monotone: any
         insert, delete, update, index create/drop, table create/drop, or
-        repartition yields a new epoch and invalidates cached plans.
-        (:func:`database_version` — data versions only — is left
-        untouched; the GUAVA change feed keys on it.)
+        repartition yields a new epoch.  Recovery restores it bit-identical
+        (storage tests pin that).  The plan cache does *not* key on it —
+        data versions only matter to a plan through the facts planning
+        consumed (see :meth:`plan_cache_get`) — and neither does the GUAVA
+        change feed, which versions each source's own tables.
         """
         total = self._structure_version
         for table in self._tables.values():
             total += table.version + table.index_epoch + table.partition_epoch
         return total
 
-    def plan_cache_get(self, fingerprint: str, epoch: int) -> object | None:
-        """The plan cached under ``fingerprint`` if it was planned at ``epoch``."""
-        entry = self._plan_cache.get(fingerprint)
-        if entry is not None and entry[0] == epoch:
-            return entry[1]
-        return None
+    @property
+    def plan_epoch(self) -> int:
+        """The part of :attr:`epoch` every cached plan depends on.
 
-    def plan_cache_put(self, fingerprint: str, epoch: int, plan: object) -> None:
+        The structural counter plus every table's index and partition
+        epoch: a table create/drop, an index create/drop, or a repartition
+        moves it; inserts, updates and deletes do not.  Monotone for the
+        same reasons as :attr:`epoch` (``drop_table`` folds the dropped
+        table's epochs into the structural counter).
+        """
+        total = self._structure_version
+        for table in self._tables.values():
+            total += table.index_epoch + table.partition_epoch
+        return total
+
+    def plan_cache_get(self, key: str, epoch: int) -> object | None:
+        """The plan cached under ``key`` if its planning assumptions hold.
+
+        An entry is valid when it was planned at :attr:`plan_epoch`
+        ``epoch`` (callers pass the current one), every table whose
+        zone-map certificate planning used is still at the exact data
+        version it was certified at, and every table whose estimates
+        planning consulted has a row count within
+        :data:`PLANNING_STALENESS_FRACTION` of the count at planning time.
+        Anything else is a miss.
+        """
+        entry = self._plan_cache.get(key)
+        if entry is None or entry[0] != epoch:
+            return None
+        _, pinned, estimated, plan = entry
+        tables = self._tables
+        for name, version in pinned:
+            table = tables.get(name)
+            if table is None or table.version != version:
+                return None
+        for name, rows in estimated:
+            table = tables.get(name)
+            if table is None or abs(len(table) - rows) > (
+                PLANNING_STALENESS_FRACTION * max(rows, 1)
+            ):
+                return None
+        return plan
+
+    def plan_cache_put(
+        self,
+        key: str,
+        epoch: int,
+        plan: object,
+        pinned: Iterable[tuple[str, int]],
+        estimated: Iterable[tuple[str, int]],
+    ) -> None:
+        """Cache ``plan`` as planned at :attr:`plan_epoch` ``epoch``.
+
+        ``pinned`` lists (table, data version) pairs of zone-map
+        certificates the plan rests on; ``estimated`` lists (table, row
+        count) pairs of the tables whose estimates chose among equivalent
+        plans.  :meth:`plan_cache_get` checks both.
+        """
         if len(self._plan_cache) >= self.PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
-        self._plan_cache[fingerprint] = (epoch, plan)
+        self._plan_cache[key] = (epoch, tuple(pinned), tuple(estimated), plan)
 
     def plan_cache_clear(self) -> None:
         self._plan_cache.clear()
@@ -139,6 +201,11 @@ class Database:
         """Bulk insert into a named table."""
         return self.table(table_name).insert_many(rows)
 
+    def tables_version(self, names: Iterable[str]) -> int:
+        """The summed data versions of the named tables (absent ones add 0)."""
+        tables = self._tables
+        return sum(tables[name].version for name in names if name in tables)
+
     def total_rows(self) -> int:
         """Row count across all tables (used by storage-size benchmarks)."""
         return sum(len(table) for table in self._tables.values())
@@ -154,8 +221,9 @@ def database_version(db: Database) -> int:
     """Monotone data version of a whole database.
 
     The sum of per-table versions, which only grows while tables are
-    mutated in place.  Dropping a table makes the sum regress; consumers
-    (incremental materialization) treat any unexpected value as broken
-    lineage and fall back to a full rebuild, so regression is safe.
+    mutated in place.  Dropping a table makes the sum regress.  A GUAVA
+    source versions only its own chain's tables
+    (:meth:`Database.tables_version`), so a warehouse sharing the database
+    does not move it.
     """
     return sum(table.version for table in db)

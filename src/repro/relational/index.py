@@ -32,6 +32,10 @@ class HashIndex:
         """Positions of rows whose indexed columns equal ``key``."""
         return list(self._buckets.get(key, ()))
 
+    def count(self, key: tuple[object, ...]) -> int:
+        """Size of ``key``'s bucket, without copying it."""
+        return len(self._buckets.get(key, ()))
+
     def rebuild(self, rows: Iterable[Row]) -> None:
         """Recompute the index from scratch (after bulk deletes)."""
         self._buckets.clear()

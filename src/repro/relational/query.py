@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, cast
 
 from repro.expr.analysis import referenced_identifiers
-from repro.obs.trace import Span, current_tracer
+from repro.obs.trace import Span, Tracer, current_tracer
 from repro.expr.ast import (
     BinaryOp,
     Expression,
@@ -59,6 +59,7 @@ from repro.relational.cost import (
     estimate_plan_rows,
 )
 from repro.relational.database import Database
+from repro.relational.table import Table
 
 # Conjunct decomposition and the equality/IN/range item analyzers are
 # shared with the zone-map probe builders and live in stats.py.
@@ -151,7 +152,13 @@ class Query:
         return plan.execute(db)
 
 
-def optimize(plan: Plan, db: Database | None = None, *, vectorize: bool = True) -> Plan:
+def optimize(
+    plan: Plan,
+    db: Database | None = None,
+    *,
+    vectorize: bool = True,
+    cache_key: str | None = None,
+) -> Plan:
     """Apply safe rewrites; ``db`` unlocks schema- and index-aware rules.
 
     Without a database the optimizer falls back to statically derivable
@@ -165,18 +172,29 @@ def optimize(plan: Plan, db: Database | None = None, *, vectorize: bool = True) 
     database they run against.
 
     With a database the result is also memoized in the database's plan
-    cache, keyed by (structural plan fingerprint, vectorize flag, the
-    statistics and costing toggles, ``Database.epoch``): GUAVA pattern
-    chains re-translate structurally identical plans on every pull, and
-    re-lowering them is pure overhead while nothing changed.  Any insert,
-    delete, index create/drop, or table create/drop bumps the epoch and
-    invalidates every cached plan, so a stale plan (e.g. one probing a
-    dropped index) is never served.  The toggles are in the key because
-    planning now *consults* statistics (build sides, join order, conjunct
-    order): a plan costed under one regime must never serve the other.
-    Derived-statistics versions need no separate key component — every
-    stats artifact is cached per table data ``version`` via
-    ``Table.derived``, and those versions already fold into the epoch.
+    cache under the structural plan fingerprint, the vectorize flag and the
+    statistics and costing toggles (a plan costed under one regime must
+    never serve the other).  An entry is planned once per *shape*, not once
+    per data version: it stays valid while ``Database.plan_epoch`` (table
+    create/drop, index create/drop, repartition) is unchanged, plus
+    whatever data-dependent facts the rewrites consumed, which
+    :class:`_OptContext` records:
+
+    * a zone-map certificate (a range conjunct proven error-free, which
+      can change error behaviour once the data crosses bands) pins the
+      certified table's exact data version;
+    * an estimate (row counts, bucket sizes, NDV, the vectorize threshold),
+      which only picks among equivalent plans, holds until a consulted
+      table's row count drifts past ``PLANNING_STALENESS_FRACTION``.
+
+    So an insert never serves a plan probing a dropped index or a stale
+    band certificate, while a plan that consumed no data-dependent fact
+    survives every insert.  ``cache_key`` replaces the structural
+    fingerprint with a caller-built key (GUAVA keys a g-tree query by its
+    shape, :meth:`repro.guava.source.GuavaSource.execute`): the caller
+    vouches that the key determines ``plan`` and has already probed it
+    with :func:`cached_plan`, so this call plans and stores unconditionally
+    — and never pays for fingerprinting the plan.
 
     Under an installed tracer (``repro.obs.tracing()``) the pass opens an
     ``optimize`` span counting each rewrite applied and logging the costed
@@ -186,41 +204,119 @@ def optimize(plan: Plan, db: Database | None = None, *, vectorize: bool = True) 
     that lowering was skipped.
     """
     tracer = current_tracer()
-    fingerprint: str | None = None
+    key: str | None = None
     epoch = 0
     if db is not None:
-        fingerprint = (
-            f"V{int(vectorize)}S{int(statistics_enabled())}C{int(costing_enabled())}:"
-            + plan_fingerprint(plan)
-        )
-        # Captured before planning: a mutation racing the rewrite pass can
-        # only make the entry stale-keyed (a harmless miss), never fresh.
-        epoch = db.epoch
-        cached = db.plan_cache_get(fingerprint, epoch)
-        if cached is not None:
-            if tracer is not None:
-                with tracer.span("optimize") as trace:
-                    trace.set("plan_cache", "hit")
-            return cast(Plan, cached)
+        if cache_key is None:
+            key = _toggles(vectorize) + plan_fingerprint(plan)
+            cached = _cache_lookup(db, key, tracer)
+            if cached is not None:
+                return cached
+        else:
+            key = _toggles(vectorize) + cache_key
+        # Captured before planning: an index change racing the rewrite
+        # pass can only make the entry stale-keyed (a harmless miss).
+        epoch = db.plan_epoch
     ctx = _OptContext(db)
     if tracer is None:
-        optimized = _rewrite(plan, ctx)
-        if db is not None and costing_enabled():
-            optimized = _cost_pass(optimized, ctx)
-        if db is not None and vectorize:
-            optimized = _vectorize_tree(optimized, db, ctx)
+        optimized = _plan(plan, db, ctx, vectorize)
     else:
         with tracer.span("optimize") as trace:
             ctx.trace = trace
             trace.set("plan_cache", "miss" if db is not None else "off")
-            optimized = _rewrite(plan, ctx)
-            if db is not None and costing_enabled():
-                optimized = _cost_pass(optimized, ctx)
-            if db is not None and vectorize:
-                optimized = _vectorize_tree(optimized, db, ctx)
-    if db is not None and fingerprint is not None:
-        db.plan_cache_put(fingerprint, epoch, optimized)
+            optimized = _plan(plan, db, ctx, vectorize)
+    if db is not None and key is not None:
+        db.plan_cache_put(
+            key, epoch, optimized, ctx.pinned.items(), ctx.estimated.items()
+        )
     return optimized
+
+
+def cached_plan(db: Database, cache_key: str) -> Plan | None:
+    """The plan ``optimize(..., cache_key=cache_key)`` stored, if still valid.
+
+    None when absent or no longer valid (plans stored with
+    ``vectorize=False`` are keyed apart and never found here).  A hit
+    opens the same ``optimize`` span a structural hit does
+    (``plan_cache="hit"``, no ``rewrite.*`` counters), so reused plans
+    stay visible in traces.
+    """
+    return _cache_lookup(db, _toggles(True) + cache_key, current_tracer())
+
+
+def _toggles(vectorize: bool) -> str:
+    return f"V{int(vectorize)}S{int(statistics_enabled())}C{int(costing_enabled())}:"
+
+
+def _cache_lookup(db: Database, key: str, tracer: Tracer | None) -> Plan | None:
+    cached = db.plan_cache_get(key, db.plan_epoch)
+    if cached is None:
+        return None
+    if tracer is not None:
+        with tracer.span("optimize") as trace:
+            trace.set("plan_cache", "hit")
+    return cast(Plan, cached)
+
+
+def _plan(plan: Plan, db: Database | None, ctx: "_OptContext", vectorize: bool) -> Plan:
+    optimized = _rewrite(plan, ctx)
+    if db is not None and costing_enabled():
+        optimized = _cost_pass(optimized, ctx)
+    if db is not None and vectorize:
+        optimized = _vectorize_tree(optimized, db, ctx)
+    return optimized
+
+
+def rebind_in_lists(
+    plan: Plan, column: str, values: tuple[object, ...]
+) -> tuple[Plan, int]:
+    """Swap the probe values of every ``column IN (…)`` slot in ``plan``.
+
+    A slot is an :class:`InLookup` on ``column`` or a non-negated
+    ``column IN (literals)`` conjunct of a :class:`Select` predicate — the
+    two forms a pushed-down membership filter takes after optimization.
+    Returns the rebound plan and the number of slots replaced; nodes and
+    expressions without a slot are returned as the same objects, so their
+    compiled closures stay cached.
+    """
+    items = tuple(Literal(value) for value in values)
+    count = 0
+
+    def rebind_expr(expr: Expression) -> Expression:
+        nonlocal count
+        if (
+            isinstance(expr, InList)
+            and not expr.negated
+            and isinstance(expr.operand, Identifier)
+            and expr.operand.path == (column,)
+            and all(isinstance(item, Literal) for item in expr.items)
+        ):
+            count += 1
+            return InList(expr.operand, items)
+        if isinstance(expr, BinaryOp) and expr.op == "AND":
+            left, right = rebind_expr(expr.left), rebind_expr(expr.right)
+            if left is not expr.left or right is not expr.right:
+                return BinaryOp("AND", left, right)
+        return expr
+
+    def rebind(node: Plan) -> Plan:
+        nonlocal count
+        if isinstance(node, InLookup):
+            if node.column != column:
+                return node
+            count += 1
+            return InLookup(node.table, column, values)
+        children = node.children()
+        rebound = tuple(rebind(child) for child in children)
+        if any(new is not old for new, old in zip(rebound, children)):
+            node = _with_children(node, rebound)
+        if isinstance(node, Select):
+            predicate = rebind_expr(node.predicate)
+            if predicate is not node.predicate:
+                node = Select(node.child, predicate)
+        return node
+
+    return rebind(plan), count
 
 
 def plan_fingerprint(plan: Plan) -> str:
@@ -265,9 +361,11 @@ def _vectorize_tree(plan: Plan, db: Database, ctx: _OptContext) -> Plan:
     """
     if isinstance(plan, Vectorized):
         return plan
-    if fully_vectorizable(plan) and estimated_input_rows(plan, db) >= VECTORIZE_MIN_ROWS:
-        ctx.note("vectorize", root=type(plan).__name__)
-        return Vectorized(plan)
+    if fully_vectorizable(plan):
+        ctx.consult_plan(plan)
+        if estimated_input_rows(plan, db) >= VECTORIZE_MIN_ROWS:
+            ctx.note("vectorize", root=type(plan).__name__)
+            return Vectorized(plan)
     children = tuple(_vectorize_tree(child, db, ctx) for child in plan.children())
     return _with_children(plan, children)
 
@@ -310,6 +408,7 @@ def _choose_build_side(join: Join, ctx: _OptContext) -> Join:
     assert db is not None
     if join.build != "right" or join.how not in ("inner", "left"):
         return join
+    ctx.consult_plan(join)
     left_rows = estimate_plan_rows(join.left, db)
     right_rows = estimate_plan_rows(join.right, db)
     if left_rows * 2.0 >= right_rows:
@@ -351,7 +450,7 @@ def _error_free_subtree(plan: Plan, ctx: _OptContext) -> bool:
             return False
         table = db.table(child.table)
         return all(
-            conjunct_error_free(table, conjunct)
+            ctx.error_free(table, conjunct)
             for conjunct in _conjuncts(plan.predicate)
         )
     return False
@@ -379,6 +478,7 @@ def _reorder_conjuncts(select: Select, ctx: _OptContext) -> Select:
     conjuncts = list(_conjuncts(select.predicate))
     if len(conjuncts) < 2:
         return select
+    ctx.consult(table)
 
     def rank(conjunct: Expression) -> float:
         # Per-row benefit over cost: most-negative first means "cheapest
@@ -390,7 +490,7 @@ def _reorder_conjuncts(select: Select, ctx: _OptContext) -> Select:
     ordered: list[Expression] = []
     run: list[Expression] = []
     for conjunct in conjuncts:
-        if conjunct_error_free(table, conjunct):
+        if ctx.error_free(table, conjunct):
             run.append(conjunct)
         else:
             ordered.extend(sorted(run, key=rank))
@@ -436,6 +536,7 @@ def _reorder_join_chain(join: Join, ctx: _OptContext) -> Plan:
         node = node.left
     if len(spine) < 3:
         return join
+    ctx.consult_plan(join)
     base = node
     base_cols = ctx.column_set(base)
     original_columns = ctx.columns_of(join)
@@ -511,15 +612,53 @@ def _chain_collision_free(
 
 
 class _OptContext:
-    """Column knowledge for the rewrite pass, memoized across the tree."""
+    """Column knowledge for the rewrite pass, and the data it consumed.
 
-    __slots__ = ("db", "trace", "_exec")
+    ``pinned`` and ``estimated`` are the plan-cache validity facts (see
+    :func:`optimize`): table → data version for every zone-map certificate
+    a rewrite relied on, and table → row count for every table whose
+    estimates chose among equivalent plans.
+    """
+
+    __slots__ = ("db", "trace", "_exec", "pinned", "estimated")
 
     def __init__(self, db: Database | None):
         self.db = db
         #: The ``optimize`` span when tracing, else None (the common case).
         self.trace: Span | None = None
         self._exec = ExecContext(db) if db is not None else None
+        self.pinned: dict[str, int] = {}
+        self.estimated: dict[str, int] = {}
+
+    def error_free(self, table: Table, conjunct: Expression) -> bool:
+        """:func:`conjunct_error_free`, pinning the table on a range proof.
+
+        A range conjunct is only proven error-free by the current zone
+        maps, so a plan that used the proof is valid at this exact data
+        version only.
+        """
+        proven = conjunct_error_free(table, conjunct)
+        if (
+            proven
+            and isinstance(conjunct, BinaryOp)
+            and conjunct.op in _FLIPPED_COMPARE
+        ):
+            self.pinned[table.schema.name] = table.version
+        return proven
+
+    def consult(self, table: Table) -> None:
+        """Record that an estimate over ``table`` picked the plan."""
+        self.estimated.setdefault(table.schema.name, len(table))
+
+    def consult_plan(self, plan: Plan) -> None:
+        """Record every base table under ``plan`` (a subtree estimate)."""
+        db = self.db
+        if db is None:
+            return
+        for node in plan.walk():
+            if isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup)):
+                if db.has_table(node.table):
+                    self.consult(db.table(node.table))
 
     def note(self, rule: str, **data: object) -> None:
         """Count one applied rewrite (and log its decision data)."""
@@ -733,13 +872,13 @@ def _lower_index_lookup(
             key = tuple(values[column] for column in eq_index.columns)
             rest = residual + [conjunct for _, conjunct in in_items]
             choices.append(
-                (len(eq_index.lookup(key)), IndexLookup(scan.table, tuple(eq_items)), rest)
+                (eq_index.count(key), IndexLookup(scan.table, tuple(eq_items)), rest)
             )
     for position, ((column, values), _conjunct) in enumerate(in_items):
         in_index = table.matching_index([column])
         if in_index is None:
             continue
-        count = sum(len(in_index.lookup((value,))) for value in values)
+        count = sum(in_index.count((value,)) for value in values)
         rest = (
             [BinaryOp("=", Identifier.of(c), Literal(v)) for c, v in eq_items]
             + residual
@@ -748,6 +887,8 @@ def _lower_index_lookup(
         choices.append((count, InLookup(scan.table, column, values), rest))
     if not choices:
         return None
+    if len(choices) > 1:
+        ctx.consult(table)
     count, lookup, rest = min(choices, key=lambda choice: choice[0])
     ctx.note(
         "index_lowering",
@@ -965,7 +1106,9 @@ def _push_project_into_join(
     )
 
 
-def prepare_stream_plan(plan: Plan, db: Database) -> Plan:
+def prepare_stream_plan(
+    plan: Plan, db: Database, *, cache_key: str | None = None
+) -> Plan:
     """Optimize ``plan`` for repeated streaming, building missing indexes.
 
     Equality filters that survive optimization directly over a base table
@@ -974,9 +1117,11 @@ def prepare_stream_plan(plan: Plan, db: Database) -> Plan:
     :class:`IndexLookup` lowering fires.  Index creation is invisible to
     query semantics, but it is a side effect on the source database;
     callers that must not build indexes (``Study.run`` previews and the
-    serial ETL path) call :func:`optimize` instead.
+    serial ETL path) call :func:`optimize` instead.  ``cache_key`` is
+    passed through to :func:`optimize`, so the settled plan is cached
+    under it.
     """
-    optimized = optimize(plan, db)
+    optimized = optimize(plan, db, cache_key=cache_key)
     built = False
     for node in _walk(optimized):
         # A residual select above an already-lowered lookup counts too: an
@@ -1005,7 +1150,7 @@ def prepare_stream_plan(plan: Plan, db: Database) -> Plan:
                 table.create_index((probe[0],))
                 built = True
     if built:
-        optimized = optimize(plan, db)
+        optimized = optimize(plan, db, cache_key=cache_key)
     return optimized
 
 

@@ -250,7 +250,7 @@ def column_zone_map(
 
     def build() -> list[ChunkStats]:
         if partition is None:
-            values = table.column_snapshot()[column]
+            values = table.column_values(column)
         else:
             values = table.partition_columns(partition)[column]
         return [
@@ -609,6 +609,25 @@ def encoding_states(
         return states
 
     return table.derived(("dict", partition), build)
+
+
+def column_dictionary(table: "Table", column: str) -> Dictionary | None:
+    """One column's dictionary over the whole extent, or None if refused.
+
+    The same dictionary :func:`encoded_columns` holds for ``column``, but
+    built (and cached per data version) on its own: planning estimates
+    read one column's dictionary, and re-encoding every TEXT column each
+    time a drifted estimate is rebuilt would cost a pass per column.
+    """
+    if not table.schema.has_column(column):
+        return None
+    if table.schema.column(column).dtype.name != "TEXT":
+        return None
+    state = table.derived(
+        ("dict_column", column),
+        lambda: _build_dictionary(table.column_values(column)),
+    )
+    return state if isinstance(state, Dictionary) else None
 
 
 # -- inspection (CLI ``trace query --stats``) ---------------------------------

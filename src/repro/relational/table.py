@@ -141,6 +141,21 @@ class Table:
         self._column_snapshot = (self._version, columns)
         return columns
 
+    def column_values(self, column: str) -> list[object]:
+        """One column of the extent, cached per data version (read-only).
+
+        Served from :meth:`column_snapshot` when that is current; otherwise
+        only this column is gathered, so a statistic over one column does
+        not pay for transposing the whole extent.
+        """
+        cached = self._column_snapshot
+        if cached is not None and cached[0] == self._version:
+            return cached[1][column]
+        rows = self._rows
+        return self.derived(  # type: ignore[return-value]
+            ("column", column), lambda: [row[column] for row in rows]
+        )
+
     def derived(self, key: object, build: Callable[[], object]) -> object:
         """A derived artifact cached per data version (zone maps, encodings).
 

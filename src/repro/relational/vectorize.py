@@ -31,7 +31,10 @@ Parity is by construction where it matters:
 
 The operator without a kernel (Unpivot) and the index probes (IndexLookup,
 InLookup) fall back per-subtree to the streaming executor; their rows are
-packed into batches at the boundary.  One intended divergence: when a plan
+packed into batches at the boundary.  The planner counts a probe by its
+bucket sizes (:func:`estimated_input_rows`), so a probe feeding thousands
+of EAV rows into ``Pivot``/``Coerce`` runs on the batch path while a point
+lookup stays row-wise.  One intended divergence: when a plan
 raises, the batch path may surface the error from a different row than the
 row path (column-major vs row-major evaluation order), so only the
 exception *type* is comparable across executors.
@@ -116,7 +119,7 @@ from repro.relational.stats import (
     encoded_columns,
     statistics_enabled,
 )
-from repro.relational.types import Converter
+from repro.relational.types import Converter, DataType
 
 #: Estimated input rows below which the planner leaves a subtree on the
 #: row-at-a-time path: batch setup overhead only pays off with volume.
@@ -198,7 +201,8 @@ def fully_vectorizable(plan: Plan) -> bool:
     """True when every node of the subtree runs on the batch path.
 
     Index probes count as vectorizable leaves: they stay row-wise (their
-    selectivity is the point) and are packed into batches at the boundary.
+    selectivity is the point) and are packed into batches at the boundary;
+    whether that pays is :func:`estimated_input_rows`' call.
     """
     if isinstance(plan, (IndexLookup, InLookup)):
         return True
@@ -210,13 +214,20 @@ def fully_vectorizable(plan: Plan) -> bool:
 def estimated_input_rows(plan: Plan, db: Database) -> int:
     """Planner estimate: total base rows feeding the subtree.
 
-    Index probes (IndexLookup, InLookup) count zero: they are selective by
-    construction, and batching their handful of rows would only add the
-    setup overhead the threshold exists to avoid.
+    Index probes count the rows they will actually read: an
+    :class:`IndexLookup` its bucket (the whole table when no index matches
+    and it falls back to a scan), an :class:`InLookup` the sum of its
+    buckets, skipping the probes its ``_stream`` skips.  So an EAV probe
+    that returns thousands of rows clears ``VECTORIZE_MIN_ROWS`` while a
+    point lookup stays on the row path.
     """
     total = 0
     for node in plan.walk():
-        if type(node) is Scan:
+        if type(node) is IndexLookup:
+            total += _index_lookup_rows(node, db)
+        elif type(node) is InLookup:
+            total += _in_lookup_rows(node, db)
+        elif type(node) is Scan:
             if db.has_table(node.table):
                 total += len(db.table(node.table))
         elif type(node) is PartitionScan:
@@ -233,6 +244,38 @@ def estimated_input_rows(plan: Plan, db: Database) -> int:
                     )
         elif isinstance(node, Values):
             total += len(node.rows)
+    return total
+
+
+def _index_lookup_rows(node: IndexLookup, db: Database) -> int:
+    if not db.has_table(node.table):
+        return 0
+    table = db.table(node.table)
+    index = table.matching_index([column for column, _ in node.items])
+    if index is None:
+        return len(table)  # IndexLookup._stream's scan fallback
+    values = dict(node.items)
+    try:
+        return index.count(tuple(values[column] for column in index.columns))
+    except TypeError:
+        return len(table)  # unhashable probe: no bucket to measure
+
+
+def _in_lookup_rows(node: InLookup, db: Database) -> int:
+    if not db.has_table(node.table):
+        return 0
+    table = db.table(node.table)
+    index = table.matching_index([node.column])
+    if index is None:
+        return len(table)  # InLookup._stream's scan fallback
+    boolish = table.schema.column(node.column).dtype is DataType.BOOLEAN
+    total = 0
+    for value in node.values:
+        # The probes InLookup._stream skips: NULL never matches, and a
+        # bool probe never SQL-equals a non-bool column (nor vice versa).
+        if value is None or isinstance(value, bool) != boolish:
+            continue
+        total += index.count((value,))
     return total
 
 

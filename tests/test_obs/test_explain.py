@@ -160,3 +160,33 @@ class TestEavExtractTrace:
             assert attrs["executor"] == "batch"
             assert attrs["rows_out"] == len(report.rows) > 0
             assert attrs["batches"] >= 1
+
+    def test_study_read_after_a_refresh_runs_batch_over_its_index(self):
+        """A record-scoped refresh builds the EAV table's indexes; the study
+        read then probes one of them for every stored procedure row, and
+        the bucket-size estimate keeps Pivot and Coerce on the batch path."""
+        from repro.analysis.classifiers import vendor_classifiers_for
+        from repro.clinical.sources import build_world
+        from repro.guava.query import GTreeQuery
+        from repro.guava.translate import translate_query
+        from repro.relational.algebra import Coerce, IndexLookup, Pivot
+        from repro.relational.interpret import execute_interpreted
+
+        source = build_world(300, seed=7).source("cori_warehouse_feed")
+        entity = vendor_classifiers_for(source).entity_classifier
+        query = GTreeQuery(source.gtree(entity.form)).where(entity.condition)
+        refreshed = source.execute(query, record_ids=[1, 2, 3])
+        assert sorted(row["record_id"] for row in refreshed) == [1, 2, 3]
+
+        plan = translate_query(query, source.chain)
+        report = explain_analyze(plan, source.db)
+        assert report.rows == execute_interpreted(plan, source.db)
+        nodes = {type(node): node for node, _ in report.node_spans()}
+        assert IndexLookup in nodes
+        spans = {type(node): span for node, span in report.node_spans()}
+        for kind in (Pivot, Coerce):
+            attrs = spans[kind].attrs
+            assert attrs["executor"] == "batch"
+            assert attrs["rows_out"] == len(
+                execute_interpreted(nodes[kind], source.db)
+            ) >= len(report.rows) > 0

@@ -1,16 +1,21 @@
-"""Plan cache: memoized optimize() keyed by (fingerprint, Database.epoch).
+"""Plan cache: memoized optimize(), planned once per shape.
 
-The cache exists for GUAVA pattern chains, which re-translate structurally
-identical plans on every pull.  The invariants under test:
+The cache exists for GUAVA pattern chains, which pull structurally
+identical plans on every read.  The invariants under test:
 
-* a repeat ``optimize`` at the same epoch returns the *same plan object*
-  and applies zero rewrites (observable as an ``optimize`` span with
-  ``plan_cache="hit"`` and no ``rewrite.*`` counters);
+* a repeat ``optimize`` while the plan's assumptions hold returns the
+  *same plan object* and applies zero rewrites (observable as an
+  ``optimize`` span with ``plan_cache="hit"`` and no ``rewrite.*``
+  counters);
 * every mutation class — insert, update, delete, index create/drop,
-  table create/drop — bumps :attr:`Database.epoch`, so a mutate-then-query
-  sequence can never be served a stale plan;
-* the epoch never rewinds, even when ``drop_table`` discards a table whose
-  versions contributed to it.
+  table create/drop — bumps :attr:`Database.epoch`, and it never rewinds,
+  even when ``drop_table`` discards a table whose versions contributed;
+* an entry is valid while :attr:`Database.plan_epoch` (tables, indexes,
+  partitions) is unchanged, the tables whose zone-map certificates it
+  used are at their certified data versions, and the tables whose
+  estimates picked it have drifted at most
+  ``PLANNING_STALENESS_FRACTION`` in row count — so a mutate-then-query
+  sequence is never served a stale plan, yet inserts alone do not replan.
 """
 
 import pytest
@@ -127,14 +132,34 @@ class TestCacheHits:
 
 
 class TestInvalidation:
-    def test_insert_bumps_epoch_and_invalidates(self):
+    def test_insert_keeps_a_data_free_plan(self):
+        # The row-path plan of a one-conjunct filter consumed no data (no
+        # estimate chose it, no certificate proved it), so it outlives any
+        # number of inserts.
         db = _db()
         plan = Query.table("patients").where("age >= 30").plan
-        first = optimize(plan, db)
-        before = db.epoch
-        db.insert("patients", [{"patient_id": 99, "age": 44}])
+        first = optimize(plan, db, vectorize=False)
+        before, plan_epoch = db.epoch, db.plan_epoch
+        db.insert("patients", [{"patient_id": 90 + i, "age": 44} for i in range(20)])
         assert db.epoch > before
-        assert optimize(plan, db) is not first
+        assert db.plan_epoch == plan_epoch
+        assert optimize(plan, db, vectorize=False) is first
+
+    def test_estimates_hold_until_the_row_count_drifts(self):
+        # The vectorize decision reads the table's row count, so the plan
+        # is reused within PLANNING_STALENESS_FRACTION of the planned count
+        # and replanned beyond it.
+        db = _db(100)
+        plan = Query.table("patients").where("age >= 30").plan
+        first = optimize(plan, db)
+        db.insert("patients", [{"patient_id": 100 + i, "age": 44} for i in range(10)])
+        assert optimize(plan, db) is first
+        db.insert("patients", [{"patient_id": 200, "age": 44}])
+        replanned = optimize(plan, db)
+        assert replanned is not first
+        assert [row["patient_id"] for row in replanned.execute(db)] == [
+            row["patient_id"] for row in Query(plan).execute(db, optimized=False)
+        ]
 
     def test_mutate_then_query_sees_new_rows(self):
         db = _db()
@@ -185,6 +210,74 @@ class TestInvalidation:
         peak = db.epoch
         db.drop_table("scratch")
         assert db.epoch > peak
+
+
+class TestZoneMapCertificates:
+    """A conjunct order that rests on a zone-map band certificate is only
+    valid at the certified data version: once the data crosses bands the
+    reordered plan could raise where the authored order does not."""
+
+    @staticmethod
+    def _db() -> Database:
+        db = Database("bands")
+        db.create_table(
+            TableSchema.build(
+                "t",
+                [("id", DataType.INTEGER), ("k", DataType.TEXT), ("x", DataType.INTEGER)],
+            )
+        )
+        db.insert("t", [{"id": i, "k": "ab"[i % 2], "x": None} for i in range(40)])
+        return db
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            return sorted(row["id"] for row in run())
+        except Exception as error:  # noqa: BLE001 - comparing outcomes
+            return type(error).__name__
+
+    def test_certified_reorder_is_replanned_after_the_data_crosses_bands(self):
+        from repro.relational.interpret import execute_interpreted
+
+        db = self._db()
+        # ``x > 'abc'`` is error-free only while every x is NULL (the zone
+        # maps certify it); it is estimated most selective, so it moves
+        # ahead of ``k = 'a'``.
+        plan = Query.table("t").where("k = 'a' AND x > 'abc'").plan
+        with tracing() as tracer:
+            first = optimize(plan, db, vectorize=False)
+        (span,) = [root for root in tracer.roots if root.name == "optimize"]
+        assert span.attrs.get("rewrite.conjunct_reorder") == 1
+        assert optimize(plan, db, vectorize=False) is first
+
+        # Crossing bands where ``k = 'a'`` is False: the authored order
+        # never compares that x, the certified order would raise.
+        db.insert("t", [{"id": 100, "k": "b", "x": 5}])
+        with pytest.raises(Exception):
+            first.execute(db)
+        replanned = optimize(plan, db, vectorize=False)
+        assert replanned is not first
+        assert self._outcome(lambda: replanned.execute(db)) == self._outcome(
+            lambda: execute_interpreted(plan, db)
+        )
+
+        # The raising case: a row that reaches the comparison raises under
+        # every plan.
+        db.insert("t", [{"id": 101, "k": "a", "x": 6}])
+        interpreted = self._outcome(lambda: execute_interpreted(plan, db))
+        assert isinstance(interpreted, str)
+        assert self._outcome(
+            lambda: optimize(plan, db, vectorize=False).execute(db)
+        ) == interpreted
+
+    def test_an_uncertified_plan_survives_inserts(self):
+        db = self._db()
+        db.insert("t", [{"id": 100, "k": "b", "x": 5}])
+        # No certificate now: the range conjunct is a barrier.
+        plan = Query.table("t").where("k = 'a' AND x > 'abc'").plan
+        first = optimize(plan, db, vectorize=False)
+        db.insert("t", [{"id": 101, "k": "b", "x": 7}])
+        assert optimize(plan, db, vectorize=False) is first
 
 
 class TestStaleIndexRegression:

@@ -1,0 +1,142 @@
+"""The vectorize threshold counts index probes by their bucket sizes.
+
+``estimated_input_rows`` decides whether a subtree runs on the batch
+path.  An ``IndexLookup`` counts the rows of its bucket (or the whole
+table when no index matches and it falls back to a scan); an
+``InLookup`` sums its buckets, skipping exactly the probes its
+``_stream`` skips: NULL, and a bool probe against a non-bool column (or
+the reverse).  So a probe feeding thousands of rows is vectorized and a
+point lookup is not.
+"""
+
+from repro.relational import (
+    Database,
+    DataType,
+    IndexLookup,
+    InLookup,
+    Pivot,
+    Plan,
+    Query,
+    TableSchema,
+    Vectorized,
+    optimize,
+)
+from repro.relational.interpret import execute_interpreted
+from repro.relational.vectorize import VECTORIZE_MIN_ROWS, estimated_input_rows
+
+
+def _db(rows: int = 1000) -> Database:
+    db = Database("probes")
+    db.create_table(
+        TableSchema.build(
+            "eav",
+            [
+                ("record_id", DataType.INTEGER),
+                ("kind", DataType.TEXT),
+                ("flag", DataType.BOOLEAN),
+                ("attribute", DataType.TEXT),
+                ("value", DataType.TEXT),
+            ],
+        )
+    )
+    db.insert(
+        "eav",
+        [
+            {
+                "record_id": i // 4,
+                "kind": "bulk" if i % 10 else "rare",
+                "flag": i % 2 == 0,
+                "attribute": f"a{i % 4}",
+                "value": str(i),
+            }
+            for i in range(rows)
+        ],
+    )
+    table = db.table("eav")
+    table.create_index(("kind",))
+    table.create_index(("record_id",))
+    table.create_index(("flag",))
+    return db
+
+
+def _contains(plan: Plan, node_type: type) -> bool:
+    if isinstance(plan, node_type):
+        return True
+    return any(_contains(child, node_type) for child in plan.children())
+
+
+class TestIndexLookupEstimate:
+    def test_hit_bucket_counts_its_rows(self):
+        db = _db()
+        assert estimated_input_rows(IndexLookup("eav", (("kind", "bulk"),)), db) == 900
+        assert estimated_input_rows(IndexLookup("eav", (("kind", "rare"),)), db) == 100
+
+    def test_empty_bucket_counts_zero(self):
+        db = _db()
+        assert estimated_input_rows(IndexLookup("eav", (("kind", "none"),)), db) == 0
+
+    def test_scan_fallback_counts_the_table(self):
+        db = _db()
+        # No index covers ``attribute``: execution scans the whole extent.
+        plan = IndexLookup("eav", (("attribute", "a1"),))
+        assert estimated_input_rows(plan, db) == 1000
+
+    def test_missing_table_counts_zero(self):
+        assert estimated_input_rows(IndexLookup("gone", (("kind", "x"),)), _db()) == 0
+
+
+class TestInLookupEstimate:
+    def test_sums_buckets(self):
+        db = _db()
+        assert estimated_input_rows(InLookup("eav", "record_id", (1, 2, 3)), db) == 12
+
+    def test_empty_buckets_count_zero(self):
+        db = _db()
+        assert estimated_input_rows(InLookup("eav", "record_id", (-1, -2)), db) == 0
+
+    def test_null_probes_are_skipped(self):
+        db = _db()
+        plan = InLookup("eav", "record_id", (None, 5))
+        assert estimated_input_rows(plan, db) == 4
+
+    def test_bool_probes_skip_like_the_stream(self):
+        db = _db()
+        # TRUE never SQL-equals the integer 1 (its hash bucket would).
+        assert estimated_input_rows(InLookup("eav", "record_id", (True, 1)), db) == 4
+        # ...and on a BOOLEAN column only bool probes count.
+        assert estimated_input_rows(InLookup("eav", "flag", (1, True)), db) == 500
+        assert estimated_input_rows(InLookup("eav", "flag", (False,)), db) == 500
+
+    def test_scan_fallback_counts_the_table(self):
+        db = _db()
+        plan = InLookup("eav", "attribute", ("a1",))
+        assert estimated_input_rows(plan, db) == 1000
+
+    def test_estimate_matches_the_rows_the_probe_streams(self):
+        db = _db()
+        for values in [(1, 2, 3), (None, 7), (True, 4), (-1,), ()]:
+            plan = InLookup("eav", "record_id", values)
+            assert estimated_input_rows(plan, db) == len(plan.execute(db))
+
+
+class TestVectorizeDecision:
+    def _pivot(self, predicate: str) -> Plan:
+        base = Query.table("eav").where(predicate).plan
+        return Pivot(base, ("record_id",), "attribute", "value", ("a0", "a1", "a2", "a3"))
+
+    def test_bulk_probe_feeds_the_batch_kernels(self):
+        db = _db()
+        plan = self._pivot("kind = 'bulk'")
+        optimized = optimize(plan, db)
+        assert _contains(optimized, IndexLookup)
+        assert isinstance(optimized, Vectorized)
+        assert optimized.execute(db) == execute_interpreted(plan, db)
+
+    def test_point_lookup_stays_row_wise(self):
+        db = _db()
+        plan = self._pivot("record_id = 3")
+        optimized = optimize(plan, db)
+        assert _contains(optimized, IndexLookup)
+        assert not _contains(optimized, Vectorized)
+        assert estimated_input_rows(optimized, db) < VECTORIZE_MIN_ROWS
+        assert optimized.execute(db) == execute_interpreted(plan, db)

@@ -267,3 +267,87 @@ class TestWarehouseLineage:
         FullStrategy(make_job(small_world, cori), warehouse).build()
         warehouse.lineage("mat_procedure")["fingerprint"] = "tampered"
         assert warehouse.lineage("mat_procedure")["fingerprint"] != "tampered"
+
+
+def build_decision(strategy, incremental=True):
+    """Build under a tracer; the ``materialize.build`` span's attributes."""
+    from repro.obs import tracing
+
+    with tracing() as tracer:
+        strategy.build(incremental=incremental)
+    (span,) = [s for s in tracer.roots if s.name == "materialize.build"]
+    return span.attrs
+
+
+def enter_more(source, count, first, seed):
+    session = source.session(first_record_id=first)
+    for truth in generate_truths(count, seed=seed):
+        session.enter("procedure", cori_procedure_values(truth))
+
+
+class TestSharedDatabase:
+    """A warehouse living in its source's own database (as a durable store
+    shares one database between the two): the warehouse's writes must not
+    look like untracked source mutations."""
+
+    def test_refresh_after_a_round_without_entries_stays_incremental(
+        self, small_world, cori
+    ):
+        warehouse = Warehouse(db=cori.db)
+        strategy = FullStrategy(make_job(small_world, cori), warehouse)
+        strategy.build()
+        insert_procedures(small_world, cori, 3)
+        assert build_decision(strategy)["decision"] == "incremental"
+        # A round with no entries for this source: the refresh above wrote
+        # warehouse rows into the shared database, which must not cost a
+        # full rebuild now.
+        attrs = build_decision(strategy)
+        assert attrs["decision"] == "incremental"
+        assert attrs["records_refreshed"] == 0
+        enter_more(cori, 2, first=1000, seed=7)
+        assert build_decision(strategy)["decision"] == "incremental"
+        assert rows_of(warehouse) == full_rebuild_rows(small_world, cori)
+
+    def test_source_version_ignores_other_tables(self, small_world, cori):
+        warehouse = Warehouse(db=cori.db)
+        before = cori.data_version()
+        FullStrategy(make_job(small_world, cori), warehouse).build()
+        assert cori.data_version() == before
+        assert cori.changed_record_ids(before) == set()
+
+    def test_feed_from_whole_database_versions_falls_back(self, small_world, cori):
+        from repro.guava.source import ChangeFeedState
+        from repro.relational import database_version
+
+        warehouse = Warehouse(db=cori.db)
+        strategy = FullStrategy(make_job(small_world, cori), warehouse)
+        strategy.build()
+        # A feed recovered from a tree that versioned the whole database:
+        # its accounted version counts the warehouse table too.
+        legacy = ChangeFeedState.from_doc(
+            {"floor": 0, "accounted": database_version(cori.db), "log": []}
+        )
+        assert legacy.accounted != cori.data_version()
+        cori.adopt_feed(legacy)
+        assert cori.changed_record_ids(0) is None
+        attrs = build_decision(strategy)
+        assert attrs["decision"] == "full_fallback"
+        assert attrs["fallback_reason"] == f"untracked_changes:{cori.name}"
+        assert rows_of(warehouse) == full_rebuild_rows(small_world, cori)
+
+    def test_lineage_in_whole_database_versions_falls_back(self, small_world, cori):
+        warehouse = Warehouse(db=cori.db)
+        strategy = FullStrategy(make_job(small_world, cori), warehouse)
+        strategy.build()
+        lineage = warehouse.lineage("mat_procedure")
+        del lineage["versions"]  # written before sources versioned their tables
+        warehouse.set_lineage("mat_procedure", lineage)
+        insert_procedures(small_world, cori, 2)
+        attrs = build_decision(strategy)
+        assert attrs["fallback_reason"] == "whole_database_versions"
+        assert rows_of(warehouse) == full_rebuild_rows(small_world, cori)
+        # The rebuild wrote today's lineage, so the next refresh is
+        # incremental again.
+        enter_more(cori, 1, first=1000, seed=5)
+        assert build_decision(strategy)["decision"] == "incremental"
+        assert rows_of(warehouse) == full_rebuild_rows(small_world, cori)
