@@ -54,7 +54,6 @@ from repro.relational import (
     Vectorized,
     execute_interpreted,
     optimize,
-    set_costing_enabled,
     set_statistics_enabled,
 )
 
@@ -72,14 +71,6 @@ PP_ROWS = int(os.environ.get("REPRO_PP_ROWS", "1000000"))
 PP_LAB_ROWS = max(1, PP_ROWS // 4)
 PP_PARTITIONS = 64
 PP_PATIENTS = max(1, PP_ROWS // 500)
-
-# -- cost-based (CB) tier ------------------------------------------------------
-# Sized so the three cost-based decisions are measured at the scale where
-# they pay: a 10^3-row probe set against the 10^6-row ``readings`` table
-# for the build-side flip, and a fact table big enough that join order
-# and conjunct order dominate wall time.
-CB_COHORT_ROWS = 1_000
-CB_FACT_ROWS = max(1, PP_ROWS // 8)
 
 
 # -- fixture data --------------------------------------------------------------
@@ -222,66 +213,6 @@ def build_pp_database() -> Database:
             for i in range(PP_ROWS)
         ),
     )
-    # -- CB-tier fixtures: cost-based planning ---------------------------------
-    # ``cohort``: a tiny probe set against the 10^6-row ``readings`` — the
-    # build-side-flip case.  ``facts`` + three PK dimensions sized so the
-    # authored join order is the worst one — the chain-reorder case.
-    db.create_table(
-        TableSchema.build(
-            "cohort",
-            [("seq", DataType.INTEGER), ("tag", DataType.TEXT)],
-            primary_key=["seq"],
-        )
-    )
-    stride = max(1, PP_ROWS // CB_COHORT_ROWS)
-    db.insert(
-        "cohort",
-        ({"seq": i * stride, "tag": f"c{i}"} for i in range(CB_COHORT_ROWS)),
-    )
-    db.create_table(
-        TableSchema.build(
-            "facts",
-            [
-                ("a", DataType.INTEGER),
-                ("b", DataType.INTEGER),
-                ("c", DataType.INTEGER),
-                ("x", DataType.INTEGER),
-                ("v", DataType.INTEGER),
-                ("note", DataType.TEXT),
-            ],
-        )
-    )
-    db.insert(
-        "facts",
-        (
-            # ``note`` is unique, so the dictionary refuses it and LIKE
-            # stays a genuine per-row regex — the expensive conjunct the
-            # reorder case hoists a cheap equality above.  ``v`` is the
-            # selective probe column: unclustered on purpose, so zone
-            # maps cannot pre-skip its chunks for either conjunct order.
-            {
-                "a": i % 50,
-                "b": i % 300,
-                "c": i % 900,
-                "x": i,
-                "v": (i * 37) % 10_000,
-                "note": f"note-{i}",
-            }
-            for i in range(CB_FACT_ROWS)
-        ),
-    )
-    # d_c keeps every fact (900/900 c-values), d_a keeps 80%, d_b keeps
-    # 10% — so "d_c first" (as authored) is maximally wasteful and the
-    # greedy reorder should run d_b, then d_a, then d_c.
-    for dim, column, count in (("d_a", "a", 40), ("d_b", "b", 30), ("d_c", "c", 900)):
-        db.create_table(
-            TableSchema.build(
-                dim,
-                [(column, DataType.INTEGER), (f"p_{column}", DataType.TEXT)],
-                primary_key=[column],
-            )
-        )
-        db.insert(dim, ({column: i, f"p_{column}": f"{dim}{i}"} for i in range(count)))
     _PP_DB = db
     return db
 
@@ -565,90 +496,6 @@ def run_zm() -> list[dict]:
     return results
 
 
-def _cb_flip_plan():
-    """Tiny cohort joined against 10^6 readings: left build or bust."""
-    return Join(Scan("cohort"), Scan("readings"), (("seq", "seq"),))
-
-
-def _cb_chain_plan():
-    """Three-dimension chain authored worst-first (d_c keeps every row)."""
-    return Join(
-        Join(
-            Join(Scan("facts"), Scan("d_c"), (("c", "c"),)),
-            Scan("d_a"),
-            (("a", "a"),),
-        ),
-        Scan("d_b"),
-        (("b", "b"),),
-    )
-
-
-def _cb_conjunct_plan():
-    """Expensive LIKE authored before a highly selective equality.
-
-    ``note`` is high-cardinality (dictionary refused), so the LIKE is a
-    real per-row regex; ``v`` is unclustered, so zone maps cannot skip
-    chunks for either order — the case isolates conjunct ordering alone.
-    """
-    return Select(
-        Scan("facts"),
-        BinaryOp(
-            "AND",
-            # Multi-wildcard pattern: the regex backtracks, so each row
-            # costs several times an integer equality — exactly the
-            # conjunct worth deferring until after the cheap filter.
-            BinaryOp("LIKE", Identifier.of("note"), Literal("%n%4%2%")),
-            # v = 5577 keeps rows with x ≡ 421 (mod 10000), whose notes
-            # ("note-421", "note-10421", …) also match the pattern — the
-            # case returns real rows instead of a degenerate empty set.
-            BinaryOp("=", Identifier.of("v"), Literal(5577)),
-        ),
-    )
-
-
-def run_cb() -> list[dict]:
-    """The CB tier: cost-based planning on vs off, same plans, same data.
-
-    Baseline = the identical plan optimized with
-    :func:`set_costing_enabled` off — same kernels, same statistics, so
-    each case isolates exactly one planning decision (build side, join
-    order, conjunct order).
-    """
-    db = build_pp_database()
-    results = []
-    cases = (
-        ("cb_build_side_flip", _cb_flip_plan()),
-        ("cb_join_reorder", _cb_chain_plan()),
-        ("cb_conjunct_reorder", _cb_conjunct_plan()),
-    )
-    for name, plan in cases:
-        costed = optimize(plan, db)
-        previous = set_costing_enabled(False)
-        try:
-            uncosted = optimize(plan, db)
-        finally:
-            set_costing_enabled(previous)
-        rows = costed.execute(db)
-        assert rows == uncosted.execute(db), f"{name}: costed and uncosted disagree"
-        base_s = _time(lambda: uncosted.execute(db), repeats=3)
-        fast_s = _time(lambda: costed.execute(db), repeats=3)
-        results.append(
-            {
-                "case": name,
-                "rows_out": len(rows),
-                "baseline_ms": round(base_s * 1000, 3),
-                "optimized_ms": round(fast_s * 1000, 3),
-                "speedup": round(base_s / fast_s, 2),
-            }
-        )
-        print(
-            f"{name:<28} costing off {base_s * 1000:9.3f} ms   "
-            f"costed    {fast_s * 1000:9.3f} ms   x{base_s / fast_s:6.2f}",
-            flush=True,
-        )
-    return results
-
-
 # -- standalone runner ---------------------------------------------------------
 
 
@@ -697,7 +544,6 @@ def run(json_path: str | None = None) -> list[dict]:
         )
     results.extend(run_pp())
     results.extend(run_zm())
-    results.extend(run_cb())
     if json_path:
         payload = {
             "benchmark": "relational_core",
@@ -779,13 +625,6 @@ if "pytest" in sys.modules:  # imported by pytest collection
         assert by_case["zm_groupby_dict"] >= 1.5
         scan_row = next(r for r in rows if r["case"] == "zm_selective_scan")
         assert scan_row["chunks_skipped"] > 0
-        # CB tier: the build-side flip must dominate a tiny-probe join and
-        # conjunct reordering must pay on a selective scan.  The chain
-        # reorder is reported but not speedup-gated — its margin depends
-        # on dimension fan-out, which REPRO_PP_ROWS rescales.
-        assert by_case["cb_build_side_flip"] >= 2.0
-        assert by_case["cb_conjunct_reorder"] >= 1.3
-        assert "cb_join_reorder" in by_case
 
 
 if __name__ == "__main__":

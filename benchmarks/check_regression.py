@@ -39,9 +39,6 @@ REQUIRED_CASES: dict[str, tuple[str, ...]] = {
         "pp_scan_aggregate_serial",
         "zm_selective_scan",
         "zm_groupby_dict",
-        "cb_build_side_flip",
-        "cb_join_reorder",
-        "cb_conjunct_reorder",
     ),
     "durability": (
         "du_etl_wal_off",

@@ -295,7 +295,6 @@ def _cmd_trace(args) -> int:
         report = explain_analyze(plan, source.db, executor=args.executor)
         tracer: Tracer = report.tracer
         stats_db = source.db
-        traced_plan = report.plan
     else:
         from repro.analysis.studies import STUDY1_ELEMENTS, build_cohort_study
         from repro.etl import compile_study
@@ -307,7 +306,6 @@ def _cmd_trace(args) -> int:
         with tracing() as tracer:
             workflow.run(batch_size=args.batch_size)
         stats_db = None
-        traced_plan = None
     if args.flame:
         for root in tracer.roots:
             for line in root.flamegraph_lines():
@@ -321,8 +319,6 @@ def _cmd_trace(args) -> int:
         else:
             print()
             _print_statistics(stats_db)
-            if traced_plan is not None:
-                _print_build_sides(traced_plan, stats_db)
     if args.json_path:
         parent = os.path.dirname(args.json_path)
         if parent:
@@ -359,26 +355,6 @@ def _print_statistics(db) -> None:
             if "ndv" in entry:
                 line += f" ndv~{entry['ndv']:g} ({entry['ndv_source']})"
             print(line)
-
-
-def _print_build_sides(plan, db) -> None:
-    """Chosen hash-join build sides (with row estimates) for a traced plan."""
-    from repro.relational.algebra import Join, trace_label
-    from repro.relational.cost import estimate_plan_rows
-
-    joins = [node for node in plan.walk() if isinstance(node, Join)]
-    if not joins:
-        return
-    print()
-    print("join build sides:")
-    memo: dict[int, float] = {}
-    for join in joins:
-        left = estimate_plan_rows(join.left, db, memo)
-        right = estimate_plan_rows(join.right, db, memo)
-        print(
-            f"  {trace_label(join):40} build={join.build} "
-            f"est_left~{left:g} est_right~{right:g}"
-        )
 
 
 def _cmd_storage(args) -> int:

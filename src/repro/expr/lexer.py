@@ -67,7 +67,7 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(TokenType.COMMA, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
             i = _lex_number(source, i, tokens)
             continue
         if ch == ".":
@@ -96,14 +96,16 @@ def tokenize(source: str) -> list[Token]:
 
 
 def _lex_number(source: str, start: int, tokens: list[Token]) -> int:
+    # Digits are ``isdecimal`` characters, the ones ``int``/``float`` accept:
+    # ``isdigit`` also admits superscripts such as ``²``, which they refuse.
     i = start
     n = len(source)
     seen_dot = False
-    while i < n and (source[i].isdigit() or (source[i] == "." and not seen_dot)):
+    while i < n and (source[i].isdecimal() or (source[i] == "." and not seen_dot)):
         # A dot only belongs to the number when followed by a digit; otherwise
         # it is a path separator (e.g. ``Form1.Field`` never starts a float).
         if source[i] == ".":
-            if i + 1 >= n or not source[i + 1].isdigit():
+            if i + 1 >= n or not source[i + 1].isdecimal():
                 break
             seen_dot = True
         i += 1
@@ -112,8 +114,8 @@ def _lex_number(source: str, start: int, tokens: list[Token]) -> int:
         j = i + 1
         if j < n and source[j] in "+-":
             j += 1
-        if j < n and source[j].isdigit():
-            while j < n and source[j].isdigit():
+        if j < n and source[j].isdecimal():
+            while j < n and source[j].isdecimal():
                 j += 1
             i = j
     tokens.append(Token(TokenType.NUMBER, source[start:i], start))

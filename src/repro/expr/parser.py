@@ -47,7 +47,8 @@ def parse(source: str) -> Expression:
     """Parse ``source`` into an expression AST.
 
     Raises :class:`repro.errors.ParseError` (or ``LexError``) on malformed
-    input, and ``ParseError`` on input that is not a ``str``.  The result
+    input, on input nested deeper than the interpreter's recursion limit
+    allows, and on input that is not a ``str``.  The result
     round-trips: ``parse(e.to_source()) == e``.
 
     Results are memoized on the source text.  ASTs are frozen, so sharing
@@ -64,7 +65,12 @@ def parse(source: str) -> Expression:
 
 @lru_cache(maxsize=4096)
 def _parse_text(source: str) -> Expression:
-    return _Parser(tokenize(source)).parse()
+    try:
+        return _Parser(tokenize(source)).parse()
+    except RecursionError:
+        # Each nesting level (parentheses, NOT, unary minus, call or IN
+        # arguments) is a few frames of recursive descent.
+        raise ParseError("expression nests too deeply") from None
 
 
 class _Parser:

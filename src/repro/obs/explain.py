@@ -4,7 +4,7 @@ This is the one-call profiling API over the trace core: it optimizes and
 executes a query (or raw plan) with a private tracer installed and
 returns an :class:`ExplainReport` bundling the result rows, the final
 physical plan, and the recorded span trees — the ``optimize`` span with
-its rewrite counters and costed access-path events, and the ``execute``
+its rewrite counters and access-path events, and the ``execute``
 span whose children mirror the plan tree with actual ``rows_out`` and
 wall time per operator.
 

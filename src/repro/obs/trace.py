@@ -63,7 +63,7 @@ class Span:
         self.attrs[key] = value
 
     def event(self, name: str, **data: object) -> None:
-        """Record a point event (e.g. one costed access-path decision)."""
+        """Record a point event (e.g. one access-path decision)."""
         self.events.append({"event": name, **data})
 
     def child(self, name: str, **attrs: object) -> "Span":

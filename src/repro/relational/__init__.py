@@ -45,11 +45,8 @@ from repro.relational.batch import BATCH_SIZE, Batch
 from repro.relational.cost import (
     column_ndv,
     column_null_fraction,
-    conjunct_error_free,
-    costing_enabled,
     estimate_plan_rows,
     refresh_planning_stats,
-    set_costing_enabled,
 )
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, plan_fingerprint, prepare_stream_plan
@@ -110,13 +107,10 @@ __all__ = [
     "column_ndv",
     "column_null_fraction",
     "column_zone_map",
-    "conjunct_error_free",
-    "costing_enabled",
     "encoded_columns",
     "encoding_states",
     "estimate_plan_rows",
     "refresh_planning_stats",
-    "set_costing_enabled",
     "execute_interpreted",
     "execute_vectorized",
     "database_version",

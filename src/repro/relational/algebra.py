@@ -38,6 +38,7 @@ from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.evaluator import sql_equal
 from repro.obs.trace import TreeRecorder, current_tracer
 from repro.relational.database import Database
+from repro.relational.table import Table
 from repro.relational.types import Converter, DataType
 
 Row = dict[str, object]
@@ -189,6 +190,22 @@ class IndexLookup(Plan):
     table: str
     items: tuple[tuple[str, object], ...]
 
+    def bucket_rows(self, table: Table) -> int | None:
+        """Size of the bucket this probe reads, or None without one.
+
+        None when no index covers the items (``_stream`` then scans) or a
+        probe value is unhashable.  Planning counts probes by this, and
+        only this, so estimates and access-path choices agree.
+        """
+        index = table.matching_index([column for column, _ in self.items])
+        if index is None:
+            return None
+        values = dict(self.items)
+        try:
+            return index.count(tuple(values[column] for column in index.columns))
+        except TypeError:
+            return None
+
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         table = ctx.db.table(self.table)
         items = self.items
@@ -253,6 +270,40 @@ class InLookup(Plan):
     column: str
     values: tuple[object, ...]
 
+    def probe_keys(self, table: Table) -> list[tuple[object]]:
+        """The index keys this lookup reads: one per distinct live probe.
+
+        Bucket keys hash/compare Python-style; SQL equality only diverges
+        on bool-vs-non-bool probes (TRUE vs 1), so those are skipped, and
+        NULL probes never match.  Everything else needs no re-check
+        because extents are coerced to their declared type on write.
+        Distinct keys name disjoint buckets.
+        """
+        boolish = table.schema.column(self.column).dtype is DataType.BOOLEAN
+        return list(
+            dict.fromkeys(
+                (value,)
+                for value in self.values
+                if value is not None and isinstance(value, bool) == boolish
+            )
+        )
+
+    def bucket_rows(self, table: Table) -> int | None:
+        """Rows the probe returns, or None when no index matches.
+
+        The sum of :meth:`probe_keys`' bucket sizes, which is exactly the
+        row count ``_stream`` yields.  None also for an unhashable probe.
+        Planning counts probes by this, and only this, so estimates and
+        access-path choices agree with execution.
+        """
+        index = table.matching_index([self.column])
+        if index is None:
+            return None
+        try:
+            return sum(index.count(key) for key in self.probe_keys(table))
+        except TypeError:
+            return None
+
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         table = ctx.db.table(self.table)
         index = table.matching_index([self.column])
@@ -264,16 +315,9 @@ class InLookup(Plan):
                 for row in table.iter_rows()
                 if any(sql_equal(row.get(column), value) for value in values)
             )
-        # Bucket keys hash/compare Python-style; SQL equality only diverges
-        # on bool-vs-non-bool probes (TRUE vs 1), so those are skipped, and
-        # NULL probes never match.  Everything else needs no re-check
-        # because extents are coerced to their declared type on write.
-        boolish = table.schema.column(self.column).dtype is DataType.BOOLEAN
         positions: set[int] = set()
-        for value in self.values:
-            if value is None or isinstance(value, bool) != boolish:
-                continue
-            positions.update(index.lookup((value,)))
+        for key in self.probe_keys(table):
+            positions.update(index.lookup(key))
         ctx.annotate(
             self,
             access_path="index",
@@ -459,19 +503,12 @@ class Join(Plan):
     Non-join columns of the two sides must be disjoint; collide-by-accident
     joins are a classic silent-corruption source in hand-written ETL, so we
     refuse them and force an explicit :class:`Rename`.
-
-    ``build`` is a physical hint set by the cost-based optimizer: hash
-    executors build their table on that side (``"right"``, the default, or
-    ``"left"``).  It never changes output rows, order, or columns — the
-    left-build batch algorithm re-emits matches left-major — so the
-    streaming and interpreted executors are free to ignore it.
     """
 
     left: Plan
     right: Plan
     on: tuple[tuple[str, str], ...]
     how: str = "inner"
-    build: str = "right"
 
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
@@ -916,8 +953,7 @@ def trace_label(plan: Plan) -> str:
         return f"Rename[{','.join(f'{old}->{new}' for old, new in plan.mapping)}]"
     if isinstance(plan, Join):
         on = ",".join(f"{lk}={rk}" for lk, rk in plan.on)
-        side = "" if plan.build == "right" else f" build={plan.build}"
-        return f"Join[{plan.how}: {on}{side}]"
+        return f"Join[{plan.how}: {on}]"
     if isinstance(plan, Union):
         return f"Union[{len(plan.inputs)} inputs]"
     if isinstance(plan, Pivot):

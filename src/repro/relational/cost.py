@@ -1,8 +1,8 @@
-"""Cardinality estimation and cost-based planning inputs.
+"""Cardinality estimation over the planning statistics.
 
-This module turns the PR-7 statistics substrate (zone maps, null counts,
+This module turns the statistics substrate (zone maps, null counts,
 dictionaries in :mod:`repro.relational.stats`) into per-operator row
-estimates the optimizer can act on:
+estimates:
 
 * **NDV** — distinct-value counts per column, sourced from a built
   :class:`~repro.relational.stats.Dictionary` when one exists (exact over
@@ -16,34 +16,25 @@ estimates the optimizer can act on:
   selectivities, ``IS NULL`` reads the measured null fraction, and
   anything unprobeable falls back to the classic constants.
 * **Plan rows** — :func:`estimate_plan_rows` folds those numbers through
-  the operator tree (joins divide by the larger key NDV, aggregates cap
-  at the product of group-key NDVs, limits truncate).
+  the operator tree (index probes count their buckets, joins divide by
+  the larger key NDV, aggregates cap at the product of group-key NDVs,
+  limits truncate).
 
-Estimates never gate correctness: every consumer in ``query.py`` pairs
-them with a *soundness* proof (:func:`conjunct_error_free` here, key
-provenance there) before changing plan shape, so a wildly wrong estimate
-can only cost performance, never rows or error parity.
+Estimates never change a plan's shape: ``explain_analyze`` reports them
+next to the measured rows (``estimated_rows``, ``q_error``).
 
 Estimates are cached per table with *staleness tolerance*: an entry
 built at data version V keeps serving later versions until the row count
 drifts past :data:`PLANNING_STALENESS_FRACTION`, the way production
 planners live off periodic ANALYZE runs rather than re-profiling on
-every write.  That keeps small-delta workloads (incremental ETL
-refreshes) from paying a full-table statistics pass per mutation.  The
-*soundness* proofs are exempt — :func:`_range_error_free` always reads
-the current-version zone maps through :meth:`Table.derived`, because a
-stale band certificate could change error behavior, while a stale
-estimate can only change which of several proven-equivalent plans wins.
-``set_costing_enabled(False)`` switches the optimizer's cost-based
-rewrites off wholesale (benchmark baselines);
+every write; :func:`refresh_planning_stats` is the manual ANALYZE.
 ``set_statistics_enabled(False)`` degrades estimates to extent counts
-and defaults while keeping table-size-driven decisions available.
+and defaults.
 """
 
 from __future__ import annotations
 
 import weakref
-from datetime import date
 from typing import TYPE_CHECKING, Callable
 
 import repro.relational.table as _table_module
@@ -81,29 +72,6 @@ from repro.relational.stats import (
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.relational.database import Database
     from repro.relational.table import Table
-
-# -- global switch ------------------------------------------------------------
-
-_COST_ENABLED = True
-
-
-def costing_enabled() -> bool:
-    """Whether the optimizer applies cost-based rewrites (default on)."""
-    return _COST_ENABLED
-
-
-def set_costing_enabled(enabled: bool) -> bool:
-    """Toggle cost-based planning globally; returns the old value.
-
-    Benchmark baselines flip this off to run the *same* logical plan
-    without build-side/ordering decisions; estimates themselves (and the
-    stats they read) are unaffected.
-    """
-    global _COST_ENABLED
-    previous = _COST_ENABLED
-    _COST_ENABLED = bool(enabled)
-    return previous
-
 
 # -- stale-tolerant estimate cache --------------------------------------------
 
@@ -225,7 +193,7 @@ def column_null_fraction(table: "Table", column: str) -> float | None:
     return _planning_cached(table, ("null_fraction", column), build)  # type: ignore[return-value]
 
 
-# -- conjunct selectivity and evaluation cost ---------------------------------
+# -- conjunct selectivity -----------------------------------------------------
 
 
 def _clamp(fraction: float) -> float:
@@ -378,142 +346,6 @@ def predicate_selectivity(table: "Table | None", predicate: Expression) -> float
     return _clamp(fraction)
 
 
-def conjunct_cost(table: "Table | None", conjunct: Expression) -> float:
-    """Relative per-row evaluation cost of one conjunct.
-
-    Dictionary-aware: ``LIKE`` over a dictionary-encoded column runs in
-    code space (one pattern match per distinct value, then a list index
-    per row), so it is costed *below* a generic comparison — hoisting a
-    full-width equality pass above it would be a pessimization.
-    """
-    if isinstance(conjunct, IsNull):
-        return 0.5
-    if isinstance(conjunct, InList):
-        return 1.0 + 0.25 * len(conjunct.items)
-    if isinstance(conjunct, BinaryOp):
-        if conjunct.op == "LIKE":
-            if (
-                table is not None
-                and isinstance(conjunct.left, Identifier)
-                and len(conjunct.left.path) == 1
-                and statistics_enabled()
-            ):
-                name = conjunct.left.name
-                encoded = _planning_cached(
-                    table,
-                    ("dict_column", name),
-                    lambda: column_dictionary(table, name) is not None,
-                )
-                if encoded:
-                    return 0.75
-            return 4.0
-        if conjunct.op in ("=", "!=", "<", "<=", ">", ">="):
-            return 1.0
-    return 8.0
-
-
-# -- error-freedom proofs -----------------------------------------------------
-
-#: Bands whose internal ordering the evaluator accepts without raising:
-#: num never contains bool or NaN (type screening), str and bool compare
-#: within themselves.  Date ordering raises in ``_compare``, so ``date``
-#: is deliberately absent.
-_ORDERABLE_BANDS = frozenset({"num", "str", "bool"})
-
-
-def _safe_identifier(operand: Expression, columns: set[str]) -> bool:
-    return (
-        isinstance(operand, Identifier)
-        and len(operand.path) == 1
-        and operand.name in columns
-    )
-
-
-def _safe_scalar(operand: Expression, columns: set[str]) -> bool:
-    return isinstance(operand, Literal) or _safe_identifier(operand, columns)
-
-
-def conjunct_error_free(table: "Table", conjunct: Expression) -> bool:
-    """True when evaluating this conjunct on any row of ``table`` cannot raise.
-
-    The proof mirrors :func:`repro.expr.evaluator._compare` exactly:
-
-    * ``IS [NOT] NULL`` over an existing plain column never raises.
-    * ``=`` / ``!=`` never raise for *any* value pair (cross-type equality
-      degrades to False/True), so they are safe once both operands resolve
-      — plain existing identifiers or literals.
-    * ``LIKE`` coerces both sides through ``str`` after the NULL check.
-    * ``IN`` / ``NOT IN`` over literals reduce to equality comparisons.
-    * Ordering (``< <= > >=``) raises on cross-band pairs and on dates, so
-      a range conjunct is only safe with a zone-map proof: every chunk is
-      all-NULL or sits in the literal's own orderable band.  A NULL
-      literal is safe unconditionally (ordering vs NULL yields NULL
-      before any comparison happens).
-
-    Anything else — arithmetic, functions, NOT, dotted paths, unknown
-    columns — answers False; the optimizer then treats the conjunct as a
-    reorder barrier.
-    """
-    columns = set(table.schema.column_names)
-    if isinstance(conjunct, IsNull):
-        return _safe_scalar(conjunct.operand, columns)
-    if isinstance(conjunct, InList):
-        return _safe_scalar(conjunct.operand, columns) and all(
-            isinstance(item, Literal) for item in conjunct.items
-        )
-    if isinstance(conjunct, BinaryOp):
-        op = conjunct.op
-        if op in ("=", "!=", "LIKE"):
-            return _safe_scalar(conjunct.left, columns) and _safe_scalar(
-                conjunct.right, columns
-            )
-        if op in ("<", "<=", ">", ">="):
-            for ident, literal in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if not (
-                    _safe_identifier(ident, columns) and isinstance(literal, Literal)
-                ):
-                    continue
-                assert isinstance(ident, Identifier)
-                return _range_error_free(table, ident.name, literal.value)
-            if isinstance(conjunct.left, Literal) and isinstance(
-                conjunct.right, Literal
-            ):
-                return _literal_pair_orderable(
-                    conjunct.left.value, conjunct.right.value
-                )
-            return False
-    return False
-
-
-def _range_error_free(table: "Table", column: str, value: object) -> bool:
-    if value is None:
-        return True  # ordering vs NULL short-circuits to NULL, never compares
-    band = _value_band(value)
-    if band not in _ORDERABLE_BANDS:
-        return False  # NaN / date / exotic literals: no proof
-    if not statistics_enabled():
-        return False  # no zone maps to certify the column's bands
-    zone = column_zone_map(table, column)
-    if not zone:
-        return False
-    for stats in zone:
-        if stats.null_count == stats.length:
-            continue  # all-NULL chunks never reach the comparison
-        if stats.band != band:
-            return False
-    return True
-
-
-def _literal_pair_orderable(left: object, right: object) -> bool:
-    if left is None or right is None:
-        return True
-    left_band, right_band = _value_band(left), _value_band(right)
-    return left_band == right_band and left_band in _ORDERABLE_BANDS
-
-
 # -- per-operator row estimates -----------------------------------------------
 
 
@@ -582,10 +414,8 @@ def _estimate(plan: Plan, db: "Database", memo: dict[int, float]) -> float:
         if any(pid >= len(counts) for pid in plan.partitions):
             return float(len(table))  # stale scheme: execution scans everything
         return float(sum(counts[pid] for pid in plan.partitions))
-    if isinstance(plan, IndexLookup):
-        return _estimate_index_lookup(plan, db)
-    if isinstance(plan, InLookup):
-        return _estimate_in_lookup(plan, db)
+    if isinstance(plan, (IndexLookup, InLookup)):
+        return _estimate_lookup(plan, db)
     if isinstance(plan, Values):
         return float(len(plan.rows))
     if isinstance(plan, Select):
@@ -635,36 +465,19 @@ def _estimate(plan: Plan, db: "Database", memo: dict[int, float]) -> float:
     return sum(estimate_plan_rows(child, db, memo) for child in children)
 
 
-def _estimate_index_lookup(plan: IndexLookup, db: "Database") -> float:
+def _estimate_lookup(plan: IndexLookup | InLookup, db: "Database") -> float:
+    """A probe's bucket rows; the selectivity estimate when no index matches."""
     if not db.has_table(plan.table):
         return 0.0
     table = db.table(plan.table)
-    index = table.matching_index([column for column, _ in plan.items])
-    if index is not None:
-        values = dict(plan.items)
-        try:
-            key = tuple(values[column] for column in index.columns)
-            return float(len(index.lookup(key)))
-        except TypeError:
-            pass  # unhashable probe value: fall through to the estimate
-    rows = float(len(table))
+    rows = plan.bucket_rows(table)
+    if rows is not None:
+        return float(rows)
+    if isinstance(plan, InLookup):
+        return float(len(table)) * min(
+            _equality_selectivity(table, plan.column) * len(plan.values), 1.0
+        )
+    fallback = float(len(table))
     for column, _value in plan.items:
-        rows *= _equality_selectivity(table, column)
-    return rows
-
-
-def _estimate_in_lookup(plan: InLookup, db: "Database") -> float:
-    if not db.has_table(plan.table):
-        return 0.0
-    table = db.table(plan.table)
-    index = table.matching_index([plan.column])
-    if index is not None:
-        try:
-            return float(
-                sum(len(index.lookup((value,))) for value in plan.values)
-            )
-        except TypeError:
-            pass
-    return float(len(table)) * min(
-        _equality_selectivity(table, plan.column) * len(plan.values), 1.0
-    )
+        fallback *= _equality_selectivity(table, column)
+    return fallback

@@ -28,10 +28,9 @@ class Database:
         self.name = name
         self._tables: dict[str, Table] = {}
         self._structure_version = 0
-        #: key -> (plan epoch, pinned versions, estimated row counts, plan).
+        #: key -> (plan epoch, estimated row counts, plan).
         self._plan_cache: dict[
-            str,
-            tuple[int, tuple[tuple[str, int], ...], tuple[tuple[str, int], ...], object],
+            str, tuple[int, tuple[tuple[str, int], ...], object]
         ] = {}
         # Structure listener: the durability layer's DDL hook, called after
         # create_table/drop_table with (op, payload).  Payloads carry the
@@ -94,22 +93,17 @@ class Database:
         """The plan cached under ``key`` if its planning assumptions hold.
 
         An entry is valid when it was planned at :attr:`plan_epoch`
-        ``epoch`` (callers pass the current one), every table whose
-        zone-map certificate planning used is still at the exact data
-        version it was certified at, and every table whose estimates
-        planning consulted has a row count within
+        ``epoch`` (callers pass the current one) and every table whose
+        estimates planning consulted has a row count within
         :data:`PLANNING_STALENESS_FRACTION` of the count at planning time.
-        Anything else is a miss.
+        Anything else is a miss.  No plan depends on an exact data
+        version: estimates only choose among equivalent plans.
         """
         entry = self._plan_cache.get(key)
         if entry is None or entry[0] != epoch:
             return None
-        _, pinned, estimated, plan = entry
+        _, estimated, plan = entry
         tables = self._tables
-        for name, version in pinned:
-            table = tables.get(name)
-            if table is None or table.version != version:
-                return None
         for name, rows in estimated:
             table = tables.get(name)
             if table is None or abs(len(table) - rows) > (
@@ -123,19 +117,17 @@ class Database:
         key: str,
         epoch: int,
         plan: object,
-        pinned: Iterable[tuple[str, int]],
         estimated: Iterable[tuple[str, int]],
     ) -> None:
         """Cache ``plan`` as planned at :attr:`plan_epoch` ``epoch``.
 
-        ``pinned`` lists (table, data version) pairs of zone-map
-        certificates the plan rests on; ``estimated`` lists (table, row
-        count) pairs of the tables whose estimates chose among equivalent
-        plans.  :meth:`plan_cache_get` checks both.
+        ``estimated`` lists (table, row count) pairs of the tables whose
+        estimates chose among equivalent plans; :meth:`plan_cache_get`
+        checks them.
         """
         if len(self._plan_cache) >= self.PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
-        self._plan_cache[key] = (epoch, tuple(pinned), tuple(estimated), plan)
+        self._plan_cache[key] = (epoch, tuple(estimated), plan)
 
     def plan_cache_clear(self) -> None:
         self._plan_cache.clear()

@@ -48,15 +48,6 @@ from repro.relational.algebra import (
     TopK,
     Union,
     Unpivot,
-    Values,
-)
-from repro.relational.cost import (
-    _key_ndv,
-    conjunct_cost,
-    conjunct_error_free,
-    conjunct_selectivity,
-    costing_enabled,
-    estimate_plan_rows,
 )
 from repro.relational.database import Database
 from repro.relational.table import Table
@@ -173,31 +164,24 @@ def optimize(
 
     With a database the result is also memoized in the database's plan
     cache under the structural plan fingerprint, the vectorize flag and the
-    statistics and costing toggles (a plan costed under one regime must
-    never serve the other).  An entry is planned once per *shape*, not once
-    per data version: it stays valid while ``Database.plan_epoch`` (table
-    create/drop, index create/drop, repartition) is unchanged, plus
-    whatever data-dependent facts the rewrites consumed, which
-    :class:`_OptContext` records:
-
-    * a zone-map certificate (a range conjunct proven error-free, which
-      can change error behaviour once the data crosses bands) pins the
-      certified table's exact data version;
-    * an estimate (row counts, bucket sizes, NDV, the vectorize threshold),
-      which only picks among equivalent plans, holds until a consulted
-      table's row count drifts past ``PLANNING_STALENESS_FRACTION``.
-
-    So an insert never serves a plan probing a dropped index or a stale
-    band certificate, while a plan that consumed no data-dependent fact
-    survives every insert.  ``cache_key`` replaces the structural
-    fingerprint with a caller-built key (GUAVA keys a g-tree query by its
-    shape, :meth:`repro.guava.source.GuavaSource.execute`): the caller
-    vouches that the key determines ``plan`` and has already probed it
-    with :func:`cached_plan`, so this call plans and stores unconditionally
-    — and never pays for fingerprinting the plan.
+    statistics toggle (a plan estimated under one regime must never serve
+    the other).  An entry is planned once per *shape*, not once per data
+    version: it stays valid while ``Database.plan_epoch`` (table
+    create/drop, index create/drop, repartition) is unchanged and no table
+    an estimate consulted (bucket sizes choosing among index paths, the
+    vectorize threshold) has drifted past ``PLANNING_STALENESS_FRACTION``
+    in row count, as recorded by :class:`_OptContext`.  An estimate only
+    picks among equivalent plans, so an index or table change always
+    replans while a plan that consulted no estimate survives every insert.
+    ``cache_key`` replaces the structural fingerprint with a caller-built
+    key (GUAVA keys a g-tree query by its shape,
+    :meth:`repro.guava.source.GuavaSource.execute`): the caller vouches
+    that the key determines ``plan`` and has already probed it with
+    :func:`cached_plan`, so this call plans and stores unconditionally —
+    and never pays for fingerprinting the plan.
 
     Under an installed tracer (``repro.obs.tracing()``) the pass opens an
-    ``optimize`` span counting each rewrite applied and logging the costed
+    ``optimize`` span counting each rewrite applied and logging the
     access-path alternatives of every index lowering.  A cache hit still
     opens the span, but with ``plan_cache="hit"`` and no ``rewrite.*``
     counters — the absence of rewrite counters is the observable proof
@@ -226,9 +210,7 @@ def optimize(
             trace.set("plan_cache", "miss" if db is not None else "off")
             optimized = _plan(plan, db, ctx, vectorize)
     if db is not None and key is not None:
-        db.plan_cache_put(
-            key, epoch, optimized, ctx.pinned.items(), ctx.estimated.items()
-        )
+        db.plan_cache_put(key, epoch, optimized, ctx.estimated.items())
     return optimized
 
 
@@ -245,7 +227,7 @@ def cached_plan(db: Database, cache_key: str) -> Plan | None:
 
 
 def _toggles(vectorize: bool) -> str:
-    return f"V{int(vectorize)}S{int(statistics_enabled())}C{int(costing_enabled())}:"
+    return f"V{int(vectorize)}S{int(statistics_enabled())}:"
 
 
 def _cache_lookup(db: Database, key: str, tracer: Tracer | None) -> Plan | None:
@@ -260,8 +242,6 @@ def _cache_lookup(db: Database, key: str, tracer: Tracer | None) -> Plan | None:
 
 def _plan(plan: Plan, db: Database | None, ctx: "_OptContext", vectorize: bool) -> Plan:
     optimized = _rewrite(plan, ctx)
-    if db is not None and costing_enabled():
-        optimized = _cost_pass(optimized, ctx)
     if db is not None and vectorize:
         optimized = _vectorize_tree(optimized, db, ctx)
     return optimized
@@ -370,281 +350,22 @@ def _vectorize_tree(plan: Plan, db: Database, ctx: _OptContext) -> Plan:
     return _with_children(plan, children)
 
 
-def _cost_pass(plan: Plan, ctx: _OptContext) -> Plan:
-    """Cost-based physical decisions, applied top-down after the rewrites.
-
-    Three decisions, each gated on its own soundness proof (the estimate
-    picks *among* equivalent plans; the proof establishes equivalence):
-
-    * join-chain reordering (≥3 stacked PK joins, greedy most-selective
-      first, original column order restored by a projection),
-    * hash-join build-side selection (build on the estimated-smaller
-      input when the left subtree provably cannot raise),
-    * Select conjunct reordering (selectivity/cost rank, permuting only
-      within runs of provably error-free conjuncts).
-    """
-    if isinstance(plan, Join):
-        plan = _reorder_join_chain(plan, ctx)
-    if isinstance(plan, Join):
-        plan = _choose_build_side(plan, ctx)
-    if isinstance(plan, Select):
-        plan = _reorder_conjuncts(plan, ctx)
-    children = tuple(_cost_pass(child, ctx) for child in plan.children())
-    return _with_children(plan, children)
-
-
-def _choose_build_side(join: Join, ctx: _OptContext) -> Join:
-    """Build the hash table on the estimated-smaller join input.
-
-    Every executor builds on the right by default; when the left input is
-    estimated at less than half the right's rows, flipping saves hashing
-    the bulk side.  Soundness: the left-build algorithm emits the exact
-    right-build output (rows, order, columns), and consuming the left
-    side *first* is only observable through errors — so the flip requires
-    a proof that the left subtree cannot raise.  The 2x margin keeps
-    near-tie estimates on the default path.
-    """
-    db = ctx.db
-    assert db is not None
-    if join.build != "right" or join.how not in ("inner", "left"):
-        return join
-    ctx.consult_plan(join)
-    left_rows = estimate_plan_rows(join.left, db)
-    right_rows = estimate_plan_rows(join.right, db)
-    if left_rows * 2.0 >= right_rows:
-        return join
-    if not _error_free_subtree(join.left, ctx):
-        return join
-    ctx.note(
-        "join_build_side",
-        build="left",
-        estimated_left=round(left_rows),
-        estimated_right=round(right_rows),
-    )
-    return Join(join.left, join.right, join.on, join.how, "left")
-
-
-def _error_free_subtree(plan: Plan, ctx: _OptContext) -> bool:
-    """True when streaming this subtree cannot raise on any row.
-
-    Conservative by construction: base-table access paths never raise
-    (``sql_equal`` residuals included), row-preserving wrappers inherit
-    their child's proof, and a Select qualifies only when every conjunct
-    is provably error-free over its base table.  Everything else — joins,
-    computed columns, aggregates — answers False.
-    """
-    db = ctx.db
-    if db is None:
-        return False
-    if isinstance(plan, (Scan, PartitionScan, IndexLookup, InLookup)):
-        return db.has_table(plan.table)
-    if isinstance(plan, Values):
-        return True
-    if isinstance(plan, (Distinct, Limit)):
-        return _error_free_subtree(plan.child, ctx)
-    if isinstance(plan, Select):
-        child = plan.child
-        if not isinstance(child, (Scan, PartitionScan, IndexLookup, InLookup)):
-            return False
-        if not db.has_table(child.table):
-            return False
-        table = db.table(child.table)
-        return all(
-            ctx.error_free(table, conjunct)
-            for conjunct in _conjuncts(plan.predicate)
-        )
-    return False
-
-
-def _reorder_conjuncts(select: Select, ctx: _OptContext) -> Select:
-    """Order AND-conjuncts by estimated selectivity x evaluation cost.
-
-    The 3VL AND chain short-circuits left to right, so conjunct ``k``
-    evaluates on a row exactly when every earlier conjunct was non-False.
-    Permuting *provably error-free* conjuncts among themselves can
-    therefore change neither the kept rows nor which error surfaces
-    first; conjuncts without a proof act as barriers — they keep their
-    position and nothing moves across them, preserving the interpreted
-    oracle's error parity exactly.
-    """
-    db = ctx.db
-    assert db is not None
-    child = select.child
-    if not isinstance(child, (Scan, PartitionScan, IndexLookup, InLookup)):
-        return select
-    if not db.has_table(child.table):
-        return select
-    table = db.table(child.table)
-    conjuncts = list(_conjuncts(select.predicate))
-    if len(conjuncts) < 2:
-        return select
-    ctx.consult(table)
-
-    def rank(conjunct: Expression) -> float:
-        # Per-row benefit over cost: most-negative first means "cheapest
-        # way to discard the most rows" runs earliest.
-        return (conjunct_selectivity(table, conjunct) - 1.0) / conjunct_cost(
-            table, conjunct
-        )
-
-    ordered: list[Expression] = []
-    run: list[Expression] = []
-    for conjunct in conjuncts:
-        if ctx.error_free(table, conjunct):
-            run.append(conjunct)
-        else:
-            ordered.extend(sorted(run, key=rank))
-            run.clear()
-            ordered.append(conjunct)  # barrier: stays in place
-    ordered.extend(sorted(run, key=rank))
-    if ordered == conjuncts:
-        return select
-    ctx.note(
-        "conjunct_reorder",
-        table=child.table,
-        order=[conjunct.to_source() for conjunct in ordered],
-    )
-    return Select(child, conjunction(ordered))
-
-
-def _reorder_join_chain(join: Join, ctx: _OptContext) -> Plan:
-    """Greedily reorder a left-spine chain of >=3 inner PK joins.
-
-    Soundness conditions (all required, checked structurally):
-
-    * every spine join is inner with default build;
-    * each right side is a bare Scan/PartitionScan whose table's declared
-      primary key is exactly the join's right-key set — so each probe
-      matches at most one row, every step emits a subset of the base rows
-      in base order, and the chain's output is permutation-invariant;
-    * each join's left keys come from the base (leftmost) input, so key
-      values are identical at any chain position;
-    * neither the original nor the reordered chain has a column collision
-      (else the authored plan's own error must surface unchanged).
-
-    Dimension scans are error-free, so permuting their consumption order
-    cannot reorder errors.  The reordered chain appends payload columns
-    in the new order; a final projection restores the authored column
-    order, making the rewrite bit-identical end to end.
-    """
-    db = ctx.db
-    assert db is not None
-    spine: list[Join] = []  # outermost first
-    node: Plan = join
-    while isinstance(node, Join) and node.how == "inner" and node.build == "right":
-        spine.append(node)
-        node = node.left
-    if len(spine) < 3:
-        return join
-    ctx.consult_plan(join)
-    base = node
-    base_cols = ctx.column_set(base)
-    original_columns = ctx.columns_of(join)
-    if base_cols is None or original_columns is None:
-        return join
-
-    dims: list[tuple[Join, float]] = []  # innermost first, with selectivity
-    base_rows = estimate_plan_rows(base, db)
-    for step in reversed(spine):
-        right = step.right
-        if not isinstance(right, (Scan, PartitionScan)):
-            return join
-        if not db.has_table(right.table):
-            return join
-        rtable = db.table(right.table)
-        right_keys = {rk for _, rk in step.on}
-        if not rtable.schema.primary_key:
-            return join
-        if set(rtable.schema.primary_key) != right_keys:
-            return join
-        left_keys = tuple(lk for lk, _ in step.on)
-        if not set(left_keys) <= base_cols:
-            return join
-        key_ndv = _key_ndv(base, left_keys, db, base_rows)
-        selectivity = min(len(rtable) / max(key_ndv, 1.0), 1.0)
-        dims.append((step, selectivity))
-
-    reordered = sorted(dims, key=lambda item: item[1])  # stable: ties keep order
-    if [step for step, _ in reordered] == [step for step, _ in dims]:
-        return join
-    if not (
-        _chain_collision_free(base, [s for s, _ in dims], ctx)
-        and _chain_collision_free(base, [s for s, _ in reordered], ctx)
-    ):
-        return join
-    rebuilt: Plan = base
-    for step, _selectivity in reordered:
-        rebuilt = Join(rebuilt, step.right, step.on, step.how, step.build)
-    ctx.note(
-        "join_reorder",
-        order=[
-            (
-                step.right.table
-                if isinstance(step.right, (Scan, PartitionScan))
-                else type(step.right).__name__,
-                round(selectivity, 4),
-            )
-            for step, selectivity in reordered
-        ],
-    )
-    # Payload columns now append in the new order; restore the authored
-    # column order so the rewrite is invisible to every consumer.
-    return Project(rebuilt, original_columns)
-
-
-def _chain_collision_free(
-    base: Plan, steps: list[Join], ctx: _OptContext
-) -> bool:
-    """Would this chain order pass every step's column-collision check?"""
-    acc = ctx.column_set(base)
-    if acc is None:
-        return False
-    acc = set(acc)
-    for step in steps:
-        right_cols = ctx.column_set(step.right)
-        if right_cols is None:
-            return False
-        right_keys = {rk for _, rk in step.on}
-        if (acc & right_cols) - right_keys:
-            return False
-        acc |= right_cols - right_keys
-    return True
-
-
 class _OptContext:
     """Column knowledge for the rewrite pass, and the data it consumed.
 
-    ``pinned`` and ``estimated`` are the plan-cache validity facts (see
-    :func:`optimize`): table → data version for every zone-map certificate
-    a rewrite relied on, and table → row count for every table whose
-    estimates chose among equivalent plans.
+    ``estimated`` is the plan-cache validity fact (see :func:`optimize`):
+    table → row count for every table whose estimates chose among
+    equivalent plans.
     """
 
-    __slots__ = ("db", "trace", "_exec", "pinned", "estimated")
+    __slots__ = ("db", "trace", "_exec", "estimated")
 
     def __init__(self, db: Database | None):
         self.db = db
         #: The ``optimize`` span when tracing, else None (the common case).
         self.trace: Span | None = None
         self._exec = ExecContext(db) if db is not None else None
-        self.pinned: dict[str, int] = {}
         self.estimated: dict[str, int] = {}
-
-    def error_free(self, table: Table, conjunct: Expression) -> bool:
-        """:func:`conjunct_error_free`, pinning the table on a range proof.
-
-        A range conjunct is only proven error-free by the current zone
-        maps, so a plan that used the proof is valid at this exact data
-        version only.
-        """
-        proven = conjunct_error_free(table, conjunct)
-        if (
-            proven
-            and isinstance(conjunct, BinaryOp)
-            and conjunct.op in _FLIPPED_COMPARE
-        ):
-            self.pinned[table.schema.name] = table.version
-        return proven
 
     def consult(self, table: Table) -> None:
         """Record that an estimate over ``table`` picked the plan."""
@@ -821,7 +542,6 @@ def _push_into_join(predicate: Expression, join: Join, ctx: _OptContext) -> Plan
             join.right,
             join.on,
             join.how,
-            join.build,
         )
     if right_cols is not None and names <= right_cols:
         ctx.note("select_into_join")
@@ -830,7 +550,6 @@ def _push_into_join(predicate: Expression, join: Join, ctx: _OptContext) -> Plan
             _rewrite(Select(join.right, predicate), ctx),
             join.on,
             join.how,
-            join.build,
         )
     return Select(join, predicate)
 
@@ -866,25 +585,22 @@ def _lower_index_lookup(
     # estimate), then take the most selective one.
     choices: list[tuple[int, Plan, list[Expression]]] = []
     if eq_items:
-        eq_index = table.matching_index([column for column, _ in eq_items])
-        if eq_index is not None:
-            values = dict(eq_items)
-            key = tuple(values[column] for column in eq_index.columns)
+        eq_lookup = IndexLookup(scan.table, tuple(eq_items))
+        count = eq_lookup.bucket_rows(table)
+        if count is not None:
             rest = residual + [conjunct for _, conjunct in in_items]
-            choices.append(
-                (eq_index.count(key), IndexLookup(scan.table, tuple(eq_items)), rest)
-            )
+            choices.append((count, eq_lookup, rest))
     for position, ((column, values), _conjunct) in enumerate(in_items):
-        in_index = table.matching_index([column])
-        if in_index is None:
+        in_lookup = InLookup(scan.table, column, values)
+        count = in_lookup.bucket_rows(table)
+        if count is None:
             continue
-        count = sum(in_index.count((value,)) for value in values)
         rest = (
             [BinaryOp("=", Identifier.of(c), Literal(v)) for c, v in eq_items]
             + residual
             + [c for index, (_, c) in enumerate(in_items) if index != position]
         )
-        choices.append((count, InLookup(scan.table, column, values), rest))
+        choices.append((count, in_lookup, rest))
     if not choices:
         return None
     if len(choices) > 1:
@@ -1102,7 +818,7 @@ def _push_project_into_join(
         else join.right
     )
     return Project(
-        Join(new_left, new_right, join.on, join.how, join.build), project.columns
+        Join(new_left, new_right, join.on, join.how), project.columns
     )
 
 
@@ -1126,7 +842,7 @@ def prepare_stream_plan(
     for node in _walk(optimized):
         # A residual select above an already-lowered lookup counts too: an
         # index on its columns lets re-optimization pick a more selective
-        # access path (the cost-based choice needs the index to exist).
+        # access path (the bucket-size choice needs the index to exist).
         if not (
             isinstance(node, Select)
             and isinstance(node.child, (Scan, IndexLookup, InLookup, PartitionScan))
@@ -1193,7 +909,7 @@ def _with_children(plan: Plan, children: tuple[Plan, ...]) -> Plan:
     if isinstance(plan, Rename):
         return Rename(children[0], plan.mapping)
     if isinstance(plan, Join):
-        return Join(children[0], children[1], plan.on, plan.how, plan.build)
+        return Join(children[0], children[1], plan.on, plan.how)
     if isinstance(plan, Union):
         return Union(children)
     if isinstance(plan, Distinct):

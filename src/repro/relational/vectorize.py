@@ -119,7 +119,7 @@ from repro.relational.stats import (
     encoded_columns,
     statistics_enabled,
 )
-from repro.relational.types import Converter, DataType
+from repro.relational.types import Converter
 
 #: Estimated input rows below which the planner leaves a subtree on the
 #: row-at-a-time path: batch setup overhead only pays off with volume.
@@ -214,19 +214,16 @@ def fully_vectorizable(plan: Plan) -> bool:
 def estimated_input_rows(plan: Plan, db: Database) -> int:
     """Planner estimate: total base rows feeding the subtree.
 
-    Index probes count the rows they will actually read: an
-    :class:`IndexLookup` its bucket (the whole table when no index matches
-    and it falls back to a scan), an :class:`InLookup` the sum of its
-    buckets, skipping the probes its ``_stream`` skips.  So an EAV probe
-    that returns thousands of rows clears ``VECTORIZE_MIN_ROWS`` while a
-    point lookup stays on the row path.
+    Index probes count the rows they will actually read, their
+    ``bucket_rows`` (the whole table when no index matches and they fall
+    back to a scan).  So an EAV probe that returns thousands of rows
+    clears ``VECTORIZE_MIN_ROWS`` while a point lookup stays on the row
+    path.
     """
     total = 0
     for node in plan.walk():
-        if type(node) is IndexLookup:
-            total += _index_lookup_rows(node, db)
-        elif type(node) is InLookup:
-            total += _in_lookup_rows(node, db)
+        if type(node) is IndexLookup or type(node) is InLookup:
+            total += _probe_rows(node, db)
         elif type(node) is Scan:
             if db.has_table(node.table):
                 total += len(db.table(node.table))
@@ -247,36 +244,12 @@ def estimated_input_rows(plan: Plan, db: Database) -> int:
     return total
 
 
-def _index_lookup_rows(node: IndexLookup, db: Database) -> int:
+def _probe_rows(node: IndexLookup | InLookup, db: Database) -> int:
     if not db.has_table(node.table):
         return 0
     table = db.table(node.table)
-    index = table.matching_index([column for column, _ in node.items])
-    if index is None:
-        return len(table)  # IndexLookup._stream's scan fallback
-    values = dict(node.items)
-    try:
-        return index.count(tuple(values[column] for column in index.columns))
-    except TypeError:
-        return len(table)  # unhashable probe: no bucket to measure
-
-
-def _in_lookup_rows(node: InLookup, db: Database) -> int:
-    if not db.has_table(node.table):
-        return 0
-    table = db.table(node.table)
-    index = table.matching_index([node.column])
-    if index is None:
-        return len(table)  # InLookup._stream's scan fallback
-    boolish = table.schema.column(node.column).dtype is DataType.BOOLEAN
-    total = 0
-    for value in node.values:
-        # The probes InLookup._stream skips: NULL never matches, and a
-        # bool probe never SQL-equals a non-bool column (nor vice versa).
-        if value is None or isinstance(value, bool) != boolish:
-            continue
-        total += index.count((value,))
-    return total
+    rows = node.bucket_rows(table)
+    return len(table) if rows is None else rows  # None: the scan fallback
 
 
 # -- batch streams per node ----------------------------------------------------
@@ -849,189 +822,7 @@ class JoinBuild:
         return Batch(self.out_columns, data, len(left_idx))
 
 
-class JoinBuildLeft:
-    """Left-build variant of the vectorized hash join.
-
-    Chosen by the cost-based optimizer (``Join.build == "left"``) when the
-    left input is estimated far smaller than the right: the left input is
-    materialized and hashed (key → global left positions), the right input
-    streams past it once, appending matching payload tuples per left
-    position in right-stream order, and a final left-major emission
-    reproduces the right-build output *exactly* — same rows, same order,
-    same columns, same batch boundaries.  The optimizer only selects this
-    path when the left subtree provably cannot raise, so consuming the
-    left side first never changes which error surfaces.
-    """
-
-    __slots__ = (
-        "on",
-        "left_cols",
-        "payload_cols",
-        "out_columns",
-        "left_join",
-        "single",
-        "positions",
-        "matches",
-        "null_payload",
-        "batches",
-        "_total",
-    )
-
-    def __init__(self, plan: Join, ctx: ExecContext):
-        if plan.how not in ("inner", "left"):
-            raise QueryError(f"unsupported join type {plan.how!r}")
-        left_cols = ctx.columns(plan.left)
-        right_cols = ctx.columns(plan.right)
-        right_keys = {rk for _, rk in plan.on}
-        overlap = (set(left_cols) & set(right_cols)) - right_keys
-        if overlap:
-            raise QueryError(
-                f"join would collide on columns {sorted(overlap)}; rename one side"
-            )
-        self.on = plan.on
-        self.left_cols = left_cols
-        self.payload_cols = tuple(c for c in right_cols if c not in right_keys)
-        self.out_columns = left_cols + self.payload_cols
-        self.left_join = plan.how == "left"
-        self.single = len(plan.on) == 1
-        #: key → global left row positions, in left-stream order.
-        self.positions: dict[object, list[int]] = {}
-        #: global left position → matched payloads, in right-stream order.
-        self.matches: dict[int, list[tuple[object, ...]]] = {}
-        self.null_payload = (None,) * len(self.payload_cols)
-        self.batches: list[Batch] = []
-        self._total = 0
-
-    def add_left(self, batch: Batch) -> None:
-        """Materialize and hash one left batch into the position table."""
-        offset = self._total
-        self.batches.append(batch)
-        self._total = offset + batch.length
-        positions = self.positions
-        get = positions.get
-        id_types = _IDENTITY_KEY_TYPES
-        lks = [lk for lk, _ in self.on]
-        if self.single:
-            kcol = _gather(batch, lks[0])
-            if set(map(type, kcol)) <= id_types:
-                for i, key in enumerate(kcol):
-                    bucket = get(key)
-                    if bucket is None:
-                        positions[key] = [offset + i]
-                    else:
-                        bucket.append(offset + i)
-                return
-            for i, key in enumerate(kcol):
-                if key is None:
-                    continue  # NULL keys never match; emit() handles them
-                if type(key) not in id_types:
-                    key = canonical_key(key)
-                bucket = get(key)
-                if bucket is None:
-                    positions[key] = [offset + i]
-                else:
-                    bucket.append(offset + i)
-        else:
-            kcols = [_gather(batch, lk) for lk in lks]
-            for i, kraw in enumerate(zip(*kcols)):
-                key = tuple(
-                    v if type(v) in id_types else canonical_key(v) for v in kraw
-                )
-                if None not in key:
-                    bucket = get(key)
-                    if bucket is None:
-                        positions[key] = [offset + i]
-                    else:
-                        bucket.append(offset + i)
-
-    def add_right(self, rbatch: Batch) -> None:
-        """Append one right batch's payloads to ``matches``, in row order."""
-        matches = self.matches
-        matched = matches.get
-        get = self.positions.get
-        id_types = _IDENTITY_KEY_TYPES
-        rks = [rk for _, rk in self.on]
-        # Payload tuples are built per *matched* row, not batch-wide: the
-        # optimizer picks the left build exactly when probes mostly miss,
-        # so an eager transpose would pay for rows that never join.
-        pcols = [rbatch.column(c) for c in self.payload_cols]
-        empty = ()
-        # NULL keys (and key tuples holding a NULL) never enter
-        # ``positions``, so they miss like any other absent key.
-        if self.single:
-            kcol = _gather(rbatch, rks[0])
-            if set(map(type, kcol)) <= id_types:
-                keys: Iterable[object] = kcol
-            else:
-                keys = (
-                    key if key is None or type(key) in id_types else canonical_key(key)
-                    for key in kcol
-                )
-        else:
-            kcols = [_gather(rbatch, rk) for rk in rks]
-            keys = (
-                tuple(v if type(v) in id_types else canonical_key(v) for v in kraw)
-                for kraw in zip(*kcols)
-            )
-        for i, key in enumerate(keys):
-            bucket = get(key)
-            if not bucket:
-                continue
-            payload = tuple(c[i] for c in pcols) if pcols else empty
-            for pos in bucket:
-                payloads = matched(pos)
-                if payloads is None:
-                    matches[pos] = [payload]
-                else:
-                    payloads.append(payload)
-
-    def emit(self) -> Iterator[Batch]:
-        """Left-major emission: one output batch per non-empty left batch.
-
-        Per left row, payloads come out in right-stream order — exactly
-        the bucket order a right-side build would have produced — so the
-        output is bit-identical to :class:`JoinBuild`'s.
-        """
-        matches_get = self.matches.get
-        left_join = self.left_join
-        null_payload = self.null_payload
-        offset = 0
-        for batch in self.batches:
-            left_idx: list[int] = []
-            payloads: list[tuple[object, ...]] = []
-            idx_append = left_idx.append
-            payload_append = payloads.append
-            for i in range(batch.length):
-                matched = matches_get(offset + i)
-                if matched:
-                    for payload in matched:
-                        idx_append(i)
-                        payload_append(payload)
-                elif left_join:
-                    idx_append(i)
-                    payload_append(null_payload)
-            offset += batch.length
-            if not left_idx:
-                continue
-            data: dict[str, list[object]] = {}
-            for name in self.left_cols:
-                col = batch.column(name)
-                data[name] = [col[i] for i in left_idx]
-            if self.payload_cols:
-                for name, out_col in zip(self.payload_cols, zip(*payloads)):
-                    data[name] = list(out_col)
-            yield Batch(self.out_columns, data, len(left_idx))
-
-
 def _join_batches(plan: Join, ctx: ExecContext) -> Iterator[Batch]:
-    if plan.build == "left":
-        build_left = JoinBuildLeft(plan, ctx)
-        for lbatch in _node_batches(plan.left, ctx):
-            build_left.add_left(lbatch)
-        for rbatch in _node_batches(plan.right, ctx):
-            build_left.add_right(rbatch)
-        yield from build_left.emit()
-        return
     build = JoinBuild(plan, ctx)
     for rbatch in _node_batches(plan.right, ctx):
         build.add(rbatch)

@@ -1,13 +1,13 @@
-"""Cost-based planning never changes query results — only their speed.
+"""Estimates never change query results, and plans keep their authored order.
 
-The three cost-based decisions (hash-join build side, join-chain order,
-Select conjunct order) must be *bit-identical* to the interpreted oracle
-in rows AND row order across the streaming and vectorized batch
-executors — including NULL-heavy columns and skewed join
-keys.  Error parity is exact for the reorders (a pinned case proves an
-error-raising conjunct is never hoisted past the conjunct that would
-have short-circuited it), and the plan cache must never serve a plan
-costed under one statistics/costing regime to the other.
+Cardinality estimates feed ``explain_analyze`` and choose among index
+access paths; they never reorder joins, join sides or conjuncts.  Joins,
+join chains and conjunctions — including NULL-heavy columns, skewed join
+keys and a conjunct that raises when reached — must be *bit-identical*
+to the interpreted oracle in rows, row order and error across the
+streaming and vectorized batch executors.  The plan cache must never
+serve a plan planned under one statistics regime to the other, and
+planning statistics stay stale-tolerant until a manual refresh or drift.
 """
 
 import pytest
@@ -21,10 +21,7 @@ from repro.relational import (
     DataType,
     Query,
     TableSchema,
-    Vectorized,
-    costing_enabled,
     execute_interpreted,
-    set_costing_enabled,
     set_statistics_enabled,
 )
 from repro.relational.algebra import Join, Scan, Select
@@ -108,44 +105,25 @@ def _the_join(plan) -> Join:
     return joins[0]
 
 
-# -- build-side selection ------------------------------------------------------
-
-
-def test_build_side_flips_to_smaller_left_input(db):
-    plan = Join(Scan("small"), Scan("big"), (("key", "key"),))
-    assert _the_join(optimize(plan, db)).build == "left"
-    _assert_three_way(db, plan)
-
-
-def test_build_side_flip_left_join(db):
-    plan = Join(Scan("small"), Scan("big"), (("key", "key"),), "left")
-    assert _the_join(optimize(plan, db)).build == "left"
-    _assert_three_way(db, plan)
+# -- join sides ----------------------------------------------------------------
 
 
 def test_no_flip_when_left_is_larger(db):
     plan = Join(Scan("big"), Scan("small"), (("key", "key"),))
-    assert _the_join(optimize(plan, db)).build == "right"
+    assert _the_join(optimize(plan, db)).left == Scan("big")
     _assert_three_way(db, plan)
 
 
 def test_no_flip_without_error_freedom_proof(db):
-    # The left subtree's predicate does arithmetic, which the proof
-    # refuses — the flip must not fire even though left is far smaller.
+    # A far smaller left input with a filter: the sides stay as written,
+    # and every executor consumes the right side first.
     left = Select(Scan("small"), parse("key + 0 >= 0"))
     plan = Join(left, Scan("big"), (("key", "key"),))
-    assert _the_join(optimize(plan, db)).build == "right"
+    assert _the_join(optimize(plan, db)).left == left
     _assert_three_way(db, plan)
 
 
-def test_flip_with_safe_filtered_left_input(db):
-    left = Select(Scan("small"), parse("key != 3"))
-    plan = Join(left, Scan("big"), (("key", "key"),))
-    assert _the_join(optimize(plan, db)).build == "left"
-    _assert_three_way(db, plan)
-
-
-# -- join-chain reordering -----------------------------------------------------
+# -- join chains ---------------------------------------------------------------
 
 
 def _chain_db() -> Database:
@@ -189,26 +167,13 @@ def _worst_first_chain():
     )
 
 
-def test_chain_reorders_most_selective_first():
-    db = _chain_db()
-    optimized = optimize(_worst_first_chain(), db)
-    order = [
-        node.right.table
-        for node in optimized.walk()
-        if isinstance(node, Join) and isinstance(node.right, Scan)
-    ]
-    # walk() is pre-order, so the outermost (last-executed) join comes
-    # first; innermost-first execution order is the reverse.
-    assert list(reversed(order)) == ["d_b", "d_a", "d_c"]
-
-
 def test_chain_reorder_bit_identical_all_executors():
     db = _chain_db()
     plan = _worst_first_chain()
     reference = _outcome(lambda: execute_interpreted(plan, db))
     assert reference[0] == "ok"
     _assert_three_way(db, plan)
-    # Column order is restored by the wrapping projection.
+    # Columns come out in the authored order.
     rows = optimize(plan, db).execute(db)
     assert list(rows[0]) == list(reference[1][0])
 
@@ -237,26 +202,12 @@ def test_chain_without_primary_keys_keeps_authored_order():
     _assert_three_way(db, plan)
 
 
-# -- conjunct reordering -------------------------------------------------------
-
-
-def test_cheap_selective_conjunct_hoisted_before_like(db):
-    # ``mixed`` is unique text: its dictionary is refused, so the LIKE is
-    # a genuine per-row regex and the cheap selective equality wins.
-    plan = Query.table("big").where("mixed LIKE '%7%' AND value = 7").plan
-    optimized = optimize(plan, db)
-    selects = [n for n in optimized.walk() if isinstance(n, Select)]
-    assert selects, "Select vanished"
-    source = selects[0].predicate.to_source()
-    assert source.index("value = 7") < source.index("LIKE")
-    _assert_three_way(db, plan)
+# -- conjunct order -------------------------------------------------------------
 
 
 def test_dictionary_like_stays_before_weaker_equality(db):
-    # ``note`` has 11 distinct values, so its LIKE runs in code space:
-    # costed below a generic equality and measured 1/11 selective against
-    # the dictionary.  Its rank beats ``key = 1``'s, so the authored
-    # order already wins and must not be flipped.
+    # ``note`` has 11 distinct values, so its LIKE runs in code space;
+    # the authored order is the evaluated order.
     plan = Query.table("big").where("note LIKE 'note-3%' AND key = 1").plan
     optimized = optimize(plan, db)
     selects = [n for n in optimized.walk() if isinstance(n, Select)]
@@ -269,9 +220,7 @@ def test_error_conjunct_is_never_hoisted(db):
     # ``mixed > 5`` compares strings against a number: the evaluator
     # raises on every row it actually reaches.  ``seq < 0`` is false on
     # every row (never NULL), so the interpreted oracle short-circuits
-    # the error away entirely — and so must every cost-planned executor,
-    # which requires that the reorder treats the unprovable conjunct as
-    # a barrier.
+    # the error away entirely — and so must every optimized executor.
     alone = _outcome(lambda: optimize(Query.table("big").where("mixed > 5").plan, db).execute(db))
     assert alone[0] == "err"  # the conjunct genuinely raises when reached
     plan = Query.table("big").where("seq < 0 AND mixed > 5").plan
@@ -281,8 +230,7 @@ def test_error_conjunct_is_never_hoisted(db):
 
 
 def test_safe_conjuncts_do_not_cross_a_barrier(db):
-    # LIKE (safe) may not move past ``mixed > 5`` (barrier) even though
-    # its rank is better than the barrier's.
+    # The selective equality stays behind ``mixed > 5``, which raises.
     plan = Query.table("big").where("mixed > 5 AND vendor = 'acme'").plan
     optimized = optimize(plan, db)
     selects = [n for n in optimized.walk() if isinstance(n, Select)]
@@ -365,13 +313,7 @@ def test_estimated_rows_and_q_error_in_explain_analyze(db):
         assert attrs["q_error"] >= 1.0
 
 
-def test_join_build_side_rewrite_counted_in_trace(db):
-    db.plan_cache_clear()
-    report = explain_analyze(Join(Scan("small"), Scan("big"), (("key", "key"),)), db)
-    assert report.rewrites_applied().get("join_build_side") == 1
-
-
-# -- plan-cache keying of the statistics/costing regime ------------------------
+# -- plan-cache keying of the statistics regime --------------------------------
 
 
 def test_plan_cache_never_crosses_statistics_regimes(db):
@@ -387,19 +329,6 @@ def test_plan_cache_never_crosses_statistics_regimes(db):
     finally:
         set_statistics_enabled(previous)
     assert optimize(plan, db) is first  # original entry still keyed
-
-
-def test_plan_cache_never_crosses_costing_regimes(db):
-    plan = Query.table("big").where("note LIKE 'note-5%' AND value = 9").plan
-    costed = optimize(plan, db)
-    previous = set_costing_enabled(False)
-    try:
-        uncosted = optimize(plan, db)
-        assert uncosted is not costed
-        assert uncosted.execute(db) == costed.execute(db)
-    finally:
-        set_costing_enabled(previous)
-    assert costing_enabled()
 
 
 def test_planning_stats_tolerate_small_deltas_and_refresh_on_demand():

@@ -11,14 +11,14 @@ identical plans on every read.  The invariants under test:
   table create/drop — bumps :attr:`Database.epoch`, and it never rewinds,
   even when ``drop_table`` discards a table whose versions contributed;
 * an entry is valid while :attr:`Database.plan_epoch` (tables, indexes,
-  partitions) is unchanged, the tables whose zone-map certificates it
-  used are at their certified data versions, and the tables whose
-  estimates picked it have drifted at most
-  ``PLANNING_STALENESS_FRACTION`` in row count — so a mutate-then-query
-  sequence is never served a stale plan, yet inserts alone do not replan.
+  partitions) is unchanged and the tables whose estimates picked it have
+  drifted at most ``PLANNING_STALENESS_FRACTION`` in row count — so a
+  mutate-then-query sequence is never served a stale plan, yet inserts
+  alone do not replan;
+* no plan depends on an exact data version: conjuncts keep their
+  authored order, so a cached plan raises exactly where the interpreted
+  oracle does after the data crosses zone-map bands.
 """
-
-import pytest
 
 from repro.obs import explain_analyze, tracing
 from repro.relational import (
@@ -27,6 +27,7 @@ from repro.relational import (
     IndexLookup,
     Plan,
     Query,
+    Select,
     TableSchema,
     Vectorized,
     optimize,
@@ -213,9 +214,9 @@ class TestInvalidation:
 
 
 class TestZoneMapCertificates:
-    """A conjunct order that rests on a zone-map band certificate is only
-    valid at the certified data version: once the data crosses bands the
-    reordered plan could raise where the authored order does not."""
+    """Zone maps certify no reorder: a cached plan keeps the authored
+    conjunct order, so once the data crosses bands it raises exactly
+    where the interpreted oracle raises, and never where it does not."""
 
     @staticmethod
     def _db() -> Database:
@@ -236,44 +237,35 @@ class TestZoneMapCertificates:
         except Exception as error:  # noqa: BLE001 - comparing outcomes
             return type(error).__name__
 
-    def test_certified_reorder_is_replanned_after_the_data_crosses_bands(self):
+    def test_cached_plan_raises_where_the_oracle_does_after_crossing_bands(self):
         from repro.relational.interpret import execute_interpreted
 
         db = self._db()
-        # ``x > 'abc'`` is error-free only while every x is NULL (the zone
-        # maps certify it); it is estimated most selective, so it moves
-        # ahead of ``k = 'a'``.
+        # ``x > 'abc'`` cannot raise while every x is NULL, and is the
+        # more selective conjunct; it still runs second.
         plan = Query.table("t").where("k = 'a' AND x > 'abc'").plan
-        with tracing() as tracer:
-            first = optimize(plan, db, vectorize=False)
-        (span,) = [root for root in tracer.roots if root.name == "optimize"]
-        assert span.attrs.get("rewrite.conjunct_reorder") == 1
-        assert optimize(plan, db, vectorize=False) is first
+        first = optimize(plan, db, vectorize=False)
+        (select,) = [node for node in first.walk() if isinstance(node, Select)]
+        assert select.predicate == plan.predicate
 
-        # Crossing bands where ``k = 'a'`` is False: the authored order
-        # never compares that x, the certified order would raise.
+        # Crossing bands where ``k = 'a'`` is False: no plan compares that x.
         db.insert("t", [{"id": 100, "k": "b", "x": 5}])
-        with pytest.raises(Exception):
-            first.execute(db)
-        replanned = optimize(plan, db, vectorize=False)
-        assert replanned is not first
-        assert self._outcome(lambda: replanned.execute(db)) == self._outcome(
+        assert optimize(plan, db, vectorize=False) is first
+        assert self._outcome(lambda: first.execute(db)) == self._outcome(
             lambda: execute_interpreted(plan, db)
         )
 
         # The raising case: a row that reaches the comparison raises under
-        # every plan.
+        # the cached plan and the oracle alike.
         db.insert("t", [{"id": 101, "k": "a", "x": 6}])
         interpreted = self._outcome(lambda: execute_interpreted(plan, db))
         assert isinstance(interpreted, str)
-        assert self._outcome(
-            lambda: optimize(plan, db, vectorize=False).execute(db)
-        ) == interpreted
+        assert optimize(plan, db, vectorize=False) is first
+        assert self._outcome(lambda: first.execute(db)) == interpreted
 
     def test_an_uncertified_plan_survives_inserts(self):
         db = self._db()
         db.insert("t", [{"id": 100, "k": "b", "x": 5}])
-        # No certificate now: the range conjunct is a barrier.
         plan = Query.table("t").where("k = 'a' AND x > 'abc'").plan
         first = optimize(plan, db, vectorize=False)
         db.insert("t", [{"id": 101, "k": "b", "x": 7}])

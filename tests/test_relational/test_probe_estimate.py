@@ -1,12 +1,17 @@
-"""The vectorize threshold counts index probes by their bucket sizes.
+"""Index probes are counted one way: by the buckets they read.
 
-``estimated_input_rows`` decides whether a subtree runs on the batch
-path.  An ``IndexLookup`` counts the rows of its bucket (or the whole
-table when no index matches and it falls back to a scan); an
-``InLookup`` sums its buckets, skipping exactly the probes its
+An ``IndexLookup`` counts the rows of its bucket; an ``InLookup`` sums
+the buckets of its distinct probes, skipping exactly the probes its
 ``_stream`` skips: NULL, and a bool probe against a non-bool column (or
-the reverse).  So a probe feeding thousands of rows is vectorized and a
-point lookup is not.
+the reverse).  Three consumers share that count (``bucket_rows``):
+
+* ``estimated_input_rows`` decides whether a subtree runs on the batch
+  path, so a probe feeding thousands of rows is vectorized and a point
+  lookup is not (the whole table when no index matches: the scan
+  fallback reads it all);
+* ``estimate_plan_rows`` reports it as ``explain_analyze``'s
+  ``estimated_rows`` (a selectivity estimate when no index matches);
+* index lowering ranks access paths by it.
 """
 
 from repro.relational import (
@@ -17,10 +22,13 @@ from repro.relational import (
     Pivot,
     Plan,
     Query,
+    Select,
     TableSchema,
     Vectorized,
     optimize,
 )
+from repro.obs import explain_analyze
+from repro.relational.cost import estimate_plan_rows
 from repro.relational.interpret import execute_interpreted
 from repro.relational.vectorize import VECTORIZE_MIN_ROWS, estimated_input_rows
 
@@ -117,6 +125,78 @@ class TestInLookupEstimate:
         for values in [(1, 2, 3), (None, 7), (True, 4), (-1,), ()]:
             plan = InLookup("eav", "record_id", values)
             assert estimated_input_rows(plan, db) == len(plan.execute(db))
+
+
+class TestPlanRowEstimate:
+    """``estimate_plan_rows`` equals the rows an indexed probe returns."""
+
+    PROBES = [
+        InLookup("eav", "flag", (None,)),
+        InLookup("eav", "flag", (1,)),
+        InLookup("eav", "flag", (None, 1, True)),
+        InLookup("eav", "record_id", (True, 1)),
+        InLookup("eav", "record_id", (None, 2, 2, 2.0)),
+        IndexLookup("eav", (("kind", "rare"),)),
+    ]
+
+    def test_null_and_bool_probes_count_what_the_probe_returns(self):
+        db = _db()
+        assert estimate_plan_rows(InLookup("eav", "flag", (None,)), db) == 0
+        assert estimate_plan_rows(InLookup("eav", "flag", (1,)), db) == 0
+        assert estimate_plan_rows(InLookup("eav", "record_id", (True, 1)), db) == 4
+        # Repeated or Python-equal probes read one bucket once.
+        assert estimate_plan_rows(InLookup("eav", "record_id", (1, 1, 1.0)), db) == 4
+        for plan in self.PROBES:
+            assert estimate_plan_rows(plan, db) == len(plan.execute(db))
+
+    def test_explain_analyze_estimate_has_no_error(self):
+        db = _db()
+        for plan in self.PROBES:
+            report = explain_analyze(plan, db)
+            (span,) = [span for node, span in report.node_spans() if node == plan]
+            assert span.attrs["access_path"] == "index"
+            assert span.attrs["estimated_rows"] == span.attrs["rows_out"]
+            assert span.attrs["q_error"] == 1.0
+
+    def test_scan_fallback_estimates_output_not_input(self):
+        db = _db()
+        plan = InLookup("eav", "attribute", ("a1",))
+        # Execution reads the whole table but keeps a quarter of it.
+        assert estimated_input_rows(plan, db) == 1000
+        assert estimate_plan_rows(plan, db) == 250
+
+
+class TestIndexLowering:
+    """Lowering ranks access paths by the rows each probe returns."""
+
+    def test_bool_probes_on_a_boolean_column_read_nothing(self):
+        db = _db()
+        # ``1`` and ``2`` never SQL-equal a BOOLEAN, so the membership
+        # probe reads 0 rows, against 100 for the equality.
+        plan = Query.table("eav").where("flag IN (NULL, 1, 2) AND kind = 'rare'").plan
+        optimized = optimize(plan, db)
+        assert isinstance(optimized, Select)
+        assert optimized.child == InLookup("eav", "flag", (1, 2))
+        assert optimized.execute(db) == execute_interpreted(plan, db) == []
+
+    def test_true_probe_on_an_integer_column_is_not_counted(self):
+        db = _db()
+        db.insert(
+            "eav",
+            [
+                {"record_id": 1000 + i, "kind": "six", "flag": True,
+                 "attribute": "a0", "value": "x"}
+                for i in range(6)
+            ],
+        )
+        # ``TRUE`` never SQL-equals ``1``: the probe returns 4 rows, not
+        # the 8 of counting the ``1`` bucket twice, so it beats the 6 of
+        # the equality.
+        plan = Query.table("eav").where("record_id IN (TRUE, 1) AND kind = 'six'").plan
+        optimized = optimize(plan, db)
+        assert isinstance(optimized, Select)
+        assert optimized.child == InLookup("eav", "record_id", (True, 1))
+        assert optimized.execute(db) == execute_interpreted(plan, db) == []
 
 
 class TestVectorizeDecision:
