@@ -36,7 +36,6 @@ from repro.etl.components import (
 from repro.multiclass.cleaning import Quarantine
 from repro.etl.workflow import Workflow
 from repro.guava.query import GTreeQuery
-from repro.guava.translate import translate_query
 from repro.multiclass.domain import Domain, DomainKind
 from repro.multiclass.study import PARENT_RECORD_ID, Study, element_column
 from repro.relational.database import Database
@@ -97,12 +96,13 @@ def compile_study(study: Study, warehouse: Database) -> Workflow:
                 )
             prefix = f"{entity}__{source.name}"
 
-            # Stage 1: extract — GUAVA translation of the entity query.
-            gtree = source.gtree(ec.form)
-            plan = translate_query(GTreeQuery(gtree).where(ec.condition), source.chain)
+            # Stage 1: extract — the entity classifier's g-tree query, read
+            # through the source like a Study.run preview.  Building the
+            # query validates it; translation waits for the first read.
+            query = GTreeQuery(source.gtree(ec.form)).where(ec.condition)
             workflow.add(
                 f"{prefix}__extract",
-                Extract(source.db, plan),
+                Extract(source, query),
                 stage="extract",
             )
             previous = f"{prefix}__extract"

@@ -27,7 +27,7 @@ tree-walking :class:`~repro.expr.evaluator.Evaluator` is property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.errors import ETLError
 from repro.expr.ast import Expression
@@ -35,10 +35,12 @@ from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.multiclass.classifier import Classifier
 from repro.multiclass.domain import Domain
-from repro.relational.algebra import ExecContext, Plan
+from repro.guava.query import GTreeQuery
 from repro.relational.database import Database
-from repro.relational.query import optimize, prepare_stream_plan
 from repro.relational.schema import TableSchema
+
+if TYPE_CHECKING:
+    from repro.guava.source import GuavaSource
 
 Row = dict[str, object]
 Chunk = list[Row]
@@ -57,6 +59,15 @@ class StreamOp:
 
     transform: ChunkTransform
     commit: Callable[[], None] | None = None
+
+
+def chunked(rows: list[Row], batch_size: int | None) -> Iterator[Chunk]:
+    """Slice a row list into chunks (one chunk when unbatched)."""
+    if batch_size is None or batch_size >= len(rows):
+        yield rows
+        return
+    for start in range(0, len(rows), batch_size):
+        yield rows[start : start + batch_size]
 
 
 def _owned(chunk: Chunk, owned: bool) -> Chunk:
@@ -90,63 +101,27 @@ class Component:
 
 @dataclass
 class Extract(Component):
-    """Pull rows out of a source database by executing a plan.
+    """Pull a g-tree view's rows out of a GUAVA source.
 
-    In a compiled study the plan is GUAVA's translation of the entity
-    classifier's g-tree query — the bridge from Figure 6's "Source" box to
-    the first temporary database.  Both protocols run the plan through the
-    relational optimizer: :meth:`run` calls ``optimize(plan, db)`` exactly
-    as :meth:`~repro.guava.source.GuavaSource.execute` does, so a publish
-    reuses the plan-cache entry a ``Study.run`` preview left behind.  The
-    relational oracle stays :mod:`repro.relational.interpret` and the
-    optimizer-equivalence suites.
+    In a compiled study the query is the entity classifier's g-tree query —
+    the bridge from Figure 6's "Source" box to the first temporary
+    database.  Both protocols read through
+    :meth:`~repro.guava.source.GuavaSource.execute`, the call a
+    ``Study.run`` preview makes for the same query: a publish shares the
+    preview's plan-cache entry and, at an unchanged data version, its
+    memoized rows.  Rows are fresh, so chains own them.
     """
 
-    db: Database
-    plan: Plan
+    source: GuavaSource
+    query: GTreeQuery
 
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(0, inputs)
-        plan = optimize(self.plan, self.db)
-        if plan.shares_storage():
-            # A bare scan: execute() may hand out the table snapshot's own
-            # dicts (the one zero-copy result), so copy once while streaming.
-            return list(self._fresh_rows(plan))
-        return plan.execute(self.db)
+        return self.source.execute(self.query)
 
-    def stream_chunks(self, batch_size: int | None):
-        """Yield result chunks lazily (rows are fresh — chains own them).
-
-        The streaming path prepares the plan once per component with
-        :func:`~repro.relational.query.prepare_stream_plan`, which may also
-        build the hash indexes its equality filters want.
-        """
-        rows = self._fresh_rows(self._optimized_plan())
-        if batch_size is None:
-            yield list(rows)
-            return
-        chunk: Chunk = []
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) >= batch_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-
-    def _fresh_rows(self, plan: Plan) -> Iterator[Row]:
-        """Stream ``plan``, copying rows that may alias table storage."""
-        rows = plan.stream(ExecContext(self.db))
-        if plan.shares_storage():
-            return (dict(row) for row in rows)
-        return rows
-
-    def _optimized_plan(self) -> Plan:
-        cached = getattr(self, "_stream_plan", None)
-        if cached is None:
-            cached = prepare_stream_plan(self.plan, self.db)
-            self._stream_plan = cached
-        return cached
+    def stream_chunks(self, batch_size: int | None) -> Iterator[Chunk]:
+        """Yield the read's rows in chunks of ``batch_size`` (one if None)."""
+        yield from chunked(self.source.execute(self.query), batch_size)
 
 
 @dataclass

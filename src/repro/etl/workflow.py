@@ -5,9 +5,10 @@ Two execution paths share one DAG:
 * :meth:`Workflow.run` with default arguments — the strictly serial
   executor, kept as the behavioural oracle for the fused engine.  Steps
   run in insertion (topological) order, each handing its full
-  ``list[Row]`` to the next.  Its extracts execute the *optimized* plan
-  (``Extract.run``), sharing the plan cache with ``Study.run`` previews;
-  the relational oracle is :mod:`repro.relational.interpret`.
+  ``list[Row]`` to the next.  Its extracts read through
+  ``GuavaSource.execute`` (``Extract.run``), sharing the plan cache and
+  the result memo with ``Study.run`` previews; the relational oracle is
+  :mod:`repro.relational.interpret`.
 * ``run(batch_size=...)`` — the fused engine.  Steps fuse into *units*:
   maximal linear chains whose interior results nobody else consumes.
   Units whose dependencies are satisfied form a wave; waves run in order
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import WorkflowError
-from repro.etl.components import Component, Extract, Row, UnionInputs
+from repro.etl.components import Component, Extract, Row, UnionInputs, chunked
 from repro.obs.trace import Span, current_tracer, span
 
 
@@ -388,7 +389,7 @@ class Workflow:
 
             def concat():
                 for rows in inputs:
-                    yield from _chunks(rows, batch_size)
+                    yield from chunked(rows, batch_size)
 
             return counted(concat(), False)
         if component.streamable and len(head.inputs) == 1:
@@ -397,7 +398,7 @@ class Workflow:
             # accumulates its stats.
             rows = results[head.inputs[0]]
             tail.insert(0, (head, component.open_stream()))
-            return _chunks(rows, batch_size), False, tail
+            return chunked(rows, batch_size), False, tail
         # Fallback: materialize via the serial contract.
         inputs = [results[name] for name in head.inputs]
         head_stats.rows_in = sum(len(rows) for rows in inputs)
@@ -405,7 +406,7 @@ class Workflow:
         rows = component.run(inputs)
         head_stats.seconds += time.perf_counter() - started
         head_stats.rows_out = len(rows)
-        return _chunks(rows, batch_size), False, tail
+        return chunked(rows, batch_size), False, tail
 
     # -- rendering -----------------------------------------------------------
 
@@ -454,12 +455,3 @@ def _trace_steps(unit_span: Span, unit: _Unit, stats: dict[str, _StepStats]) -> 
             rows_out=step_stats.rows_out,
         )
         step_span.duration_s = step_stats.seconds
-
-
-def _chunks(rows: list[Row], batch_size: int | None):
-    """Slice a row list into chunks (one chunk when unbatched)."""
-    if batch_size is None or batch_size >= len(rows):
-        yield rows
-        return
-    for start in range(0, len(rows), batch_size):
-        yield rows[start : start + batch_size]

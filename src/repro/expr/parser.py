@@ -42,14 +42,26 @@ from repro.expr.lexer import Token, TokenType, tokenize
 
 _COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 
+#: The deepest AST :func:`parse` returns.  Nesting (parentheses, ``NOT``,
+#: unary minus, calls) recurses in the parser and is bounded by the
+#: interpreter's recursion limit; a flat ``AND``/``OR`` chain or arithmetic
+#: run parses in a loop but nests one AST level per term, and every
+#: consumer (``to_source``, the closure compiler, the evaluator, hashing)
+#: recurses per level.  ``to_source`` parenthesizes every level, and one
+#: parenthesis costs the parser about eight frames, so at this depth an
+#: accepted expression's source still parses back with half the default
+#: recursion limit left to the caller.
+MAX_DEPTH = 64
+
 
 def parse(source: str) -> Expression:
     """Parse ``source`` into an expression AST.
 
     Raises :class:`repro.errors.ParseError` (or ``LexError``) on malformed
     input, on input nested deeper than the interpreter's recursion limit
-    allows, and on input that is not a ``str``.  The result
-    round-trips: ``parse(e.to_source()) == e``.
+    allows or whose AST would be deeper than :data:`MAX_DEPTH`, and on
+    input that is not a ``str``.  The result round-trips:
+    ``parse(e.to_source()) == e``.
 
     Results are memoized on the source text.  ASTs are frozen, so sharing
     one is safe, and a rebuilt study definition gets the very AST objects
@@ -66,11 +78,25 @@ def parse(source: str) -> Expression:
 @lru_cache(maxsize=4096)
 def _parse_text(source: str) -> Expression:
     try:
-        return _Parser(tokenize(source)).parse()
+        expr = _Parser(tokenize(source)).parse()
     except RecursionError:
         # Each nesting level (parentheses, NOT, unary minus, call or IN
         # arguments) is a few frames of recursive descent.
         raise ParseError("expression nests too deeply") from None
+    if _depth(expr) > MAX_DEPTH:
+        raise ParseError("expression nests too deeply")
+    return expr
+
+
+def _depth(expr: Expression) -> int:
+    """The AST's depth, walked without recursion."""
+    deepest = 0
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node.children())
+    return deepest
 
 
 class _Parser:

@@ -37,15 +37,18 @@ from repro.relational.algebra import (
     Scan,
     Select,
 )
-from repro.relational.database import Database
+from repro.obs.trace import current_tracer
+from repro.relational.database import Database, restore_generation
 from repro.relational.query import (
     _fingerprint,
+    _toggles,
     cached_plan,
     optimize,
     prepare_stream_plan,
     rebind_in_lists,
 )
 from repro.relational.sql import to_sql
+from repro.relational.vectorize import Vectorized
 from repro.ui.form import RECORD_ID
 from repro.ui.session import DataEntrySession
 from repro.ui.toolkit import ReportingTool
@@ -268,17 +271,15 @@ class GuavaSource:
         :func:`~repro.relational.query.optimize`).  A record-scoped key
         leaves the ids out: the first call plans with its real ids, and
         later hits rebind the membership slots to theirs.
+
+        A full read's *rows* are also kept, once a second read at the same
+        data version asks for them (see :meth:`_read`).  Every returned
+        row is the caller's own to mutate.
         """
-        key = self._plan_key(query, scoped=record_ids is not None)
-        plan = cached_plan(self.db, key) if key is not None else None
         if record_ids is None:
-            if plan is None:
-                # Passing the database unlocks index lowering, the
-                # vectorize pass and the plan cache.
-                plan = optimize(
-                    translate_query(query, self.chain), self.db, cache_key=key
-                )
-            return plan.execute(self.db)
+            return self._read(query)
+        key = self._plan_key(query, scoped=True)
+        plan = cached_plan(self.db, key) if key is not None else None
         ids = tuple(sorted(set(record_ids)))
         if plan is not None:
             plan, _ = rebind_in_lists(plan, RECORD_ID, ids)
@@ -297,6 +298,55 @@ class GuavaSource:
             Select(translated, membership), self.db, cache_key=key
         )
         return plan.execute(self.db)
+
+    def _read(self, query: GTreeQuery) -> list[Row]:
+        """A full read, through the database's result memo.
+
+        A g-tree is a view: its rows are a function of the query's shape
+        (the plan-cache key) and of the data they are read from.  The memo
+        stamps them with the plan epoch, the chain tables' data versions,
+        the executor toggles and the restore generation (a restore can
+        rewind a data version), and keeps them from the second read at one
+        stamp on, so data read once costs no memory.  A query without a key
+        (a g-tree this source did not derive) bypasses it.  Under a tracer
+        each read leaves a ``guava.read`` span whose ``result_memo`` is
+        ``hit``, ``admit``, ``miss`` or ``bypass``.
+        """
+        db = self.db
+        key = self._plan_key(query, scoped=False)
+
+        def run() -> list[Row]:
+            plan = cached_plan(db, key) if key is not None else None
+            if plan is None:
+                # Passing the database unlocks index lowering, the
+                # vectorize pass and the plan cache.
+                plan = optimize(
+                    translate_query(query, self.chain), db, cache_key=key
+                )
+            rows = plan.execute(db)
+            if type(plan) is Vectorized and plan.shares_storage():
+                # A bare scan hands out the table snapshot's own dicts.
+                rows = [dict(row) for row in rows]
+            return rows
+
+        if key is None:
+            rows, outcome = run(), "bypass"
+        else:
+            stamp = (
+                db.plan_epoch,
+                db.tables_versions(self._chain_tables),
+                _toggles(True),
+                restore_generation(),
+            )
+            rows, outcome = db.memo_read(key, stamp, run)
+        tracer = current_tracer()
+        if tracer is not None:
+            form = query.gtree.form_name
+            with tracer.span(
+                "guava.read", source=self.name, form=form, result_memo=outcome
+            ):
+                pass
+        return rows
 
     def _plan_key(self, query: GTreeQuery, scoped: bool) -> str | None:
         """The plan-cache key of a query's shape, or None if it has none.

@@ -191,20 +191,43 @@ class IndexLookup(Plan):
     items: tuple[tuple[str, object], ...]
 
     def bucket_rows(self, table: Table) -> int | None:
-        """Size of the bucket this probe reads, or None without one.
+        """Rows the probe returns, or None when no index matches.
 
-        None when no index covers the items (``_stream`` then scans) or a
-        probe value is unhashable.  Planning counts probes by this, and
-        only this, so estimates and access-path choices agree.
+        The bucket's size, or 0 when some item can never match
+        (:meth:`never_matches`) — exactly the row count ``_stream``
+        yields.  None when no index covers the items (``_stream`` then
+        scans) or a probe value is unhashable.  Planning counts probes by
+        this, and only this, so estimates and access-path choices agree
+        with execution.
         """
         index = table.matching_index([column for column, _ in self.items])
         if index is None:
             return None
+        if self.never_matches(table):
+            return 0
         values = dict(self.items)
         try:
             return index.count(tuple(values[column] for column in index.columns))
         except TypeError:
             return None
+
+    def never_matches(self, table: Table) -> bool:
+        """True when some item SQL-equals no row of ``table``.
+
+        A NULL probe, a probe on a column the table lacks, or a probe whose
+        bool-ness differs from its column's (TRUE vs an INTEGER column, 1
+        vs a BOOLEAN one): hash buckets hold such rows (``1 == True``) but
+        the ``sql_equal`` check drops them all, the same rule by which
+        :meth:`InLookup.probe_keys` skips a probe.
+        """
+        schema = table.schema
+        return any(
+            value is None
+            or column not in schema.column_set
+            or isinstance(value, bool)
+            != (schema.column(column).dtype is DataType.BOOLEAN)
+            for column, value in self.items
+        )
 
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         table = ctx.db.table(self.table)
@@ -217,6 +240,14 @@ class IndexLookup(Plan):
                 for row in table.iter_rows()
                 if all(sql_equal(row.get(column), value) for column, value in items)
             )
+        if self.never_matches(table):
+            ctx.annotate(
+                self,
+                access_path="index",
+                index_columns=",".join(index.columns),
+                bucket_rows=0,
+            )
+            return iter(())
         values = dict(items)
         key = tuple(values[column] for column in index.columns)
         positions = index.lookup(key)
@@ -228,17 +259,13 @@ class IndexLookup(Plan):
         )
         candidates = table.rows_at(positions)
         # Bucket rows are Python-equal to the probe on the indexed columns,
-        # and table extents are coerced to their declared types on write.
-        # SQL equality then only disagrees with bucket membership when the
-        # probe value's bool-ness differs from the column's (TRUE vs 1), so
-        # every other indexed item needs no per-row re-check.
+        # table extents are coerced to their declared types on write, and
+        # every probe's bool-ness matches its column's, so SQL equality
+        # agrees with bucket membership: only the items the index does not
+        # cover need a per-row check.
         covered = set(index.columns)
         residual = tuple(
-            (column, value)
-            for column, value in items
-            if column not in covered
-            or isinstance(value, bool)
-            != (table.schema.column(column).dtype is DataType.BOOLEAN)
+            (column, value) for column, value in items if column not in covered
         )
         if not residual:
             return candidates

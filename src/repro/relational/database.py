@@ -6,7 +6,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
 from repro.relational.schema import TableSchema
-from repro.relational.table import Table
+from repro.relational.table import Table, register_restore_listener
+
+Row = dict[str, object]
 
 #: A row-count estimate survives data mutations until its table's row
 #: count drifts by this fraction from the count at build time.  Shared by
@@ -14,12 +16,31 @@ from repro.relational.table import Table
 #: cache's estimate facts (:meth:`Database.plan_cache_get`).
 PLANNING_STALENESS_FRACTION = 0.10
 
+#: Bumped on every table restore (snapshot load, WAL replay).  Restore can
+#: rewind a table's data version to one a result was memoized at while the
+#: extent holds other rows, so the result memo stamps entries with it.
+_restore_generation = 0
+
+
+def _count_restore(_table: Table) -> None:
+    global _restore_generation
+    _restore_generation += 1
+
+
+register_restore_listener(_count_restore)
+
+
+def restore_generation() -> int:
+    """How many table restores this process has seen (a memo stamp part)."""
+    return _restore_generation
+
 
 class Database:
     """One contributor database (or the warehouse)."""
 
     #: Plan-cache capacity; the cache is cleared wholesale when full, the
     #: same bound-without-bookkeeping policy as expr/compile.py's caches.
+    #: The result memo shares it.
     PLAN_CACHE_LIMIT = 512
 
     def __init__(self, name: str):
@@ -32,6 +53,9 @@ class Database:
         self._plan_cache: dict[
             str, tuple[int, tuple[tuple[str, int], ...], object]
         ] = {}
+        #: key -> (validity stamp, rows, or None until a second read at
+        #: the stamp admits them); see :meth:`memo_read`.
+        self._result_memo: dict[str, tuple[object, list[Row] | None]] = {}
         # Structure listener: the durability layer's DDL hook, called after
         # create_table/drop_table with (op, payload).  Payloads carry the
         # Table on create so the listener can chain a mutation listener.
@@ -130,7 +154,40 @@ class Database:
         self._plan_cache[key] = (epoch, tuple(estimated), plan)
 
     def plan_cache_clear(self) -> None:
+        """Drop every cached plan and every memoized result."""
         self._plan_cache.clear()
+        self._result_memo.clear()
+
+    def memo_read(
+        self, key: str, stamp: object, run: Callable[[], list[Row]]
+    ) -> tuple[list[Row], str]:
+        """``run()``'s rows, memoized under ``key`` while ``stamp`` holds.
+
+        The caller vouches that ``key`` and ``stamp`` together determine
+        the rows.  Returns the rows and the memo's outcome: ``"miss"``
+        (first read at this stamp: only the stamp is kept), ``"admit"``
+        (second read: a copy of the rows is kept) or ``"hit"`` (a fresh
+        copy of the kept rows).  A hit's rows are the caller's to mutate;
+        a miss or admit returns ``run()``'s own rows.  Nothing is stored
+        when ``run`` raises.
+        """
+        entry = self._result_memo.get(key)
+        if entry is not None and entry[0] == stamp:
+            kept = entry[1]
+            if kept is not None:
+                return [dict(row) for row in kept], "hit"
+            rows = run()
+            self._memo_put(key, stamp, [dict(row) for row in rows])
+            return rows, "admit"
+        rows = run()
+        self._memo_put(key, stamp, None)
+        return rows, "miss"
+
+    def _memo_put(self, key: str, stamp: object, rows: list[Row] | None) -> None:
+        memo = self._result_memo
+        if key not in memo and len(memo) >= self.PLAN_CACHE_LIMIT:
+            memo.clear()
+        memo[key] = (stamp, rows)
 
     def create_table(self, schema: TableSchema) -> Table:
         """Create an empty table; raises on duplicate names."""
@@ -170,11 +227,12 @@ class Database:
 
         Recovery needs :attr:`epoch` bit-identical to the crashed process's
         so a plan cached before the crash could never be mistaken for one
-        planned against the recovered data; the plan cache is cleared too
-        since its entries were planned by a process that no longer exists.
+        planned against the recovered data; the plan cache and the result
+        memo are cleared too since their entries were made by a process
+        that no longer exists.
         """
         self._structure_version = version
-        self._plan_cache.clear()
+        self.plan_cache_clear()
 
     def table(self, name: str) -> Table:
         """Look up a table by name."""
@@ -197,6 +255,13 @@ class Database:
         """The summed data versions of the named tables (absent ones add 0)."""
         tables = self._tables
         return sum(tables[name].version for name in names if name in tables)
+
+    def tables_versions(self, names: Iterable[str]) -> tuple[int, ...]:
+        """Each named table's data version (-1 for an absent table)."""
+        tables = self._tables
+        return tuple(
+            tables[name].version if name in tables else -1 for name in names
+        )
 
     def total_rows(self) -> int:
         """Row count across all tables (used by storage-size benchmarks)."""

@@ -122,23 +122,36 @@ class TestCompileErrors:
 
 
 class TestSharedPlanCache:
-    def test_publish_reuses_the_preview_plans(self, world):
-        """After a preview, every extract of the serial publish is a
-        plan-cache hit: ETL and ``Study.run`` read through one plan."""
+    def test_publish_reuses_the_preview_plans(self):
+        """A serial publish reads through the preview's plans and rows: its
+        first run after a preview plans nothing (plan-cache hits only, no
+        rewrites) and the result memo admits each extract's rows, and a
+        second publish at the same data version is served by the memo."""
+        from repro.clinical import build_world
         from repro.obs import tracing
 
+        world = build_world(40, seed=3)
         study = build_study2(world)
-        study.run()
         with tracing() as tracer:
-            compile_study(study, Database("wh")).run()
-        spans = [
-            span
-            for root in tracer.roots
-            for span in root.walk()
-            if span.name == "optimize"
-        ]
-        assert len(spans) >= len(world.sources)
-        assert {span.attrs.get("plan_cache") for span in spans} == {"hit"}
-        assert not any(
-            key.startswith("rewrite.") for span in spans for key in span.attrs
-        )
+            study.run()
+        assert _reads(tracer) == ["miss"] * len(world.sources)
+        for expected in ("admit", "hit"):
+            with tracing() as tracer:
+                compile_study(study, Database("wh")).run()
+            assert _reads(tracer) == [expected] * len(world.sources)
+            spans = _spans(tracer, "optimize")
+            assert len(spans) == (len(world.sources) if expected == "admit" else 0)
+            assert {span.attrs.get("plan_cache") for span in spans} <= {"hit"}
+            assert not any(
+                key.startswith("rewrite.") for span in spans for key in span.attrs
+            )
+
+
+def _spans(tracer, name):
+    return [
+        span for root in tracer.roots for span in root.walk() if span.name == name
+    ]
+
+
+def _reads(tracer):
+    return [span.attrs["result_memo"] for span in _spans(tracer, "guava.read")]

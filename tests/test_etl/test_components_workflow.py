@@ -16,7 +16,10 @@ from repro.etl import (
     Workflow,
 )
 from repro.multiclass import Classifier, Domain, Rule
-from repro.relational import Database, DataType, Scan, TableSchema
+from repro.guava import GTreeQuery, translate_query
+from repro.relational import Database, DataType, TableSchema
+from repro.relational.interpret import execute_interpreted
+from tests.conftest import enter_fig2_records
 
 ROWS = [
     {"id": 1, "packs": 0.0},
@@ -29,11 +32,14 @@ class TestComponents:
     def test_values(self):
         assert Values(ROWS).run([]) == ROWS
 
-    def test_extract_runs_plan(self):
-        db = Database("d")
-        db.create_table(TableSchema.build("t", [("a", DataType.INTEGER)]))
-        db.insert("t", [{"a": 1}])
-        assert Extract(db, Scan("t")).run([]) == [{"a": 1}]
+    def test_extract_runs_plan(self, naive_source):
+        enter_fig2_records(naive_source)
+        query = GTreeQuery(naive_source.gtree("procedure")).where("hypoxia = TRUE")
+        rows = Extract(naive_source, query).run([])
+        assert [row["record_id"] for row in rows] == [1, 3]
+        assert rows == execute_interpreted(
+            translate_query(query, naive_source.chain), naive_source.db
+        )
 
     def test_filter(self):
         out = FilterRows("packs > 1").run([ROWS])

@@ -18,7 +18,11 @@ from repro.etl import compile_study
 from repro.etl.components import Classify, DeriveColumn, Extract, Values
 from repro.etl.workflow import RunReport, StepRun, Workflow
 from repro.multiclass import Classifier, CleaningRule, Rule
-from repro.relational import Column, DataType, Database, Scan, TableSchema
+from repro.guava import GTreeQuery, GuavaSource, translate_query
+from repro.patterns import NaivePattern, PatternChain
+from repro.relational import Database, Scan, Vectorized, optimize
+from repro.ui import ReportingTool
+from tests.conftest import build_fig2_form
 
 
 @pytest.fixture(scope="module")
@@ -177,33 +181,48 @@ class TestClassifyMemo:
 
 class TestExtractRowsAreFresh:
     """A bare whole-table extract optimizes to a zero-copy batch scan; the
-    rows a workflow hands out or mutates must still be its own."""
+    rows a workflow hands out or mutates must still be its own, on the
+    first read, the one the result memo admits, and every memo hit."""
 
     @staticmethod
-    def scanned_db():
-        db = Database("src")
-        db.create_table(TableSchema("t", (Column("a", DataType.INTEGER),)))
-        db.insert("t", [{"a": i} for i in range(400)])
-        return db
+    def scanned_source():
+        tool = ReportingTool("scan", "1.0", forms=[build_fig2_form()])
+        chain = PatternChain(tool.naive_schemas(), [NaivePattern()])
+        source = GuavaSource("src", tool, chain)
+        source.db.insert(
+            "procedure", [{"record_id": i, "other": "x"} for i in range(400)]
+        )
+        query = GTreeQuery(source.gtree("procedure"))
+        assert optimize(translate_query(query, chain), source.db) == Vectorized(
+            Scan("procedure")
+        )
+        return source, query
 
     @pytest.mark.parametrize("config", [{}] + ENGINE_CONFIGS)
     def test_downstream_steps_leave_the_table_alone(self, config):
-        db = self.scanned_db()
+        source, query = self.scanned_source()
+        table = source.db.table("procedure")
         workflow = Workflow("scan")
-        workflow.add("extract", Extract(db, Scan("t")))
-        workflow.add("derive", DeriveColumn("b", "a + 1"), inputs=("extract",))
+        workflow.add("extract", Extract(source, query))
+        workflow.add(
+            "derive", DeriveColumn("other", "record_id + 1"), inputs=("extract",)
+        )
         workflow.mark_output("derive")
-        outputs, _ = workflow.run(**config)
-        assert outputs["derive"][0] == {"a": 0, "b": 1}
-        assert db.table("t").snapshot_rows()[0] == {"a": 0}
+        for _ in range(3):
+            outputs, _ = workflow.run(**config)
+            assert outputs["derive"][0]["other"] == 1
+            assert table.snapshot_rows()[0]["other"] == "x"
 
     @pytest.mark.parametrize("config", [{}] + ENGINE_CONFIGS)
     def test_extract_output_is_independent(self, config):
-        db = self.scanned_db()
+        source, query = self.scanned_source()
+        table = source.db.table("procedure")
         workflow = Workflow("scan")
-        workflow.add("extract", Extract(db, Scan("t")))
+        workflow.add("extract", Extract(source, query))
         workflow.mark_output("extract")
-        outputs, _ = workflow.run(**config)
-        outputs["extract"][0]["a"] = -1
-        assert db.table("t").snapshot_rows()[0] == {"a": 0}
-        assert db.table("t").rows()[0] == {"a": 0}
+        for _ in range(3):
+            outputs, _ = workflow.run(**config)
+            assert outputs["extract"][0]["other"] == "x"
+            outputs["extract"][0]["other"] = "changed"
+            assert table.snapshot_rows()[0]["other"] == "x"
+            assert table.rows()[0]["other"] == "x"

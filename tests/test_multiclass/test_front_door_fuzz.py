@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ParseError, ReproError
-from repro.expr.parser import parse
+from repro.expr.compile import compile_predicate
+from repro.expr.parser import MAX_DEPTH, parse
 from repro.multiclass import parse_classifier, parse_entity_classifier
 
 CLASSIFIER_TEXT = """
@@ -131,3 +132,32 @@ def test_deep_nesting_raises_a_parse_error(text):
         parse(text)
     with pytest.raises(ReproError):
         parse_entity_classifier(WHERE_PREFIX + text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " OR ".join(f"x = {i}" for i in range(3000)),
+        " AND ".join(f"x = {i}" for i in range(3000)),
+        " + ".join(["x"] * 3000) + " > 1",
+    ],
+    ids=["or_chain", "and_chain", "sum_chain"],
+)
+def test_long_flat_chains_raise_a_parse_error(text):
+    """A flat chain parses in a loop but nests one AST level per term;
+    past ``MAX_DEPTH`` it is refused before anything recurses over it."""
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse(text)
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_classifier(RULE_PREFIX + "'v' <- " + text)
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_entity_classifier(WHERE_PREFIX + text)
+
+
+def test_chains_within_the_depth_limit_compile_and_round_trip():
+    text = " OR ".join(f"x = {i}" for i in range(MAX_DEPTH - 2))
+    expr = parse(text)
+    assert parse(expr.to_source()) == expr
+    assert compile_predicate(expr)({"x": MAX_DEPTH - 3}) is True
+    rule = parse_classifier(RULE_PREFIX + "'v' <- " + text).rules[0]
+    assert rule.guard == expr

@@ -14,6 +14,8 @@ the reverse).  Three consumers share that count (``bucket_rows``):
 * index lowering ranks access paths by it.
 """
 
+from unittest import mock
+
 from repro.relational import (
     Database,
     DataType,
@@ -28,6 +30,7 @@ from repro.relational import (
     optimize,
 )
 from repro.obs import explain_analyze
+from repro.relational.index import HashIndex
 from repro.relational.cost import estimate_plan_rows
 from repro.relational.interpret import execute_interpreted
 from repro.relational.vectorize import VECTORIZE_MIN_ROWS, estimated_input_rows
@@ -137,6 +140,7 @@ class TestPlanRowEstimate:
         InLookup("eav", "record_id", (True, 1)),
         InLookup("eav", "record_id", (None, 2, 2, 2.0)),
         IndexLookup("eav", (("kind", "rare"),)),
+        IndexLookup("eav", (("flag", 1),)),
     ]
 
     def test_null_and_bool_probes_count_what_the_probe_returns(self):
@@ -148,6 +152,25 @@ class TestPlanRowEstimate:
         assert estimate_plan_rows(InLookup("eav", "record_id", (1, 1, 1.0)), db) == 4
         for plan in self.PROBES:
             assert estimate_plan_rows(plan, db) == len(plan.execute(db))
+
+    def test_a_bool_mismatched_probe_counts_and_returns_nothing(self):
+        db = _db()
+        assert estimate_plan_rows(IndexLookup("eav", (("flag", 1),)), db) == 0
+        plans = [
+            IndexLookup("eav", (("flag", 1),)),
+            IndexLookup("eav", (("record_id", True),)),
+            IndexLookup("eav", (("kind", "rare"), ("flag", 0))),
+            IndexLookup("eav", (("kind", None),)),
+        ]
+        for plan in plans:
+            assert len(execute_interpreted(plan, db)) == 0
+            assert estimate_plan_rows(plan, db) == 0
+            assert estimated_input_rows(plan, db) == 0
+        # The hash buckets hold rows (``1 == True``), but none is read.
+        assert db.table("eav").matching_index(["flag"]).count((True,)) == 500
+        with mock.patch.object(HashIndex, "lookup", side_effect=AssertionError):
+            for plan in plans:
+                assert plan.execute(db) == []
 
     def test_explain_analyze_estimate_has_no_error(self):
         db = _db()
