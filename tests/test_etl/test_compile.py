@@ -120,6 +120,26 @@ class TestCompileErrors:
         with pytest.raises(StudyError, match="no classifier"):
             study.run()
 
+    def test_a_bad_entity_query_fails_at_compile_time(self):
+        """Extracts translate on their first read, but building their
+        g-tree query still rejects an unknown node when the study
+        compiles, before any workflow runs."""
+        from repro.analysis import build_study2
+        from repro.clinical import build_world
+        from repro.errors import GuavaError
+        from repro.multiclass import EntityClassifier
+
+        world = build_world(20, seed=3)
+        study = build_study2(world)
+        binding = study.bindings[0]
+        (entity,) = binding.entity_classifiers
+        form = binding.entity_classifiers[entity].form
+        binding.entity_classifiers[entity] = EntityClassifier(
+            "bad", entity, form, condition="no_such_node = 1"
+        )
+        with pytest.raises(GuavaError, match="unknown g-tree node"):
+            compile_study(study, Database("wh"))
+
 
 class TestSharedPlanCache:
     def test_publish_reuses_the_preview_plans(self):
