@@ -19,10 +19,13 @@ instead of trusting a stale feed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import count
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, cast
 
-from repro.errors import GuavaError
+from repro.errors import GuavaError, ReproError
+from repro.expr.compile import compile_predicate
 from repro.expr.ast import Identifier, InList, Literal
 from repro.guava.derive import derive_all
 from repro.guava.gtree import GTree
@@ -43,6 +46,7 @@ from repro.relational.query import (
     _fingerprint,
     _toggles,
     cached_plan,
+    extent_driver,
     optimize,
     prepare_stream_plan,
     rebind_in_lists,
@@ -59,6 +63,9 @@ Row = dict[str, object]
 #: Change-feed entries kept before the oldest half is pruned; pruned spans
 #: can no longer be enumerated and force a full rebuild.
 CHANGE_LOG_LIMIT = 100_000
+
+#: The data version of a change-feed entry.
+_VERSION = itemgetter(0)
 
 #: Tags each source's plan-cache keys, so two sources sharing a database
 #: (even under one name, with different chains) never share an entry.
@@ -170,6 +177,10 @@ class GuavaSource:
         writer = self.chain.writer(self.db)
 
         def tracked(form_name: str, naive_row: dict[str, object]) -> None:
+            if self.data_version() != self.feed.accounted:
+                # A write bypassed the feed since its last note; account
+                # it as unknown before this note would hide it.
+                self._note_change(None)
             writer(form_name, naive_row)
             self._note_change(naive_row.get(RECORD_ID), form_name)
 
@@ -217,11 +228,15 @@ class GuavaSource:
             return None  # mutations bypassed the feed
         if since > current or since < feed.floor:
             return None  # foreign or pruned lineage
+        # The log is appended in non-decreasing version order (pruning
+        # drops a prefix, recovery replays notes in log order), so the
+        # span after ``since`` is a suffix found by bisection.
+        log = feed.log
+        start = bisect_right(log, since, key=_VERSION)
         return {
             rid
-            for version, logged_form, rid in feed.log
-            if version > since
-            and (form is None or logged_form is None or logged_form == form)
+            for _, logged_form, rid in log[start:]
+            if form is None or logged_form is None or logged_form == form
         }
 
     def adopt_feed(self, state: ChangeFeedState) -> None:
@@ -261,7 +276,12 @@ class GuavaSource:
         re-extraction path incremental materialization uses for deltas.
         The restriction composes at the relational level (``record_id`` is
         the reserved key column every translation emits, not a g-tree node,
-        so it cannot appear in the g-tree query itself).
+        so it cannot appear in the g-tree query itself).  The optimizer
+        pushes the membership test down to every base table with a
+        ``record_id`` column (below computes, pivots, aggregates keyed on
+        it, sorts, and into both sides of joins on it), and the first call
+        builds the record-id indexes it needs, so a small delta reads only
+        its records' rows.
 
         The plan is made once per query *shape*: the database's plan cache
         is keyed on this source, the form, a type-tagged fingerprint of the
@@ -272,50 +292,52 @@ class GuavaSource:
         leaves the ids out: the first call plans with its real ids, and
         later hits rebind the membership slots to theirs.
 
-        A full read's *rows* are also kept, once a second read at the same
-        data version asks for them (see :meth:`_read`).  Every returned
-        row is the caller's own to mutate.
+        A full read's *rows* are also kept, and brought forward by the
+        records appended since (see :meth:`_read`).  Every returned row is
+        the caller's own to mutate.
         """
+        shape = self._shape(query)
         if record_ids is None:
-            return self._read(query)
-        key = self._plan_key(query, scoped=True)
-        plan = cached_plan(self.db, key) if key is not None else None
+            return self._read(query, shape)
         ids = tuple(sorted(set(record_ids)))
+        key = None if shape is None else self._plan_prefix + "ids:" + shape
+        plan = cached_plan(self.db, key) if key is not None else None
         if plan is not None:
             plan, _ = rebind_in_lists(plan, RECORD_ID, ids)
             return plan.execute(self.db)
         translated = translate_query(query, self.chain)
         if key is not None and not self._rebindable(translated):
             key = None
-        membership = InList(
-            Identifier.of(RECORD_ID), tuple(Literal(rid) for rid in ids)
-        )
         # Record-scoped extraction is the hot delta path of incremental
-        # materialization: let the optimizer push the membership test down
-        # to the base tables and build the record-id index it needs, so a
-        # small delta costs proportionally, not a full re-extraction.
+        # materialization: build the record-id indexes the pushed-down
+        # membership test needs, once.
         plan = prepare_stream_plan(
-            Select(translated, membership), self.db, cache_key=key
+            Select(translated, _membership(ids)), self.db, cache_key=key
         )
         return plan.execute(self.db)
 
-    def _read(self, query: GTreeQuery) -> list[Row]:
+    def _read(self, query: GTreeQuery, shape: str | None) -> list[Row]:
         """A full read, through the database's result memo.
 
         A g-tree is a view: its rows are a function of the query's shape
         (the plan-cache key) and of the data they are read from.  The memo
         stamps them with the plan epoch, the chain tables' data versions,
         the executor toggles and the restore generation (a restore can
-        rewind a data version), and keeps them from the second read at one
-        stamp on, so data read once costs no memory.  A query without a key
-        (a g-tree this source did not derive) bypasses it.  Under a tracer
-        each read leaves a ``guava.read`` span whose ``result_memo`` is
-        ``hit``, ``admit``, ``miss`` or ``bypass``.
+        rewind a data version).  A key's second read keeps its rows, so
+        data read once costs no memory.  Kept rows at an older stamp are
+        *patched* when only the data versions moved and the change feed
+        vouches that the change is records appended since (see
+        :meth:`_patch`): a record-scoped read of just those records is
+        appended, so a live read costs what changed.  A query without a key
+        (a g-tree this source did not derive) bypasses the memo.  Under a
+        tracer each read leaves a ``guava.read`` span whose ``result_memo``
+        is ``hit``, ``delta`` (with ``delta_records``), ``admit``,
+        ``miss`` or ``bypass``.
         """
         db = self.db
-        key = self._plan_key(query, scoped=False)
+        key = None if shape is None else self._plan_prefix + "all:" + shape
 
-        def run() -> list[Row]:
+        def run() -> tuple[list[Row], object]:
             plan = cached_plan(db, key) if key is not None else None
             if plan is None:
                 # Passing the database unlocks index lowering, the
@@ -327,10 +349,11 @@ class GuavaSource:
             if type(plan) is Vectorized and plan.shares_storage():
                 # A bare scan hands out the table snapshot's own dicts.
                 rows = [dict(row) for row in rows]
-            return rows
+            return rows, _KeptRead(plan, self._lengths())
 
+        delta_records = 0
         if key is None:
-            rows, outcome = run(), "bypass"
+            rows, outcome = run()[0], "bypass"
         else:
             stamp = (
                 db.plan_epoch,
@@ -338,27 +361,144 @@ class GuavaSource:
                 _toggles(True),
                 restore_generation(),
             )
-            rows, outcome = db.memo_read(key, stamp, run)
+
+            def patch(
+                kept_stamp: object, kept: list[Row], state: object
+            ) -> list[Row] | None:
+                nonlocal delta_records
+                patched = self._patch(
+                    query,
+                    cast(str, shape),
+                    kept_stamp,
+                    stamp,
+                    kept,
+                    cast(_KeptRead, state),
+                )
+                if patched is None:
+                    return None
+                appended, delta_records = patched
+                return appended
+
+            rows, outcome = db.memo_read(key, stamp, run, patch)
         tracer = current_tracer()
         if tracer is not None:
+            attrs: dict[str, object] = {"result_memo": outcome}
+            if outcome == "delta":
+                attrs["delta_records"] = delta_records
             form = query.gtree.form_name
-            with tracer.span(
-                "guava.read", source=self.name, form=form, result_memo=outcome
-            ):
+            with tracer.span("guava.read", source=self.name, form=form, **attrs):
                 pass
         return rows
 
-    def _plan_key(self, query: GTreeQuery, scoped: bool) -> str | None:
-        """The plan-cache key of a query's shape, or None if it has none.
+    def _patch(
+        self,
+        query: GTreeQuery,
+        shape: str,
+        kept_stamp: object,
+        stamp: tuple[object, ...],
+        kept: list[Row],
+        state: "_KeptRead",
+    ) -> tuple[list[Row], int] | None:
+        """The rows to append to a full read kept at ``kept_stamp``.
 
-        A query over a g-tree object this source did not derive could
-        select different default nodes under the same form name, so it is
-        planned fresh (through the structural cache) instead.
+        Returns them with the number of records changed, or None, and the
+        caller reads in full, unless every condition holds:
+
+        * only the chain tables' data versions moved (same plan epoch,
+          toggles and restore generation);
+        * the kept rows follow one driving table's extent record by record
+          (:func:`~repro.relational.query.extent_driver`);
+        * the change feed enumerates the records of this form changed
+          since then (no untracked write, no pruned span);
+        * none of them is in the kept rows (no update or delete of a read
+          record), and none has a row that passes the driving table's leaf
+          filter below that table's row count at the kept read (so each
+          is new to the read and its rows follow every kept row);
+        * the driving table has a ``record_id`` index to find them by;
+        * a record-scoped read of them succeeds.
+
+        The scoped read reuses the refresh path's plan when cached, or
+        plans with :func:`~repro.relational.query.optimize` under a key of
+        its own: a read never builds an index (which would write the WAL
+        and move the plan epoch) and never caches an index-less plan where
+        the refresh path would reuse it.
+        """
+        epoch, versions, toggles, generation = cast(tuple, kept_stamp)
+        if (epoch, toggles, generation) != (stamp[0], stamp[2], stamp[3]):
+            return None
+        if -1 in versions or not state.analyze(kept, self.db):
+            return None
+        changed = self.changed_record_ids(sum(versions), query.gtree.form_name)
+        if changed is None or not changed.isdisjoint(state.ids):
+            return None
+        table = self.db.table(state.driver)
+        rows: list[Row] = []
+        if changed:
+            index = table.matching_index((RECORD_ID,))
+            if index is None:
+                return None
+            length = state.lengths[state.driver]
+            old = [
+                position
+                for rid in changed
+                for position in index.lookup((rid,))
+                if position < length
+            ]
+            keep = state.keep
+            try:
+                if old and (keep is None or any(map(keep, table.rows_at(old)))):
+                    return None
+                scoped = self._scoped_rows(query, shape, tuple(sorted(changed)))
+            except ReproError:
+                return None
+            if scoped is None:
+                return None
+            rows = scoped
+            state.ids.update(row.get(RECORD_ID) for row in rows)
+        state.lengths = self._lengths()
+        return rows, len(changed)
+
+    def _lengths(self) -> dict[str, int]:
+        """Each chain table's row count."""
+        db = self.db
+        return {
+            name: len(db.table(name))
+            for name in self._chain_tables
+            if db.has_table(name)
+        }
+
+    def _scoped_rows(
+        self, query: GTreeQuery, shape: str, ids: tuple[int, ...]
+    ) -> list[Row] | None:
+        """A record-scoped read that builds no index (copies of its rows);
+        None when its plan could not be rebound to other ids."""
+        db = self.db
+        key = self._plan_prefix + "delta:" + shape
+        plan = cached_plan(db, self._plan_prefix + "ids:" + shape)
+        if plan is None:
+            plan = cached_plan(db, key)
+        if plan is None:
+            translated = translate_query(query, self.chain)
+            if not self._rebindable(translated):
+                return None
+            plan = optimize(Select(translated, _membership(ids)), db, cache_key=key)
+        else:
+            plan, _ = rebind_in_lists(plan, RECORD_ID, ids)
+        return [dict(row) for row in plan.execute(db)]
+
+    def _shape(self, query: GTreeQuery) -> str | None:
+        """The query's shape — form plus a type-tagged fingerprint of its
+        nodes, condition and derivations — or None if it has none.
+
+        Plan-cache keys are the source's prefix, a scope and the shape.  A
+        query over a g-tree object this source did not derive could select
+        different default nodes under the same form name, so it is planned
+        fresh (through the structural cache) instead.
         """
         form = query.gtree.form_name
         if self.gtrees.get(form) is not query.gtree:
             return None
-        parts = [self._plan_prefix, form, ":ids:" if scoped else ":all:"]
+        parts = [form, ":"]
         _fingerprint((query.nodes, query.condition, query.derivations), parts.append)
         return "".join(parts)
 
@@ -387,6 +527,42 @@ class GuavaSource:
 
     def __repr__(self) -> str:
         return f"GuavaSource({self.name!r}, tool={self.tool.name} v{self.tool.version})"
+
+
+class _KeptRead:
+    """Patch state of a kept full read (see :meth:`GuavaSource._patch`).
+
+    Made cheaply at every full read (the plan and the chain tables' row
+    counts); the analysis a patch needs is done on the first patch and
+    kept: the driving table, its compiled leaf filter and the record ids
+    the kept rows hold.
+    """
+
+    __slots__ = ("plan", "lengths", "driver", "keep", "ids")
+
+    def __init__(self, plan: Plan, lengths: dict[str, int]):
+        self.plan: Plan | None = plan
+        self.lengths = lengths
+        self.driver: str | None = None
+        self.keep: Callable[[Row], bool] | None = None
+        self.ids: set[object] = set()
+
+    def analyze(self, kept: list[Row], db: Database) -> bool:
+        """Can these kept rows be patched at all?  (Analyzed once.)"""
+        plan = self.plan
+        if plan is not None:
+            self.plan = None
+            driver = extent_driver(plan, RECORD_ID, db)
+            if driver is not None and all(RECORD_ID in row for row in kept[:1]):
+                self.driver, leaf_filter = driver
+                if leaf_filter is not None:
+                    self.keep = compile_predicate(leaf_filter)
+                self.ids = {row.get(RECORD_ID) for row in kept}
+        return self.driver is not None and self.driver in self.lengths
+
+
+def _membership(ids: tuple[int, ...]) -> InList:
+    return InList(Identifier.of(RECORD_ID), tuple(Literal(rid) for rid in ids))
 
 
 class BoundQuery:

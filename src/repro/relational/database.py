@@ -53,9 +53,11 @@ class Database:
         self._plan_cache: dict[
             str, tuple[int, tuple[tuple[str, int], ...], object]
         ] = {}
-        #: key -> (validity stamp, rows, or None until a second read at
-        #: the stamp admits them); see :meth:`memo_read`.
-        self._result_memo: dict[str, tuple[object, list[Row] | None]] = {}
+        #: key -> (validity stamp, rows or None until a second read admits
+        #: them, the caller's patch state); see :meth:`memo_read`.
+        self._result_memo: dict[
+            str, tuple[object, list[Row] | None, object]
+        ] = {}
         # Structure listener: the durability layer's DDL hook, called after
         # create_table/drop_table with (op, payload).  Payloads carry the
         # Table on create so the listener can chain a mutation listener.
@@ -159,35 +161,63 @@ class Database:
         self._result_memo.clear()
 
     def memo_read(
-        self, key: str, stamp: object, run: Callable[[], list[Row]]
+        self,
+        key: str,
+        stamp: object,
+        run: Callable[[], tuple[list[Row], object]],
+        patch: Callable[[object, list[Row], object], list[Row] | None]
+        | None = None,
     ) -> tuple[list[Row], str]:
         """``run()``'s rows, memoized under ``key`` while ``stamp`` holds.
 
         The caller vouches that ``key`` and ``stamp`` together determine
-        the rows.  Returns the rows and the memo's outcome: ``"miss"``
-        (first read at this stamp: only the stamp is kept), ``"admit"``
-        (second read: a copy of the rows is kept) or ``"hit"`` (a fresh
-        copy of the kept rows).  A hit's rows are the caller's to mutate;
-        a miss or admit returns ``run()``'s own rows.  Nothing is stored
-        when ``run`` raises.
+        the rows.  ``run()`` returns the rows and a *patch state*, kept
+        beside admitted rows for ``patch`` (which may update it in place).
+        Returns the rows and the memo's outcome:
+
+        * ``"hit"``: the key's rows were kept at ``stamp``; a fresh copy.
+        * ``"delta"``: they were kept at another stamp, and
+          ``patch(kept stamp, kept rows, state)`` returned the rows the
+          data added since.  The kept rows are extended with them and
+          restamped, and a fresh copy returned.
+        * ``"admit"``: the key was read before but keeps no rows;
+          ``run()``'s rows, and a copy of them is kept.
+        * ``"miss"``: a first read, or kept rows ``patch`` could not bring
+          forward; ``run()``'s rows, and only the stamp is kept.
+
+        A hit's or delta's rows are the caller's to mutate; a miss or
+        admit returns ``run()``'s own rows.  Nothing is stored when
+        ``run`` raises.
         """
         entry = self._result_memo.get(key)
-        if entry is not None and entry[0] == stamp:
-            kept = entry[1]
-            if kept is not None:
-                return [dict(row) for row in kept], "hit"
-            rows = run()
-            self._memo_put(key, stamp, [dict(row) for row in rows])
+        if entry is None:
+            rows, _ = run()
+            self._memo_put(key, (stamp, None, None))
+            return rows, "miss"
+        kept_stamp, kept, state = entry
+        if kept is None:
+            rows, state = run()
+            self._memo_put(key, (stamp, [dict(row) for row in rows], state))
             return rows, "admit"
-        rows = run()
-        self._memo_put(key, stamp, None)
-        return rows, "miss"
+        outcome = "hit"
+        if kept_stamp != stamp:
+            appended = patch(kept_stamp, kept, state) if patch is not None else None
+            if appended is None:
+                rows, _ = run()
+                self._memo_put(key, (stamp, None, None))
+                return rows, "miss"
+            kept.extend(appended)
+            self._memo_put(key, (stamp, kept, state))
+            outcome = "delta"
+        return [dict(row) for row in kept], outcome
 
-    def _memo_put(self, key: str, stamp: object, rows: list[Row] | None) -> None:
+    def _memo_put(
+        self, key: str, entry: tuple[object, list[Row] | None, object]
+    ) -> None:
         memo = self._result_memo
         if key not in memo and len(memo) >= self.PLAN_CACHE_LIMIT:
             memo.clear()
-        memo[key] = (stamp, rows)
+        memo[key] = entry
 
     def create_table(self, schema: TableSchema) -> Table:
         """Create an empty table; raises on duplicate names."""

@@ -19,10 +19,12 @@ from repro.obs.trace import Span, Tracer, current_tracer
 from repro.expr.ast import (
     BinaryOp,
     Expression,
+    FunctionCall,
     Identifier,
     InList,
     IsNull,
     Literal,
+    UnaryOp,
     conjunction,
 )
 from repro.expr.parser import parse
@@ -51,6 +53,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.database import Database
 from repro.relational.table import Table
+from repro.relational.types import DataType
 
 # Conjunct decomposition and the equality/IN/range item analyzers are
 # shared with the zone-map probe builders and live in stats.py.
@@ -299,6 +302,97 @@ def rebind_in_lists(
     return rebind(plan), count
 
 
+def extent_driver(
+    plan: Plan, column: str, db: Database
+) -> tuple[str, Expression | None] | None:
+    """The base table whose extent order ``plan``'s rows follow, if any.
+
+    Follows the plan's spine (each unary operator's child, each join's
+    left side) down to a base-table leaf.  Returns that table and the
+    filter its rows pass at the leaf (None when unfiltered) when every
+    output row derives from the rows of one ``column`` value and rows
+    leave in the order their records first reach the spine: the spine
+    holds only row-wise operators, pivots and aggregates keyed on
+    ``column`` and joins, and each join's right side is keyed the same
+    way (joined on ``column = column``) or reads no table with
+    ``column``.  A new record whose leaf rows all sit past the old extent
+    then adds rows after every old record's, and changes no other
+    record's rows.  None for anything else (a ``Sort``, ``TopK``,
+    ``Limit``, ``Union`` or ``Distinct`` on the spine, a join across
+    records).
+    """
+    path: list[Plan] = []
+    node = plan
+    while not isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup)):
+        if isinstance(node, Join):
+            if not (
+                (column, column) in node.on and _record_local(node.right, column, db)
+            ) and _reads_column(node.right, column, db):
+                return None
+            path.append(node)
+            node = node.left
+        elif _keyed_on(node, column):
+            path.append(node)
+            node = node.children()[0]
+        else:
+            return None
+    assert isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup))
+    if not db.has_table(node.table) or not db.table(node.table).schema.has_column(
+        column
+    ):
+        return None
+    filters = (
+        [_lookup_predicate(node)] if isinstance(node, (IndexLookup, InLookup)) else []
+    )
+    for above in reversed(path):
+        if isinstance(above, Select):
+            filters.append(above.predicate)
+        elif not isinstance(above, Vectorized):
+            break
+    return node.table, conjunction(filters) if filters else None
+
+
+def _keyed_on(node: Plan, column: str) -> bool:
+    """Does ``node`` map each record's rows to rows of that record only,
+    in arrival order?"""
+    if isinstance(node, (Select, Project, Compute, Coerce, Vectorized)):
+        return True
+    if isinstance(node, Rename):
+        return all(column not in pair for pair in node.mapping)
+    if isinstance(node, Pivot):
+        return column in node.key_columns
+    if isinstance(node, Aggregate):
+        return column in node.group_by
+    return False
+
+
+def _record_local(node: Plan, column: str, db: Database) -> bool:
+    """Does every row of ``node`` derive from the rows of one ``column``
+    value?  (Order does not matter below a join's right side.)"""
+    if isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup)):
+        return True
+    if isinstance(node, Join):
+        return _record_local(node.left, column, db) and (
+            ((column, column) in node.on and _record_local(node.right, column, db))
+            or not _reads_column(node.right, column, db)
+        )
+    if isinstance(node, Sort) or _keyed_on(node, column):
+        return _record_local(node.children()[0], column, db)
+    return False
+
+
+def _reads_column(plan: Plan, column: str, db: Database) -> bool:
+    """Does any base table under ``plan`` have ``column``?"""
+    return any(
+        isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup))
+        and (
+            not db.has_table(node.table)
+            or db.table(node.table).schema.has_column(column)
+        )
+        for node in plan.walk()
+    )
+
+
 def plan_fingerprint(plan: Plan) -> str:
     """A structural fingerprint for plan-cache keying.
 
@@ -397,6 +491,17 @@ class _OptContext:
                 return None
         return None
 
+    def column_types(self, plan: Plan) -> dict[str, DataType | None] | None:
+        """Output column → declared type (None when not declared), if the
+        columns are derivable; types are known only for columns read from
+        a base table or converted by a ``Coerce``."""
+        columns = self.columns_of(plan)
+        if columns is None:
+            static = _static_columns(plan)
+            return None if static is None else dict.fromkeys(static)
+        declared = _declared_types(plan, self.db) if self.db is not None else {}
+        return {column: declared.get(column) for column in columns}
+
     def column_set(self, plan: Plan) -> set[str] | None:
         """Output column set when derivable (statically or via the db)."""
         ordered = self.columns_of(plan)
@@ -449,8 +554,14 @@ def _rewrite_select(plan: Select, ctx: _OptContext) -> Plan:
     if isinstance(plan.predicate, Literal) and plan.predicate.value is True:
         ctx.note("constant_select_drop")
         return child
-    # Merge consecutive selects into one conjunction.
+    # Merge consecutive selects into one conjunction.  ``A AND B`` also
+    # evaluates the outer filter where the inner one is NULL, so the outer
+    # one must not be able to raise there (unknowable without a database,
+    # where selects merge as written).
     if isinstance(child, Select):
+        types = ctx.column_types(child.child)
+        if types is not None and not _never_raises(plan.predicate, types):
+            return plan
         ctx.note("select_merge")
         merged = BinaryOp("AND", child.predicate, plan.predicate)
         return _rewrite(Select(child.child, merged), ctx)
@@ -505,8 +616,49 @@ def _rewrite_select(plan: Select, ctx: _OptContext) -> Plan:
             _rewrite(Select(branch, plan.predicate), ctx) for branch in child.inputs
         )
         return Union(pushed)
+    # Push below a Sort: it drops no row and never raises, and a stable
+    # sort of the surviving rows keeps their relative order.
+    if isinstance(child, Sort):
+        ctx.note("select_below_sort")
+        return Sort(_rewrite(Select(child.child, plan.predicate), ctx), child.keys)
+    # Push below a Compute when the predicate reads no derived name and no
+    # derivation can raise: the filter then sees the same values, and the
+    # rows it removes would only have been extended without error.
+    if isinstance(child, Compute):
+        types = ctx.column_types(child.child)
+        names = referenced_identifiers(plan.predicate)
+        if (
+            types is not None
+            and names <= types.keys()
+            and not names & {name for name, _ in child.derivations}
+            and all(_never_raises(expr, types) for _, expr in child.derivations)
+        ):
+            ctx.note("select_below_compute")
+            return Compute(
+                _rewrite(Select(child.child, plan.predicate), ctx), child.derivations
+            )
+    # Push below an Aggregate when the predicate reads only group-by
+    # columns: filtering input rows then drops whole groups, and group order
+    # is first-seen order either way.  The predicate must not raise (it now
+    # meets every row, not one per group), nor may an aggregate over a
+    # removed group; without group keys an empty input still yields a row.
+    if isinstance(child, Aggregate) and child.group_by:
+        types = ctx.column_types(child.child)
+        if (
+            types is not None
+            and referenced_identifiers(plan.predicate) <= set(child.group_by)
+            and set(child.group_by) <= types.keys()
+            and _never_raises(plan.predicate, types)
+            and all(_aggregate_never_raises(spec, types) for spec in child.aggregates)
+        ):
+            ctx.note("select_below_aggregate")
+            return Aggregate(
+                _rewrite(Select(child.child, plan.predicate), ctx),
+                child.group_by,
+                child.aggregates,
+            )
     # Push select into a join side when its columns come from one side.
-    if isinstance(child, Join) and child.how == "inner":
+    if isinstance(child, Join) and child.how in ("inner", "left"):
         return _push_into_join(plan.predicate, child, ctx)
     # Lower equality filters over a base table onto a hash index; when no
     # index covers the filter, try pruning partitions of a partitioned
@@ -532,10 +684,44 @@ def _rewrite_select(plan: Select, ctx: _OptContext) -> Plan:
 
 
 def _push_into_join(predicate: Expression, join: Join, ctx: _OptContext) -> Plan:
+    """Push a filter over an inner or left join into the side(s) it reads.
+
+    A left join emits every left row at least once with its left values,
+    so a filter over left columns may always move into the left side.  An
+    inner join drops unmatched rows, so a filter moves into a side only if
+    it cannot raise there (it would now also meet the unmatched rows).  A
+    filter over join keys named alike on both sides (``record_id =
+    record_id``) that cannot raise is copied into *both* sides: matched
+    rows carry canonically equal keys, on which such a filter agrees.  The
+    copy keeps a record-id membership slot on each side, where
+    :func:`rebind_in_lists` finds it.
+    """
     names = referenced_identifiers(predicate)
-    left_cols = ctx.column_set(join.left)
-    right_cols = ctx.column_set(join.right)
-    if left_cols is not None and names <= left_cols:
+    left = ctx.column_types(join.left)
+    right = ctx.column_types(join.right)
+    shared = {lk for lk, rk in join.on if lk == rk}
+    if (
+        names
+        and names <= shared
+        and left is not None
+        and right is not None
+        and names <= left.keys()
+        and names <= right.keys()
+        and _never_raises(predicate, left)
+        and _never_raises(predicate, right)
+    ):
+        ctx.note("select_into_join_keys")
+        return Join(
+            _rewrite(Select(join.left, predicate), ctx),
+            _rewrite(Select(join.right, predicate), ctx),
+            join.on,
+            join.how,
+        )
+    if (
+        left is not None
+        and names <= left.keys()
+        and (join.how == "left" or _never_raises(predicate, left))
+    ):
         ctx.note("select_into_join")
         return Join(
             _rewrite(Select(join.left, predicate), ctx),
@@ -543,7 +729,12 @@ def _push_into_join(predicate: Expression, join: Join, ctx: _OptContext) -> Plan
             join.on,
             join.how,
         )
-    if right_cols is not None and names <= right_cols:
+    if (
+        join.how == "inner"
+        and right is not None
+        and names <= right.keys()
+        and _never_raises(predicate, right)
+    ):
         ctx.note("select_into_join")
         return Join(
             join.left,
@@ -554,14 +745,130 @@ def _push_into_join(predicate: Expression, join: Join, ctx: _OptContext) -> Plan
     return Select(join, predicate)
 
 
+#: Value bands within which ordering comparisons never raise
+#: (``evaluator._compare``); dates always raise when ordered.
+_ORDER_BANDS = {
+    DataType.INTEGER: "num",
+    DataType.FLOAT: "num",
+    DataType.TEXT: "str",
+    DataType.BOOLEAN: "bool",
+}
+
+
+def _order_band(expr: Expression, types: dict[str, DataType | None]) -> str | None:
+    """The comparison band of an operand's non-NULL values, if known."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "bool"
+        if isinstance(value, (int, float)):
+            return "num"
+        return "str" if isinstance(value, str) else None
+    if isinstance(expr, Identifier):
+        dtype = types.get(expr.name)
+        return _ORDER_BANDS.get(dtype) if dtype is not None else None
+    return None
+
+
+def _boolean_valued(expr: Expression, types: dict[str, DataType | None]) -> bool:
+    """Does ``expr`` only ever yield TRUE, FALSE or NULL (never raising)?"""
+    if isinstance(expr, (IsNull, InList)):
+        return True
+    if isinstance(expr, BinaryOp):
+        return expr.op in ("=", "!=", "<", "<=", ">", ">=", "AND", "OR")
+    if isinstance(expr, UnaryOp):
+        return expr.op == "NOT"
+    if isinstance(expr, Literal):
+        return expr.value is None or isinstance(expr.value, bool)
+    if isinstance(expr, Identifier):
+        return types.get(expr.name) is DataType.BOOLEAN
+    if isinstance(expr, FunctionCall) and _is_iif(expr):
+        return all(_boolean_valued(arg, types) for arg in expr.args[1:])
+    return False
+
+
+def _is_iif(expr: FunctionCall) -> bool:
+    return expr.name.upper() == "IIF" and len(expr.args) == 3
+
+
+def _never_raises(expr: Expression, types: dict[str, DataType | None]) -> bool:
+    """Can ``expr`` evaluate without raising on every row of these columns?
+
+    ``types`` maps every column the rows carry to its declared type (None
+    when not declared).  Conservative: identifiers must name a column,
+    ``=``/``!=``/``IN``/``IS NULL``/``IIF`` never raise, an ordering
+    comparison is safe only between operands of one known band (declared
+    types are enforced on write, and NULL compares to NULL), and logic
+    operators need operands that are boolean-valued.  Anything else
+    (arithmetic, LIKE, other functions) may raise.  Every accepted
+    operator also agrees on canonically equal values (``1`` and ``1.0``),
+    which the join-key copy and the aggregate rule rely on.
+    """
+    if isinstance(expr, Literal):
+        return True
+    if isinstance(expr, Identifier):
+        return expr.name in types
+    if isinstance(expr, IsNull):
+        return _never_raises(expr.operand, types)
+    if isinstance(expr, InList):
+        return _never_raises(expr.operand, types) and all(
+            _never_raises(item, types) for item in expr.items
+        )
+    if isinstance(expr, UnaryOp):
+        return (
+            expr.op == "NOT"
+            and _never_raises(expr.operand, types)
+            and _boolean_valued(expr.operand, types)
+        )
+    if isinstance(expr, FunctionCall):
+        return _is_iif(expr) and all(_never_raises(arg, types) for arg in expr.args)
+    if not isinstance(expr, BinaryOp):
+        return False
+    if not (_never_raises(expr.left, types) and _never_raises(expr.right, types)):
+        return False
+    if expr.op in ("=", "!="):
+        return True
+    if expr.op in ("AND", "OR"):
+        return _boolean_valued(expr.left, types) and _boolean_valued(expr.right, types)
+    if expr.op in ("<", "<=", ">", ">="):
+        left, right = _order_band(expr.left, types), _order_band(expr.right, types)
+        return left is not None and right is not None and (
+            left == right or "null" in (left, right)
+        )
+    return False
+
+
+def _aggregate_never_raises(
+    spec: AggregateSpec, types: dict[str, DataType | None]
+) -> bool:
+    """Can this aggregate finalize over any group of these rows unraised?"""
+    func = spec.func.upper()
+    if spec.column is None:
+        return func == "COUNT"
+    if spec.column not in types:
+        return False
+    if func in ("COUNT", "COUNT_DISTINCT", "STRING_AGG"):
+        return True
+    dtype = types[spec.column]
+    if func in ("MIN", "MAX"):
+        return dtype is not None
+    if func in ("SUM", "AVG"):
+        return dtype in (DataType.INTEGER, DataType.FLOAT)
+    return False
+
+
 def _lower_index_lookup(
     predicate: Expression, scan: Scan, ctx: _OptContext
 ) -> Plan | None:
     """``Select(Scan, col = literal AND …)`` → IndexLookup (+ residual Select).
 
-    Only fires when the database is known, the table exists, and a hash
-    index covers at least the equality columns — otherwise the plan is left
-    alone so execution cost and error behaviour stay exactly as written.
+    Only fires when the database is known, the table exists, a hash index
+    covers at least the equality columns, and no residual conjunct can
+    raise (it would now skip the rows the probe leaves out) — otherwise the
+    plan is left alone so execution cost and error behaviour stay exactly
+    as written.
     """
     if ctx.db is None or not ctx.db.has_table(scan.table):
         return None
@@ -603,9 +910,16 @@ def _lower_index_lookup(
         choices.append((count, in_lookup, rest))
     if not choices:
         return None
+    count, lookup, rest = min(choices, key=lambda choice: choice[0])
+    # The residual filter now meets only the probed rows: a conjunct that
+    # could raise on a row the probe skips keeps the plan a filtered scan.
+    types: dict[str, DataType | None] = {
+        column.name: column.dtype for column in table.schema.columns
+    }
+    if not all(_never_raises(conjunct, types) for conjunct in rest):
+        return None
     if len(choices) > 1:
         ctx.consult(table)
-    count, lookup, rest = min(choices, key=lambda choice: choice[0])
     ctx.note(
         "index_lowering",
         table=scan.table,
@@ -894,6 +1208,49 @@ def _static_columns(plan: Plan) -> set[str] | None:
             return None
         return base | {name for name, _ in plan.derivations}
     return None
+
+
+def _declared_types(plan: Plan, db: Database) -> dict[str, DataType]:
+    """The declared types of the columns ``plan`` passes on unchanged."""
+    if isinstance(plan, (Scan, PartitionScan, IndexLookup, InLookup)):
+        if not db.has_table(plan.table):
+            return {}
+        return {
+            column.name: column.dtype for column in db.table(plan.table).schema.columns
+        }
+    if isinstance(plan, (Select, Project, Sort, TopK, Limit, Distinct, Vectorized)):
+        return _declared_types(plan.children()[0], db)
+    if isinstance(plan, Rename):
+        mapping = dict(plan.mapping)
+        return {
+            mapping.get(column, column): dtype
+            for column, dtype in _declared_types(plan.child, db).items()
+        }
+    if isinstance(plan, Compute):
+        derived = {name for name, _ in plan.derivations}
+        return {
+            column: dtype
+            for column, dtype in _declared_types(plan.child, db).items()
+            if column not in derived
+        }
+    if isinstance(plan, Coerce):
+        types = _declared_types(plan.child, db)
+        types.update(plan.column_types)
+        return types
+    if isinstance(plan, (Aggregate, Pivot)):
+        keys = plan.group_by if isinstance(plan, Aggregate) else plan.key_columns
+        below = _declared_types(plan.child, db)
+        return {column: below[column] for column in keys if column in below}
+    if isinstance(plan, Join):
+        right_keys = {rk for _, rk in plan.on}
+        types = {
+            column: dtype
+            for column, dtype in _declared_types(plan.right, db).items()
+            if column not in right_keys
+        }
+        types.update(_declared_types(plan.left, db))
+        return types
+    return {}
 
 
 def _with_children(plan: Plan, children: tuple[Plan, ...]) -> Plan:

@@ -8,14 +8,20 @@ stale answer.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.guava import GuavaSource
+from repro.patterns import NaivePattern, PatternChain
 from repro.relational.schema import Column, TableSchema
 from repro.relational.database import database_version
 from repro.relational.types import DataType
 from repro.relational.database import Database
 
-from tests.conftest import enter_fig2_records
+from repro.storage import DurableStore
+from repro.ui import ReportingTool
+from tests.conftest import build_fig2_form, enter_fig2_records
 
 
 class TestTableVersion:
@@ -119,3 +125,67 @@ class TestChangeFeed:
             versions.append(naive_source.data_version())
         assert versions == sorted(versions)
         assert len(set(versions)) == len(versions)
+
+    def test_an_untracked_write_before_a_session_entry_is_not_hidden(
+        self, naive_source
+    ):
+        enter_fig2_records(naive_source)
+        v = naive_source.data_version()
+        naive_source.db.table("procedure").delete(lambda r: r["record_id"] == 2)
+        naive_source.session(first_record_id=9).enter("procedure", {"smoking": "Never"})
+        # The entry's note must not vouch for the delete before it.
+        assert naive_source.changed_record_ids(v) is None
+
+
+def _durable_source(directory):
+    tool = ReportingTool("feed", "1.0", forms=[build_fig2_form()])
+    store = DurableStore(directory, name="feed", fsync="never")
+    source = GuavaSource(
+        "feed", tool, PatternChain(tool.naive_schemas(), [NaivePattern()]), db=store.db
+    )
+    store.attach_source(source)
+    return store, source
+
+
+def _scanned(source, since, form=None):
+    """``changed_record_ids`` by a linear scan of the log (the reference)."""
+    return {
+        rid
+        for version, logged_form, rid in source.feed.log
+        if version > since and (form is None or logged_form in (None, form))
+    }
+
+
+class TestFeedOrder:
+    """``changed_record_ids`` bisects the log, so its order is pinned."""
+
+    def test_versions_never_decrease_through_pruning_and_recovery(self, tmp_path):
+        with mock.patch("repro.guava.source.CHANGE_LOG_LIMIT", 6):
+            store, source = _durable_source(tmp_path)
+            session = source.session()
+            for smoking in ("Never", "Current", "Previous", "Never"):
+                session.enter("procedure", {"smoking": smoking})
+            store.snapshot()
+            for smoking in ("Current",) * 5:
+                session.enter("procedure", {"smoking": smoking})
+            source.db.table("procedure").update(
+                lambda r: r["record_id"] == 2, {"smoking": "Never"}
+            )
+            source.track_change(2, form="procedure")
+            source.track_change(3)  # no form: matches every form
+            session.enter("procedure", {"smoking": "Never"})
+            assert source.feed.floor > 0  # pruned
+            kept = list(source.feed.log)
+            store.commit()
+            store.close()
+
+            store, recovered = _durable_source(tmp_path)
+            assert recovered.feed.log == kept
+            versions = [version for version, _, _ in kept]
+            assert versions == sorted(versions)
+            for since in range(recovered.feed.floor, recovered.data_version() + 1):
+                for form in (None, "procedure", "other"):
+                    assert recovered.changed_record_ids(since, form) == _scanned(
+                        recovered, since, form
+                    )
+            store.close()

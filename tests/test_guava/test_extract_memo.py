@@ -2,12 +2,14 @@
 
 ``GuavaSource.execute`` keeps a full read's rows under its plan-cache key,
 stamped with the plan epoch, the chain tables' data versions, the executor
-toggles and the restore generation.  The first read at a stamp keeps only
-the stamp, the second keeps a copy of the rows, and later reads at that
+toggles and the restore generation.  A key's first read keeps only the
+stamp, the second keeps a copy of the rows, and later reads at that
 stamp are served copies of them.  Each case below reads until the memo
 hits (the ``guava.read`` span's ``result_memo`` attribute says so), then
-changes something and checks the next read misses and still equals a
-fresh ``interpret.py`` run of the translated plan.
+changes something and checks the next read misses (or, for a new record
+entered through a session, is patched) and still equals a fresh
+``interpret.py`` run of the translated plan.  ``test_delta_memo.py``
+covers the patch path.
 """
 
 from __future__ import annotations
@@ -99,14 +101,19 @@ def _misses(source: GuavaSource, query: GTreeQuery) -> list[dict]:
 
 @pytest.mark.parametrize("kind", sorted(CHAINS))
 class TestInvalidation:
-    def test_entry_through_a_session_misses(self, kind):
+    def test_entry_through_a_session_is_patched(self, kind):
         source = _source(kind)
         query = _query(source)
+        (name,) = source.chain.physical_schemas
+        # The refresh path builds this index; a read never does.
+        source.db.table(name).create_index(("record_id",))
         before = _read_until_hit(source, query)
         source.session(first_record_id=100).enter(
             "procedure", {"smoking": "Current", "hypoxia": True}
         )
-        after = _misses(source, query)
+        after, outcomes = _read(source, query)
+        assert outcomes == ["delta"]
+        assert after == _oracle(source, query)
         assert len(after) == len(before) + 1
 
     def test_direct_insert_update_and_delete_each_miss(self, kind):

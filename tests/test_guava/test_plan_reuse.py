@@ -14,6 +14,10 @@ in the source's database) and record-scoped reads with varying ids, and
 after every read compares ``source.execute`` with a fresh translation run
 through ``interpret.py``.  Every ``IndexLookup``/``InLookup`` executed is
 also checked to find its index: a reused plan never probes a dropped one.
+``TestProportionalDeltas`` checks, on every chain kind here and the three
+vendor chains, that a record-scoped plan reads each table with a
+``record_id`` column through a record-id probe that returns no more rows
+than the requested records hold.
 """
 
 from __future__ import annotations
@@ -23,14 +27,17 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import vendor_classifiers_for
+from repro.clinical import build_world
 from repro.errors import ReproError
 from repro.expr.ast import Identifier, InList, Literal
 from repro.guava import GTreeQuery, GuavaSource, translate_query
-from repro.obs import tracing
+from repro.obs import explain_analyze, tracing
 from repro.patterns import AuditPattern, GenericPattern, NaivePattern, PatternChain
 from repro.relational import Database, DataType, TableSchema
-from repro.relational.algebra import IndexLookup, InLookup, Select
+from repro.relational.algebra import IndexLookup, InLookup, PartitionScan, Scan, Select
 from repro.relational.interpret import execute_interpreted
+from repro.relational.query import prepare_stream_plan
 from repro.ui import ReportingTool
 from repro.warehouse import Warehouse
 from tests.conftest import build_fig2_form
@@ -336,3 +343,60 @@ class TestPinnedCases:
         naive.session().enter("procedure", {"smoking": "Never"})
         assert len(_check(naive, _query(naive, None))[1]) == 1
         assert _check(eav, _query(eav, None))[1] == []
+
+
+def _record_scoped_sources():
+    """Every CHAINS kind and the three vendor chains, with data entered."""
+    for kind in sorted(CHAINS):
+        source = _source(kind)
+        session = source.session()
+        for index in range(12):
+            session.enter(
+                "procedure", {"smoking": "Never", "hypoxia": index % 3 == 0}
+            )
+        yield kind, source, _query(source, None)
+    for source in build_world(90, seed=3).sources:
+        entity = vendor_classifiers_for(source).entity_classifier
+        yield source.name, source, GTreeQuery(source.gtree(entity.form)).where(
+            entity.condition
+        )
+
+
+class TestProportionalDeltas:
+    """A record-scoped read touches only the requested records' rows."""
+
+    def test_every_record_table_is_probed_by_record_id(self):
+        for name, source, query in _record_scoped_sources():
+            ids = (2, 3, 5)
+            plan = Select(
+                translate_query(query, source.chain),
+                InList(Identifier.of("record_id"), tuple(Literal(i) for i in ids)),
+            )
+            prepared = prepare_stream_plan(plan, source.db)
+            record_leaves = [
+                node
+                for node in prepared.walk()
+                if isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup))
+                and source.db.table(node.table).schema.has_column("record_id")
+            ]
+            assert record_leaves, name
+            for leaf in record_leaves:
+                assert isinstance(leaf, InLookup) and leaf.column == "record_id", (
+                    name,
+                    leaf,
+                )
+            report = explain_analyze(plan, source.db)
+            probed = [
+                (node, span)
+                for node, span in report.node_spans()
+                if isinstance(node, InLookup) and node.column == "record_id"
+            ]
+            assert len(probed) == len(record_leaves), name
+            for node, span in probed:
+                wanted = sum(
+                    1
+                    for row in source.db.table(node.table).rows()
+                    if row["record_id"] in ids
+                )
+                assert span.attrs["bucket_rows"] <= wanted, (name, node.table)
+            assert report.rows == execute_interpreted(plan, source.db), name
