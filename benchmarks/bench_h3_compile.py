@@ -34,7 +34,7 @@ def test_h3_compile_all_studies(benchmark, world):
         return [compile_study(study, Database("wh")) for study in studies]
 
     workflows = benchmark(compile_all)
-    assert all(wf.stages() == ["extract", "classify", "study"] for wf in workflows)
+    assert all(wf.stages() == ["extract", "study"] for wf in workflows)
 
 
 def test_h3_equivalence_report(benchmark, world):

@@ -6,13 +6,12 @@ existing ETL and still offer the flexibility that analysts require."
 
 :mod:`repro.etl.components` provides the common ETL component vocabulary,
 :mod:`repro.etl.workflow` the DAG executor with per-step run logs, and
-:mod:`repro.etl.compile` the Figure 6 translation: study → the three-stage
-extract / classify / integrate pipeline.
+:mod:`repro.etl.compile` the Figure 6 translation: study → one classifying
+extract per contributor, then union, clean, filter and load.
 """
 
 from repro.etl.components import (
     AddConstant,
-    Classify,
     Clean,
     Component,
     DeriveColumn,
@@ -28,7 +27,6 @@ from repro.etl.compile import compile_study, domain_data_type
 
 __all__ = [
     "AddConstant",
-    "Classify",
     "Clean",
     "Component",
     "DeriveColumn",

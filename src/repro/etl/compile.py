@@ -2,16 +2,18 @@
 
 "At present, a study created over GUAVA and MultiClass has a logical
 translation to a sequence of three ETL components, each executing a query
-over the previous one's results."  The three stages:
+over the previous one's results."  The three stages, as compiled here:
 
-1. **extract**  — per source and entity: GUAVA translates the entity
-   classifier's g-tree query through the design-pattern chain and pulls
-   qualifying records out of the physical database (first temporary DB).
-2. **classify** — each bound domain classifier becomes a Classify
-   component writing its ``attribute_domain`` column; a projection trims
-   to the study columns (second temporary DB).
-3. **study**    — union across contributors, apply the study's WHERE-like
-   filters, and load the result into the warehouse.
+1. **extract** and 2. **classify** — one :class:`Extract` per source and
+   entity.  GUAVA translates the entity classifier's g-tree query through
+   the design-pattern chain, and the study's row map
+   (:meth:`~repro.multiclass.study.Study.row_map`) applies record-scoped
+   cleaning, every bound domain classifier and the output shape inside
+   that read.  The two temporary databases of Figure 6 are the read's
+   rows and the memoized mapped rows, so a publish classifies nothing a
+   preview at the same data version already classified.
+3. **study** — union across contributors, study-scoped cleaning, the
+   study's WHERE-like filters, and the load into the warehouse.
 
 The compiled workflow is *behaviourally equivalent* to
 :meth:`repro.multiclass.study.Study.run` — the executable statement of
@@ -20,19 +22,8 @@ Hypothesis 3, checked by integration tests and the H3 benchmark.
 
 from __future__ import annotations
 
-from repro.errors import CompileError
-from repro.expr.ast import Identifier
-from repro.etl.components import (
-    AddConstant,
-    Classify,
-    Clean,
-    DeriveColumn,
-    Extract,
-    FilterRows,
-    Load,
-    ProjectColumns,
-    UnionInputs,
-)
+from repro.errors import CompileError, StudyError
+from repro.etl.components import Clean, Extract, FilterRows, Load, UnionInputs
 from repro.multiclass.cleaning import Quarantine
 from repro.etl.workflow import Workflow
 from repro.guava.query import GTreeQuery
@@ -75,7 +66,7 @@ def study_table_schema(study: Study, entity: str) -> TableSchema:
 
 
 def compile_study(study: Study, warehouse: Database) -> Workflow:
-    """Translate a study into its three-stage ETL workflow."""
+    """Translate a study into its Figure 6 ETL workflow."""
     if not study.bindings:
         raise CompileError(f"study {study.name!r} has no sources bound")
     if not study.elements:
@@ -85,6 +76,7 @@ def compile_study(study: Study, warehouse: Database) -> Workflow:
     workflow.context["quarantine"] = quarantine
     for entity in study.entities_in_play():
         cleaning_rules = study.cleaning.get(entity, [])
+        linked = study.has_parent_link(entity)
         branch_heads: list[str] = []
         for binding in study.bindings:
             source = binding.source
@@ -94,67 +86,23 @@ def compile_study(study: Study, warehouse: Database) -> Workflow:
                     f"source {source.name!r} lacks an entity classifier for "
                     f"{entity!r}"
                 )
-            prefix = f"{entity}__{source.name}"
-
-            # Stage 1: extract — the entity classifier's g-tree query, read
-            # through the source like a Study.run preview.  Building the
-            # query validates it; translation waits for the first read.
+            # Stages 1 and 2: the entity classifier's g-tree query, read
+            # through the source with the study's row map, like a Study.run
+            # preview.  Building the query validates it and building the
+            # map resolves every classifier; translation waits for the
+            # first read.
             query = GTreeQuery(source.gtree(ec.form)).where(ec.condition)
-            workflow.add(
-                f"{prefix}__extract",
-                Extract(source, query),
-                stage="extract",
-            )
-            previous = f"{prefix}__extract"
-            if any(rule.scope == "record" for rule in cleaning_rules):
-                workflow.add(
-                    f"{prefix}__clean",
-                    Clean(cleaning_rules, source.name, "record", quarantine),
-                    inputs=(previous,),
-                    stage="extract",
+            try:
+                row_map = study.row_map(
+                    binding, entity, ec.parent_link if linked else None
                 )
-                previous = f"{prefix}__clean"
-
-            # Stage 2: classify — one component per selected element.
-            for element in study.elements_of(entity):
-                classifier = binding.classifiers.get(element)
-                if classifier is None:
-                    raise CompileError(
-                        f"source {source.name!r} has no classifier for {element}"
-                    )
-                _, attribute, domain_name = element
-                column = element_column(attribute, domain_name)
-                domain = study.schema.domain_of(*element)
-                step_name = f"{prefix}__classify__{column}"
-                workflow.add(
-                    step_name,
-                    Classify(column, classifier, domain),
-                    inputs=(previous,),
-                    stage="classify",
-                )
-                previous = step_name
+            except StudyError as error:
+                raise CompileError(str(error)) from error
+            name = f"{entity}__{source.name}__extract"
             workflow.add(
-                f"{prefix}__stamp",
-                AddConstant("source", source.name),
-                inputs=(previous,),
-                stage="classify",
+                name, Extract(source, query, row_map, quarantine), stage="extract"
             )
-            previous = f"{prefix}__stamp"
-            if study.has_parent_link(entity):
-                workflow.add(
-                    f"{prefix}__link",
-                    DeriveColumn(PARENT_RECORD_ID, Identifier.of(ec.parent_link)),
-                    inputs=(previous,),
-                    stage="classify",
-                )
-                previous = f"{prefix}__link"
-            workflow.add(
-                f"{prefix}__shape",
-                ProjectColumns(study.output_columns(entity)),
-                inputs=(previous,),
-                stage="classify",
-            )
-            branch_heads.append(f"{prefix}__shape")
+            branch_heads.append(name)
 
         # Stage 3: study — union, filter, load.
         workflow.add(

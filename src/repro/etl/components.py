@@ -4,8 +4,11 @@ Hypothesis 3 is argued "by comparing the expressive power of our
 classifier language against a set of common ETL components"; this module
 is that set.  Each component consumes zero or more input row lists and
 produces one output row list.  Components are deliberately ordinary —
-extract, filter, derive, classify, project, union, load — so a compiled
-study reads like any hand-built warehouse workflow.
+extract, filter, derive, clean, project, union, load — so a compiled
+study reads like any hand-built warehouse workflow.  Classification has no
+component of its own: a compiled study's :class:`Extract` carries the
+study's row map, so its rows come out of the read already classified and
+shaped (see :mod:`repro.etl.compile`).
 
 Two execution protocols coexist:
 
@@ -33,8 +36,8 @@ from repro.errors import ETLError
 from repro.expr.ast import Expression
 from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
-from repro.multiclass.classifier import Classifier
-from repro.multiclass.domain import Domain
+from repro.multiclass.cleaning import Quarantine, apply_rules
+from repro.multiclass.study import EntityRowMap
 from repro.guava.query import GTreeQuery
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
@@ -103,25 +106,47 @@ class Component:
 class Extract(Component):
     """Pull a g-tree view's rows out of a GUAVA source.
 
-    In a compiled study the query is the entity classifier's g-tree query —
-    the bridge from Figure 6's "Source" box to the first temporary
-    database.  Both protocols read through
+    In a compiled study the query is the entity classifier's g-tree query
+    and ``row_map`` the study's row map for it — the bridge from Figure
+    6's "Source" box through the classifiers: rows come out classified and
+    output-shaped, and records a record-scoped cleaning rule discards go
+    to ``quarantine``.  Both protocols read through
     :meth:`~repro.guava.source.GuavaSource.execute`, the call a
-    ``Study.run`` preview makes for the same query: a publish shares the
-    preview's plan-cache entry and, at an unchanged data version, its
-    memoized rows.  Rows are fresh, so chains own them.
+    ``Study.run`` preview makes for the same query and map: a publish
+    shares the preview's plan-cache entry and, at an unchanged data
+    version, its memoized rows.  Rows are fresh, so chains own them.
     """
 
     source: GuavaSource
     query: GTreeQuery
+    row_map: EntityRowMap | None = None
+    quarantine: Quarantine = field(default_factory=Quarantine)
 
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(0, inputs)
-        return self.source.execute(self.query)
+        return self.read(self.quarantine)
 
-    def stream_chunks(self, batch_size: int | None) -> Iterator[Chunk]:
-        """Yield the read's rows in chunks of ``batch_size`` (one if None)."""
-        yield from chunked(self.source.execute(self.query), batch_size)
+    def read(self, quarantine: Quarantine) -> list[Row]:
+        """The read's rows, its discards added to ``quarantine``."""
+        rows = self.source.execute(self.query, row_map=self.row_map)
+        if self.row_map is None:
+            return rows
+        return self.row_map.sift(rows, quarantine)
+
+    def open_read(
+        self, batch_size: int | None
+    ) -> tuple[Iterator[Chunk], Callable[[], None]]:
+        """The read's rows in chunks of ``batch_size`` (one if None), and
+        a commit publishing its discards (staged like :class:`Clean`'s)."""
+        staged = Quarantine()
+
+        def chunks() -> Iterator[Chunk]:
+            yield from chunked(self.read(staged), batch_size)
+
+        def commit() -> None:
+            self.quarantine.rows.extend(staged.rows)
+
+        return chunks(), commit
 
 
 @dataclass
@@ -201,44 +226,6 @@ class DeriveColumn(Component):
 
 
 @dataclass
-class Classify(Component):
-    """Apply a MultiClass classifier, writing its output column.
-
-    This is the component that makes a compiled study *context-sensitive*:
-    the classifier's rules reference g-tree nodes, and the extract stage
-    guarantees the rows carry those nodes' values.
-    """
-
-    column: str
-    classifier: Classifier
-    domain: Domain | None = None
-
-    streamable = True
-
-    def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
-        self.expects(1, inputs)
-        classify = self.classifier.compile(self.domain)
-        out = []
-        for row in inputs[0]:
-            extended = dict(row)
-            extended[self.column] = classify(row)
-            out.append(extended)
-        return out
-
-    def open_stream(self) -> StreamOp:
-        classify = self.classifier.compile(self.domain)
-        column = self.column
-
-        def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
-            chunk = _owned(chunk, owned)
-            for row in chunk:
-                row[column] = classify(row)
-            return chunk, True
-
-        return StreamOp(transform)
-
-
-@dataclass
 class Clean(Component):
     """Apply DISCARD WHEN cleaning rules, quarantining removed rows.
 
@@ -250,21 +237,17 @@ class Clean(Component):
     rules: list
     source_name: str
     scope: str
-    quarantine: object  # Quarantine; typed loosely to avoid an import cycle
+    quarantine: Quarantine
 
     streamable = True
 
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
-        from repro.multiclass.cleaning import apply_rules
-
         self.expects(1, inputs)
         return apply_rules(
             self.rules, list(inputs[0]), self.source_name, self.scope, self.quarantine
         )
 
     def open_stream(self) -> StreamOp:
-        from repro.multiclass.cleaning import Quarantine, apply_rules
-
         # Discards stage into a private buffer; the engine commits buffers
         # in step order so concurrent branches cannot interleave quarantine
         # rows differently from a serial run.

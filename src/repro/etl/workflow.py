@@ -37,7 +37,8 @@ class Step:
     name: str
     component: Component
     inputs: tuple[str, ...] = ()
-    #: Which Figure 6 stage this step belongs to (extract/classify/study).
+    #: Which Figure 6 stage this step belongs to (a compiled study uses
+    #: ``extract``, whose reads classify, and ``study``).
     stage: str = ""
 
 
@@ -280,7 +281,11 @@ class Workflow:
 
         def execute_unit(unit: _Unit) -> int:
             """Run one fused chain to completion; returns its chunk count."""
-            chunks, owned, tail_ops = self._open_unit(unit, results, stats, batch_size)
+            chunks, owned, tail_ops, head_commit = self._open_unit(
+                unit, results, stats, batch_size
+            )
+            if head_commit is not None:
+                commits.append((order[unit.head.name], head_commit))
             for step, op in tail_ops:
                 if op.commit is not None:
                     commits.append((order[step.name], op.commit))
@@ -355,7 +360,8 @@ class Workflow:
         return outputs, report
 
     def _open_unit(self, unit, results, stats, batch_size):
-        """The unit's input chunk iterator, its ownership, and its tail ops.
+        """The unit's input chunk iterator, its ownership, its tail ops,
+        and the head step's commit (an Extract's discards) or None.
 
         The head step either streams (Extract), concatenates borrowed
         chunks (UnionInputs), joins the tail as its first stream op
@@ -366,7 +372,7 @@ class Workflow:
         tail = [(step, step.component.open_stream()) for step in unit.steps[1:]]
         head_stats = stats[head.name]
 
-        def counted(chunks, owned):
+        def counted(chunks, owned, commit=None):
             def generate():
                 started = time.perf_counter()
                 for chunk in chunks:
@@ -376,11 +382,12 @@ class Workflow:
                     started = time.perf_counter()
                 head_stats.seconds += time.perf_counter() - started
 
-            return generate(), owned, tail
+            return generate(), owned, tail, commit
 
         if isinstance(component, Extract):
             component.expects(0, [results[name] for name in head.inputs])
-            return counted(component.stream_chunks(batch_size), True)
+            chunks, commit = component.open_read(batch_size)
+            return counted(chunks, True, commit)
         if isinstance(component, UnionInputs):
             inputs = [results[name] for name in head.inputs]
             head_stats.rows_in = sum(len(rows) for rows in inputs)
@@ -398,7 +405,7 @@ class Workflow:
             # accumulates its stats.
             rows = results[head.inputs[0]]
             tail.insert(0, (head, component.open_stream()))
-            return chunked(rows, batch_size), False, tail
+            return chunked(rows, batch_size), False, tail, None
         # Fallback: materialize via the serial contract.
         inputs = [results[name] for name in head.inputs]
         head_stats.rows_in = sum(len(rows) for rows in inputs)
@@ -406,7 +413,7 @@ class Workflow:
         rows = component.run(inputs)
         head_stats.seconds += time.perf_counter() - started
         head_stats.rows_out = len(rows)
-        return chunked(rows, batch_size), False, tail
+        return chunked(rows, batch_size), False, tail, None
 
     # -- rendering -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ down to the physical database.
 from repro.guava.gtree import GNode, GTree
 from repro.guava.derive import derive_gtree, derive_all
 from repro.guava.query import GTreeQuery
-from repro.guava.source import GuavaSource
+from repro.guava.source import GuavaSource, RowMap
 from repro.guava.translate import translate_query
 from repro.guava.xmlio import gtree_from_xml, gtree_to_xml
 
@@ -20,6 +20,7 @@ __all__ = [
     "GTree",
     "GTreeQuery",
     "GuavaSource",
+    "RowMap",
     "derive_all",
     "derive_gtree",
     "gtree_from_xml",

@@ -20,6 +20,7 @@ instead of trusting a stale feed.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterable, cast
@@ -70,6 +71,23 @@ _VERSION = itemgetter(0)
 #: Tags each source's plan-cache keys, so two sources sharing a database
 #: (even under one name, with different chains) never share an entry.
 _SOURCE_SERIALS = count(1)
+
+
+@dataclass(frozen=True)
+class RowMap:
+    """A pure function from one raw g-tree record to one output row.
+
+    ``key`` states the function's structure: two maps under one key must
+    map every record alike.  A full read given a map keeps and hands out
+    *mapped* rows: the memo keys them on the read's shape plus ``key``, and
+    a patch maps only the records appended since (see
+    :meth:`GuavaSource._read`).  ``apply`` must build a new row each call;
+    rows that keep ``record_id`` can be patched, others are re-read in
+    full whenever the data moves.
+    """
+
+    key: str
+    apply: Callable[[Row], Row]
 
 
 class ChangeFeedState:
@@ -208,6 +226,12 @@ class GuavaSource:
         (``form`` scopes it when the tool has several forms); ``None`` means
         "something changed but the record is unknown", which keeps the feed
         honest but forces the next incremental consumer into a full rebuild.
+
+        The call accounts the current data version, so it vouches for every
+        write since the last note: an unregistered direct write made before
+        it is trusted away, and incremental refreshes and patched reads
+        miss its record.  Register each direct write (a session entry, in
+        contrast, first accounts an unregistered earlier write as unknown).
         """
         self._note_change(record_id, form)
 
@@ -268,7 +292,10 @@ class GuavaSource:
         return BoundQuery(self, GTreeQuery(self.gtree(form_name)))
 
     def execute(
-        self, query: GTreeQuery, record_ids: Iterable[int] | None = None
+        self,
+        query: GTreeQuery,
+        record_ids: Iterable[int] | None = None,
+        row_map: RowMap | None = None,
     ) -> list[Row]:
         """Translate and run a g-tree query against the physical database.
 
@@ -293,30 +320,35 @@ class GuavaSource:
         later hits rebind the membership slots to theirs.
 
         A full read's *rows* are also kept, and brought forward by the
-        records appended since (see :meth:`_read`).  Every returned row is
-        the caller's own to mutate.
+        records appended since (see :meth:`_read`).  ``row_map`` turns each
+        record into the row returned for it, inside the read, so a full
+        read keeps the mapped rows and maps a record once per data version.
+        Every returned row is the caller's own to mutate.
         """
         shape = self._shape(query)
         if record_ids is None:
-            return self._read(query, shape)
+            return self._read(query, shape, row_map)
         ids = tuple(sorted(set(record_ids)))
         key = None if shape is None else self._plan_prefix + "ids:" + shape
         plan = cached_plan(self.db, key) if key is not None else None
         if plan is not None:
             plan, _ = rebind_in_lists(plan, RECORD_ID, ids)
-            return plan.execute(self.db)
-        translated = translate_query(query, self.chain)
-        if key is not None and not self._rebindable(translated):
-            key = None
-        # Record-scoped extraction is the hot delta path of incremental
-        # materialization: build the record-id indexes the pushed-down
-        # membership test needs, once.
-        plan = prepare_stream_plan(
-            Select(translated, _membership(ids)), self.db, cache_key=key
-        )
-        return plan.execute(self.db)
+        else:
+            translated = translate_query(query, self.chain)
+            if key is not None and not self._rebindable(translated):
+                key = None
+            # Record-scoped extraction is the hot delta path of incremental
+            # materialization: build the record-id indexes the pushed-down
+            # membership test needs, once.
+            plan = prepare_stream_plan(
+                Select(translated, _membership(ids)), self.db, cache_key=key
+            )
+        rows = plan.execute(self.db)
+        return rows if row_map is None else list(map(row_map.apply, rows))
 
-    def _read(self, query: GTreeQuery, shape: str | None) -> list[Row]:
+    def _read(
+        self, query: GTreeQuery, shape: str | None, row_map: RowMap | None
+    ) -> list[Row]:
         """A full read, through the database's result memo.
 
         A g-tree is a view: its rows are a function of the query's shape
@@ -329,24 +361,41 @@ class GuavaSource:
         vouches that the change is records appended since (see
         :meth:`_patch`): a record-scoped read of just those records is
         appended, so a live read costs what changed.  A query without a key
-        (a g-tree this source did not derive) bypasses the memo.  Under a
-        tracer each read leaves a ``guava.read`` span whose ``result_memo``
-        is ``hit``, ``delta`` (with ``delta_records``), ``admit``,
-        ``miss`` or ``bypass``.
+        (a g-tree this source did not derive) bypasses the memo.
+
+        A ``row_map`` is applied inside the read, to every record a full
+        read returns and to a patch's appended records only.  Its key joins
+        the memo key (the plan is still shared with unmapped reads), so
+        kept rows are mapped rows and a hit maps nothing.  A map that
+        raises stores nothing; in a patch it falls back to the full read,
+        which raises as a fresh read would.
+
+        Under a tracer each read leaves a ``guava.read`` span whose
+        ``result_memo`` is ``hit``, ``delta`` (with ``delta_records``),
+        ``admit``, ``miss`` or ``bypass``; a mapped read adds
+        ``mapped_records``, the number of records the map was applied to.
         """
         db = self.db
-        key = None if shape is None else self._plan_prefix + "all:" + shape
+        plan_key = None if shape is None else self._plan_prefix + "all:" + shape
+        key = plan_key
+        if plan_key is not None and row_map is not None:
+            key = plan_key + "|map:" + row_map.key
+        mapped_records = 0
 
         def run() -> tuple[list[Row], object]:
-            plan = cached_plan(db, key) if key is not None else None
+            nonlocal mapped_records
+            plan = cached_plan(db, plan_key) if plan_key is not None else None
             if plan is None:
                 # Passing the database unlocks index lowering, the
                 # vectorize pass and the plan cache.
                 plan = optimize(
-                    translate_query(query, self.chain), db, cache_key=key
+                    translate_query(query, self.chain), db, cache_key=plan_key
                 )
             rows = plan.execute(db)
-            if type(plan) is Vectorized and plan.shares_storage():
+            if row_map is not None:
+                rows = list(map(row_map.apply, rows))
+                mapped_records += len(rows)
+            elif type(plan) is Vectorized and plan.shares_storage():
                 # A bare scan hands out the table snapshot's own dicts.
                 rows = [dict(row) for row in rows]
             return rows, _KeptRead(plan, self._lengths())
@@ -365,7 +414,7 @@ class GuavaSource:
             def patch(
                 kept_stamp: object, kept: list[Row], state: object
             ) -> list[Row] | None:
-                nonlocal delta_records
+                nonlocal delta_records, mapped_records
                 patched = self._patch(
                     query,
                     cast(str, shape),
@@ -373,10 +422,13 @@ class GuavaSource:
                     stamp,
                     kept,
                     cast(_KeptRead, state),
+                    row_map,
                 )
                 if patched is None:
                     return None
                 appended, delta_records = patched
+                if row_map is not None:
+                    mapped_records += len(appended)
                 return appended
 
             rows, outcome = db.memo_read(key, stamp, run, patch)
@@ -385,6 +437,8 @@ class GuavaSource:
             attrs: dict[str, object] = {"result_memo": outcome}
             if outcome == "delta":
                 attrs["delta_records"] = delta_records
+            if row_map is not None:
+                attrs["mapped_records"] = mapped_records
             form = query.gtree.form_name
             with tracer.span("guava.read", source=self.name, form=form, **attrs):
                 pass
@@ -398,6 +452,7 @@ class GuavaSource:
         stamp: tuple[object, ...],
         kept: list[Row],
         state: "_KeptRead",
+        row_map: RowMap | None,
     ) -> tuple[list[Row], int] | None:
         """The rows to append to a full read kept at ``kept_stamp``.
 
@@ -415,7 +470,8 @@ class GuavaSource:
           filter below that table's row count at the kept read (so each
           is new to the read and its rows follow every kept row);
         * the driving table has a ``record_id`` index to find them by;
-        * a record-scoped read of them succeeds.
+        * a record-scoped read of them succeeds, and so does ``row_map``
+          on each of its rows.
 
         The scoped read reuses the refresh path's plan when cached, or
         plans with :func:`~repro.relational.query.optimize` under a key of
@@ -448,7 +504,9 @@ class GuavaSource:
             try:
                 if old and (keep is None or any(map(keep, table.rows_at(old)))):
                     return None
-                scoped = self._scoped_rows(query, shape, tuple(sorted(changed)))
+                scoped = self._scoped_rows(
+                    query, shape, tuple(sorted(changed)), row_map
+                )
             except ReproError:
                 return None
             if scoped is None:
@@ -468,10 +526,15 @@ class GuavaSource:
         }
 
     def _scoped_rows(
-        self, query: GTreeQuery, shape: str, ids: tuple[int, ...]
+        self,
+        query: GTreeQuery,
+        shape: str,
+        ids: tuple[int, ...],
+        row_map: RowMap | None,
     ) -> list[Row] | None:
-        """A record-scoped read that builds no index (copies of its rows);
-        None when its plan could not be rebound to other ids."""
+        """A record-scoped read that builds no index (its rows mapped by
+        ``row_map``, or copied); None when its plan could not be rebound
+        to other ids."""
         db = self.db
         key = self._plan_prefix + "delta:" + shape
         plan = cached_plan(db, self._plan_prefix + "ids:" + shape)
@@ -484,7 +547,8 @@ class GuavaSource:
             plan = optimize(Select(translated, _membership(ids)), db, cache_key=key)
         else:
             plan, _ = rebind_in_lists(plan, RECORD_ID, ids)
-        return [dict(row) for row in plan.execute(db)]
+        apply = dict if row_map is None else row_map.apply
+        return list(map(apply, plan.execute(db)))
 
     def _shape(self, query: GTreeQuery) -> str | None:
         """The query's shape — form plus a type-tagged fingerprint of its

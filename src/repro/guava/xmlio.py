@@ -12,9 +12,15 @@ import xml.etree.ElementTree as ET
 from datetime import date
 
 from repro.errors import GTreeError
+from repro.expr import parser
 from repro.expr.parser import parse
 from repro.guava.gtree import GNode, GTree
 from repro.relational.types import DataType
+
+#: The deepest ``<node>`` nesting :func:`gtree_from_xml` accepts, the
+#: expression parser's limit: reading and walking a g-tree recurse once per
+#: level, so a deeper document would exhaust the interpreter's stack.
+MAX_DEPTH = parser.MAX_DEPTH
 
 
 def gtree_to_xml(tree: GTree) -> str:
@@ -28,7 +34,13 @@ def gtree_to_xml(tree: GTree) -> str:
 
 
 def gtree_from_xml(text: str) -> GTree:
-    """Parse a g-tree from XML produced by :func:`gtree_to_xml`."""
+    """Parse a g-tree from XML produced by :func:`gtree_to_xml`.
+
+    Malformed input raises :class:`~repro.errors.GTreeError` (or a
+    :class:`~repro.errors.ParseError` from an enablement expression),
+    including ``<node>`` nesting deeper than :data:`MAX_DEPTH`, an unknown
+    ``stores`` type and a value that does not parse as its ``kind``.
+    """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -41,7 +53,7 @@ def gtree_from_xml(text: str) -> GTree:
     return GTree(
         tool_name=root.get("tool", ""),
         tool_version=root.get("version", ""),
-        root=_element_to_node(node_elements[0]),
+        root=_element_to_node(node_elements[0], 1),
     )
 
 
@@ -78,7 +90,9 @@ def _node_to_element(node: GNode) -> ET.Element:
     return element
 
 
-def _element_to_node(element: ET.Element) -> GNode:
+def _element_to_node(element: ET.Element, depth: int) -> GNode:
+    if depth > MAX_DEPTH:
+        raise GTreeError(f"g-tree XML nests deeper than {MAX_DEPTH} nodes")
     name = element.get("name")
     if not name:
         raise GTreeError("<node> missing name attribute")
@@ -91,10 +105,14 @@ def _element_to_node(element: ET.Element) -> GNode:
         elif child.tag == "option":
             options.append((_read_value(child), child.get("label", "")))
         elif child.tag == "node":
-            children.append(_element_to_node(child))
+            children.append(_element_to_node(child, depth + 1))
         else:
             raise GTreeError(f"unexpected element <{child.tag}> in g-tree XML")
     stores = element.get("stores")
+    try:
+        data_type = DataType(stores) if stores else None
+    except ValueError:
+        raise GTreeError(f"<node {name!r}> stores unknown type {stores!r}") from None
     enablement_text = element.get("enabled_when")
     return GNode(
         name=name,
@@ -104,7 +122,7 @@ def _element_to_node(element: ET.Element) -> GNode:
         default=default,
         required=element.get("required") == "true",
         allows_free_text=element.get("free_text") == "true",
-        data_type=DataType(stores) if stores else None,
+        data_type=data_type,
         enablement=parse(enablement_text) if enablement_text else None,
         is_form=element.get("form") == "true",
         children=children,
@@ -134,10 +152,15 @@ def _read_value(element: ET.Element) -> object:
     text = element.text or ""
     if kind == "boolean":
         return text == "true"
-    if kind == "integer":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "date":
-        return date.fromisoformat(text)
+    try:
+        if kind == "integer":
+            return int(text)
+        if kind == "float":
+            return float(text)
+        if kind == "date":
+            return date.fromisoformat(text)
+    except ValueError:
+        raise GTreeError(
+            f"<{element.tag}> value {text!r} does not parse as {kind}"
+        ) from None
     return text

@@ -11,9 +11,14 @@ time a request arrives to when final statistical analyses are run."  A
 
 and executes by pulling each source's data through GUAVA, classifying, and
 unioning — "MultiClass simply unions together the results of ETL workflows
-from different contributors."  Direct execution here is the semantic
-reference; :mod:`repro.etl.compile` turns the same study into an ETL
-workflow and Hypothesis 3 checks the two agree.
+from different contributors."  Classification happens *inside* the read:
+each (binding, entity) has one :class:`EntityRowMap` (record-scoped
+cleaning, then the element classifiers, then the output shape), and
+:meth:`~repro.guava.source.GuavaSource.execute` keeps the mapped rows per
+data version, so a record is classified once per data version, whichever
+of a preview or a publish reads it first.  Direct execution here is the
+semantic reference; :mod:`repro.etl.compile` turns the same study into an
+ETL workflow over the same row maps, and Hypothesis 3 checks the two agree.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from repro.expr.ast import BinaryOp, Expression
 from repro.expr.evaluator import Evaluator
 from repro.expr.parser import parse
 from repro.guava.query import GTreeQuery
-from repro.guava.source import GuavaSource
+from repro.guava.source import GuavaSource, RowMap
 from repro.multiclass.classifier import Classifier, EntityClassifier
 from repro.multiclass.cleaning import CleaningRule, Quarantine, apply_rules
 from repro.multiclass.study_schema import StudySchema
+from repro.relational.query import _fingerprint
 from repro.ui.form import RECORD_ID
 from repro.util.annotations import Annotated
 
@@ -44,9 +50,43 @@ Element = tuple[str, str, str]
 PARENT_RECORD_ID = "parent_record_id"
 
 
+#: Marks a mapped row as a record a record-scoped cleaning rule discarded:
+#: the row is the raw record plus this key, whose value is the rule's index
+#: among the map's rules.  Not an identifier, so no g-tree node collides.
+DISCARDED = "#discarded_by"
+
+
 def element_column(attribute: str, domain: str) -> str:
     """The output column name for an (attribute, domain) selection."""
     return f"{attribute}_{domain}"
+
+
+@dataclass(frozen=True)
+class EntityRowMap(RowMap):
+    """The row map of one (binding, entity) read.
+
+    ``apply`` takes one raw g-tree record to its study row, or to the raw
+    record marked :data:`DISCARDED` by the first of ``rules`` (the active
+    record-scoped cleaning rules) that discards it.  :meth:`sift` turns a
+    read's rows back into study rows and quarantine entries.
+    """
+
+    source_name: str
+    rules: tuple[CleaningRule, ...]
+
+    def sift(self, rows: list[Row], quarantine: Quarantine) -> list[Row]:
+        """The study rows of a mapped read; discarded records go to
+        ``quarantine`` in read order (the rows are the caller's own)."""
+        if not self.rules:
+            return rows
+        kept: list[Row] = []
+        for row in rows:
+            index = row.pop(DISCARDED, None)
+            if index is None:
+                kept.append(row)
+            else:
+                quarantine.add(self.rules[index], self.source_name, row)
+        return kept
 
 
 @dataclass
@@ -60,7 +100,12 @@ class SourceBinding:
 
 @dataclass
 class Study(Annotated):
-    """A named, reusable, annotated set of integration decisions."""
+    """A named, reusable, annotated set of integration decisions.
+
+    :meth:`run` previews it; :func:`repro.etl.compile_study` publishes it.
+    Both read each (binding, entity) through the same :meth:`row_map`, so
+    they share the source's memoized, classified rows.
+    """
 
     name: str
     schema: StudySchema
@@ -165,7 +210,12 @@ class Study(Annotated):
         return [e.name for e in self.schema.entities() if e.name in wanted]
 
     def run(self) -> "StudyResult":
-        """Execute the study directly (the semantic reference)."""
+        """Execute the study directly (the semantic reference).
+
+        Each binding's entity rows are one classified read through
+        :meth:`row_map`; the study-scoped cleaning rules and the filters
+        then apply to their union.
+        """
         if not self.bindings:
             raise StudyError(f"study {self.name!r} has no sources bound")
         if not self.elements:
@@ -185,10 +235,7 @@ class Study(Annotated):
         return StudyResult(self.name, tables, quarantine)
 
     def _run_entity(
-        self,
-        binding: SourceBinding,
-        entity: str,
-        quarantine: Quarantine | None = None,
+        self, binding: SourceBinding, entity: str, quarantine: Quarantine
     ) -> list[Row]:
         ec = binding.entity_classifiers.get(entity)
         if ec is None:
@@ -196,46 +243,68 @@ class Study(Annotated):
                 f"source {binding.source.name!r} has no entity classifier "
                 f"for {entity!r}"
             )
-        # Resolve every element's classifier and domain once per (binding,
-        # entity) and compile it once, before any record is read: a missing
-        # classifier fails the same way whatever the source holds.
+        row_map = self.row_map(binding, entity, ec.parent_link)
+        query = GTreeQuery(binding.source.gtree(ec.form)).where(ec.condition)
+        records = binding.source.execute(query, row_map=row_map)
+        return row_map.sift(records, quarantine)
+
+    def row_map(
+        self, binding: SourceBinding, entity: str, parent_link: str | None
+    ) -> EntityRowMap:
+        """The row map of ``entity``'s read from ``binding``'s source.
+
+        A record the active record-scoped cleaning rules discard is marked,
+        not classified.  Any other record becomes ``record_id``, ``source``,
+        ``parent_record_id`` (when ``parent_link`` names the node holding
+        it) and one column per selected element, in that order.  Every
+        element's classifier and domain are resolved and compiled here,
+        before any record is read, so a missing classifier fails the same
+        way whatever the source holds.
+
+        The key is structural: the source name, ``parent_link``, each
+        element's column, rules (as ``(guard, output)`` ASTs) and domain,
+        and the active rules' conditions.  Names and descriptions are left
+        out, so a study rebuilt from the same definition shares the
+        memoized rows of the one before.
+        """
+        source_name = binding.source.name
         columns = []
+        structure: list[object] = [source_name, parent_link]
         for element in self.elements_of(entity):
             classifier = binding.classifiers.get(element)
             if classifier is None:
                 raise StudyError(
-                    f"source {binding.source.name!r} has no classifier for "
-                    f"{element}"
+                    f"source {source_name!r} has no classifier for {element}"
                 )
             _, attribute, domain_name = element
-            columns.append(
-                (
-                    element_column(attribute, domain_name),
-                    classifier.compile(self.schema.domain_of(*element)),
-                )
-            )
-        gtree = binding.source.gtree(ec.form)
-        base = GTreeQuery(gtree).where(ec.condition)
-        records = binding.source.execute(base)
-        if quarantine is not None:
-            records = apply_rules(
-                self.cleaning.get(entity, []),
-                records,
-                binding.source.name,
-                "record",
-                quarantine,
-            )
-        source_name = binding.source.name
-        parent_link = ec.parent_link
-        out: list[Row] = []
-        for record in records:
+            column = element_column(attribute, domain_name)
+            domain = self.schema.domain_of(*element)
+            columns.append((column, classifier.compile(domain)))
+            rules = tuple((rule.guard, rule.output) for rule in classifier.rules)
+            structure.append((column, rules, domain))
+        discards = tuple(
+            rule
+            for rule in self.cleaning.get(entity, [])
+            if rule.scope == "record" and rule.source in (None, source_name)
+        )
+        structure.append(tuple(rule.condition for rule in discards))
+        parts: list[str] = []
+        _fingerprint(tuple(structure), parts.append)
+
+        def apply(record: Row) -> Row:
+            for index, rule in enumerate(discards):
+                if rule.discards(record):
+                    discarded = dict(record)
+                    discarded[DISCARDED] = index
+                    return discarded
             row: Row = {RECORD_ID: record[RECORD_ID], "source": source_name}
             if parent_link is not None:
                 row[PARENT_RECORD_ID] = record.get(parent_link)
             for column, classify in columns:
                 row[column] = classify(record)
-            out.append(row)
-        return out
+            return row
+
+        return EntityRowMap("".join(parts), apply, source_name, discards)
 
     def output_columns(self, entity: str) -> tuple[str, ...]:
         """Column names of an entity's study table."""

@@ -71,6 +71,16 @@ class DesignPattern(abc.ABC):
         """Downstream locators for upstream rows matching ``key``."""
         return [(table, dict(key))]
 
+    def attach(self, read: Callable[[str], list[Row]]) -> None:
+        """Called when the chain deploys to a database.
+
+        ``read(name)`` returns downstream relation ``name`` as stored there
+        (read through the rest of the chain).  A pattern that keeps
+        write-time state rebuilds it from rows already stored, so a chain
+        attached to a reopened database continues where the last one
+        stopped.
+        """
+
     def describe(self) -> str:
         """One-line description for catalogs and reports."""
         doc = (self.__doc__ or "").strip().splitlines()

@@ -47,9 +47,14 @@ class PatternChain:
         return dict(self.levels[-1])
 
     def deploy(self, db: Database) -> None:
-        """Create every physical table (idempotent per schema)."""
+        """Create every physical table (idempotent per schema), then let
+        each pattern rebuild its write-time state from ``db``'s rows."""
         for schema in self.physical_schemas.values():
             db.ensure_table(schema)
+        for level, pattern in enumerate(self.patterns):
+            pattern.attach(
+                lambda name, level=level: self._plan(level + 1, name).execute(db)
+            )
 
     # -- write path -----------------------------------------------------------
 

@@ -17,6 +17,9 @@ class LookupPattern(DesignPattern):
     ``columns`` maps ``(table, column)`` to a lookup-table name.  Codes are
     assigned on first sight at write time (as vendor tools do); the read
     path joins the code table back and restores the original column name.
+    Deploying the chain to a database whose lookup tables hold rows
+    reloads the assignments from them, so a reopened database keeps its
+    codes.
     """
 
     name = "lookup"
@@ -31,6 +34,14 @@ class LookupPattern(DesignPattern):
             raise PatternConfigError("lookup tables must be distinct per column")
         # value -> code assignments, per lookup table (write-time state).
         self._codes: dict[str, dict[str, int]] = {name: {} for name in lookup_names}
+
+    def attach(self, read) -> None:
+        # A database that holds codes already is authoritative; an empty
+        # one (a fresh deploy) leaves the assignments as they are.
+        for lookup in self._codes:
+            stored = {str(row["label"]): int(row["code"]) for row in read(lookup)}
+            if stored:
+                self._codes[lookup] = stored
 
     def _columns_of(self, table: str) -> dict[str, str]:
         return {

@@ -4,28 +4,38 @@ import pytest
 
 from repro.analysis import build_study1, build_study2
 from repro.errors import CompileError
-from repro.etl import compile_study
+from repro.etl import Extract, compile_study
 from repro.multiclass import Study
 from repro.relational import Database
 
 
 class TestFigure6Structure:
-    def test_three_stages(self, world):
+    def test_extract_then_study_stages(self, world):
+        """Figure 6's extract and classify stages are one read each."""
         workflow = compile_study(build_study1(world), Database("wh"))
-        assert workflow.stages() == ["extract", "classify", "study"]
+        assert workflow.stages() == ["extract", "study"]
 
     def test_one_extract_per_source(self, world):
         workflow = compile_study(build_study1(world), Database("wh"))
         extracts = [s for s in workflow.steps if s.stage == "extract"]
         assert len(extracts) == len(world.sources)
 
-    def test_one_classify_step_per_element_per_source(self, world):
+    def test_each_branch_is_one_output_shaped_extract(self, world):
         study = build_study1(world)
         workflow = compile_study(study, Database("wh"))
-        classify_steps = [
-            s for s in workflow.steps if "classify__" in s.name
-        ]
-        assert len(classify_steps) == len(study.elements) * len(world.sources)
+        union = workflow.step("Procedure__union")
+        assert [workflow.step(name).stage for name in union.inputs] == [
+            "extract"
+        ] * len(world.sources)
+        assert {s.name for s in workflow.steps if s.stage == "extract"} == set(
+            union.inputs
+        )
+        columns = study.output_columns("Procedure")
+        for name in union.inputs:
+            extract = workflow.step(name).component
+            assert isinstance(extract, Extract) and extract.row_map is not None
+            rows = extract.run([])
+            assert rows and all(tuple(row) == columns for row in rows)
 
     def test_union_filter_load_in_study_stage(self, world):
         workflow = compile_study(build_study1(world), Database("wh"))

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ETLError, WorkflowError
 from repro.etl import (
     AddConstant,
-    Classify,
     DeriveColumn,
     Extract,
     FilterRows,
@@ -15,7 +14,6 @@ from repro.etl import (
     Values,
     Workflow,
 )
-from repro.multiclass import Classifier, Domain, Rule
 from repro.guava import GTreeQuery, translate_query
 from repro.relational import Database, DataType, TableSchema
 from repro.relational.interpret import execute_interpreted
@@ -52,21 +50,6 @@ class TestComponents:
     def test_derive(self):
         out = DeriveColumn("cigs", "packs * 20").run([ROWS])
         assert out[1]["cigs"] == 60.0
-
-    def test_classify_with_domain(self):
-        classifier = Classifier(
-            name="c",
-            target_entity="P",
-            target_attribute="S",
-            target_domain="habits",
-            rules=[
-                Rule.of("'None'", "packs = 0"),
-                Rule.of("'Some'", "packs > 0"),
-            ],
-        )
-        domain = Domain.categorical("habits", ["None", "Some"])
-        out = Classify("label", classifier, domain).run([ROWS])
-        assert [r["label"] for r in out] == ["None", "Some", None]
 
     def test_project(self):
         out = ProjectColumns(("id", "missing")).run([ROWS])

@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import build_study2
 from repro.clinical import build_world
 from repro.etl import compile_study
-from repro.etl.components import Classify, DeriveColumn, Extract, Values
+from repro.etl.components import DeriveColumn, Extract
 from repro.etl.workflow import RunReport, StepRun, Workflow
 from repro.multiclass import Classifier, CleaningRule, Rule
 from repro.guava import GTreeQuery, GuavaSource, translate_query
@@ -152,8 +152,7 @@ class TestReportSummary:
 class TestClassifyMemo:
     """The compiled classifier's memo keys on value *and* type."""
 
-    @staticmethod
-    def classify_workflow(rows):
+    def test_true_one_and_float_one_classify_apart(self):
         classifier = Classifier(
             "typed",
             "Procedure",
@@ -161,22 +160,11 @@ class TestClassifyMemo:
             "text",
             rules=[Rule.of("'yes'", "x = 1"), Rule.of("'other'", "TRUE")],
         )
-        workflow = Workflow("typed_memo")
-        workflow.add("values", Values(rows))
-        workflow.add("classify", Classify("c", classifier), inputs=("values",))
-        workflow.mark_output("classify")
-        return classifier, workflow
-
-    def test_true_one_and_float_one_classify_apart(self):
         rows = [{"x": True}, {"x": 1}, {"x": 1.0}, {"x": True}]
-        classifier, workflow = self.classify_workflow(rows)
         reference = [classifier.explain(row)[0] for row in rows]
         assert reference == ["other", "yes", "yes", "other"]
-        serial, _ = workflow.run()
-        assert [row["c"] for row in serial["classify"]] == reference
-        for config in ENGINE_CONFIGS:
-            engine, _ = workflow.run(**config)
-            assert [row["c"] for row in engine["classify"]] == reference
+        classify = classifier.compile()
+        assert [classify(row) for row in rows] == reference
 
 
 class TestExtractRowsAreFresh:

@@ -101,6 +101,21 @@ class TestChangeFeed:
         naive_source.track_change(1, form="procedure")
         assert naive_source.changed_record_ids(v) == {1}
 
+    def test_a_registered_write_vouches_for_an_unregistered_one_before_it(
+        self, naive_source
+    ):
+        """A documented relaxation (DESIGN.md §7, "Result memo"):
+        ``track_change(rid)`` accounts the current data version, so an
+        unregistered direct write made before it is trusted away.  Direct
+        writes must each be registered; session entries detect this."""
+        enter_fig2_records(naive_source)
+        v = naive_source.data_version()
+        procedure = naive_source.db.table("procedure")
+        procedure.delete(lambda r: r["record_id"] == 2)  # not registered
+        procedure.update(lambda r: r["record_id"] == 1, {"smoking": "Never"})
+        naive_source.track_change(1, form="procedure")
+        assert naive_source.changed_record_ids(v) == {1}
+
     def test_anonymous_change_poisons_the_span(self, naive_source):
         enter_fig2_records(naive_source)
         v = naive_source.data_version()

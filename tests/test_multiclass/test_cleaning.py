@@ -159,9 +159,19 @@ class TestStudyCleaning:
         from repro.relational import Database
 
         study = self.build_study()
-        study.add_cleaning_rule(
+        heavy = study.add_cleaning_rule(
             "Procedure", CleaningRule.of("no_heavy", "frequency >= 2")
+        )
+        # A record-scoped rule rides in the extract's row map...
+        workflow = compile_study(study, Database("wh"))
+        extracts = [s for s in workflow.steps if s.stage == "extract"]
+        assert [s.component.row_map.rules for s in extracts] == [(heavy,)]
+        assert not any(s.name.endswith("__clean") for s in workflow.steps)
+        # ...and a study-scoped rule is a step after the union.
+        study.add_cleaning_rule(
+            "Procedure",
+            CleaningRule.of("never_out", "Smoking_status3 = 'None'", scope="study"),
         )
         workflow = compile_study(study, Database("wh"))
         names = [step.name for step in workflow.steps]
-        assert any(name.endswith("__clean") for name in names)
+        assert names.index("Procedure__union") < names.index("Procedure__clean")

@@ -399,6 +399,48 @@ class TestSourceAdapter:
         assert recovered.changed_record_ids(v0) == {1}
         reopened.close()
 
+    def test_lookup_codes_survive_reopen(self, tmp_path):
+        """A Lookup chain rebuilt over a reopened store keeps the codes it
+        assigned: later entries reuse them and new labels get new codes."""
+        from repro.clinical import generate_truths
+        from repro.clinical.vendors import (
+            build_endopro_chain,
+            build_endopro_tool,
+            endopro_values,
+        )
+        from repro.guava import GTreeQuery, translate_query
+
+        truths = generate_truths(30, seed=4)
+
+        def open_source():
+            store = DurableStore(tmp_path, fsync="never")
+            tool = build_endopro_tool()
+            source = GuavaSource("endopro", tool, build_endopro_chain(tool), db=store.db)
+            store.attach_source(source)
+            return store, source
+
+        def enter(source, batch, first):
+            session = source.session(first_record_id=first)
+            for truth in batch:
+                session.enter("endoscopy_report", endopro_values(truth))
+
+        store, source = open_source()
+        enter(source, truths[:10], 1)
+        store.commit()
+        store.close()
+        store, source = open_source()
+        enter(source, truths[10:], 11)
+        query = GTreeQuery(source.gtree("endoscopy_report"))
+        rows = source.execute(query)
+        assert len(rows) == len(truths)
+        assert rows == execute_interpreted(
+            translate_query(query, source.chain), source.db
+        )
+        assert [row["reason"] for row in rows] == [
+            endopro_values(truth).get("reason") for truth in truths
+        ]
+        store.close()
+
     def test_source_on_foreign_db_is_rejected(self, tmp_path, fig2_tool):
         store = DurableStore(tmp_path)
         stranger = self._source(fig2_tool, Database("elsewhere"))
