@@ -330,7 +330,7 @@ class UnionInputs(Component):
             raise ETLError("UnionInputs needs at least one input")
         out: list[Row] = []
         for rows in inputs:
-            out.extend(dict(row) for row in rows)
+            out.extend(map(dict, rows))
         return out
 
 
@@ -346,10 +346,9 @@ class Load(Component):
 
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(1, inputs)
-        table = self._begin()
-        for row in inputs[0]:
-            table.insert({c: row.get(c) for c in self.schema.column_names})
-        return inputs[0] if isinstance(inputs[0], list) else list(inputs[0])
+        rows = inputs[0] if isinstance(inputs[0], list) else list(inputs[0])
+        self._begin().insert_many(self._projected(rows))
+        return rows
 
     def open_stream(self) -> StreamOp:
         # The target table is (re)created when the stream opens — i.e. when
@@ -357,14 +356,23 @@ class Load(Component):
         # all exist.  Workflows where another step reads the loaded table
         # mid-run must not fuse across it; compiled studies never do.
         table = self._begin()
-        columns = self.schema.column_names
 
         def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
-            for row in chunk:
-                table.insert({c: row.get(c) for c in columns})
+            table.insert_many(self._projected(chunk))
             return chunk, owned
 
         return StreamOp(transform)
+
+    def _projected(self, rows: list[Row]) -> list[Row]:
+        """``rows`` without the columns the target table lacks.
+
+        ``insert_many`` copies what it stores, so the rows handed back
+        downstream never alias the table's.
+        """
+        if all(map(self.schema.column_set.issuperset, rows)):
+            return rows
+        columns = self.schema.column_names
+        return [{c: row.get(c) for c in columns} for row in rows]
 
     def _begin(self):
         if self.db.has_table(self.schema.name) and self.replace:

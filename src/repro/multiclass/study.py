@@ -23,6 +23,7 @@ ETL workflow over the same row maps, and Hypothesis 3 checks the two agree.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro.errors import StudyError
@@ -57,8 +58,12 @@ DISCARDED = "#discarded_by"
 
 
 def element_column(attribute: str, domain: str) -> str:
-    """The output column name for an (attribute, domain) selection."""
-    return f"{attribute}_{domain}"
+    """The output column name for an (attribute, domain) selection.
+
+    Interned, so the rows of every source's row map and the warehouse
+    schema share one key object per column and compare keys by identity.
+    """
+    return sys.intern(f"{attribute}_{domain}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import abc
 from typing import Callable, Mapping
 
 from repro.relational.algebra import Plan
+from repro.relational.database import Database
 from repro.relational.schema import TableSchema
 
 Row = dict[str, object]
@@ -71,14 +72,25 @@ class DesignPattern(abc.ABC):
         """Downstream locators for upstream rows matching ``key``."""
         return [(table, dict(key))]
 
-    def attach(self, read: Callable[[str], list[Row]]) -> None:
-        """Called when the chain deploys to a database.
+    def write_to(
+        self, db: Database, table: str, row: Mapping[str, object], schemas: Schemas
+    ) -> WriteEmit:
+        """:meth:`write` for a chain storing into ``db``; chains call this.
+
+        A pattern whose write-time state belongs to one database (Lookup's
+        codes) overrides it; the default ignores ``db``.
+        """
+        return self.write(table, row, schemas)
+
+    def attach(self, db: Database, read: Callable[[str], list[Row]]) -> None:
+        """Called when the chain deploys to ``db``.
 
         ``read(name)`` returns downstream relation ``name`` as stored there
         (read through the rest of the chain).  A pattern that keeps
-        write-time state rebuilds it from rows already stored, so a chain
-        attached to a reopened database continues where the last one
-        stopped.
+        write-time state per database builds ``db``'s from the rows already
+        stored, so a chain attached to a reopened database continues where
+        the last one stopped, and one attached to an empty database starts
+        empty.
         """
 
     def describe(self) -> str:

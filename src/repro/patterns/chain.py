@@ -53,7 +53,7 @@ class PatternChain:
             db.ensure_table(schema)
         for level, pattern in enumerate(self.patterns):
             pattern.attach(
-                lambda name, level=level: self._plan(level + 1, name).execute(db)
+                db, lambda name, level=level: self._plan(level + 1, name).execute(db)
             )
 
     # -- write path -----------------------------------------------------------
@@ -66,7 +66,9 @@ class PatternChain:
         for level, pattern in enumerate(self.patterns):
             next_pairs: list[tuple[str, Row]] = []
             for table, row in pairs:
-                next_pairs.extend(pattern.write(table, row, self.levels[level]))
+                next_pairs.extend(
+                    pattern.write_to(db, table, row, self.levels[level])
+                )
             pairs = next_pairs
         for table, row in pairs:
             db.table(table).insert(row)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from typing import Mapping
+from weakref import WeakKeyDictionary
 
-from repro.errors import PatternConfigError
+from repro.errors import PatternConfigError, PatternWriteError
 from repro.patterns.base import ChildPlan, DesignPattern, Schemas, WriteEmit
 from repro.relational.algebra import Join, Plan, Project, Rename
+from repro.relational.database import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 
@@ -17,9 +19,10 @@ class LookupPattern(DesignPattern):
     ``columns`` maps ``(table, column)`` to a lookup-table name.  Codes are
     assigned on first sight at write time (as vendor tools do); the read
     path joins the code table back and restores the original column name.
-    Deploying the chain to a database whose lookup tables hold rows
-    reloads the assignments from them, so a reopened database keeps its
-    codes.
+    The assignments belong to the database written: deploying the chain
+    loads them from its lookup tables, so a reopened database keeps its
+    codes and an empty one starts with none, even when one chain object
+    serves several databases.
     """
 
     name = "lookup"
@@ -32,16 +35,16 @@ class LookupPattern(DesignPattern):
         lookup_names = list(self.columns.values())
         if len(set(lookup_names)) != len(lookup_names):
             raise PatternConfigError("lookup tables must be distinct per column")
-        # value -> code assignments, per lookup table (write-time state).
-        self._codes: dict[str, dict[str, int]] = {name: {} for name in lookup_names}
+        # Write-time state: per database, per lookup table, label -> code.
+        self._codes: WeakKeyDictionary[Database, dict[str, dict[str, int]]] = (
+            WeakKeyDictionary()
+        )
 
-    def attach(self, read) -> None:
-        # A database that holds codes already is authoritative; an empty
-        # one (a fresh deploy) leaves the assignments as they are.
-        for lookup in self._codes:
-            stored = {str(row["label"]): int(row["code"]) for row in read(lookup)}
-            if stored:
-                self._codes[lookup] = stored
+    def attach(self, db: Database, read) -> None:
+        self._codes[db] = {
+            lookup: {str(row["label"]): int(row["code"]) for row in read(lookup)}
+            for lookup in self.columns.values()
+        }
 
     def _columns_of(self, table: str) -> dict[str, str]:
         return {
@@ -90,9 +93,20 @@ class LookupPattern(DesignPattern):
         return out
 
     def write(self, table: str, row: Mapping[str, object], schemas: Schemas) -> WriteEmit:
+        raise PatternWriteError(
+            "lookup codes belong to a database: write through PatternChain.write"
+        )
+
+    def write_to(
+        self, db: Database, table: str, row: Mapping[str, object], schemas: Schemas
+    ) -> WriteEmit:
         mapped = self._columns_of(table)
         if not mapped:
             return [(table, dict(row))]
+        assigned = self._codes.get(db)
+        if assigned is None:  # a database the chain was never deployed to
+            assigned = {lookup: {} for lookup in self.columns.values()}
+            self._codes[db] = assigned
         emitted: WriteEmit = []
         encoded = dict(row)
         for column, lookup in mapped.items():
@@ -101,7 +115,7 @@ class LookupPattern(DesignPattern):
                 encoded[f"{column}_code"] = None
                 continue
             text = str(value)
-            codes = self._codes[lookup]
+            codes = assigned[lookup]
             if text not in codes:
                 codes[text] = len(codes) + 1
                 emitted.append((lookup, {"code": codes[text], "label": text}))

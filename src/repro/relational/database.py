@@ -197,7 +197,7 @@ class Database:
         kept_stamp, kept, state = entry
         if kept is None:
             rows, state = run()
-            self._memo_put(key, (stamp, [dict(row) for row in rows], state))
+            self._memo_put(key, (stamp, list(map(dict, rows)), state))
             return rows, "admit"
         outcome = "hit"
         if kept_stamp != stamp:
@@ -209,7 +209,7 @@ class Database:
             kept.extend(appended)
             self._memo_put(key, (stamp, kept, state))
             outcome = "delta"
-        return [dict(row) for row in kept], outcome
+        return list(map(dict, kept)), outcome
 
     def _memo_put(
         self, key: str, entry: tuple[object, list[Row] | None, object]

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 Row = Mapping[str, object]
 
@@ -25,8 +26,22 @@ class HashIndex:
         """The index key tuple for ``row``."""
         return tuple(row.get(column) for column in self.columns)
 
+    def keys_of(self, rows: Sequence[Row]) -> list[tuple[object, ...]]:
+        """:meth:`key_of` for each of ``rows``, which hold every indexed column."""
+        return list(zip(*(map(itemgetter(column), rows) for column in self.columns)))
+
     def add(self, row: Row, position: int) -> None:
         self._buckets[self.key_of(row)].append(position)
+
+    def add_keys(self, keys: Iterable[tuple[object, ...]], start: int) -> None:
+        """Add rows with ``keys`` at consecutive positions from ``start``."""
+        buckets = self._buckets
+        for position, key in enumerate(keys, start):
+            buckets[key].append(position)
+
+    def holds_any(self, keys: Iterable[tuple[object, ...]]) -> bool:
+        """True when some row already has one of ``keys``."""
+        return not self._buckets.keys().isdisjoint(keys)
 
     def lookup(self, key: tuple[object, ...]) -> list[int]:
         """Positions of rows whose indexed columns equal ``key``."""
@@ -36,11 +51,10 @@ class HashIndex:
         """Size of ``key``'s bucket, without copying it."""
         return len(self._buckets.get(key, ()))
 
-    def rebuild(self, rows: Iterable[Row]) -> None:
+    def rebuild(self, rows: Sequence[Row]) -> None:
         """Recompute the index from scratch (after bulk deletes)."""
         self._buckets.clear()
-        for position, row in enumerate(rows):
-            self.add(row, position)
+        self.add_keys(self.keys_of(rows), 0)
 
     def __len__(self) -> int:
         return sum(len(positions) for positions in self._buckets.values())

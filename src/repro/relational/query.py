@@ -407,12 +407,29 @@ def plan_fingerprint(plan: Plan) -> str:
     return "".join(parts)
 
 
+#: Per value type, its dataclass field names, or None when instances of the
+#: type are not dataclass instances.  Keyed by type, so it holds no plans.
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    """What ``fields(value)`` names for a ``value`` of type ``kind``."""
+    if issubclass(kind, type) or not is_dataclass(kind):
+        return None
+    return tuple(field.name for field in fields(kind))
+
+
 def _fingerprint(value: object, emit: Callable[[str], None]) -> None:
-    if is_dataclass(value) and not isinstance(value, type):
-        emit(type(value).__name__)
+    kind = type(value)
+    try:
+        names = _FIELD_NAMES[kind]
+    except KeyError:
+        names = _FIELD_NAMES[kind] = _field_names(kind)
+    if names is not None:
+        emit(kind.__name__)
         emit("(")
-        for field in fields(value):
-            _fingerprint(getattr(value, field.name), emit)
+        for name in names:
+            _fingerprint(getattr(value, name), emit)
             emit(",")
         emit(")")
     elif isinstance(value, tuple):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import IntegrityError, SchemaError
 from repro.relational.index import HashIndex
 from repro.relational.schema import PartitionScheme, TableSchema
+from repro.relational.types import Converter
 
 Row = dict[str, object]
+
+_NONE_TYPE = type(None)
 
 #: Callbacks fired whenever a table's extent or counters are *restored*
 #: (snapshot load, WAL replay) rather than mutated through the normal
@@ -371,12 +375,96 @@ class Table:
         return dict(row)
 
     def insert_many(self, rows: Iterable[Mapping[str, object]]) -> int:
-        """Insert several rows; returns the count inserted."""
-        count = 0
+        """Insert several rows; returns the count inserted.
+
+        The result is that of :meth:`insert` on each row in order: the same
+        stored rows, version, index entries and listener calls (one
+        ``insert`` per row).  The work is column by column: every check runs
+        over the whole batch first, and only a batch that passes them all
+        changes the table.  Any failed check sends the batch to the
+        row-at-a-time loop, which raises the same error after inserting the
+        same prefix as calling :meth:`insert` per row would.  ``rows`` is
+        read to the end before the first insert; if reading it raises, the
+        rows read so far go through the loop and the error propagates.  A
+        listener that raises sees every row of a checked batch already
+        stored.  Partitioned tables always take the loop.
+        """
+        batch: list[Mapping[str, object]] = []
+        try:
+            batch.extend(rows)
+        except BaseException:
+            self._insert_each(batch)
+            raise
+        if not batch:
+            return 0
+        checked = None
+        if self._partition_positions is None:
+            try:
+                checked = self._checked(batch)
+            except Exception:
+                # Nothing has changed yet: the loop raises what it raises.
+                pass
+        if checked is None:
+            return self._insert_each(batch)
+        stored, keys = checked
+        start = len(self._rows)
+        self._rows.extend(stored)
+        self._version += len(stored)
+        if self._pk_index is not None:
+            self._pk_index.add_keys(keys, start)
+        for index in self._indexes.values():
+            index.add_keys(index.keys_of(stored), start)
+        if self._listener is not None:
+            for row in stored:
+                self._notify("insert", {"row": row})
+        return len(stored)
+
+    def _insert_each(self, rows: list[Mapping[str, object]]) -> int:
         for values in rows:
             self.insert(values)
-            count += 1
-        return count
+        return len(rows)
+
+    def _checked(
+        self, batch: list[Mapping[str, object]]
+    ) -> tuple[list[Row], list[tuple[object, ...]]] | None:
+        """The batch's coerced rows and primary keys; None if a row fails.
+
+        The bulk form of :meth:`_validate` plus :meth:`insert`'s key checks.
+        It may also raise (a value that does not coerce).  It never changes
+        the table or the caller's rows.
+        """
+        schema = self.schema
+        names = schema.column_names
+        if all(map(names.__eq__, map(tuple, batch))):
+            stored = list(map(dict, batch))
+        elif all(map(schema.column_set.issuperset, batch)):
+            stored = [{name: row.get(name) for name in names} for row in batch]
+        else:
+            return None
+        # Every stored row holds the schema's columns in schema order, so
+        # transposing their values gives the columns in one pass.
+        for column, values in zip(schema.columns, zip(*map(dict.values, stored))):
+            converter = Converter(column.dtype)
+            kinds = set(map(type, values))
+            if not kinds <= {converter.native, _NONE_TYPE}:
+                coerced = converter.column(values)
+                name = column.name
+                for row, value in zip(stored, coerced):
+                    row[name] = value
+                kinds = set(map(type, coerced))
+            if _NONE_TYPE in kinds and not column.nullable:
+                return None
+        keys: list[tuple[object, ...]] = []
+        pk_index = self._pk_index
+        if pk_index is not None:
+            keys = pk_index.keys_of(stored)
+            if (
+                None in chain.from_iterable(keys)
+                or len(set(keys)) != len(keys)
+                or pk_index.holds_any(keys)
+            ):
+                return None
+        return stored, keys
 
     def update(
         self,

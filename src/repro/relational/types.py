@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from datetime import date, datetime
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import TypeMismatchError
 
@@ -183,7 +183,7 @@ class Converter:
                 self.memo = None
         return result
 
-    def column(self, values: list[object]) -> list[object]:
+    def column(self, values: Sequence[object]) -> list[object]:
         """``[self(value) for value in values]``, always a fresh list.
 
         An all-text column is converted per *distinct* string, in order of

@@ -68,6 +68,7 @@ from repro.relational.schema import (
 )
 from repro.relational.table import Table
 from repro.storage.snapshots import (
+    MALFORMED,
     list_snapshots,
     load_snapshot,
     prune_snapshots,
@@ -272,16 +273,28 @@ class DurableStore:
             )
         if committed:
             report.cold_start = False
-        self._meta = dict(state.get("meta", {}))
-        self._feeds = {
-            name: ChangeFeedState.from_doc(doc)
-            for name, doc in state.get("feeds", {}).items()
-        }
+        try:
+            self._meta = dict(state.get("meta", {}))
+            self._feeds = {
+                name: ChangeFeedState.from_doc(doc)
+                for name, doc in state.get("feeds", {}).items()
+            }
+        except MALFORMED as exc:
+            raise RecoveryError(
+                f"{report.snapshot}: malformed store state: {exc!r}"
+            ) from exc
         for record in committed:
             if record["lsn"] <= snap_lsn:
                 report.skipped += 1
                 continue
-            self._apply(db, record)
+            # A committed record that cannot be redone is corruption too.
+            try:
+                self._apply(db, record)
+            except MALFORMED as exc:
+                raise RecoveryError(
+                    f"{self.directory}: WAL record lsn {record['lsn']} "
+                    f"({record.get('op')!r}) cannot be replayed: {exc!r}"
+                ) from exc
             report.replayed += 1
         self._db = db
         last_lsn = committed[-1]["lsn"] if committed else 0

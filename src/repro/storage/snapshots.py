@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from datetime import date
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.errors import SnapshotCorruptionError
+from repro.errors import ReproError, SnapshotCorruptionError
 from repro.relational.batch import BATCH_SIZE, Batch
 from repro.relational.database import Database
 from repro.relational.schema import schema_from_doc, schema_to_doc
@@ -61,14 +62,30 @@ def snapshot_name(lsn: int) -> str:
     return f"snapshot-{lsn:012d}{SNAPSHOT_SUFFIX}"
 
 
+_SNAPSHOT_NAME = re.compile(r"snapshot-(\d{12,})\.snap")
+
+#: What decoding a well-framed but malformed document can raise.
+MALFORMED = (
+    LookupError,
+    TypeError,
+    ValueError,
+    AttributeError,
+    ArithmeticError,
+    ReproError,
+)
+
+
 def snapshot_lsn(path: Path) -> int:
     """The LSN encoded in a snapshot filename."""
     return int(path.stem.split("-", 1)[1])
 
 
 def list_snapshots(directory: Path) -> list[Path]:
-    """Snapshot files in ``directory``, oldest first."""
-    return sorted(directory.glob(f"snapshot-*{SNAPSHOT_SUFFIX}"))
+    """Snapshot files in ``directory``, oldest first (other names ignored)."""
+    paths = directory.glob(f"snapshot-*{SNAPSHOT_SUFFIX}")
+    return sorted(
+        (p for p in paths if _SNAPSHOT_NAME.fullmatch(p.name)), key=snapshot_lsn
+    )
 
 
 # -- encoding -------------------------------------------------------------------
@@ -229,6 +246,17 @@ def load_snapshot(path: str | Path) -> tuple[Database, int, dict[str, Any]]:
     :attr:`Database.epoch` is bit-identical to the checkpointed one.
     """
     path = Path(path)
+    try:
+        return _load_snapshot(path)
+    except SnapshotCorruptionError:
+        raise
+    except MALFORMED as exc:
+        raise SnapshotCorruptionError(
+            f"{path}: malformed snapshot document: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _load_snapshot(path: Path) -> tuple[Database, int, dict[str, Any]]:
     frames = _read_frames(path)
     try:
         manifest = next(frames)

@@ -315,7 +315,7 @@ def read_wal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, int]]:
             raise WalCorruptionError(
                 f"{path}: undecodable frame at offset {offset}: {exc}"
             ) from exc
-        lsn = record.get("lsn")
+        lsn = record.get("lsn") if isinstance(record, dict) else None
         if not isinstance(lsn, int):
             raise WalCorruptionError(
                 f"{path}: frame at offset {offset} carries no LSN"

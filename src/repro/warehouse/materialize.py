@@ -284,8 +284,10 @@ class MaterializationStrategy(abc.ABC):
         table = self.warehouse.ensure_table(schema)
         compiled = self._compiled(self._stored_columns())
         for source in self.job.sources:
-            for record in self.job.base_records(source):
-                table.insert(self._classified(record, source.name, compiled))
+            table.insert_many(
+                self._classified(record, source.name, compiled)
+                for record in self.job.base_records(source)
+            )
         self.warehouse.record_load(
             "materializer", schema.name, len(table), self._load_note()
         )
@@ -338,9 +340,10 @@ class MaterializationStrategy(abc.ABC):
             )
             # Records that stopped qualifying simply don't come back; the
             # delete above already removed their stale rows.
-            for record in self.job.base_records(source, record_ids=changed):
-                table.insert(self._classified(record, source.name, compiled))
-                reextracted += 1
+            reextracted += table.insert_many(
+                self._classified(record, source.name, compiled)
+                for record in self.job.base_records(source, record_ids=changed)
+            )
             refreshed += len(changed)
         if refreshed:
             self.warehouse.record_load(

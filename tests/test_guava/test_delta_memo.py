@@ -187,6 +187,12 @@ class _Harness:
         try:
             if op == "insert" and rows:
                 table.insert(dict(rows[pick % len(rows)], record_id=rid))
+                # The row takes its record id: later entries are numbered
+                # past it, or they would collide with it on the primary key.
+                next_id = self.session._next_id
+                for form in next_id:
+                    next_id[form] = max(next_id[form], rid + 1)
+                self.next_id = dict(next_id)
             elif op == "update" and rows:
                 column = [c for c in table.schema.column_names if c != "record_id"]
                 name = column[pick % len(column)]
@@ -430,6 +436,9 @@ class TestLiveRound:
                 )
                 for name in source.chain.physical_schemas:
                     durable.db.insert(name, source.db.table(name).rows())
+                # The rows arrived behind the chain: deploying it again
+                # loads the Lookup codes they hold.
+                source.chain.deploy(durable.db)
                 store.attach_source(durable)
                 store.commit()
                 stores.append(store)

@@ -75,6 +75,56 @@ class TestLookup:
         with pytest.raises(PatternConfigError):
             PatternChain(SCHEMAS, [LookupPattern({("visit", "flag"): "codes"})])
 
+    def test_each_database_keeps_its_own_codes(self):
+        chain = self.chain()
+        _, first = roundtrip(chain)
+        db, second = roundtrip(chain, list(reversed(ROWS)))
+        assert first == second == ROWS
+        labels = {r["label"]: r["code"] for r in db.table("status_codes").rows()}
+        assert labels == {"Never": 1, "Current": 2}
+
+    def test_a_redeploy_reloads_the_stored_codes(self):
+        db, _ = roundtrip(self.chain())
+        chain = self.chain()
+        chain.deploy(db)
+        chain.write(db, "visit", {"record_id": 4, "status": "Former"})
+        chain.write(db, "visit", {"record_id": 5, "status": "Current"})
+        labels = {r["label"]: r["code"] for r in db.table("status_codes").rows()}
+        assert labels == {"Current": 1, "Never": 2, "Former": 3}
+
+    def test_writes_need_a_database(self):
+        with pytest.raises(PatternWriteError):
+            LookupPattern({("visit", "status"): "status_codes"}).write(
+                "visit", ROWS[0], SCHEMAS
+            )
+
+    def test_one_vendor_chain_over_two_empty_databases(self):
+        """Two sources on one EndoPro chain object, three entries each:
+        the second database gets its own code table and reads every
+        ``reason`` back."""
+        from repro.clinical import generate_truths
+        from repro.clinical.vendors import (
+            build_endopro_chain,
+            build_endopro_tool,
+            endopro_values,
+        )
+        from repro.guava import GTreeQuery
+        from repro.guava.source import GuavaSource
+
+        tool = build_endopro_tool()
+        chain = build_endopro_chain(tool)
+        truths = generate_truths(3, seed=4)
+        expected = [endopro_values(truth).get("reason") for truth in truths]
+        assert None not in expected
+        for name in ("first", "second"):
+            source = GuavaSource(name, tool, chain, db=Database(name))
+            session = source.session()
+            for truth in truths:
+                session.enter("endoscopy_report", endopro_values(truth))
+            rows = source.execute(GTreeQuery(source.gtree("endoscopy_report")))
+            assert [row["reason"] for row in rows] == expected
+            assert len(source.db.table("reason_codes")) == len(set(expected))
+
 
 class TestEncoding:
     def chain(self):
