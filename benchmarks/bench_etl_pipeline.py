@@ -1,13 +1,10 @@
-"""ETL pipeline benchmark: serial vs batched vs incremental.
+"""ETL pipeline benchmark: a compiled study's publish, full vs incremental.
 
-Two experiments, both against the serial seed paths kept as oracles:
+Two experiments:
 
 * **pipeline** — one full compiled study (Study-1 elements plus the
   smoking/ex-smoker columns and four cleaning rules) run through
-  ``Workflow.run()`` serially and through the batched (fused) engine.
-  Modes are interleaved within each round (the measurement noise on a
-  shared box dwarfs the ordering effects otherwise) and the best round
-  per mode is reported.
+  ``Workflow.run()``; the best round is reported.
 * **incremental** — a full CORI materialization versus a warm
   ``build(incremental=True)`` after a small data-entry delta; the
   refresh reclassifies only the changed records, the rebuild starts
@@ -51,7 +48,6 @@ from repro.warehouse import FullStrategy, MaterializationJob, Warehouse
 WORLD_SIZE = 1_500
 SEED = 7
 ROUNDS = 12
-BATCH_SIZE = 512
 DELTA_RECORDS = 5
 
 ELEMENTS = STUDY1_ELEMENTS + [("Smoking", "habits4"), ("ExSmoker", "flag")]
@@ -90,9 +86,9 @@ def build_pipeline_study(world):
     return study
 
 
-def run_pipeline(study, **kwargs):
+def run_pipeline(study):
     workflow = compile_study(study, Database("wh"))
-    return workflow.run(**kwargs)
+    return workflow.run()
 
 
 def make_materialization_job(world, source):
@@ -128,35 +124,25 @@ def clear_read_caches(world) -> None:
 
 def bench_pipeline(world) -> list[dict]:
     study = build_pipeline_study(world)
-    modes = [
-        ("serial", {}),
-        ("batched", {"batch_size": BATCH_SIZE}),
-    ]
     oracle, _ = run_pipeline(study)
-    best = {name: float("inf") for name, _ in modes}
-    outputs = {}
+    best = float("inf")
     for _ in range(2):  # warm-up: caches, imports, compiled closures
-        for name, kwargs in modes:
-            run_pipeline(study, **kwargs)
+        run_pipeline(study)
     for _ in range(ROUNDS):
-        for name, kwargs in modes:
-            # Every round extracts cold: kept rows and plans would turn
-            # the extracts into result-memo hits.
-            clear_read_caches(world)
-            started = time.perf_counter()
-            outputs[name], _ = run_pipeline(study, **kwargs)
-            best[name] = min(best[name], time.perf_counter() - started)
-    for name, _ in modes:
-        assert outputs[name] == oracle, f"mode {name} diverged from serial"
-    serial_s = best["serial"]
+        # Every round extracts cold: kept rows and plans would turn the
+        # extracts into result-memo hits.
+        clear_read_caches(world)
+        started = time.perf_counter()
+        outputs, _ = run_pipeline(study)
+        best = min(best, time.perf_counter() - started)
+    assert outputs == oracle, "a cold publish diverged from the first"
     return [
         {
-            "case": f"pipeline_{name}",
-            "mode": name,
-            "ms": round(best[name] * 1000, 3),
-            "speedup_vs_serial": round(serial_s / best[name], 2),
+            "case": "pipeline_serial",
+            "mode": "serial",
+            "ms": round(best * 1000, 3),
+            "speedup_vs_serial": 1.0,
         }
-        for name, _ in modes
     ]
 
 
@@ -224,7 +210,6 @@ def run(json_path: str | None = None) -> list[dict]:
             "world_size": WORLD_SIZE,
             "seed": SEED,
             "rounds": ROUNDS,
-            "batch_size": BATCH_SIZE,
             "delta_records": DELTA_RECORDS,
             "results": results,
         }
@@ -244,13 +229,14 @@ def main(argv: list[str]) -> int:
 # -- pytest smoke case ---------------------------------------------------------
 
 
-def test_engine_and_incremental_agree_with_serial():
+def test_memo_and_incremental_agree_with_cold_runs():
     """Small-world equivalence smoke test (timings live in standalone mode)."""
     world = build_world(80, seed=SEED)
     study = build_pipeline_study(world)
-    serial, _ = run_pipeline(study)
-    engine, _ = run_pipeline(study, batch_size=32)
-    assert engine == serial
+    cold, _ = run_pipeline(study)
+    for _ in range(2):  # the admitted read, then memo hits
+        warm, _ = run_pipeline(study)
+        assert warm == cold
 
     source = world.source("cori_warehouse_feed")
     warehouse = Warehouse()

@@ -43,10 +43,8 @@ from repro.relational import (
     Compute,
     Database,
     DataType,
-    HashPartitioning,
     Join,
     Limit,
-    RangePartitioning,
     Scan,
     Select,
     Sort,
@@ -63,14 +61,12 @@ N_VITALS_COLUMNS = 12
 CHAIN_ROWS = 300
 CHAIN_DEPTH = 4
 
-# -- partitioned (PP) tier -----------------------------------------------------
-# A million-row tier sized so partition pruning is measured where it
-# matters; REPRO_PP_ROWS scales it down for quick local iterations (the
-# committed baseline is produced at the default).
-PP_ROWS = int(os.environ.get("REPRO_PP_ROWS", "1000000"))
-PP_LAB_ROWS = max(1, PP_ROWS // 4)
-PP_PARTITIONS = 64
-PP_PATIENTS = max(1, PP_ROWS // 500)
+# -- zone-map (ZM) tier ----------------------------------------------------------
+# A million-row tier sized so chunk skipping is measured where it matters;
+# REPRO_PP_ROWS scales it down for quick local iterations (the committed
+# baseline is produced at the default; the variable keeps the name it had
+# when a partitioned tier shared these rows, so existing scripts still work).
+ZM_ROWS = int(os.environ.get("REPRO_PP_ROWS", "1000000"))
 
 
 # -- fixture data --------------------------------------------------------------
@@ -139,62 +135,18 @@ def build_database() -> Database:
     return db
 
 
-_PP_DB: Database | None = None
+_ZM_DB: Database | None = None
 
 
-def build_pp_database() -> Database:
-    """The PP-tier database, built once per process (it is large).
-
-    ``events``: PP_ROWS rows hash-partitioned on ``patient_id`` — the
-    clinical access pattern is per-patient point lookups.  ``labs``:
-    PP_ROWS/4 rows range-partitioned on ``day`` by week — time-banded
-    study windows.
-    """
-    global _PP_DB
-    if _PP_DB is not None:
-        return _PP_DB
-    db = Database("bench_pp")
-    db.create_table(
-        TableSchema.build(
-            "events",
-            [
-                ("patient_id", DataType.INTEGER),
-                ("day", DataType.INTEGER),
-                ("value", DataType.INTEGER),
-            ],
-            partition_by=HashPartitioning("patient_id", PP_PARTITIONS),
-        )
-    )
-    db.insert(
-        "events",
-        (
-            {
-                # Knuth-style scramble so patients spread over partitions.
-                "patient_id": (i * 2654435761) % PP_PATIENTS,
-                "day": i % 365,
-                "value": (i * 13) % 1000,
-            }
-            for i in range(PP_ROWS)
-        ),
-    )
-    db.create_table(
-        TableSchema.build(
-            "labs",
-            [("day", DataType.INTEGER), ("value", DataType.INTEGER)],
-            partition_by=RangePartitioning("day", tuple(range(7, 365, 7))),
-        )
-    )
-    db.insert(
-        "labs",
-        (
-            {"day": (i * 7919) % 365, "value": (i * 31) % 1000}
-            for i in range(PP_LAB_ROWS)
-        ),
-    )
-    # ``readings``: PP_ROWS rows, deliberately UNpartitioned — the zone-map
-    # tier measures chunk skipping where partition pruning cannot help.
-    # ``seq`` is clustered (insertion order), so a narrow range touches few
-    # chunks; ``vendor`` is 8 distinct strings, the dictionary sweet spot.
+def build_zm_database() -> Database:
+    """The ZM-tier database, built once per process (it is large)."""
+    global _ZM_DB
+    if _ZM_DB is not None:
+        return _ZM_DB
+    db = Database("bench_zm")
+    # ``readings``: ZM_ROWS rows.  ``seq`` is clustered (insertion order),
+    # so a narrow range touches few chunks; ``vendor`` is 8 distinct
+    # strings, the dictionary sweet spot.
     db.create_table(
         TableSchema.build(
             "readings",
@@ -210,10 +162,10 @@ def build_pp_database() -> Database:
         "readings",
         (
             {"seq": i, "vendor": vendors[i % 8], "value": (i * 13) % 1000}
-            for i in range(PP_ROWS)
+            for i in range(ZM_ROWS)
         ),
     )
-    _PP_DB = db
+    _ZM_DB = db
     return db
 
 
@@ -334,92 +286,9 @@ def make_cases():
     return cases
 
 
-def _pp_point_plan():
-    return Select(
-        Scan("events"),
-        BinaryOp("=", Identifier.of("patient_id"), Literal(123)),
-    )
-
-
-def _pp_range_plan():
-    return Select(
-        Scan("labs"),
-        BinaryOp(
-            "AND",
-            BinaryOp(">=", Identifier.of("day"), Literal(210)),
-            BinaryOp("<", Identifier.of("day"), Literal(217)),
-        ),
-    )
-
-
-def _pp_aggregate_plan():
-    return Aggregate(
-        Select(
-            Scan("events"),
-            BinaryOp(">=", Identifier.of("value"), Literal(500)),
-        ),
-        ("day",),
-        (
-            AggregateSpec("COUNT", None, "n"),
-            AggregateSpec("AVG", "value", "mean_value"),
-        ),
-    )
-
-
-def run_pp() -> list[dict]:
-    """The PP tier: pruning vs full batch scans, plus a serial aggregate.
-
-    The comparison partner here is NOT the interpreter (at 10^6 rows it
-    only inflates speedups); pruning cases are measured against the same
-    predicate on the unpruned batch path — honest numbers for exactly the
-    change each case isolates.
-    """
-    db = build_pp_database()
-    results = []
-
-    for name, plan in (("pp_point_pruned", _pp_point_plan()), ("pp_range_pruned", _pp_range_plan())):
-        pruned = optimize(plan, db)
-        unpruned = Vectorized(plan)
-        rows = pruned.execute(db)
-        assert rows == unpruned.execute(db), f"{name}: pruned and unpruned disagree"
-        base_s = _time(lambda: unpruned.execute(db), repeats=3)
-        fast_s = _time(lambda: pruned.execute(db), repeats=3)
-        results.append(
-            {
-                "case": name,
-                "rows_out": len(rows),
-                "baseline_ms": round(base_s * 1000, 3),
-                "optimized_ms": round(fast_s * 1000, 3),
-                "speedup": round(base_s / fast_s, 2),
-            }
-        )
-        print(
-            f"{name:<28} full batch  {base_s * 1000:9.3f} ms   "
-            f"pruned    {fast_s * 1000:9.3f} ms   x{base_s / fast_s:6.2f}",
-            flush=True,
-        )
-
-    agg = optimize(_pp_aggregate_plan(), db)
-    serial_rows = agg.execute(db)
-    serial_s = _time(lambda: agg.execute(db), repeats=3)
-    results.append(
-        {
-            "case": "pp_scan_aggregate_serial",
-            "rows_out": len(serial_rows),
-            "optimized_ms": round(serial_s * 1000, 3),
-            "speedup": 1.0,
-        }
-    )
-    print(
-        f"{'pp_scan_aggregate_serial':<28} serial     {serial_s * 1000:9.3f} ms",
-        flush=True,
-    )
-    return results
-
-
 def _zm_scan_plan():
-    lo = PP_ROWS // 2
-    width = max(1, PP_ROWS // 64)  # selectivity 1/64 on clustered ``seq``
+    lo = ZM_ROWS // 2
+    width = max(1, ZM_ROWS // 64)  # selectivity 1/64 on clustered ``seq``
     return Select(
         Scan("readings"),
         BinaryOp(
@@ -460,7 +329,7 @@ def run_zm() -> list[dict]:
     (:func:`set_statistics_enabled`), so each case isolates exactly the
     statistics layer — same kernels, same batches, stats on vs off.
     """
-    db = build_pp_database()
+    db = build_zm_database()
     results = []
     cases = (
         ("zm_selective_scan", _zm_scan_plan()),
@@ -542,7 +411,6 @@ def run(json_path: str | None = None) -> list[dict]:
             f"optimized {fast_s * 1000:9.3f} ms   x{slow_s / fast_s:6.2f}",
             flush=True,
         )
-    results.extend(run_pp())
     results.extend(run_zm())
     if json_path:
         payload = {
@@ -551,8 +419,7 @@ def run(json_path: str | None = None) -> list[dict]:
             "n_visits": N_VISITS,
             "chain_rows": CHAIN_ROWS,
             "chain_depth": CHAIN_DEPTH,
-            "pp_rows": PP_ROWS,
-            "pp_partitions": PP_PARTITIONS,
+            "zm_rows": ZM_ROWS,
             # Bench provenance: the cores the producing machine had.
             "cores": len(os.sched_getaffinity(0)),
             "results": results,
@@ -616,9 +483,6 @@ if "pytest" in sys.modules:  # imported by pytest collection
         assert by_case["indexed_lookup"] >= 3.0
         assert by_case[f"pattern_chain_depth{CHAIN_DEPTH}"] >= 1.5
         assert by_case["join_aggregate_vectorized"] >= 3.0
-        # PP tier: pruning must cut scans by an order of magnitude.
-        assert by_case["pp_point_pruned"] >= 10.0
-        assert by_case["pp_range_pruned"] >= 10.0
         # ZM tier: chunk skipping must dominate a 1/64-selective clustered
         # scan; dictionary-coded grouping must beat value-keyed grouping.
         assert by_case["zm_selective_scan"] >= 5.0

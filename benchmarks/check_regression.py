@@ -1,6 +1,7 @@
 """CI benchmark-regression gate over the committed BENCH_*.json baselines.
 
-Re-runs the two headline benchmarks in-process and fails (exit 1) when
+Re-runs the headline benchmarks, each in a fresh interpreter (so one
+bench's heap and caches never slow the next), and fails (exit 1) when
 any headline metric — a case's ``optimized_ms``/``ms`` — regresses more
 than the threshold (default 25%) against its committed baseline.  CI
 jitter is tolerated by taking the best of N runs (default 3) per case
@@ -20,23 +21,23 @@ synthetic 2x slowdown without timing anything.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from typing import Any, Callable, Sequence
 
 DEFAULT_THRESHOLD = 1.25
 DEFAULT_RUNS = 3
 
 #: Cases every committed baseline of a benchmark must carry: a
-#: re-promoted baseline that silently drops a tier (e.g. the partitioned
-#: PP cases) fails the gate instead of shrinking its coverage.
+#: re-promoted baseline that silently drops a tier (e.g. the zone-map ZM
+#: cases) fails the gate instead of shrinking its coverage.
 REQUIRED_CASES: dict[str, tuple[str, ...]] = {
     "relational_core": (
         "filtered_scan",
         "indexed_lookup",
         "join_aggregate_vectorized",
-        "pp_point_pruned",
-        "pp_range_pruned",
-        "pp_scan_aggregate_serial",
         "zm_selective_scan",
         "zm_groupby_dict",
     ),
@@ -128,28 +129,24 @@ def gate(
     return failures
 
 
+_HERE = os.path.dirname(os.path.abspath(__file__))
+
+
 def _run_benchmark(name: str) -> dict[str, float]:
-    """Execute one benchmark in-process and return its headline metrics."""
-    if name == "relational_core":
-        import bench_relational_core
-
-        results = bench_relational_core.run()
-    elif name == "etl_pipeline":
-        import bench_etl_pipeline
-
-        results = bench_etl_pipeline.run()
-    elif name == "durability":
-        import bench_durability
-
-        results = bench_durability.run()
-    else:
+    """Run ``benchmarks/bench_<name>.py`` in a fresh interpreter and
+    return its headline metrics."""
+    script = os.path.join(_HERE, f"bench_{name}.py")
+    if not os.path.exists(script):
         raise SystemExit(f"unknown benchmark {name!r}")
-    return headline_metrics({"results": results})
+    with tempfile.TemporaryDirectory() as scratch:
+        out = os.path.join(scratch, f"{name}.json")
+        subprocess.run([sys.executable, script, "--json", out], check=True)
+        with open(out) as handle:
+            return headline_metrics(json.load(handle))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     import argparse
-    import os
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -171,7 +168,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     baselines: dict[str, Payload] = {}
     for path in args.baselines:
         with open(path) as handle:

@@ -85,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(explain_analyze) or a compiled study workflow run",
     )
     trace.add_argument(
-        "--batch-size", type=int, default=256, help="workflow batch size (default 256)"
-    )
-    trace.add_argument(
         "--executor",
         choices=["row", "batch"],
         default="batch",
@@ -304,7 +301,7 @@ def _cmd_trace(args) -> int:
             build_cohort_study("trace", world, STUDY1_ELEMENTS), Database("warehouse")
         )
         with tracing() as tracer:
-            workflow.run(batch_size=args.batch_size)
+            workflow.run()
         stats_db = None
     if args.flame:
         for root in tracer.roots:

@@ -10,17 +10,21 @@ component of its own: a compiled study's :class:`Extract` carries the
 study's row map, so its rows come out of the read already classified and
 shaped (see :mod:`repro.etl.compile`).
 
-Two execution protocols coexist:
+Rows are shared along a run, not copied at every step.  The contract:
 
-* :meth:`Component.run` — the serial list-in/list-out contract the seed
-  shipped with.  It stays the behavioural oracle: every component copies
-  rows before extending them, so each step's output is independent.
-* :meth:`Component.open_stream` — the batched contract the workflow
-  engine uses.  A stream transform maps ``(chunk, owned)`` to
-  ``(chunk, owned)``; ``owned`` marks rows as private to the executing
-  chain, letting later transforms mutate in place instead of re-copying
-  the row at every step.  Values are identical to the serial path; only
-  the copying strategy differs.
+* no component mutates an input row in place;
+* components that only pick rows hand the input rows on as their own
+  output (:class:`FilterRows`, :class:`Clean`, :class:`UnionInputs` and
+  :class:`Load`); components that extend or reshape rows
+  (:class:`DeriveColumn`, :class:`AddConstant`, :class:`ProjectColumns`)
+  build new ones;
+* the rows an :class:`Extract` hands out are the caller's own (a result
+  memo hit is a copy), and :class:`Load` stores copies
+  (``Table.insert_many`` copies what it stores).
+
+So the outputs of one run may share rows with each other — a union's rows
+are its extracts' rows — but never with a source table, the result memo
+or a loaded warehouse table.
 
 Row-wise predicates and expressions evaluate through the compiled-closure
 path (:mod:`repro.expr.compile`), whose three-valued-logic parity with the
@@ -30,7 +34,7 @@ tree-walking :class:`~repro.expr.evaluator.Evaluator` is property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ETLError
 from repro.expr.ast import Expression
@@ -46,54 +50,14 @@ if TYPE_CHECKING:
     from repro.guava.source import GuavaSource
 
 Row = dict[str, object]
-Chunk = list[Row]
-ChunkTransform = Callable[[Chunk, bool], tuple[Chunk, bool]]
-
-
-@dataclass
-class StreamOp:
-    """One step's per-run streaming state.
-
-    ``transform`` processes chunks; ``commit`` (optional) publishes any
-    deferred side effects once the whole run finished — the engine invokes
-    commits in step order so shared artifacts (e.g. the quarantine) end up
-    byte-identical to a serial run regardless of scheduling.
-    """
-
-    transform: ChunkTransform
-    commit: Callable[[], None] | None = None
-
-
-def chunked(rows: list[Row], batch_size: int | None) -> Iterator[Chunk]:
-    """Slice a row list into chunks (one chunk when unbatched)."""
-    if batch_size is None or batch_size >= len(rows):
-        yield rows
-        return
-    for start in range(0, len(rows), batch_size):
-        yield rows[start : start + batch_size]
-
-
-def _owned(chunk: Chunk, owned: bool) -> Chunk:
-    """The chunk with rows this chain may mutate (copy at most once)."""
-    if owned:
-        return chunk
-    return [dict(row) for row in chunk]
 
 
 @dataclass
 class Component:
     """Base ETL component: ``run(inputs) -> rows``."""
 
-    #: Streamable components transform exactly one input chunk-by-chunk and
-    #: may be fused into a batched chain by the workflow engine.
-    streamable = False
-
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         raise NotImplementedError
-
-    def open_stream(self) -> StreamOp:
-        """Per-run chunk transform (streamable components only)."""
-        raise ETLError(f"{type(self).__name__} does not stream")
 
     def expects(self, count: int, inputs: Sequence[list[Row]]) -> None:
         if len(inputs) != count:
@@ -110,11 +74,11 @@ class Extract(Component):
     and ``row_map`` the study's row map for it — the bridge from Figure
     6's "Source" box through the classifiers: rows come out classified and
     output-shaped, and records a record-scoped cleaning rule discards go
-    to ``quarantine``.  Both protocols read through
+    to ``quarantine``.  It reads through
     :meth:`~repro.guava.source.GuavaSource.execute`, the call a
     ``Study.run`` preview makes for the same query and map: a publish
     shares the preview's plan-cache entry and, at an unchanged data
-    version, its memoized rows.  Rows are fresh, so chains own them.
+    version, a copy of its memoized rows.
     """
 
     source: GuavaSource
@@ -132,21 +96,6 @@ class Extract(Component):
         if self.row_map is None:
             return rows
         return self.row_map.sift(rows, quarantine)
-
-    def open_read(
-        self, batch_size: int | None
-    ) -> tuple[Iterator[Chunk], Callable[[], None]]:
-        """The read's rows in chunks of ``batch_size`` (one if None), and
-        a commit publishing its discards (staged like :class:`Clean`'s)."""
-        staged = Quarantine()
-
-        def chunks() -> Iterator[Chunk]:
-            yield from chunked(self.read(staged), batch_size)
-
-        def commit() -> None:
-            self.quarantine.rows.extend(staged.rows)
-
-        return chunks(), commit
 
 
 @dataclass
@@ -166,8 +115,6 @@ class FilterRows(Component):
 
     condition: Expression
 
-    streamable = True
-
     def __post_init__(self) -> None:
         if isinstance(self.condition, str):
             self.condition = parse(self.condition)
@@ -177,14 +124,6 @@ class FilterRows(Component):
         satisfied = compile_predicate(self.condition)
         return [row for row in inputs[0] if satisfied(row)]
 
-    def open_stream(self) -> StreamOp:
-        satisfied = compile_predicate(self.condition)
-
-        def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
-            return [row for row in chunk if satisfied(row)], owned
-
-        return StreamOp(transform)
-
 
 @dataclass
 class DeriveColumn(Component):
@@ -192,8 +131,6 @@ class DeriveColumn(Component):
 
     name: str
     expression: Expression
-
-    streamable = True
 
     def __post_init__(self) -> None:
         if isinstance(self.expression, str):
@@ -208,21 +145,6 @@ class DeriveColumn(Component):
             extended[self.name] = compute(row)
             out.append(extended)
         return out
-
-    def open_stream(self) -> StreamOp:
-        compute = compile_expression(self.expression)
-        name = self.name
-
-        def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
-            chunk = _owned(chunk, owned)
-            for row in chunk:
-                # Evaluate before assigning: the environment must not yet
-                # contain the derived column, exactly as in run().
-                value = compute(row)
-                row[name] = value
-            return chunk, True
-
-        return StreamOp(transform)
 
 
 @dataclass
@@ -239,30 +161,11 @@ class Clean(Component):
     scope: str
     quarantine: Quarantine
 
-    streamable = True
-
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(1, inputs)
         return apply_rules(
             self.rules, list(inputs[0]), self.source_name, self.scope, self.quarantine
         )
-
-    def open_stream(self) -> StreamOp:
-        # Discards stage into a private buffer; the engine commits buffers
-        # in step order so concurrent branches cannot interleave quarantine
-        # rows differently from a serial run.
-        staged = Quarantine()
-
-        def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
-            kept = apply_rules(
-                self.rules, chunk, self.source_name, self.scope, staged
-            )
-            return kept, owned
-
-        def commit() -> None:
-            self.quarantine.rows.extend(staged.rows)
-
-        return StreamOp(transform, commit)
 
 
 @dataclass
@@ -271,24 +174,12 @@ class ProjectColumns(Component):
 
     columns: tuple[str, ...]
 
-    streamable = True
-
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(1, inputs)
         return [
             {column: row.get(column) for column in self.columns}
             for row in inputs[0]
         ]
-
-    def open_stream(self) -> StreamOp:
-        columns = self.columns
-
-        def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
-            return [
-                {column: row.get(column) for column in columns} for row in chunk
-            ], True
-
-        return StreamOp(transform)
 
 
 @dataclass
@@ -298,8 +189,6 @@ class AddConstant(Component):
     column: str
     value: object
 
-    streamable = True
-
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(1, inputs)
         out = []
@@ -308,17 +197,6 @@ class AddConstant(Component):
             extended[self.column] = self.value
             out.append(extended)
         return out
-
-    def open_stream(self) -> StreamOp:
-        column, value = self.column, self.value
-
-        def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
-            chunk = _owned(chunk, owned)
-            for row in chunk:
-                row[column] = value
-            return chunk, True
-
-        return StreamOp(transform)
 
 
 @dataclass
@@ -330,7 +208,7 @@ class UnionInputs(Component):
             raise ETLError("UnionInputs needs at least one input")
         out: list[Row] = []
         for rows in inputs:
-            out.extend(map(dict, rows))
+            out.extend(rows)
         return out
 
 
@@ -342,26 +220,11 @@ class Load(Component):
     schema: TableSchema
     replace: bool = True
 
-    streamable = True
-
     def run(self, inputs: Sequence[list[Row]]) -> list[Row]:
         self.expects(1, inputs)
         rows = inputs[0] if isinstance(inputs[0], list) else list(inputs[0])
         self._begin().insert_many(self._projected(rows))
         return rows
-
-    def open_stream(self) -> StreamOp:
-        # The target table is (re)created when the stream opens — i.e. when
-        # this step's chain starts executing, possibly before upstream rows
-        # all exist.  Workflows where another step reads the loaded table
-        # mid-run must not fuse across it; compiled studies never do.
-        table = self._begin()
-
-        def transform(chunk: Chunk, owned: bool) -> tuple[Chunk, bool]:
-            table.insert_many(self._projected(chunk))
-            return chunk, owned
-
-        return StreamOp(transform)
 
     def _projected(self, rows: list[Row]) -> list[Row]:
         """``rows`` without the columns the target table lacks.

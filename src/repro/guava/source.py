@@ -33,14 +33,7 @@ from repro.guava.gtree import GTree
 from repro.guava.query import GTreeQuery
 from repro.guava.translate import translate_query
 from repro.patterns.chain import PatternChain
-from repro.relational.algebra import (
-    IndexLookup,
-    InLookup,
-    PartitionScan,
-    Plan,
-    Scan,
-    Select,
-)
+from repro.relational.algebra import Plan, Select
 from repro.obs.trace import current_tracer
 from repro.relational.database import Database, restore_generation
 from repro.relational.query import (
@@ -335,7 +328,7 @@ class GuavaSource:
             plan, _ = rebind_in_lists(plan, RECORD_ID, ids)
         else:
             translated = translate_query(query, self.chain)
-            if key is not None and not self._rebindable(translated):
+            if key is not None and not _rebindable(translated):
                 key = None
             # Record-scoped extraction is the hot delta path of incremental
             # materialization: build the record-id indexes the pushed-down
@@ -542,7 +535,7 @@ class GuavaSource:
             plan = cached_plan(db, key)
         if plan is None:
             translated = translate_query(query, self.chain)
-            if not self._rebindable(translated):
+            if not _rebindable(translated):
                 return None
             plan = optimize(Select(translated, _membership(ids)), db, cache_key=key)
         else:
@@ -566,31 +559,22 @@ class GuavaSource:
         _fingerprint((query.nodes, query.condition, query.derivations), parts.append)
         return "".join(parts)
 
-    def _rebindable(self, translated: Plan) -> bool:
-        """Can a record-scoped plan of ``translated`` be rebound to new ids?
-
-        Only when the record-id membership is the plan's *only* record-id
-        ``IN`` slot (so rebinding cannot touch the chain's own filters),
-        and no table it reads is partitioned (a partition choice derived
-        from the ids would not follow them).
-        """
-        _, slots = rebind_in_lists(translated, RECORD_ID, ())
-        if slots:
-            return False
-        db = self.db
-        return not any(
-            isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup))
-            and db.has_table(node.table)
-            and db.table(node.table).partition_count > 1
-            for node in translated.walk()
-        )
-
     def explain(self, query: GTreeQuery) -> str:
         """The SQL the translated query corresponds to (documentation)."""
         return to_sql(translate_query(query, self.chain))
 
     def __repr__(self) -> str:
         return f"GuavaSource({self.name!r}, tool={self.tool.name} v{self.tool.version})"
+
+
+def _rebindable(translated: Plan) -> bool:
+    """Can a record-scoped plan of ``translated`` be rebound to new ids?
+
+    Only when the record-id membership is the plan's *only* record-id
+    ``IN`` slot, so rebinding cannot touch the chain's own filters.
+    """
+    _, slots = rebind_in_lists(translated, RECORD_ID, ())
+    return not slots
 
 
 class _KeptRead:

@@ -184,14 +184,6 @@ class Tracer:
         """Context manager opening a child of ``parent`` (default: current)."""
         return _SpanHandle(self, name, parent, attrs)
 
-    def attach(self, span: Span) -> None:
-        """Adopt an externally-assembled span tree at the current position."""
-        parent = self.current()
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
-
     def to_dict(self) -> dict[str, Any]:
         return {"spans": [span.to_dict() for span in self.roots]}
 

@@ -6,13 +6,7 @@ light plan optimizer, and a SQL renderer used to document generated ETL.
 """
 
 from repro.relational.types import DataType
-from repro.relational.schema import (
-    Column,
-    HashPartitioning,
-    PartitionScheme,
-    RangePartitioning,
-    TableSchema,
-)
+from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
 from repro.relational.database import Database, database_version
 from repro.relational.index import HashIndex
@@ -27,7 +21,6 @@ from repro.relational.algebra import (
     InLookup,
     Join,
     Limit,
-    PartitionScan,
     Pivot,
     Plan,
     Project,
@@ -79,18 +72,14 @@ __all__ = [
     "Distinct",
     "ExecContext",
     "HashIndex",
-    "HashPartitioning",
     "IndexLookup",
     "InLookup",
     "Join",
     "Limit",
-    "PartitionScan",
-    "PartitionScheme",
     "Pivot",
     "Plan",
     "Project",
     "Query",
-    "RangePartitioning",
     "Rename",
     "Scan",
     "Select",

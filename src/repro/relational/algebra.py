@@ -361,50 +361,6 @@ class InLookup(Plan):
 
 
 @dataclass(frozen=True)
-class PartitionScan(Plan):
-    """Read only the listed partitions of a partitioned base table.
-
-    Produced by the optimizer when a conjunct on the partition key proves
-    the other partitions cannot hold matching rows.  The *full* original
-    predicate always stays behind in a residual :class:`Select` above this
-    node — pruning narrows the scanned superset, it never filters — so a
-    stale or mismatched scheme at execution time can safely fall back to a
-    full scan.  Merged partition positions are ascending, so rows stream in
-    extent (insertion) order, exactly like the scan this replaces.
-    """
-
-    table: str
-    partitions: tuple[int, ...]
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        table = ctx.db.table(self.table)
-        scheme = table.partitioning
-        total = scheme.partition_count if scheme is not None else 0
-        if scheme is None or any(pid >= total for pid in self.partitions):
-            # The scheme changed under a cached/hand-built plan; the pruning
-            # decision no longer applies, so scan everything (the residual
-            # Select above still enforces the predicate).
-            ctx.annotate(self, access_path="scan_fallback")
-            return table.iter_rows()
-        positions = table.positions_for_partitions(self.partitions)
-        ctx.annotate(
-            self,
-            access_path="partition",
-            partitions_scanned=len(set(self.partitions)),
-            partitions_pruned=total - len(set(self.partitions)),
-            partitions_total=total,
-            bucket_rows=len(positions),
-        )
-        return table.rows_at(positions)
-
-    def shares_storage(self) -> bool:
-        return True
-
-    def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
-        return ctx.db.table(self.table).schema.column_names
-
-
-@dataclass(frozen=True)
 class Values(Plan):
     """A literal relation (used by tests and by ETL staging steps)."""
 
@@ -966,8 +922,6 @@ def trace_label(plan: Plan) -> str:
         return f"IndexLookup[{plan.table}: {columns}]"
     if isinstance(plan, InLookup):
         return f"InLookup[{plan.table}.{plan.column} IN ({len(plan.values)})]"
-    if isinstance(plan, PartitionScan):
-        return f"PartitionScan[{plan.table}: {len(plan.partitions)} parts]"
     if isinstance(plan, Values):
         return f"Values[{len(plan.rows)} rows]"
     if isinstance(plan, Select):

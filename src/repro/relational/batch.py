@@ -54,7 +54,7 @@ class Batch:
         length: int,
         _source: "Batch | None" = None,
         _indices: Sequence[int] | None = None,
-        zone: "tuple[object, int | None, int] | None" = None,
+        zone: "tuple[object, int] | None" = None,
         encodings: "dict[str, tuple[object, list[int | None]] | None] | None" = None,
     ):
         self.columns = columns
@@ -66,7 +66,7 @@ class Batch:
         # gather: a list of (start, stop) slices, None when per-element
         # gathering is cheaper, False while not yet computed.
         self._runs: "list[tuple[int, int]] | None | bool" = False
-        # Zone-map identity: (table, partition | None, chunk index) when
+        # Zone-map identity: (table, chunk index) when
         # this batch's rows are a subset of one scanned chunk, else None.
         # Propagated through take() — every skip/all-match rule stays sound
         # on row subsets of the chunk it was computed for.

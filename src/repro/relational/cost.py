@@ -48,7 +48,6 @@ from repro.relational.algebra import (
     InLookup,
     Join,
     Limit,
-    PartitionScan,
     Plan,
     Scan,
     Select,
@@ -359,7 +358,7 @@ def base_table_of(plan: Plan, db: "Database") -> "Table | None":
     """
     while isinstance(plan, (Select, Sort, Limit, TopK, Distinct)):
         plan = plan.child
-    if isinstance(plan, (Scan, PartitionScan, IndexLookup, InLookup)):
+    if isinstance(plan, (Scan, IndexLookup, InLookup)):
         if db.has_table(plan.table):
             return db.table(plan.table)
     return None
@@ -406,14 +405,6 @@ def estimate_plan_rows(
 def _estimate(plan: Plan, db: "Database", memo: dict[int, float]) -> float:
     if isinstance(plan, Scan):
         return float(len(db.table(plan.table))) if db.has_table(plan.table) else 0.0
-    if isinstance(plan, PartitionScan):
-        if not db.has_table(plan.table):
-            return 0.0
-        table = db.table(plan.table)
-        counts = table.partition_row_counts()
-        if any(pid >= len(counts) for pid in plan.partitions):
-            return float(len(table))  # stale scheme: execution scans everything
-        return float(sum(counts[pid] for pid in plan.partitions))
     if isinstance(plan, (IndexLookup, InLookup)):
         return _estimate_lookup(plan, db)
     if isinstance(plan, Values):

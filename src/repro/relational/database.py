@@ -86,33 +86,33 @@ class Database:
         """Monotone schema/data/index version of the whole database.
 
         Sums the structural counter (table create/drop) with every table's
-        data version, index epoch, and partition epoch.  Each component only
-        ever increases within one process, so the sum is monotone: any
-        insert, delete, update, index create/drop, table create/drop, or
-        repartition yields a new epoch.  Recovery restores it bit-identical
-        (storage tests pin that).  The plan cache does *not* key on it —
+        data version and index epoch.  Each component only ever increases
+        within one process, so the sum is monotone: any insert, delete,
+        update, index create/drop or table create/drop yields a new epoch.
+        Recovery restores it bit-identical (storage tests pin that).  The
+        plan cache does *not* key on it —
         data versions only matter to a plan through the facts planning
         consumed (see :meth:`plan_cache_get`) — and neither does the GUAVA
         change feed, which versions each source's own tables.
         """
         total = self._structure_version
         for table in self._tables.values():
-            total += table.version + table.index_epoch + table.partition_epoch
+            total += table.version + table.index_epoch
         return total
 
     @property
     def plan_epoch(self) -> int:
         """The part of :attr:`epoch` every cached plan depends on.
 
-        The structural counter plus every table's index and partition
-        epoch: a table create/drop, an index create/drop, or a repartition
-        moves it; inserts, updates and deletes do not.  Monotone for the
-        same reasons as :attr:`epoch` (``drop_table`` folds the dropped
-        table's epochs into the structural counter).
+        The structural counter plus every table's index epoch: a table
+        create/drop or an index create/drop moves it; inserts, updates and
+        deletes do not.  Monotone for the same reasons as :attr:`epoch`
+        (``drop_table`` folds the dropped table's epochs into the
+        structural counter).
         """
         total = self._structure_version
         for table in self._tables.values():
-            total += table.index_epoch + table.partition_epoch
+            total += table.index_epoch
         return total
 
     def plan_cache_get(self, key: str, epoch: int) -> object | None:
@@ -247,9 +247,7 @@ class Database:
         dropped = self._tables.pop(name)
         # Fold the dropped table's contribution into the structural counter so
         # the epoch never rewinds to a value it held before the drop.
-        self._structure_version += (
-            1 + dropped.version + dropped.index_epoch + dropped.partition_epoch
-        )
+        self._structure_version += 1 + dropped.version + dropped.index_epoch
         self._notify("drop_table", {"name": name, "table": dropped})
 
     def restore_structure_version(self, version: int) -> None:

@@ -24,7 +24,6 @@ from repro.relational.algebra import (
     InLookup,
     Join,
     Limit,
-    PartitionScan,
     Pivot,
     Plan,
     Project,
@@ -63,24 +62,6 @@ def execute_interpreted(plan: Plan, db: Database) -> list[Row]:
             row
             for row in db.table(plan.table).rows()
             if any(sql_equal(row.get(plan.column), value) for value in plan.values)
-        ]
-    if isinstance(plan, PartitionScan):
-        # Semantics of the optimizer's partition pruning, spelled as a full
-        # scan filtered by partition membership, in insertion order.  The
-        # oracle ignores the partition layout itself; a missing/mismatched
-        # scheme degenerates to the full scan, like the streaming fallback.
-        table = db.table(plan.table)
-        scheme = table.partitioning
-        if scheme is None or any(
-            pid >= scheme.partition_count for pid in plan.partitions
-        ):
-            return table.rows()
-        wanted = set(plan.partitions)
-        column = scheme.column
-        return [
-            row
-            for row in table.rows()
-            if scheme.partition_of(row.get(column)) in wanted
         ]
     if isinstance(plan, Values):
         return [dict(zip(plan.columns, row)) for row in plan.rows]

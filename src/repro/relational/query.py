@@ -39,7 +39,6 @@ from repro.relational.algebra import (
     InLookup,
     Join,
     Limit,
-    PartitionScan,
     Pivot,
     Plan,
     Project,
@@ -55,10 +54,9 @@ from repro.relational.database import Database
 from repro.relational.table import Table
 from repro.relational.types import DataType
 
-# Conjunct decomposition and the equality/IN/range item analyzers are
-# shared with the zone-map probe builders and live in stats.py.
+# Conjunct decomposition and the equality/IN item analyzers are shared
+# with the zone-map probe builders and live in stats.py.
 from repro.relational.stats import (
-    _FLIPPED_COMPARE,
     _conjuncts,
     _equality_item,
     _in_list_item,
@@ -170,7 +168,7 @@ def optimize(
     statistics toggle (a plan estimated under one regime must never serve
     the other).  An entry is planned once per *shape*, not once per data
     version: it stays valid while ``Database.plan_epoch`` (table
-    create/drop, index create/drop, repartition) is unchanged and no table
+    create/drop, index create/drop) is unchanged and no table
     an estimate consulted (bucket sizes choosing among index paths, the
     vectorize threshold) has drifted past ``PLANNING_STALENESS_FRACTION``
     in row count, as recorded by :class:`_OptContext`.  An estimate only
@@ -323,7 +321,7 @@ def extent_driver(
     """
     path: list[Plan] = []
     node = plan
-    while not isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup)):
+    while not isinstance(node, (Scan, IndexLookup, InLookup)):
         if isinstance(node, Join):
             if not (
                 (column, column) in node.on and _record_local(node.right, column, db)
@@ -336,7 +334,7 @@ def extent_driver(
             node = node.children()[0]
         else:
             return None
-    assert isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup))
+    assert isinstance(node, (Scan, IndexLookup, InLookup))
     if not db.has_table(node.table) or not db.table(node.table).schema.has_column(
         column
     ):
@@ -369,7 +367,7 @@ def _keyed_on(node: Plan, column: str) -> bool:
 def _record_local(node: Plan, column: str, db: Database) -> bool:
     """Does every row of ``node`` derive from the rows of one ``column``
     value?  (Order does not matter below a join's right side.)"""
-    if isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup)):
+    if isinstance(node, (Scan, IndexLookup, InLookup)):
         return True
     if isinstance(node, Join):
         return _record_local(node.left, column, db) and (
@@ -384,7 +382,7 @@ def _record_local(node: Plan, column: str, db: Database) -> bool:
 def _reads_column(plan: Plan, column: str, db: Database) -> bool:
     """Does any base table under ``plan`` have ``column``?"""
     return any(
-        isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup))
+        isinstance(node, (Scan, IndexLookup, InLookup))
         and (
             not db.has_table(node.table)
             or db.table(node.table).schema.has_column(column)
@@ -488,7 +486,7 @@ class _OptContext:
         if db is None:
             return
         for node in plan.walk():
-            if isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup)):
+            if isinstance(node, (Scan, IndexLookup, InLookup)):
                 if db.has_table(node.table):
                     self.consult(db.table(node.table))
 
@@ -677,26 +675,11 @@ def _rewrite_select(plan: Select, ctx: _OptContext) -> Plan:
     # Push select into a join side when its columns come from one side.
     if isinstance(child, Join) and child.how in ("inner", "left"):
         return _push_into_join(plan.predicate, child, ctx)
-    # Lower equality filters over a base table onto a hash index; when no
-    # index covers the filter, try pruning partitions of a partitioned
-    # table instead (an index probe is strictly more selective, so it wins
-    # whenever both would apply).
+    # Lower equality filters over a base table onto a hash index.
     if isinstance(child, Scan):
         lowered = _lower_index_lookup(plan.predicate, child, ctx)
         if lowered is not None:
             return lowered
-        pruned = _lower_partition_scan(plan.predicate, child.table, None, ctx)
-        if pruned is not None:
-            return pruned
-    # A select merged down onto an already-pruned scan (select_merge above
-    # rebuilds the conjunction): re-prune and intersect with the existing
-    # partition choice.
-    if isinstance(child, PartitionScan):
-        pruned = _lower_partition_scan(
-            plan.predicate, child.table, child.partitions, ctx
-        )
-        if pruned is not None:
-            return pruned
     return plan
 
 
@@ -950,96 +933,6 @@ def _lower_index_lookup(
     return Select(lookup, conjunction(rest)) if rest else lookup
 
 
-def _lower_partition_scan(
-    predicate: Expression,
-    table_name: str,
-    current: tuple[int, ...] | None,
-    ctx: _OptContext,
-) -> Plan | None:
-    """``Select(Scan, pred)`` → ``Select(PartitionScan, pred)`` when conjuncts
-    on the partition key rule partitions out.
-
-    Pruning only narrows the scanned superset — the FULL predicate stays as
-    the residual select — so a conjunct the analysis cannot use simply
-    prunes nothing.  ``current`` carries an existing PartitionScan's
-    partition choice to intersect with (None when lowering a bare Scan).
-    Returns None when nothing (further) prunes.
-    """
-    if ctx.db is None or not ctx.db.has_table(table_name):
-        return None
-    scheme = ctx.db.table(table_name).partitioning
-    if scheme is None or scheme.partition_count <= 1:
-        return None
-    candidates = _partition_candidates(predicate, scheme)
-    if candidates is None:
-        return None
-    baseline = (
-        set(current)
-        if current is not None
-        else set(range(scheme.partition_count))
-    )
-    chosen = baseline & candidates
-    if chosen == baseline:
-        return None  # nothing new pruned
-    ctx.note(
-        "partition_prune",
-        table=table_name,
-        scheme=scheme.describe(),
-        scanned=len(chosen),
-        pruned=scheme.partition_count - len(chosen),
-    )
-    return Select(PartitionScan(table_name, tuple(sorted(chosen))), predicate)
-
-
-def _partition_candidates(predicate: Expression, scheme) -> set[int] | None:
-    """Partitions that can hold predicate-satisfying rows; None = no pruning."""
-    allowed: set[int] | None = None
-    for conjunct in _conjuncts(predicate):
-        candidate = _conjunct_partitions(conjunct, scheme)
-        if candidate is None:
-            continue
-        allowed = candidate if allowed is None else allowed & candidate
-    return allowed
-
-
-def _conjunct_partitions(conjunct: Expression, scheme) -> set[int] | None:
-    """Partitions one conjunct confines the key to; None = no information.
-
-    Every rule is sound against the residual re-filter: a partition is only
-    dropped when no row inside it can satisfy this conjunct under
-    ``sql_equal``/comparison semantics (NULL comparisons filter out).
-    """
-    key = {scheme.column}
-    item = _equality_item(conjunct, key)
-    if item is not None:
-        return {scheme.partition_of(item[1])}
-    probe = _in_list_item(conjunct, key)
-    if probe is not None:
-        # NULL items were dropped; an all-NULL list keeps no rows at all.
-        return {scheme.partition_of(value) for value in probe[1]}
-    if (
-        isinstance(conjunct, IsNull)
-        and not conjunct.negated
-        and isinstance(conjunct.operand, Identifier)
-        and len(conjunct.operand.path) == 1
-        and conjunct.operand.name == scheme.column
-    ):
-        return {scheme.null_partition}
-    if isinstance(conjunct, BinaryOp) and conjunct.op in _FLIPPED_COMPARE:
-        for ident, literal, op in (
-            (conjunct.left, conjunct.right, conjunct.op),
-            (conjunct.right, conjunct.left, _FLIPPED_COMPARE[conjunct.op]),
-        ):
-            if not (isinstance(ident, Identifier) and isinstance(literal, Literal)):
-                continue
-            if len(ident.path) != 1 or ident.name != scheme.column:
-                continue
-            spanned = scheme.partitions_for_compare(op, literal.value)
-            if spanned is not None:
-                return set(spanned)
-    return None
-
-
 def _lookup_predicate(lookup: IndexLookup | InLookup) -> Expression:
     """The filter an already-lowered lookup node stands for.
 
@@ -1176,7 +1069,7 @@ def prepare_stream_plan(
         # access path (the bucket-size choice needs the index to exist).
         if not (
             isinstance(node, Select)
-            and isinstance(node.child, (Scan, IndexLookup, InLookup, PartitionScan))
+            and isinstance(node.child, (Scan, IndexLookup, InLookup))
         ):
             continue
         if not db.has_table(node.child.table):
@@ -1229,7 +1122,7 @@ def _static_columns(plan: Plan) -> set[str] | None:
 
 def _declared_types(plan: Plan, db: Database) -> dict[str, DataType]:
     """The declared types of the columns ``plan`` passes on unchanged."""
-    if isinstance(plan, (Scan, PartitionScan, IndexLookup, InLookup)):
+    if isinstance(plan, (Scan, IndexLookup, InLookup)):
         if not db.has_table(plan.table):
             return {}
         return {

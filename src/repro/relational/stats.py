@@ -1,7 +1,7 @@
 """Per-chunk zone maps, dictionary encoding, and Select conjunct analysis.
 
 Statistics live *outside* the plan: they are derived from
-``Table.column_snapshot()`` (or one partition's columns) and cached on the
+``Table.column_snapshot()`` and cached on the
 table keyed by its data ``version`` via :meth:`Table.derived`, so every
 mutation invalidates them through the machinery the plan cache already
 trusts — no new invalidation channel.
@@ -24,9 +24,7 @@ Every skip/all-match rule here is justified against
 :func:`repro.expr.evaluator._compare`'s exact semantics; where evaluation
 could raise (cross-band ordering, date ordering) the probe answers
 *evaluate* so error behaviour stays bit-identical to the interpreted
-oracle.  The analyzers for equality/IN/range/IS NULL conjuncts are shared
-with the optimizer's partition-prune rewrite (they moved here from
-``query.py``).
+oracle.
 """
 
 from __future__ import annotations
@@ -237,28 +235,22 @@ def _chunk_stats(chunk: Sequence[object]) -> ChunkStats:
     return ChunkStats(length, null_count, band, min(non_null), max(non_null))
 
 
-def column_zone_map(
-    table: "Table", column: str, partition: int | None = None
-) -> list[ChunkStats] | None:
-    """Per-chunk stats for one column (one partition's extent, or the whole
-    table's), cached per data version.  None when the column does not exist
-    — the caller must then evaluate, so ``UnknownIdentifierError`` parity
-    is preserved.
+def column_zone_map(table: "Table", column: str) -> list[ChunkStats] | None:
+    """Per-chunk stats for one column, cached per data version.  None when
+    the column does not exist — the caller must then evaluate, so
+    ``UnknownIdentifierError`` parity is preserved.
     """
     if not table.schema.has_column(column):
         return None
 
     def build() -> list[ChunkStats]:
-        if partition is None:
-            values = table.column_values(column)
-        else:
-            values = table.partition_columns(partition)[column]
+        values = table.column_values(column)
         return [
             _chunk_stats(values[start : start + BATCH_SIZE])
             for start in range(0, len(values), BATCH_SIZE)
         ]
 
-    return table.derived(("zone", partition, column), build)
+    return table.derived(("zone", column), build)
 
 
 # -- per-conjunct probes ------------------------------------------------------
@@ -467,7 +459,7 @@ class SelectAnalysis:
         ]
         self.analyzable = any(probe is not None for probe in self.probes)
 
-    def decide(self, table: "Table", partition: int | None, chunk: int):
+    def decide(self, table: "Table", chunk: int):
         """Classify one chunk: :data:`SKIP_CHUNK`, or (kept conjunct index
         tuple, dropped-conjunct count).  Unknown columns and out-of-range
         chunk indices degrade to *evaluate* (never unsound).
@@ -479,7 +471,7 @@ class SelectAnalysis:
                 kept.append(index)
                 continue
             column, classify = probe
-            zone = column_zone_map(table, column, partition)
+            zone = column_zone_map(table, column)
             if zone is None or chunk >= len(zone):
                 kept.append(index)
                 continue
@@ -574,10 +566,8 @@ def _build_dictionary(values: Sequence[object]) -> Dictionary | str:
     return Dictionary(list(code_of), codes, code_of)
 
 
-def encoded_columns(
-    table: "Table", partition: int | None = None
-) -> dict[str, Dictionary]:
-    """Column → built dictionary for one extent, cached per data version.
+def encoded_columns(table: "Table") -> dict[str, Dictionary]:
+    """Column → built dictionary for the extent, cached per data version.
 
     Only declared-TEXT columns are attempted (other types cannot hold the
     low-cardinality label/code shape, and attempting them would just burn
@@ -586,21 +576,16 @@ def encoded_columns(
     """
     return {
         name: state
-        for name, state in encoding_states(table, partition).items()
+        for name, state in encoding_states(table).items()
         if isinstance(state, Dictionary)
     }
 
 
-def encoding_states(
-    table: "Table", partition: int | None = None
-) -> dict[str, "Dictionary | str"]:
+def encoding_states(table: "Table") -> dict[str, "Dictionary | str"]:
     """Column → Dictionary or refusal reason, for every TEXT column."""
 
     def build() -> dict[str, Dictionary | str]:
-        if partition is None:
-            columns = table.column_snapshot()
-        else:
-            columns = table.partition_columns(partition)
+        columns = table.column_snapshot()
         states: dict[str, Dictionary | str] = {}
         for column in table.schema.columns:
             if column.dtype.name != "TEXT":
@@ -608,7 +593,7 @@ def encoding_states(
             states[column.name] = _build_dictionary(columns[column.name])
         return states
 
-    return table.derived(("dict", partition), build)
+    return table.derived("dict", build)
 
 
 def column_dictionary(table: "Table", column: str) -> Dictionary | None:

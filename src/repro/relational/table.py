@@ -7,7 +7,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import IntegrityError, SchemaError
 from repro.relational.index import HashIndex
-from repro.relational.schema import PartitionScheme, TableSchema
+from repro.relational.schema import TableSchema
 from repro.relational.types import Converter
 
 Row = dict[str, object]
@@ -44,14 +44,8 @@ class Table:
         self._pk_index: HashIndex | None = None
         self._version = 0
         self._index_epoch = 0
-        self._partition_epoch = 0
         self._row_snapshot: tuple[int, list[Row]] | None = None
         self._column_snapshot: tuple[int, dict[str, list[object]]] | None = None
-        # Ascending row positions per partition; [] placeholder lists until
-        # first build.  None for unpartitioned tables.
-        self._partition_positions: list[list[int]] | None = None
-        # pid → (version, column → value list), filled lazily per partition.
-        self._partition_columns_cache: dict[int, tuple[int, dict[str, list[object]]]] = {}
         # key → (version, value): arbitrary derived artifacts (zone maps,
         # dictionaries) cached per data version; see :meth:`derived`.
         self._derived: dict[object, tuple[int, object]] = {}
@@ -61,10 +55,6 @@ class Table:
         self._listener: Callable[[str, dict[str, object]], None] | None = None
         if schema.primary_key:
             self._pk_index = HashIndex(schema.primary_key)
-        if schema.partitioning is not None:
-            self._partition_positions = [
-                [] for _ in range(schema.partitioning.partition_count)
-            ]
 
     # -- change notification --------------------------------------------------
 
@@ -168,9 +158,6 @@ class Table:
         contract as :meth:`column_snapshot`.  Mutations invalidate simply by
         bumping ``version`` — no explicit eviction, so derivers need no new
         invalidation channel beyond what the plan cache already uses.
-        Partition-scoped keys must be cleared on :meth:`repartition` (which
-        does not bump the data version); ``repartition`` drops the whole
-        cache for that.
         """
         cached = self._derived.get(key)
         if cached is not None and cached[0] == self._version:
@@ -191,117 +178,6 @@ class Table:
         """Rows at index positions, uncopied (read-only, like iter_rows)."""
         rows = self._rows
         return (rows[position] for position in positions)
-
-    # -- partitioning ---------------------------------------------------------
-
-    @property
-    def partitioning(self) -> PartitionScheme | None:
-        """The active partition scheme, if any."""
-        return self.schema.partitioning
-
-    @property
-    def partition_epoch(self) -> int:
-        """Monotone partition-structure version: bumps on :meth:`repartition`.
-
-        Folded into :attr:`Database.epoch` so cached plans that baked in a
-        pruning decision are invalidated when the scheme changes.
-        """
-        return self._partition_epoch
-
-    @property
-    def partition_count(self) -> int:
-        """Number of partitions (1 when unpartitioned)."""
-        scheme = self.schema.partitioning
-        return scheme.partition_count if scheme is not None else 1
-
-    def repartition(self, partitioning: PartitionScheme | None) -> None:
-        """Switch the partition scheme, redistributing every stored row.
-
-        Rows keep their storage positions — only the partition membership
-        lists are rebuilt — so scan order is unaffected.  Passing ``None``
-        removes partitioning.
-        """
-        if partitioning is not None and not self.schema.has_column(partitioning.column):
-            raise SchemaError(
-                f"partition column {partitioning.column!r} not in table {self.name}"
-            )
-        self.schema = self.schema.repartitioned(partitioning)
-        self._partition_epoch += 1
-        self._partition_columns_cache.clear()
-        # Partition-scoped derived artifacts (per-partition zone maps /
-        # dictionaries) are keyed by pid but versioned by data version,
-        # which repartition does NOT bump — drop them explicitly.
-        self._derived.clear()
-        if partitioning is None:
-            self._partition_positions = None
-        else:
-            self._rebuild_partitions()
-        self._notify("repartition", {"partitioning": partitioning})
-
-    def partition_positions(self, partition: int) -> list[int]:
-        """Ascending row positions stored in ``partition`` (read-only)."""
-        positions = self._partition_positions
-        if positions is None:
-            raise SchemaError(f"table {self.name} is not partitioned")
-        return positions[partition]
-
-    def positions_for_partitions(self, partitions: Iterable[int]) -> list[int]:
-        """Ascending merged row positions across ``partitions``.
-
-        Insertion order is preserved because per-partition position lists are
-        themselves ascending; merging sorted runs keeps the global order.
-        """
-        lists = self._partition_positions
-        if lists is None:
-            raise SchemaError(f"table {self.name} is not partitioned")
-        selected = [lists[pid] for pid in sorted(set(partitions))]
-        selected = [run for run in selected if run]
-        if not selected:
-            return []
-        if len(selected) == 1:
-            return selected[0]
-        merged: list[int] = []
-        for run in selected:
-            merged.extend(run)
-        merged.sort()
-        return merged
-
-    def partition_columns(self, partition: int) -> dict[str, list[object]]:
-        """One partition as column → value list, cached per data version.
-
-        Columnar source for partition-pruned scans.
-        Shared and read-only under the same contract as
-        :meth:`column_snapshot`.
-        """
-        cached = self._partition_columns_cache.get(partition)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        rows = self._rows
-        positions = self.partition_positions(partition)
-        columns = {
-            name: [rows[pos][name] for pos in positions]
-            for name in self.schema.column_names
-        }
-        self._partition_columns_cache[partition] = (self._version, columns)
-        return columns
-
-    def partition_row_counts(self) -> list[int]:
-        """Row count per partition (single entry when unpartitioned)."""
-        if self._partition_positions is None:
-            return [len(self._rows)]
-        return [len(run) for run in self._partition_positions]
-
-    def _rebuild_partitions(self) -> None:
-        scheme = self.schema.partitioning
-        if scheme is None:
-            self._partition_positions = None
-            return
-        lists: list[list[int]] = [[] for _ in range(scheme.partition_count)]
-        column = scheme.column
-        partition_of = scheme.partition_of
-        for position, row in enumerate(self._rows):
-            lists[partition_of(row[column])].append(position)
-        self._partition_positions = lists
 
     def secondary_index_columns(self) -> list[tuple[str, ...]]:
         """Column tuples of every secondary index, in creation order.
@@ -366,11 +242,6 @@ class Table:
             self._pk_index.add(row, position)
         for index in self._indexes.values():
             index.add(row, position)
-        scheme = self.schema.partitioning
-        if scheme is not None and self._partition_positions is not None:
-            self._partition_positions[scheme.partition_of(row[scheme.column])].append(
-                position
-            )
         self._notify("insert", {"row": row})
         return dict(row)
 
@@ -387,7 +258,7 @@ class Table:
         read to the end before the first insert; if reading it raises, the
         rows read so far go through the loop and the error propagates.  A
         listener that raises sees every row of a checked batch already
-        stored.  Partitioned tables always take the loop.
+        stored.
         """
         batch: list[Mapping[str, object]] = []
         try:
@@ -398,12 +269,11 @@ class Table:
         if not batch:
             return 0
         checked = None
-        if self._partition_positions is None:
-            try:
-                checked = self._checked(batch)
-            except Exception:
-                # Nothing has changed yet: the loop raises what it raises.
-                pass
+        try:
+            checked = self._checked(batch)
+        except Exception:
+            # Nothing has changed yet: the loop raises what it raises.
+            pass
         if checked is None:
             return self._insert_each(batch)
         stored, keys = checked
@@ -486,7 +356,6 @@ class Table:
         if updated:
             self._version += 1
             self._rebuild_indexes()
-            self._rebuild_partitions()
             self._notify(
                 "update", {"positions": positions, "changes": dict(changes)}
             )
@@ -498,7 +367,7 @@ class Table:
         """Apply ``changes`` to the rows at ``positions`` (the redo path).
 
         Position-based replay of an :meth:`update`: identical coercion,
-        identical single version bump, identical index/partition rebuild —
+        identical single version bump, identical index rebuild —
         so replaying a logged update reproduces the original bit for bit
         without re-evaluating its (unserializable) predicate.
         """
@@ -516,7 +385,6 @@ class Table:
         if applied:
             self._version += 1
             self._rebuild_indexes()
-            self._rebuild_partitions()
             self._notify(
                 "update", {"positions": position_list, "changes": dict(changes)}
             )
@@ -536,7 +404,6 @@ class Table:
             self._rows = keep
             self._version += 1
             self._rebuild_indexes()
-            self._rebuild_partitions()
             self._notify("delete", {"positions": removed_positions})
         return removed
 
@@ -551,7 +418,6 @@ class Table:
         ]
         self._version += 1
         self._rebuild_indexes()
-        self._rebuild_partitions()
         self._notify("delete", {"positions": position_list})
         return len(position_list)
 
@@ -593,28 +459,21 @@ class Table:
         """Replace the whole extent with pre-validated ``rows`` (restore only).
 
         Rows are adopted as storage (no copies, no re-validation — they came
-        from this table's own snapshot), indexes and partition lists are
-        rebuilt, and every version-keyed cache is dropped.  ``columns``, when
-        given, must be the same data column-major; it pre-seeds the columnar
-        snapshot cache so a recovered table is scan-ready without a first
-        materialization pass.  Counters are NOT touched — pair with
-        :meth:`restore_counters`.
+        from this table's own snapshot), indexes are rebuilt, and every
+        version-keyed cache is dropped.  ``columns``, when given, must be the
+        same data column-major; it pre-seeds the columnar snapshot cache so a
+        recovered table is scan-ready without a first materialization pass.
+        Counters are NOT touched — pair with :meth:`restore_counters`.
         """
         self._rows = rows
         self._rebuild_indexes()
-        self._rebuild_partitions()
         self._drop_version_keyed_caches()
         if columns is not None:
             self._column_snapshot = (self._version, columns)
         for callback in _RESTORE_LISTENERS:
             callback(self)
 
-    def restore_counters(
-        self,
-        version: int,
-        index_epoch: int | None = None,
-        partition_epoch: int | None = None,
-    ) -> None:
+    def restore_counters(self, version: int, index_epoch: int | None = None) -> None:
         """Set the monotone counters to exact recovered values (restore only).
 
         This CAN rewind — recovery needs the recovered table's counters
@@ -622,14 +481,12 @@ class Table:
         "version equality implies content equality" contract every
         version-keyed cache relies on, all of them are dropped here:
         ``derived`` artifacts (zone maps, dictionaries), row/column
-        snapshots, partition column caches, and — via the registered restore
+        snapshots, and — via the registered restore
         listeners — the cost module's stale-tolerant planning estimates.
         """
         self._version = version
         if index_epoch is not None:
             self._index_epoch = index_epoch
-        if partition_epoch is not None:
-            self._partition_epoch = partition_epoch
         self._drop_version_keyed_caches()
         for callback in _RESTORE_LISTENERS:
             callback(self)
@@ -637,7 +494,6 @@ class Table:
     def _drop_version_keyed_caches(self) -> None:
         self._row_snapshot = None
         self._column_snapshot = None
-        self._partition_columns_cache.clear()
         self._derived.clear()
 
     # -- internals -------------------------------------------------------------

@@ -93,7 +93,6 @@ from repro.relational.algebra import (
     InLookup,
     Join,
     Limit,
-    PartitionScan,
     Pivot,
     Plan,
     Project,
@@ -227,18 +226,6 @@ def estimated_input_rows(plan: Plan, db: Database) -> int:
         elif type(node) is Scan:
             if db.has_table(node.table):
                 total += len(db.table(node.table))
-        elif type(node) is PartitionScan:
-            if db.has_table(node.table):
-                table = db.table(node.table)
-                if table.partitioning is None:
-                    total += len(table)
-                else:
-                    counts = table.partition_row_counts()
-                    total += sum(
-                        counts[pid]
-                        for pid in set(node.partitions)
-                        if pid < len(counts)
-                    )
         elif isinstance(node, Values):
             total += len(node.rows)
     return total
@@ -322,14 +309,8 @@ def _gather(batch: Batch, name: str) -> list[object]:
 
 
 def _scan_batches(plan: Scan, ctx: ExecContext) -> Iterator[Batch]:
-    table = ctx.db.table(plan.table)
-    yield from _extent_batches(table, None, table.column_snapshot(), ctx, plan)
-
-
-def _extent_batches(
-    table, partition: int | None, columns: dict[str, list[object]], ctx, plan
-) -> Iterator[Batch]:
-    """Chunk one columnar extent into *lazy* batches over one extent batch.
+    """Chunk the table's columnar extent into *lazy* batches over one
+    extent batch.
 
     The extent batch shares the snapshot lists zero-copy (read-only by the
     snapshot contract) and carries dictionary encodings; each chunk batch
@@ -337,13 +318,15 @@ def _extent_batches(
     downstream Select skips never slices a single column — the win that
     makes zone-map skipping worth more than the predicate it avoids.
     """
+    table = ctx.db.table(plan.table)
+    columns = table.column_snapshot()
     names = table.schema.column_names
     n = len(columns[names[0]]) if names else 0
     if n == 0:
         return
     encodings = None
     if statistics_enabled():
-        built = encoded_columns(table, partition)
+        built = encoded_columns(table)
         if built:
             encodings = {
                 name: (dictionary, dictionary.codes)
@@ -357,7 +340,7 @@ def _extent_batches(
         encodings=encodings,
     )
     if n <= BATCH_SIZE:
-        extent.zone = (table, partition, 0)
+        extent.zone = (table, 0)
         yield extent
         return
     for index, start in enumerate(range(0, n, BATCH_SIZE)):
@@ -368,51 +351,7 @@ def _extent_batches(
             end - start,
             extent,
             range(start, end),
-            zone=(table, partition, index),
-        )
-
-
-def _partition_scan_batches(plan: PartitionScan, ctx: ExecContext) -> Iterator[Batch]:
-    table = ctx.db.table(plan.table)
-    scheme = table.partitioning
-    total = scheme.partition_count if scheme is not None else 0
-    if scheme is None or any(pid >= total for pid in plan.partitions):
-        # Stale pruning decision (scheme changed under the plan): scan all;
-        # the residual Select above still enforces the predicate.
-        ctx.annotate(plan, access_path="scan_fallback")
-        yield from _scan_batches(Scan(plan.table), ctx)
-        return
-    wanted = sorted(set(plan.partitions))
-    names = table.schema.column_names
-    ctx.annotate(
-        plan,
-        access_path="partition",
-        partitions_scanned=len(wanted),
-        partitions_pruned=total - len(wanted),
-        partitions_total=total,
-    )
-    if len(wanted) == 1:
-        # The common pruned point/range query: one partition's columnar run
-        # feeds batches zero-copy (positions within a partition are already
-        # an ascending subsequence of the extent, so order is preserved).
-        # Zone maps and dictionaries are per-partition here, so the residual
-        # Select above still skips/short-circuits inside the partition.
-        yield from _extent_batches(
-            table, wanted[0], table.partition_columns(wanted[0]), ctx, plan
-        )
-        return
-    # Multi-partition selection: gather merged ascending positions from the
-    # whole-table columnar snapshot, chunk by chunk.
-    positions = table.positions_for_partitions(wanted)
-    if not positions:
-        return
-    snapshot = table.column_snapshot()
-    for start in range(0, len(positions), BATCH_SIZE):
-        chunk = positions[start : start + BATCH_SIZE]
-        yield Batch(
-            names,
-            {name: [snapshot[name][pos] for pos in chunk] for name in names},
-            len(chunk),
+            zone=(table, index),
         )
 
 
@@ -479,7 +418,7 @@ def _select_batches_analyzed(
                 values = value_of(batch)
             else:
                 chunks_total += 1
-                decision = analysis.decide(zone[0], zone[1], zone[2])
+                decision = analysis.decide(zone[0], zone[1])
                 if decision is SKIP_CHUNK:
                     chunks_skipped += 1
                     continue
@@ -582,7 +521,7 @@ def _distinct_batches(plan: Distinct, ctx: ExecContext) -> Iterator[Batch]:
     single = len(columns) == 1
     # (dictionary, per-code seen flags) for the single-column coded path;
     # flags and the ``seen`` set stay consistent so coded and raw batches
-    # can interleave (e.g. across partitions with different dictionaries).
+    # can interleave (e.g. across inputs with different dictionaries).
     dict_state: tuple[object, list[bool]] | None = None
     for batch in _node_batches(plan.child, ctx):
         kept: list[int] = []
@@ -1173,7 +1112,6 @@ def _coerce_batches(plan: Coerce, ctx: ExecContext) -> Iterator[Batch]:
 
 _KERNELS: dict[type, Callable[..., Iterator[Batch]]] = {
     Scan: _scan_batches,
-    PartitionScan: _partition_scan_batches,
     Values: _values_batches,
     Select: _select_batches,
     Project: _project_batches,

@@ -13,8 +13,8 @@ makes a database survive process death.  Three pieces:
   format), so a cold start rehydrates into scan-ready columns.
 * :mod:`repro.storage.engine` — :class:`DurableStore`, which wires the
   two together: recovery loads the latest valid snapshot and replays the
-  WAL segments after it up to the last commit, restoring table versions, index and
-  partition epochs, the structural counter, GUAVA change feeds, and
+  WAL segments after it up to the last commit, restoring table versions,
+  index epochs, the structural counter, GUAVA change feeds, and
   warehouse lineage exactly — all four executors produce bit-identical
   results on a recovered database.
 """

@@ -22,8 +22,8 @@ updated to ``k`` right before the ``k``-th commit, so the recovered
 database itself declares which commit it recovered to; the parent
 checks ``state_fingerprint(recovered) == oracle_fingerprints(seed)[k]``.
 Fingerprints cover schemas, extents in storage order, and every counter
-— and exclude process-seeded artifacts (index buckets, hash-partition
-membership), the only things that legitimately differ across processes.
+— and exclude process-seeded artifacts (index buckets), the only things
+that legitimately differ across processes.
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.relational.database import Database
-from repro.relational.schema import (
-    Column,
-    HashPartitioning,
-    RangePartitioning,
-    TableSchema,
-)
+from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.storage.engine import DurableStore, state_fingerprint
 from repro.storage.snapshots import snapshot_name, write_snapshot
@@ -82,8 +77,8 @@ def build_ops(seed: int, commits: int = 8, rows_per_commit: int = 50) -> list[Op
     """The deterministic workload: a flat op list, commits included.
 
     Mixes every logged mutation class — inserts (with NULLs and dates),
-    predicate updates and deletes, index create/drop, hash and range
-    repartitioning — so each kill point can land inside any record kind.
+    predicate updates and deletes, index create/drop — so each kill point
+    can land inside any record kind.
     """
     rng = random.Random(seed)
     ops: list[Op] = [
@@ -131,10 +126,6 @@ def build_ops(seed: int, commits: int = 8, rows_per_commit: int = 50) -> list[Op
             ops.append(("create_index", "events", ("kind",)))
         elif roll < 0.8:
             ops.append(("drop_index", "events", ("kind",)))
-        elif roll < 0.9:
-            ops.append(("repartition_hash", "events", "kind", rng.randrange(2, 5)))
-        else:
-            ops.append(("repartition_range", "events", "day", rng.randrange(2, 5)))
         ops.append(("set_ckpt", commit_number))
         ops.append(("commit",))
     return ops
@@ -157,13 +148,6 @@ def apply_op(db: Database, op: Op) -> None:
         db.table(op[1]).create_index(op[2])
     elif kind == "drop_index":
         db.table(op[1]).drop_index(op[2])
-    elif kind == "repartition_hash":
-        db.table(op[1]).repartition(HashPartitioning(op[2], op[3]))
-    elif kind == "repartition_range":
-        boundaries = tuple(
-            date(2004, 1, 1) + timedelta(days=100 * (i + 1)) for i in range(op[3])
-        )
-        db.table(op[1]).repartition(RangePartitioning(op[2], boundaries))
     elif kind == "set_ckpt":
         db.table("ckpt").update(lambda row: row["id"] == 0, {"n": op[1]})
     elif kind == "commit":

@@ -17,14 +17,14 @@ to the last commit), then attach the relational layer's
 mutation/structure listeners so every subsequent mutation is mirrored
 into the log.  Because replay drives the same mutation methods the
 original process used (``insert``, ``apply_update_at``, ``delete_at``,
-``create_index``, ``repartition``, ``create_table`` …), every version
-counter, index epoch, partition epoch, and the structural counter land
-bit-identical — all three executors (interpreted, streaming, batch)
-give byte-for-byte the same answers on a recovered database, and the
-plan cache can never confuse pre- and post-crash epochs.  Recovery also
-deletes ``*.tmp`` files a crash left behind (a half-written snapshot),
-and refuses a directory holding a single-file ``wal.log`` from the
-older store format with a :class:`~repro.errors.RecoveryError`.
+``create_index``, ``create_table`` …), every version counter, index
+epoch, and the structural counter land bit-identical — all three
+executors (interpreted, streaming, batch) give byte-for-byte the same
+answers on a recovered database, and the plan cache can never confuse
+pre- and post-crash epochs.  Recovery also deletes ``*.tmp`` files a
+crash left behind (a half-written snapshot), and refuses a directory
+holding a single-file ``wal.log`` from the older store format with a
+:class:`~repro.errors.RecoveryError`.
 
 Beyond the relational state the store persists two engine-level maps:
 
@@ -60,12 +60,7 @@ from repro.errors import RecoveryError, SnapshotCorruptionError
 from repro.guava.source import ChangeFeedState
 from repro.obs.trace import span as trace_span
 from repro.relational.database import Database
-from repro.relational.schema import (
-    partitioning_from_doc,
-    partitioning_to_doc,
-    schema_from_doc,
-    schema_to_doc,
-)
+from repro.relational.schema import schema_from_doc, schema_to_doc
 from repro.relational.table import Table
 from repro.storage.snapshots import (
     MALFORMED,
@@ -141,9 +136,9 @@ def state_fingerprint(db: Database) -> str:
     """Deterministic digest of everything recovery promises to restore.
 
     Covers table schemas, extents **in storage order**, data versions,
-    index/partition epochs, secondary-index metadata, and the structural
-    counter.  Deliberately excludes anything process-seeded (index hash
-    buckets, hash-partition membership lists), so the digest is comparable
+    index epochs, secondary-index metadata, and the structural counter.
+    Deliberately excludes anything process-seeded (index hash buckets),
+    so the digest is comparable
     across processes — the crash harness compares a child's pre-kill
     fingerprint against the parent's post-recovery one.
     """
@@ -160,7 +155,6 @@ def state_fingerprint(db: Database) -> str:
                 "schema": schema_to_doc(schema),
                 "version": table.version,
                 "index_epoch": table.index_epoch,
-                "partition_epoch": table.partition_epoch,
                 "indexes": [list(k) for k in table.secondary_index_columns()],
                 "rows": [
                     [row[c] for c in schema.column_names]
@@ -339,11 +333,6 @@ class DurableStore:
             db.table(record["table"]).create_index(tuple(record["columns"]))
         elif op == "drop_index":
             db.table(record["table"]).drop_index(tuple(record["columns"]))
-        elif op == "repartition":
-            table = db.table(record["table"])
-            table.repartition(
-                partitioning_from_doc(record["partitioning"], table.schema.columns)
-            )
         elif op == "meta":
             if record.get("doc") is None:
                 self._meta.pop(record["key"], None)
@@ -391,8 +380,6 @@ class DurableStore:
             record["positions"] = payload["positions"]
         elif op in ("create_index", "drop_index"):
             record["columns"] = payload["columns"]
-        elif op == "repartition":
-            record["partitioning"] = partitioning_to_doc(payload["partitioning"])
         else:  # pragma: no cover - future-proofing against new mutations
             raise RecoveryError(f"unloggable mutation {op!r} on table {name!r}")
         self._wal.append(record)
@@ -608,7 +595,6 @@ class DurableStore:
                         "rows": len(self._db.table(name)),
                         "version": self._db.table(name).version,
                         "index_epoch": self._db.table(name).index_epoch,
-                        "partition_epoch": self._db.table(name).partition_epoch,
                     }
                     for name in self._db.table_names()
                 },

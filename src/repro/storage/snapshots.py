@@ -5,7 +5,7 @@ A snapshot file is a sequence of CRC-framed JSON documents (the same
 
 1. a manifest — format version, database name, the WAL LSN the snapshot
    covers, the structural counter, and per-table metadata (schema doc,
-   data version, index/partition epochs, secondary-index column tuples,
+   data version, index epoch, secondary-index column tuples,
    row count, chunk count);
 2. one frame per :data:`~repro.relational.batch.BATCH_SIZE` column slice
    of each table, in table-manifest order — exactly the slices
@@ -26,8 +26,6 @@ What is deliberately NOT persisted:
 * index hash buckets — ``hash()`` is process-seeded for strings, so
   buckets are meaningless across processes; only the indexed column
   tuples are stored and the buckets rebuild on load;
-* partition position lists — same reason (hash partitioning), rebuilt by
-  :meth:`Table.restore_extent`;
 * derived artifacts (zone maps, dictionaries, planning estimates) —
   version-keyed caches that rebuild on demand against recovered versions.
 """
@@ -184,7 +182,6 @@ def write_snapshot(
             meta = schema_to_doc(schema)
             meta["version"] = table.version
             meta["index_epoch"] = table.index_epoch
-            meta["partition_epoch"] = table.partition_epoch
             meta["indexes"] = [list(key) for key in table.secondary_index_columns()]
             meta["rows"] = row_count
             meta["chunks"] = chunk_count
@@ -240,8 +237,9 @@ def load_snapshot(path: str | Path) -> tuple[Database, int, dict[str, Any]]:
 
     Restores, per table: the extent (adopted column-major *and* row-major,
     pre-seeding the scan-ready column cache), secondary indexes (rebuilt
-    from metadata), partition membership (rebuilt from the schema's
-    scheme), and the exact version/index-epoch/partition-epoch counters.
+    from metadata), and the exact version and index-epoch counters.  The
+    partition-epoch key that older snapshots carry is ignored: their
+    partitions were views over the same rows.
     The database's structural counter is restored last so the recovered
     :attr:`Database.epoch` is bit-identical to the checkpointed one.
     """
@@ -323,9 +321,7 @@ def _load_snapshot(path: Path) -> tuple[Database, int, dict[str, Any]]:
         # in place (and restore_counters drops every version-keyed cache,
         # which would evict a seed made beforehand).
         table.restore_counters(
-            int(meta["version"]),
-            index_epoch=int(meta.get("index_epoch", 0)),
-            partition_epoch=int(meta.get("partition_epoch", 0)),
+            int(meta["version"]), index_epoch=int(meta.get("index_epoch", 0))
         )
         table.restore_extent(rows, columns=columns)
     db.restore_structure_version(int(manifest.get("structure_version", 0)))

@@ -1,33 +1,35 @@
-"""Equivalence tests for the fused (batched) ETL engine.
-
-The serial path (``Workflow.run()`` with default arguments) is the
-oracle: every batch size — from one row per chunk to one chunk for the
-whole input — must produce row-identical outputs, identical quarantine
-contents, identical warehouse tables, and identical per-step row counts.
+"""The serial workflow walk: run reports, the classify memo, and the
+aliasing contract of the rows a run hands out (``etl/components.py``).
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
 from repro.analysis import build_study2
 from repro.clinical import build_world
 from repro.etl import compile_study
-from repro.etl.components import DeriveColumn, Extract
+from repro.etl.components import DeriveColumn, Extract, Load, UnionInputs
 from repro.etl.workflow import RunReport, StepRun, Workflow
 from repro.multiclass import Classifier, CleaningRule, Rule
 from repro.guava import GTreeQuery, GuavaSource, translate_query
 from repro.patterns import NaivePattern, PatternChain
-from repro.relational import Database, Scan, Vectorized, optimize
+from repro.relational import (
+    Column,
+    DataType,
+    Database,
+    Scan,
+    TableSchema,
+    Vectorized,
+    optimize,
+)
 from repro.ui import ReportingTool
 from tests.conftest import build_fig2_form
 
 
 @pytest.fixture(scope="module")
 def small_world():
-    """A private world: engine tests only read, so module scope is safe."""
+    """A private world: these tests only read, so module scope is safe."""
     return build_world(60, seed=5)
 
 
@@ -60,78 +62,12 @@ def cleaned_study(small_world):
     return study
 
 
-def run_study(study, **kwargs):
+def run_study(study):
     """Compile and run; returns (outputs, report, quarantine, warehouse)."""
     warehouse = Database("wh")
     workflow = compile_study(study, warehouse)
-    outputs, report = workflow.run(**kwargs)
+    outputs, report = workflow.run()
     return outputs, report, workflow.context["quarantine"], warehouse
-
-
-def table_dump(db: Database) -> dict:
-    return {name: db.table(name).rows() for name in db.table_names()}
-
-
-ENGINE_CONFIGS = [
-    {"batch_size": 64},
-    {"batch_size": 7},
-    {"batch_size": 100_000},
-    {"batch_size": 32},
-    {"batch_size": 1},
-]
-
-
-class TestEngineEquivalence:
-    @pytest.fixture(scope="class")
-    def oracle(self, cleaned_study):
-        return run_study(cleaned_study)
-
-    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
-    def test_outputs_identical(self, cleaned_study, oracle, config):
-        outputs, _, _, _ = run_study(cleaned_study, **config)
-        assert outputs == oracle[0]
-
-    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
-    def test_report_row_counts_identical(self, cleaned_study, oracle, config):
-        _, report, _, _ = run_study(cleaned_study, **config)
-        serial_counts = {r.step: (r.rows_in, r.rows_out) for r in oracle[1].steps}
-        engine_counts = {r.step: (r.rows_in, r.rows_out) for r in report.steps}
-        assert engine_counts == serial_counts
-
-    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
-    def test_quarantine_identical(self, cleaned_study, oracle, config):
-        _, _, quarantine, _ = run_study(cleaned_study, **config)
-        assert quarantine.rows == oracle[2].rows
-
-    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
-    def test_warehouse_tables_identical(self, cleaned_study, oracle, config):
-        _, _, _, warehouse = run_study(cleaned_study, **config)
-        assert table_dump(warehouse) == table_dump(oracle[3])
-
-    def test_step_order_in_report_matches_serial(self, cleaned_study, oracle):
-        _, report, _, _ = run_study(cleaned_study, batch_size=16)
-        assert [r.step for r in report.steps] == [r.step for r in oracle[1].steps]
-
-
-class TestRunArguments:
-    def test_default_is_serial(self, cleaned_study):
-        outputs, report, _, _ = run_study(cleaned_study)
-        assert outputs and report.steps
-
-    def test_engine_units_run_on_the_calling_thread(
-        self, cleaned_study, monkeypatch
-    ):
-        idents = []
-        open_unit = Workflow._open_unit
-
-        def recording(self, unit, *args):
-            idents.append(threading.get_ident())
-            return open_unit(self, unit, *args)
-
-        monkeypatch.setattr(Workflow, "_open_unit", recording)
-        outputs, _, _, _ = run_study(cleaned_study, batch_size=32)
-        assert len(idents) == len(compile_study(cleaned_study, Database("u"))._fuse())
-        assert set(idents) == {threading.get_ident()}
 
 
 class TestReportSummary:
@@ -143,8 +79,8 @@ class TestReportSummary:
         assert "seconds" in lines[0]
         assert "0.5000" in lines[1]
 
-    def test_engine_reports_timings(self, cleaned_study):
-        _, report, _, _ = run_study(cleaned_study, batch_size=32)
+    def test_run_reports_timings(self, cleaned_study):
+        _, report, _, _ = run_study(cleaned_study)
         assert all(run.seconds >= 0 for run in report.steps)
         assert any(run.seconds > 0 for run in report.steps)
 
@@ -170,7 +106,9 @@ class TestClassifyMemo:
 class TestExtractRowsAreFresh:
     """A bare whole-table extract optimizes to a zero-copy batch scan; the
     rows a workflow hands out or mutates must still be its own, on the
-    first read, the one the result memo admits, and every memo hit."""
+    first read, the one the result memo admits, and every memo hit.  Steps
+    share rows without copying them, so an output that passes the extract's
+    rows on (a union, a load) is the caller's own too."""
 
     @staticmethod
     def scanned_source():
@@ -186,8 +124,7 @@ class TestExtractRowsAreFresh:
         )
         return source, query
 
-    @pytest.mark.parametrize("config", [{}] + ENGINE_CONFIGS)
-    def test_downstream_steps_leave_the_table_alone(self, config):
+    def test_downstream_steps_leave_the_table_alone(self):
         source, query = self.scanned_source()
         table = source.db.table("procedure")
         workflow = Workflow("scan")
@@ -197,20 +134,44 @@ class TestExtractRowsAreFresh:
         )
         workflow.mark_output("derive")
         for _ in range(3):
-            outputs, _ = workflow.run(**config)
+            outputs, _ = workflow.run()
             assert outputs["derive"][0]["other"] == 1
             assert table.snapshot_rows()[0]["other"] == "x"
 
-    @pytest.mark.parametrize("config", [{}] + ENGINE_CONFIGS)
-    def test_extract_output_is_independent(self, config):
+    def test_extract_output_is_independent(self):
         source, query = self.scanned_source()
         table = source.db.table("procedure")
         workflow = Workflow("scan")
         workflow.add("extract", Extract(source, query))
         workflow.mark_output("extract")
         for _ in range(3):
-            outputs, _ = workflow.run(**config)
+            outputs, _ = workflow.run()
             assert outputs["extract"][0]["other"] == "x"
             outputs["extract"][0]["other"] = "changed"
             assert table.snapshot_rows()[0]["other"] == "x"
             assert table.rows()[0]["other"] == "x"
+
+    def test_published_union_leaves_the_warehouse_and_memo_alone(self):
+        source, query = self.scanned_source()
+        warehouse = Database("wh")
+        schema = TableSchema(
+            "published",
+            (Column("record_id", DataType.INTEGER), Column("other", DataType.TEXT)),
+        )
+        workflow = Workflow("publish")
+        workflow.add("left", Extract(source, query))
+        workflow.add("right", Extract(source, query))
+        workflow.add("union", UnionInputs(), inputs=("left", "right"))
+        workflow.add("load", Load(warehouse, schema), inputs=("union",))
+        workflow.mark_output("load")
+        for _ in range(3):  # the first read, the admitted read, memo hits
+            outputs, _ = workflow.run()
+            published = outputs["load"]
+            assert len(published) == 800
+            for row in published:
+                row["other"] = "changed"
+            loaded = warehouse.table("published").rows()
+            assert {row["other"] for row in loaded} == {"x"}
+            fresh = source.execute(query)
+            assert {row["other"] for row in fresh} == {"x"}
+        assert source.db.table("procedure").rows()[0]["other"] == "x"

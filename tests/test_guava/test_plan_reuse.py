@@ -2,7 +2,7 @@
 
 A g-tree query's plan is cached under its shape (source, form, nodes,
 condition, derivations, scope) and served for as long as its assumptions
-hold: the same tables, indexes and partitions, and row counts within the
+hold: the same tables and indexes, and row counts within the
 staleness tolerance of any table whose estimates chose it.  No plan
 depends on an exact data version, so a reused plan keeps the authored
 conjunct order and raises exactly where the oracle does.  Record-scoped
@@ -35,7 +35,7 @@ from repro.guava import GTreeQuery, GuavaSource, translate_query
 from repro.obs import explain_analyze, tracing
 from repro.patterns import AuditPattern, GenericPattern, NaivePattern, PatternChain
 from repro.relational import Database, DataType, TableSchema
-from repro.relational.algebra import IndexLookup, InLookup, PartitionScan, Scan, Select
+from repro.relational.algebra import IndexLookup, InLookup, Scan, Select
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import prepare_stream_plan
 from repro.ui import ReportingTool
@@ -376,7 +376,7 @@ class TestProportionalDeltas:
             record_leaves = [
                 node
                 for node in prepared.walk()
-                if isinstance(node, (Scan, PartitionScan, IndexLookup, InLookup))
+                if isinstance(node, (Scan, IndexLookup, InLookup))
                 and source.db.table(node.table).schema.has_column("record_id")
             ]
             assert record_leaves, name

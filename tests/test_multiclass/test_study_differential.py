@@ -199,10 +199,10 @@ def _run(study):
     return result.tables, _entries(result.quarantine)
 
 
-def _publish(study, batch_size):
+def _publish(study):
     warehouse = Database("wh")
     workflow = compile_study(study, warehouse)
-    workflow.run(batch_size=batch_size)
+    workflow.run()
     loaded = {
         entity: warehouse.table(study_table_schema(study, entity).name).rows()
         for entity in study.entities_in_play()
@@ -234,12 +234,12 @@ class _World:
             query = GTreeQuery(source.gtree(ec.form)).where(ec.condition)
             source.execute(query, record_ids=[1])  # the refresh's indexes
 
-    def check(self, which: int, batch_size: int | None) -> None:
+    def check(self, which: int) -> None:
         build = STUDIES[which % len(STUDIES)]
         expected = _outcome(lambda: _oracle(build(self.world)))
         with tracing() as tracer:
             preview = _outcome(lambda: _run(build(self.world)))
-            publish = _outcome(lambda: _publish(build(self.world), batch_size))
+            publish = _outcome(lambda: _publish(build(self.world)))
         self.outcomes.extend(
             span.attrs["result_memo"]
             for root in tracer.roots
@@ -322,7 +322,7 @@ def _play(program) -> list[str]:
     with _toggles():
         for op, arg in program:
             if op == "read":
-                harness.check(*arg)
+                harness.check(arg)
             elif op == "enter":
                 harness.enter(arg)
             elif op in ("update", "delete"):
@@ -334,14 +334,11 @@ def _play(program) -> list[str]:
             else:
                 relational_query.VECTORIZE_MIN_ROWS = arg
         for which in range(len(STUDIES)):
-            harness.check(which, None)
+            harness.check(which)
     return harness.outcomes
 
 
-reads = st.tuples(
-    st.just("read"),
-    st.tuples(st.integers(0, len(STUDIES) - 1), st.sampled_from([None, None, 1, 5])),
-)
+reads = st.tuples(st.just("read"), st.integers(0, len(STUDIES) - 1))
 ops = st.one_of(
     reads,
     reads,
@@ -366,7 +363,7 @@ class TestStudyDifferential:
     def test_a_tour_sees_every_memo_outcome(self):
         """A fixed program reaches miss, admit, hit and delta reads, and the
         DomainError study, and still matches the oracle throughout."""
-        read = [("read", (which, None)) for which in range(len(STUDIES))]
+        read = [("read", which) for which in range(len(STUDIES))]
         program = (
             read * 3
             + [("enter", 3)]

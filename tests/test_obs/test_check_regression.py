@@ -103,11 +103,11 @@ class TestGate:
 
 
 class TestRequiredCases:
-    def test_relational_core_requires_the_pp_tier(self):
-        assert "pp_point_pruned" in REQUIRED_CASES["relational_core"]
+    def test_relational_core_requires_the_zm_tier(self):
+        assert "zm_selective_scan" in REQUIRED_CASES["relational_core"]
         problems = missing_required("relational_core", BASELINE)
-        assert "pp_point_pruned" in problems
-        assert "pp_scan_aggregate_serial" in problems
+        assert "zm_selective_scan" in problems
+        assert "zm_groupby_dict" in problems
 
     def test_gate_fails_on_baseline_missing_required_cases(self):
         stripped = {"benchmark": "relational_core", "results": BASELINE["results"]}

@@ -17,27 +17,18 @@ def small_world():
     return build_world(60, seed=5)
 
 
-def run_traced(small_world, **kwargs):
+def run_traced(small_world):
     workflow = compile_study(
         build_cohort_study("obs", small_world, STUDY1_ELEMENTS), Database("wh")
     )
     with tracing() as tracer:
-        outputs, report = workflow.run(**kwargs)
+        outputs, report = workflow.run()
     return workflow, report, tracer
 
 
 class TestWorkflowTrace:
-    def test_engine_trace_covers_every_step(self, small_world):
-        workflow, report, tracer = run_traced(small_world, batch_size=64)
-        assert report.trace is not None
-        assert report.trace is tracer.root
-        traced_steps = {
-            s.name for s in report.trace.walk() if s.name.startswith("step:")
-        }
-        assert traced_steps == {f"step:{step.name}" for step in workflow.steps}
-
     def test_step_spans_carry_rows_and_time(self, small_world):
-        _, report, _ = run_traced(small_world, batch_size=64)
+        _, report, _ = run_traced(small_world)
         by_name = {
             s.name: s for s in report.trace.walk() if s.name.startswith("step:")
         }
@@ -45,39 +36,45 @@ class TestWorkflowTrace:
             node_span = by_name[f"step:{run.step}"]
             assert node_span.attrs["rows_in"] == run.rows_in
             assert node_span.attrs["rows_out"] == run.rows_out
+            assert node_span.attrs["stage"] == run.stage
             assert node_span.duration_s == pytest.approx(run.seconds)
 
-    def test_engine_trace_structure_and_gauges(self, small_world):
-        _, report, _ = run_traced(small_world, batch_size=64)
-        root = report.trace
-        assert root.attrs["mode"] == "engine"
-        assert root.attrs["batch_size"] == 64
-        assert root.attrs["waves"] >= 1
-        units = [s for s in root.walk() if s.name.startswith("unit:")]
-        assert units and root.attrs["units"] == len(units)
-        for unit in units:
-            assert unit.attrs["queue_wait_ms"] >= 0.0
-            assert unit.attrs["batches"] >= 1
-
     def test_serial_trace_covers_every_step(self, small_world):
+        workflow, report, tracer = run_traced(small_world)
+        assert report.trace is tracer.root
+        assert report.trace.name == f"workflow:{workflow.name}"
+        assert report.trace.attrs["steps"] == len(workflow)
+        steps = [s.name for s in report.trace.children]
+        assert steps == [f"step:{step.name}" for step in workflow.steps]
+
+    def test_extract_steps_contain_their_reads(self, small_world):
         workflow, report, _ = run_traced(small_world)
-        assert report.trace.attrs["mode"] == "serial"
-        traced_steps = {
-            s.name for s in report.trace.walk() if s.name.startswith("step:")
-        }
-        assert traced_steps == {f"step:{step.name}" for step in workflow.steps}
+        extracts = [
+            s for s in report.trace.children if s.name.endswith("_extract")
+        ]
+        assert len(extracts) == len(
+            [step for step in workflow.steps if step.stage == "extract"]
+        )
+        for step_span in extracts:
+            reads = [s for s in step_span.children if s.name == "guava.read"]
+            assert len(reads) == 1
+            assert step_span.duration_s >= reads[0].duration_s
+        # Nothing a step opens escapes to the top level.
+        assert not any(
+            s.name == "guava.read" for s in report.trace.children
+        )
 
     def test_untraced_run_has_no_trace(self, small_world):
         workflow = compile_study(
             build_cohort_study("obs_plain", small_world, STUDY1_ELEMENTS),
             Database("wh"),
         )
-        _, report = workflow.run(batch_size=64)
+        _, report = workflow.run()
         assert report.trace is None
         assert "no trace" in report.render_trace()
 
     def test_render_trace_lists_steps(self, small_world):
-        _, report, _ = run_traced(small_world, batch_size=32)
+        _, report, _ = run_traced(small_world)
         text = report.render_trace()
         for run in report.steps:
             assert f"step:{run.step}" in text

@@ -317,16 +317,6 @@ class TestLoad:
             row.clear()
         assert table.rows() == self.STORED
 
-    def test_streamed_chunks_load_the_same_rows(self):
-        db = Database("wh")
-        transform = Load(db, _load_schema()).open_stream().transform
-        for chunk in (self.ROWS[:2], self.ROWS[2:]):
-            out, _ = transform(copy.deepcopy(chunk), True)
-            for row in out:
-                row.clear()
-        assert db.table("loaded").rows() == self.STORED
-        assert db.table("loaded").version == 3
-
     def test_a_bad_row_fails_the_load_where_the_loop_would(self):
         db = Database("wh")
         rows = [{"id": 1}, {"id": None}, {"id": "x"}]

@@ -10,8 +10,8 @@ identical plans on every read.  The invariants under test:
 * every mutation class — insert, update, delete, index create/drop,
   table create/drop — bumps :attr:`Database.epoch`, and it never rewinds,
   even when ``drop_table`` discards a table whose versions contributed;
-* an entry is valid while :attr:`Database.plan_epoch` (tables, indexes,
-  partitions) is unchanged and the tables whose estimates picked it have
+* an entry is valid while :attr:`Database.plan_epoch` (tables and
+  indexes) is unchanged and the tables whose estimates picked it have
   drifted at most ``PLANNING_STALENESS_FRACTION`` in row count — so a
   mutate-then-query sequence is never served a stale plan, yet inserts
   alone do not replan;

@@ -21,7 +21,6 @@ from repro.relational import (
     Database,
     DataType,
     Dictionary,
-    HashPartitioning,
     Query,
     TableSchema,
     Vectorized,
@@ -37,7 +36,7 @@ ROWS = BATCH_SIZE * 3 + 100  # three full chunks plus a ragged tail
 VENDORS = ["acme", "globex", "initech", "umbrella", None]
 
 
-def _build_db(partitions=None) -> Database:
+def _build_db() -> Database:
     db = Database("stats-eq")
     db.create_table(
         TableSchema.build(
@@ -48,7 +47,6 @@ def _build_db(partitions=None) -> Database:
                 ("value", DataType.INTEGER),
                 ("note", DataType.TEXT),
             ],
-            partition_by=partitions,
         )
     )
     db.insert(
@@ -90,7 +88,6 @@ def _assert_three_way(db, predicate) -> None:
 # -- randomized predicates over a shared read-only database --------------------
 
 _DB = _build_db()
-_DB_PARTITIONED = _build_db(HashPartitioning("seq", 4))
 
 # Boundary-heavy literals: chunk edges, their neighbours, and plain values.
 _seq_literals = st.sampled_from(
@@ -145,12 +142,6 @@ def test_randomized_predicates_three_way(predicate):
     _assert_three_way(_DB, predicate)
 
 
-@given(predicate=_predicates())
-@settings(max_examples=60, deadline=None)
-def test_randomized_predicates_three_way_partitioned(predicate):
-    _assert_three_way(_DB_PARTITIONED, predicate)
-
-
 # -- deterministic scenarios ---------------------------------------------------
 
 
@@ -183,9 +174,8 @@ def test_cross_band_comparison_error_parity():
 def test_skipped_chunks_elide_doomed_conjunct_errors():
     # When the seq range skips every chunk, the vectorized path never
     # evaluates the doomed cross-band conjunct (which the row-wise
-    # evaluator, going left-to-right, trips on first) — the same
-    # documented relaxation as partition pruning: only reachable chunks
-    # can raise.
+    # evaluator, going left-to-right, trips on first) — a documented
+    # relaxation: only reachable chunks can raise.
     db = _build_db()
     plan = Query.table("readings").where(parse("vendor < 5 AND seq < 0")).plan
     with pytest.raises(ReproError):

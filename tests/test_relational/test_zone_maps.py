@@ -16,7 +16,6 @@ from repro.relational import (
     Database,
     DataType,
     Dictionary,
-    HashPartitioning,
     TableSchema,
     column_zone_map,
     encoded_columns,
@@ -148,7 +147,7 @@ def test_null_probe_verdicts():
 # -- zone maps on tables -------------------------------------------------------
 
 
-def _table(rows, partition_by=None):
+def _table(rows):
     db = Database("zm")
     db.create_table(
         TableSchema.build(
@@ -158,7 +157,6 @@ def _table(rows, partition_by=None):
                 ("vendor", DataType.TEXT),
                 ("value", DataType.INTEGER),
             ],
-            partition_by=partition_by,
         )
     )
     db.insert("t", rows)
@@ -191,39 +189,22 @@ def test_column_zone_map_unknown_column_is_none():
     assert column_zone_map(table, "nope") is None
 
 
-def test_partition_zone_maps_and_repartition_invalidation():
-    _, table = _table(_rows(BATCH_SIZE), partition_by=HashPartitioning("seq", 4))
-    zone = column_zone_map(table, "seq", partition=2)
-    assert zone is not None
-    assert sum(stats.length for stats in zone) == len(
-        table.partition_columns(2)["seq"]
-    )
-    assert column_zone_map(table, "seq", partition=2) is zone
-    # Repartitioning changes extent membership without bumping the data
-    # version — derived stats must be dropped explicitly.
-    table.repartition(HashPartitioning("seq", 2))
-    fresh = column_zone_map(table, "seq", partition=1)
-    assert sum(stats.length for stats in fresh) == len(
-        table.partition_columns(1)["seq"]
-    )
-
-
 def test_select_analysis_decides_per_chunk():
     _, table = _table(_rows(BATCH_SIZE * 3))
     analysis = S.SelectAnalysis(parse(f"seq >= {BATCH_SIZE} AND seq < {BATCH_SIZE + 10}"))
     assert analysis.analyzable
-    assert analysis.decide(table, None, 0) is S.SKIP_CHUNK
-    kept, dropped = analysis.decide(table, None, 1)
+    assert analysis.decide(table, 0) is S.SKIP_CHUNK
+    kept, dropped = analysis.decide(table, 1)
     assert dropped == 1  # seq >= BATCH_SIZE holds chunk-wide
     assert len(kept) == 1
-    assert analysis.decide(table, None, 2) is S.SKIP_CHUNK
+    assert analysis.decide(table, 2) is S.SKIP_CHUNK
 
 
 def test_select_analysis_keeps_unknown_columns():
     # Unknown identifiers must reach the evaluator so its error surfaces.
     _, table = _table(_rows(BATCH_SIZE))
     analysis = S.SelectAnalysis(parse("ghost = 1 AND seq < 5"))
-    result = analysis.decide(table, None, 0)
+    result = analysis.decide(table, 0)
     assert result is not S.SKIP_CHUNK
     kept, dropped = result
     assert 0 in kept and dropped == 0

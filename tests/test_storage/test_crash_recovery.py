@@ -225,11 +225,4 @@ class TestHarnessOracle:
     def test_ops_cover_every_mutation_kind(self):
         kinds = {op[0] for op in build_ops(seed=1, commits=60)}
         assert {"insert", "commit", "set_ckpt"} <= kinds
-        assert len(kinds & {
-            "update_mod",
-            "delete_mod",
-            "create_index",
-            "drop_index",
-            "repartition_hash",
-            "repartition_range",
-        }) >= 5
+        assert {"update_mod", "delete_mod", "create_index", "drop_index"} <= kinds

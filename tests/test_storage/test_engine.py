@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import zlib
 from datetime import date
 from pathlib import Path
 
@@ -16,15 +18,17 @@ from repro.patterns import NaivePattern, PatternChain
 from repro.relational.database import Database
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, prepare_stream_plan
-from repro.relational.schema import (
-    Column,
-    HashPartitioning,
-    TableSchema,
-)
+from repro.relational.schema import Column, TableSchema, schema_to_doc
 from repro.relational.types import DataType
 from repro.relational.vectorize import Vectorized
 from repro.storage.engine import DurableStore, state_fingerprint
-from repro.storage.snapshots import list_snapshots, snapshot_lsn, snapshot_name
+from repro.storage.snapshots import (
+    _frame,
+    _read_frames,
+    list_snapshots,
+    snapshot_lsn,
+    snapshot_name,
+)
 from repro.storage.wal import list_segments, segment_name
 from repro.warehouse import Warehouse
 
@@ -56,7 +60,6 @@ def _populate(store: DurableStore, rows: int = 60) -> None:
     table.create_index(("kind",))
     table.update(lambda r: r["id"] % 9 == 0, {"score": -1.0})
     table.delete(lambda r: r["id"] % 13 == 12)
-    table.repartition(HashPartitioning("kind", 3))
     store.commit()
 
 
@@ -78,7 +81,6 @@ class TestReopenFidelity:
         expected = (
             table.version,
             table.index_epoch,
-            table.partition_epoch,
             store.db.epoch,
             store.db.structure_version,
         )
@@ -88,7 +90,6 @@ class TestReopenFidelity:
         assert (
             got.version,
             got.index_epoch,
-            got.partition_epoch,
             reopened.db.epoch,
             reopened.db.structure_version,
         ) == expected
@@ -333,6 +334,87 @@ class TestFormat:
         _populate(store, rows=3)
         store.close()
         assert list_segments(tmp_path) == [tmp_path / segment_name(1)]
+
+
+class TestPartitionedStores:
+    """Stores written while tables could be partitioned.  Partitions were
+    views over one row store, so an unpartitioned store recovers to the
+    same rows; a partitioned one fails with a typed error."""
+
+    HASH = {"kind": "hash", "column": "kind", "partitions": 3}
+
+    @staticmethod
+    def _append_segment(directory: Path, store_next_lsn: int, records) -> None:
+        """Frame ``records`` (then a commit) as the next WAL segment."""
+        data = b""
+        lsn = store_next_lsn
+        for record in [*records, {"op": "commit"}]:
+            payload = json.dumps({"lsn": lsn, **record}).encode()
+            data += (
+                b"RW"
+                + len(payload).to_bytes(4, "big")
+                + zlib.crc32(payload).to_bytes(4, "big")
+                + payload
+            )
+            lsn += 1
+        (directory / segment_name(store_next_lsn)).write_bytes(data)
+
+    @staticmethod
+    def _rewrite_manifest(path: Path, change) -> None:
+        frames = list(_read_frames(path))
+        for meta in frames[0]["tables"]:
+            change(meta)
+        path.write_bytes(b"".join(_frame(frame) for frame in frames))
+
+    def _closed_store(self, directory: Path) -> int:
+        store = DurableStore(directory)
+        _populate(store, rows=12)
+        next_lsn = store.last_lsn + 1
+        store.close()
+        return next_lsn
+
+    def test_a_repartition_record_is_an_unknown_operation(self, tmp_path):
+        next_lsn = self._closed_store(tmp_path)
+        record = {"op": "repartition", "table": "events", "partitioning": self.HASH}
+        self._append_segment(tmp_path, next_lsn, [record])
+        with pytest.raises(RecoveryError, match="unknown WAL operation 'repartition'"):
+            DurableStore(tmp_path)
+
+    def test_a_partitioned_create_table_record_is_refused(self, tmp_path):
+        next_lsn = self._closed_store(tmp_path)
+        schema = schema_to_doc(_events_schema())
+        schema["name"] = "partitioned"
+        schema["partitioning"] = self.HASH
+        self._append_segment(
+            tmp_path, next_lsn, [{"op": "create_table", "schema": schema}]
+        )
+        with pytest.raises(RecoveryError, match="partitioned"):
+            DurableStore(tmp_path)
+
+    def test_a_partitioned_snapshot_schema_is_refused(self, tmp_path):
+        store = DurableStore(tmp_path)
+        _populate(store, rows=12)
+        store.snapshot()
+        store.close()
+        (path,) = list_snapshots(tmp_path)
+        self._rewrite_manifest(path, lambda meta: meta.update(partitioning=self.HASH))
+        with pytest.raises(RecoveryError, match="partitioned"):
+            DurableStore(tmp_path)
+
+    def test_a_stored_partition_epoch_is_ignored(self, tmp_path):
+        store = DurableStore(tmp_path)
+        _populate(store, rows=30)
+        store.snapshot()
+        rows = store.db.table("events").rows()
+        expected = state_fingerprint(store.db)
+        store.close()
+        (path,) = list_snapshots(tmp_path)
+        self._rewrite_manifest(path, lambda meta: meta.update(partition_epoch=2))
+        reopened = DurableStore(tmp_path)
+        assert reopened.report.snapshot == str(path)
+        assert reopened.db.table("events").rows() == rows
+        assert state_fingerprint(reopened.db) == expected
+        reopened.close()
 
 
 class TestMeta:

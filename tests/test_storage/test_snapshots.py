@@ -7,12 +7,7 @@ import pytest
 from repro.errors import SnapshotCorruptionError
 from repro.relational.batch import BATCH_SIZE
 from repro.relational.database import Database
-from repro.relational.schema import (
-    Column,
-    HashPartitioning,
-    RangePartitioning,
-    TableSchema,
-)
+from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.storage.snapshots import (
     list_snapshots,
@@ -67,12 +62,11 @@ def test_roundtrip_preserves_counters_exactly(tmp_path):
     table = db.table("mixed")
     table.create_index(("name",))
     table.update(lambda r: r["id"] < 5, {"score": 0.0})
-    table.repartition(HashPartitioning("name", 3))
-    expected = (table.version, table.index_epoch, table.partition_epoch)
+    expected = (table.version, table.index_epoch)
     expected_epoch = db.epoch
     loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
     got = loaded.table("mixed")
-    assert (got.version, got.index_epoch, got.partition_epoch) == expected
+    assert (got.version, got.index_epoch) == expected
     assert loaded.epoch == expected_epoch
     assert loaded.structure_version == db.structure_version
 
@@ -86,21 +80,6 @@ def test_roundtrip_restores_index_metadata_and_lookups(tmp_path):
     assert table.lookup(("name", "ok"), ("n1", False)) == db.table("mixed").lookup(
         ("name", "ok"), ("n1", False)
     )
-
-
-def test_roundtrip_rebuilds_partitions(tmp_path):
-    db = _typed_db(40)
-    db.table("mixed").repartition(
-        RangePartitioning("id", (10, 20, 30))
-    )
-    loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
-    table = loaded.table("mixed")
-    assert table.partitioning.boundaries == (10, 20, 30)
-    assert table.partition_count == 4
-    scattered = [
-        pos for pid in range(4) for pos in table.partition_positions(pid)
-    ]
-    assert sorted(scattered) == list(range(40))
 
 
 def test_roundtrip_preserves_state_document(tmp_path):
