@@ -29,23 +29,30 @@ HABITS4 = Domain.categorical(
 
 FLAG = Domain.boolean("flag", "Yes/no")
 
+# The other domains of the schema.  Module constants, so every built schema
+# holds the same Domain objects and row-map keys reuse their fingerprints.
+PROC_TYPE = Domain.categorical("proc_type", list(PROCEDURE_TYPES))
+INDICATION = Domain.categorical("indication", list(INDICATIONS))
+YEAR = Domain.integer(
+    "year", "Calendar year the procedure took place", minimum=1990, maximum=2100
+)
+ALCOHOL3 = Domain.categorical("alcohol3", ["None", "Light", "Heavy"])
+FINDING_TYPE = Domain.categorical(
+    "finding_type", ["Fissure", "Polyp", "Ulcer", "Tumor", "Varices"]
+)
+MM = Domain.integer("mm", minimum=0)
+CUBIC_MM = Domain.real("cubic_mm", "Estimated volume", minimum=0)
+NAME = Domain.text("name")
+MG = Domain.integer("mg", minimum=0)
+PER_DAY = Domain.integer("per_day", minimum=0)
+
 
 def build_endoscopy_schema() -> StudySchema:
     """Construct the shared CORI study schema."""
     procedure = Entity("Procedure", description="The primary entity of interest")
-    procedure.add_attribute(
-        "ProcedureType",
-        Domain.categorical("proc_type", list(PROCEDURE_TYPES)),
-    )
-    procedure.add_attribute(
-        "Indication",
-        Domain.categorical("indication", list(INDICATIONS)),
-    )
-    procedure.add_attribute(
-        "ProcedureYear",
-        Domain.integer("year", "Calendar year the procedure took place",
-                       minimum=1990, maximum=2100),
-    )
+    procedure.add_attribute("ProcedureType", PROC_TYPE)
+    procedure.add_attribute("Indication", INDICATION)
+    procedure.add_attribute("ProcedureYear", YEAR)
     procedure.add_attribute("TransientHypoxia", FLAG)
     procedure.add_attribute("ProlongedHypoxia", FLAG)
     procedure.add_attribute("AnyHypoxia", FLAG)
@@ -57,28 +64,19 @@ def build_endoscopy_schema() -> StudySchema:
     procedure.add_attribute("OxygenGiven", FLAG)
     procedure.add_attribute("Smoking", PACKS_PER_DAY, STATUS3, HABITS4)
     procedure.add_attribute("ExSmoker", FLAG)
-    procedure.add_attribute(
-        "Alcohol", Domain.categorical("alcohol3", ["None", "Light", "Heavy"])
-    )
+    procedure.add_attribute("Alcohol", ALCOHOL3)
 
     finding = Entity("Finding", description="One endoscopic finding")
-    finding.add_attribute(
-        "FindingType",
-        Domain.categorical(
-            "finding_type", ["Fissure", "Polyp", "Ulcer", "Tumor", "Varices"]
-        ),
-    )
-    finding.add_attribute("SizeMm", Domain.integer("mm", minimum=0))
+    finding.add_attribute("FindingType", FINDING_TYPE)
+    finding.add_attribute("SizeMm", MM)
     finding.add_attribute("ImagesTaken", FLAG)
-    finding.add_attribute(
-        "TumorVolume", Domain.real("cubic_mm", "Estimated volume", minimum=0)
-    )
+    finding.add_attribute("TumorVolume", CUBIC_MM)
     procedure.add_child(finding)
 
     medication = Entity("NewMedication", description="Figure 4 fidelity entity")
-    medication.add_attribute("Drug", Domain.text("name"))
-    medication.add_attribute("DosageMg", Domain.integer("mg", minimum=0))
-    medication.add_attribute("PillsPerDay", Domain.integer("per_day", minimum=0))
+    medication.add_attribute("Drug", NAME)
+    medication.add_attribute("DosageMg", MG)
+    medication.add_attribute("PillsPerDay", PER_DAY)
     procedure.add_child(medication)
 
     schema = StudySchema("endoscopy", procedure)

@@ -26,11 +26,26 @@ from repro.expr.ast import (
     conjunction,
     disjunction,
 )
+from repro.expr.memo import IdentityMemo
 
 
-def referenced_identifiers(expr: Expression) -> set[str]:
-    """Dotted names of every identifier mentioned anywhere in ``expr``."""
-    return {node.name for node in expr.walk() if isinstance(node, Identifier)}
+_IDENTIFIERS: IdentityMemo[frozenset[str]] = IdentityMemo()
+
+
+def referenced_identifiers(expr: Expression) -> frozenset[str]:
+    """Dotted names of every identifier mentioned anywhere in ``expr``.
+
+    Walked once per AST object (ASTs are frozen; see :mod:`repro.expr.memo`).
+    """
+    names = _IDENTIFIERS.get(expr)
+    if names is None:
+        names = _IDENTIFIERS.put(
+            expr,
+            frozenset(
+                node.name for node in expr.walk() if isinstance(node, Identifier)
+            ),
+        )
+    return names
 
 
 def is_atom(expr: Expression) -> bool:

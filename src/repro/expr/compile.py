@@ -47,6 +47,7 @@ from repro.expr.evaluator import (
     resolve_suffix_key,
 )
 from repro.expr.functions import FunctionRegistry, default_registry
+from repro.expr.memo import IdentityMemo
 
 Environment = Mapping[str, object]
 CompiledExpression = Callable[[Environment], object]
@@ -55,15 +56,12 @@ CompiledPredicate = Callable[[Environment], bool]
 _DEFAULT_REGISTRY = default_registry()
 _MISSING = object()
 
-# Memoization for the default registry.  Keyed by expression *identity*, not
-# structural equality: ``Literal(0) == Literal(False)`` under Python's dict
-# semantics, yet ``0 > 0`` and ``FALSE > 0`` evaluate differently, so
-# equality-keyed caching would alias semantically distinct trees.  Each entry
-# stores the expression itself, which pins it alive so its id cannot be
-# recycled while the entry exists.
-_EXPRESSION_CACHE: dict[int, tuple[Expression, CompiledExpression]] = {}
-_PREDICATE_CACHE: dict[int, tuple[Expression, CompiledPredicate]] = {}
-_CACHE_LIMIT = 4096
+# Memoization for the default registry, keyed by expression *identity*
+# (see repro.expr.memo): ``Literal(0) == Literal(False)`` under Python's
+# dict semantics, yet ``0 > 0`` and ``FALSE > 0`` evaluate differently, so
+# equality-keyed caching would alias semantically distinct trees.
+_EXPRESSIONS: IdentityMemo[CompiledExpression] = IdentityMemo()
+_PREDICATES: IdentityMemo[CompiledPredicate] = IdentityMemo()
 
 
 def compile_expression(
@@ -73,13 +71,9 @@ def compile_expression(
     registry = functions or _DEFAULT_REGISTRY
     if registry is not _DEFAULT_REGISTRY:
         return _lower(expr, registry)
-    cached = _EXPRESSION_CACHE.get(id(expr))
-    if cached is not None and cached[0] is expr:
-        return cached[1]
-    compiled = _lower(expr, registry)
-    if len(_EXPRESSION_CACHE) >= _CACHE_LIMIT:
-        _EXPRESSION_CACHE.clear()
-    _EXPRESSION_CACHE[id(expr)] = (expr, compiled)
+    compiled = _EXPRESSIONS.get(expr)
+    if compiled is None:
+        compiled = _EXPRESSIONS.put(expr, _lower(expr, registry))
     return compiled
 
 
@@ -91,14 +85,10 @@ def compile_predicate(
     if registry is not _DEFAULT_REGISTRY:
         value_of = _lower(expr, registry)
         return lambda env: value_of(env) is True
-    cached = _PREDICATE_CACHE.get(id(expr))
-    if cached is not None and cached[0] is expr:
-        return cached[1]
-    value_of = compile_expression(expr)
-    compiled = lambda env: value_of(env) is True  # noqa: E731
-    if len(_PREDICATE_CACHE) >= _CACHE_LIMIT:
-        _PREDICATE_CACHE.clear()
-    _PREDICATE_CACHE[id(expr)] = (expr, compiled)
+    compiled = _PREDICATES.get(expr)
+    if compiled is None:
+        value_of = compile_expression(expr)
+        compiled = _PREDICATES.put(expr, lambda env: value_of(env) is True)
     return compiled
 
 

@@ -65,8 +65,9 @@ def parse(source: str) -> Expression:
 
     Results are memoized on the source text.  ASTs are frozen, so sharing
     one is safe, and a rebuilt study definition gets the very AST objects
-    it had before — which keeps the id-keyed closure caches of
-    :mod:`repro.expr.compile` warm.  Errors are never cached.
+    it had before — which keeps every identity memo keyed on them warm
+    (:mod:`repro.expr.memo`): compiled closures, fingerprint texts and
+    identifier sets are computed once per AST.  Errors are never cached.
     """
     if not isinstance(source, str):
         raise ParseError(

@@ -363,11 +363,27 @@ class GuavaSource:
         raises stores nothing; in a patch it falls back to the full read,
         which raises as a fresh read would.
 
-        Under a tracer each read leaves a ``guava.read`` span whose
-        ``result_memo`` is ``hit``, ``delta`` (with ``delta_records``),
-        ``admit``, ``miss`` or ``bypass``; a mapped read adds
-        ``mapped_records``, the number of records the map was applied to.
+        Under a tracer each read is a ``guava.read`` span, around the
+        read's own spans (``optimize``, ``execute:*``) and the map's time,
+        whose ``result_memo`` is ``hit``, ``delta`` (with
+        ``delta_records``), ``admit``, ``miss``, ``bypass``, or ``error``
+        for a read that raised; a mapped read adds ``mapped_records``, the
+        number of records the map was applied to.
         """
+        tracer = current_tracer()
+        if tracer is None:
+            return self._memo_read(query, shape, row_map)[0]
+        form = query.gtree.form_name
+        with tracer.span("guava.read", source=self.name, form=form) as span:
+            span.set("result_memo", "error")  # unless the read returns
+            rows, attrs = self._memo_read(query, shape, row_map)
+            span.attrs.update(attrs)
+        return rows
+
+    def _memo_read(
+        self, query: GTreeQuery, shape: str | None, row_map: RowMap | None
+    ) -> tuple[list[Row], dict[str, object]]:
+        """:meth:`_read`'s rows and its span attributes."""
         db = self.db
         plan_key = None if shape is None else self._plan_prefix + "all:" + shape
         key = plan_key
@@ -425,17 +441,12 @@ class GuavaSource:
                 return appended
 
             rows, outcome = db.memo_read(key, stamp, run, patch)
-        tracer = current_tracer()
-        if tracer is not None:
-            attrs: dict[str, object] = {"result_memo": outcome}
-            if outcome == "delta":
-                attrs["delta_records"] = delta_records
-            if row_map is not None:
-                attrs["mapped_records"] = mapped_records
-            form = query.gtree.form_name
-            with tracer.span("guava.read", source=self.name, form=form, **attrs):
-                pass
-        return rows
+        attrs: dict[str, object] = {"result_memo": outcome}
+        if outcome == "delta":
+            attrs["delta_records"] = delta_records
+        if row_map is not None:
+            attrs["mapped_records"] = mapped_records
+        return rows, attrs
 
     def _patch(
         self,

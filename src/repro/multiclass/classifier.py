@@ -9,6 +9,7 @@ is a Boolean condition.  Both clauses use nodes in a g-tree as arguments."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.errors import ClassifierError
@@ -18,6 +19,7 @@ from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.guava.gtree import GTree
 from repro.multiclass.domain import Domain
+from repro.relational.query import memoized_fingerprint
 from repro.relational.types import MEMO_LIMIT
 from repro.util.annotations import Annotated
 
@@ -27,6 +29,7 @@ CompiledClassifier = Callable[[Environment], object]
 _MISS = object()
 
 
+@memoized_fingerprint
 @dataclass(frozen=True)
 class Rule:
     """One statement ``output <- guard``."""
@@ -36,6 +39,15 @@ class Rule:
 
     @classmethod
     def of(cls, output: str | Expression, guard: str | Expression) -> "Rule":
+        """A rule from source text or ASTs.
+
+        A rule of two texts is memoized on them, so a rebuilt classifier
+        holds the very ``Rule`` (and AST) objects of the one before, and
+        every identity memo keyed on them stays warm.  Parse errors are
+        never cached.
+        """
+        if isinstance(output, str) and isinstance(guard, str):
+            return _rule_of_texts(cls, output, guard)
         return cls(
             parse(output) if isinstance(output, str) else output,
             parse(guard) if isinstance(guard, str) else guard,
@@ -43,6 +55,11 @@ class Rule:
 
     def to_source(self) -> str:
         return f"{self.output.to_source()} <- {self.guard.to_source()}"
+
+
+@lru_cache(maxsize=4096)
+def _rule_of_texts(cls: type[Rule], output: str, guard: str) -> Rule:
+    return cls(parse(output), parse(guard))
 
 
 @dataclass
@@ -99,7 +116,10 @@ class Classifier(Annotated):
         Compile once per run and call the closure per record: the rule
         closures are resolved here, not per record.  First satisfied guard
         wins, the domain check runs only on the rule that fired, and no
-        satisfied guard yields NULL.
+        satisfied guard yields NULL.  Each rule's closures and referenced
+        names are kept per AST object (:mod:`repro.expr.memo`), so
+        compiling a rebuilt classifier, whose :meth:`Rule.of` rules hold
+        the same ASTs, walks none of them.
 
         Classification is a pure function of the referenced names' values,
         and most classifiers read coded answers that take few distinct

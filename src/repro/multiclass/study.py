@@ -267,10 +267,14 @@ class Study(Annotated):
         way whatever the source holds.
 
         The key is structural: the source name, ``parent_link``, each
-        element's column, rules (as ``(guard, output)`` ASTs) and domain,
-        and the active rules' conditions.  Names and descriptions are left
-        out, so a study rebuilt from the same definition shares the
-        memoized rows of the one before.
+        element's column, rules and domain, and the active rules'
+        conditions.  Names and descriptions are left out, so a study
+        rebuilt from the same definition shares the memoized rows of the
+        one before.  Rules, domains and ASTs are immutable, and their
+        fingerprint texts are kept per object
+        (:func:`~repro.relational.query.memoized_fingerprint`), so a
+        rebuilt definition, which holds the same objects, walks none of
+        them.
         """
         source_name = binding.source.name
         columns = []
@@ -285,8 +289,7 @@ class Study(Annotated):
             column = element_column(attribute, domain_name)
             domain = self.schema.domain_of(*element)
             columns.append((column, classifier.compile(domain)))
-            rules = tuple((rule.guard, rule.output) for rule in classifier.rules)
-            structure.append((column, rules, domain))
+            structure.append((column, tuple(classifier.rules), domain))
         discards = tuple(
             rule
             for rule in self.cleaning.get(entity, [])

@@ -12,7 +12,8 @@ agree on every database they run against.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, cast
+from enum import Enum
+from typing import Callable, TypeVar, cast
 
 from repro.expr.analysis import referenced_identifiers
 from repro.obs.trace import Span, Tracer, current_tracer
@@ -27,6 +28,7 @@ from repro.expr.ast import (
     UnaryOp,
     conjunction,
 )
+from repro.expr.memo import IdentityMemo
 from repro.expr.parser import parse
 from repro.relational.algebra import (
     Aggregate,
@@ -70,6 +72,7 @@ from repro.relational.vectorize import (
 )
 
 Row = dict[str, object]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -409,6 +412,35 @@ def plan_fingerprint(plan: Plan) -> str:
 #: type are not dataclass instances.  Keyed by type, so it holds no plans.
 _FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
 
+#: The types whose fingerprint text is kept per object: frozen dataclasses
+#: built from scalars, tuples and one another, so an instance's text is
+#: fixed for its life.  An explicit list, not every frozen dataclass: plan
+#: nodes carry payloads and closures.  :func:`memoized_fingerprint` adds a
+#: type from a module this one cannot import.
+_MEMOIZED_TYPES: set[type] = {
+    BinaryOp,
+    FunctionCall,
+    Identifier,
+    InList,
+    IsNull,
+    Literal,
+    UnaryOp,
+}
+_TEXTS: IdentityMemo[str] = IdentityMemo()
+#: Leaf types whose ``repr`` cannot change (enum members count too).
+_FIXED_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
+def memoized_fingerprint(kind: type[T]) -> type[T]:
+    """Class decorator: keep fingerprint texts of ``kind``'s instances.
+
+    Only for a frozen dataclass whose fields hold scalars, tuples and
+    other such objects.  An instance that holds anything else (a list, a
+    date) is still walked every time.
+    """
+    _MEMOIZED_TYPES.add(kind)
+    return kind
+
 
 def _field_names(kind: type) -> tuple[str, ...] | None:
     """What ``fields(value)`` names for a ``value`` of type ``kind``."""
@@ -417,27 +449,58 @@ def _field_names(kind: type) -> tuple[str, ...] | None:
     return tuple(field.name for field in fields(kind))
 
 
-def _fingerprint(value: object, emit: Callable[[str], None]) -> None:
+def _fingerprint(value: object, emit: Callable[[str], None]) -> bool:
+    """Emit ``value``'s fingerprint text; True when that text is fixed.
+
+    The text of an instance of a memoized type is kept per object (see
+    :mod:`repro.expr.memo`) once it is known to be fixed: every leaf below
+    it is a plain scalar or an enum member and every dataclass a memoized
+    type.  So a ``Literal`` over a list, and every node above it, is walked
+    on each call, and ``Literal(1)``, ``Literal(True)`` and
+    ``Literal(1.0)`` keep their own texts.
+    """
+    if type(value) not in _MEMOIZED_TYPES:
+        return _fingerprint_fields(value, emit)
+    text = _TEXTS.get(value)
+    if text is not None:
+        emit(text)
+        return True
+    parts: list[str] = []
+    fixed = _fingerprint_fields(value, parts.append)
+    text = "".join(parts)
+    if fixed:
+        _TEXTS.put(value, text)
+    emit(text)
+    return fixed
+
+
+def _fingerprint_fields(value: object, emit: Callable[[str], None]) -> bool:
+    """One level of the uncached walk; fields and items go back through
+    :func:`_fingerprint`."""
     kind = type(value)
     try:
         names = _FIELD_NAMES[kind]
     except KeyError:
         names = _FIELD_NAMES[kind] = _field_names(kind)
     if names is not None:
+        fixed = kind in _MEMOIZED_TYPES
         emit(kind.__name__)
         emit("(")
         for name in names:
-            _fingerprint(getattr(value, name), emit)
+            fixed &= _fingerprint(getattr(value, name), emit)
             emit(",")
         emit(")")
-    elif isinstance(value, tuple):
+        return fixed
+    if isinstance(value, tuple):
+        fixed = True
         emit("[")
         for item in value:
-            _fingerprint(item, emit)
+            fixed &= _fingerprint(item, emit)
             emit(",")
         emit("]")
-    else:
-        emit(f"{type(value).__name__}:{value!r};")
+        return fixed
+    emit(f"{kind.__name__}:{value!r};")
+    return kind in _FIXED_SCALARS or isinstance(value, Enum)
 
 
 def _vectorize_tree(plan: Plan, db: Database, ctx: _OptContext) -> Plan:

@@ -82,6 +82,7 @@ from repro.expr.evaluator import (
     resolve_suffix_key,
 )
 from repro.expr.functions import default_registry
+from repro.expr.memo import IdentityMemo
 from repro.obs.trace import current_tracer
 from repro.relational.algebra import (
     Aggregate,
@@ -1134,22 +1135,16 @@ _KERNELS: dict[type, Callable[..., Iterator[Batch]]] = {
 #: A lowered expression: one call per batch, returning the value column.
 BatchExpression = Callable[[Batch], list[object]]
 
-# Identity-keyed memo, same policy (and the same structural-aliasing
-# rationale) as expr/compile.py: Literal(0) == Literal(False) under dict
-# equality, so entries pin the expression and key on id().
-_BATCH_CACHE: dict[int, tuple[Expression, BatchExpression]] = {}
-_BATCH_CACHE_LIMIT = 4096
+# Identity-keyed, like expr/compile.py's memos (see repro.expr.memo):
+# Literal(0) == Literal(False) under dict equality.
+_BATCH_EXPRESSIONS: IdentityMemo[BatchExpression] = IdentityMemo()
 
 
 def compile_batch_expression(expr: Expression) -> BatchExpression:
     """Lower ``expr`` to a column-at-a-time closure (default registry)."""
-    cached = _BATCH_CACHE.get(id(expr))
-    if cached is not None and cached[0] is expr:
-        return cached[1]
-    compiled = _lower_batch(expr)
-    if len(_BATCH_CACHE) >= _BATCH_CACHE_LIMIT:
-        _BATCH_CACHE.clear()
-    _BATCH_CACHE[id(expr)] = (expr, compiled)
+    compiled = _BATCH_EXPRESSIONS.get(expr)
+    if compiled is None:
+        compiled = _BATCH_EXPRESSIONS.put(expr, _lower_batch(expr))
     return compiled
 
 

@@ -365,7 +365,7 @@ class TestPatchedReads:
             source.track_change(2, form="procedure")
             with tracing() as tracer:
                 rows = source.execute(query)
-            (span,) = [s for s in tracer.roots if s.name == "guava.read"]
+            (span,) = _reads(tracer)
             assert span.attrs["result_memo"] == "miss"
             assert [row["record_id"] for row in rows] == [1, 2, 3]
             assert ("rows", rows) == _fresh(source, query)

@@ -64,17 +64,21 @@ def _oracle(source: GuavaSource, query: GTreeQuery) -> list[dict]:
     return execute_interpreted(translate_query(query, source.chain), source.db)
 
 
-def _read(source: GuavaSource, query: GTreeQuery, **kwargs) -> tuple[list[dict], list]:
-    """The rows of one read and the memo outcomes its trace records."""
-    with tracing() as tracer:
-        rows = source.execute(query, **kwargs)
-    outcomes = [
+def _outcomes(tracer) -> list:
+    """The memo outcome of every ``guava.read`` span, in trace order."""
+    return [
         span.attrs["result_memo"]
         for root in tracer.roots
         for span in root.walk()
         if span.name == "guava.read"
     ]
-    return rows, outcomes
+
+
+def _read(source: GuavaSource, query: GTreeQuery, **kwargs) -> tuple[list[dict], list]:
+    """The rows of one read and the memo outcomes its trace records."""
+    with tracing() as tracer:
+        rows = source.execute(query, **kwargs)
+    return rows, _outcomes(tracer)
 
 
 def _read_until_hit(
@@ -205,7 +209,7 @@ class TestNothingStored:
             with tracing() as tracer:
                 with pytest.raises(ReproError):
                     source.execute(query)
-            assert not [s for s in tracer.roots if s.name == "guava.read"]
+            assert _outcomes(tracer) == ["error"]
         assert source.db._result_memo == {}
 
     def test_scoped_reads_are_never_memoized(self):
@@ -281,7 +285,7 @@ class TestStudies:
                     table.delete(lambda row, rid=rid: row["record_id"] == rid)
         with tracing() as tracer:
             preview = study.run().rows("Procedure")
-        reads = [s.attrs["result_memo"] for s in tracer.roots if s.name == "guava.read"]
+        reads = _outcomes(tracer)
         assert reads == ["miss"] * len(world.sources)
         assert _multiset(preview) != _multiset(first)
         for _ in range(2):  # admitted, then served by the memo

@@ -451,6 +451,64 @@ class TestMemoKey:
             assert len({k[position] for k in definitions}) == 3
 
 
+_DEFINITIONS = STUDIES[:4]  # S1 and S2 under its three ex-smoker definitions
+
+
+def _keys(study):
+    return [
+        study.row_map(binding, entity, binding.entity_classifiers[entity].parent_link).key
+        for entity in study.entities_in_play()
+        for binding in study.bindings
+    ]
+
+
+class TestRebuild:
+    def test_a_rebuild_walks_no_rule_ast(self):
+        world = build_world(20, seed=3)
+        relational_query._TEXTS.clear()  # so the first build's texts all fit
+        first = [_keys(build(world)) for build in _DEFINITIONS]
+        walked = []
+        uncached = relational_query._fingerprint_fields
+
+        def counting(value, emit):
+            if type(value) in relational_query._MEMOIZED_TYPES:
+                walked.append(value)
+            return uncached(value, emit)
+
+        with mock.patch.object(relational_query, "_fingerprint_fields", counting):
+            rebuilt = [build(world) for build in _DEFINITIONS]
+            assert [_keys(study) for study in rebuilt] == first
+            for study in rebuilt:
+                study.run()
+                _publish(study)
+            assert walked == []
+            # The count sees walks: with the texts gone, the same keys come
+            # from walking every rule, domain and condition again.
+            relational_query._TEXTS.clear()
+            assert [_keys(study) for study in rebuilt] == first
+        assert {type(value) for value in walked} >= {Rule, Domain}
+
+    def test_a_rebuilt_study_answers_like_the_first_build(self):
+        harness = _World()
+        firsts = [build(harness.world) for build in _DEFINITIONS]
+        outcomes = []
+
+        def compare():
+            for build, first in zip(_DEFINITIONS, firsts):
+                expected = _oracle(first)
+                with tracing() as tracer:
+                    rebuilt = _run(build(harness.world))
+                outcomes.extend(_memo_outcomes(tracer))
+                assert rebuilt == expected
+                assert _run(first) == expected
+
+        compare()  # the rebuilt studies miss, their first builds admit
+        compare()  # both hit
+        harness.enter(6)
+        compare()  # the rebuilt studies patch the kept rows
+        assert {"miss", "hit", "delta"} <= set(outcomes)
+
+
 class TestClassifiedOnce:
     def test_a_repeat_preview_classifies_no_record(self):
         world = build_world(30, seed=5)

@@ -47,8 +47,9 @@ class TestWorkflowTrace:
         steps = [s.name for s in report.trace.children]
         assert steps == [f"step:{step.name}" for step in workflow.steps]
 
-    def test_extract_steps_contain_their_reads(self, small_world):
-        workflow, report, _ = run_traced(small_world)
+    def test_extract_steps_contain_their_reads(self):
+        # A private world, so every read is a first (planned) read.
+        workflow, report, _ = run_traced(build_world(60, seed=5))
         extracts = [
             s for s in report.trace.children if s.name.endswith("_extract")
         ]
@@ -56,9 +57,16 @@ class TestWorkflowTrace:
             [step for step in workflow.steps if step.stage == "extract"]
         )
         for step_span in extracts:
-            reads = [s for s in step_span.children if s.name == "guava.read"]
-            assert len(reads) == 1
-            assert step_span.duration_s >= reads[0].duration_s
+            # The read is the step's only child, and the read's own spans
+            # (planning on a miss, execution) nest under it.
+            (read,) = step_span.children
+            assert read.name == "guava.read"
+            assert read.attrs["result_memo"] == "miss"
+            assert read.attrs["mapped_records"] == step_span.attrs["rows_out"]
+            assert [s.name for s in read.children][0] == "optimize"
+            assert any(s.name.startswith("execute:") for s in read.children)
+            assert step_span.duration_s >= read.duration_s
+            assert read.duration_s >= sum(s.duration_s for s in read.children)
         # Nothing a step opens escapes to the top level.
         assert not any(
             s.name == "guava.read" for s in report.trace.children

@@ -1,9 +1,13 @@
 """Pins the structural fingerprints to the field-by-field reference.
 
-``_fingerprint`` caches each type's dataclass field names.  Plan-cache
-keys, g-tree read shapes and row-map keys are built from its output, so
-the strings must stay byte-identical to the uncached walk below, which
-asks ``dataclasses`` for every node.
+``_fingerprint`` caches each type's dataclass field names, and keeps the
+text of every expression node, ``Rule`` and ``Domain`` per object once
+the text is known to be fixed.  Plan-cache keys, g-tree read shapes and
+row-map keys are built from its output, so the strings must stay
+byte-identical to the uncached walk below, which asks ``dataclasses`` for
+every node: on a first call, on a repeat call (served by the memo), and
+after the memo is cleared at its limit, even in the middle of a walk.
+``referenced_identifiers`` is pinned to the uncached ``walk()`` likewise.
 """
 
 from __future__ import annotations
@@ -16,11 +20,24 @@ from hypothesis import given, settings, strategies as st
 
 import repro.guava.source as source_module
 import repro.multiclass.study as study_module
+import repro.relational.query as query_module
 from repro.analysis import build_study1, build_study2
 from repro.clinical import build_world
-from repro.expr.ast import BinaryOp, Identifier, InList, IsNull, Literal, UnaryOp
+from repro.expr.analysis import referenced_identifiers
+from repro.expr.ast import (
+    BinaryOp,
+    Expression,
+    FunctionCall,
+    Identifier,
+    InList,
+    IsNull,
+    Literal,
+    UnaryOp,
+)
 from repro.guava.query import GTreeQuery
 from repro.guava.translate import translate_query
+from repro.multiclass import Domain, Rule
+from repro.multiclass.domain import DomainKind
 from repro.relational import (
     Aggregate,
     AggregateSpec,
@@ -137,6 +154,137 @@ class TestPlanFingerprint:
             parts: list[str] = []
             study_module._fingerprint(value, parts.append)
             assert "".join(parts) == _reference_text(value)
+
+
+@st.composite
+def _expressions(draw, depth=3):
+    """Random ASTs over every node type, some sharing a subtree."""
+    if depth == 0 or draw(st.integers(0, 5)) == 0:
+        if draw(st.booleans()):
+            return Literal(draw(_literals))
+        return Identifier.of(draw(st.sampled_from(["a", "b", "h.c"])))
+    below = _expressions(depth - 1)
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        op = draw(st.sampled_from(["+", "*", "=", "<", "LIKE", "AND", "OR"]))
+        return BinaryOp(op, draw(below), draw(below))
+    if kind == 1:
+        return UnaryOp(draw(st.sampled_from(["-", "NOT"])), draw(below))
+    if kind == 2:
+        name = draw(st.sampled_from(["COALESCE", "IIF", "ABS"]))
+        return FunctionCall(name, tuple(draw(st.lists(below, max_size=3))))
+    if kind == 3:
+        items = tuple(draw(st.lists(below, min_size=1, max_size=3)))
+        return InList(draw(below), items, negated=draw(st.booleans()))
+    if kind == 4:
+        return IsNull(draw(below), negated=draw(st.booleans()))
+    shared = draw(below)
+    return BinaryOp("AND", shared, UnaryOp("NOT", shared))
+
+
+_domains = st.one_of(
+    st.builds(
+        Domain.categorical,
+        st.sampled_from(["d", "e"]),
+        st.lists(st.text("xy", min_size=1, max_size=2), min_size=1, max_size=3, unique=True),
+    ),
+    st.builds(Domain.integer, st.just("n"), minimum=st.none() | st.integers(0, 2)),
+    st.builds(Domain.real, st.just("r"), maximum=st.none() | st.floats(0, 1)),
+    st.builds(Domain.boolean, st.just("flag")),
+)
+
+
+def _text(value: object) -> str:
+    parts: list[str] = []
+    query_module._fingerprint(value, parts.append)
+    return "".join(parts)
+
+
+def _uncached_identifiers(expr: Expression) -> set[str]:
+    return {node.name for node in expr.walk() if isinstance(node, Identifier)}
+
+
+class TestMemoizedFingerprint:
+    @given(_expressions(), _expressions(), _domains)
+    @settings(max_examples=300, deadline=None)
+    def test_random_asts_rules_and_domains_match_the_reference(
+        self, output, guard, domain
+    ):
+        rule = Rule(output, guard)
+        for value in (output, guard, rule, domain, (rule, domain, (guard,))):
+            expected = _reference_text(value)
+            assert _text(value) == expected  # first call: walked
+            if type(value) in (Rule, Domain):
+                # Its text was the walk's last insert, so it is still kept.
+                assert query_module._TEXTS.get(value) == expected
+            assert _text(value) == expected  # repeat call: the memo's text
+
+    @given(_expressions(), _expressions())
+    @settings(max_examples=100, deadline=None)
+    def test_texts_survive_eviction_at_the_limit(self, output, guard):
+        rule = Rule(output, guard)
+        expected = _reference_text(rule)
+        memo = query_module._TEXTS
+        limit = memo.limit
+        memo.limit = 3  # cleared again and again, mid-walk too
+        try:
+            assert _text(rule) == expected
+            assert len(memo) <= 3
+            assert _text(rule) == expected
+            for _ in range(4):
+                _text(Literal(0))  # fresh keys push the memo past its limit
+            assert _text(rule) == expected
+        finally:
+            memo.limit = limit
+
+    def test_equal_literals_of_other_types_keep_their_own_texts(self):
+        column = Identifier.of("a")
+        for _ in range(2):  # first call, then the memo's texts
+            literals = [Literal(1), Literal(True), Literal(1.0)]
+            texts = [_text(literal) for literal in literals]
+            assert texts == [_reference_text(literal) for literal in literals]
+            assert len(set(texts)) == 3
+            for literal in literals:
+                assert _text(literal) == _reference_text(literal)
+            compared = [BinaryOp("=", column, literal) for literal in literals]
+            texts = [_text(expr) for expr in compared + compared]
+            assert texts == [_reference_text(expr) for expr in compared + compared]
+            assert len(set(texts)) == 3
+
+    def test_a_literal_over_a_mutable_value_is_walked_every_time(self):
+        items = [1]
+        literal = Literal(items)
+        parent = BinaryOp("=", Identifier.of("a"), literal)
+        rule = Rule(parent, Literal(True))
+        assert _text(rule) == _reference_text(rule)
+        items.append(2)
+        assert _text(rule) == _reference_text(rule)
+        assert "[1, 2]" in _text(rule)
+        for value in (literal, parent, rule):
+            assert query_module._TEXTS.get(value) is None
+        # A domain over a list is walked every time too.
+        categories = ["x"]
+        domain = Domain("d", DomainKind.CATEGORICAL, "", categories)  # type: ignore[arg-type]
+        assert _text(domain) == _reference_text(domain)
+        categories.append("y")
+        assert _text(domain) == _reference_text(domain)
+        assert query_module._TEXTS.get(domain) is None
+
+    def test_plan_nodes_are_not_memoized(self):
+        plan = Select(Scan("t"), BinaryOp("=", Identifier.of("a"), Literal(1)))
+        assert plan_fingerprint(plan) == _reference_text(plan)
+        assert query_module._TEXTS.get(plan) is None
+        assert query_module._TEXTS.get(plan.predicate) is not None
+
+
+class TestMemoizedIdentifiers:
+    @given(_expressions())
+    @settings(max_examples=300, deadline=None)
+    def test_identifier_sets_match_the_uncached_walk(self, expr):
+        first = referenced_identifiers(expr)
+        assert isinstance(first, frozenset)
+        assert first == _uncached_identifiers(expr)
+        assert referenced_identifiers(expr) is first
 
 
 _STUDIES = {
