@@ -12,36 +12,76 @@ MultiClass lets several classifiers target the same domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from repro.clinical.vocabulary import INDICATIONS
+from repro.errors import StudyError
 from repro.guava.source import GuavaSource
 from repro.multiclass.classifier import Classifier, EntityClassifier, Rule
 from repro.multiclass.study import Study
 
+#: The (attribute, domain) pairs a vendor defines several classifiers for,
+#: and what a choice among them is called.
+HABITS = ("Smoking", "habits4")
+EX_SMOKER = ("ExSmoker", "flag")
+VARIANTS = {HABITS: "habits variant", EX_SMOKER: "ex-smoker definition"}
 
-def _classifier(
+#: A catalogue key: ((attribute, domain), variant); the variant is None for
+#: a pair with one definition.
+Key = tuple[tuple[str, str], str | None]
+
+
+@dataclass(frozen=True)
+class ClassifierDefinition:
+    """One catalogue entry: a classifier written down, built on demand.
+
+    A definition is immutable and shared; it parses its rule texts once
+    (:meth:`Rule.of`), and every :meth:`build` returns a new
+    :class:`Classifier` the caller owns, holding those shared ``Rule``
+    objects in a list of its own.
+    """
+
+    name: str
+    attribute: str
+    domain: str
+    texts: tuple[tuple[str, str], ...]  # (output, guard) per rule
+    description: str = ""
+    entity: str = "Procedure"
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple(Rule.of(output, guard) for output, guard in self.texts)
+
+    def build(self) -> Classifier:
+        return Classifier(
+            name=self.name,
+            target_entity=self.entity,
+            target_attribute=self.attribute,
+            target_domain=self.domain,
+            rules=list(self.rules),
+            description=self.description,
+        )
+
+
+def _define(
     name: str,
     attribute: str,
     domain: str,
     rules: list[tuple[str, str]],
     description: str = "",
     entity: str = "Procedure",
-    form: str = "",
-) -> Classifier:
-    return Classifier(
-        name=name,
-        target_entity=entity,
-        target_attribute=attribute,
-        target_domain=domain,
-        rules=[Rule.of(output, guard) for output, guard in rules],
-        description=description,
-        source_form=form,
+) -> ClassifierDefinition:
+    return ClassifierDefinition(
+        name, attribute, domain, tuple(rules), description, entity
     )
 
 
-def _flag_from_checkbox(name: str, attribute: str, node: str, description: str = "") -> Classifier:
+def _flag_from_checkbox(
+    name: str, attribute: str, node: str, description: str = ""
+) -> ClassifierDefinition:
     """Boolean attribute mirrored from one checkbox node."""
-    return _classifier(
+    return _define(
         name,
         attribute,
         "flag",
@@ -52,9 +92,9 @@ def _flag_from_checkbox(name: str, attribute: str, node: str, description: str =
 
 def _flag_from_list(
     name: str, attribute: str, list_node: str, item: str, description: str = ""
-) -> Classifier:
+) -> ClassifierDefinition:
     """Boolean attribute: is ``item`` among a CheckList's selections?"""
-    return _classifier(
+    return _define(
         name,
         attribute,
         "flag",
@@ -86,7 +126,7 @@ class VendorClassifiers:
             "ever": self.ex_smoker_ever,
         }.get(definition)
         if chosen is None:
-            raise ValueError(f"unknown ex-smoker definition {definition!r}")
+            raise StudyError(f"unknown ex-smoker definition {definition!r}")
         return chosen
 
     def habits(self, variant: str) -> Classifier:
@@ -95,8 +135,47 @@ class VendorClassifiers:
             "chemistry": self.habits_chemistry,
         }.get(variant)
         if chosen is None:
-            raise ValueError(f"unknown habits variant {variant!r}")
+            raise StudyError(f"unknown habits variant {variant!r}")
         return chosen
+
+
+@dataclass(frozen=True)
+class VendorCatalogue:
+    """One vendor's classifier definitions, keyed by what they target."""
+
+    entity_classifier: Callable[[], EntityClassifier]
+    #: Catalogue order: the base definitions, the habits variants, the
+    #: ex-smoker definitions.
+    definitions: dict[Key, ClassifierDefinition]
+
+    @classmethod
+    def of(
+        cls,
+        entity_classifier: Callable[[], EntityClassifier],
+        base: list[ClassifierDefinition],
+        habits: dict[str, ClassifierDefinition],
+        ex_smoker: dict[str, ClassifierDefinition],
+    ) -> "VendorCatalogue":
+        definitions: dict[Key, ClassifierDefinition] = {
+            ((d.attribute, d.domain), None): d for d in base
+        }
+        for pair, variants in ((HABITS, habits), (EX_SMOKER, ex_smoker)):
+            for variant, definition in variants.items():
+                definitions[(pair, variant)] = definition
+        return cls(entity_classifier, definitions)
+
+    def classifiers(self) -> VendorClassifiers:
+        """Every classifier of the catalogue, newly built."""
+        built = {key: d.build() for key, d in self.definitions.items()}
+        return VendorClassifiers(
+            entity_classifier=self.entity_classifier(),
+            base=[c for (_, variant), c in built.items() if variant is None],
+            habits_cancer=built[(HABITS, "cancer")],
+            habits_chemistry=built[(HABITS, "chemistry")],
+            ex_smoker_1y=built[(EX_SMOKER, "1y")],
+            ex_smoker_10y=built[(EX_SMOKER, "10y")],
+            ex_smoker_ever=built[(EX_SMOKER, "ever")],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -113,26 +192,26 @@ def cori_entity_classifier() -> EntityClassifier:
     )
 
 
-def cori_classifiers() -> VendorClassifiers:
+def _cori_catalogue() -> VendorCatalogue:
     """Classifiers for the CORI tool's g-tree."""
     base = [
-        _classifier(
+        _define(
             "cori_proc_type", "ProcedureType", "proc_type",
             [("procedure_type", "procedure_type IS NOT NULL")],
             "the procedure drop-down already uses study vocabulary",
         ),
-        _classifier(
+        _define(
             "cori_indication", "Indication", "indication",
             [("indication", "indication IS NOT NULL")],
         ),
-        _classifier(
+        _define(
             "cori_year", "ProcedureYear", "year",
             [("YEAR(procedure_date)", "procedure_date IS NOT NULL")],
             "calendar year extracted from the date picker",
         ),
         _flag_from_checkbox("cori_transient_hypoxia", "TransientHypoxia", "transient_hypoxia"),
         _flag_from_checkbox("cori_prolonged_hypoxia", "ProlongedHypoxia", "prolonged_hypoxia"),
-        _classifier(
+        _define(
             "cori_any_hypoxia", "AnyHypoxia", "flag",
             [
                 ("TRUE", "transient_hypoxia = TRUE OR prolonged_hypoxia = TRUE"),
@@ -147,7 +226,7 @@ def cori_classifiers() -> VendorClassifiers:
         _flag_from_list(
             "cori_oxygen", "OxygenGiven", "interventions", "Oxygen administration"
         ),
-        _classifier(
+        _define(
             "cori_packs", "Smoking", "packs_per_day",
             [
                 ("packs_per_day", "packs_per_day IS NOT NULL"),
@@ -155,7 +234,7 @@ def cori_classifiers() -> VendorClassifiers:
             ],
             "frequency box only enables once the smoking question is answered",
         ),
-        _classifier(
+        _define(
             "cori_status3", "Smoking", "status3",
             [
                 ("'None'", "smoking = 'Never'"),
@@ -164,7 +243,7 @@ def cori_classifiers() -> VendorClassifiers:
             ],
             "the CORI radio list matches domain 2 directly",
         ),
-        _classifier(
+        _define(
             "cori_alcohol", "Alcohol", "alcohol3",
             [
                 ("'None'", "alcohol = 'None'"),
@@ -174,7 +253,7 @@ def cori_classifiers() -> VendorClassifiers:
             "free-text answers remain unclassified by design",
         ),
     ]
-    habits_cancer = _classifier(
+    habits_cancer = _define(
         "cori_habits_cancer", "Smoking", "habits4",
         [
             ("'None'", "smoking = 'Never' OR packs_per_day = 0"),
@@ -185,7 +264,7 @@ def cori_classifiers() -> VendorClassifiers:
         "Classifies packs per day according to conversations with cancer "
         "study on 5/3/02 (paper Figure 5a)",
     )
-    habits_chemistry = _classifier(
+    habits_chemistry = _define(
         "cori_habits_chemistry", "Smoking", "habits4",
         [
             ("'None'", "smoking = 'Never' OR packs_per_day = 0"),
@@ -196,7 +275,7 @@ def cori_classifiers() -> VendorClassifiers:
         "Classifies packs per day according to flier from chemical studies "
         "(paper Figure 5a)",
     )
-    ex_1y = _classifier(
+    ex_1y = _define(
         "cori_ex_smoker_1y", "ExSmoker", "flag",
         [
             ("TRUE", "smoking = 'Previous' AND quit_years_ago <= 1"),
@@ -205,7 +284,7 @@ def cori_classifiers() -> VendorClassifiers:
         ],
         "ex-smoker = quit within the last year",
     )
-    ex_10y = _classifier(
+    ex_10y = _define(
         "cori_ex_smoker_10y", "ExSmoker", "flag",
         [
             ("TRUE", "smoking = 'Previous' AND quit_years_ago <= 10"),
@@ -214,7 +293,7 @@ def cori_classifiers() -> VendorClassifiers:
         ],
         "ex-smoker = quit within the last ten years",
     )
-    ex_ever = _classifier(
+    ex_ever = _define(
         "cori_ex_smoker_ever", "ExSmoker", "flag",
         [
             ("TRUE", "smoking = 'Previous'"),
@@ -222,14 +301,11 @@ def cori_classifiers() -> VendorClassifiers:
         ],
         "ex-smoker = has quit at any time",
     )
-    return VendorClassifiers(
-        entity_classifier=cori_entity_classifier(),
-        base=base,
-        habits_cancer=habits_cancer,
-        habits_chemistry=habits_chemistry,
-        ex_smoker_1y=ex_1y,
-        ex_smoker_10y=ex_10y,
-        ex_smoker_ever=ex_ever,
+    return VendorCatalogue.of(
+        cori_entity_classifier,
+        base,
+        habits={"cancer": habits_cancer, "chemistry": habits_chemistry},
+        ex_smoker={"1y": ex_1y, "10y": ex_10y, "ever": ex_ever},
     )
 
 
@@ -243,23 +319,23 @@ def cori_finding_classifiers() -> tuple[EntityClassifier, list[Classifier]]:
         description="every recorded endoscopic finding",
         parent_link="procedure_id",
     )
-    classifiers = [
-        _classifier(
+    definitions = [
+        _define(
             "cori_finding_type", "FindingType", "finding_type",
             [("finding_type", "finding_type IS NOT NULL")],
             entity="Finding",
         ),
-        _classifier(
+        _define(
             "cori_finding_size", "SizeMm", "mm",
             [("size_mm", "size_mm IS NOT NULL")],
             entity="Finding",
         ),
-        _classifier(
+        _define(
             "cori_finding_images", "ImagesTaken", "flag",
             [("images_taken", "images_taken IS NOT NULL")],
             entity="Finding",
         ),
-        _classifier(
+        _define(
             "cori_tumor_volume", "TumorVolume", "cubic_mm",
             [("size_mm * size_mm * size_mm * 0.52",
               "finding_type = 'Tumor' AND size_mm > 0")],
@@ -268,7 +344,7 @@ def cori_finding_classifiers() -> tuple[EntityClassifier, list[Classifier]]:
             entity="Finding",
         ),
     ]
-    return entity, classifiers
+    return entity, [definition.build() for definition in definitions]
 
 
 def cori_medication_classifiers() -> tuple[EntityClassifier, list[Classifier]]:
@@ -281,24 +357,24 @@ def cori_medication_classifiers() -> tuple[EntityClassifier, list[Classifier]]:
         description="every newly prescribed medication",
         parent_link="procedure_id",
     )
-    classifiers = [
-        _classifier(
+    definitions = [
+        _define(
             "cori_drug", "Drug", "name",
             [("drug", "drug IS NOT NULL")],
             entity="NewMedication",
         ),
-        _classifier(
+        _define(
             "cori_dosage", "DosageMg", "mg",
             [("dosage_mg", "dosage_mg IS NOT NULL")],
             entity="NewMedication",
         ),
-        _classifier(
+        _define(
             "cori_pills", "PillsPerDay", "per_day",
             [("pills_per_day", "pills_per_day IS NOT NULL")],
             entity="NewMedication",
         ),
     ]
-    return entity, classifiers
+    return entity, [definition.build() for definition in definitions]
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +391,14 @@ def endopro_entity_classifier() -> EntityClassifier:
     )
 
 
-def endopro_classifiers() -> VendorClassifiers:
+def _endopro_catalogue() -> VendorCatalogue:
     """Classifiers for EndoPro: ``smoker`` means *currently smokes*."""
     base = [
-        _classifier(
+        _define(
             "endopro_proc_type", "ProcedureType", "proc_type",
             [("proc_kind", "proc_kind IS NOT NULL")],
         ),
-        _classifier(
+        _define(
             "endopro_indication", "Indication", "indication",
             [("reason", "reason IS NOT NULL")],
         ),
@@ -338,7 +414,7 @@ def endopro_classifiers() -> VendorClassifiers:
             "endopro_any_hypoxia", "AnyHypoxia", "complication_list", "hypoxia"
         ),
         _flag_from_checkbox("endopro_renal", "RenalFailureHistory", "renal_hx"),
-        _classifier(
+        _define(
             "endopro_cardio", "CardioExamNormal", "flag",
             [
                 ("TRUE", "cardio_exam = 'WNL'"),
@@ -346,7 +422,7 @@ def endopro_classifiers() -> VendorClassifiers:
             ],
             "'Not examined' stays unclassified rather than guessed",
         ),
-        _classifier(
+        _define(
             "endopro_abdo", "AbdominalExamNormal", "flag",
             [
                 ("TRUE", "abdominal_exam = 'WNL'"),
@@ -363,7 +439,7 @@ def endopro_classifiers() -> VendorClassifiers:
             "endopro_oxygen", "OxygenGiven", "intervention_list",
             "Oxygen administration",
         ),
-        _classifier(
+        _define(
             "endopro_packs", "Smoking", "packs_per_day",
             [
                 ("cigarettes_per_day / 20", "smoker = TRUE"),
@@ -372,7 +448,7 @@ def endopro_classifiers() -> VendorClassifiers:
             "EndoPro counts cigarettes; 20 per pack.  Ex-smokers' historic "
             "frequency is not captured by this tool and stays unclassified",
         ),
-        _classifier(
+        _define(
             "endopro_status3", "Smoking", "status3",
             [
                 ("'Current'", "smoker = TRUE"),
@@ -381,7 +457,7 @@ def endopro_classifiers() -> VendorClassifiers:
             ],
             "the g-tree shows 'smoker' asks about CURRENT smoking only",
         ),
-        _classifier(
+        _define(
             "endopro_alcohol", "Alcohol", "alcohol3",
             [
                 ("'None'", "STARTSWITH(alcohol_notes, 'None')"),
@@ -391,7 +467,7 @@ def endopro_classifiers() -> VendorClassifiers:
             "vendor records alcohol as free text",
         ),
     ]
-    habits_cancer = _classifier(
+    habits_cancer = _define(
         "endopro_habits_cancer", "Smoking", "habits4",
         [
             ("'None'", "smoker = FALSE AND former_smoker = FALSE"),
@@ -402,7 +478,7 @@ def endopro_classifiers() -> VendorClassifiers:
         ],
         "cancer-study cutoffs expressed in cigarettes (pack = 20)",
     )
-    habits_chemistry = _classifier(
+    habits_chemistry = _define(
         "endopro_habits_chemistry", "Smoking", "habits4",
         [
             ("'None'", "smoker = FALSE AND former_smoker = FALSE"),
@@ -413,7 +489,7 @@ def endopro_classifiers() -> VendorClassifiers:
         ],
         "chemistry-flier cutoffs expressed in cigarettes",
     )
-    ex_1y = _classifier(
+    ex_1y = _define(
         "endopro_ex_smoker_1y", "ExSmoker", "flag",
         [
             ("TRUE", "former_smoker = TRUE AND years_since_quit <= 1"),
@@ -422,7 +498,7 @@ def endopro_classifiers() -> VendorClassifiers:
             ("FALSE", "years_since_quit > 1"),
         ],
     )
-    ex_10y = _classifier(
+    ex_10y = _define(
         "endopro_ex_smoker_10y", "ExSmoker", "flag",
         [
             ("TRUE", "former_smoker = TRUE AND years_since_quit <= 10"),
@@ -431,7 +507,7 @@ def endopro_classifiers() -> VendorClassifiers:
             ("FALSE", "years_since_quit > 10"),
         ],
     )
-    ex_ever = _classifier(
+    ex_ever = _define(
         "endopro_ex_smoker_ever", "ExSmoker", "flag",
         [
             ("TRUE", "former_smoker = TRUE"),
@@ -439,14 +515,11 @@ def endopro_classifiers() -> VendorClassifiers:
             ("FALSE", "former_smoker = FALSE"),
         ],
     )
-    return VendorClassifiers(
-        entity_classifier=endopro_entity_classifier(),
-        base=base,
-        habits_cancer=habits_cancer,
-        habits_chemistry=habits_chemistry,
-        ex_smoker_1y=ex_1y,
-        ex_smoker_10y=ex_10y,
-        ex_smoker_ever=ex_ever,
+    return VendorCatalogue.of(
+        endopro_entity_classifier,
+        base,
+        habits={"cancer": habits_cancer, "chemistry": habits_chemistry},
+        ex_smoker={"1y": ex_1y, "10y": ex_10y, "ever": ex_ever},
     )
 
 
@@ -464,23 +537,23 @@ def medscribe_entity_classifier() -> EntityClassifier:
     )
 
 
-def medscribe_classifiers() -> VendorClassifiers:
+def _medscribe_catalogue() -> VendorCatalogue:
     """Classifiers for MedScribe: ``smoker`` means *has EVER smoked*."""
     indication_guard = " OR ".join(
         f"indication_text = '{indication}'" for indication in INDICATIONS
     )
     base = [
-        _classifier(
+        _define(
             "medscribe_proc_type", "ProcedureType", "proc_type",
             [("procedure_code", "procedure_code IS NOT NULL")],
         ),
-        _classifier(
+        _define(
             "medscribe_indication", "Indication", "indication",
             [("indication_text", indication_guard)],
             "free-text indications only classify when they match study "
             "vocabulary exactly",
         ),
-        _classifier(
+        _define(
             "medscribe_year", "ProcedureYear", "year",
             [("YEAR(visit_date)", "visit_date IS NOT NULL")],
         ),
@@ -490,7 +563,7 @@ def medscribe_classifiers() -> VendorClassifiers:
         _flag_from_checkbox(
             "medscribe_prolonged_hypoxia", "ProlongedHypoxia", "c_hypoxia_prolonged"
         ),
-        _classifier(
+        _define(
             "medscribe_any_hypoxia", "AnyHypoxia", "flag",
             [
                 ("TRUE", "c_hypoxia_transient = TRUE OR c_hypoxia_prolonged = TRUE"),
@@ -503,14 +576,14 @@ def medscribe_classifiers() -> VendorClassifiers:
         _flag_from_checkbox("medscribe_surgery", "SurgeryPerformed", "i_surgery"),
         _flag_from_checkbox("medscribe_iv", "IVFluidsGiven", "i_iv_fluids"),
         _flag_from_checkbox("medscribe_oxygen", "OxygenGiven", "i_oxygen"),
-        _classifier(
+        _define(
             "medscribe_packs", "Smoking", "packs_per_day",
             [
                 ("packs_daily", "smoker = TRUE AND packs_daily IS NOT NULL"),
                 ("0", "smoker = FALSE"),
             ],
         ),
-        _classifier(
+        _define(
             "medscribe_status3", "Smoking", "status3",
             [
                 ("'Current'", "smoker = TRUE AND quit = FALSE"),
@@ -521,7 +594,7 @@ def medscribe_classifiers() -> VendorClassifiers:
             "separates current from past",
         ),
     ]
-    habits_cancer = _classifier(
+    habits_cancer = _define(
         "medscribe_habits_cancer", "Smoking", "habits4",
         [
             ("'None'", "smoker = FALSE OR packs_daily = 0"),
@@ -530,7 +603,7 @@ def medscribe_classifiers() -> VendorClassifiers:
             ("'Heavy'", "packs_daily >= 5"),
         ],
     )
-    habits_chemistry = _classifier(
+    habits_chemistry = _define(
         "medscribe_habits_chemistry", "Smoking", "habits4",
         [
             ("'None'", "smoker = FALSE OR packs_daily = 0"),
@@ -539,7 +612,7 @@ def medscribe_classifiers() -> VendorClassifiers:
             ("'Heavy'", "packs_daily >= 2"),
         ],
     )
-    ex_1y = _classifier(
+    ex_1y = _define(
         "medscribe_ex_smoker_1y", "ExSmoker", "flag",
         [
             ("TRUE", "quit = TRUE AND years_quit <= 1"),
@@ -548,7 +621,7 @@ def medscribe_classifiers() -> VendorClassifiers:
             ("FALSE", "years_quit > 1"),
         ],
     )
-    ex_10y = _classifier(
+    ex_10y = _define(
         "medscribe_ex_smoker_10y", "ExSmoker", "flag",
         [
             ("TRUE", "quit = TRUE AND years_quit <= 10"),
@@ -557,7 +630,7 @@ def medscribe_classifiers() -> VendorClassifiers:
             ("FALSE", "years_quit > 10"),
         ],
     )
-    ex_ever = _classifier(
+    ex_ever = _define(
         "medscribe_ex_smoker_ever", "ExSmoker", "flag",
         [
             ("TRUE", "quit = TRUE"),
@@ -565,32 +638,55 @@ def medscribe_classifiers() -> VendorClassifiers:
             ("FALSE", "quit = FALSE"),
         ],
     )
-    return VendorClassifiers(
-        entity_classifier=medscribe_entity_classifier(),
-        base=base,
-        habits_cancer=habits_cancer,
-        habits_chemistry=habits_chemistry,
-        ex_smoker_1y=ex_1y,
-        ex_smoker_10y=ex_10y,
-        ex_smoker_ever=ex_ever,
+    return VendorCatalogue.of(
+        medscribe_entity_classifier,
+        base,
+        habits={"cancer": habits_cancer, "chemistry": habits_chemistry},
+        ex_smoker={"1y": ex_1y, "10y": ex_10y, "ever": ex_ever},
     )
 
 
 # ---------------------------------------------------------------------------
 # Binding helper
 
+_CATALOGUES = {
+    "cori": _cori_catalogue(),
+    "endopro": _endopro_catalogue(),
+    "medscribe": _medscribe_catalogue(),
+}
+
+
+def cori_classifiers() -> VendorClassifiers:
+    """Classifiers for the CORI tool's g-tree."""
+    return _CATALOGUES["cori"].classifiers()
+
+
+def endopro_classifiers() -> VendorClassifiers:
+    """Classifiers for EndoPro: ``smoker`` means *currently smokes*."""
+    return _CATALOGUES["endopro"].classifiers()
+
+
+def medscribe_classifiers() -> VendorClassifiers:
+    """Classifiers for MedScribe: ``smoker`` means *has EVER smoked*."""
+    return _CATALOGUES["medscribe"].classifiers()
+
+
+def _catalogue_for(source: GuavaSource) -> VendorCatalogue:
+    catalogue = _CATALOGUES.get(source.tool.name)
+    if catalogue is None:
+        raise StudyError(f"no classifier set for tool {source.tool.name!r}")
+    return catalogue
+
 
 def vendor_classifiers_for(source: GuavaSource) -> VendorClassifiers:
-    """The classifier set matching a clinical-world source."""
-    by_tool = {
-        "cori": cori_classifiers,
-        "endopro": endopro_classifiers,
-        "medscribe": medscribe_classifiers,
-    }
-    builder = by_tool.get(source.tool.name)
-    if builder is None:
-        raise ValueError(f"no classifier set for tool {source.tool.name!r}")
-    return builder()
+    """The classifier set matching a clinical-world source.
+
+    Every call builds every classifier of the vendor's catalogue anew, so
+    the caller owns the objects it gets and may change them; only the
+    immutable ``Rule`` objects (and their ASTs) are shared.  An unknown
+    tool raises :class:`~repro.errors.StudyError`.
+    """
+    return _catalogue_for(source).classifiers()
 
 
 def standard_bindings(
@@ -601,18 +697,25 @@ def standard_bindings(
 ) -> None:
     """Bind every source to ``study`` with the requested variants.
 
-    Only classifiers whose targets the study actually selected are bound,
-    so one helper serves every study over the endoscopy schema.
+    Only the classifiers whose targets the study selected are built, in
+    catalogue order, and bound, so one helper serves every study over the
+    endoscopy schema and a study of nine elements builds nine classifiers
+    per source.  Each is a new object (the study may change it); the rules
+    it holds are the catalogue's shared ``Rule`` objects, which is what lets
+    :meth:`Study.bind` and :meth:`Study.row_map` reuse the work of an
+    earlier build.  An unknown tool, or an unknown variant of a selected
+    element, raises :class:`~repro.errors.StudyError`.
     """
     wanted = {(attribute, domain) for _, attribute, domain in study.elements}
+    chosen = {HABITS: habits_variant, EX_SMOKER: ex_smoker_definition}
     for source in sources:
-        vendor = vendor_classifiers_for(source)
-        chosen: list[Classifier] = []
-        for classifier in vendor.base:
-            if (classifier.target_attribute, classifier.target_domain) in wanted:
-                chosen.append(classifier)
-        if ("Smoking", "habits4") in wanted:
-            chosen.append(vendor.habits(habits_variant))
-        if ("ExSmoker", "flag") in wanted:
-            chosen.append(vendor.ex_smoker(ex_smoker_definition))
-        study.bind(source, [vendor.entity_classifier], chosen)
+        catalogue = _catalogue_for(source)
+        for pair, kind in VARIANTS.items():
+            if pair in wanted and (pair, chosen[pair]) not in catalogue.definitions:
+                raise StudyError(f"unknown {kind} {chosen[pair]!r}")
+        classifiers = [
+            definition.build()
+            for (pair, variant), definition in catalogue.definitions.items()
+            if pair in wanted and variant == chosen.get(pair)
+        ]
+        study.bind(source, [catalogue.entity_classifier()], classifiers)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.errors import StudyError
 from repro.expr.ast import BinaryOp, Expression
 from repro.expr.evaluator import Evaluator
+from repro.expr.memo import IdentityTupleMemo
 from repro.expr.parser import parse
 from repro.guava.query import GTreeQuery
 from repro.guava.source import GuavaSource, RowMap
@@ -49,6 +50,16 @@ Element = tuple[str, str, str]
 
 #: Output column carrying the has-a parent's record id (child entities).
 PARENT_RECORD_ID = "parent_record_id"
+
+
+#: Bind checks and row maps, kept per the identity of their immutable
+#: inputs (``Rule``, AST, ``Domain`` and g-tree objects, names and cleaning
+#: rules), so a study rebuilt from the same definitions repeats none of the
+#: work.  Never keyed on a ``Classifier`` or ``EntityClassifier``: those
+#: are the caller's own, mutable objects.
+_CLASSIFIER_CHECKS: IdentityTupleMemo[list[str]] = IdentityTupleMemo()
+_ENTITY_CHECKS: IdentityTupleMemo[list[str]] = IdentityTupleMemo()
+_ROW_MAPS: IdentityTupleMemo["EntityRowMap"] = IdentityTupleMemo()
 
 
 #: Marks a mapped row as a record a record-scoped cleaning rule discarded:
@@ -165,7 +176,14 @@ class Study(Annotated):
 
         Validates every classifier against the source's g-trees and
         against the study schema, so binding errors surface at study
-        definition time, not mid-run.
+        definition time, not mid-run.  A ``validate_against`` result is
+        a function of immutable objects alone, so it is kept: per (the
+        ``Rule`` objects, the g-tree) for a classifier, and per (the
+        condition AST, form, ``parent_link``, the g-tree) for an entity
+        classifier, each by identity.  A rebuilt definition, which holds
+        the same objects, is checked by lookup; a redeployed tool's new
+        g-tree objects are checked afresh.  The schema and duplicate
+        checks run on every bind.
         """
         binding = SourceBinding(source)
         for ec in entity_classifiers:
@@ -174,7 +192,11 @@ class Study(Annotated):
                     f"entity classifier {ec.name!r} targets unknown entity "
                     f"{ec.target_entity!r}"
                 )
-            problems = ec.validate_against(source.gtree(ec.form))
+            gtree = source.gtree(ec.form)
+            key = (ec.condition, ec.form, ec.parent_link, gtree)
+            problems = _ENTITY_CHECKS.get(key)
+            if problems is None:
+                problems = _ENTITY_CHECKS.put(key, ec.validate_against(gtree))
             if problems:
                 raise StudyError(
                     f"entity classifier {ec.name!r} invalid for source "
@@ -186,21 +208,27 @@ class Study(Annotated):
                 )
             binding.entity_classifiers[ec.target_entity] = ec
         for classifier in classifiers:
-            self.schema.domain_of(*classifier.target)  # raises if unknown
+            target = classifier.target
+            self.schema.domain_of(*target)  # raises if unknown
             ec = binding.entity_classifiers.get(classifier.target_entity)
             if ec is None:
                 raise StudyError(
                     f"classifier {classifier.name!r} targets entity "
                     f"{classifier.target_entity!r} with no entity classifier bound"
                 )
-            form = classifier.source_form or ec.form
-            missing = classifier.validate_against(source.gtree(form))
+            gtree = source.gtree(classifier.source_form or ec.form)
+            key = (*classifier.rules, gtree)
+            missing = _CLASSIFIER_CHECKS.get(key)
+            if missing is None:
+                missing = _CLASSIFIER_CHECKS.put(
+                    key, classifier.validate_against(gtree)
+                )
             if missing:
                 raise StudyError(
                     f"classifier {classifier.name!r} references unknown "
                     f"node(s) {missing} in source {source.name!r}"
                 )
-            binding.classifiers[classifier.target] = classifier
+            binding.classifiers[target] = classifier
         self.bindings.append(binding)
         return binding
 
@@ -272,13 +300,28 @@ class Study(Annotated):
         rebuilt from the same definition shares the memoized rows of the
         one before.  Rules, domains and ASTs are immutable, and their
         fingerprint texts are kept per object
-        (:func:`~repro.relational.query.memoized_fingerprint`), so a
-        rebuilt definition, which holds the same objects, walks none of
-        them.
+        (:func:`~repro.relational.query.memoized_fingerprint`).
+
+        The map itself, key text and compiled closures, is kept per the
+        identity of those inputs: the source name, ``parent_link``, the
+        active cleaning rules and their conditions, and each element's
+        column, ``Domain`` and ``Rule`` objects.  A rebuilt definition,
+        which holds the same objects, gets the very map of the build
+        before.  A map is kept only when its key text is fixed (see
+        :func:`~repro.relational.query._fingerprint`), so one over a
+        ``Literal`` or ``Domain`` holding a list is built on every call.
         """
         source_name = binding.source.name
-        columns = []
-        structure: list[object] = [source_name, parent_link]
+        discards = tuple(
+            rule
+            for rule in self.cleaning.get(entity, [])
+            if rule.scope == "record" and rule.source in (None, source_name)
+        )
+        conditions = tuple(rule.condition for rule in discards)
+        # One flat tuple, each item by identity; the items' types fix where
+        # each element's column, domain and rules begin.
+        identity: list[object] = [source_name, parent_link, *discards, *conditions]
+        elements = []
         for element in self.elements_of(entity):
             classifier = binding.classifiers.get(element)
             if classifier is None:
@@ -288,16 +331,26 @@ class Study(Annotated):
             _, attribute, domain_name = element
             column = element_column(attribute, domain_name)
             domain = self.schema.domain_of(*element)
-            columns.append((column, classifier.compile(domain)))
-            structure.append((column, tuple(classifier.rules), domain))
-        discards = tuple(
-            rule
-            for rule in self.cleaning.get(entity, [])
-            if rule.scope == "record" and rule.source in (None, source_name)
+            rules = tuple(classifier.rules)
+            elements.append((column, rules, domain, classifier))
+            identity += (column, domain, *rules)
+        key = tuple(identity)
+        kept = _ROW_MAPS.get(key)
+        if kept is not None:
+            return kept
+
+        structure = (
+            source_name,
+            parent_link,
+            *((column, rules, domain) for column, rules, domain, _ in elements),
+            conditions,
         )
-        structure.append(tuple(rule.condition for rule in discards))
         parts: list[str] = []
-        _fingerprint(tuple(structure), parts.append)
+        fixed = _fingerprint(structure, parts.append)
+        columns = [
+            (column, classifier.compile(domain))
+            for column, _, domain, classifier in elements
+        ]
 
         def apply(record: Row) -> Row:
             for index, rule in enumerate(discards):
@@ -312,7 +365,10 @@ class Study(Annotated):
                 row[column] = classify(record)
             return row
 
-        return EntityRowMap("".join(parts), apply, source_name, discards)
+        row_map = EntityRowMap("".join(parts), apply, source_name, discards)
+        if fixed:
+            _ROW_MAPS.put(key, row_map)
+        return row_map
 
     def output_columns(self, entity: str) -> tuple[str, ...]:
         """Column names of an entity's study table."""

@@ -112,13 +112,17 @@ class StudySchema(Annotated):
     # -- lookup ------------------------------------------------------------------
 
     def entity(self, name: str) -> Entity:
+        if self.primary.name == name:  # the common case, without a walk
+            return self.primary
         for entity in self.primary.iter_tree():
             if entity.name == name:
                 return entity
         raise StudySchemaError(f"study schema has no entity {name!r}")
 
     def has_entity(self, name: str) -> bool:
-        return any(entity.name == name for entity in self.primary.iter_tree())
+        return self.primary.name == name or any(
+            entity.name == name for entity in self.primary.iter_tree()
+        )
 
     def entities(self) -> list[Entity]:
         return list(self.primary.iter_tree())

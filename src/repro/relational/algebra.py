@@ -855,6 +855,12 @@ class TopK(Plan):
 
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         rows = self.child.stream(ctx)
+        if self.count <= 0:
+            # Nothing to select, yet the child runs to the end, as in the
+            # interpreter: its errors (a SUM over text) must still surface.
+            for _ in rows:
+                pass
+            return iter(())
         directions = {ascending for _, ascending in self.keys}
         if len(directions) <= 1:
             select = heapq.nsmallest if directions != {False} else heapq.nlargest

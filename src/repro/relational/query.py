@@ -458,6 +458,12 @@ def _fingerprint(value: object, emit: Callable[[str], None]) -> bool:
     type.  So a ``Literal`` over a list, and every node above it, is walked
     on each call, and ``Literal(1)``, ``Literal(True)`` and
     ``Literal(1.0)`` keep their own texts.
+
+    The items of a memoized value's tuple field (an ``IN`` list's items,
+    a call's arguments) store no text of their own: a rebuilt definition
+    hits the text of the value above them, and a new 5,000-item ``IN``
+    list would otherwise store 5,000 texts and clear the memo of the kept
+    ``Rule`` and ``Domain`` texts (:func:`_fingerprint_items`).
     """
     if type(value) not in _MEMOIZED_TYPES:
         return _fingerprint_fields(value, emit)
@@ -474,20 +480,44 @@ def _fingerprint(value: object, emit: Callable[[str], None]) -> bool:
     return fixed
 
 
+def _fingerprint_items(items: tuple, emit: Callable[[str], None]) -> bool:
+    """:func:`_fingerprint` of a memoized value's tuple field: an item's
+    kept text is used, no item's text is stored."""
+    fixed = True
+    emit("[")
+    for item in items:
+        text = _TEXTS.get(item) if type(item) in _MEMOIZED_TYPES else None
+        if text is None:
+            fixed &= _fingerprint_fields(item, emit)
+        else:
+            emit(text)
+        emit(",")
+    emit("]")
+    return fixed
+
+
 def _fingerprint_fields(value: object, emit: Callable[[str], None]) -> bool:
     """One level of the uncached walk; fields and items go back through
-    :func:`_fingerprint`."""
+    :func:`_fingerprint` (a memoized value's tuple fields through
+    :func:`_fingerprint_items`)."""
     kind = type(value)
     try:
         names = _FIELD_NAMES[kind]
     except KeyError:
         names = _FIELD_NAMES[kind] = _field_names(kind)
     if names is not None:
-        fixed = kind in _MEMOIZED_TYPES
+        memoized = fixed = kind in _MEMOIZED_TYPES
         emit(kind.__name__)
         emit("(")
         for name in names:
-            fixed &= _fingerprint(getattr(value, name), emit)
+            field = getattr(value, name)
+            field_kind = type(field)
+            if field_kind in _FIXED_SCALARS:  # the common leaf, inline
+                emit(f"{field_kind.__name__}:{field!r};")
+            elif memoized and field_kind is tuple:
+                fixed &= _fingerprint_items(field, emit)
+            else:
+                fixed &= _fingerprint(field, emit)
             emit(",")
         emit(")")
         return fixed

@@ -1008,7 +1008,7 @@ def _topk_batches(plan: TopK, ctx: ExecContext) -> Iterator[Batch]:
             indices.sort(
                 key=lambda i, col=col: _sort_key(col[i]), reverse=not ascending
             )
-        chosen = indices[: plan.count]
+        chosen = indices[: max(plan.count, 0)]
     if chosen:
         yield merged.take(chosen)
 

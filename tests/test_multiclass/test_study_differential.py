@@ -27,8 +27,14 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.multiclass.study as study_module
 import repro.relational.query as relational_query
-from repro.analysis import build_study1, build_study2, vendor_classifiers_for
+from repro.analysis import (
+    build_cohort_study,
+    build_study1,
+    build_study2,
+    vendor_classifiers_for,
+)
 from repro.clinical import build_world, generate_truths
 from repro.clinical.cori import cori_procedure_values
 from repro.clinical.vendors import endopro_values, medscribe_values
@@ -454,18 +460,33 @@ class TestMemoKey:
 _DEFINITIONS = STUDIES[:4]  # S1 and S2 under its three ex-smoker definitions
 
 
-def _keys(study):
+def _habits_chemistry(world):
+    return build_cohort_study(
+        "habits_chemistry",
+        world,
+        [("Smoking", "habits4"), ("AnyHypoxia", "flag")],
+        habits_variant="chemistry",
+    )
+
+
+def _maps(study):
     return [
-        study.row_map(binding, entity, binding.entity_classifiers[entity].parent_link).key
+        study.row_map(binding, entity, binding.entity_classifiers[entity].parent_link)
         for entity in study.entities_in_play()
         for binding in study.bindings
     ]
 
 
+def _keys(study):
+    return [row_map.key for row_map in _maps(study)]
+
+
 class TestRebuild:
     def test_a_rebuild_walks_no_rule_ast(self):
         world = build_world(20, seed=3)
-        relational_query._TEXTS.clear()  # so the first build's texts all fit
+        # So the first build's texts all fit and its row maps are built.
+        relational_query._TEXTS.clear()
+        study_module._ROW_MAPS.clear()
         first = [_keys(build(world)) for build in _DEFINITIONS]
         walked = []
         uncached = relational_query._fingerprint_fields
@@ -482,31 +503,37 @@ class TestRebuild:
                 study.run()
                 _publish(study)
             assert walked == []
-            # The count sees walks: with the texts gone, the same keys come
-            # from walking every rule, domain and condition again.
+            # The count sees walks: with the texts and the kept row maps
+            # gone, the same keys come from walking every rule, domain and
+            # condition again.
             relational_query._TEXTS.clear()
+            study_module._ROW_MAPS.clear()
             assert [_keys(study) for study in rebuilt] == first
         assert {type(value) for value in walked} >= {Rule, Domain}
 
     def test_a_rebuilt_study_answers_like_the_first_build(self):
         harness = _World()
-        firsts = [build(harness.world) for build in _DEFINITIONS]
+        builds = _DEFINITIONS + (_habits_chemistry,)
+        firsts = [build(harness.world) for build in builds]
         outcomes = []
 
         def compare():
-            for build, first in zip(_DEFINITIONS, firsts):
+            for build, first in zip(builds, firsts):
                 expected = _oracle(first)
+                study = build(harness.world)
+                assert all(a is b for a, b in zip(_maps(study), _maps(first)))
                 with tracing() as tracer:
-                    rebuilt = _run(build(harness.world))
+                    rebuilt = _run(study)
+                    again = _run(first)
                 outcomes.extend(_memo_outcomes(tracer))
                 assert rebuilt == expected
-                assert _run(first) == expected
+                assert again == expected
 
         compare()  # the rebuilt studies miss, their first builds admit
         compare()  # both hit
         harness.enter(6)
         compare()  # the rebuilt studies patch the kept rows
-        assert {"miss", "hit", "delta"} <= set(outcomes)
+        assert {"miss", "admit", "hit", "delta"} <= set(outcomes)
 
 
 class TestClassifiedOnce:

@@ -1,8 +1,9 @@
 """Pins the structural fingerprints to the field-by-field reference.
 
 ``_fingerprint`` caches each type's dataclass field names, and keeps the
-text of every expression node, ``Rule`` and ``Domain`` per object once
-the text is known to be fixed.  Plan-cache keys, g-tree read shapes and
+text of expression nodes, ``Rule`` and ``Domain`` per object once the
+text is known to be fixed (never the items of a tuple field, such as an
+``IN`` list's).  Plan-cache keys, g-tree read shapes and
 row-map keys are built from its output, so the strings must stay
 byte-identical to the uncached walk below, which asks ``dataclasses`` for
 every node: on a first call, on a repeat call (served by the memo), and
@@ -269,6 +270,42 @@ class TestMemoizedFingerprint:
         categories.append("y")
         assert _text(domain) == _reference_text(domain)
         assert query_module._TEXTS.get(domain) is None
+
+    def test_a_new_literal_list_keeps_the_kept_texts(self):
+        memo = query_module._TEXTS
+        memo.clear()
+        rule = Rule.of("'Heavy'", "packs_per_day >= 5")
+        expected = _reference_text(rule)
+        assert _text(rule) == expected
+        limit = memo.limit
+        memo.limit = 64  # far fewer entries than the list has items
+        try:
+            for negated in (False, True):
+                before = len(memo)
+                listed = InList(
+                    Identifier.of("code"),
+                    tuple(Literal(n) for n in range(5000)),
+                    negated=negated,
+                )
+                for _ in range(2):
+                    assert _text(listed) == _reference_text(listed)
+                assert len(memo) - before <= 2  # the list and its operand
+                assert memo.get(rule) == expected
+                assert all(memo.get(item) is None for item in listed.items)
+                called = FunctionCall("COALESCE", listed.items[:100])
+                assert _text(called) == _reference_text(called)
+                assert memo.get(rule) == expected
+        finally:
+            memo.limit = limit
+
+    def test_an_item_reads_a_kept_text(self):
+        item = BinaryOp("+", Identifier.of("a"), Literal(1))
+        kept = _text(item)
+        listed = InList(Identifier.of("b"), (item, Literal(2)))
+        with_memo = _text(listed)
+        query_module._TEXTS.clear()
+        assert with_memo == _text(listed) == _reference_text(listed)
+        assert kept in with_memo
 
     def test_plan_nodes_are_not_memoized(self):
         plan = Select(Scan("t"), BinaryOp("=", Identifier.of("a"), Literal(1)))

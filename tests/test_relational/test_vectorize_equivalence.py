@@ -399,6 +399,33 @@ class TestErrorParity:
             with pytest.raises(QueryError, match="disagree"):
                 executor()
 
+    def test_a_top_k_of_no_rows_still_runs_its_child(self):
+        # SUM over names raises; a TopK of count 0 must still reach it.
+        db = _load([{"patient_id": 1, "age": 2, "name": "ann", "smoker": True}], [])
+        summed = Aggregate(
+            Scan("patients"), (), (AggregateSpec("SUM", "name", "total"),)
+        )
+        for keys in ((("total", False),), (("total", False), ("total", True))):
+            plan = TopK(summed, keys, 0)
+            for executor in (
+                lambda: execute_interpreted(plan, db),
+                lambda: plan.execute(db),
+                lambda: Vectorized(plan).execute(db),
+            ):
+                with pytest.raises(TypeError):
+                    executor()
+
+    def test_a_negative_top_k_returns_no_rows(self):
+        rows = [
+            {"patient_id": i, "age": i, "name": "ann", "smoker": True}
+            for i in range(3)
+        ]
+        db = _load(rows, [])
+        for keys in ((("age", False),), (("age", False), ("name", True))):
+            plan = TopK(Scan("patients"), keys, -1)
+            _assert_batch_agrees(plan, db)
+            assert plan.execute(db) == []
+
     def test_interpreter_refuses_vectorized_node(self):
         db = _load([], [])
         with pytest.raises(QueryError, match="Vectorized"):
