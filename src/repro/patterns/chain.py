@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+from contextlib import suppress
 from typing import Mapping
 
 from repro.errors import PatternConfigError, PatternWriteError
@@ -9,6 +11,7 @@ from repro.patterns.base import DesignPattern, Row, Schemas
 from repro.relational.algebra import Plan, Scan
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
+from repro.relational.table import CheckedBatch, Table
 
 
 class PatternChain:
@@ -51,6 +54,9 @@ class PatternChain:
         each pattern rebuild its write-time state from ``db``'s rows."""
         for schema in self.physical_schemas.values():
             db.ensure_table(schema)
+        self._attach(db)
+
+    def _attach(self, db: Database) -> None:
         for level, pattern in enumerate(self.patterns):
             pattern.attach(
                 db, lambda name, level=level: self._plan(level + 1, name).execute(db)
@@ -59,19 +65,41 @@ class PatternChain:
     # -- write path -----------------------------------------------------------
 
     def write(self, db: Database, form_name: str, naive_row: Mapping[str, object]) -> int:
-        """Store one saved screen; returns physical rows written."""
+        """Store one saved screen; returns physical rows written.
+
+        The screen is one batch per physical table: every table's rows are
+        checked (:meth:`Table.check_batch`) before any table stores its
+        own, so a screen that fails a check writes nothing.  It also leaves
+        no write-time pattern state behind: the patterns reload theirs
+        (Lookup's codes) from the rows stored.
+        """
         if form_name not in self.levels[0]:
             raise PatternWriteError(f"chain has no naive table {form_name!r}")
         pairs: list[tuple[str, Row]] = [(form_name, dict(naive_row))]
-        for level, pattern in enumerate(self.patterns):
-            next_pairs: list[tuple[str, Row]] = []
+        try:
+            for pattern, schemas in zip(self.patterns, self.levels):
+                write_to = pattern.write_to
+                next_pairs: list[tuple[str, Row]] = []
+                for table, row in pairs:
+                    next_pairs += write_to(db, table, row, schemas)
+                pairs = next_pairs
+            batches: defaultdict[str, list[Row]] = defaultdict(list)
             for table, row in pairs:
-                next_pairs.extend(
-                    pattern.write_to(db, table, row, self.levels[level])
-                )
-            pairs = next_pairs
-        for table, row in pairs:
-            db.table(table).insert(row)
+                batches[table].append(row)
+            checked: list[tuple[Table, CheckedBatch]] = []
+            for table, rows in batches.items():
+                target = db.table(table)
+                checked.append((target, target.check_batch(rows)))
+        except Exception:
+            # Nothing is stored: drop what the patterns noted on the way
+            # down.  A database the chain cannot read back (never deployed)
+            # has no state to reload, and the write's own error is the one
+            # to raise.
+            with suppress(Exception):
+                self._attach(db)
+            raise
+        for target, batch in checked:
+            target.append_checked(batch)
         return len(pairs)
 
     def writer(self, db: Database):

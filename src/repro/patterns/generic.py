@@ -82,7 +82,9 @@ class GenericPattern(DesignPattern):
                         self.entity_column: table,
                         self.key: row.get(self.key),
                         self.attribute_column: column,
-                        self.value_column: DataType.TEXT.coerce(value),
+                        self.value_column: (
+                            value if type(value) is str else DataType.TEXT.coerce(value)
+                        ),
                     },
                 )
             )

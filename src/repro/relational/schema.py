@@ -4,9 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType
+
+#: What a stored value of one column must pass: (column name, native type,
+#: coercer, nullable).
+ColumnCheck = tuple[str, type, Callable[[object], object], bool]
 
 @dataclass(frozen=True)
 class Column:
@@ -73,6 +78,19 @@ class TableSchema:
     def column_set(self) -> frozenset[str]:
         """The column names as a set, for membership checks."""
         return frozenset(self.column_names)
+
+    @cached_property
+    def checks(self) -> tuple[ColumnCheck, ...]:
+        """The row check of every table with this schema, one entry a column.
+
+        A value of the column's native type (a finite float for FLOAT) is
+        stored as it is; NULL is checked against ``nullable``; anything else
+        goes through the coercer, ``DataType.coerce``.
+        """
+        return tuple(
+            (column.name, column.dtype.native, column.dtype.coerce, column.nullable)
+            for column in self.columns
+        )
 
     def column(self, name: str) -> Column:
         """Look up a column by name."""

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping
+from math import isfinite
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import IntegrityError, SchemaError
 from repro.relational.index import HashIndex
 from repro.relational.schema import TableSchema
-from repro.relational.types import Converter
+from repro.relational.types import Converter, unchanged_by_coerce
 
 Row = dict[str, object]
 
-_NONE_TYPE = type(None)
+#: A batch :meth:`Table.check_batch` accepted: (the table's version when
+#: checked, the rows to store, their primary keys).
+CheckedBatch = tuple[int, list[Row], list[tuple[object, ...]]]
 
 #: Callbacks fired whenever a table's extent or counters are *restored*
 #: (snapshot load, WAL replay) rather than mutated through the normal
@@ -227,38 +230,78 @@ class Table:
     def insert(self, values: Mapping[str, object]) -> Row:
         """Validate, coerce, store, and return the new row (as a copy)."""
         row = self._validate(values)
-        if self._pk_index is not None:
-            key = self._pk_index.key_of(row)
-            if any(k is None for k in key):
-                raise IntegrityError(
-                    f"{self.name}: primary key columns {self.schema.primary_key} must not be NULL"
-                )
-            if self._pk_index.lookup(key):
-                raise IntegrityError(f"{self.name}: duplicate primary key {key}")
+        pk_index = self._pk_index
+        if pk_index is not None:
+            self._check_key(pk_index.key_of(row), ())
         position = len(self._rows)
         self._rows.append(row)
         self._version += 1
-        if self._pk_index is not None:
-            self._pk_index.add(row, position)
+        if pk_index is not None:
+            pk_index.add(row, position)
         for index in self._indexes.values():
             index.add(row, position)
         self._notify("insert", {"row": row})
         return dict(row)
 
+    def check_batch(self, rows: Iterable[Mapping[str, object]]) -> CheckedBatch:
+        """Check a batch of rows as :meth:`insert` checks each; change nothing.
+
+        Rows are checked in order, each one's key against the extent and
+        the rows before it, so the first failing row raises the error the
+        :meth:`insert` loop would raise there.  The result is what
+        :meth:`append_checked` stores, as long as the table has not
+        changed since.  This is the form for small batches (one saved
+        screen's rows); :meth:`insert_many` checks large ones column by
+        column.
+        """
+        validate = self._validate
+        pk_index = self._pk_index
+        stored: list[Row] = []
+        # Insertion-ordered: the keys of ``stored``, since a repeat raises.
+        keys: dict[tuple[object, ...], None] = {}
+        for values in rows:
+            row = validate(values)
+            if pk_index is not None:
+                key = pk_index.key_of(row)
+                self._check_key(key, keys)
+                keys[key] = None
+            stored.append(row)
+        return self._version, stored, list(keys)
+
+    def append_checked(self, batch: CheckedBatch) -> int:
+        """Store a batch from :meth:`check_batch`; returns the rows stored.
+
+        Stores what :meth:`insert` on each row would (rows, one version
+        bump per row, index entries) with no second check, and tells the
+        mutation listener once: ``("insert_many", {"rows": rows})``.  A
+        batch checked before the table last changed raises
+        :class:`IntegrityError` and stores nothing.
+        """
+        version, stored, keys = batch
+        if version != self._version:
+            raise IntegrityError(
+                f"{self.name}: the batch was checked at version {version}, "
+                f"the table is at {self._version}"
+            )
+        if stored:
+            self._append(stored, keys)
+        return len(stored)
+
     def insert_many(self, rows: Iterable[Mapping[str, object]]) -> int:
         """Insert several rows; returns the count inserted.
 
         The result is that of :meth:`insert` on each row in order: the same
-        stored rows, version, index entries and listener calls (one
-        ``insert`` per row).  The work is column by column: every check runs
-        over the whole batch first, and only a batch that passes them all
-        changes the table.  Any failed check sends the batch to the
-        row-at-a-time loop, which raises the same error after inserting the
-        same prefix as calling :meth:`insert` per row would.  ``rows`` is
-        read to the end before the first insert; if reading it raises, the
-        rows read so far go through the loop and the error propagates.  A
-        listener that raises sees every row of a checked batch already
-        stored.
+        stored rows, version and index entries; the listener hears one
+        ``("insert_many", {"rows": rows})`` call for a checked batch, the
+        row loop's ``insert`` calls otherwise.  The work is column by
+        column: every check runs over the whole batch first, and only a
+        batch that passes them all changes the table.  Any failed check
+        sends the batch to the row-at-a-time loop, which raises the same
+        error after inserting the same prefix as calling :meth:`insert`
+        per row would.  ``rows`` is read to the end before the first
+        insert; if reading it raises, the rows read so far go through the
+        loop and the error propagates.  A listener that raises sees every
+        row of a checked batch already stored.
         """
         batch: list[Mapping[str, object]] = []
         try:
@@ -276,7 +319,10 @@ class Table:
             pass
         if checked is None:
             return self._insert_each(batch)
-        stored, keys = checked
+        self._append(*checked)
+        return len(batch)
+
+    def _append(self, stored: list[Row], keys: list[tuple[object, ...]]) -> None:
         start = len(self._rows)
         self._rows.extend(stored)
         self._version += len(stored)
@@ -284,10 +330,7 @@ class Table:
             self._pk_index.add_keys(keys, start)
         for index in self._indexes.values():
             index.add_keys(index.keys_of(stored), start)
-        if self._listener is not None:
-            for row in stored:
-                self._notify("insert", {"row": row})
-        return len(stored)
+        self._notify("insert_many", {"rows": stored})
 
     def _insert_each(self, rows: list[Mapping[str, object]]) -> int:
         for values in rows:
@@ -299,9 +342,9 @@ class Table:
     ) -> tuple[list[Row], list[tuple[object, ...]]] | None:
         """The batch's coerced rows and primary keys; None if a row fails.
 
-        The bulk form of :meth:`_validate` plus :meth:`insert`'s key checks.
-        It may also raise (a value that does not coerce).  It never changes
-        the table or the caller's rows.
+        The column-wise form of :meth:`check_batch`.  It may also raise (a
+        value that does not coerce).  It never changes the table or the
+        caller's rows.
         """
         schema = self.schema
         names = schema.column_names
@@ -315,14 +358,13 @@ class Table:
         # transposing their values gives the columns in one pass.
         for column, values in zip(schema.columns, zip(*map(dict.values, stored))):
             converter = Converter(column.dtype)
-            kinds = set(map(type, values))
-            if not kinds <= {converter.native, _NONE_TYPE}:
+            coerced: Sequence[object] = values
+            if not unchanged_by_coerce(values, converter.native):
                 coerced = converter.column(values)
                 name = column.name
                 for row, value in zip(stored, coerced):
                     row[name] = value
-                kinds = set(map(type, coerced))
-            if _NONE_TYPE in kinds and not column.nullable:
+            if not column.nullable and None in coerced:
                 return None
         keys: list[tuple[object, ...]] = []
         pk_index = self._pk_index
@@ -505,14 +547,31 @@ class Table:
                 f"table {self.name} has no column(s) {sorted(unknown)}"
             )
         row: Row = {}
-        for column in self.schema.columns:
-            value = column.dtype.coerce(values.get(column.name))
-            if value is None and not column.nullable:
-                raise IntegrityError(
-                    f"{self.name}.{column.name} is NOT NULL but got NULL"
-                )
-            row[column.name] = value
+        get = values.get
+        for name, native, coerce, nullable in self.schema.checks:
+            value = get(name)
+            if type(value) is not native or (
+                native is float and not isfinite(value)  # type: ignore[arg-type]
+            ):
+                if value is not None:
+                    value = coerce(value)
+                elif not nullable:
+                    raise IntegrityError(
+                        f"{self.name}.{name} is NOT NULL but got NULL"
+                    )
+            row[name] = value
         return row
+
+    def _check_key(
+        self, key: tuple[object, ...], pending: Container[tuple[object, ...]]
+    ) -> None:
+        """Raise unless ``key`` may be stored beside the extent and ``pending``."""
+        if None in key:
+            raise IntegrityError(
+                f"{self.name}: primary key columns {self.schema.primary_key} must not be NULL"
+            )
+        if key in pending or self._pk_index.count(key):  # type: ignore[union-attr]
+            raise IntegrityError(f"{self.name}: duplicate primary key {key}")
 
     def _rebuild_indexes(self) -> None:
         if self._pk_index is not None:

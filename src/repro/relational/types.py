@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from datetime import date, datetime
+from math import isfinite
 from typing import Callable, Sequence
 
 from repro.errors import TypeMismatchError
@@ -40,6 +41,11 @@ class DataType(enum.Enum):
                 f"cannot coerce {value!r} to {self.value}: {exc}"
             ) from exc
 
+    @property
+    def native(self) -> type:
+        """The one input type :meth:`coerce` returns unchanged (when finite)."""
+        return _NATIVE_TYPES[self._value_]
+
     def accepts(self, value: object) -> bool:
         """True when ``value`` coerces cleanly to this type."""
         try:
@@ -67,10 +73,16 @@ def _coerce_float(value: object) -> float:
     if isinstance(value, bool):
         return float(value)
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        return float(value.strip())
-    raise TypeError(f"unsupported source type {type(value).__name__}")
+        result = float(value)
+    elif isinstance(value, str):
+        result = float(value.strip())
+    else:
+        raise TypeError(f"unsupported source type {type(value).__name__}")
+    # NaN and infinities have no JSON form: the log would bring them back
+    # as NULL, so a stored value could not survive recovery.
+    if not isfinite(result):
+        raise ValueError("not a finite number")
+    return result
 
 
 def _coerce_text(value: object) -> str:
@@ -122,7 +134,8 @@ _COERCERS: dict[str, Callable[[object], object]] = {
     DataType.DATE.value: _coerce_date,
 }
 
-#: Per member, the one input type ``coerce`` returns unchanged.
+#: Per member, the one input type ``coerce`` returns unchanged (floats
+#: only when finite).
 _NATIVE_TYPES: dict[str, type] = {
     DataType.INTEGER.value: int,
     DataType.FLOAT.value: float,
@@ -141,19 +154,34 @@ _NONE_TYPE = type(None)
 _TEXT_OR_NULL = frozenset((str, _NONE_TYPE))
 
 
+def unchanged_by_coerce(values: Sequence[object], native: type) -> bool:
+    """True when ``coerce`` returns each of ``values`` as it is.
+
+    That is, every value is NULL or of the type's ``native`` class, and a
+    float is finite.
+    """
+    if not set(map(type, values)) <= {native, _NONE_TYPE}:
+        return False
+    if native is not float:
+        return True
+    # filter(None, ...) drops the NULLs (and zeros, which are finite).
+    return all(map(isfinite, filter(None, values)))  # type: ignore[arg-type]
+
+
 class Converter:
     """``dtype.coerce`` for one execution of one column, with a text memo.
 
     Values of the type's native class (``int`` for INTEGER, ``date`` for
-    DATE, ... compared by exact type) come back unchanged, as ``coerce``
-    returns them.  Text inputs to a non-TEXT type are parsed once per
-    distinct string: stored EAV answers repeat ("true", "2", ...), so a
-    repeat costs one dict probe (99% of the rows of CORI's boolean
-    answers are repeats; EXPERIMENTS.md).  The memo is keyed by the exact
-    ``str`` only, so ``1``, ``True`` and ``"1"`` never share an entry.  A
-    column of near-unique strings (dates) would pay for the memo on every
-    row, so once it meets more than :data:`MEMO_LIMIT` distinct strings it
-    drops the memo and parses directly for the rest of the execution.
+    DATE, ... compared by exact type; finite floats for FLOAT) come back
+    unchanged, as ``coerce`` returns them.  Text inputs to a non-TEXT type
+    are parsed once per distinct string: stored EAV answers repeat
+    ("true", "2", ...), so a repeat costs one dict probe (99% of the rows
+    of CORI's boolean answers are repeats; EXPERIMENTS.md).  The memo is
+    keyed by the exact ``str`` only, so ``1``, ``True`` and ``"1"`` never
+    share an entry.  A column of near-unique strings (dates) would pay for
+    the memo on every row, so once it meets more than :data:`MEMO_LIMIT`
+    distinct strings it drops the memo and parses directly for the rest of
+    the execution.
     Errors propagate from ``coerce`` with its exact message and are never
     cached.
     """
@@ -162,14 +190,17 @@ class Converter:
 
     def __init__(self, dtype: DataType):
         self.coerce = dtype.coerce
-        self.native = _NATIVE_TYPES[dtype.value]
+        self.native = dtype.native
         self.memo: dict[object, object] | None = (
             None if self.native is str else {}
         )
 
     def __call__(self, value: object) -> object:
         kind = type(value)
-        if kind is self.native or value is None:
+        if kind is self.native:
+            if kind is not float or isfinite(value):  # type: ignore[arg-type]
+                return value
+        elif value is None:
             return value
         memo = self.memo
         if kind is not str or memo is None:
@@ -190,9 +221,9 @@ class Converter:
         first occurrence (so a bad value raises exactly where the row loop
         would), then mapped through the memo at C speed.
         """
-        kinds = set(map(type, values))
-        if kinds <= {self.native, _NONE_TYPE}:
+        if unchanged_by_coerce(values, self.native):
             return list(values)
+        kinds = set(map(type, values))
         memo = self.memo
         if memo is not None and kinds <= _TEXT_OR_NULL:
             fresh = [

@@ -16,8 +16,9 @@ never silently — the recovery report counts it, and the file is cut back
 to the last commit), then attach the relational layer's
 mutation/structure listeners so every subsequent mutation is mirrored
 into the log.  Because replay drives the same mutation methods the
-original process used (``insert``, ``apply_update_at``, ``delete_at``,
-``create_index``, ``create_table`` …), every version counter, index
+original process used (``check_batch`` + ``append_checked``,
+``insert``, ``apply_update_at``, ``delete_at``, ``create_index``,
+``create_table`` …), every version counter, index
 epoch, and the structural counter land bit-identical — all three
 executors (interpreted, streaming, batch) give byte-for-byte the same
 answers on a recovered database, and the plan cache can never confuse
@@ -321,7 +322,12 @@ class DurableStore:
             db.create_table(schema_from_doc(record["schema"]))
         elif op == "drop_table":
             db.drop_table(record["name"])
+        elif op == "insert_many":
+            table = db.table(record["table"])
+            table.append_checked(table.check_batch(record["rows"]))
         elif op == "insert":
+            # The per-row record of logs written before batches were
+            # logged whole.
             db.table(record["table"]).insert(record["row"])
         elif op == "update":
             db.table(record["table"]).apply_update_at(
@@ -357,10 +363,10 @@ class DurableStore:
         name = table.name
 
         def mirror(op: str, payload: dict[str, object]) -> None:
-            if op == "insert":
-                # The hot path — bulk ingest is insert-dominated, so it
-                # skips the generic dispatch: one dict, one append.
-                append({"op": "insert", "table": name, "row": payload["row"]})
+            if op == "insert_many":
+                # The hot path — saved screens and loads arrive as batches,
+                # so it skips the generic dispatch: one dict, one append.
+                append({"op": op, "table": name, "rows": payload["rows"]})
             else:
                 self._on_mutation(name, op, payload)
 

@@ -1,7 +1,9 @@
 """Columnar snapshots: periodic checkpoints in the vectorized format.
 
 A snapshot file is a sequence of CRC-framed JSON documents (the same
-``magic | length | crc32 | payload`` framing as the WAL, different magic):
+``magic | length | crc32 | payload`` framing and JSON codec as the WAL,
+different magic; frames from the older stdlib-``json`` writer still
+load):
 
 1. a manifest — format version, database name, the WAL LSN the snapshot
    covers, the structural counter, and per-table metadata (schema doc,
@@ -45,7 +47,8 @@ from repro.relational.batch import BATCH_SIZE, Batch
 from repro.relational.database import Database
 from repro.relational.schema import schema_from_doc, schema_to_doc
 from repro.relational.types import DataType
-from repro.storage.wal import _fsync_directory
+from repro.storage.wal import _dumps, _fsync_directory
+from repro.storage.wal import _loads as _wal_loads
 
 SNAP_MAGIC = b"RS"
 HEADER_LEN = 10
@@ -89,12 +92,6 @@ def list_snapshots(directory: Path) -> list[Path]:
 # -- encoding -------------------------------------------------------------------
 
 
-def _encode_column(values: list[object], dtype: DataType) -> list[object]:
-    if dtype is DataType.DATE:
-        return [None if v is None else v.isoformat() for v in values]  # type: ignore[attr-defined]
-    return values
-
-
 def _decode_column(values: list[object], dtype: DataType) -> list[object]:
     # DATE is the only dtype JSON cannot carry natively; everything else
     # round-trips exactly (ints, floats, bools, text, NULL as null).
@@ -104,7 +101,8 @@ def _decode_column(values: list[object], dtype: DataType) -> list[object]:
 
 
 def _frame(payload_doc: dict[str, Any]) -> bytes:
-    payload = json.dumps(payload_doc, separators=(",", ":")).encode("utf-8")
+    # The WAL's codec: dates go out as ISO strings.
+    payload = _dumps(payload_doc)
     return (
         SNAP_MAGIC
         + len(payload).to_bytes(4, "big")
@@ -137,12 +135,21 @@ def _read_frames(path: Path) -> Iterator[dict[str, Any]]:
                 f"{path}: CRC mismatch in frame at offset {offset}"
             )
         try:
-            yield json.loads(payload)
+            yield _loads(payload)
         except ValueError as exc:
             raise SnapshotCorruptionError(
                 f"{path}: undecodable frame at offset {offset}: {exc}"
             ) from exc
         offset = end
+
+
+def _loads(payload: bytes) -> Any:
+    try:
+        return _wal_loads(payload)
+    except ValueError:
+        # A snapshot from the stdlib writer may hold NaN or Infinity, which
+        # only the stdlib reader accepts.
+        return json.loads(payload)
 
 
 # -- writing --------------------------------------------------------------------
@@ -211,12 +218,7 @@ def write_snapshot(
                         {
                             "table": name,
                             "chunk": chunks,
-                            "columns": {
-                                col: _encode_column(
-                                    batch.column(col), schema.column(col).dtype
-                                )
-                                for col in names
-                            },
+                            "columns": {col: batch.column(col) for col in names},
                         }
                     )
                 )

@@ -76,10 +76,11 @@ class Control:
         """Check and normalize an entered value; raise on invalid input."""
         if value is None:
             return None
-        if self.data_type is None:
+        dtype = self.data_type
+        if dtype is None:
             raise DataEntryError(f"{self.name} does not accept data")
         try:
-            return self.data_type.coerce(value)
+            return dtype.coerce(value)
         except TypeMismatchError as exc:
             # The GUI rejects ill-typed keystrokes; surface that as a
             # data-entry problem, not a storage-layer one.

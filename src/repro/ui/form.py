@@ -52,9 +52,10 @@ class Form:
     """One screen of a reporting tool: a tree of controls.
 
     A form is fixed once built.  Its control index and data controls are
-    derived from ``controls`` at construction, and its enablement graph on
-    first use; a control appended to ``controls`` later is unknown to the
-    form (entering data into it raises :class:`ControlError`).
+    derived from ``controls`` at construction, and its enablement graph and
+    initial screen on first use; a control appended to ``controls`` later
+    is unknown to the form (entering data into it raises
+    :class:`ControlError`).
     """
 
     name: str
@@ -76,6 +77,8 @@ class Form:
         self._data_controls = tuple(
             control for control in self._by_name.values() if control.stores_data
         )
+        self._data_by_name = {control.name: control for control in self._data_controls}
+        self._initial: dict[str, object] | None = None
         self._validate_enablement()
 
     def _validate_enablement(self) -> None:
@@ -121,6 +124,10 @@ class Form:
             raise ControlError(f"form {self.name} has no control {name!r}")
         return self._by_name[name]
 
+    def data_control(self, name: str) -> Control | None:
+        """The data control called ``name``; None for a layout or unknown name."""
+        return self._data_by_name.get(name)
+
     def has_control(self, name: str) -> bool:
         return name in self._by_name
 
@@ -138,6 +145,25 @@ class Form:
             if leaf in self._by_name and leaf != control.name:
                 return self._by_name[leaf]
         return None
+
+    def initial_values(self) -> dict[str, object]:
+        """The values a new screen opens with, as a dict of its own.
+
+        Every data control's validated default, except that a control that
+        opens disabled holds no data, even if it declares a default: the GUI
+        greys it out before anything is stored.  Computed on first use and
+        copied on every call after; a default or condition that raises
+        raises on every call.
+        """
+        initial = self._initial
+        if initial is None:
+            initial = {
+                control.name: control.validate(control.default)
+                for control in self._data_controls
+            }
+            clear_disabled(initial, self.enablement_graph.checks)
+            self._initial = initial
+        return initial.copy()
 
     @cached_property
     def enablement_graph(self) -> EnablementGraph:
@@ -171,6 +197,22 @@ class Form:
                 check for check in checks if check[0] in reached
             )
         return EnablementGraph(conditions, checks, affected)
+
+
+def clear_disabled(
+    values: dict[str, object], scope: tuple[EnablementCheck, ...]
+) -> None:
+    """Clear each control of ``scope`` that holds a value but is disabled.
+
+    Iterates to a fixed point: clearing one control may disable another.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for name, enabled in scope:
+            if values[name] is not None and not enabled(values):
+                values[name] = None
+                changed = True
 
 
 def naive_schema(form: Form) -> TableSchema:

@@ -21,7 +21,7 @@ from repro.errors import (
     DisabledControlError,
     RequiredControlError,
 )
-from repro.ui.form import RECORD_ID, EnablementCheck, Form
+from repro.ui.form import RECORD_ID, EnablementCheck, Form, clear_disabled
 from repro.ui.toolkit import ReportingTool
 
 NaiveRow = dict[str, object]
@@ -42,21 +42,15 @@ class FormInstance:
         self.form = form
         self.record_id = record_id
         self._enablement = form.enablement_graph
-        self._values: dict[str, object] = {
-            control.name: control.validate(control.default)
-            for control in form.data_controls()
-        }
+        self._values = form.initial_values()
         self._settled = True
-        # Controls that open disabled hold no data, even if they declare a
-        # default — the GUI greys them out before anything is stored.
-        self._clear_disabled(self._enablement.checks)
 
     # -- state ----------------------------------------------------------------
 
     def value(self, control_name: str) -> object:
         """The current value of a control."""
-        control = self.form.control(control_name)
-        if not control.stores_data:
+        if self.form.data_control(control_name) is None:
+            self.form.control(control_name)  # unknown names raise ControlError
             raise DataEntryError(f"{control_name} stores no data")
         return self._values[control_name]
 
@@ -85,8 +79,9 @@ class FormInstance:
         re-evaluates enablement; controls that become disabled are cleared,
         mirroring how reporting tools blank out dependent questions.
         """
-        control = self.form.control(control_name)
-        if not control.stores_data:
+        control = self.form.data_control(control_name)
+        if control is None:
+            self.form.control(control_name)  # unknown names raise ControlError
             raise DataEntryError(f"cannot enter data into {control_name}")
         enabled = self._enablement.conditions.get(control_name)
         if enabled is not None and not enabled(self._values):
@@ -102,15 +97,7 @@ class FormInstance:
         if not self._settled:
             scope = self._enablement.checks
         self._settled = False
-        values = self._values
-        # Iterate to a fixed point: clearing one control may disable another.
-        changed = True
-        while changed:
-            changed = False
-            for name, enabled in scope:
-                if values[name] is not None and not enabled(values):
-                    values[name] = None
-                    changed = True
+        clear_disabled(self._values, scope)
         self._settled = True
 
     def save(self) -> NaiveRow:
@@ -119,12 +106,13 @@ class FormInstance:
         Required controls must be answered *when enabled*; a required
         control that is disabled is legitimately empty.
         """
+        values = self._values
+        conditions = self._enablement.conditions
         for control in self.form.data_controls():
-            if (
-                control.required
-                and self.is_enabled(control.name)
-                and self._values[control.name] is None
-            ):
+            if not control.required:
+                continue
+            enabled = conditions.get(control.name)
+            if (enabled is None or enabled(values)) and values[control.name] is None:
                 raise RequiredControlError(
                     f"{self.form.name}.{control.name} is required"
                 )

@@ -15,6 +15,9 @@ from repro.errors import (
     SchemaError,
     StudyError,
 )
+from repro.clinical import generate_truths
+from repro.clinical.vendors import build_endopro_chain, build_endopro_tool, endopro_values
+from repro.clinical.vocabulary import INDICATIONS
 from repro.guava import GuavaSource
 from repro.patterns import (
     EncodingPattern,
@@ -90,6 +93,53 @@ class TestDataCorruption:
         back = chain.read_naive(db, "procedure")
         assert len(back) == 1
         assert "rogue" not in back[0]
+
+
+class TestScreenAtomicity:
+    """A saved screen is stored whole or not at all."""
+
+    def _state(self, source):
+        db = source.db
+        return (
+            {name: db.table(name).rows() for name in db.table_names()},
+            {name: db.table(name).version for name in db.table_names()},
+            source.data_version(),
+            list(source.feed.log),
+            source.feed.floor,
+            source.feed.accounted,
+        )
+
+    def test_a_screen_failing_a_storage_check_writes_nothing(self):
+        tool = build_endopro_tool()
+        source = GuavaSource("endo", tool, build_endopro_chain(tool))
+        first, second = generate_truths(2, seed=3)
+        source.session().enter("endoscopy_report", endopro_values(first))
+        before = self._state(source)
+        version = source.data_version()
+        # The screen's rows reach five tables, the reason's new code row
+        # first; record id 1 is taken, so the split tables refuse theirs.
+        values = endopro_values(second)
+        values["reason"] = next(
+            reason for reason in INDICATIONS if reason != endopro_values(first)["reason"]
+        )
+        with pytest.raises(IntegrityError, match="duplicate primary key"):
+            source.session().enter("endoscopy_report", values)
+        assert self._state(source) == before
+        # Nothing moved, so the next refresh can still enumerate changes.
+        assert source.changed_record_ids(version) == set()
+
+        # The refused screen's code was not kept: the next screen with that
+        # reason stores the code row beside its own rows.
+        later = source.session(first_record_id=2)
+        later.enter("endoscopy_report", values)
+        assert source.changed_record_ids(version) == {2}
+        codes = {row["label"]: row["code"] for row in source.db.table("reason_codes").rows()}
+        assert sorted(codes.values()) == [1, 2]
+        stored = {
+            row["record_id"]: row["reason"]
+            for row in source.chain.read_naive(source.db, "endoscopy_report")
+        }
+        assert stored == {1: endopro_values(first)["reason"], 2: values["reason"]}
 
 
 class TestQueryMisuse:

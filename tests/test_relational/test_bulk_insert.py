@@ -2,11 +2,14 @@
 
 ``insert_many`` checks a batch column by column and stores it only when
 every check passes; on any failure it hands the batch to the row loop.
-These tests drive both over random schemas and rows (bad values in several
-columns and rows, NULLs in NOT NULL columns, duplicate keys, unknown
-columns, shuffled key orders, iterables that raise) and compare everything
-the table shows: rows and their key order, version, index lookups,
-listener payloads, and the error with the state it leaves.
+``check_batch`` + ``append_checked`` (a saved screen's path) check row by
+row and store all of a batch or none of it.  These tests drive them and
+the loop over random schemas and rows (bad values in several columns and
+rows, NULLs in NOT NULL columns, non-finite floats, duplicate keys,
+unknown columns, shuffled key orders, iterables that raise) and compare
+everything the table shows: rows and their key order, version, index
+lookups, the rows the listener was told of, and the error with the state
+it leaves.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ _NAMES = ("a", "b", "c", "d")
 
 _NATIVE = {
     DataType.INTEGER: st.integers(-2, 3),
-    DataType.FLOAT: st.sampled_from([0.5, -1.0, 2.0]),
+    DataType.FLOAT: st.sampled_from([0.5, -1.0, 2.0, 0.0]),
     DataType.TEXT: st.sampled_from(["x", "", "yes", "2"]),
     DataType.BOOLEAN: st.booleans(),
     DataType.DATE: st.sampled_from([date(2020, 1, 2), date(1999, 12, 31)]),
@@ -64,6 +67,9 @@ _ANY = st.sampled_from(
         "2.5",
         "2020-01-02",
         "2020-13-01",
+        float("nan"),
+        float("-inf"),
+        "inf",
         date(2021, 5, 6),
         datetime(2021, 5, 6, 7, 8),
         _Opaque(),
@@ -161,6 +167,26 @@ def _loop(table, rows):
     return count
 
 
+def _screen(table, rows):
+    return table.append_checked(table.check_batch(rows))
+
+
+def _inserted(log):
+    """The listener's calls as one ``insert`` per stored row.
+
+    A checked batch is one ``insert_many`` call; the row loop makes one
+    ``insert`` call per row.  Both tell of the same rows in the same order.
+    """
+    flat = []
+    for op, payload in log:
+        if op == "insert_many":
+            assert payload["rows"], "an empty batch is never reported"
+            flat.extend(("insert", {"row": row}) for row in payload["rows"])
+        else:
+            flat.append((op, payload))
+    return flat
+
+
 def _state(table, schema, indexes):
     rows = table.rows()
     keyed = [schema.primary_key] if schema.primary_key else []
@@ -196,9 +222,32 @@ class TestDifferential:
 
         assert got == want
         assert _state(bulk, schema, indexes) == _state(loop, schema, indexes)
-        assert bulk_log == loop_log
+        assert _inserted(bulk_log) == _inserted(loop_log)
         assert batch == original  # the caller's rows are never written
 
+    @given(_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_a_checked_batch_is_the_loop_or_nothing(self, case):
+        schema, indexes, existing, batch, _ = case
+        original = copy.deepcopy(batch)
+        screen_log: list = []
+        loop_log: list = []
+        screen = _table(schema, indexes, existing, screen_log)
+        loop = _table(schema, indexes, existing, loop_log)
+        before = _state(screen, schema, indexes)
+
+        got = _outcome(lambda: _screen(screen, batch))
+        want = _outcome(lambda: _loop(loop, batch))
+
+        assert got == want
+        if got[0] == "ok":
+            assert _state(screen, schema, indexes) == _state(loop, schema, indexes)
+            assert _inserted(screen_log) == _inserted(loop_log)
+            assert len(screen_log) == (1 if batch else 0)
+        else:
+            assert _state(screen, schema, indexes) == before
+            assert screen_log == []
+        assert batch == original
     @given(_cases())
     @settings(max_examples=100, deadline=None)
     def test_stored_rows_do_not_alias_the_callers(self, case):
@@ -274,6 +323,23 @@ class TestContract:
         table = Table(_schema())
         assert table.insert_many(iter([])) == 0
         assert table.version == 0
+
+    def test_a_checked_batch_goes_stale_when_the_table_changes(self):
+        table = Table(_schema())
+        batch = table.check_batch([{"id": 1}, {"id": 2}])
+        assert table.version == 0 and len(table) == 0
+        table.insert({"id": 1})
+        with pytest.raises(IntegrityError, match="checked at version 0"):
+            table.append_checked(batch)
+        assert [row["id"] for row in table.rows()] == [1]
+        assert table.append_checked(table.check_batch([{"id": 2}, {"id": 3}])) == 2
+        assert table.version == 3
+
+    def test_a_batch_repeating_a_key_is_refused_whole(self):
+        table = Table(_schema())
+        with pytest.raises(IntegrityError, match="duplicate primary key"):
+            table.check_batch([{"id": 1}, {"id": 2}, {"id": 1}])
+        assert table.version == 0 and len(table) == 0
 
     def test_database_insert_is_the_bulk_insert(self):
         db = Database("d")

@@ -5,7 +5,9 @@ condition transitively reads the answered control.  The reference here is
 the full-form fixed point it replaced: after every answer, walk every data
 control in document order with the tree-walking :class:`Evaluator`,
 clearing disabled ones until nothing changes.  On random forms the two must
-agree on every value, every raised error type and the saved row.
+agree on every value, every raised error type and the saved row.  A new
+screen copies the form's cached initial screen; it must equal the uncached
+defaults-plus-clearing walk, and no two screens share their values.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -241,6 +243,27 @@ class TestScopedWalkEqualsFullWalk:
             assert _typed(row[1]) == _typed(expected_row[1])
         else:
             assert row == expected_row
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_cached_initial_screen_equals_the_walk(self, data):
+        form = data.draw(_forms())
+        reference = _outcome(lambda: _FullWalk(form).values)
+        cached = _outcome(form.initial_values)
+        if reference[0] == "raised" or cached[0] == "raised":
+            assert cached == reference
+            # A failed walk is not kept: every screen raises again.
+            assert _outcome(lambda: FormInstance(form, 1)) == reference
+            return
+        assert _typed(cached[1]) == _typed(reference[1])
+        first, second = FormInstance(form, 1), FormInstance(form, 2)
+        assert first._values is not second._values
+        for name, value in data.draw(_actions(form)):
+            _outcome(lambda: first.set(name, value))
+        # Answers on one screen reach neither another one nor the cache.
+        assert _typed(second.values()) == _typed(reference[1])
+        assert _typed(FormInstance(form, 3).values()) == _typed(reference[1])
+        assert _typed(form.initial_values()) == _typed(reference[1])
 
     def test_walk_after_a_raised_walk_covers_the_form(self):
         # Answering ``a`` raises while checking ``p``, before ``q`` is
