@@ -49,10 +49,8 @@ from repro.relational import (
     Select,
     Sort,
     TableSchema,
-    Vectorized,
     execute_interpreted,
     optimize,
-    set_statistics_enabled,
 )
 
 N_ROWS = 3_000
@@ -60,13 +58,6 @@ N_VISITS = 6_000
 N_VITALS_COLUMNS = 12
 CHAIN_ROWS = 300
 CHAIN_DEPTH = 4
-
-# -- zone-map (ZM) tier ----------------------------------------------------------
-# A million-row tier sized so chunk skipping is measured where it matters;
-# REPRO_PP_ROWS scales it down for quick local iterations (the committed
-# baseline is produced at the default; the variable keeps the name it had
-# when a partitioned tier shared these rows, so existing scripts still work).
-ZM_ROWS = int(os.environ.get("REPRO_PP_ROWS", "1000000"))
 
 
 # -- fixture data --------------------------------------------------------------
@@ -132,40 +123,6 @@ def build_database() -> Database:
         ),
     )
     db.table("patients").create_index(("site",))
-    return db
-
-
-_ZM_DB: Database | None = None
-
-
-def build_zm_database() -> Database:
-    """The ZM-tier database, built once per process (it is large)."""
-    global _ZM_DB
-    if _ZM_DB is not None:
-        return _ZM_DB
-    db = Database("bench_zm")
-    # ``readings``: ZM_ROWS rows.  ``seq`` is clustered (insertion order),
-    # so a narrow range touches few chunks; ``vendor`` is 8 distinct
-    # strings, the dictionary sweet spot.
-    db.create_table(
-        TableSchema.build(
-            "readings",
-            [
-                ("seq", DataType.INTEGER),
-                ("vendor", DataType.TEXT),
-                ("value", DataType.INTEGER),
-            ],
-        )
-    )
-    vendors = tuple(f"vendor{j}" for j in range(8))
-    db.insert(
-        "readings",
-        (
-            {"seq": i, "vendor": vendors[i % 8], "value": (i * 13) % 1000}
-            for i in range(ZM_ROWS)
-        ),
-    )
-    _ZM_DB = db
     return db
 
 
@@ -254,21 +211,6 @@ def _wide_scan_plan():
     )
 
 
-def _join_aggregate_vectorized_plan():
-    """Fully kernel-supported join→compute→aggregate (no index fallback)."""
-    return Aggregate(
-        Compute(
-            Join(Scan("patients"), Scan("visits"), (("patient_id", "patient_id"),)),
-            (("band", BinaryOp("%", Identifier.of("score"), Literal(10))),),
-        ),
-        ("site", "band"),
-        (
-            AggregateSpec("COUNT", None, "n"),
-            AggregateSpec("MAX", "score", "top_score"),
-        ),
-    )
-
-
 def make_cases():
     db = build_database()
     chain, chain_db = build_chain()
@@ -278,91 +220,11 @@ def make_cases():
         ("filtered_scan", db, _filtered_scan_plan()),
         ("indexed_lookup", db, _indexed_lookup_plan()),
         ("join_aggregate", db, _join_aggregate_plan()),
-        ("join_aggregate_vectorized", db, _join_aggregate_vectorized_plan()),
         ("topk", db, _topk_plan()),
         ("wide_scan", db, _wide_scan_plan()),
         (f"pattern_chain_depth{CHAIN_DEPTH}", chain_db, chain_plan),
     ]
     return cases
-
-
-def _zm_scan_plan():
-    lo = ZM_ROWS // 2
-    width = max(1, ZM_ROWS // 64)  # selectivity 1/64 on clustered ``seq``
-    return Select(
-        Scan("readings"),
-        BinaryOp(
-            "AND",
-            BinaryOp(">=", Identifier.of("seq"), Literal(lo)),
-            BinaryOp("<", Identifier.of("seq"), Literal(lo + width)),
-        ),
-    )
-
-
-def _zm_groupby_plan():
-    # Count-only on purpose: it isolates the coded grouping itself (the
-    # Counter fast path); value-collecting specs time the shared
-    # ``_aggregate_values`` machinery, which coding does not change.
-    return Aggregate(
-        Scan("readings"),
-        ("vendor",),
-        (AggregateSpec("COUNT", None, "n"),),
-    )
-
-
-def _zm_chunks_skipped(plan, db) -> int:
-    """chunks_skipped from one traced batch run of ``plan``."""
-    from repro.obs import explain_analyze
-
-    report = explain_analyze(plan, db, executor="batch")
-    for _, span in report.node_spans():
-        skipped = span.attrs.get("chunks_skipped")
-        if skipped is not None:
-            return int(skipped)
-    return 0
-
-
-def run_zm() -> list[dict]:
-    """The ZM tier: zone-map skipping and dictionary-coded kernels.
-
-    Baseline = the identical vectorized plan with statistics disabled
-    (:func:`set_statistics_enabled`), so each case isolates exactly the
-    statistics layer — same kernels, same batches, stats on vs off.
-    """
-    db = build_zm_database()
-    results = []
-    cases = (
-        ("zm_selective_scan", _zm_scan_plan()),
-        ("zm_groupby_dict", _zm_groupby_plan()),
-    )
-    for name, plan in cases:
-        vectorized = Vectorized(plan)
-        rows = vectorized.execute(db)  # also warms the version-keyed caches
-        previous = set_statistics_enabled(False)
-        try:
-            assert rows == vectorized.execute(db), (
-                f"{name}: stats-on and stats-off disagree"
-            )
-            base_s = _time(lambda: vectorized.execute(db), repeats=3)
-        finally:
-            set_statistics_enabled(previous)
-        fast_s = _time(lambda: vectorized.execute(db), repeats=3)
-        result = {
-            "case": name,
-            "rows_out": len(rows),
-            "baseline_ms": round(base_s * 1000, 3),
-            "optimized_ms": round(fast_s * 1000, 3),
-            "speedup": round(base_s / fast_s, 2),
-        }
-        if name == "zm_selective_scan":
-            result["chunks_skipped"] = _zm_chunks_skipped(plan, db)
-        results.append(result)
-        print(
-            f"{name:<28} stats off   {base_s * 1000:9.3f} ms   "
-            f"stats on  {fast_s * 1000:9.3f} ms   x{base_s / fast_s:6.2f}",
-            flush=True,
-        )
-    return results
 
 
 # -- standalone runner ---------------------------------------------------------
@@ -411,7 +273,6 @@ def run(json_path: str | None = None) -> list[dict]:
             f"optimized {fast_s * 1000:9.3f} ms   x{slow_s / fast_s:6.2f}",
             flush=True,
         )
-    results.extend(run_zm())
     if json_path:
         payload = {
             "benchmark": "relational_core",
@@ -419,7 +280,6 @@ def run(json_path: str | None = None) -> list[dict]:
             "n_visits": N_VISITS,
             "chain_rows": CHAIN_ROWS,
             "chain_depth": CHAIN_DEPTH,
-            "zm_rows": ZM_ROWS,
             # Bench provenance: the cores the producing machine had.
             "cores": len(os.sched_getaffinity(0)),
             "results": results,
@@ -482,13 +342,6 @@ if "pytest" in sys.modules:  # imported by pytest collection
         assert by_case["filtered_scan"] >= 3.0
         assert by_case["indexed_lookup"] >= 3.0
         assert by_case[f"pattern_chain_depth{CHAIN_DEPTH}"] >= 1.5
-        assert by_case["join_aggregate_vectorized"] >= 3.0
-        # ZM tier: chunk skipping must dominate a 1/64-selective clustered
-        # scan; dictionary-coded grouping must beat value-keyed grouping.
-        assert by_case["zm_selective_scan"] >= 5.0
-        assert by_case["zm_groupby_dict"] >= 1.5
-        scan_row = next(r for r in rows if r["case"] == "zm_selective_scan")
-        assert scan_row["chunks_skipped"] > 0
 
 
 if __name__ == "__main__":

@@ -34,13 +34,7 @@ DEFAULT_RUNS = 3
 #: re-promoted baseline that silently drops a tier (e.g. the zone-map ZM
 #: cases) fails the gate instead of shrinking its coverage.
 REQUIRED_CASES: dict[str, tuple[str, ...]] = {
-    "relational_core": (
-        "filtered_scan",
-        "indexed_lookup",
-        "join_aggregate_vectorized",
-        "zm_selective_scan",
-        "zm_groupby_dict",
-    ),
+    "relational_core": ("filtered_scan", "indexed_lookup"),
     "durability": (
         "du_etl_wal_off",
         "du_etl_wal_on",

@@ -85,13 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(explain_analyze) or a compiled study workflow run",
     )
     trace.add_argument(
-        "--executor",
-        choices=["row", "batch"],
-        default="batch",
-        help="query execution path: columnar batch kernels (default) or "
-        "row-at-a-time streaming (target query only)",
-    )
-    trace.add_argument(
         "--json",
         dest="json_path",
         default=None,
@@ -102,12 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--flame",
         action="store_true",
         help="print collapsed-stack flamegraph lines instead of the tree",
-    )
-    trace.add_argument(
-        "--stats",
-        action="store_true",
-        help="after the trace, print per-table chunk statistics and "
-        "dictionary build state (target query only)",
     )
     trace.set_defaults(handler=_cmd_trace)
 
@@ -289,9 +276,7 @@ def _cmd_trace(args) -> int:
         plan = translate_query(
             GTreeQuery(source.gtree(ec.form)).where(ec.condition), source.chain
         )
-        report = explain_analyze(plan, source.db, executor=args.executor)
-        tracer: Tracer = report.tracer
-        stats_db = source.db
+        tracer: Tracer = explain_analyze(plan, source.db).tracer
     else:
         from repro.analysis.studies import STUDY1_ELEMENTS, build_cohort_study
         from repro.etl import compile_study
@@ -302,7 +287,6 @@ def _cmd_trace(args) -> int:
         )
         with tracing() as tracer:
             workflow.run()
-        stats_db = None
     if args.flame:
         for root in tracer.roots:
             for line in root.flamegraph_lines():
@@ -310,12 +294,6 @@ def _cmd_trace(args) -> int:
     else:
         for root in tracer.roots:
             print(root.render())
-    if args.stats:
-        if stats_db is None:
-            print("--stats applies to the query target only", file=sys.stderr)
-        else:
-            print()
-            _print_statistics(stats_db)
     if args.json_path:
         parent = os.path.dirname(args.json_path)
         if parent:
@@ -324,34 +302,6 @@ def _cmd_trace(args) -> int:
             handle.write(tracer.to_json())
         print(f"trace JSON written to {args.json_path}", file=sys.stderr)
     return 0
-
-
-def _print_statistics(db) -> None:
-    """Per-table zone-map chunk stats and dictionary build state."""
-    from repro.relational import table_statistics_report
-
-    for name in db.table_names():
-        report = table_statistics_report(db.table(name))
-        print(f"{report['table']} ({report['rows']} rows, v{report['version']}):")
-        for entry in report["columns"]:
-            span = ""
-            if "min" in entry:
-                span = f" min={entry['min']!r} max={entry['max']!r}"
-            bands = ",".join(entry["bands"]) or "-"
-            line = (
-                f"  {entry['column']:24} {entry['dtype']:8} "
-                f"chunks={entry['chunks']} nulls={entry['nulls']} "
-                f"bands={bands} constant={entry['constant_chunks']}{span}"
-            )
-            dictionary = entry.get("dictionary")
-            if dictionary is not None:
-                if dictionary["state"] == "built":
-                    line += f" dict=built({dictionary['cardinality']})"
-                else:
-                    line += f" dict=refused({dictionary['reason']})"
-            if "ndv" in entry:
-                line += f" ndv~{entry['ndv']:g} ({entry['ndv_source']})"
-            print(line)
 
 
 def _cmd_storage(args) -> int:

@@ -38,7 +38,6 @@ from repro.obs.trace import current_tracer
 from repro.relational.database import Database, restore_generation
 from repro.relational.query import (
     _fingerprint,
-    _toggles,
     cached_plan,
     extent_driver,
     optimize,
@@ -46,7 +45,6 @@ from repro.relational.query import (
     rebind_in_lists,
 )
 from repro.relational.sql import to_sql
-from repro.relational.vectorize import Vectorized
 from repro.ui.form import RECORD_ID
 from repro.ui.session import DataEntrySession
 from repro.ui.toolkit import ReportingTool
@@ -346,15 +344,15 @@ class GuavaSource:
 
         A g-tree is a view: its rows are a function of the query's shape
         (the plan-cache key) and of the data they are read from.  The memo
-        stamps them with the plan epoch, the chain tables' data versions,
-        the executor toggles and the restore generation (a restore can
-        rewind a data version).  A key's second read keeps its rows, so
-        data read once costs no memory.  Kept rows at an older stamp are
-        *patched* when only the data versions moved and the change feed
-        vouches that the change is records appended since (see
-        :meth:`_patch`): a record-scoped read of just those records is
-        appended, so a live read costs what changed.  A query without a key
-        (a g-tree this source did not derive) bypasses the memo.
+        stamps them with the plan epoch, the chain tables' data versions
+        and the restore generation (a restore can rewind a data version).
+        A key's first read keeps a copy of its rows, so the second is a
+        hit.  Kept rows at an older stamp are *patched* when only the data
+        versions moved and the change feed vouches that the change is
+        records appended since (see :meth:`_patch`): a record-scoped read
+        of just those records is appended, so a live read costs what
+        changed.  A query without a key (a g-tree this source did not
+        derive) bypasses the memo.
 
         A ``row_map`` is applied inside the read, to every record a full
         read returns and to a patch's appended records only.  Its key joins
@@ -366,7 +364,7 @@ class GuavaSource:
         Under a tracer each read is a ``guava.read`` span, around the
         read's own spans (``optimize``, ``execute:*``) and the map's time,
         whose ``result_memo`` is ``hit``, ``delta`` (with
-        ``delta_records``), ``admit``, ``miss``, ``bypass``, or ``error``
+        ``delta_records``), ``miss``, ``bypass``, or ``error``
         for a read that raised; a mapped read adds ``mapped_records``, the
         number of records the map was applied to.
         """
@@ -395,8 +393,8 @@ class GuavaSource:
             nonlocal mapped_records
             plan = cached_plan(db, plan_key) if plan_key is not None else None
             if plan is None:
-                # Passing the database unlocks index lowering, the
-                # vectorize pass and the plan cache.
+                # Passing the database unlocks index lowering and the
+                # plan cache.
                 plan = optimize(
                     translate_query(query, self.chain), db, cache_key=plan_key
                 )
@@ -404,9 +402,6 @@ class GuavaSource:
             if row_map is not None:
                 rows = list(map(row_map.apply, rows))
                 mapped_records += len(rows)
-            elif type(plan) is Vectorized and plan.shares_storage():
-                # A bare scan hands out the table snapshot's own dicts.
-                rows = [dict(row) for row in rows]
             return rows, _KeptRead(plan, self._lengths())
 
         delta_records = 0
@@ -416,7 +411,6 @@ class GuavaSource:
             stamp = (
                 db.plan_epoch,
                 db.tables_versions(self._chain_tables),
-                _toggles(True),
                 restore_generation(),
             )
 
@@ -463,8 +457,8 @@ class GuavaSource:
         Returns them with the number of records changed, or None, and the
         caller reads in full, unless every condition holds:
 
-        * only the chain tables' data versions moved (same plan epoch,
-          toggles and restore generation);
+        * only the chain tables' data versions moved (same plan epoch and
+          restore generation);
         * the kept rows follow one driving table's extent record by record
           (:func:`~repro.relational.query.extent_driver`);
         * the change feed enumerates the records of this form changed
@@ -483,8 +477,8 @@ class GuavaSource:
         and move the plan epoch) and never caches an index-less plan where
         the refresh path would reuse it.
         """
-        epoch, versions, toggles, generation = cast(tuple, kept_stamp)
-        if (epoch, toggles, generation) != (stamp[0], stamp[2], stamp[3]):
+        epoch, versions, generation = cast(tuple, kept_stamp)
+        if (epoch, generation) != (stamp[0], stamp[2]):
             return None
         if -1 in versions or not state.analyze(kept, self.db):
             return None

@@ -115,7 +115,6 @@ def explain_analyze(
     query: Query | Plan,
     db: Database,
     optimized: bool = True,
-    executor: str = "batch",
 ) -> ExplainReport:
     """Optimize and execute ``query`` under tracing; return the profile.
 
@@ -123,9 +122,6 @@ def explain_analyze(
     (and stays self-contained) whether or not the caller is already
     tracing.  Pass ``optimized=False`` to profile the naive plan — the
     EXPERIMENTS.md before/after traces are produced exactly that way.
-    ``executor="row"`` disables the vectorize pass so the same query can be
-    profiled on the row-at-a-time path (batch operator spans additionally
-    carry ``batches`` and ``rows_per_batch``).
 
     Every operator span that reports actual ``rows_out`` is additionally
     annotated post-execution with the planner's ``estimated_rows`` and the
@@ -133,14 +129,10 @@ def explain_analyze(
     sides floored at one row, so 1.0 is a perfect estimate and the metric
     is symmetric in over- and under-estimation.
     """
-    if executor not in ("row", "batch"):
-        raise ValueError(f"executor must be 'row' or 'batch', got {executor!r}")
     plan = query.plan if isinstance(query, Query) else query
     tracer = Tracer()
     with tracing(tracer):
-        final = (
-            optimize(plan, db, vectorize=executor != "row") if optimized else plan
-        )
+        final = optimize(plan, db) if optimized else plan
         rows = final.execute(db)
     report = ExplainReport(rows=rows, plan=final, tracer=tracer, optimized=optimized)
     _annotate_estimates(report, db)

@@ -34,39 +34,17 @@ from repro.relational.algebra import (
     Values,
 )
 from repro.relational.algebra import canonical_key
-from repro.relational.batch import BATCH_SIZE, Batch
-from repro.relational.cost import (
-    column_ndv,
-    column_null_fraction,
-    estimate_plan_rows,
-    refresh_planning_stats,
-)
+from repro.relational.cost import column_ndv, estimate_plan_rows
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, plan_fingerprint, prepare_stream_plan
 from repro.relational.sql import to_sql
-from repro.relational.stats import (
-    ChunkStats,
-    Dictionary,
-    SelectAnalysis,
-    column_zone_map,
-    encoded_columns,
-    encoding_states,
-    set_statistics_enabled,
-    statistics_enabled,
-    table_statistics_report,
-)
-from repro.relational.vectorize import Vectorized, execute_vectorized
 
 __all__ = [
     "Aggregate",
     "AggregateSpec",
-    "BATCH_SIZE",
-    "Batch",
-    "ChunkStats",
     "Coerce",
     "Column",
     "Compute",
-    "Dictionary",
     "DataType",
     "Database",
     "Distinct",
@@ -83,7 +61,6 @@ __all__ = [
     "Rename",
     "Scan",
     "Select",
-    "SelectAnalysis",
     "Sort",
     "Table",
     "TableSchema",
@@ -91,23 +68,13 @@ __all__ = [
     "Union",
     "Unpivot",
     "Values",
-    "Vectorized",
     "canonical_key",
     "column_ndv",
-    "column_null_fraction",
-    "column_zone_map",
-    "encoded_columns",
-    "encoding_states",
     "estimate_plan_rows",
-    "refresh_planning_stats",
     "execute_interpreted",
-    "execute_vectorized",
     "database_version",
     "optimize",
     "plan_fingerprint",
     "prepare_stream_plan",
-    "set_statistics_enabled",
-    "statistics_enabled",
-    "table_statistics_report",
     "to_sql",
 ]

@@ -967,11 +967,6 @@ def trace_label(plan: Plan) -> str:
 # grouping/join keys; no user value can ever equal a tuple holding it.
 _BOOL_TAG = object()
 
-# Types canonical_key maps to themselves (note ``type(True) is bool``, never
-# ``int``).  Hot per-row loops check ``type(v) in _IDENTITY_KEY_TYPES``
-# inline to skip the function call for the common case.
-_IDENTITY_KEY_TYPES = frozenset((int, float, str))
-
 
 def canonical_key(value: object) -> object:
     """Hash/equality key for one value under SQL semantics.
@@ -981,8 +976,8 @@ def canonical_key(value: object) -> object:
     distinct, COUNT_DISTINCT, and hash-join keys — but ``sql_equal``
     distinguishes them, so the keys must too.  Booleans are tagged with a
     private sentinel; unhashable containers collapse to their ``repr``.
-    All three executors (interpreter, streaming, vectorized) share this
-    one function so their grouping/join semantics can never diverge.
+    Both executors (interpreter, streaming) share this one function so
+    their grouping/join semantics can never diverge.
     """
     if isinstance(value, bool):
         return (_BOOL_TAG, value)
@@ -1021,18 +1016,6 @@ def _aggregate(spec: AggregateSpec, rows: Sequence[Row]) -> object:
         raise QueryError(f"{func} requires a column")
     column = spec.column
     values = [v for row in rows if (v := row.get(column)) is not None]
-    return _aggregate_values(func, values, spec.func)
-
-
-def _aggregate_values(func: str, values: list[object], name: str) -> object:
-    """Finalize one aggregate over a column's non-NULL values (row order).
-
-    Shared by the row-at-a-time paths (via :func:`_aggregate`) and the
-    vectorized executor's grouped accumulation, so both produce identical
-    results by construction.  ``func`` is already upper-cased; ``name`` is
-    the spec's original spelling, for error messages.  COUNT(*) is handled
-    by the callers (it needs the row count, not a column).
-    """
     if func == "COUNT":
         return len(values)
     if func == "COUNT_DISTINCT":
@@ -1050,4 +1033,4 @@ def _aggregate_values(func: str, values: list[object], name: str) -> object:
         return min(values)  # type: ignore[type-var]
     if func == "MAX":
         return max(values)  # type: ignore[type-var]
-    raise QueryError(f"unknown aggregate function {name!r}")
+    raise QueryError(f"unknown aggregate function {spec.func!r}")

@@ -10,10 +10,9 @@ from repro.relational.table import Table, register_restore_listener
 
 Row = dict[str, object]
 
-#: A row-count estimate survives data mutations until its table's row
-#: count drifts by this fraction from the count at build time.  Shared by
-#: the planning-estimate memo (:mod:`repro.relational.cost`) and the plan
-#: cache's estimate facts (:meth:`Database.plan_cache_get`).
+#: A cached plan survives data mutations until the row count of a table
+#: whose bucket sizes chose it drifts by this fraction from the count at
+#: planning time (:meth:`Database.plan_cache_get`).
 PLANNING_STALENESS_FRACTION = 0.10
 
 #: Bumped on every table restore (snapshot load, WAL replay).  Restore can
@@ -53,11 +52,9 @@ class Database:
         self._plan_cache: dict[
             str, tuple[int, tuple[tuple[str, int], ...], object]
         ] = {}
-        #: key -> (validity stamp, rows or None until a second read admits
-        #: them, the caller's patch state); see :meth:`memo_read`.
-        self._result_memo: dict[
-            str, tuple[object, list[Row] | None, object]
-        ] = {}
+        #: key -> (validity stamp, kept rows, the caller's patch state); see
+        #: :meth:`memo_read`.
+        self._result_memo: dict[str, tuple[object, list[Row], object]] = {}
         # Structure listener: the durability layer's DDL hook, called after
         # create_table/drop_table with (op, payload).  Payloads carry the
         # Table on create so the listener can chain a mutation listener.
@@ -172,7 +169,7 @@ class Database:
 
         The caller vouches that ``key`` and ``stamp`` together determine
         the rows.  ``run()`` returns the rows and a *patch state*, kept
-        beside admitted rows for ``patch`` (which may update it in place).
+        beside the rows for ``patch`` (which may update it in place).
         Returns the rows and the memo's outcome:
 
         * ``"hit"``: the key's rows were kept at ``stamp``; a fresh copy.
@@ -180,40 +177,30 @@ class Database:
           ``patch(kept stamp, kept rows, state)`` returned the rows the
           data added since.  The kept rows are extended with them and
           restamped, and a fresh copy returned.
-        * ``"admit"``: the key was read before but keeps no rows;
-          ``run()``'s rows, and a copy of them is kept.
         * ``"miss"``: a first read, or kept rows ``patch`` could not bring
-          forward; ``run()``'s rows, and only the stamp is kept.
+          forward; ``run()``'s own rows, and a copy of them is kept at
+          ``stamp`` with ``run()``'s state.
 
-        A hit's or delta's rows are the caller's to mutate; a miss or
-        admit returns ``run()``'s own rows.  Nothing is stored when
-        ``run`` raises.
+        A hit's or delta's rows are the caller's to mutate, and so are a
+        miss's: the memo keeps its own copy.  Nothing is stored when
+        ``run`` raises; a failed patch leaves the old entry until ``run``
+        returns.
         """
         entry = self._result_memo.get(key)
-        if entry is None:
-            rows, _ = run()
-            self._memo_put(key, (stamp, None, None))
-            return rows, "miss"
-        kept_stamp, kept, state = entry
-        if kept is None:
-            rows, state = run()
-            self._memo_put(key, (stamp, list(map(dict, rows)), state))
-            return rows, "admit"
-        outcome = "hit"
-        if kept_stamp != stamp:
+        if entry is not None:
+            kept_stamp, kept, state = entry
+            if kept_stamp == stamp:
+                return list(map(dict, kept)), "hit"
             appended = patch(kept_stamp, kept, state) if patch is not None else None
-            if appended is None:
-                rows, _ = run()
-                self._memo_put(key, (stamp, None, None))
-                return rows, "miss"
-            kept.extend(appended)
-            self._memo_put(key, (stamp, kept, state))
-            outcome = "delta"
-        return list(map(dict, kept)), outcome
+            if appended is not None:
+                kept.extend(appended)
+                self._memo_put(key, (stamp, kept, state))
+                return list(map(dict, kept)), "delta"
+        rows, state = run()
+        self._memo_put(key, (stamp, list(map(dict, rows)), state))
+        return rows, "miss"
 
-    def _memo_put(
-        self, key: str, entry: tuple[object, list[Row] | None, object]
-    ) -> None:
+    def _memo_put(self, key: str, entry: tuple[object, list[Row], object]) -> None:
         memo = self._result_memo
         if key not in memo and len(memo) >= self.PLAN_CACHE_LIMIT:
             memo.clear()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Callable, TypeVar, cast
+from typing import Callable, Iterator, TypeVar, cast
 
 from repro.expr.analysis import referenced_identifiers
 from repro.obs.trace import Span, Tracer, current_tracer
@@ -55,21 +55,6 @@ from repro.relational.algebra import (
 from repro.relational.database import Database
 from repro.relational.table import Table
 from repro.relational.types import DataType
-
-# Conjunct decomposition and the equality/IN item analyzers are shared
-# with the zone-map probe builders and live in stats.py.
-from repro.relational.stats import (
-    _conjuncts,
-    _equality_item,
-    _in_list_item,
-    statistics_enabled,
-)
-from repro.relational.vectorize import (
-    VECTORIZE_MIN_ROWS,
-    Vectorized,
-    estimated_input_rows,
-    fully_vectorizable,
-)
 
 Row = dict[str, object]
 T = TypeVar("T")
@@ -151,29 +136,23 @@ def optimize(
     plan: Plan,
     db: Database | None = None,
     *,
-    vectorize: bool = True,
     cache_key: str | None = None,
 ) -> Plan:
     """Apply safe rewrites; ``db`` unlocks schema- and index-aware rules.
 
     Without a database the optimizer falls back to statically derivable
     column sets, as before.  With one (``Query.execute`` always passes it),
-    it can additionally lower equality filters onto hash indexes, prune
-    dead columns through joins and unions, and (unless ``vectorize=False``)
-    wrap high-volume fully-kernel-supported subtrees in
-    :class:`~repro.relational.vectorize.Vectorized` for columnar execution.
-    The optimizer is deliberately conservative — correctness is checked by
-    property tests asserting optimized and naive plans agree on every
-    database they run against.
+    it can additionally lower equality filters onto hash indexes and prune
+    dead columns through joins and unions.  The optimizer is deliberately
+    conservative — correctness is checked by property tests asserting
+    optimized and naive plans agree on every database they run against.
 
     With a database the result is also memoized in the database's plan
-    cache under the structural plan fingerprint, the vectorize flag and the
-    statistics toggle (a plan estimated under one regime must never serve
-    the other).  An entry is planned once per *shape*, not once per data
-    version: it stays valid while ``Database.plan_epoch`` (table
-    create/drop, index create/drop) is unchanged and no table
-    an estimate consulted (bucket sizes choosing among index paths, the
-    vectorize threshold) has drifted past ``PLANNING_STALENESS_FRACTION``
+    cache under the structural plan fingerprint.  An entry is planned once
+    per *shape*, not once per data version: it stays valid while
+    ``Database.plan_epoch`` (table create/drop, index create/drop) is
+    unchanged and no table an estimate consulted (bucket sizes choosing
+    among index paths) has drifted past ``PLANNING_STALENESS_FRACTION``
     in row count, as recorded by :class:`_OptContext`.  An estimate only
     picks among equivalent plans, so an index or table change always
     replans while a plan that consulted no estimate survives every insert.
@@ -196,23 +175,23 @@ def optimize(
     epoch = 0
     if db is not None:
         if cache_key is None:
-            key = _toggles(vectorize) + plan_fingerprint(plan)
+            key = plan_fingerprint(plan)
             cached = _cache_lookup(db, key, tracer)
             if cached is not None:
                 return cached
         else:
-            key = _toggles(vectorize) + cache_key
+            key = cache_key
         # Captured before planning: an index change racing the rewrite
         # pass can only make the entry stale-keyed (a harmless miss).
         epoch = db.plan_epoch
     ctx = _OptContext(db)
     if tracer is None:
-        optimized = _plan(plan, db, ctx, vectorize)
+        optimized = _rewrite(plan, ctx)
     else:
         with tracer.span("optimize") as trace:
             ctx.trace = trace
             trace.set("plan_cache", "miss" if db is not None else "off")
-            optimized = _plan(plan, db, ctx, vectorize)
+            optimized = _rewrite(plan, ctx)
     if db is not None and key is not None:
         db.plan_cache_put(key, epoch, optimized, ctx.estimated.items())
     return optimized
@@ -221,17 +200,11 @@ def optimize(
 def cached_plan(db: Database, cache_key: str) -> Plan | None:
     """The plan ``optimize(..., cache_key=cache_key)`` stored, if still valid.
 
-    None when absent or no longer valid (plans stored with
-    ``vectorize=False`` are keyed apart and never found here).  A hit
-    opens the same ``optimize`` span a structural hit does
+    None when absent or no longer valid.  A hit opens the same ``optimize`` span a structural hit does
     (``plan_cache="hit"``, no ``rewrite.*`` counters), so reused plans
     stay visible in traces.
     """
-    return _cache_lookup(db, _toggles(True) + cache_key, current_tracer())
-
-
-def _toggles(vectorize: bool) -> str:
-    return f"V{int(vectorize)}S{int(statistics_enabled())}:"
+    return _cache_lookup(db, cache_key, current_tracer())
 
 
 def _cache_lookup(db: Database, key: str, tracer: Tracer | None) -> Plan | None:
@@ -242,13 +215,6 @@ def _cache_lookup(db: Database, key: str, tracer: Tracer | None) -> Plan | None:
         with tracer.span("optimize") as trace:
             trace.set("plan_cache", "hit")
     return cast(Plan, cached)
-
-
-def _plan(plan: Plan, db: Database | None, ctx: "_OptContext", vectorize: bool) -> Plan:
-    optimized = _rewrite(plan, ctx)
-    if db is not None and vectorize:
-        optimized = _vectorize_tree(optimized, db, ctx)
-    return optimized
 
 
 def rebind_in_lists(
@@ -346,17 +312,16 @@ def extent_driver(
         [_lookup_predicate(node)] if isinstance(node, (IndexLookup, InLookup)) else []
     )
     for above in reversed(path):
-        if isinstance(above, Select):
-            filters.append(above.predicate)
-        elif not isinstance(above, Vectorized):
+        if not isinstance(above, Select):
             break
+        filters.append(above.predicate)
     return node.table, conjunction(filters) if filters else None
 
 
 def _keyed_on(node: Plan, column: str) -> bool:
     """Does ``node`` map each record's rows to rows of that record only,
     in arrival order?"""
-    if isinstance(node, (Select, Project, Compute, Coerce, Vectorized)):
+    if isinstance(node, (Select, Project, Compute, Coerce)):
         return True
     if isinstance(node, Rename):
         return all(column not in pair for pair in node.mapping)
@@ -533,25 +498,6 @@ def _fingerprint_fields(value: object, emit: Callable[[str], None]) -> bool:
     return kind in _FIXED_SCALARS or isinstance(value, Enum)
 
 
-def _vectorize_tree(plan: Plan, db: Database, ctx: _OptContext) -> Plan:
-    """Wrap the root-most batch-executable subtrees in ``Vectorized``.
-
-    A subtree qualifies when every node has a batch kernel (index probes
-    ride along as row-wise leaves) and its estimated base input clears
-    ``VECTORIZE_MIN_ROWS`` — below that, batch setup costs more than the
-    per-row dict traffic it saves.
-    """
-    if isinstance(plan, Vectorized):
-        return plan
-    if fully_vectorizable(plan):
-        ctx.consult_plan(plan)
-        if estimated_input_rows(plan, db) >= VECTORIZE_MIN_ROWS:
-            ctx.note("vectorize", root=type(plan).__name__)
-            return Vectorized(plan)
-    children = tuple(_vectorize_tree(child, db, ctx) for child in plan.children())
-    return _with_children(plan, children)
-
-
 class _OptContext:
     """Column knowledge for the rewrite pass, and the data it consumed.
 
@@ -572,16 +518,6 @@ class _OptContext:
     def consult(self, table: Table) -> None:
         """Record that an estimate over ``table`` picked the plan."""
         self.estimated.setdefault(table.schema.name, len(table))
-
-    def consult_plan(self, plan: Plan) -> None:
-        """Record every base table under ``plan`` (a subtree estimate)."""
-        db = self.db
-        if db is None:
-            return
-        for node in plan.walk():
-            if isinstance(node, (Scan, IndexLookup, InLookup)):
-                if db.has_table(node.table):
-                    self.consult(db.table(node.table))
 
     def note(self, rule: str, **data: object) -> None:
         """Count one applied rewrite (and log its decision data)."""
@@ -952,6 +888,76 @@ def _aggregate_never_raises(
     return False
 
 
+def _conjuncts(expr: Expression) -> Iterator[Expression]:
+    """The conjuncts of ``expr``, left to right (``expr`` itself if not an AND)."""
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        yield from _conjuncts(expr.left)
+        yield from _conjuncts(expr.right)
+    else:
+        yield expr
+
+
+def _equality_item(
+    conjunct: Expression, columns: set[str]
+) -> tuple[str, object] | None:
+    """``col = literal`` (either side) over a plain existing column, or None."""
+    if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
+        return None
+    for ident, literal in (
+        (conjunct.left, conjunct.right),
+        (conjunct.right, conjunct.left),
+    ):
+        if not (isinstance(ident, Identifier) and isinstance(literal, Literal)):
+            continue
+        if len(ident.path) != 1 or ident.name not in columns:
+            continue
+        value = literal.value
+        # NULL never matches (stays in the residual predicate and filters
+        # everything); unhashable values cannot probe a hash bucket.
+        if value is None:
+            continue
+        try:
+            hash(value)
+        except TypeError:
+            continue
+        return (ident.name, value)
+    return None
+
+
+def _in_list_item(
+    conjunct: Expression, columns: set[str]
+) -> tuple[str, tuple[object, ...]] | None:
+    """``col IN (literals)`` over a plain existing column, or None.
+
+    NULL items are dropped from the probe tuple: in filter context a row
+    either matches a non-NULL item (kept either way) or yields NULL
+    (dropped either way), so the kept set is unchanged.  Negated lists
+    never lower — ``NOT IN`` with a NULL item filters everything.
+    """
+    if not (isinstance(conjunct, InList) and not conjunct.negated):
+        return None
+    ident = conjunct.operand
+    if not (
+        isinstance(ident, Identifier)
+        and len(ident.path) == 1
+        and ident.name in columns
+    ):
+        return None
+    values: list[object] = []
+    for item in conjunct.items:
+        if not isinstance(item, Literal):
+            return None
+        value = item.value
+        if value is None:
+            continue
+        try:
+            hash(value)
+        except TypeError:
+            return None
+        values.append(value)
+    return (ident.name, tuple(values))
+
+
 def _lower_index_lookup(
     predicate: Expression, scan: Scan, ctx: _OptContext
 ) -> Plan | None:
@@ -1221,7 +1227,7 @@ def _declared_types(plan: Plan, db: Database) -> dict[str, DataType]:
         return {
             column.name: column.dtype for column in db.table(plan.table).schema.columns
         }
-    if isinstance(plan, (Select, Project, Sort, TopK, Limit, Distinct, Vectorized)):
+    if isinstance(plan, (Select, Project, Sort, TopK, Limit, Distinct)):
         return _declared_types(plan.children()[0], db)
     if isinstance(plan, Rename):
         mapping = dict(plan.mapping)
@@ -1300,6 +1306,4 @@ def _with_children(plan: Plan, children: tuple[Plan, ...]) -> Plan:
             plan.value_column,
             plan.attributes,
         )
-    if isinstance(plan, Vectorized):
-        return Vectorized(children[0])
     return plan

@@ -20,9 +20,9 @@ CheckedBatch = tuple[int, list[Row], list[tuple[object, ...]]]
 #: Callbacks fired whenever a table's extent or counters are *restored*
 #: (snapshot load, WAL replay) rather than mutated through the normal
 #: paths.  Restore can rewind or arbitrarily set the data version, so any
-#: cache keyed on (table identity, version) outside the table itself —
-#: the cost module's stale-tolerant planning estimates — must drop its
-#: entries; modules register a ``callback(table)`` here to be told.
+#: cache keyed on a version outside the table itself — the result memo's
+#: stamps — must learn of it; modules register a ``callback(table)`` here
+#: to be told.
 _RESTORE_LISTENERS: list[Callable[["Table"], None]] = []
 
 
@@ -47,11 +47,7 @@ class Table:
         self._pk_index: HashIndex | None = None
         self._version = 0
         self._index_epoch = 0
-        self._row_snapshot: tuple[int, list[Row]] | None = None
         self._column_snapshot: tuple[int, dict[str, list[object]]] | None = None
-        # key → (version, value): arbitrary derived artifacts (zone maps,
-        # dictionaries) cached per data version; see :meth:`derived`.
-        self._derived: dict[object, tuple[int, object]] = {}
         # Mutation listener: the durability layer's redo-log hook.  Called
         # once per successful mutating call with (op, payload) *after* the
         # mutation is applied; None (the default) costs one check per call.
@@ -106,27 +102,13 @@ class Table:
         """A defensive copy of the extent, in insertion order."""
         return [dict(row) for row in self._rows]
 
-    def snapshot_rows(self) -> list[Row]:
-        """The extent as row dicts, cached per data version and SHARED.
-
-        Unlike :meth:`rows`, repeated calls at the same version return the
-        same list of the same dicts.  The vectorized executor hands these out
-        as query results, so — like ``iter_rows`` — callers must treat both
-        the list and the dicts as read-only.  Any mutation bumps ``version``
-        and the next call rebuilds a fresh snapshot.
-        """
-        cached = self._row_snapshot
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        rows = [dict(row) for row in self._rows]
-        self._row_snapshot = (self._version, rows)
-        return rows
-
     def column_snapshot(self) -> dict[str, list[object]]:
         """The extent as column → value list, cached per data version.
 
-        Columnar source for the vectorized ``Scan`` kernel.  Shared and
-        read-only under the same contract as :meth:`snapshot_rows`.
+        The columnar source of a snapshot write.  The lists are shared
+        between calls at one version, so callers must treat them as
+        read-only; any mutation bumps ``version`` and the next call
+        rebuilds them.
         """
         cached = self._column_snapshot
         if cached is not None and cached[0] == self._version:
@@ -137,37 +119,6 @@ class Table:
         }
         self._column_snapshot = (self._version, columns)
         return columns
-
-    def column_values(self, column: str) -> list[object]:
-        """One column of the extent, cached per data version (read-only).
-
-        Served from :meth:`column_snapshot` when that is current; otherwise
-        only this column is gathered, so a statistic over one column does
-        not pay for transposing the whole extent.
-        """
-        cached = self._column_snapshot
-        if cached is not None and cached[0] == self._version:
-            return cached[1][column]
-        rows = self._rows
-        return self.derived(  # type: ignore[return-value]
-            ("column", column), lambda: [row[column] for row in rows]
-        )
-
-    def derived(self, key: object, build: Callable[[], object]) -> object:
-        """A derived artifact cached per data version (zone maps, encodings).
-
-        ``build()`` runs when the cache misses or the entry was computed at
-        an older version; the result is shared and read-only under the same
-        contract as :meth:`column_snapshot`.  Mutations invalidate simply by
-        bumping ``version`` — no explicit eviction, so derivers need no new
-        invalidation channel beyond what the plan cache already uses.
-        """
-        cached = self._derived.get(key)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        value = build()
-        self._derived[key] = (self._version, value)
-        return value
 
     def iter_rows(self) -> Iterator[Row]:
         """Iterate the extent without copying.
@@ -504,7 +455,7 @@ class Table:
         from this table's own snapshot), indexes are rebuilt, and every
         version-keyed cache is dropped.  ``columns``, when given, must be the
         same data column-major; it pre-seeds the columnar snapshot cache so a
-        recovered table is scan-ready without a first materialization pass.
+        recovered table's next snapshot write needs no transposition pass.
         Counters are NOT touched — pair with :meth:`restore_counters`.
         """
         self._rows = rows
@@ -521,10 +472,9 @@ class Table:
         This CAN rewind — recovery needs the recovered table's counters
         bit-identical to the crashed process's, not merely fresh.  Because an arbitrary version assignment breaks the
         "version equality implies content equality" contract every
-        version-keyed cache relies on, all of them are dropped here:
-        ``derived`` artifacts (zone maps, dictionaries), row/column
-        snapshots, and — via the registered restore
-        listeners — the cost module's stale-tolerant planning estimates.
+        version-keyed cache relies on, the column snapshot is dropped here
+        and the registered restore listeners are told (the result memo's
+        restore generation).
         """
         self._version = version
         if index_epoch is not None:
@@ -534,9 +484,7 @@ class Table:
             callback(self)
 
     def _drop_version_keyed_caches(self) -> None:
-        self._row_snapshot = None
         self._column_snapshot = None
-        self._derived.clear()
 
     # -- internals -------------------------------------------------------------
 

@@ -8,14 +8,14 @@ makes a database survive process death.  Three pieces:
   mutation/structure listeners, with explicit commit records and
   torn-tail-tolerant replay.
 * :mod:`repro.storage.snapshots` — periodic columnar checkpoints that
-  serialize each table as :data:`~repro.relational.batch.BATCH_SIZE`
-  column slices (the vectorized in-memory format doubling as the on-disk
-  format), so a cold start rehydrates into scan-ready columns.
+  serialize each table as chunks of :data:`~repro.storage.snapshots.CHUNK_ROWS`
+  rows, one list per column, so a cold start rehydrates straight into
+  the table's column cache.
 * :mod:`repro.storage.engine` — :class:`DurableStore`, which wires the
   two together: recovery loads the latest valid snapshot and replays the
   WAL segments after it up to the last commit, restoring table versions,
   index epochs, the structural counter, GUAVA change feeds, and
-  warehouse lineage exactly — all four executors produce bit-identical
+  warehouse lineage exactly — both executors produce bit-identical
   results on a recovered database.
 """
 

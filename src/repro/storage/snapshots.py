@@ -1,4 +1,4 @@
-"""Columnar snapshots: periodic checkpoints in the vectorized format.
+"""Columnar snapshots: periodic checkpoints as column slices.
 
 A snapshot file is a sequence of CRC-framed JSON documents (the same
 ``magic | length | crc32 | payload`` framing and JSON codec as the WAL,
@@ -9,11 +9,10 @@ load):
    covers, the structural counter, and per-table metadata (schema doc,
    data version, index epoch, secondary-index column tuples,
    row count, chunk count);
-2. one frame per :data:`~repro.relational.batch.BATCH_SIZE` column slice
-   of each table, in table-manifest order — exactly the slices
-   :meth:`Batch.from_columns` produces, so writing a snapshot is a
-   per-column list slice and loading one rehydrates straight into the
-   scan-ready column cache;
+2. one frame per :data:`CHUNK_ROWS` rows of each table, in
+   table-manifest order, holding each column's slice of those rows — so
+   writing a snapshot is a per-column list slice of
+   :meth:`Table.column_snapshot`, and loading one seeds that column cache;
 3. a terminator frame recording the expected chunk total.
 
 Snapshots are written to a temp file, fsynced, then renamed into place —
@@ -28,8 +27,8 @@ What is deliberately NOT persisted:
 * index hash buckets — ``hash()`` is process-seeded for strings, so
   buckets are meaningless across processes; only the indexed column
   tuples are stored and the buckets rebuild on load;
-* derived artifacts (zone maps, dictionaries, planning estimates) —
-  version-keyed caches that rebuild on demand against recovered versions.
+* the column cache — version-keyed, it is re-seeded from the loaded
+  columns.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import ReproError, SnapshotCorruptionError
-from repro.relational.batch import BATCH_SIZE, Batch
 from repro.relational.database import Database
 from repro.relational.schema import schema_from_doc, schema_to_doc
 from repro.relational.types import DataType
@@ -53,6 +51,11 @@ from repro.storage.wal import _loads as _wal_loads
 SNAP_MAGIC = b"RS"
 HEADER_LEN = 10
 FORMAT_VERSION = 1
+
+#: Rows per chunk frame.  Part of the file layout only: a loader accepts
+#: chunks of any length, but writers keep this so files stay
+#: byte-identical across versions.
+CHUNK_ROWS = 1024
 
 #: Snapshot files are named ``snapshot-<lsn padded to 12>.snap`` so a
 #: lexical sort of the directory is also an LSN sort.
@@ -168,10 +171,9 @@ def write_snapshot(
     everything the WAL would have replayed up to ``lsn`` is also in the
     checkpoint and the WAL prefix can be pruned.
 
-    Returns the final snapshot path.  Chunking runs through
-    :meth:`Batch.from_columns` on each table's shared column snapshot, so
-    the write cost is dominated by C-level list slicing plus JSON
-    serialization.
+    Returns the final snapshot path.  Each chunk is a slice of each
+    column of the table's shared column snapshot, so the write cost is
+    dominated by C-level list slicing plus JSON serialization.
     """
     directory = Path(directory)
     final = directory / snapshot_name(lsn)
@@ -185,7 +187,7 @@ def write_snapshot(
             schema = table.schema
             columns = table.column_snapshot()
             row_count = len(table)
-            chunk_count = (row_count + BATCH_SIZE - 1) // BATCH_SIZE
+            chunk_count = (row_count + CHUNK_ROWS - 1) // CHUNK_ROWS
             meta = schema_to_doc(schema)
             meta["version"] = table.version
             meta["index_epoch"] = table.index_epoch
@@ -209,16 +211,14 @@ def write_snapshot(
         for name, schema, columns in table_chunks:
             names = schema.column_names
             row_count = len(columns[names[0]]) if names else 0
-            for start in range(0, row_count, BATCH_SIZE):
-                batch = Batch.from_columns(
-                    names, columns, start, min(start + BATCH_SIZE, row_count)
-                )
+            for start in range(0, row_count, CHUNK_ROWS):
+                stop = start + CHUNK_ROWS
                 handle.write(
                     _frame(
                         {
                             "table": name,
                             "chunk": chunks,
-                            "columns": {col: batch.column(col) for col in names},
+                            "columns": {col: columns[col][start:stop] for col in names},
                         }
                     )
                 )
@@ -238,7 +238,7 @@ def load_snapshot(path: str | Path) -> tuple[Database, int, dict[str, Any]]:
     """Rebuild a Database from a snapshot: ``(db, covered_lsn, state)``.
 
     Restores, per table: the extent (adopted column-major *and* row-major,
-    pre-seeding the scan-ready column cache), secondary indexes (rebuilt
+    pre-seeding the column cache), secondary indexes (rebuilt
     from metadata), and the exact version and index-epoch counters.  The
     partition-epoch key that older snapshots carry is ignored: their
     partitions were views over the same rows.
@@ -307,15 +307,17 @@ def _load_snapshot(path: Path) -> tuple[Database, int, dict[str, Any]]:
         table = db.table(name)
         columns = columns_by_table[name]
         names = table.schema.column_names
-        row_count = len(columns[names[0]]) if names else 0
-        if row_count != meta.get("rows"):
+        # strict: every column must hold the same number of values (a
+        # ValueError here is reported as a corrupt snapshot).
+        rows = [
+            dict(zip(names, values))
+            for values in zip(*(columns[col] for col in names), strict=True)
+        ]
+        if len(rows) != meta.get("rows"):
             raise SnapshotCorruptionError(
-                f"{path}: table {name!r} carries {row_count} rows, "
+                f"{path}: table {name!r} carries {len(rows)} rows, "
                 f"manifest says {meta.get('rows')}"
             )
-        rows = [
-            {col: columns[col][i] for col in names} for i in range(row_count)
-        ]
         for key in meta.get("indexes", []):
             table.create_index(tuple(key))
         # Counters first: restore_extent seeds the column cache keyed on the

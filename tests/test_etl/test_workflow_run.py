@@ -20,7 +20,6 @@ from repro.relational import (
     Database,
     Scan,
     TableSchema,
-    Vectorized,
     optimize,
 )
 from repro.ui import ReportingTool
@@ -104,9 +103,10 @@ class TestClassifyMemo:
 
 
 class TestExtractRowsAreFresh:
-    """A bare whole-table extract optimizes to a zero-copy batch scan; the
-    rows a workflow hands out or mutates must still be its own, on the
-    first read, the one the result memo admits, and every memo hit.  Steps
+    """A bare whole-table extract optimizes to a plain scan, which streams
+    the table's own row dicts; the rows a workflow hands out or mutates
+    must still be its own, on the first read (whose copy the result memo
+    keeps) and every memo hit.  Steps
     share rows without copying them, so an output that passes the extract's
     rows on (a union, a load) is the caller's own too."""
 
@@ -119,9 +119,7 @@ class TestExtractRowsAreFresh:
             "procedure", [{"record_id": i, "other": "x"} for i in range(400)]
         )
         query = GTreeQuery(source.gtree("procedure"))
-        assert optimize(translate_query(query, chain), source.db) == Vectorized(
-            Scan("procedure")
-        )
+        assert optimize(translate_query(query, chain), source.db) == Scan("procedure")
         return source, query
 
     def test_downstream_steps_leave_the_table_alone(self):
@@ -136,7 +134,7 @@ class TestExtractRowsAreFresh:
         for _ in range(3):
             outputs, _ = workflow.run()
             assert outputs["derive"][0]["other"] == 1
-            assert table.snapshot_rows()[0]["other"] == "x"
+            assert next(table.iter_rows())["other"] == "x"
 
     def test_extract_output_is_independent(self):
         source, query = self.scanned_source()
@@ -148,7 +146,7 @@ class TestExtractRowsAreFresh:
             outputs, _ = workflow.run()
             assert outputs["extract"][0]["other"] == "x"
             outputs["extract"][0]["other"] = "changed"
-            assert table.snapshot_rows()[0]["other"] == "x"
+            assert next(table.iter_rows())["other"] == "x"
             assert table.rows()[0]["other"] == "x"
 
     def test_published_union_leaves_the_warehouse_and_memo_alone(self):
@@ -164,7 +162,7 @@ class TestExtractRowsAreFresh:
         workflow.add("union", UnionInputs(), inputs=("left", "right"))
         workflow.add("load", Load(warehouse, schema), inputs=("union",))
         workflow.mark_output("load")
-        for _ in range(3):  # the first read, the admitted read, memo hits
+        for _ in range(3):  # the first read, then memo hits
             outputs, _ = workflow.run()
             published = outputs["load"]
             assert len(published) == 800

@@ -1,9 +1,10 @@
-"""Code books: row-compiled ≡ batch-compiled ≡ the tree-walking evaluator.
+"""Code books: compiled ≡ the tree-walking evaluator.
 
 An Encoding pattern decodes stored codes with a chain
-``IIF(x = 'Y', TRUE, IIF(x = 'N', FALSE, NULL))``; both compilers lower
-such a chain to one dict probe for the input types the probe decides
-exactly, and run the generic chain for every other input.  These tests
+``IIF(x = 'Y', TRUE, IIF(x = 'N', FALSE, NULL))``; the compiler the
+streaming executor uses lowers such a chain to one dict probe for the
+input types the probe decides exactly, and runs the generic chain for
+every other input.  These tests
 draw random code books (text codes, integer codes, repeated codes,
 bool/NULL values) and feed them inputs of every awkward type: ``True``
 against code ``1``, ``1.0`` against ``1``, NaN, NULL, a date and an
@@ -20,8 +21,6 @@ from repro.expr.ast import BinaryOp, FunctionCall, Identifier, Literal
 from repro.expr.compile import code_book, compile_expression
 from repro.expr.evaluator import Evaluator
 from repro.expr.functions import default_registry
-from repro.relational.batch import Batch
-from repro.relational.vectorize import compile_batch_expression
 
 _EVALUATOR = Evaluator()
 _X = Identifier.of("x")
@@ -82,49 +81,30 @@ def _row_outcome(fn):
         return ("err", type(exc))
 
 
-def _batch_outcome(fn):
-    try:
-        return ("ok", [_typed(value) for value in fn()])
-    except ReproError as exc:
-        return ("err", type(exc))
-
-
 def _assert_agree(expression, inputs):
+    """The compiled expression agrees with the evaluator (the interpreter's
+    semantics) on every input, in value and type, or raises alike."""
     compiled = compile_expression(expression)
-    batched = compile_batch_expression(expression)
     reference = [
         _row_outcome(lambda: _EVALUATOR.evaluate(expression, {"x": value}))
         for value in inputs
     ]
     rows = [_row_outcome(lambda: compiled({"x": value})) for value in inputs]
     assert rows == reference
-    singles = [
-        _batch_outcome(lambda: batched(Batch(("x",), {"x": [value]}, 1)))
-        for value in inputs
-    ]
-    assert singles == [
-        (kind, [result]) if kind == "ok" else (kind, result)
-        for kind, result in reference
-    ]
-    whole = _batch_outcome(lambda: batched(Batch(("x",), {"x": list(inputs)}, len(inputs))))
-    if all(kind == "ok" for kind, _ in reference):
-        assert whole == ("ok", [result for _, result in reference])
-    else:
-        assert whole[0] == "err"
 
 
 class TestRandomCodeBooks:
     @given(_code_books(), st.lists(st.sampled_from(_AWKWARD), max_size=12))
     @settings(max_examples=200, deadline=None)
-    def test_row_batch_and_evaluator_agree(self, drawn, inputs):
+    def test_compiled_and_evaluator_agree(self, drawn, inputs):
         expression, codes = drawn
         assert code_book(expression, default_registry()) is not None
         _assert_agree(expression, inputs + codes)
 
     @given(_code_books())
     @settings(max_examples=60, deadline=None)
-    def test_decidable_batches_agree(self, drawn):
-        # Inputs of the probe's own types only: the batch never needs the
+    def test_decidable_inputs_agree(self, drawn):
+        # Inputs of the probe's own types only: the probe never needs the
         # generic chain.
         expression, codes = drawn
         _assert_agree(expression, codes + [None] + codes[::-1])
@@ -212,13 +192,9 @@ class TestPinnedCases:
     )
     def test_other_chains_stay_generic(self, expression):
         assert code_book(expression, default_registry()) is None
-        env = {"x": "Y", "y": "Y"}
-        assert compile_expression(expression)(env) == _EVALUATOR.evaluate(expression, env)
-        batch = Batch(("x", "y"), {"x": ["Y", None], "y": ["Y", "N"]}, 2)
-        assert compile_batch_expression(expression)(batch) == [
-            _EVALUATOR.evaluate(expression, {"x": x, "y": y})
-            for x, y in (("Y", "Y"), (None, "N"))
-        ]
+        compiled = compile_expression(expression)
+        for env in ({"x": "Y", "y": "Y"}, {"x": None, "y": "N"}):
+            assert compiled(env) == _EVALUATOR.evaluate(expression, env)
 
     def test_generic_chain_is_built_on_first_need(self, monkeypatch):
         import repro.expr.compile as compile_module

@@ -104,7 +104,7 @@ class TestChangeFeed:
     def test_a_registered_write_vouches_for_an_unregistered_one_before_it(
         self, naive_source
     ):
-        """A documented relaxation (DESIGN.md §7, "Result memo"):
+        """A documented relaxation (DESIGN.md §5, "Result memo"):
         ``track_change(rid)`` accounts the current data version, so an
         unregistered direct write made before it is trusted away.  Direct
         writes must each be registered; session entries detect this."""

@@ -333,7 +333,7 @@ class TestPatchedReads:
                     harness.enter(index, other=True)
                     harness.read(0)
                 harness.store.close()
-            assert harness.outcomes == ["miss", "admit"] + ["delta"] * 3, kind
+            assert harness.outcomes == ["miss", "hit"] + ["delta"] * 3, kind
 
     def test_an_update_of_a_read_record_reads_in_full(self):
         with tempfile.TemporaryDirectory() as directory:
@@ -346,7 +346,7 @@ class TestPatchedReads:
             harness.direct("update", 2, 1)
             harness.read(0)
             harness.store.close()
-        assert harness.outcomes == ["miss", "admit", "miss"]
+        assert harness.outcomes == ["miss", "hit", "miss"]
 
     def test_a_record_read_before_that_now_qualifies_reads_in_full(self):
         # Record 2 is filtered out by the condition, then updated so it

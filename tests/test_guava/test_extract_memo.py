@@ -1,14 +1,13 @@
 """The result memo: a g-tree view read once per data version.
 
 ``GuavaSource.execute`` keeps a full read's rows under its plan-cache key,
-stamped with the plan epoch, the chain tables' data versions, the executor
-toggles and the restore generation.  A key's first read keeps only the
-stamp, the second keeps a copy of the rows, and later reads at that
-stamp are served copies of them.  Each case below reads until the memo
-hits (the ``guava.read`` span's ``result_memo`` attribute says so), then
-changes something and checks the next read misses (or, for a new record
-entered through a session, is patched) and still equals a fresh
-``interpret.py`` run of the translated plan.  ``test_delta_memo.py``
+stamped with the plan epoch, the chain tables' data versions and the
+restore generation.  A key's first read keeps a copy of the rows, and
+later reads at that stamp are served copies of them.  Each case below
+reads until the memo hits (the ``guava.read`` span's ``result_memo``
+attribute says so), then changes something and checks the next read
+misses (or, for a new record entered through a session, is patched) and
+still equals a fresh ``interpret.py`` run of the translated plan.  ``test_delta_memo.py``
 covers the patch path.
 """
 
@@ -26,7 +25,7 @@ from repro.guava import GTreeQuery, GuavaSource, translate_query
 from repro.guava.derive import derive_gtree
 from repro.obs import tracing
 from repro.patterns import GenericPattern, NaivePattern, PatternChain
-from repro.relational import Database, set_statistics_enabled
+from repro.relational import Database
 from repro.relational.interpret import execute_interpreted
 from repro.ui import ReportingTool
 from tests.conftest import build_fig2_form
@@ -84,9 +83,9 @@ def _read(source: GuavaSource, query: GTreeQuery, **kwargs) -> tuple[list[dict],
 def _read_until_hit(
     source: GuavaSource, query: GTreeQuery, missed: bool = False
 ) -> list[dict]:
-    """Read at one data version until the memo hits: miss, admit, hit
-    (admit, hit when the last read at this version ``missed``)."""
-    expected = ["admit", "hit"] if missed else ["miss", "admit", "hit"]
+    """Read at one data version until the memo hits: miss, hit (just hit
+    when the last read at this version ``missed``)."""
+    expected = ["hit"] if missed else ["miss", "hit"]
     outcomes = []
     for _ in expected:
         rows, (outcome,) = _read(source, query)
@@ -153,18 +152,6 @@ class TestInvalidation:
         assert after != before
         _read_until_hit(source, query, missed=True)
 
-    def test_flipping_the_statistics_toggle_misses(self, kind):
-        source = _source(kind)
-        query = _query(source)
-        _read_until_hit(source, query)
-        previous = set_statistics_enabled(False)
-        try:
-            _misses(source, query)
-            _read_until_hit(source, query, missed=True)
-        finally:
-            set_statistics_enabled(previous)
-        _misses(source, query)
-
     def test_plan_cache_clear_drops_the_memo(self, kind):
         source = _source(kind)
         query = _query(source)
@@ -186,7 +173,7 @@ class TestRowsAreTheCallers:
         source = _source()
         query = _query(source, None)
         expected = _oracle(source, query)
-        for outcome in ("miss", "admit", "hit", "hit"):
+        for outcome in ("miss", "hit", "hit", "hit"):
             rows, outcomes = _read(source, query)
             assert outcomes == [outcome]
             assert rows == expected
@@ -288,7 +275,7 @@ class TestStudies:
         reads = _outcomes(tracer)
         assert reads == ["miss"] * len(world.sources)
         assert _multiset(preview) != _multiset(first)
-        for _ in range(2):  # admitted, then served by the memo
+        for _ in range(2):  # served by the memo
             assert _multiset(publish()) == _multiset(preview)
         for source in world.sources:
             source.db.plan_cache_clear()

@@ -86,6 +86,16 @@ def _optimize_spans(tracer) -> list:
     ]
 
 
+def _memo_spans(tracer) -> list:
+    """Every ``guava.read`` span."""
+    return [
+        span
+        for root in tracer.roots
+        for span in root.walk()
+        if span.name == "guava.read"
+    ]
+
+
 def _outcome(run) -> object:
     try:
         return ("rows", run())
@@ -165,7 +175,7 @@ reads = st.one_of(
 mutations = st.one_of(
     st.tuples(st.just("enter"), records),
     # Entries that give ``frequency`` its first value cross the band
-    # query's zone-map band; one of them makes the authored order raise.
+    # query's type band; one of them makes the authored order raise.
     st.tuples(
         st.just("enter"),
         st.sampled_from(
@@ -253,10 +263,15 @@ class TestPinnedCases:
         query = _query(source, BAND_CONDITION)
         assert _check(source, query)[0] == "rows"
         # Crossing bands on a row the authored order never compares: the
-        # reused plan keeps that order, so it does not raise either.
-        session.enter("procedure", {"smoking": "Current", "frequency": 2.0})
+        # reused plan keeps that order, so it does not raise either.  The
+        # write bypasses the change feed, so the kept rows cannot be
+        # patched and the read runs the cached full plan.
+        source.db.table("procedure").insert(
+            {"record_id": 1000, "smoking": "Current", "frequency": 2.0}
+        )
         with tracing() as tracer:
             assert _check(source, query)[0] == "rows"
+        assert [span.attrs["result_memo"] for span in _memo_spans(tracer)] == ["miss"]
         spans = _optimize_spans(tracer)
         assert [span.attrs.get("plan_cache") for span in spans] == ["hit"]
         # The raising case: the comparison is reached, so every plan raises.
@@ -325,8 +340,9 @@ class TestPinnedCases:
             session.enter("procedure", {"smoking": smoking})
         query = _query(source, "smoking = 'Never'")
         source.execute(query)
-        # A new data version within the estimates' drift bound.
-        session.enter("procedure", {"smoking": "Current"})
+        # A new data version within the estimates' drift bound, written
+        # past the change feed so the kept rows cannot be patched.
+        source.db.table("procedure").insert({"record_id": 1000, "smoking": "Current"})
         calls = []
         real_get = Database.plan_cache_get
 

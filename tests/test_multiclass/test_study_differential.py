@@ -16,8 +16,8 @@ with record- and study-scoped cleaning rules, and Study 1 with a
 classifier that raises ``DomainError`` on records past a threshold.
 Events: session entries, direct updates and deletes of read records
 (registered with ``track_change``, so the memo must not patch over them),
-a restore that lands other rows at the stamped version, and the
-statistics and vectorize toggles.
+a restore that lands other rows at the stamped version, and clearing
+every source's plan cache and memo.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from repro.multiclass import Classifier, CleaningRule, Domain, Rule
 from repro.multiclass.domain import DomainKind
 from repro.multiclass.study import PARENT_RECORD_ID, element_column
 from repro.obs import tracing
-from repro.relational import Database, set_statistics_enabled
-from repro.relational.stats import statistics_enabled
+from repro.relational import Database
 from repro.ui.form import RECORD_ID
 
 _EVALUATOR = Evaluator()
@@ -312,35 +311,22 @@ def _next_id(source) -> int:
     )
 
 
-@contextmanager
-def _toggles():
-    """Restore the statistics toggle and the vectorize threshold after."""
-    statistics = statistics_enabled()
-    with mock.patch("repro.relational.query.VECTORIZE_MIN_ROWS", 256):
-        try:
-            yield
-        finally:
-            set_statistics_enabled(statistics)
-
-
 def _play(program) -> list[str]:
     harness = _World()
-    with _toggles():
-        for op, arg in program:
-            if op == "read":
-                harness.check(arg)
-            elif op == "enter":
-                harness.enter(arg)
-            elif op in ("update", "delete"):
-                harness.write(op, arg)
-            elif op == "restore":
-                harness.restore(arg)
-            elif op == "statistics":
-                set_statistics_enabled(not statistics_enabled())
-            else:
-                relational_query.VECTORIZE_MIN_ROWS = arg
-        for which in range(len(STUDIES)):
-            harness.check(which)
+    for op, arg in program:
+        if op == "read":
+            harness.check(arg)
+        elif op == "enter":
+            harness.enter(arg)
+        elif op in ("update", "delete"):
+            harness.write(op, arg)
+        elif op == "restore":
+            harness.restore(arg)
+        else:
+            for source in harness.sources:
+                source.db.plan_cache_clear()
+    for which in range(len(STUDIES)):
+        harness.check(which)
     return harness.outcomes
 
 
@@ -351,8 +337,7 @@ ops = st.one_of(
     reads,
     st.tuples(st.just("enter"), st.integers(1, 4)),
     st.tuples(st.sampled_from(["update", "delete", "restore"]), st.integers(0, 99)),
-    st.tuples(st.just("statistics"), st.none()),
-    st.tuples(st.just("vectorize"), st.sampled_from([0, 256, 10**12])),
+    st.tuples(st.just("clear"), st.none()),
 )
 
 
@@ -367,7 +352,7 @@ class TestStudyDifferential:
         _play(program)
 
     def test_a_tour_sees_every_memo_outcome(self):
-        """A fixed program reaches miss, admit, hit and delta reads, and the
+        """A fixed program reaches miss, hit and delta reads, and the
         DomainError study, and still matches the oracle throughout."""
         read = [("read", which) for which in range(len(STUDIES))]
         program = (
@@ -376,13 +361,13 @@ class TestStudyDifferential:
             + read
             + [("update", 4)]
             + read
-            + [("restore", 2), ("statistics", None), ("vectorize", 0)]
+            + [("restore", 2), ("clear", None)]
             + read
             + [("enter", 12)]
             + read
         )
         outcomes = _play(program)
-        assert {"miss", "admit", "hit", "delta"} <= set(outcomes)
+        assert {"miss", "hit", "delta"} <= set(outcomes)
         world = _World()
         world.enter(12)
         assert _outcome(lambda: _oracle(_raising(world.world))) == (
@@ -529,11 +514,11 @@ class TestRebuild:
                 assert rebuilt == expected
                 assert again == expected
 
-        compare()  # the rebuilt studies miss, their first builds admit
+        compare()  # the rebuilt studies miss, their first builds hit
         compare()  # both hit
         harness.enter(6)
         compare()  # the rebuilt studies patch the kept rows
-        assert {"miss", "admit", "hit", "delta"} <= set(outcomes)
+        assert {"miss", "hit", "delta"} <= set(outcomes)
 
 
 class TestClassifiedOnce:

@@ -103,11 +103,9 @@ class TestGate:
 
 
 class TestRequiredCases:
-    def test_relational_core_requires_the_zm_tier(self):
-        assert "zm_selective_scan" in REQUIRED_CASES["relational_core"]
-        problems = missing_required("relational_core", BASELINE)
-        assert "zm_selective_scan" in problems
-        assert "zm_groupby_dict" in problems
+    def test_relational_core_requires_its_floor_cases(self):
+        assert REQUIRED_CASES["relational_core"] == ("filtered_scan", "indexed_lookup")
+        assert missing_required("relational_core", BASELINE) == ["indexed_lookup"]
 
     def test_gate_fails_on_baseline_missing_required_cases(self):
         stripped = {"benchmark": "relational_core", "results": BASELINE["results"]}

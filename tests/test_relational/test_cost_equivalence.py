@@ -1,13 +1,11 @@
 """Estimates never change query results, and plans keep their authored order.
 
-Cardinality estimates feed ``explain_analyze`` and choose among index
-access paths; they never reorder joins, join sides or conjuncts.  Joins,
-join chains and conjunctions — including NULL-heavy columns, skewed join
-keys and a conjunct that raises when reached — must be *bit-identical*
-to the interpreted oracle in rows, row order and error across the
-streaming and vectorized batch executors.  The plan cache must never
-serve a plan planned under one statistics regime to the other, and
-planning statistics stay stale-tolerant until a manual refresh or drift.
+Cardinality estimates feed ``explain_analyze`` only; index access paths
+are ranked by bucket sizes, and nothing reorders joins, join sides or
+conjuncts.  Joins, join chains and conjunctions — including NULL-heavy
+columns, skewed join keys and a conjunct that raises when reached — must
+be *bit-identical* to the interpreted oracle in rows, row order and
+error, both as written and as optimized.
 """
 
 import pytest
@@ -16,20 +14,18 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ReproError
 from repro.expr.parser import parse
 from repro.relational import (
-    BATCH_SIZE,
     Database,
     DataType,
     Query,
     TableSchema,
     execute_interpreted,
-    set_statistics_enabled,
 )
 from repro.relational.algebra import Join, Scan, Select
-from repro.relational.cost import column_ndv, refresh_planning_stats
+from repro.relational.cost import NDV_SAMPLE_ROWS, column_ndv
 from repro.relational.query import optimize
 from repro.obs.explain import explain_analyze
 
-ROWS = BATCH_SIZE * 2 + 77  # two full chunks plus a ragged tail
+ROWS = 2125  # large enough that NDV is sampled, not counted
 
 VENDORS = ["acme", "globex", "initech", None]
 
@@ -90,13 +86,11 @@ def _outcome(fn):
 
 
 def _assert_three_way(db, plan) -> None:
-    """Interpreted oracle vs streaming vs batch, rows AND order."""
+    """Interpreted oracle vs streaming as written vs optimized, rows AND
+    order."""
     reference = _outcome(lambda: execute_interpreted(plan, db))
-    optimized = optimize(plan, db)
-    streaming = _outcome(lambda: optimize(plan, db, vectorize=False).execute(db))
-    batch = _outcome(lambda: optimized.execute(db))
-    assert streaming == reference
-    assert batch == reference
+    assert _outcome(lambda: plan.execute(db)) == reference
+    assert _outcome(lambda: optimize(plan, db).execute(db)) == reference
 
 
 def _the_join(plan) -> Join:
@@ -206,8 +200,8 @@ def test_chain_without_primary_keys_keeps_authored_order():
 
 
 def test_dictionary_like_stays_before_weaker_equality(db):
-    # ``note`` has 11 distinct values, so its LIKE runs in code space;
-    # the authored order is the evaluated order.
+    # ``note`` has 11 distinct values and ``key = 1`` keeps most rows; the
+    # authored order is the evaluated order all the same.
     plan = Query.table("big").where("note LIKE 'note-3%' AND key = 1").plan
     optimized = optimize(plan, db)
     selects = [n for n in optimized.walk() if isinstance(n, Select)]
@@ -240,7 +234,7 @@ def test_safe_conjuncts_do_not_cross_a_barrier(db):
     _assert_three_way(db, plan)
 
 
-# -- randomized equivalence (interpreted, streaming, batch) --------------------
+# -- randomized equivalence (interpreted, streaming, optimized) ----------------
 
 SAFE_CONJUNCTS = [
     "value = 7",
@@ -286,7 +280,7 @@ def test_randomized_skewed_joins_four_way(db, keys):
             [(c.name, c.dtype) for c in db.table("big").schema.columns],
         )
     )
-    probe.insert("big", db.table("big").snapshot_rows())
+    probe.insert("big", db.table("big").rows())
     probe.create_table(
         TableSchema.build("dim", [("key", DataType.INTEGER), ("tag", DataType.TEXT)])
     )
@@ -313,54 +307,23 @@ def test_estimated_rows_and_q_error_in_explain_analyze(db):
         assert attrs["q_error"] >= 1.0
 
 
-# -- plan-cache keying of the statistics regime --------------------------------
+# -- NDV ------------------------------------------------------------------------
 
 
-def test_plan_cache_never_crosses_statistics_regimes(db):
-    plan = Query.table("big").where("value = 7 AND note LIKE 'note-2%'").plan
-    first = optimize(plan, db)
-    assert optimize(plan, db) is first  # same regime: cache hit
-
-    previous = set_statistics_enabled(False)
-    try:
-        toggled = optimize(plan, db)
-        assert toggled is not first  # different key, no cross-regime serve
-        assert toggled.execute(db) == first.execute(db)
-    finally:
-        set_statistics_enabled(previous)
-    assert optimize(plan, db) is first  # original entry still keyed
-
-
-def test_planning_stats_tolerate_small_deltas_and_refresh_on_demand():
-    # Fresh database: the module fixture's cache state must not leak in.
+def test_ndv_counts_small_extents_and_samples_large_ones(db):
+    small = column_ndv(db.table("small"), "key")
+    assert small == (12.0, "extent")
+    # 2,125 rows: counted outright (a stride of one).
+    assert column_ndv(db.table("big"), "note") == (11.0, "extent")
     local = _build_db()
-    table = local.table("big")
-    before = column_ndv(table, "key")
-    assert before is not None
-
-    # A sub-tolerance delta (1 row into ROWS) bumps the data version but
-    # must NOT trigger a statistics re-profile: the stale estimate is
-    # served verbatim, object-identical.
-    version = table.version
-    local.insert("big", [{"seq": ROWS, "key": 39, "vendor": "acme",
-                          "value": 1, "note": "note-0", "mixed": "mX"}])
-    assert table.version != version
-    assert column_ndv(table, "key") is before
-
-    # A manual refresh (ANALYZE) re-profiles against current data.
-    refresh_planning_stats(table)
-    refreshed = column_ndv(table, "key")
-    assert refreshed is not before
-    assert refreshed is not None
-
-    # Growing the table past the staleness tolerance re-profiles too.
-    grown = int(len(table) * 0.11) + 1
     local.insert(
         "big",
-        [{"seq": ROWS + 1 + i, "key": i % 40, "vendor": None,
-          "value": None, "note": "note-1", "mixed": f"g{i}"} for i in range(grown)],
+        [{"seq": ROWS + i, "key": 1, "vendor": None, "value": None,
+          "note": f"note-{i % 11}", "mixed": "x"} for i in range(NDV_SAMPLE_ROWS * 2)],
     )
-    assert column_ndv(table, "key") is not refreshed
+    ndv, source = column_ndv(local.table("big"), "note")
+    assert source == "sample" and ndv == 11.0
+    assert column_ndv(local.table("big"), "absent") is None
 
 
 def test_stale_estimates_never_leak_into_executed_rows():
@@ -369,7 +332,7 @@ def test_stale_estimates_never_leak_into_executed_rows():
     # current-version data.
     local = _build_db()
     plan = Query.table("big").where("vendor = 'acme' AND value = 7").plan
-    _assert_three_way(local, plan)  # warm planning stats
+    _assert_three_way(local, plan)  # warm the plan cache
     local.insert("big", [{"seq": ROWS + 7, "key": 2, "vendor": "acme",
                           "value": 7, "note": "note-3", "mixed": "mZ"}])
     kind, rows = _outcome(lambda: execute_interpreted(plan, local))

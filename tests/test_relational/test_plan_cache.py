@@ -17,7 +17,7 @@ identical plans on every read.  The invariants under test:
   alone do not replan;
 * no plan depends on an exact data version: conjuncts keep their
   authored order, so a cached plan raises exactly where the interpreted
-  oracle does after the data crosses zone-map bands.
+  oracle does after the data changes the conjuncts' type bands.
 """
 
 from repro.obs import explain_analyze, tracing
@@ -29,7 +29,6 @@ from repro.relational import (
     Query,
     Select,
     TableSchema,
-    Vectorized,
     optimize,
     plan_fingerprint,
 )
@@ -112,17 +111,6 @@ class TestCacheHits:
         assert cached.rewrites_applied() == {}
         assert cached.rows == warm.rows
 
-    def test_vectorize_flag_is_part_of_the_key(self):
-        db = _db(600)
-        plan = Query.table("patients").where("age >= 21").plan
-        batch = optimize(plan, db, vectorize=True)
-        row = optimize(plan, db, vectorize=False)
-        assert _contains(batch, Vectorized)
-        assert not _contains(row, Vectorized)
-        # Both entries coexist: asking again returns each cached object.
-        assert optimize(plan, db, vectorize=True) is batch
-        assert optimize(plan, db, vectorize=False) is row
-
     def test_no_database_means_no_cache(self):
         plan = Query.table("patients").where("age >= 30").plan
         assert optimize(plan) is not optimize(plan)
@@ -139,19 +127,21 @@ class TestInvalidation:
         # number of inserts.
         db = _db()
         plan = Query.table("patients").where("age >= 30").plan
-        first = optimize(plan, db, vectorize=False)
+        first = optimize(plan, db)
         before, plan_epoch = db.epoch, db.plan_epoch
         db.insert("patients", [{"patient_id": 90 + i, "age": 44} for i in range(20)])
         assert db.epoch > before
         assert db.plan_epoch == plan_epoch
-        assert optimize(plan, db, vectorize=False) is first
+        assert optimize(plan, db) is first
 
     def test_estimates_hold_until_the_row_count_drifts(self):
-        # The vectorize decision reads the table's row count, so the plan
-        # is reused within PLANNING_STALENESS_FRACTION of the planned count
+        # Two index paths compete, so bucket sizes picked the plan: it is
+        # reused within PLANNING_STALENESS_FRACTION of the planned count
         # and replanned beyond it.
         db = _db(100)
-        plan = Query.table("patients").where("age >= 30").plan
+        db.table("patients").create_index(("age",))
+        db.table("patients").create_index(("patient_id",))
+        plan = Query.table("patients").where("age = 22 AND patient_id IN (2, 7)").plan
         first = optimize(plan, db)
         db.insert("patients", [{"patient_id": 100 + i, "age": 44} for i in range(10)])
         assert optimize(plan, db) is first
@@ -244,13 +234,13 @@ class TestZoneMapCertificates:
         # ``x > 'abc'`` cannot raise while every x is NULL, and is the
         # more selective conjunct; it still runs second.
         plan = Query.table("t").where("k = 'a' AND x > 'abc'").plan
-        first = optimize(plan, db, vectorize=False)
+        first = optimize(plan, db)
         (select,) = [node for node in first.walk() if isinstance(node, Select)]
         assert select.predicate == plan.predicate
 
         # Crossing bands where ``k = 'a'`` is False: no plan compares that x.
         db.insert("t", [{"id": 100, "k": "b", "x": 5}])
-        assert optimize(plan, db, vectorize=False) is first
+        assert optimize(plan, db) is first
         assert self._outcome(lambda: first.execute(db)) == self._outcome(
             lambda: execute_interpreted(plan, db)
         )
@@ -260,16 +250,16 @@ class TestZoneMapCertificates:
         db.insert("t", [{"id": 101, "k": "a", "x": 6}])
         interpreted = self._outcome(lambda: execute_interpreted(plan, db))
         assert isinstance(interpreted, str)
-        assert optimize(plan, db, vectorize=False) is first
+        assert optimize(plan, db) is first
         assert self._outcome(lambda: first.execute(db)) == interpreted
 
     def test_an_uncertified_plan_survives_inserts(self):
         db = self._db()
         db.insert("t", [{"id": 100, "k": "b", "x": 5}])
         plan = Query.table("t").where("k = 'a' AND x > 'abc'").plan
-        first = optimize(plan, db, vectorize=False)
+        first = optimize(plan, db)
         db.insert("t", [{"id": 101, "k": "b", "x": 7}])
-        assert optimize(plan, db, vectorize=False) is first
+        assert optimize(plan, db) is first
 
 
 class TestStaleIndexRegression:

@@ -3,14 +3,11 @@
 An ``IndexLookup`` counts the rows of its bucket; an ``InLookup`` sums
 the buckets of its distinct probes, skipping exactly the probes its
 ``_stream`` skips: NULL, and a bool probe against a non-bool column (or
-the reverse).  Three consumers share that count (``bucket_rows``):
+the reverse).  Two consumers share that count (``bucket_rows``):
 
-* ``estimated_input_rows`` decides whether a subtree runs on the batch
-  path, so a probe feeding thousands of rows is vectorized and a point
-  lookup is not (the whole table when no index matches: the scan
-  fallback reads it all);
 * ``estimate_plan_rows`` reports it as ``explain_analyze``'s
-  ``estimated_rows`` (a selectivity estimate when no index matches);
+  ``estimated_rows`` (a selectivity estimate when no index matches, and
+  the scan fallback then reads the whole table);
 * index lowering ranks access paths by it.
 """
 
@@ -21,19 +18,15 @@ from repro.relational import (
     DataType,
     IndexLookup,
     InLookup,
-    Pivot,
-    Plan,
     Query,
     Select,
     TableSchema,
-    Vectorized,
     optimize,
 )
 from repro.obs import explain_analyze
 from repro.relational.index import HashIndex
 from repro.relational.cost import estimate_plan_rows
 from repro.relational.interpret import execute_interpreted
-from repro.relational.vectorize import VECTORIZE_MIN_ROWS, estimated_input_rows
 
 
 def _db(rows: int = 1000) -> Database:
@@ -70,64 +63,68 @@ def _db(rows: int = 1000) -> Database:
     return db
 
 
-def _contains(plan: Plan, node_type: type) -> bool:
-    if isinstance(plan, node_type):
-        return True
-    return any(_contains(child, node_type) for child in plan.children())
+def _probe_rows(plan: IndexLookup | InLookup, db: Database) -> int:
+    """The rows a probe reads: its buckets, or the whole table when no
+    index matches (the scan fallback)."""
+    if not db.has_table(plan.table):
+        return 0
+    table = db.table(plan.table)
+    rows = plan.bucket_rows(table)
+    return len(table) if rows is None else rows
 
 
 class TestIndexLookupEstimate:
     def test_hit_bucket_counts_its_rows(self):
         db = _db()
-        assert estimated_input_rows(IndexLookup("eav", (("kind", "bulk"),)), db) == 900
-        assert estimated_input_rows(IndexLookup("eav", (("kind", "rare"),)), db) == 100
+        assert _probe_rows(IndexLookup("eav", (("kind", "bulk"),)), db) == 900
+        assert _probe_rows(IndexLookup("eav", (("kind", "rare"),)), db) == 100
 
     def test_empty_bucket_counts_zero(self):
         db = _db()
-        assert estimated_input_rows(IndexLookup("eav", (("kind", "none"),)), db) == 0
+        assert _probe_rows(IndexLookup("eav", (("kind", "none"),)), db) == 0
 
     def test_scan_fallback_counts_the_table(self):
         db = _db()
         # No index covers ``attribute``: execution scans the whole extent.
         plan = IndexLookup("eav", (("attribute", "a1"),))
-        assert estimated_input_rows(plan, db) == 1000
+        assert _probe_rows(plan, db) == 1000
 
     def test_missing_table_counts_zero(self):
-        assert estimated_input_rows(IndexLookup("gone", (("kind", "x"),)), _db()) == 0
+        assert _probe_rows(IndexLookup("gone", (("kind", "x"),)), _db()) == 0
 
 
 class TestInLookupEstimate:
     def test_sums_buckets(self):
         db = _db()
-        assert estimated_input_rows(InLookup("eav", "record_id", (1, 2, 3)), db) == 12
+        assert _probe_rows(InLookup("eav", "record_id", (1, 2, 3)), db) == 12
 
     def test_empty_buckets_count_zero(self):
         db = _db()
-        assert estimated_input_rows(InLookup("eav", "record_id", (-1, -2)), db) == 0
+        assert _probe_rows(InLookup("eav", "record_id", (-1, -2)), db) == 0
 
     def test_null_probes_are_skipped(self):
         db = _db()
         plan = InLookup("eav", "record_id", (None, 5))
-        assert estimated_input_rows(plan, db) == 4
+        assert _probe_rows(plan, db) == 4
 
     def test_bool_probes_skip_like_the_stream(self):
         db = _db()
         # TRUE never SQL-equals the integer 1 (its hash bucket would).
-        assert estimated_input_rows(InLookup("eav", "record_id", (True, 1)), db) == 4
+        assert _probe_rows(InLookup("eav", "record_id", (True, 1)), db) == 4
         # ...and on a BOOLEAN column only bool probes count.
-        assert estimated_input_rows(InLookup("eav", "flag", (1, True)), db) == 500
-        assert estimated_input_rows(InLookup("eav", "flag", (False,)), db) == 500
+        assert _probe_rows(InLookup("eav", "flag", (1, True)), db) == 500
+        assert _probe_rows(InLookup("eav", "flag", (False,)), db) == 500
 
     def test_scan_fallback_counts_the_table(self):
         db = _db()
         plan = InLookup("eav", "attribute", ("a1",))
-        assert estimated_input_rows(plan, db) == 1000
+        assert _probe_rows(plan, db) == 1000
 
     def test_estimate_matches_the_rows_the_probe_streams(self):
         db = _db()
         for values in [(1, 2, 3), (None, 7), (True, 4), (-1,), ()]:
             plan = InLookup("eav", "record_id", values)
-            assert estimated_input_rows(plan, db) == len(plan.execute(db))
+            assert _probe_rows(plan, db) == len(plan.execute(db))
 
 
 class TestPlanRowEstimate:
@@ -165,7 +162,7 @@ class TestPlanRowEstimate:
         for plan in plans:
             assert len(execute_interpreted(plan, db)) == 0
             assert estimate_plan_rows(plan, db) == 0
-            assert estimated_input_rows(plan, db) == 0
+            assert _probe_rows(plan, db) == 0
         # The hash buckets hold rows (``1 == True``), but none is read.
         assert db.table("eav").matching_index(["flag"]).count((True,)) == 500
         with mock.patch.object(HashIndex, "lookup", side_effect=AssertionError):
@@ -185,7 +182,7 @@ class TestPlanRowEstimate:
         db = _db()
         plan = InLookup("eav", "attribute", ("a1",))
         # Execution reads the whole table but keeps a quarter of it.
-        assert estimated_input_rows(plan, db) == 1000
+        assert _probe_rows(plan, db) == 1000
         assert estimate_plan_rows(plan, db) == 250
 
 
@@ -220,26 +217,3 @@ class TestIndexLowering:
         assert isinstance(optimized, Select)
         assert optimized.child == InLookup("eav", "record_id", (True, 1))
         assert optimized.execute(db) == execute_interpreted(plan, db) == []
-
-
-class TestVectorizeDecision:
-    def _pivot(self, predicate: str) -> Plan:
-        base = Query.table("eav").where(predicate).plan
-        return Pivot(base, ("record_id",), "attribute", "value", ("a0", "a1", "a2", "a3"))
-
-    def test_bulk_probe_feeds_the_batch_kernels(self):
-        db = _db()
-        plan = self._pivot("kind = 'bulk'")
-        optimized = optimize(plan, db)
-        assert _contains(optimized, IndexLookup)
-        assert isinstance(optimized, Vectorized)
-        assert optimized.execute(db) == execute_interpreted(plan, db)
-
-    def test_point_lookup_stays_row_wise(self):
-        db = _db()
-        plan = self._pivot("record_id = 3")
-        optimized = optimize(plan, db)
-        assert _contains(optimized, IndexLookup)
-        assert not _contains(optimized, Vectorized)
-        assert estimated_input_rows(optimized, db) < VECTORIZE_MIN_ROWS
-        assert optimized.execute(db) == execute_interpreted(plan, db)

@@ -23,7 +23,6 @@ import pytest
 
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, prepare_stream_plan
-from repro.relational.vectorize import Vectorized
 from repro.storage.crashtest import (
     build_ops,
     oracle_fingerprints,
@@ -187,7 +186,7 @@ class TestRecoveredExecution:
             expected = execute_interpreted(plan, db)
             assert prepare_stream_plan(plan, db).execute(db) == expected
             assert optimize(plan, db).execute(db) == expected
-            assert Vectorized(plan).execute(db) == expected
+            assert plan.execute(db) == expected
         finally:
             store.close()
 

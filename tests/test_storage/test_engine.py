@@ -20,7 +20,6 @@ from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, prepare_stream_plan
 from repro.relational.schema import Column, TableSchema, schema_to_doc
 from repro.relational.types import DataType
-from repro.relational.vectorize import Vectorized
 from repro.storage.engine import DurableStore, state_fingerprint
 from repro.storage.snapshots import (
     _frame,
@@ -111,7 +110,7 @@ class TestReopenFidelity:
         assert execute_interpreted(plan, db) == expected
         assert prepare_stream_plan(plan, db).execute(db) == expected
         assert optimize(plan, db).execute(db) == expected
-        assert Vectorized(plan).execute(db) == expected
+        assert plan.execute(db) == expected
 
     def test_close_without_commit_discards_uncommitted_tail(self, tmp_path):
         store = DurableStore(tmp_path)

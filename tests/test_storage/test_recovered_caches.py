@@ -1,12 +1,11 @@
-"""Derived artifacts and planning estimates must not survive a restore.
+"""Restores drop every version-keyed cache.
 
-A recovered table can carry a *rewound* version counter and a row count
-inside the planning staleness tolerance while holding entirely different
-data.  Version-keyed ``Table.derived`` artifacts (zone maps, dictionary
-encodings) and the cost module's stale-tolerant estimates would then
-validate against the wrong extent — so ``restore_extent`` /
-``restore_counters`` must drop all of them unconditionally, and anything
-rebuilt afterwards must profile the recovered data.
+A recovered table can carry a *rewound* version counter and an unchanged
+row count while holding entirely different data.  A cache keyed on the
+version — the table's column snapshot — would then serve the wrong
+extent, so ``restore_extent`` / ``restore_counters`` must drop it
+unconditionally, and anything computed afterwards must read the
+recovered data.
 """
 
 from __future__ import annotations
@@ -15,11 +14,6 @@ from repro.relational.cost import column_ndv
 from repro.relational.database import Database
 from repro.relational.query import Query
 from repro.relational.schema import Column, TableSchema
-from repro.relational.stats import (
-    column_zone_map,
-    encoded_columns,
-    set_statistics_enabled,
-)
 from repro.relational.types import DataType
 from repro.storage.engine import DurableStore
 
@@ -42,17 +36,14 @@ def _fill(table, rows, kinds=("a", "b"), score=1.0):
 
 
 class TestRestoreDropsCaches:
-    def test_same_version_different_data_rebuilds_zone_maps(self):
-        """The poisoning scenario: caches built at version V, then a restore
-        lands different data at the *same numeric* version V."""
+    def test_same_version_different_data_rebuilds_the_column_snapshot(self):
+        """The poisoning scenario: the snapshot built at version V, then a
+        restore lands different data at the *same numeric* version V."""
         db = Database("d")
         table = db.create_table(_schema())
         _fill(table, 300, kinds=("a", "b"))
         version = table.version
-        stale_zone = column_zone_map(table, "score")
-        assert stale_zone is not None and stale_zone[0].hi == 299.0
-        stale_dict = encoded_columns(table).get("kind")
-        assert stale_dict is not None and stale_dict.cardinality == 2
+        assert table.column_snapshot()["score"][-1] == 299.0
 
         replacement = [
             {"id": i, "kind": f"k{i}", "score": 1000.0 + i} for i in range(300)
@@ -60,33 +51,23 @@ class TestRestoreDropsCaches:
         table.restore_counters(version)  # same version, on purpose
         table.restore_extent(replacement)
         assert table.version == version
-
-        zone = column_zone_map(table, "score")
-        assert zone[0].lo == 1000.0 and zone[0].hi == 1299.0
-        # 300 distinct kinds exceed the dictionary cardinality cap for
-        # this extent, so the rebuilt encoding must refuse — a surviving
-        # stale dictionary would still claim cardinality 2.
-        assert encoded_columns(table).get("kind") is None
+        assert table.column_snapshot()["score"][-1] == 1299.0
 
     def test_planning_estimates_do_not_ride_the_staleness_window(self):
-        """Row count unchanged (well inside the 10% drift tolerance), data
-        entirely different: NDV must re-profile after a restore."""
-        previous = set_statistics_enabled(True)
-        try:
-            db = Database("d")
-            table = db.create_table(_schema())
-            _fill(table, 60, kinds=("x", "y", "z"))
-            ndv, _ = column_ndv(table, "kind")
-            assert ndv == 3.0
-            replacement = [
-                {"id": i, "kind": f"k{i}", "score": float(i)} for i in range(60)
-            ]
-            table.restore_counters(table.version)
-            table.restore_extent(replacement)
-            ndv, _ = column_ndv(table, "kind")
-            assert ndv == 60.0
-        finally:
-            set_statistics_enabled(previous)
+        """Row count unchanged, data entirely different: NDV must read the
+        restored extent."""
+        db = Database("d")
+        table = db.create_table(_schema())
+        _fill(table, 60, kinds=("x", "y", "z"))
+        ndv, _ = column_ndv(table, "kind")
+        assert ndv == 3.0
+        replacement = [
+            {"id": i, "kind": f"k{i}", "score": float(i)} for i in range(60)
+        ]
+        table.restore_counters(table.version)
+        table.restore_extent(replacement)
+        ndv, _ = column_ndv(table, "kind")
+        assert ndv == 60.0
 
 
 class TestRecoveredStoreRebuilds:
@@ -94,39 +75,29 @@ class TestRecoveredStoreRebuilds:
         store = DurableStore(tmp_path)
         table = store.db.create_table(_schema())
         _fill(table, 300, kinds=("a", "b", "c"))
-        # Warm every derived artifact, then mutate past them.
-        column_zone_map(table, "score")
-        encoded_columns(table)
+        # Warm the column snapshot, then mutate past it.
+        table.column_snapshot()
         table.update(lambda r: True, {"score": -5.0})
         table.delete(lambda r: r["id"] >= 280)
         store.snapshot()
         store.close()
         return DurableStore(tmp_path)
 
-    def test_zone_maps_profile_recovered_extent(self, tmp_path):
+    def test_column_snapshot_holds_the_recovered_extent(self, tmp_path):
         store = self._mutate_snapshot_recover(tmp_path)
         try:
-            table = store.db.table("t")
-            zone = column_zone_map(table, "score")
-            assert zone[0].lo == -5.0 and zone[0].hi == -5.0
-            assert sum(s.length for s in zone) == 280
+            scores = store.db.table("t").column_snapshot()["score"]
+            assert scores == [-5.0] * 280
         finally:
             store.close()
 
-    def test_dictionary_and_ndv_profile_recovered_extent(self, tmp_path):
-        previous = set_statistics_enabled(True)
+    def test_ndv_profiles_recovered_extent(self, tmp_path):
+        store = self._mutate_snapshot_recover(tmp_path)
         try:
-            store = self._mutate_snapshot_recover(tmp_path)
-            try:
-                table = store.db.table("t")
-                dictionary = encoded_columns(table).get("kind")
-                assert dictionary is not None and dictionary.cardinality == 3
-                ndv, _ = column_ndv(table, "kind")
-                assert ndv == 3.0
-            finally:
-                store.close()
+            ndv, _ = column_ndv(store.db.table("t"), "kind")
+            assert ndv == 3.0
         finally:
-            set_statistics_enabled(previous)
+            store.close()
 
     def test_plan_cache_cannot_cross_recovery(self, tmp_path):
         """The recovered database starts with an empty plan cache, and the

@@ -5,11 +5,13 @@ from datetime import date
 import pytest
 
 from repro.errors import SnapshotCorruptionError
-from repro.relational.batch import BATCH_SIZE
 from repro.relational.database import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.storage.snapshots import (
+    CHUNK_ROWS,
+    _frame,
+    _read_frames,
     list_snapshots,
     load_snapshot,
     prune_snapshots,
@@ -90,7 +92,7 @@ def test_roundtrip_preserves_state_document(tmp_path):
 
 
 def test_multi_chunk_tables_roundtrip(tmp_path):
-    db = _typed_db(BATCH_SIZE * 2 + 100)
+    db = _typed_db(CHUNK_ROWS * 2 + 100)
     loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
     assert loaded.table("mixed").rows() == db.table("mixed").rows()
 
@@ -192,5 +194,26 @@ def test_unsupported_format_is_loud(tmp_path):
         + payload
     )
     path.write_bytes(frame)
+    with pytest.raises(SnapshotCorruptionError):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("extra", [[99], []], ids=["longer", "shorter"])
+def test_a_chunk_with_ragged_columns_is_loud(tmp_path, extra):
+    """Every column of a chunk must hold one value per row: a well-framed
+    chunk whose later column is longer (or shorter) than the first is a
+    corrupt snapshot, not a table whose column cache disagrees with its
+    rows."""
+    db = Database("ragged")
+    db.create_table(
+        TableSchema("t", (Column("a", DataType.INTEGER), Column("b", DataType.INTEGER)))
+    )
+    db.insert("t", [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
+    path = write_snapshot(db, tmp_path, lsn=1)
+    frames = list(_read_frames(path))
+    chunk = frames[1]
+    assert chunk["columns"] == {"a": [1, 3], "b": [2, 4]}
+    chunk["columns"]["b"] = [2, 4] + extra if extra else [2]
+    path.write_bytes(b"".join(_frame(frame) for frame in frames))
     with pytest.raises(SnapshotCorruptionError):
         load_snapshot(path)
