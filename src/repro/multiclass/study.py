@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import StudyError
 from repro.expr.ast import BinaryOp, Expression
@@ -35,6 +36,7 @@ from repro.guava.query import GTreeQuery
 from repro.guava.source import GuavaSource, RowMap
 from repro.multiclass.classifier import Classifier, EntityClassifier
 from repro.multiclass.cleaning import CleaningRule, Quarantine, apply_rules
+from repro.multiclass.domain import Domain
 from repro.multiclass.study_schema import StudySchema
 from repro.relational.query import _fingerprint
 from repro.ui.form import RECORD_ID
@@ -103,6 +105,73 @@ class EntityRowMap(RowMap):
             else:
                 quarantine.add(self.rules[index], self.source_name, row)
         return kept
+
+
+def entity_row_map(
+    source_name: str,
+    columns: Iterable[tuple[str, Classifier, Domain]],
+    parent_link: str | None = None,
+    discards: tuple[CleaningRule, ...] = (),
+) -> EntityRowMap:
+    """The row map that classifies one source's entity records.
+
+    A record one of ``discards`` (record-scoped cleaning rules) discards
+    is marked, not classified.  Any other record becomes ``record_id``,
+    ``source``, ``parent_record_id`` (when ``parent_link`` names the node
+    holding it) and one value per ``(column, classifier, domain)``, in
+    that order.  This is the one place a study or warehouse column's
+    classifier is compiled.
+
+    The key is structural: the source name, ``parent_link``, each
+    column's name, rules and domain, and the discards' conditions.
+    Classifier names and descriptions are left out, so a definition
+    rebuilt from the same rules shares the memoized rows of the one
+    before.  Its text holds no set or id, so it is the same in every
+    interpreter.  The map itself, key text and compiled closures, is kept
+    per the identity of those inputs, so a rebuilt definition, which
+    holds the same objects, gets the very map of the build before.  A map
+    is kept only when its key text is fixed (see
+    :func:`~repro.relational.query._fingerprint`), so one over a
+    ``Literal`` or ``Domain`` holding a list is built on every call.
+    """
+    resolved = [(column, tuple(c.rules), domain, c) for column, c, domain in columns]
+    conditions = tuple(rule.condition for rule in discards)
+    # One flat tuple, each item by identity; the items' types fix where
+    # each column's name, domain and rules begin.
+    key = (source_name, parent_link, *discards, *conditions)
+    for column, rules, domain, _ in resolved:
+        key += (column, domain, *rules)
+    kept = _ROW_MAPS.get(key)
+    if kept is not None:
+        return kept
+
+    structure = (
+        source_name,
+        parent_link,
+        *((column, rules, domain) for column, rules, domain, _ in resolved),
+        conditions,
+    )
+    parts: list[str] = []
+    fixed = _fingerprint(structure, parts.append)
+    compiled = [(column, c.compile(domain)) for column, _, domain, c in resolved]
+
+    def apply(record: Row) -> Row:
+        for index, rule in enumerate(discards):
+            if rule.discards(record):
+                discarded = dict(record)
+                discarded[DISCARDED] = index
+                return discarded
+        row: Row = {RECORD_ID: record[RECORD_ID], "source": source_name}
+        if parent_link is not None:
+            row[PARENT_RECORD_ID] = record.get(parent_link)
+        for column, classify in compiled:
+            row[column] = classify(record)
+        return row
+
+    row_map = EntityRowMap("".join(parts), apply, source_name, discards)
+    if fixed:
+        _ROW_MAPS.put(key, row_map)
+    return row_map
 
 
 @dataclass
@@ -286,30 +355,11 @@ class Study(Annotated):
     ) -> EntityRowMap:
         """The row map of ``entity``'s read from ``binding``'s source.
 
-        A record the active record-scoped cleaning rules discard is marked,
-        not classified.  Any other record becomes ``record_id``, ``source``,
-        ``parent_record_id`` (when ``parent_link`` names the node holding
-        it) and one column per selected element, in that order.  Every
-        element's classifier and domain are resolved and compiled here,
-        before any record is read, so a missing classifier fails the same
-        way whatever the source holds.
-
-        The key is structural: the source name, ``parent_link``, each
-        element's column, rules and domain, and the active rules'
-        conditions.  Names and descriptions are left out, so a study
-        rebuilt from the same definition shares the memoized rows of the
-        one before.  Rules, domains and ASTs are immutable, and their
-        fingerprint texts are kept per object
-        (:func:`~repro.relational.query.memoized_fingerprint`).
-
-        The map itself, key text and compiled closures, is kept per the
-        identity of those inputs: the source name, ``parent_link``, the
-        active cleaning rules and their conditions, and each element's
-        column, ``Domain`` and ``Rule`` objects.  A rebuilt definition,
-        which holds the same objects, gets the very map of the build
-        before.  A map is kept only when its key text is fixed (see
-        :func:`~repro.relational.query._fingerprint`), so one over a
-        ``Literal`` or ``Domain`` holding a list is built on every call.
+        The active record-scoped cleaning rules discard first (see
+        :func:`entity_row_map`); then one column per selected element.
+        Every element's classifier and domain are resolved here, before
+        any record is read, so a missing classifier fails the same way
+        whatever the source holds.
         """
         source_name = binding.source.name
         discards = tuple(
@@ -317,58 +367,16 @@ class Study(Annotated):
             for rule in self.cleaning.get(entity, [])
             if rule.scope == "record" and rule.source in (None, source_name)
         )
-        conditions = tuple(rule.condition for rule in discards)
-        # One flat tuple, each item by identity; the items' types fix where
-        # each element's column, domain and rules begin.
-        identity: list[object] = [source_name, parent_link, *discards, *conditions]
-        elements = []
+        columns = []
         for element in self.elements_of(entity):
             classifier = binding.classifiers.get(element)
             if classifier is None:
                 raise StudyError(
                     f"source {source_name!r} has no classifier for {element}"
                 )
-            _, attribute, domain_name = element
-            column = element_column(attribute, domain_name)
-            domain = self.schema.domain_of(*element)
-            rules = tuple(classifier.rules)
-            elements.append((column, rules, domain, classifier))
-            identity += (column, domain, *rules)
-        key = tuple(identity)
-        kept = _ROW_MAPS.get(key)
-        if kept is not None:
-            return kept
-
-        structure = (
-            source_name,
-            parent_link,
-            *((column, rules, domain) for column, rules, domain, _ in elements),
-            conditions,
-        )
-        parts: list[str] = []
-        fixed = _fingerprint(structure, parts.append)
-        columns = [
-            (column, classifier.compile(domain))
-            for column, _, domain, classifier in elements
-        ]
-
-        def apply(record: Row) -> Row:
-            for index, rule in enumerate(discards):
-                if rule.discards(record):
-                    discarded = dict(record)
-                    discarded[DISCARDED] = index
-                    return discarded
-            row: Row = {RECORD_ID: record[RECORD_ID], "source": source_name}
-            if parent_link is not None:
-                row[PARENT_RECORD_ID] = record.get(parent_link)
-            for column, classify in columns:
-                row[column] = classify(record)
-            return row
-
-        row_map = EntityRowMap("".join(parts), apply, source_name, discards)
-        if fixed:
-            _ROW_MAPS.put(key, row_map)
-        return row_map
+            column = element_column(*element[1:])
+            columns.append((column, classifier, self.schema.domain_of(*element)))
+        return entity_row_map(source_name, columns, parent_link, discards)
 
     def output_columns(self, entity: str) -> tuple[str, ...]:
         """Column names of an entity's study table."""

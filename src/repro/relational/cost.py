@@ -35,6 +35,7 @@ from repro.relational.algebra import (
     InLookup,
     Join,
     Limit,
+    Pivot,
     Plan,
     Scan,
     Select,
@@ -252,13 +253,16 @@ def _estimate(plan: Plan, db: "Database", memo: dict[int, float]) -> float:
         if plan.how == "left":
             return max(inner, left)
         return inner
-    if isinstance(plan, Aggregate):
+    if isinstance(plan, (Aggregate, Pivot)):
+        # One row per distinct key: a pivot folds its EAV rows as a
+        # grouping does.
         child = estimate_plan_rows(plan.child, db, memo)
-        if not plan.group_by:
+        keys = plan.group_by if isinstance(plan, Aggregate) else plan.key_columns
+        if not keys:
             return 1.0
         table = base_table_of(plan.child, db)
         groups = 1.0
-        for column in plan.group_by:
+        for column in keys:
             estimate = column_ndv(table, column) if table is not None else None
             groups *= max(estimate[0], 1.0) if estimate is not None else max(child, 1.0)
         return max(min(groups, child), 0.0)
@@ -275,7 +279,7 @@ def _estimate(plan: Plan, db: "Database", memo: dict[int, float]) -> float:
     children = plan.children()
     if len(children) == 1:
         # Row-preserving or unknown wrappers (Project/Compute/Rename/Sort/
-        # Distinct/Coerce/Pivot/...): pass the child through.
+        # Distinct/Coerce/...): pass the child through.
         return estimate_plan_rows(children[0], db, memo)
     if not children:
         return 0.0

@@ -7,6 +7,15 @@ schema may be too large to manage.  Alternatives include materializing
 only often-used classifiers or determining relationships between
 classifiers" — the three strategies below.
 
+A job is a row map.  Each source's stored columns are one study row map
+(:func:`~repro.multiclass.study.entity_row_map`, classifier names as
+columns) read through :meth:`~repro.guava.source.GuavaSource.execute`, so
+a materialized row is classified exactly as a study row is, inside the
+memoized g-tree read: a full build at an unchanged data version is a memo
+hit, one after appends is a patch, and a refresh is a record-scoped read
+through the same map.  A selective strategy's cold columns are a second
+map's read.
+
 All strategies share one contract:
 
 * :meth:`~MaterializationStrategy.build` — populate warehouse tables from
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -38,11 +48,8 @@ from repro.expr.compile import compile_expression
 from repro.expr.parser import parse
 from repro.guava.query import GTreeQuery
 from repro.guava.source import GuavaSource
-from repro.multiclass.classifier import (
-    Classifier,
-    CompiledClassifier,
-    EntityClassifier,
-)
+from repro.multiclass.classifier import Classifier, EntityClassifier
+from repro.multiclass.study import EntityRowMap, entity_row_map
 from repro.multiclass.study_schema import StudySchema
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -92,10 +99,6 @@ class MaterializationJob:
                     f"{classifier.target_entity!r}, not {self.entity!r}"
                 )
         self._by_name = {c.name: c for c in self.classifiers}
-        #: base_records cache: source name → (data version, records).  The
-        #: entity classifier per source is fixed for the job's lifetime, so
-        #: the source name keys the (source, entity-classifier) pair.
-        self._record_cache: dict[str, tuple[int, list[Row]]] = {}
 
     def classifier(self, name: str) -> Classifier:
         try:
@@ -110,35 +113,40 @@ class MaterializationJob:
     def table_name(self) -> str:
         return f"mat_{self.entity}".lower()
 
-    def base_records(
-        self, source: GuavaSource, record_ids: set[int] | None = None
+    def row_map(
+        self, source: GuavaSource, classifiers: Iterable[Classifier]
+    ) -> EntityRowMap:
+        """The study row map with one column per classifier, named after
+        it (Figure 7), kept as a study's maps are (:func:`entity_row_map`).
+        Names are interned: the kept map is found by the identity of its
+        column names, and a rebuilt job's names are equal, not the same."""
+        return entity_row_map(
+            source.name,
+            [
+                (sys.intern(c.name), c, self.schema.domain_of(*c.target))
+                for c in classifiers
+            ],
+        )
+
+    def read(
+        self,
+        source: GuavaSource,
+        classifiers: Iterable[Classifier],
+        record_ids: set[int] | None = None,
     ) -> list[Row]:
-        """The source's qualifying records with all node values.
+        """The source's qualifying records as rows of ``record_id``,
+        ``source`` and one column per classifier.
 
-        Results are cached per source, keyed on the source's monotone data
-        version, so a fetch right after a build (or several strategies
-        sharing one job) extracts each source once instead of per caller.
-        Cached lists are shared — treat them as read-only.
-
-        ``record_ids`` restricts extraction to those logical records (the
-        delta path of incremental refresh); restricted extractions bypass
-        the cache.
+        A full read goes through the source's result memo under the map's
+        key, so it is a hit at an unchanged data version and a patch after
+        appends.  ``record_ids`` restricts it to those logical records (the
+        delta path of incremental refresh).
         """
         ec = self.entity_classifiers[source.name]
-        # The query has the same shape on every pull, so source.execute
-        # reuses one plan per (source, scope) — translated and optimized
-        # once, then again only when an index or table changes or the data
-        # moves past what the plan assumed.
         query = GTreeQuery(source.gtree(ec.form)).where(ec.condition)
-        if record_ids is not None:
-            return source.execute(query, record_ids=record_ids)
-        version = source.data_version()
-        cached = self._record_cache.get(source.name)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        records = source.execute(query)
-        self._record_cache[source.name] = (version, records)
-        return records
+        return source.execute(
+            query, record_ids=record_ids, row_map=self.row_map(source, classifiers)
+        )
 
 
 class MaterializationStrategy(abc.ABC):
@@ -212,8 +220,8 @@ class MaterializationStrategy(abc.ABC):
 
     # -- refresh machinery (strategies that own the entity table) -------------
 
-    def _stored_columns(self) -> list[tuple[str, Classifier]]:
-        """(column name, classifier) pairs this strategy stores."""
+    def _stored_columns(self) -> list[Classifier]:
+        """The classifiers this strategy stores, one column each."""
         raise NotImplementedError
 
     def _load_note(self) -> str:
@@ -225,44 +233,27 @@ class MaterializationStrategy(abc.ABC):
             Column(RECORD_ID, DataType.INTEGER, nullable=False),
             Column("source", DataType.TEXT, nullable=False),
         ]
-        for name, classifier in self._stored_columns():
-            columns.append(Column(name, self.job.column_type(classifier)))
+        for classifier in self._stored_columns():
+            columns.append(Column(classifier.name, self.job.column_type(classifier)))
         return TableSchema(self.job.table_name(), tuple(columns))
-
-    def _compiled(
-        self, columns: Iterable[tuple[str, Classifier]]
-    ) -> list[tuple[str, CompiledClassifier]]:
-        """(column name, compiled classifier) pairs, compiled once per pass."""
-        return [
-            (name, classifier.compile(self.job.schema.domain_of(*classifier.target)))
-            for name, classifier in columns
-        ]
-
-    def _classified(
-        self,
-        record: Row,
-        source_name: str,
-        compiled: list[tuple[str, CompiledClassifier]],
-    ) -> Row:
-        row: Row = {RECORD_ID: record[RECORD_ID], "source": source_name}
-        for name, classify in compiled:
-            row[name] = classify(record)
-        return row
 
     def _definition_fingerprint(self) -> str:
         """Digest of everything a stored row's content depends on.
 
         A lineage stamp is only trusted when the fingerprint matches: a
-        changed classifier rule, entity condition, or column set makes
-        every stored row suspect, so the refresh degrades to a rebuild.
+        changed classifier rule, column domain, entity condition, or column
+        set makes every stored row suspect, so the refresh degrades to a
+        rebuild.  Each source's part is its entity query and its row map's
+        key, which states every column's name, rules and ``Domain`` (name,
+        kind, categories, bounds) in text that is the same in every
+        interpreter, so a durable store's lineage survives a restart.
         """
         parts = [self.job.entity]
-        for name, classifier in self._stored_columns():
-            rules = "; ".join(rule.to_source() for rule in classifier.rules)
-            parts.append(f"{name}@{classifier.target}: {rules}")
+        stored = self._stored_columns()
         for source in self.job.sources:
             ec = self.job.entity_classifiers[source.name]
-            parts.append(f"{source.name}/{ec.form} WHERE {ec.condition.to_source()}")
+            parts.append(f"{ec.form} WHERE {ec.condition.to_source()}")
+            parts.append(self.job.row_map(source, stored).key)
         return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
 
     def _save_lineage(self) -> None:
@@ -278,16 +269,16 @@ class MaterializationStrategy(abc.ABC):
         )
 
     def _full_build(self, build_span: Span = NULL_SPAN) -> None:
+        # Every source is read before the table is dropped, so a read that
+        # raises leaves the previous table and its lineage in place.
+        stored = self._stored_columns()
+        reads = [self.job.read(source, stored) for source in self.job.sources]
         schema = self._table_schema()
         if self.warehouse.has_table(schema.name):
             self.warehouse.drop_table(schema.name)
         table = self.warehouse.ensure_table(schema)
-        compiled = self._compiled(self._stored_columns())
-        for source in self.job.sources:
-            table.insert_many(
-                self._classified(record, source.name, compiled)
-                for record in self.job.base_records(source)
-            )
+        for rows in reads:
+            table.insert_many(rows)
         self.warehouse.record_load(
             "materializer", schema.name, len(table), self._load_note()
         )
@@ -326,24 +317,25 @@ class MaterializationStrategy(abc.ABC):
                 # Untracked mutations or a pruned change feed.
                 build_span.set("fallback_reason", f"untracked_changes:{source.name}")
                 return False
-            deltas.append((source, changed))
+            if changed:
+                deltas.append((source, changed))
+        # Every delta is read before any stored row is deleted.
+        stored = self._stored_columns()
+        reads = [
+            (source.name, changed, self.job.read(source, stored, changed))
+            for source, changed in deltas
+        ]
         table = self.warehouse.table(name)
-        compiled = self._compiled(self._stored_columns())
         refreshed = 0
         reextracted = 0
-        for source, changed in deltas:
-            if not changed:
-                continue
+        for source_name, changed, rows in reads:
             table.delete(
-                lambda row, s=source.name, ids=changed: row["source"] == s
+                lambda row, s=source_name, ids=changed: row["source"] == s
                 and row[RECORD_ID] in ids
             )
             # Records that stopped qualifying simply don't come back; the
             # delete above already removed their stale rows.
-            reextracted += table.insert_many(
-                self._classified(record, source.name, compiled)
-                for record in self.job.base_records(source, record_ids=changed)
-            )
+            reextracted += table.insert_many(rows)
             refreshed += len(changed)
         if refreshed:
             self.warehouse.record_load(
@@ -357,29 +349,6 @@ class MaterializationStrategy(abc.ABC):
         self._save_lineage()
         self._built = True
         return True
-
-
-class FullStrategy(MaterializationStrategy):
-    """Figure 7: every classifier is a stored column."""
-
-    def _stored_columns(self) -> list[tuple[str, Classifier]]:
-        return [(classifier.name, classifier) for classifier in self.job.classifiers]
-
-    def _load_note(self) -> str:
-        return "full materialization"
-
-    def fetch(self, classifier_names: list[str]) -> list[Row]:
-        self._require_built()
-        for name in classifier_names:
-            self.job.classifier(name)  # validate
-        columns = [RECORD_ID, "source"] + list(classifier_names)
-        return [
-            {column: row.get(column) for column in columns}
-            for row in self.warehouse.table(self.job.table_name()).rows()
-        ]
-
-    def materialized_tables(self) -> list[str]:
-        return [self.job.table_name()]
 
 
 class SelectiveStrategy(MaterializationStrategy):
@@ -401,8 +370,8 @@ class SelectiveStrategy(MaterializationStrategy):
             job.classifier(name)  # validate
         self.materialized = list(materialized)
 
-    def _stored_columns(self) -> list[tuple[str, Classifier]]:
-        return [(name, self.job.classifier(name)) for name in self.materialized]
+    def _stored_columns(self) -> list[Classifier]:
+        return [self.job.classifier(name) for name in self.materialized]
 
     def _load_note(self) -> str:
         return f"selective materialization of {self.materialized}"
@@ -410,9 +379,11 @@ class SelectiveStrategy(MaterializationStrategy):
     def fetch(self, classifier_names: list[str]) -> list[Row]:
         self._require_built()
         stored = [n for n in classifier_names if n in self.materialized]
-        cold = [n for n in classifier_names if n not in self.materialized]
-        for name in cold:
-            self.job.classifier(name)  # validate
+        cold = [
+            self.job.classifier(name)  # validates
+            for name in classifier_names
+            if name not in self.materialized
+        ]
         base_columns = [RECORD_ID, "source"] + stored
         rows = [
             {column: row.get(column) for column in base_columns}
@@ -420,26 +391,32 @@ class SelectiveStrategy(MaterializationStrategy):
         ]
         if not cold:
             return rows
-        # Recompute cold classifiers straight from the sources (cached in
-        # the job, so this does not re-extract right after a build).
-        cold_compiled = self._compiled(
-            (name, self.job.classifier(name)) for name in cold
-        )
-        recomputed: dict[tuple[object, str], Row] = {}
-        for source in self.job.sources:
-            for record in self.job.base_records(source):
-                key = (record[RECORD_ID], source.name)
-                recomputed[key] = {
-                    name: classify(record) for name, classify in cold_compiled
-                }
+        # Recompute cold classifiers straight from the sources: a read
+        # through a row map of just those columns, memoized like any other.
+        recomputed = {
+            (row[RECORD_ID], row["source"]): row
+            for source in self.job.sources
+            for row in self.job.read(source, cold)
+        }
         for row in rows:
             extra = recomputed.get((row[RECORD_ID], row["source"]), {})
-            for name in cold:
-                row[name] = extra.get(name)
+            for classifier in cold:
+                row[classifier.name] = extra.get(classifier.name)
         return rows
 
     def materialized_tables(self) -> list[str]:
         return [self.job.table_name()]
+
+
+class FullStrategy(SelectiveStrategy):
+    """Figure 7: every classifier is a stored column (a selective
+    strategy with nothing cold)."""
+
+    def __init__(self, job: MaterializationJob, warehouse: Warehouse):
+        super().__init__(job, warehouse, [c.name for c in job.classifiers])
+
+    def _load_note(self) -> str:
+        return "full materialization"
 
 
 @dataclass(frozen=True)

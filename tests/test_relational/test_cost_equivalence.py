@@ -307,6 +307,32 @@ def test_estimated_rows_and_q_error_in_explain_analyze(db):
         assert attrs["q_error"] >= 1.0
 
 
+def test_a_pivot_is_estimated_at_its_key_columns_ndv(world):
+    """CORI's entity read folds its EAV rows into one row per record: the
+    ``Pivot`` and the ``Coerce`` above it estimate the records, not the
+    EAV rows (a row-preserving pass-through read 1,156 against 138)."""
+    from repro.analysis.classifiers import vendor_classifiers_for
+    from repro.guava.query import GTreeQuery
+    from repro.guava.translate import translate_query
+    from repro.relational.algebra import Coerce, Pivot
+
+    source = world.source("cori_warehouse_feed")
+    ec = vendor_classifiers_for(source).entity_classifier
+    plan = translate_query(
+        GTreeQuery(source.gtree(ec.form)).where(ec.condition), source.chain
+    )
+    report = explain_analyze(plan, source.db)
+    folded = [
+        span.attrs
+        for node, span in report.node_spans()
+        if isinstance(node, (Pivot, Coerce))
+    ]
+    assert len(folded) == 2
+    for attrs in folded:
+        assert attrs["rows_out"] > 0
+        assert attrs["q_error"] <= 1.1
+
+
 # -- NDV ------------------------------------------------------------------------
 
 

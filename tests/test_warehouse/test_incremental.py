@@ -17,6 +17,8 @@ from repro.analysis.schema import build_endoscopy_schema
 from repro.clinical import build_world
 from repro.clinical.cori import cori_procedure_values
 from repro.clinical.ground_truth import generate_truths
+from repro.errors import DomainError
+from repro.multiclass.domain import Domain
 from repro.warehouse import (
     DerivationRule,
     DerivedStrategy,
@@ -177,30 +179,36 @@ class TestRefreshEconomy:
         assert untouched_after == untouched_before
 
     def test_base_records_cached_within_cycle(self, small_world, cori):
-        job = make_job(small_world, cori)
-        calls = []
-        original = cori.execute
-
-        def counting(query, record_ids=None):
-            calls.append(record_ids)
-            return original(query, record_ids=record_ids)
-
-        cori.execute = counting
-        try:
-            strategy = SelectiveStrategy(job, Warehouse(), ["cori_habits_cancer"])
-            strategy.build()
-            assert len(calls) == 1
-            strategy.fetch(["cori_habits_cancer", "cori_habits_chemistry"])
-            assert len(calls) == 1  # cold fetch reuses the build's extraction
-        finally:
-            cori.execute = original
+        """A job reads through the source's result memo: a build misses,
+        a second build at the same version hits, and a cold fetch reads
+        its own row map once, then hits."""
+        cori.db.plan_cache_clear()
+        strategy = SelectiveStrategy(
+            make_job(small_world, cori), Warehouse(), ["cori_habits_cancer"]
+        )
+        assert read_outcomes(strategy.build) == ["miss"]
+        assert read_outcomes(strategy.build) == ["hit"]
+        fetch = lambda: strategy.fetch(  # noqa: E731
+            ["cori_habits_cancer", "cori_habits_chemistry"]
+        )
+        assert read_outcomes(fetch) == ["miss"]
+        assert read_outcomes(fetch) == ["hit"]
 
     def test_cache_invalidated_by_source_change(self, small_world, cori):
-        job = make_job(small_world, cori)
-        first = job.base_records(cori)
-        assert job.base_records(cori) is first  # same version → shared list
+        """A full read after an append is patched by the appended records,
+        not served stale and not read again in full, once the refresh path
+        has built the ``record_id`` index a patch finds them by."""
+        cori.db.plan_cache_clear()
+        strategy = FullStrategy(make_job(small_world, cori), Warehouse())
+        assert read_outcomes(strategy.build) == ["miss"]
         insert_procedures(small_world, cori, 1)
-        assert job.base_records(cori) is not first
+        # A record-scoped refresh: no memoized read, and the index it
+        # builds moves the plan epoch, so the next full read misses.
+        assert read_outcomes(lambda: strategy.build(incremental=True)) == []
+        assert read_outcomes(strategy.build) == ["miss"]
+        enter_more(cori, 1, first=1000, seed=7)
+        assert read_outcomes(strategy.build) == ["delta"]
+        assert rows_of(strategy.warehouse) == full_rebuild_rows(small_world, cori)
 
 
 class TestFallbacks:
@@ -246,6 +254,59 @@ class TestFallbacks:
         assert rows_of(warehouse) == full_rebuild_rows(small_world, cori)
 
 
+def swap_habits4(job, domain):
+    """Replace the ``habits4`` domain the habits classifiers target."""
+    job.schema.entity("Procedure").attribute("Smoking").domains["habits4"] = domain
+
+
+class TestDomainChanges:
+    """A stored column's domain is part of its definition: a refresh over a
+    changed domain rebuilds, and a rebuild that raises keeps what was
+    there."""
+
+    def test_a_domain_change_forces_a_rebuild(self, small_world, cori):
+        warehouse = Warehouse()
+        job = make_job(small_world, cori)
+        strategy = FullStrategy(job, warehouse)
+        strategy.build()
+        widened = Domain.categorical(
+            "habits4", ["None", "Light", "Moderate", "Heavy", "Unknown"]
+        )
+        swap_habits4(job, widened)
+        attrs = build_decision(strategy)
+        assert attrs["decision"] == "full_fallback"
+        assert attrs["fallback_reason"] == "definition_changed"
+        assert build_decision(strategy)["decision"] == "incremental"
+
+    def test_a_refresh_over_a_narrowed_domain_raises(self, small_world, cori):
+        warehouse = Warehouse()
+        job = make_job(small_world, cori)
+        strategy = FullStrategy(job, warehouse)
+        strategy.build()
+        before = rows_of(warehouse)
+        swap_habits4(job, Domain.categorical("habits4", ["A", "B"]))
+        # Not an "incremental" refresh that keeps 'None'/'Heavy' rows the
+        # new domain does not hold, but the rebuild, which raises.
+        with pytest.raises(DomainError):
+            strategy.build(incremental=True)
+        assert rows_of(warehouse) == before
+
+    def test_a_failed_build_keeps_the_previous_table(self, small_world, cori):
+        warehouse = Warehouse()
+        job = make_job(small_world, cori)
+        strategy = FullStrategy(job, warehouse)
+        strategy.build()
+        columns = [c.name for c in job.classifiers]
+        before = strategy.fetch(columns)
+        lineage = warehouse.lineage("mat_procedure")
+        assert before
+        swap_habits4(job, Domain.categorical("habits4", ["A", "B"]))
+        with pytest.raises(DomainError):
+            strategy.build()
+        assert strategy.fetch(columns) == before
+        assert warehouse.lineage("mat_procedure") == lineage
+
+
 class TestWarehouseLineage:
     def test_build_records_lineage(self, small_world, cori):
         warehouse = Warehouse()
@@ -267,6 +328,20 @@ class TestWarehouseLineage:
         FullStrategy(make_job(small_world, cori), warehouse).build()
         warehouse.lineage("mat_procedure")["fingerprint"] = "tampered"
         assert warehouse.lineage("mat_procedure")["fingerprint"] != "tampered"
+
+
+def read_outcomes(action):
+    """The ``result_memo`` of every ``guava.read`` span ``action`` traces."""
+    from repro.obs import tracing
+
+    with tracing() as tracer:
+        action()
+    return [
+        span.attrs["result_memo"]
+        for root in tracer.roots
+        for span in root.walk()
+        if span.name == "guava.read"
+    ]
 
 
 def build_decision(strategy, incremental=True):

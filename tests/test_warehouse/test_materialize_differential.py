@@ -1,0 +1,326 @@
+"""Warehouse differential testing: materialized columns against a fresh oracle.
+
+A materialization job reads each source through a study row map, so its
+full builds are result-memo misses, hits or patches, its refreshes are
+record-scoped mapped reads, and a selective strategy's cold columns are a
+second memoized read.  The oracle shares none of that: it translates the
+entity classifier's g-tree query and runs it through the interpreter, then
+classifies every record with ``Classifier.explain`` against the column's
+domain.
+
+For random vendors, entry counts, classifier subsets, strategies (full,
+selective with a random hot/cold split, derived with identity derivations)
+and programs of appends, tracked updates, untracked writes, refreshes and
+durable reopens (``adopt_existing``), every fetched column must equal the
+oracle's after the full build, after every incremental refresh and after
+every reopen.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.analysis import vendor_classifiers_for
+from repro.analysis.schema import build_endoscopy_schema
+from repro.clinical import generate_truths
+from repro.clinical.cori import build_cori_chain, build_cori_tool, cori_procedure_values
+from repro.clinical.vendors import (
+    build_endopro_chain,
+    build_endopro_tool,
+    build_medscribe_chain,
+    build_medscribe_tool,
+    endopro_values,
+    medscribe_values,
+)
+from repro.guava import GTreeQuery, GuavaSource
+from repro.guava.translate import translate_query
+from repro.multiclass import Classifier
+from repro.relational import execute_interpreted
+from repro.storage import DurableStore
+from repro.ui.form import RECORD_ID
+from repro.warehouse import (
+    DerivationRule,
+    DerivedStrategy,
+    FullStrategy,
+    MaterializationJob,
+    SelectiveStrategy,
+    Warehouse,
+)
+
+TRUTHS = generate_truths(60, seed=41)
+
+#: vendor -> (build the tool, build its chain, the form entered, its values).
+VENDORS = {
+    "cori": (build_cori_tool, build_cori_chain, "procedure", cori_procedure_values),
+    "endopro": (
+        build_endopro_tool,
+        build_endopro_chain,
+        "endoscopy_report",
+        endopro_values,
+    ),
+    "medscribe": (
+        build_medscribe_tool,
+        build_medscribe_chain,
+        "visit",
+        medscribe_values,
+    ),
+}
+
+TWIN = "_twin"
+
+
+def _twin(classifier: Classifier) -> Classifier:
+    """A second classifier with the same rules and target, derivable from
+    the first by the identity."""
+    return Classifier(
+        classifier.name + TWIN,
+        classifier.target_entity,
+        classifier.target_attribute,
+        classifier.target_domain,
+        list(classifier.rules),
+    )
+
+
+def _classifiers(source: GuavaSource) -> list[Classifier]:
+    """Every classifier of the source's vendor that targets a procedure."""
+    vendor = vendor_classifiers_for(source)
+    chosen = [c for c in vendor.base if c.target_entity == "Procedure"]
+    for extra in (
+        vendor.habits_cancer,
+        vendor.habits_chemistry,
+        vendor.ex_smoker_1y,
+        vendor.ex_smoker_10y,
+        vendor.ex_smoker_ever,
+    ):
+        if extra is not None:
+            chosen.append(extra)
+    return chosen
+
+
+def _job(source: GuavaSource, classifiers: list[Classifier]) -> MaterializationJob:
+    return MaterializationJob(
+        schema=build_endoscopy_schema(),
+        entity="Procedure",
+        sources=[source],
+        entity_classifiers={
+            source.name: vendor_classifiers_for(source).entity_classifier
+        },
+        classifiers=classifiers,
+    )
+
+
+def _oracle(job: MaterializationJob, source: GuavaSource, names: list[str]) -> list:
+    """Rows of ``names`` over an interpreted read, classified by
+    ``explain``, sorted on record id."""
+    ec = job.entity_classifiers[source.name]
+    query = GTreeQuery(source.gtree(ec.form)).where(ec.condition)
+    rows = []
+    for record in execute_interpreted(translate_query(query, source.chain), source.db):
+        row = {RECORD_ID: record[RECORD_ID], "source": source.name}
+        for name in names:
+            classifier = job.classifier(name)
+            domain = job.schema.domain_of(*classifier.target)
+            row[name] = classifier.explain(record, domain)[0]
+        rows.append(row)
+    return sorted(rows, key=lambda row: row[RECORD_ID])
+
+
+class _Harness:
+    """One durable vendor source, its warehouse and one strategy."""
+
+    def __init__(self, vendor: str, directory: Path, picks, kind: str, split):
+        self.vendor = vendor
+        self.directory = directory
+        self.picks = picks
+        self.kind = kind
+        self.split = split
+        self.entered = 0
+        self._open()
+
+    def _open(self) -> None:
+        build_tool, build_chain, self.form, self.values = VENDORS[self.vendor]
+        self.store = DurableStore(self.directory, name=self.vendor, fsync="never")
+        tool = build_tool()
+        chain = build_chain(tool)
+        self.source = GuavaSource(self.vendor, tool, chain, db=self.store.db)
+        self.store.attach_source(self.source)
+        self.session = self.source.session(first_record_id=self.entered + 1)
+        self.warehouse = Warehouse(db=self.store.db)
+        self.store.attach_warehouse(self.warehouse)
+        self.job, self.strategy = self._strategy()
+
+    def _strategy(self):
+        everything = _classifiers(self.source)
+        chosen = [everything[i % len(everything)] for i in self.picks]
+        chosen = list({c.name: c for c in chosen}.values())
+        if self.kind == "derived":
+            twins = [_twin(c) for c, derive in zip(chosen, self.split) if derive]
+            job = _job(self.source, chosen + twins)
+            rules = [
+                DerivationRule.of(t.name, t.name[: -len(TWIN)], "base") for t in twins
+            ]
+            return job, DerivedStrategy(job, self.warehouse, rules)
+        job = _job(self.source, chosen)
+        if self.kind == "selective":
+            hot = [c.name for c, stored in zip(chosen, self.split) if stored]
+            return job, SelectiveStrategy(job, self.warehouse, hot)
+        return job, FullStrategy(job, self.warehouse)
+
+    def names(self) -> list[str]:
+        return [c.name for c in self.job.classifiers]
+
+    def fetched(self, names: list[str]) -> list:
+        return sorted(self.strategy.fetch(names), key=lambda row: row[RECORD_ID])
+
+    def check(self) -> None:
+        names = self.names()
+        assert self.fetched(names) == _oracle(self.job, self.source, names)
+
+    def enter(self, count: int) -> None:
+        for _ in range(count):
+            truth = TRUTHS[self.entered % len(TRUTHS)]
+            self.session.enter(self.form, self.values(truth))
+            self.entered += 1
+
+    def _tables(self) -> list:
+        return [
+            self.source.db.table(name)
+            for name, schema in sorted(self.source.chain.physical_schemas.items())
+            if schema.has_column(RECORD_ID)
+        ]
+
+    def update(self, rid: int, pick: int) -> None:
+        """A tracked correction: an entered record is deleted and entered
+        again, with another truth's values, under its own id."""
+        rid = 1 + rid % self.entered
+        for table in self._tables():
+            table.delete(lambda row: row[RECORD_ID] == rid)
+        session = self.source.session(first_record_id=rid)
+        session.enter(self.form, self.values(TRUTHS[pick % len(TRUTHS)]))
+        self.source.track_change(rid, form=self.form)
+
+    def untracked(self, rid: int, pick: int) -> None:
+        """A write the change feed never hears of: one physical table
+        loses an entered record's rows."""
+        rid = 1 + rid % self.entered
+        tables = self._tables()
+        tables[pick % len(tables)].delete(lambda row: row[RECORD_ID] == rid)
+
+    def reopen(self) -> None:
+        """Close and recover the store; the stored columns come back."""
+        table = self.warehouse.table(self.job.table_name())
+        stored = [
+            c for c in table.schema.column_names if c not in (RECORD_ID, "source")
+        ]
+        before = self.fetched(stored)
+        self.store.snapshot()
+        self.store.close()
+        self._open()
+        assert self.strategy.adopt_existing()
+        assert self.fetched(stored) == before
+
+
+ops = st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 4)),
+    st.tuples(st.just("update"), st.tuples(st.integers(1, 12), st.integers(0, 40))),
+    st.tuples(st.just("untracked"), st.tuples(st.integers(1, 12), st.integers(0, 40))),
+    st.tuples(st.just("refresh"), st.none()),
+    st.tuples(st.just("reopen"), st.none()),
+)
+
+
+class TestDifferential:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        vendor=st.sampled_from(sorted(VENDORS)),
+        seeded=st.integers(3, 12),
+        picks=st.lists(st.integers(0, 20), min_size=1, max_size=5),
+        kind=st.sampled_from(["full", "selective", "derived"]),
+        split=st.lists(st.booleans(), min_size=5, max_size=5),
+        program=st.lists(ops, min_size=2, max_size=10),
+    )
+    def test_fetched_columns_equal_explain_over_a_fresh_read(
+        self, vendor, seeded, picks, kind, split, program
+    ):
+        with tempfile.TemporaryDirectory() as directory:
+            harness = _Harness(vendor, Path(directory), picks, kind, split)
+            harness.enter(seeded)
+            harness.strategy.build()
+            harness.check()
+            for op, arg in program:
+                if op == "append":
+                    harness.enter(arg)
+                elif op == "update":
+                    harness.update(*arg)
+                elif op == "untracked":
+                    harness.untracked(*arg)
+                elif op == "refresh":
+                    harness.strategy.build(incremental=True)
+                    harness.check()
+                else:
+                    harness.reopen()
+                    harness.strategy.build(incremental=True)
+                    harness.check()
+            harness.strategy.build(incremental=True)
+            harness.check()
+            harness.store.close()
+
+
+class TestOneMapPerDefinition:
+    def test_a_rebuilt_job_reads_through_the_same_map(self, world):
+        """Classifiers rebuilt from the same rules, under names built at
+        run time (equal, not the same objects), get the kept map."""
+        source = world.source("cori_warehouse_feed")
+        maps = []
+        for _ in range(2):
+            job = _job(source, [_twin(c) for c in _classifiers(source)])
+            maps.append(job.row_map(source, job.classifiers))
+        assert maps[0] is maps[1]
+
+
+_FINGERPRINT = """
+from repro.analysis import vendor_classifiers_for
+from repro.analysis.schema import build_endoscopy_schema
+from repro.clinical.cori import build_cori_chain, build_cori_tool
+from repro.guava import GuavaSource
+from repro.warehouse import FullStrategy, MaterializationJob, Warehouse
+
+tool = build_cori_tool()
+source = GuavaSource("cori", tool, build_cori_chain(tool))
+vendor = vendor_classifiers_for(source)
+job = MaterializationJob(
+    schema=build_endoscopy_schema(),
+    entity="Procedure",
+    sources=[source],
+    entity_classifiers={source.name: vendor.entity_classifier},
+    classifiers=[vendor.habits_cancer, vendor.ex_smoker_1y],
+)
+print(FullStrategy(job, Warehouse())._definition_fingerprint())
+"""
+
+
+def test_the_lineage_fingerprint_is_the_same_in_every_interpreter():
+    """A durable store's lineage is compared in a later process: its
+    fingerprint must not depend on string hashing or object ids."""
+    path = os.pathsep.join(entry for entry in sys.path if entry)
+    prints = {
+        subprocess.run(
+            [sys.executable, "-c", _FINGERPRINT],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in (1, 2)
+    }
+    assert len(prints) == 1 and len(prints.pop()) == 41
