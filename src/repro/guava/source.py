@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, cast
 
@@ -70,11 +70,11 @@ class RowMap:
 
     ``key`` states the function's structure: two maps under one key must
     map every record alike.  A full read given a map keeps and hands out
-    *mapped* rows: the memo keys them on the read's shape plus ``key``, and
-    a patch maps only the records appended since (see
-    :meth:`GuavaSource._read`).  ``apply`` must build a new row each call;
-    rows that keep ``record_id`` can be patched, others are re-read in
-    full whenever the data moves.
+    *mapped* rows: the memo keys them on the read's shape plus ``key``,
+    derives them from the shape's one kept raw read, and a patch maps only
+    the raw rows appended since (see :meth:`GuavaSource._read`).  ``apply``
+    must build a new row each call and must not mutate its argument, a
+    kept raw row.
     """
 
     key: str
@@ -294,12 +294,14 @@ class GuavaSource:
         re-extraction path incremental materialization uses for deltas.
         The restriction composes at the relational level (``record_id`` is
         the reserved key column every translation emits, not a g-tree node,
-        so it cannot appear in the g-tree query itself).  The optimizer
-        pushes the membership test down to every base table with a
-        ``record_id`` column (below computes, pivots, aggregates keyed on
-        it, sorts, and into both sides of joins on it), and the first call
-        builds the record-id indexes it needs, so a small delta reads only
-        its records' rows.
+        so it cannot appear in the g-tree query itself).  When the shape's
+        kept raw read is current, or a patch brings it forward, the
+        records' rows are picked from it (see :meth:`_pick`).  Otherwise
+        the optimizer pushes the membership test down to every base table
+        with a ``record_id`` column (below computes, pivots, aggregates
+        keyed on it, sorts, and into both sides of joins on it), and the
+        first call builds the record-id indexes it needs, so a small delta
+        reads only its records' rows.
 
         The plan is made once per query *shape*: the database's plan cache
         is keyed on this source, the form, a type-tagged fingerprint of the
@@ -311,15 +313,21 @@ class GuavaSource:
         later hits rebind the membership slots to theirs.
 
         A full read's *rows* are also kept, and brought forward by the
-        records appended since (see :meth:`_read`).  ``row_map`` turns each
-        record into the row returned for it, inside the read, so a full
-        read keeps the mapped rows and maps a record once per data version.
-        Every returned row is the caller's own to mutate.
+        records appended since (see :meth:`_read`).  Each shape has one
+        kept raw read; ``row_map`` turns each record of it into the row
+        returned for it, so a mapped read keeps the mapped rows, maps a
+        record once per data version, and reads the chain tables only
+        through the raw read.  Every returned row is a new dict, the
+        caller's own to mutate.
         """
         shape = self._shape(query)
         if record_ids is None:
             return self._read(query, shape, row_map)
         ids = tuple(sorted(set(record_ids)))
+        if shape is not None:
+            picked = self._pick(query, shape, ids, row_map)
+            if picked is not None:
+                return picked
         key = None if shape is None else self._plan_prefix + "ids:" + shape
         plan = cached_plan(self.db, key) if key is not None else None
         if plan is not None:
@@ -346,27 +354,36 @@ class GuavaSource:
         (the plan-cache key) and of the data they are read from.  The memo
         stamps them with the plan epoch, the chain tables' data versions
         and the restore generation (a restore can rewind a data version).
-        A key's first read keeps a copy of its rows, so the second is a
-        hit.  Kept rows at an older stamp are *patched* when only the data
-        versions moved and the change feed vouches that the change is
-        records appended since (see :meth:`_patch`): a record-scoped read
-        of just those records is appended, so a live read costs what
-        changed.  A query without a key (a g-tree this source did not
-        derive) bypasses the memo.
+        The *raw* read is kept under the shape's plan-cache key: its first
+        read keeps ``run()``'s own rows, so the second is a hit.  Kept rows
+        at an older stamp are *patched* when only the data versions moved
+        and the change feed vouches that the change is records appended
+        since (see :meth:`_patch`): a record-scoped read of just those
+        records is appended, so a live read costs what changed.  A query
+        without a key (a g-tree this source did not derive) bypasses the
+        memo.
 
-        A ``row_map`` is applied inside the read, to every record a full
-        read returns and to a patch's appended records only.  Its key joins
-        the memo key (the plan is still shared with unmapped reads), so
-        kept rows are mapped rows and a hit maps nothing.  A map that
-        raises stores nothing; in a patch it falls back to the full read,
-        which raises as a fresh read would.
+        A ``row_map``'s rows are kept under the shape key plus the map's
+        key, and derived from the raw read, never from a plan of their
+        own: a miss brings the raw read to the current stamp (hit, patch
+        or full read) and maps every record of it; a patch maps only the
+        raw rows appended since the mapped rows were derived, which is
+        valid while the raw read they came from has only been appended to
+        (the same full read, see :class:`_KeptRead`).  So a kept mapped
+        read is a hit that maps nothing, and N maps over one shape read
+        each record from the chain tables once per data version.  A map
+        that raises stores nothing; in a patch it falls back to mapping
+        the whole raw read, which raises as a fresh read would.
 
         Under a tracer each read is a ``guava.read`` span, around the
         read's own spans (``optimize``, ``execute:*``) and the map's time,
         whose ``result_memo`` is ``hit``, ``delta`` (with
-        ``delta_records``), ``miss``, ``bypass``, or ``error``
-        for a read that raised; a mapped read adds ``mapped_records``, the
-        number of records the map was applied to.
+        ``delta_records``, the records changed since the kept read),
+        ``miss``, ``bypass``, or ``error`` for a read that raised.  A mapped
+        read adds ``mapped_records``, the number of records the map was
+        applied to, and, unless it was a hit, ``raw_memo``: the raw read's
+        outcome (``hit``, ``delta`` or ``miss``), which says whether the
+        chain tables were read at all.
         """
         tracer = current_tracer()
         if tracer is None:
@@ -382,65 +399,172 @@ class GuavaSource:
         self, query: GTreeQuery, shape: str | None, row_map: RowMap | None
     ) -> tuple[list[Row], dict[str, object]]:
         """:meth:`_read`'s rows and its span attributes."""
-        db = self.db
-        plan_key = None if shape is None else self._plan_prefix + "all:" + shape
-        key = plan_key
-        if plan_key is not None and row_map is not None:
-            key = plan_key + "|map:" + row_map.key
-        mapped_records = 0
+        attrs: dict[str, object]
+        if shape is None:
+            rows = self._run(query, None)[0]
+            attrs = {"result_memo": "bypass"}
+            if row_map is not None:
+                rows = list(map(row_map.apply, rows))
+                attrs["mapped_records"] = len(rows)
+            return rows, attrs
+        stamp = self._stamp()
+        if row_map is not None:
+            return self._mapped_read(query, shape, stamp, row_map)
+        kept, _, outcome, delta_records = self._raw(query, shape, stamp)
+        attrs = {"result_memo": outcome}
+        if outcome == "delta":
+            attrs["delta_records"] = delta_records
+        return list(map(dict, kept)), attrs
+
+    def _mapped_read(
+        self, query: GTreeQuery, shape: str, stamp: tuple, row_map: RowMap
+    ) -> tuple[list[Row], dict[str, object]]:
+        """A full read's rows through ``row_map``, derived from the kept
+        raw read (see :meth:`_read`), and its span attributes."""
+        raw: tuple[list[Row], _KeptRead, str, int] | None = None
+        mapped_records = delta_records = 0
+
+        def current() -> tuple[list[Row], _KeptRead]:
+            # The raw read is brought forward at most once per read.
+            nonlocal raw
+            if raw is None:
+                raw = self._raw(query, shape, stamp)
+            return raw[0], raw[1]
 
         def run() -> tuple[list[Row], object]:
             nonlocal mapped_records
-            plan = cached_plan(db, plan_key) if plan_key is not None else None
-            if plan is None:
-                # Passing the database unlocks index lowering and the
-                # plan cache.
-                plan = optimize(
-                    translate_query(query, self.chain), db, cache_key=plan_key
-                )
-            rows = plan.execute(db)
-            if row_map is not None:
-                rows = list(map(row_map.apply, rows))
-                mapped_records += len(rows)
-            return rows, _KeptRead(plan, self._lengths())
+            rows, state = current()
+            mapped = list(map(row_map.apply, rows))
+            mapped_records = len(mapped)
+            return mapped, _Derived(state.serial, len(rows), state.changed)
 
-        delta_records = 0
-        if key is None:
-            rows, outcome = run()[0], "bypass"
-        else:
-            stamp = (
-                db.plan_epoch,
-                db.tables_versions(self._chain_tables),
-                restore_generation(),
-            )
+        def patch(
+            kept_stamp: object, kept: list[Row], derived: object
+        ) -> list[Row] | None:
+            nonlocal mapped_records, delta_records
+            rows, state = current()
+            derived = cast(_Derived, derived)
+            if derived.serial != state.serial:
+                return None  # the raw read was read again in full
+            try:
+                mapped = list(map(row_map.apply, rows[derived.length :]))
+            except ReproError:
+                return None
+            mapped_records = len(mapped)
+            delta_records = state.changed - derived.changed
+            derived.length, derived.changed = len(rows), state.changed
+            return mapped
 
-            def patch(
-                kept_stamp: object, kept: list[Row], state: object
-            ) -> list[Row] | None:
-                nonlocal delta_records, mapped_records
-                patched = self._patch(
-                    query,
-                    cast(str, shape),
-                    kept_stamp,
-                    stamp,
-                    kept,
-                    cast(_KeptRead, state),
-                    row_map,
-                )
-                if patched is None:
-                    return None
-                appended, delta_records = patched
-                if row_map is not None:
-                    mapped_records += len(appended)
-                return appended
-
-            rows, outcome = db.memo_read(key, stamp, run, patch)
+        key = self._plan_prefix + "all:" + shape + "|map:" + row_map.key
+        rows, outcome = self.db.memo_read(key, stamp, run, patch)
         attrs: dict[str, object] = {"result_memo": outcome}
         if outcome == "delta":
             attrs["delta_records"] = delta_records
-        if row_map is not None:
-            attrs["mapped_records"] = mapped_records
+        attrs["mapped_records"] = mapped_records
+        if raw is not None:
+            attrs["raw_memo"] = raw[2]
         return rows, attrs
+
+    def _stamp(self) -> tuple[object, ...]:
+        """The result memo's validity stamp for this source's reads."""
+        db = self.db
+        return (
+            db.plan_epoch,
+            db.tables_versions(self._chain_tables),
+            restore_generation(),
+        )
+
+    def _run(self, query: GTreeQuery, key: str | None) -> tuple[list[Row], "_KeptRead"]:
+        """A full read, planned through the plan cache under ``key`` (None:
+        planned fresh), and the patch state of its rows."""
+        db = self.db
+        plan = cached_plan(db, key) if key is not None else None
+        if plan is None:
+            # Passing the database unlocks index lowering and the plan cache.
+            plan = optimize(translate_query(query, self.chain), db, cache_key=key)
+        return plan.execute(db), _KeptRead(plan, self._lengths())
+
+    def _raw(
+        self, query: GTreeQuery, shape: str, stamp: tuple, full: bool = True
+    ) -> tuple[list[Row], "_KeptRead", str, int] | None:
+        """The shape's kept raw read brought to ``stamp``: its rows (the
+        memo's own, read-only), its state, the outcome, and the records
+        a patch brought in.
+
+        The raw read is the unmapped full read's memo entry.  With
+        ``full`` False a kept read that is neither current nor patchable
+        is left as it is and None returned: the caller reads otherwise.
+        """
+        key = self._plan_prefix + "all:" + shape
+        delta_records = 0
+
+        def patch(
+            kept_stamp: object, kept: list[Row], state: object
+        ) -> list[Row] | None:
+            nonlocal delta_records
+            patched = self._patch(
+                query, shape, kept_stamp, stamp, kept, cast(_KeptRead, state)
+            )
+            if patched is None:
+                return None
+            appended, delta_records = patched
+            return appended
+
+        def run() -> tuple[list[Row], object]:
+            return self._run(query, key)
+
+        got = self.db.memo_kept(key, stamp, run if full else None, patch)
+        if got is None:
+            return None
+        rows, state, outcome = got
+        return rows, cast(_KeptRead, state), outcome, delta_records
+
+    def _pick(
+        self,
+        query: GTreeQuery,
+        shape: str,
+        ids: tuple[int, ...],
+        row_map: RowMap | None,
+    ) -> list[Row] | None:
+        """A record-scoped read served from the shape's kept raw read.
+
+        Only when that read is current or a patch brings it forward
+        (:meth:`_raw` with ``full`` False): a correction of a kept record,
+        or no kept read, returns None, and the caller reads the records
+        through a plan of their own rather than the whole shape again; so
+        does a read where some record has several rows.  The records' rows
+        are found through the read's record-id index and returned in read
+        order, mapped by ``row_map`` or copied.
+
+        Under a tracer a served read is a ``guava.read`` span (any patch's
+        own spans precede it) whose ``result_memo`` is the raw read's
+        outcome, ``hit`` or ``delta`` (with ``delta_records``), and whose
+        ``picked_records`` counts the requested records found; a mapped
+        one adds ``mapped_records``.
+        """
+        raw = self._raw(query, shape, self._stamp(), full=False)
+        if raw is None:
+            return None
+        kept, state, outcome, delta_records = raw
+        positions = state.index(kept)
+        if not state.single:
+            return None
+        found = sorted(positions[rid] for rid in ids if rid in positions)
+        apply = dict if row_map is None else row_map.apply
+        tracer = current_tracer()
+        if tracer is None:
+            return [apply(kept[position]) for position in found]
+        form = query.gtree.form_name
+        with tracer.span("guava.read", source=self.name, form=form) as span:
+            span.set("result_memo", "error")  # unless the map returns
+            rows = [apply(kept[position]) for position in found]
+            span.set("result_memo", outcome)
+            if outcome == "delta":
+                span.set("delta_records", delta_records)
+            span.set("picked_records", len(found))
+            if row_map is not None:
+                span.set("mapped_records", len(rows))
+        return rows
 
     def _patch(
         self,
@@ -450,9 +574,8 @@ class GuavaSource:
         stamp: tuple[object, ...],
         kept: list[Row],
         state: "_KeptRead",
-        row_map: RowMap | None,
     ) -> tuple[list[Row], int] | None:
-        """The rows to append to a full read kept at ``kept_stamp``.
+        """The rows to append to a raw read kept at ``kept_stamp``.
 
         Returns them with the number of records changed, or None, and the
         caller reads in full, unless every condition holds:
@@ -468,14 +591,16 @@ class GuavaSource:
           filter below that table's row count at the kept read (so each
           is new to the read and its rows follow every kept row);
         * the driving table has a ``record_id`` index to find them by;
-        * a record-scoped read of them succeeds, and so does ``row_map``
-          on each of its rows.
+        * a record-scoped read of them succeeds.
 
-        The scoped read reuses the refresh path's plan when cached, or
-        plans with :func:`~repro.relational.query.optimize` under a key of
-        its own: a read never builds an index (which would write the WAL
-        and move the plan epoch) and never caches an index-less plan where
-        the refresh path would reuse it.
+        Mapped reads are patched from the raw rows this appends (see
+        :meth:`_read`), so this runs once per shape and data version
+        whatever the number of maps.  The scoped read reuses the refresh
+        path's plan when cached, or plans with
+        :func:`~repro.relational.query.optimize` under a key of its own: a
+        read never builds an index (which would write the WAL and move the
+        plan epoch) and never caches an index-less plan where the refresh
+        path would reuse it.
         """
         epoch, versions, generation = cast(tuple, kept_stamp)
         if (epoch, generation) != (stamp[0], stamp[2]):
@@ -483,7 +608,7 @@ class GuavaSource:
         if -1 in versions or not state.analyze(kept, self.db):
             return None
         changed = self.changed_record_ids(sum(versions), query.gtree.form_name)
-        if changed is None or not changed.isdisjoint(state.ids):
+        if changed is None or not changed.isdisjoint(state.index(kept)):
             return None
         table = self.db.table(state.driver)
         rows: list[Row] = []
@@ -502,16 +627,15 @@ class GuavaSource:
             try:
                 if old and (keep is None or any(map(keep, table.rows_at(old)))):
                     return None
-                scoped = self._scoped_rows(
-                    query, shape, tuple(sorted(changed)), row_map
-                )
+                scoped = self._scoped_rows(query, shape, tuple(sorted(changed)))
             except ReproError:
                 return None
             if scoped is None:
                 return None
             rows = scoped
-            state.ids.update(row.get(RECORD_ID) for row in rows)
+            state.extend(rows, len(kept))
         state.lengths = self._lengths()
+        state.changed += len(changed)
         return rows, len(changed)
 
     def _lengths(self) -> dict[str, int]:
@@ -524,15 +648,10 @@ class GuavaSource:
         }
 
     def _scoped_rows(
-        self,
-        query: GTreeQuery,
-        shape: str,
-        ids: tuple[int, ...],
-        row_map: RowMap | None,
+        self, query: GTreeQuery, shape: str, ids: tuple[int, ...]
     ) -> list[Row] | None:
-        """A record-scoped read that builds no index (its rows mapped by
-        ``row_map``, or copied); None when its plan could not be rebound
-        to other ids."""
+        """A record-scoped read that builds no index; None when its plan
+        could not be rebound to other ids."""
         db = self.db
         key = self._plan_prefix + "delta:" + shape
         plan = cached_plan(db, self._plan_prefix + "ids:" + shape)
@@ -545,8 +664,7 @@ class GuavaSource:
             plan = optimize(Select(translated, _membership(ids)), db, cache_key=key)
         else:
             plan, _ = rebind_in_lists(plan, RECORD_ID, ids)
-        apply = dict if row_map is None else row_map.apply
-        return list(map(apply, plan.execute(db)))
+        return plan.execute(db)
 
     def _shape(self, query: GTreeQuery) -> str | None:
         """The query's shape — form plus a type-tagged fingerprint of its
@@ -582,23 +700,38 @@ def _rebindable(translated: Plan) -> bool:
     return not slots
 
 
-class _KeptRead:
-    """Patch state of a kept full read (see :meth:`GuavaSource._patch`).
+#: Numbers each full raw read, so a mapped read can tell whether the raw
+#: read it was derived from has only been appended to since.
+_READ_SERIALS = count(1)
 
-    Made cheaply at every full read (the plan and the chain tables' row
-    counts); the analysis a patch needs is done on the first patch and
-    kept: the driving table, its compiled leaf filter and the record ids
-    the kept rows hold.
+
+class _KeptRead:
+    """Patch state of a kept raw read (see :meth:`GuavaSource._patch`).
+
+    Made cheaply at every full read (the plan, the chain tables' row
+    counts and a new ``serial``); a patch keeps the object and appends to
+    the rows, so one serial names one full read and its patches.  The
+    analysis a patch needs is done on the first patch and kept: the
+    driving table and its compiled leaf filter.  The record-id index
+    (record id -> the position of its row in the kept rows) is built on
+    first use and extended by each patch; ``single`` says every record has
+    one row, so the index finds all of them.  ``changed`` counts the
+    records patched in.
     """
 
-    __slots__ = ("plan", "lengths", "driver", "keep", "ids")
+    __slots__ = (
+        "plan", "lengths", "driver", "keep", "positions", "single", "serial", "changed"
+    )
 
     def __init__(self, plan: Plan, lengths: dict[str, int]):
         self.plan: Plan | None = plan
         self.lengths = lengths
         self.driver: str | None = None
         self.keep: Callable[[Row], bool] | None = None
-        self.ids: set[object] = set()
+        self.positions: dict[object, int] | None = None
+        self.single = True
+        self.serial = next(_READ_SERIALS)
+        self.changed = 0
 
     def analyze(self, kept: list[Row], db: Database) -> bool:
         """Can these kept rows be patched at all?  (Analyzed once.)"""
@@ -610,8 +743,37 @@ class _KeptRead:
                 self.driver, leaf_filter = driver
                 if leaf_filter is not None:
                     self.keep = compile_predicate(leaf_filter)
-                self.ids = {row.get(RECORD_ID) for row in kept}
         return self.driver is not None and self.driver in self.lengths
+
+    def index(self, kept: list[Row]) -> dict[object, int]:
+        """Record id -> the position of its (last) row in ``kept``."""
+        if self.positions is None:
+            self.positions = {}
+            self.extend(kept, 0)
+        return self.positions
+
+    def extend(self, rows: list[Row], start: int) -> None:
+        """Index ``rows``, about to be kept from position ``start`` on."""
+        positions = self.positions
+        if positions is None:
+            return  # built from the kept rows on first use
+        indexed = len(positions)
+        positions.update(
+            zip(map(dict.get, rows, repeat(RECORD_ID)), count(start))
+        )
+        if len(positions) != indexed + len(rows):
+            self.single = False  # a record id seen twice
+
+
+@dataclass(slots=True)
+class _Derived:
+    """A kept mapped read's link to the raw read it was mapped from: that
+    read's serial, how many of its rows were mapped, and its ``changed``
+    count then."""
+
+    serial: int
+    length: int
+    changed: int
 
 
 def _membership(ids: tuple[int, ...]) -> InList:

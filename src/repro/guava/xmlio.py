@@ -43,7 +43,8 @@ def gtree_from_xml(text: str) -> GTree:
     """
     try:
         root = ET.fromstring(text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, UnicodeEncodeError) as exc:
+        # A lone surrogate cannot be encoded for the parser.
         raise GTreeError(f"invalid g-tree XML: {exc}") from exc
     if root.tag != "gtree":
         raise GTreeError(f"expected <gtree> root, found <{root.tag}>")

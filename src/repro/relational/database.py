@@ -170,35 +170,54 @@ class Database:
         The caller vouches that ``key`` and ``stamp`` together determine
         the rows.  ``run()`` returns the rows and a *patch state*, kept
         beside the rows for ``patch`` (which may update it in place).
-        Returns the rows and the memo's outcome:
+        Returns a fresh copy of the kept rows, the caller's to mutate, and
+        the memo's outcome:
 
-        * ``"hit"``: the key's rows were kept at ``stamp``; a fresh copy.
+        * ``"hit"``: the key's rows were kept at ``stamp``.
         * ``"delta"``: they were kept at another stamp, and
           ``patch(kept stamp, kept rows, state)`` returned the rows the
           data added since.  The kept rows are extended with them and
-          restamped, and a fresh copy returned.
+          restamped.
         * ``"miss"``: a first read, or kept rows ``patch`` could not bring
-          forward; ``run()``'s own rows, and a copy of them is kept at
-          ``stamp`` with ``run()``'s state.
+          forward; ``run()``'s rows are kept at ``stamp`` with its state.
 
-        A hit's or delta's rows are the caller's to mutate, and so are a
-        miss's: the memo keeps its own copy.  Nothing is stored when
-        ``run`` raises; a failed patch leaves the old entry until ``run``
-        returns.
+        Nothing is stored when ``run`` raises; a failed patch leaves the
+        old entry until ``run`` returns.
+        """
+        kept, _, outcome = self.memo_kept(key, stamp, run, patch)
+        return list(map(dict, kept)), outcome
+
+    def memo_kept(
+        self,
+        key: str,
+        stamp: object,
+        run: Callable[[], tuple[list[Row], object]] | None,
+        patch: Callable[[object, list[Row], object], list[Row] | None]
+        | None = None,
+    ) -> tuple[list[Row], object, str] | None:
+        """:meth:`memo_read` without the copy: the kept rows themselves,
+        their patch state and the outcome.
+
+        The rows stay the memo's: callers read them and hand out only new
+        rows built from them.  A miss keeps ``run()``'s own rows.  With
+        ``run`` None a miss returns None and stores nothing, so a caller
+        can take kept rows only when they are current or can be patched.
         """
         entry = self._result_memo.get(key)
         if entry is not None:
             kept_stamp, kept, state = entry
             if kept_stamp == stamp:
-                return list(map(dict, kept)), "hit"
+                return kept, state, "hit"
             appended = patch(kept_stamp, kept, state) if patch is not None else None
             if appended is not None:
                 kept.extend(appended)
                 self._memo_put(key, (stamp, kept, state))
-                return list(map(dict, kept)), "delta"
+                return kept, state, "delta"
+        if run is None:
+            return None
         rows, state = run()
-        self._memo_put(key, (stamp, list(map(dict, rows)), state))
-        return rows, "miss"
+        self._memo_put(key, (stamp, rows, state))
+        return rows, state, "miss"
 
     def _memo_put(self, key: str, entry: tuple[object, list[Row], object]) -> None:
         memo = self._result_memo

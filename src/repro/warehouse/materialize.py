@@ -52,6 +52,7 @@ from repro.multiclass.classifier import Classifier, EntityClassifier
 from repro.multiclass.study import EntityRowMap, entity_row_map
 from repro.multiclass.study_schema import StudySchema
 from repro.relational.schema import Column, TableSchema
+from repro.relational.table import Table
 from repro.relational.types import DataType
 from repro.ui.form import RECORD_ID
 from repro.warehouse.store import Warehouse
@@ -277,6 +278,10 @@ class MaterializationStrategy(abc.ABC):
         if self.warehouse.has_table(schema.name):
             self.warehouse.drop_table(schema.name)
         table = self.warehouse.ensure_table(schema)
+        # A refresh finds stored rows by this index.  Made here, where
+        # creating the table already moved the plan epoch, it invalidates
+        # no kept read of a source sharing the database.
+        table.create_index((RECORD_ID,))
         for rows in reads:
             table.insert_many(rows)
         self.warehouse.record_load(
@@ -329,12 +334,9 @@ class MaterializationStrategy(abc.ABC):
         refreshed = 0
         reextracted = 0
         for source_name, changed, rows in reads:
-            table.delete(
-                lambda row, s=source_name, ids=changed: row["source"] == s
-                and row[RECORD_ID] in ids
-            )
-            # Records that stopped qualifying simply don't come back; the
-            # delete above already removed their stale rows.
+            # Records that stopped qualifying simply don't come back; this
+            # delete already removed their stale rows.
+            self._delete_stored(table, source_name, changed)
             reextracted += table.insert_many(rows)
             refreshed += len(changed)
         if refreshed:
@@ -349,6 +351,24 @@ class MaterializationStrategy(abc.ABC):
         self._save_lineage()
         self._built = True
         return True
+
+    @staticmethod
+    def _delete_stored(table: Table, source_name: str, changed: set[int]) -> int:
+        """Delete the stored rows of ``source_name``'s ``changed`` records;
+        the count deleted.
+
+        They are found through the table's ``record_id`` index (a table
+        adopted from a store that never built it gets it here), so a
+        refresh that only appends records scans and deletes nothing.
+        """
+        index = table.create_index((RECORD_ID,))
+        positions = [position for rid in changed for position in index.lookup((rid,))]
+        doomed = [
+            position
+            for position, row in zip(positions, table.rows_at(positions))
+            if row["source"] == source_name
+        ]
+        return table.delete_at(doomed)
 
 
 class SelectiveStrategy(MaterializationStrategy):

@@ -153,11 +153,11 @@ class TestCompileErrors:
 
 class TestSharedPlanCache:
     def test_publish_reuses_the_preview_plans(self):
-        """A serial publish reads through the preview's plans and rows: a
-        publish of the previewed study is served by the result memo (no
-        planning at all), and one of another definition over the same
-        entity queries re-reads through the preview's plans (plan-cache
-        hits only, no rewrites)."""
+        """A serial publish reads through the preview's rows: a publish of
+        the previewed study is served by the result memo, and one of
+        another definition over the same entity queries maps the kept raw
+        read the preview left (a mapped ``miss`` over a raw ``hit``), so
+        neither plans nor reads a chain table."""
         from repro.clinical import build_world
         from repro.obs import tracing
 
@@ -166,6 +166,7 @@ class TestSharedPlanCache:
         with tracing() as tracer:
             study.run()
         assert _reads(tracer) == ["miss"] * len(world.sources)
+        assert _raw_reads(tracer) == ["miss"] * len(world.sources)
         for _ in range(2):
             with tracing() as tracer:
                 compile_study(study, Database("wh")).run()
@@ -174,11 +175,12 @@ class TestSharedPlanCache:
         with tracing() as tracer:
             compile_study(build_study2(world, "1y"), Database("wh")).run()
         assert _reads(tracer) == ["miss"] * len(world.sources)
-        spans = _spans(tracer, "optimize")
-        assert len(spans) == len(world.sources)
-        assert {span.attrs.get("plan_cache") for span in spans} == {"hit"}
+        assert _raw_reads(tracer) == ["hit"] * len(world.sources)
+        assert _spans(tracer, "optimize") == []
         assert not any(
-            key.startswith("rewrite.") for span in spans for key in span.attrs
+            span.name.startswith("execute:")
+            for read in _spans(tracer, "guava.read")
+            for span in read.walk()
         )
 
 
@@ -190,3 +192,7 @@ def _spans(tracer, name):
 
 def _reads(tracer):
     return [span.attrs["result_memo"] for span in _spans(tracer, "guava.read")]
+
+
+def _raw_reads(tracer):
+    return [span.attrs.get("raw_memo") for span in _spans(tracer, "guava.read")]

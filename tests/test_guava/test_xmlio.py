@@ -156,6 +156,10 @@ class TestFrontDoorFuzz:
         except ReproError:
             pass
 
+    def test_a_lone_surrogate_is_a_typed_error(self):
+        with pytest.raises(GTreeError):
+            gtree_from_xml("\ud800" + TREE_SOURCES[0])
+
     def test_the_unmutated_documents_parse(self):
         for source in TREE_SOURCES:
             assert gtree_to_xml(gtree_from_xml(source)) == source

@@ -210,6 +210,29 @@ class TestRefreshEconomy:
         assert read_outcomes(strategy.build) == ["delta"]
         assert rows_of(strategy.warehouse) == full_rebuild_rows(small_world, cori)
 
+    def test_a_build_after_a_preview_reads_no_chain_table(self, small_world, cori):
+        """A study and a warehouse name their columns differently, so
+        their maps differ; the build still maps the raw read the preview
+        kept (a mapped miss over a raw hit) and plans and executes
+        nothing."""
+        from repro.analysis import build_study2
+        from repro.obs import tracing
+
+        cori.db.plan_cache_clear()
+        build_study2(small_world).run()
+        strategy = FullStrategy(make_job(small_world, cori), Warehouse())
+        with tracing() as tracer:
+            strategy.build()
+        spans = [span for root in tracer.roots for span in root.walk()]
+        (read,) = [span for span in spans if span.name == "guava.read"]
+        assert (read.attrs["result_memo"], read.attrs["raw_memo"]) == ("miss", "hit")
+        assert not [
+            span.name
+            for span in spans
+            if span.name == "optimize" or span.name.startswith("execute:")
+        ]
+        assert rows_of(strategy.warehouse) == full_rebuild_rows(small_world, cori)
+
 
 class TestFallbacks:
     def test_first_build_without_lineage(self, small_world, cori):

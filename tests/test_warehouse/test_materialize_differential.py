@@ -23,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -42,6 +43,7 @@ from repro.guava import GTreeQuery, GuavaSource
 from repro.guava.translate import translate_query
 from repro.multiclass import Classifier
 from repro.relational import execute_interpreted
+from repro.relational.table import Table
 from repro.storage import DurableStore
 from repro.ui.form import RECORD_ID
 from repro.warehouse import (
@@ -274,6 +276,132 @@ class TestDifferential:
             harness.strategy.build(incremental=True)
             harness.check()
             harness.store.close()
+
+
+class _PredicateDelete(FullStrategy):
+    """The reference refresh delete: every stored row through a predicate."""
+
+    def _delete_stored(self, table, source_name, changed):
+        removed = table.delete(
+            lambda row: row["source"] == source_name and row[RECORD_ID] in changed
+        )
+        self.removed.append(removed)
+        return removed
+
+
+class _IndexedDelete(FullStrategy):
+    """The refresh delete under test, counted."""
+
+    def _delete_stored(self, table, source_name, changed):
+        removed = FullStrategy._delete_stored(table, source_name, changed)
+        self.removed.append(removed)
+        return removed
+
+
+class _DeleteHarness(_Harness):
+    """A full strategy over every classifier, with a chosen delete form."""
+
+    def __init__(self, strategy, vendor: str, directory: Path):
+        self.strategy_class = strategy
+        self.removed: list[int] = []
+        super().__init__(vendor, directory, [], "full", [])
+
+    def _strategy(self):
+        job = _job(self.source, _classifiers(self.source))
+        strategy = self.strategy_class(job, self.warehouse)
+        strategy.removed = self.removed
+        return job, strategy
+
+    def remove(self, rid: int) -> None:
+        """A tracked delete of an entered record."""
+        rid = 1 + rid % self.entered
+        for table in self._tables():
+            table.delete(lambda row: row[RECORD_ID] == rid)
+        self.source.track_change(rid, form=self.form)
+
+    def stored(self) -> list:
+        return self.warehouse.table(self.job.table_name()).rows()
+
+    def replay(self) -> None:
+        """Close without a snapshot, so reopening replays the log."""
+        before = self.stored()
+        self.store.close()
+        self._open()
+        assert self.strategy.adopt_existing()
+        assert self.stored() == before
+
+
+delete_ops = st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 4)),
+    st.tuples(st.just("update"), st.tuples(st.integers(1, 12), st.integers(0, 40))),
+    st.tuples(st.just("remove"), st.integers(1, 12)),
+    st.tuples(st.just("refresh"), st.none()),
+    st.tuples(st.just("replay"), st.none()),
+)
+
+
+class TestProportionalDelete:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        vendor=st.sampled_from(sorted(VENDORS)),
+        seeded=st.integers(3, 10),
+        program=st.lists(delete_ops, min_size=2, max_size=10),
+    )
+    def test_the_indexed_delete_equals_the_predicate_delete(
+        self, vendor, seeded, program
+    ):
+        """Over refreshes after appends, corrections, deletes and log
+        replays, the indexed delete leaves the same rows in the same order,
+        deletes as many, and replays to the same table as the predicate
+        form."""
+        with tempfile.TemporaryDirectory() as directory:
+            pair = [
+                _DeleteHarness(strategy, vendor, Path(directory) / name)
+                for name, strategy in (
+                    ("reference", _PredicateDelete),
+                    ("indexed", _IndexedDelete),
+                )
+            ]
+            for harness in pair:
+                harness.enter(seeded)
+                harness.strategy.build()
+            for op, arg in program + [("refresh", None)]:
+                for harness in pair:
+                    if op == "append":
+                        harness.enter(arg)
+                    elif op == "update":
+                        harness.update(*arg)
+                    elif op == "remove":
+                        harness.remove(arg)
+                    elif op == "refresh":
+                        harness.strategy.build(incremental=True)
+                    else:
+                        harness.replay()
+                reference, indexed = pair
+                assert indexed.stored() == reference.stored()
+                assert indexed.removed == reference.removed
+            indexed.check()
+            for harness in pair:
+                harness.store.close()
+
+    def test_an_append_only_refresh_deletes_nothing(self, tmp_path):
+        harness = _DeleteHarness(FullStrategy, "cori", tmp_path)
+        harness.enter(6)
+        harness.strategy.build()
+        table = harness.warehouse.table(harness.job.table_name())
+        version, stored = table.version, len(table)
+        harness.enter(3)
+        with mock.patch.object(Table, "delete", side_effect=AssertionError):
+            harness.strategy.build(incremental=True)
+        # The table moved by its appended rows alone: nothing was deleted.
+        assert len(table) == stored + 3
+        assert table.version == version + 3
+        harness.check()
+        harness.store.close()
 
 
 class TestOneMapPerDefinition:
