@@ -30,47 +30,24 @@ Environment = Mapping[str, object]
 
 _DEFAULT_REGISTRY = default_registry()
 
-# Suffix-fallback identifier resolution is pure in (environment key-set,
-# identifier name), so the scan over all keys is memoized per key-set.  The
-# cache is bounded: key-sets correspond to table/plan schemas, of which a
-# process sees few, but a hard cap guards against adversarial churn.
-_SUFFIX_CACHE: dict[tuple[frozenset[str], str], object] = {}
-_SUFFIX_CACHE_LIMIT = 4096
-_UNKNOWN = object()
-
-
 def resolve_suffix_key(name: str, leaf: str, env: Environment) -> str:
     """The environment key a dotted identifier resolves to by suffix match.
 
-    Callers try the full name and leaf segment directly first; this handles
-    (and memoizes) only the slow fallback that scans every key.  Raises
+    Callers try the full name and leaf segment directly first; this is the
+    slow fallback that scans every key.  Raises
     :class:`UnknownIdentifierError` on no match and :class:`EvaluationError`
     on an ambiguous one, like inline resolution always has.
     """
-    cache_key = (frozenset(env), name)
-    outcome = _SUFFIX_CACHE.get(cache_key)
-    if outcome is None:
-        matches = [
-            key
-            for key in cache_key[0]
-            if key.endswith("." + name) or key.endswith("." + leaf)
-        ]
-        if len(matches) == 1:
-            outcome = matches[0]
-        elif matches:
-            outcome = tuple(sorted(matches))
-        else:
-            outcome = _UNKNOWN
-        if len(_SUFFIX_CACHE) >= _SUFFIX_CACHE_LIMIT:
-            _SUFFIX_CACHE.clear()
-        _SUFFIX_CACHE[cache_key] = outcome
-    if outcome is _UNKNOWN:
+    matches = [
+        key for key in env if key.endswith("." + name) or key.endswith("." + leaf)
+    ]
+    if not matches:
         raise UnknownIdentifierError(name)
-    if isinstance(outcome, tuple):
+    if len(matches) > 1:
         raise EvaluationError(
-            f"ambiguous identifier {name!r}: matches {list(outcome)}"
+            f"ambiguous identifier {name!r}: matches {sorted(matches)}"
         )
-    return outcome  # type: ignore[return-value]
+    return matches[0]
 
 
 class Evaluator:

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, cast
+from typing import Callable, Iterable
 
 from repro.errors import GuavaError, ReproError
 from repro.expr.compile import compile_predicate
@@ -70,9 +70,9 @@ class RowMap:
 
     ``key`` states the function's structure: two maps under one key must
     map every record alike.  A full read given a map keeps and hands out
-    *mapped* rows: the memo keys them on the read's shape plus ``key``,
-    derives them from the shape's one kept raw read, and a patch maps only
-    the raw rows appended since (see :meth:`GuavaSource._read`).  ``apply``
+    *mapped* rows: an image of the shape's one kept raw read under
+    ``key``, which a patch extends by mapping only the raw rows appended
+    since (see :meth:`GuavaSource._read`).  ``apply``
     must build a new row each call and must not mutate its argument, a
     kept raw row.
     """
@@ -355,7 +355,7 @@ class GuavaSource:
         stamps them with the plan epoch, the chain tables' data versions
         and the restore generation (a restore can rewind a data version).
         The *raw* read is kept under the shape's plan-cache key: its first
-        read keeps ``run()``'s own rows, so the second is a hit.  Kept rows
+        read keeps its own rows, so the second is a hit.  Kept rows
         at an older stamp are *patched* when only the data versions moved
         and the change feed vouches that the change is records appended
         since (see :meth:`_patch`): a record-scoped read of just those
@@ -363,17 +363,18 @@ class GuavaSource:
         without a key (a g-tree this source did not derive) bypasses the
         memo.
 
-        A ``row_map``'s rows are kept under the shape key plus the map's
-        key, and derived from the raw read, never from a plan of their
-        own: a miss brings the raw read to the current stamp (hit, patch
-        or full read) and maps every record of it; a patch maps only the
-        raw rows appended since the mapped rows were derived, which is
-        valid while the raw read they came from has only been appended to
-        (the same full read, see :class:`_KeptRead`).  So a kept mapped
-        read is a hit that maps nothing, and N maps over one shape read
-        each record from the chain tables once per data version.  A map
-        that raises stores nothing; in a patch it falls back to mapping
-        the whole raw read, which raises as a fresh read would.
+        A ``row_map``'s rows are an *image* of the raw read, kept on its
+        state (:class:`_KeptRead`) under the map's key, one mapped row per
+        raw row, never read through a plan of their own: a mapped read
+        brings the raw read to the current stamp (hit, patch or full read),
+        then returns the image (a hit, when both were current), extends it
+        by the raw rows past its length (a patch), or maps every raw row (a
+        miss: no image, or a raw read read again in full, whose new state
+        holds none).  So a kept mapped read is a hit that maps nothing, and
+        N maps over one shape read each record from the chain tables once
+        per data version.  A map that raises stores nothing; in a patch the
+        records before the tail mapped without error, so it raises what a
+        fresh read would.
 
         Under a tracer each read is a ``guava.read`` span, around the
         read's own spans (``optimize``, ``execute:*``) and the map's time,
@@ -419,51 +420,37 @@ class GuavaSource:
     def _mapped_read(
         self, query: GTreeQuery, shape: str, stamp: tuple, row_map: RowMap
     ) -> tuple[list[Row], dict[str, object]]:
-        """A full read's rows through ``row_map``, derived from the kept
-        raw read (see :meth:`_read`), and its span attributes."""
-        raw: tuple[list[Row], _KeptRead, str, int] | None = None
-        mapped_records = delta_records = 0
-
-        def current() -> tuple[list[Row], _KeptRead]:
-            # The raw read is brought forward at most once per read.
-            nonlocal raw
-            if raw is None:
-                raw = self._raw(query, shape, stamp)
-            return raw[0], raw[1]
-
-        def run() -> tuple[list[Row], object]:
-            nonlocal mapped_records
-            rows, state = current()
-            mapped = list(map(row_map.apply, rows))
-            mapped_records = len(mapped)
-            return mapped, _Derived(state.serial, len(rows), state.changed)
-
-        def patch(
-            kept_stamp: object, kept: list[Row], derived: object
-        ) -> list[Row] | None:
-            nonlocal mapped_records, delta_records
-            rows, state = current()
-            derived = cast(_Derived, derived)
-            if derived.serial != state.serial:
-                return None  # the raw read was read again in full
-            try:
-                mapped = list(map(row_map.apply, rows[derived.length :]))
-            except ReproError:
-                return None
-            mapped_records = len(mapped)
-            delta_records = state.changed - derived.changed
-            derived.length, derived.changed = len(rows), state.changed
-            return mapped
-
-        key = self._plan_prefix + "all:" + shape + "|map:" + row_map.key
-        rows, outcome = self.db.memo_read(key, stamp, run, patch)
-        attrs: dict[str, object] = {"result_memo": outcome}
-        if outcome == "delta":
-            attrs["delta_records"] = delta_records
-        attrs["mapped_records"] = mapped_records
-        if raw is not None:
-            attrs["raw_memo"] = raw[2]
-        return rows, attrs
+        """A full read's rows through ``row_map``, the map's image of the
+        kept raw read (see :meth:`_read`), and its span attributes."""
+        raw, state, raw_outcome, _ = self._raw(query, shape, stamp)
+        maps = state.maps
+        image = maps.get(row_map.key)
+        if image is not None and image[0] == stamp:
+            # A current image implies a current raw read: no raw_memo.
+            return list(map(dict, image[1])), {
+                "result_memo": "hit",
+                "mapped_records": 0,
+            }
+        attrs: dict[str, object]
+        if image is None:
+            mapped = list(map(row_map.apply, raw))
+            attrs = {"result_memo": "miss", "mapped_records": len(mapped)}
+        else:
+            # The image maps the raw rows before its length, and a kept raw
+            # read is only appended to, so the rest are the records since.
+            _, mapped, changed = image
+            tail = list(map(row_map.apply, raw[len(mapped) :]))
+            mapped.extend(tail)
+            attrs = {
+                "result_memo": "delta",
+                "delta_records": state.changed - changed,
+                "mapped_records": len(tail),
+            }
+        if row_map.key not in maps and len(maps) >= self.db.PLAN_CACHE_LIMIT:
+            maps.clear()
+        maps[row_map.key] = (stamp, mapped, state.changed)
+        attrs["raw_memo"] = raw_outcome
+        return list(map(dict, mapped)), attrs
 
     def _stamp(self) -> tuple[object, ...]:
         """The result memo's validity stamp for this source's reads."""
@@ -488,36 +475,34 @@ class GuavaSource:
         self, query: GTreeQuery, shape: str, stamp: tuple, full: bool = True
     ) -> tuple[list[Row], "_KeptRead", str, int] | None:
         """The shape's kept raw read brought to ``stamp``: its rows (the
-        memo's own, read-only), its state, the outcome, and the records
-        a patch brought in.
+        memo's own, read-only), its state, the outcome (``hit``, ``delta``
+        or ``miss``), and the records a patch brought in.
 
-        The raw read is the unmapped full read's memo entry.  With
-        ``full`` False a kept read that is neither current nor patchable
-        is left as it is and None returned: the caller reads otherwise.
+        The raw read is the memo entry under the shape's full-read key.
+        With ``full`` False a kept read that is neither current nor
+        patchable is left as it is and None returned: the caller reads
+        otherwise.  A full read keeps its own rows and a new state, so the
+        maps' images of the read it replaces go with it.
         """
+        db = self.db
+        memo = db._result_memo
         key = self._plan_prefix + "all:" + shape
-        delta_records = 0
-
-        def patch(
-            kept_stamp: object, kept: list[Row], state: object
-        ) -> list[Row] | None:
-            nonlocal delta_records
-            patched = self._patch(
-                query, shape, kept_stamp, stamp, kept, cast(_KeptRead, state)
-            )
-            if patched is None:
-                return None
-            appended, delta_records = patched
-            return appended
-
-        def run() -> tuple[list[Row], object]:
-            return self._run(query, key)
-
-        got = self.db.memo_kept(key, stamp, run if full else None, patch)
-        if got is None:
+        entry = memo.get(key)
+        if entry is not None:
+            kept_stamp, kept, state = entry
+            if kept_stamp == stamp:
+                return kept, state, "hit", 0
+            delta_records = self._patch(query, shape, kept_stamp, stamp, kept, state)
+            if delta_records is not None:
+                memo[key] = (stamp, kept, state)
+                return kept, state, "delta", delta_records
+        if not full:
             return None
-        rows, state, outcome = got
-        return rows, cast(_KeptRead, state), outcome, delta_records
+        rows, state = self._run(query, key)
+        if key not in memo and len(memo) >= db.PLAN_CACHE_LIMIT:
+            memo.clear()
+        memo[key] = (stamp, rows, state)
+        return rows, state, "miss", 0
 
     def _pick(
         self,
@@ -570,15 +555,17 @@ class GuavaSource:
         self,
         query: GTreeQuery,
         shape: str,
-        kept_stamp: object,
+        kept_stamp: tuple[object, ...],
         stamp: tuple[object, ...],
         kept: list[Row],
         state: "_KeptRead",
-    ) -> tuple[list[Row], int] | None:
-        """The rows to append to a raw read kept at ``kept_stamp``.
+    ) -> int | None:
+        """Append to a raw read kept at ``kept_stamp`` the rows of the
+        records added since.
 
-        Returns them with the number of records changed, or None, and the
-        caller reads in full, unless every condition holds:
+        Returns the number of records changed, or None, having changed
+        nothing, and the caller reads in full, unless every condition
+        holds:
 
         * only the chain tables' data versions moved (same plan epoch and
           restore generation);
@@ -593,7 +580,7 @@ class GuavaSource:
         * the driving table has a ``record_id`` index to find them by;
         * a record-scoped read of them succeeds.
 
-        Mapped reads are patched from the raw rows this appends (see
+        Maps' images are extended from the raw rows this appends (see
         :meth:`_read`), so this runs once per shape and data version
         whatever the number of maps.  The scoped read reuses the refresh
         path's plan when cached, or plans with
@@ -602,7 +589,7 @@ class GuavaSource:
         plan epoch) and never caches an index-less plan where the refresh
         path would reuse it.
         """
-        epoch, versions, generation = cast(tuple, kept_stamp)
+        epoch, versions, generation = kept_stamp
         if (epoch, generation) != (stamp[0], stamp[2]):
             return None
         if -1 in versions or not state.analyze(kept, self.db):
@@ -611,7 +598,6 @@ class GuavaSource:
         if changed is None or not changed.isdisjoint(state.index(kept)):
             return None
         table = self.db.table(state.driver)
-        rows: list[Row] = []
         if changed:
             index = table.matching_index((RECORD_ID,))
             if index is None:
@@ -632,11 +618,11 @@ class GuavaSource:
                 return None
             if scoped is None:
                 return None
-            rows = scoped
-            state.extend(rows, len(kept))
+            state.extend(scoped, len(kept))
+            kept.extend(scoped)
         state.lengths = self._lengths()
         state.changed += len(changed)
-        return rows, len(changed)
+        return len(changed)
 
     def _lengths(self) -> dict[str, int]:
         """Each chain table's row count."""
@@ -700,27 +686,26 @@ def _rebindable(translated: Plan) -> bool:
     return not slots
 
 
-#: Numbers each full raw read, so a mapped read can tell whether the raw
-#: read it was derived from has only been appended to since.
-_READ_SERIALS = count(1)
-
-
 class _KeptRead:
-    """Patch state of a kept raw read (see :meth:`GuavaSource._patch`).
+    """The state of a kept raw read: its patch state (see
+    :meth:`GuavaSource._patch`) and its maps' images.
 
-    Made cheaply at every full read (the plan, the chain tables' row
-    counts and a new ``serial``); a patch keeps the object and appends to
-    the rows, so one serial names one full read and its patches.  The
-    analysis a patch needs is done on the first patch and kept: the
-    driving table and its compiled leaf filter.  The record-id index
-    (record id -> the position of its row in the kept rows) is built on
-    first use and extended by each patch; ``single`` says every record has
-    one row, so the index finds all of them.  ``changed`` counts the
-    records patched in.
+    Made cheaply at every full read (the plan and the chain tables' row
+    counts); a patch keeps the object and appends to the rows, so one
+    object stands for one full read and its patches.  The analysis a
+    patch needs is done on the first patch and kept: the driving table
+    and its compiled leaf filter.  The record-id index (record id -> the
+    position of its row in the kept rows) is built on first use and
+    extended by each patch; ``single`` says every record has one row, so
+    the index finds all of them.  ``changed`` counts the records patched
+    in.  ``maps`` holds each row map's image of the rows: map key ->
+    (stamp, the map's rows of the first raw rows, ``changed`` then), the
+    mapped rows aligned one to one with the raw rows they were mapped
+    from.
     """
 
     __slots__ = (
-        "plan", "lengths", "driver", "keep", "positions", "single", "serial", "changed"
+        "plan", "lengths", "driver", "keep", "positions", "single", "changed", "maps"
     )
 
     def __init__(self, plan: Plan, lengths: dict[str, int]):
@@ -730,8 +715,8 @@ class _KeptRead:
         self.keep: Callable[[Row], bool] | None = None
         self.positions: dict[object, int] | None = None
         self.single = True
-        self.serial = next(_READ_SERIALS)
         self.changed = 0
+        self.maps: dict[str, tuple[tuple, list[Row], int]] = {}
 
     def analyze(self, kept: list[Row], db: Database) -> bool:
         """Can these kept rows be patched at all?  (Analyzed once.)"""
@@ -763,17 +748,6 @@ class _KeptRead:
         )
         if len(positions) != indexed + len(rows):
             self.single = False  # a record id seen twice
-
-
-@dataclass(slots=True)
-class _Derived:
-    """A kept mapped read's link to the raw read it was mapped from: that
-    read's serial, how many of its rows were mapped, and its ``changed``
-    count then."""
-
-    serial: int
-    length: int
-    changed: int
 
 
 def _membership(ids: tuple[int, ...]) -> InList:

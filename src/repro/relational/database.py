@@ -8,8 +8,6 @@ from repro.errors import SchemaError
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table, register_restore_listener
 
-Row = dict[str, object]
-
 #: A cached plan survives data mutations until the row count of a table
 #: whose bucket sizes chose it drifts by this fraction from the count at
 #: planning time (:meth:`Database.plan_cache_get`).
@@ -52,9 +50,10 @@ class Database:
         self._plan_cache: dict[
             str, tuple[int, tuple[tuple[str, int], ...], object]
         ] = {}
-        #: key -> (validity stamp, kept rows, the caller's patch state); see
-        #: :meth:`memo_read`.
-        self._result_memo: dict[str, tuple[object, list[Row], object]] = {}
+        #: The result memo: key -> (validity stamp, kept rows, their state).
+        #: ``GuavaSource`` reads, fills and bounds it (see
+        #: ``GuavaSource._raw``); the database clears it with the plan cache.
+        self._result_memo: dict[str, tuple] = {}
         # Structure listener: the durability layer's DDL hook, called after
         # create_table/drop_table with (op, payload).  Payloads carry the
         # Table on create so the listener can chain a mutation listener.
@@ -156,74 +155,6 @@ class Database:
         """Drop every cached plan and every memoized result."""
         self._plan_cache.clear()
         self._result_memo.clear()
-
-    def memo_read(
-        self,
-        key: str,
-        stamp: object,
-        run: Callable[[], tuple[list[Row], object]],
-        patch: Callable[[object, list[Row], object], list[Row] | None]
-        | None = None,
-    ) -> tuple[list[Row], str]:
-        """``run()``'s rows, memoized under ``key`` while ``stamp`` holds.
-
-        The caller vouches that ``key`` and ``stamp`` together determine
-        the rows.  ``run()`` returns the rows and a *patch state*, kept
-        beside the rows for ``patch`` (which may update it in place).
-        Returns a fresh copy of the kept rows, the caller's to mutate, and
-        the memo's outcome:
-
-        * ``"hit"``: the key's rows were kept at ``stamp``.
-        * ``"delta"``: they were kept at another stamp, and
-          ``patch(kept stamp, kept rows, state)`` returned the rows the
-          data added since.  The kept rows are extended with them and
-          restamped.
-        * ``"miss"``: a first read, or kept rows ``patch`` could not bring
-          forward; ``run()``'s rows are kept at ``stamp`` with its state.
-
-        Nothing is stored when ``run`` raises; a failed patch leaves the
-        old entry until ``run`` returns.
-        """
-        kept, _, outcome = self.memo_kept(key, stamp, run, patch)
-        return list(map(dict, kept)), outcome
-
-    def memo_kept(
-        self,
-        key: str,
-        stamp: object,
-        run: Callable[[], tuple[list[Row], object]] | None,
-        patch: Callable[[object, list[Row], object], list[Row] | None]
-        | None = None,
-    ) -> tuple[list[Row], object, str] | None:
-        """:meth:`memo_read` without the copy: the kept rows themselves,
-        their patch state and the outcome.
-
-        The rows stay the memo's: callers read them and hand out only new
-        rows built from them.  A miss keeps ``run()``'s own rows.  With
-        ``run`` None a miss returns None and stores nothing, so a caller
-        can take kept rows only when they are current or can be patched.
-        """
-        entry = self._result_memo.get(key)
-        if entry is not None:
-            kept_stamp, kept, state = entry
-            if kept_stamp == stamp:
-                return kept, state, "hit"
-            appended = patch(kept_stamp, kept, state) if patch is not None else None
-            if appended is not None:
-                kept.extend(appended)
-                self._memo_put(key, (stamp, kept, state))
-                return kept, state, "delta"
-        if run is None:
-            return None
-        rows, state = run()
-        self._memo_put(key, (stamp, rows, state))
-        return rows, state, "miss"
-
-    def _memo_put(self, key: str, entry: tuple[object, list[Row], object]) -> None:
-        memo = self._result_memo
-        if key not in memo and len(memo) >= self.PLAN_CACHE_LIMIT:
-            memo.clear()
-        memo[key] = entry
 
     def create_table(self, schema: TableSchema) -> Table:
         """Create an empty table; raises on duplicate names."""

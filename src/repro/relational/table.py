@@ -334,71 +334,69 @@ class Table:
         predicate: Callable[[Row], bool],
         changes: Mapping[str, object],
     ) -> int:
-        """Apply ``changes`` to rows matching ``predicate``; returns count."""
-        for column in changes:
-            if not self.schema.has_column(column):
-                raise SchemaError(f"table {self.name} has no column {column!r}")
-        updated = 0
-        positions: list[int] = []
-        for position, row in enumerate(self._rows):
-            if predicate(row):
-                for column, value in changes.items():
-                    row[column] = self.schema.column(column).dtype.coerce(value)
-                positions.append(position)
-                updated += 1
-        if updated:
-            self._version += 1
-            self._rebuild_indexes()
-            self._notify(
-                "update", {"positions": positions, "changes": dict(changes)}
-            )
-        return updated
+        """Apply ``changes`` to rows matching ``predicate``; returns count.
+
+        All or nothing: the rows are matched, then the changes coerced and
+        checked as :meth:`insert` checks a row (NOT NULL, and the primary
+        key against the rows left as they are and the rows changed), all
+        before any row changes, so a predicate, coercion or check that
+        raises leaves the table, its version and the listener untouched.
+        The change is then :meth:`apply_update_at` over the matched
+        positions.
+        """
+        positions = [
+            position for position, row in enumerate(self._rows) if predicate(row)
+        ]
+        coerced = self._coerced_changes(changes)
+        for name, value in coerced.items():
+            if value is None and not self.schema.column(name).nullable:
+                raise IntegrityError(f"{self.name}.{name} is NOT NULL but got NULL")
+        pk_index = self._pk_index
+        if pk_index is not None and not coerced.keys().isdisjoint(pk_index.columns):
+            rows = self._rows
+            changed = set(positions)
+            pending: dict[tuple[object, ...], None] = {}
+            for position in positions:
+                key = pk_index.key_of({**rows[position], **coerced})
+                if None in key:
+                    raise IntegrityError(
+                        f"{self.name}: primary key columns "
+                        f"{self.schema.primary_key} must not be NULL"
+                    )
+                if key in pending or not changed.issuperset(pk_index.lookup(key)):
+                    raise IntegrityError(f"{self.name}: duplicate primary key {key}")
+                pending[key] = None
+        return self.apply_update_at(positions, changes)
 
     def apply_update_at(
         self, positions: Iterable[int], changes: Mapping[str, object]
     ) -> int:
         """Apply ``changes`` to the rows at ``positions`` (the redo path).
 
-        Position-based replay of an :meth:`update`: identical coercion,
-        identical single version bump, identical index rebuild —
-        so replaying a logged update reproduces the original bit for bit
-        without re-evaluating its (unserializable) predicate.
+        Position-based replay of an :meth:`update`, with no checks beyond
+        coercion: identical coercion, identical single version bump,
+        identical index rebuild — so replaying a logged update reproduces
+        the original bit for bit without re-evaluating its
+        (unserializable) predicate.
         """
-        for column in changes:
-            if not self.schema.has_column(column):
-                raise SchemaError(f"table {self.name} has no column {column!r}")
-        applied = 0
+        coerced = self._coerced_changes(changes)
         rows = self._rows
         position_list = list(positions)
         for position in position_list:
-            row = rows[position]
-            for column, value in changes.items():
-                row[column] = self.schema.column(column).dtype.coerce(value)
-            applied += 1
-        if applied:
+            rows[position].update(coerced)
+        if position_list:
             self._version += 1
             self._rebuild_indexes()
             self._notify(
                 "update", {"positions": position_list, "changes": dict(changes)}
             )
-        return applied
+        return len(position_list)
 
     def delete(self, predicate: Callable[[Row], bool]) -> int:
         """Remove rows matching ``predicate``; returns count removed."""
-        keep: list[Row] = []
-        removed_positions: list[int] = []
-        for position, row in enumerate(self._rows):
-            if predicate(row):
-                removed_positions.append(position)
-            else:
-                keep.append(row)
-        removed = len(removed_positions)
-        if removed:
-            self._rows = keep
-            self._version += 1
-            self._rebuild_indexes()
-            self._notify("delete", {"positions": removed_positions})
-        return removed
+        return self.delete_at(
+            [position for position, row in enumerate(self._rows) if predicate(row)]
+        )
 
     def delete_at(self, positions: Iterable[int]) -> int:
         """Remove the rows at ``positions`` (the redo path of a delete)."""
@@ -487,6 +485,17 @@ class Table:
         self._column_snapshot = None
 
     # -- internals -------------------------------------------------------------
+
+    def _coerced_changes(self, changes: Mapping[str, object]) -> Row:
+        """``changes`` coerced through their columns' types."""
+        schema = self.schema
+        for column in changes:
+            if not schema.has_column(column):
+                raise SchemaError(f"table {self.name} has no column {column!r}")
+        return {
+            column: schema.column(column).dtype.coerce(value)
+            for column, value in changes.items()
+        }
 
     def _validate(self, values: Mapping[str, object]) -> Row:
         if not self.schema.column_set.issuperset(values):

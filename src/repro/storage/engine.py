@@ -19,8 +19,8 @@ into the log.  Because replay drives the same mutation methods the
 original process used (``check_batch`` + ``append_checked``,
 ``insert``, ``apply_update_at``, ``delete_at``, ``create_index``,
 ``create_table`` …), every version counter, index
-epoch, and the structural counter land bit-identical — all three
-executors (interpreted, streaming, batch) give byte-for-byte the same
+epoch, and the structural counter land bit-identical — the interpreted
+reference and the streaming executor give byte-for-byte the same
 answers on a recovered database, and the plan cache can never confuse
 pre- and post-crash epochs.  Recovery also deletes ``*.tmp`` files a
 crash left behind (a half-written snapshot), and refuses a directory

@@ -14,6 +14,7 @@ covers the patch path.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Callable
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.analysis import build_study2
 from repro.clinical import build_world
 from repro.errors import ReproError
 from repro.etl import compile_study
-from repro.guava import GTreeQuery, GuavaSource, translate_query
+from repro.guava import GTreeQuery, GuavaSource, RowMap, translate_query
 from repro.guava.derive import derive_gtree
 from repro.obs import tracing
 from repro.patterns import GenericPattern, NaivePattern, PatternChain
@@ -59,8 +60,11 @@ def _query(source: GuavaSource, condition: str | None = "hypoxia = TRUE") -> GTr
     return query if condition is None else query.where(condition)
 
 
-def _oracle(source: GuavaSource, query: GTreeQuery) -> list[dict]:
-    return execute_interpreted(translate_query(query, source.chain), source.db)
+def _oracle(
+    source: GuavaSource, query: GTreeQuery, row_map: RowMap | None = None
+) -> list[dict]:
+    rows = execute_interpreted(translate_query(query, source.chain), source.db)
+    return rows if row_map is None else list(map(row_map.apply, rows))
 
 
 def _outcomes(tracer) -> list:
@@ -81,24 +85,29 @@ def _read(source: GuavaSource, query: GTreeQuery, **kwargs) -> tuple[list[dict],
 
 
 def _read_until_hit(
-    source: GuavaSource, query: GTreeQuery, missed: bool = False
+    source: GuavaSource,
+    query: GTreeQuery,
+    missed: bool = False,
+    row_map: RowMap | None = None,
 ) -> list[dict]:
     """Read at one data version until the memo hits: miss, hit (just hit
     when the last read at this version ``missed``)."""
     expected = ["hit"] if missed else ["miss", "hit"]
     outcomes = []
     for _ in expected:
-        rows, (outcome,) = _read(source, query)
-        assert rows == _oracle(source, query)
+        rows, (outcome,) = _read(source, query, row_map=row_map)
+        assert rows == _oracle(source, query, row_map)
         outcomes.append(outcome)
     assert outcomes == expected
     return rows
 
 
-def _misses(source: GuavaSource, query: GTreeQuery) -> list[dict]:
-    rows, outcomes = _read(source, query)
+def _misses(
+    source: GuavaSource, query: GTreeQuery, row_map: RowMap | None = None
+) -> list[dict]:
+    rows, outcomes = _read(source, query, row_map=row_map)
     assert outcomes == ["miss"]
-    assert rows == _oracle(source, query)
+    assert rows == _oracle(source, query, row_map)
     return rows
 
 
@@ -220,30 +229,53 @@ class TestNothingStored:
         assert source.db._result_memo == {}
 
 
+def _shapes(source: GuavaSource) -> tuple[list, Callable[[], int]]:
+    """Four shapes read unmapped, and the memo's entry count."""
+    reads = [
+        (_query(source, condition), None)
+        for condition in (
+            "hypoxia = TRUE",
+            "smoking = 'Never'",
+            "smoking = 'Current'",
+            "smoking = 'Previous'",
+        )
+    ]
+    return reads, lambda: len(source.db._result_memo)
+
+
+def _tagger(tag: int) -> RowMap:
+    return RowMap(f"tag:{tag}", lambda record: {**record, "tag": tag})
+
+
+def _maps(source: GuavaSource) -> tuple[list, Callable[[], int]]:
+    """Four maps over one shape, and the image count of its one raw read."""
+    query = _query(source)
+
+    def images() -> int:
+        (entry,) = source.db._result_memo.values()
+        return len(entry[2].maps)
+
+    return [(query, _tagger(tag)) for tag in range(4)], images
+
+
 class TestBound:
-    def test_the_memo_clears_when_full(self):
+    @pytest.mark.parametrize("inputs", [_shapes, _maps], ids=["shapes", "maps"])
+    def test_the_memo_clears_when_full(self, inputs):
         source = _source()
         source.db.PLAN_CACHE_LIMIT = 3
-        queries = [
-            _query(source, condition)
-            for condition in (
-                "hypoxia = TRUE",
-                "smoking = 'Never'",
-                "smoking = 'Current'",
-                "smoking = 'Previous'",
-            )
-        ]
-        for query in queries[:3]:
-            _read_until_hit(source, query)
-        assert len(source.db._result_memo) == 3
+        reads, kept = inputs(source)
+        for query, row_map in reads[:3]:
+            _read_until_hit(source, query, row_map=row_map)
+        assert kept() == 3
         # A fourth key clears the full memo before it is stored...
-        _misses(source, queries[3])
-        assert len(source.db._result_memo) == 1
-        # ...so the first shape starts over, and an update of a kept key
+        _misses(source, *reads[3])
+        assert kept() == 1
+        # ...so the first key starts over, and an update of a kept key
         # never clears.
-        _misses(source, queries[0])
-        _read_until_hit(source, queries[3], missed=True)
-        assert len(source.db._result_memo) == 2
+        _misses(source, *reads[0])
+        query, row_map = reads[3]
+        _read_until_hit(source, query, missed=True, row_map=row_map)
+        assert kept() == 2
 
 
 def _multiset(rows: list[dict]) -> Counter:

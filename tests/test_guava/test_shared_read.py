@@ -1,10 +1,10 @@
 """One raw read per shape: mapped and record-scoped reads derived from it.
 
 A g-tree shape's unmapped full read is kept once, in the result memo.  A
-read through a row map keeps its mapped rows beside it, derived from that
-raw read (mapped in full on a miss, only the raw rows appended since on a
-patch), and a record-scoped read picks its records' rows from the raw read
-when it is current or a patch brings it forward.  The oracle shares none
+read through a row map keeps its mapped rows as an image on that raw read
+(mapped in full on a miss, only the raw rows appended since on a patch),
+and a record-scoped read picks its records' rows from the raw read when
+it is current or a patch brings it forward.  The oracle shares none
 of that: the translated plan run through ``interpret.py``, filtered to the
 requested records and mapped, compared as a multiset (or as the same
 raised error type).
@@ -27,10 +27,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.clinical import generate_truths
 from repro.clinical.cori import build_cori_chain, build_cori_tool, cori_procedure_values
 from repro.errors import DomainError, ReproError
+from repro.expr.ast import Identifier, InList, Literal
 from repro.guava import GTreeQuery, GuavaSource, translate_query
 from repro.guava.source import RowMap
 from repro.obs import tracing
 from repro.patterns import AuditPattern, GenericPattern, NaivePattern, PatternChain
+from repro.relational.algebra import Select
 from repro.relational.interpret import execute_interpreted
 from repro.ui import ReportingTool
 from repro.ui.form import RECORD_ID
@@ -307,9 +309,7 @@ def _naive(entries: int) -> _Harness:
 
 def _raw_entry(harness: _Harness) -> tuple:
     (entry,) = [
-        entry
-        for key, entry in harness.db._result_memo.items()
-        if "|map:" not in key and ":all:" in key
+        entry for key, entry in harness.db._result_memo.items() if ":all:" in key
     ]
     return entry
 
@@ -350,9 +350,8 @@ class TestSharedRead:
         query = harness.queries[0]
         row_map = MAPS[4]  # raises on record 5
         harness.source.execute(query, row_map=row_map)
-        key = [k for k in harness.db._result_memo if k.endswith("|map:raising")][0]
-        stamp, kept, derived = harness.db._result_memo[key]
-        length = len(kept)
+        image = _raw_entry(harness)[2].maps["raising"]
+        length = len(image[1])
         harness.enter(4)
         for _ in range(2):
             with tracing() as tracer:
@@ -360,8 +359,8 @@ class TestSharedRead:
             assert got == ("error", "DomainError")
             (span,) = _spans(tracer, "guava.read")
             assert span.attrs["result_memo"] == "error"
-            assert harness.db._result_memo[key] == (stamp, kept, derived)
-            assert len(kept) == length
+            assert _raw_entry(harness)[2].maps == {"raising": image}
+            assert len(image[1]) == length
         # The raw read was brought forward and serves other maps.
         assert _outcome(lambda: harness.source.execute(query)) == _oracle(
             harness.source, query, None, None
@@ -401,3 +400,36 @@ class TestSharedRead:
                 assert _outcome(lambda: again) == _oracle(
                     harness.source, query, ids, row_map
                 )
+
+
+class TestPinnedRelaxation:
+    def test_a_scoped_read_skips_another_records_conversion_error(self):
+        """DESIGN.md, "errors stay put": a ``Select`` sinks below a
+        ``Coerce`` that can raise, so a record-scoped read converts only
+        its own records' values, where the full read and the interpreted
+        scoped read raise on another record's."""
+        harness = _Harness("cori")
+        for pick in range(4):
+            harness.enter(pick)
+        harness.index()
+        query = harness.queries[0]
+        wanted = [row for row in harness.source.execute(query) if row[RECORD_ID] != 4]
+        # An untracked write: the kept raw read can no longer serve a pick.
+        harness.db.table("cori_eav").update(
+            lambda row: row[RECORD_ID] == 4 and row["attribute"] == "patient_age",
+            {"value": "unknown"},
+        )
+        rows = harness.source.execute(query, record_ids=[1, 2, 3])
+        assert _outcome(lambda: rows) == _outcome(lambda: wanted)
+        assert _outcome(lambda: harness.source.execute(query)) == (
+            "error",
+            "TypeMismatchError",
+        )
+        membership = InList(
+            Identifier.of(RECORD_ID), tuple(Literal(rid) for rid in (1, 2, 3))
+        )
+        scoped = Select(translate_query(query, harness.source.chain), membership)
+        assert _outcome(lambda: execute_interpreted(scoped, harness.db)) == (
+            "error",
+            "TypeMismatchError",
+        )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IntegrityError, SchemaError
+from repro.errors import IntegrityError, ReproError, SchemaError
 from repro.relational import Column, DataType, Database, Table, TableSchema
 
 
@@ -118,6 +118,78 @@ class TestTableUpdateDelete:
         table = Table(patients_schema())
         with pytest.raises(SchemaError):
             table.update(lambda r: True, {"missing": 1})
+
+    def _pairs(self) -> tuple[Table, list]:
+        """A table of five (id, a, b) rows and the listener calls it hears."""
+        table = Table(
+            TableSchema(
+                "pairs",
+                (
+                    Column("id", DataType.INTEGER, nullable=False),
+                    Column("a", DataType.INTEGER, nullable=False),
+                    Column("b", DataType.INTEGER),
+                ),
+                primary_key=("id",),
+            )
+        )
+        table.insert_many([{"id": i, "a": i, "b": i} for i in range(5)])
+        calls: list = []
+        table.set_mutation_listener(lambda op, payload: calls.append(op))
+        return table, calls
+
+    def _unchanged(self, table: Table, calls: list) -> None:
+        assert table.rows() == [{"id": i, "a": i, "b": i} for i in range(5)]
+        assert table.version == 5
+        assert calls == []
+        assert table.lookup(("id",), (2,)) == [{"id": 2, "a": 2, "b": 2}]
+
+    def test_a_predicate_that_raises_changes_nothing(self):
+        table, calls = self._pairs()
+
+        def third_raises(row):
+            if row["id"] == 2:
+                raise ValueError("third row")
+            return True
+
+        with pytest.raises(ValueError):
+            table.update(third_raises, {"a": 9})
+        self._unchanged(table, calls)
+
+    def test_a_change_that_does_not_coerce_changes_nothing(self):
+        table, calls = self._pairs()
+        with pytest.raises(ReproError):
+            table.update(lambda r: True, {"a": 5, "b": "notanint"})
+        self._unchanged(table, calls)
+
+    def test_an_update_keeps_not_null(self):
+        table, calls = self._pairs()
+        with pytest.raises(IntegrityError):
+            table.update(lambda r: r["id"] == 1, {"a": None})
+        self._unchanged(table, calls)
+
+    @pytest.mark.parametrize(
+        "predicate, changes",
+        [
+            (lambda r: r["id"] == 3, {"id": 1}),  # a key another row holds
+            (lambda r: r["id"] > 2, {"id": 7}),  # two rows onto one key
+            (lambda r: r["id"] == 0, {"id": None}),
+        ],
+        ids=["held", "collide", "null"],
+    )
+    def test_an_update_keeps_the_primary_key(self, predicate, changes):
+        table, calls = self._pairs()
+        with pytest.raises(IntegrityError):
+            table.update(predicate, changes)
+        self._unchanged(table, calls)
+
+    def test_an_update_may_move_keys_onto_keys_it_frees(self):
+        table, calls = self._pairs()
+        assert table.update(lambda r: r["id"] == 4, {"id": 9, "b": None}) == 1
+        assert table.update(lambda r: r["id"] == 3, {"id": 3, "a": 7}) == 1
+        assert table.lookup(("id",), (9,)) == [{"id": 9, "a": 4, "b": None}]
+        assert table.lookup(("id",), (3,)) == [{"id": 3, "a": 7, "b": 3}]
+        assert table.version == 7
+        assert calls == ["update", "update"]
 
     def test_delete(self):
         table = Table(patients_schema())

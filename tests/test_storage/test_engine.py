@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import IntegrityError, RecoveryError, ReproError
 from repro.guava import GuavaSource
 from repro.patterns import NaivePattern, PatternChain
 from repro.relational.database import Database
@@ -123,6 +123,32 @@ class TestReopenFidelity:
         reopened = DurableStore(tmp_path)
         assert state_fingerprint(reopened.db) == committed
         assert reopened.report.discarded_uncommitted > 0
+        reopened.close()
+
+    def test_a_failed_update_logs_nothing_and_recovers_equal(self, tmp_path):
+        store = DurableStore(tmp_path)
+        _populate(store)
+        table = store.db.table("events")
+        before = (state_fingerprint(store.db), store.last_lsn, table.version)
+
+        def raises_late(row):
+            if row["id"] == 20:
+                raise ValueError("late")
+            return True
+
+        for predicate, changes, error in (
+            (raises_late, {"score": 0.0}, ValueError),
+            (lambda r: True, {"kind": "x", "score": "notafloat"}, ReproError),
+            (lambda r: r["id"] == 3, {"id": None}, IntegrityError),
+            (lambda r: r["id"] == 3, {"id": 4}, IntegrityError),
+        ):
+            with pytest.raises(error):
+                table.update(predicate, changes)
+            assert (state_fingerprint(store.db), store.last_lsn, table.version) == before
+        store.commit()
+        store.close()
+        reopened = DurableStore(tmp_path)
+        assert state_fingerprint(reopened.db) == before[0]
         reopened.close()
 
     def test_mutations_after_reopen_keep_logging(self, tmp_path):
