@@ -11,7 +11,10 @@ over the previous one's results."  The three stages, as compiled here:
    cleaning, every bound domain classifier and the output shape inside
    that read.  The two temporary databases of Figure 6 are the read's
    rows and the memoized mapped rows, so a publish classifies nothing a
-   preview at the same data version already classified.
+   preview at the same data version already classified.  The publish
+   gets those rows shared, not copied (read-only, see
+   :meth:`~repro.guava.source.GuavaSource.execute`): the one copy on the
+   way to the warehouse is the one the load stores.
 3. **study** — union across contributors, study-scoped cleaning, the
    study's WHERE-like filters, and the load into the warehouse.
 

@@ -18,13 +18,16 @@ Rows are shared along a run, not copied at every step.  The contract:
   :class:`Load`); components that extend or reshape rows
   (:class:`DeriveColumn`, :class:`AddConstant`, :class:`ProjectColumns`)
   build new ones;
-* the rows an :class:`Extract` hands out are the caller's own (a result
-  memo hit is a copy), and :class:`Load` stores copies
+* the rows an :class:`Extract` hands out are the source's kept rows,
+  shared and read-only (see
+  :meth:`~repro.guava.source.GuavaSource.execute`: each read is a new
+  list, a result memo hit copies no row), and :class:`Load` stores copies
   (``Table.insert_many`` copies what it stores).
 
-So the outputs of one run may share rows with each other — a union's rows
-are its extracts' rows — but never with a source table, the result memo
-or a loaded warehouse table.
+So the outputs of one run may share rows with each other and with the
+result memo — a union's rows are its extracts' rows, which are the memo's
+— but never with a source table or a loaded warehouse table.  A caller
+that changes an output row builds a new dict.
 
 Row-wise predicates and expressions evaluate through the compiled-closure
 path (:mod:`repro.expr.compile`), whose three-valued-logic parity with the
@@ -78,7 +81,7 @@ class Extract(Component):
     :meth:`~repro.guava.source.GuavaSource.execute`, the call a
     ``Study.run`` preview makes for the same query and map: a publish
     shares the preview's plan-cache entry and, at an unchanged data
-    version, a copy of its memoized rows.
+    version, its memoized row objects, read-only (only the list is new).
     """
 
     source: GuavaSource
@@ -229,10 +232,15 @@ class Load(Component):
     def _projected(self, rows: list[Row]) -> list[Row]:
         """``rows`` without the columns the target table lacks.
 
-        ``insert_many`` copies what it stores, so the rows handed back
-        downstream never alias the table's.
+        One check over the union of the batch's keys, not one per row:
+        when no row has a column the table lacks, the rows go to
+        ``insert_many`` as they are, and its column-wise checks (shape,
+        types, NOT NULL, primary key) run there.  ``insert_many`` copies
+        what it stores, so the rows handed back downstream never alias the
+        table's, and the input rows, which may be the result memo's, are
+        never changed.
         """
-        if all(map(self.schema.column_set.issuperset, rows)):
+        if self.schema.column_set.issuperset(set().union(*rows)):
             return rows
         columns = self.schema.column_names
         return [{c: row.get(c) for c in columns} for row in rows]

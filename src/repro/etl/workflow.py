@@ -169,23 +169,33 @@ class Workflow:
     # -- rendering -----------------------------------------------------------
 
     def to_dot(self) -> str:
-        """Graphviz DOT rendering of the DAG, clustered by Figure 6 stage."""
-        lines = [f'digraph "{self.name}" {{', "  rankdir=LR;"]
+        """Graphviz DOT rendering of the DAG, clustered by Figure 6 stage.
+
+        Workflow, stage and step names are user-chosen (a compiled study's
+        step names hold its source names), so each is escaped by
+        :func:`_dot_escaped` inside its quotes.
+        """
+        lines = [f'digraph "{_dot_escaped(self.name)}" {{', "  rankdir=LR;"]
         for index, stage in enumerate(self.stages()):
-            lines.append(f'  subgraph cluster_{index} {{ label="{stage}";')
+            lines.append(
+                f'  subgraph cluster_{index} {{ label="{_dot_escaped(stage)}";'
+            )
             for step in self._steps.values():
                 if step.stage == stage:
+                    name = _dot_escaped(step.name)
                     lines.append(
-                        f'    "{step.name}" '
-                        f'[label="{step.name}\\n{type(step.component).__name__}"];'
+                        f'    "{name}" '
+                        f'[label="{name}\\n{type(step.component).__name__}"];'
                     )
             lines.append("  }")
         for step in self._steps.values():
             if not step.stage:
-                lines.append(f'  "{step.name}";')
+                lines.append(f'  "{_dot_escaped(step.name)}";')
         for step in self._steps.values():
             for input_name in step.inputs:
-                lines.append(f'  "{input_name}" -> "{step.name}";')
+                lines.append(
+                    f'  "{_dot_escaped(input_name)}" -> "{_dot_escaped(step.name)}";'
+                )
         lines.append("}")
         return "\n".join(lines)
 
@@ -200,3 +210,9 @@ class Workflow:
 
     def __len__(self) -> int:
         return len(self._steps)
+
+
+def _dot_escaped(text: str) -> str:
+    """``text`` as the inside of a DOT double-quoted string: a backslash
+    or a double quote in it is escaped, so neither can end the string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -10,7 +10,6 @@ unanswered question must never silently satisfy a cohort condition.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Mapping
 
 from repro.errors import EvaluationError, UnknownIdentifierError
@@ -251,17 +250,15 @@ def _compare(op: str, left: object, right: object) -> bool | None:
     raise EvaluationError(f"unknown comparison operator {op!r}")
 
 
-@lru_cache(maxsize=1024)
-def _like_regex(pattern: str) -> "re.Pattern[str]":
+def _like(value: str, pattern: str) -> bool:
+    """SQL LIKE with ``%`` (any run) and ``_`` (single char), case-insensitive.
+
+    ``re`` keeps compiled patterns in its own cache.
+    """
     # re.escape leaves % and _ untouched (they are not regex-special), so
     # they can be swapped for their regex equivalents directly.
     regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-    return re.compile(regex, flags=re.IGNORECASE | re.DOTALL)
-
-
-def _like(value: str, pattern: str) -> bool:
-    """SQL LIKE with ``%`` (any run) and ``_`` (single char), case-insensitive."""
-    return _like_regex(pattern).fullmatch(value) is not None
+    return re.fullmatch(regex, value, flags=re.IGNORECASE | re.DOTALL) is not None
 
 
 def sql_equal(left: object, right: object) -> bool:

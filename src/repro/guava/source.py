@@ -74,7 +74,8 @@ class RowMap:
     ``key``, which a patch extends by mapping only the raw rows appended
     since (see :meth:`GuavaSource._read`).  ``apply``
     must build a new row each call and must not mutate its argument, a
-    kept raw row.
+    kept raw row.  The rows it builds are kept in turn and handed out
+    shared, read-only by the contract of :meth:`GuavaSource.execute`.
     """
 
     key: str
@@ -317,8 +318,17 @@ class GuavaSource:
         kept raw read; ``row_map`` turns each record of it into the row
         returned for it, so a mapped read keeps the mapped rows, maps a
         record once per data version, and reads the chain tables only
-        through the raw read.  Every returned row is a new dict, the
-        caller's own to mutate.
+        through the raw read.
+
+        Returned rows are read-only by contract: the list is new on every
+        call, but the rows in it are shared.  Every row a full read returns
+        (a hit, delta or miss, raw or mapped) and every raw row a pick
+        returns is a row object the memo keeps and hands to each later
+        reader at that data version, so a hit copies no row.  A caller
+        that needs a changed row builds a new dict (``{**row, ...}``) and
+        never changes, adds or removes a key of a returned row.  Rows of a
+        record-scoped plan, or mapped for a pick, are not kept, but come
+        under the same contract.
         """
         shape = self._shape(query)
         if record_ids is None:
@@ -374,7 +384,8 @@ class GuavaSource:
         N maps over one shape read each record from the chain tables once
         per data version.  A map that raises stores nothing; in a patch the
         records before the tail mapped without error, so it raises what a
-        fresh read would.
+        fresh read would.  Each outcome returns a new list of the kept row
+        objects (the raw rows or the image), never copies of them.
 
         Under a tracer each read is a ``guava.read`` span, around the
         read's own spans (``optimize``, ``execute:*``) and the map's time,
@@ -415,7 +426,7 @@ class GuavaSource:
         attrs = {"result_memo": outcome}
         if outcome == "delta":
             attrs["delta_records"] = delta_records
-        return list(map(dict, kept)), attrs
+        return list(kept), attrs
 
     def _mapped_read(
         self, query: GTreeQuery, shape: str, stamp: tuple, row_map: RowMap
@@ -427,7 +438,7 @@ class GuavaSource:
         image = maps.get(row_map.key)
         if image is not None and image[0] == stamp:
             # A current image implies a current raw read: no raw_memo.
-            return list(map(dict, image[1])), {
+            return list(image[1]), {
                 "result_memo": "hit",
                 "mapped_records": 0,
             }
@@ -450,7 +461,7 @@ class GuavaSource:
             maps.clear()
         maps[row_map.key] = (stamp, mapped, state.changed)
         attrs["raw_memo"] = raw_outcome
-        return list(map(dict, mapped)), attrs
+        return list(mapped), attrs
 
     def _stamp(self) -> tuple[object, ...]:
         """The result memo's validity stamp for this source's reads."""
@@ -519,7 +530,8 @@ class GuavaSource:
         through a plan of their own rather than the whole shape again; so
         does a read where some record has several rows.  The records' rows
         are found through the read's record-id index and returned in read
-        order, mapped by ``row_map`` or copied.
+        order, mapped by ``row_map`` or as the kept rows themselves, shared
+        and read-only (see :meth:`execute`).
 
         Under a tracer a served read is a ``guava.read`` span (any patch's
         own spans precede it) whose ``result_memo`` is the raw read's
@@ -535,14 +547,15 @@ class GuavaSource:
         if not state.single:
             return None
         found = sorted(positions[rid] for rid in ids if rid in positions)
-        apply = dict if row_map is None else row_map.apply
+        rows = [kept[position] for position in found]
         tracer = current_tracer()
         if tracer is None:
-            return [apply(kept[position]) for position in found]
+            return rows if row_map is None else list(map(row_map.apply, rows))
         form = query.gtree.form_name
         with tracer.span("guava.read", source=self.name, form=form) as span:
             span.set("result_memo", "error")  # unless the map returns
-            rows = [apply(kept[position]) for position in found]
+            if row_map is not None:
+                rows = list(map(row_map.apply, rows))
             span.set("result_memo", outcome)
             if outcome == "delta":
                 span.set("delta_records", delta_records)

@@ -9,7 +9,6 @@ is a Boolean condition.  Both clauses use nodes in a g-tree as arguments."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 from repro.errors import ClassifierError
@@ -41,13 +40,13 @@ class Rule:
     def of(cls, output: str | Expression, guard: str | Expression) -> "Rule":
         """A rule from source text or ASTs.
 
-        A rule of two texts is memoized on them, so a rebuilt classifier
-        holds the very ``Rule`` (and AST) objects of the one before, and
-        every identity memo keyed on them stays warm.  Parse errors are
-        never cached.
+        Each call builds a new ``Rule``; its ASTs are the parse memo's
+        (:func:`~repro.expr.parser.parse` keeps one AST per text).  A
+        rebuilt classifier holds the very ``Rule`` objects of the one
+        before when both come from one catalogue entry, which parses its
+        texts once (``ClassifierDefinition.rules``), so every identity
+        memo keyed on them stays warm.
         """
-        if isinstance(output, str) and isinstance(guard, str):
-            return _rule_of_texts(cls, output, guard)
         return cls(
             parse(output) if isinstance(output, str) else output,
             parse(guard) if isinstance(guard, str) else guard,
@@ -55,11 +54,6 @@ class Rule:
 
     def to_source(self) -> str:
         return f"{self.output.to_source()} <- {self.guard.to_source()}"
-
-
-@lru_cache(maxsize=4096)
-def _rule_of_texts(cls: type[Rule], output: str, guard: str) -> Rule:
-    return cls(parse(output), parse(guard))
 
 
 @dataclass

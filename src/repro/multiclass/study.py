@@ -94,16 +94,23 @@ class EntityRowMap(RowMap):
 
     def sift(self, rows: list[Row], quarantine: Quarantine) -> list[Row]:
         """The study rows of a mapped read; discarded records go to
-        ``quarantine`` in read order (the rows are the caller's own)."""
+        ``quarantine`` in read order.
+
+        The rows are shared and read-only (see
+        :meth:`~repro.guava.source.GuavaSource.execute`): a study row is
+        handed on as it is, and a discarded one is quarantined as a new
+        dict of the raw record, without the :data:`DISCARDED` mark.
+        """
         if not self.rules:
             return rows
         kept: list[Row] = []
         for row in rows:
-            index = row.pop(DISCARDED, None)
+            index = row.get(DISCARDED)
             if index is None:
                 kept.append(row)
             else:
-                quarantine.add(self.rules[index], self.source_name, row)
+                record = {k: v for k, v in row.items() if k != DISCARDED}
+                quarantine.add(self.rules[index], self.source_name, record)
         return kept
 
 

@@ -104,11 +104,11 @@ class TestClassifyMemo:
 
 class TestExtractRowsAreFresh:
     """A bare whole-table extract optimizes to a plain scan, which streams
-    the table's own row dicts; the rows a workflow hands out or mutates
-    must still be its own, on the first read (whose copy the result memo
-    keeps) and every memo hit.  Steps
-    share rows without copying them, so an output that passes the extract's
-    rows on (a union, a load) is the caller's own too."""
+    the table's own row dicts; the rows a workflow hands out must never be
+    those dicts, on the first read (whose rows the result memo keeps) or
+    any memo hit.  They are the memo's rows, shared and read-only: steps
+    pass them on without copying them, a step that changes a row builds a
+    new one, and the load stores copies."""
 
     @staticmethod
     def scanned_source():
@@ -142,10 +142,16 @@ class TestExtractRowsAreFresh:
         workflow = Workflow("scan")
         workflow.add("extract", Extract(source, query))
         workflow.mark_output("extract")
+        kept = None
         for _ in range(3):
             outputs, _ = workflow.run()
-            assert outputs["extract"][0]["other"] == "x"
-            outputs["extract"][0]["other"] = "changed"
+            rows = outputs["extract"]
+            assert rows[0]["other"] == "x"
+            assert {id(row) for row in table.iter_rows()}.isdisjoint(map(id, rows))
+            if kept is not None:  # a memo hit: the kept rows, in a new list
+                assert rows is not kept
+                assert all(a is b for a, b in zip(rows, kept))
+            kept = rows
             assert next(table.iter_rows())["other"] == "x"
             assert table.rows()[0]["other"] == "x"
 
@@ -166,10 +172,14 @@ class TestExtractRowsAreFresh:
             outputs, _ = workflow.run()
             published = outputs["load"]
             assert len(published) == 800
-            for row in published:
-                row["other"] = "changed"
-            loaded = warehouse.table("published").rows()
-            assert {row["other"] for row in loaded} == {"x"}
+            # The load stored copies: no published row is a warehouse row.
+            loaded = warehouse.table("published")
+            assert {id(row) for row in loaded.iter_rows()}.isdisjoint(
+                map(id, published)
+            )
+            assert {row["other"] for row in loaded.rows()} == {"x"}
+            # The published rows are the memo's, which the run left as read.
             fresh = source.execute(query)
+            assert all(a is b for a, b in zip(published, fresh + fresh))
             assert {row["other"] for row in fresh} == {"x"}
         assert source.db.table("procedure").rows()[0]["other"] == "x"

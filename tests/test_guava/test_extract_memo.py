@@ -2,8 +2,9 @@
 
 ``GuavaSource.execute`` keeps a full read's rows under its plan-cache key,
 stamped with the plan epoch, the chain tables' data versions and the
-restore generation.  A key's first read keeps a copy of the rows, and
-later reads at that stamp are served copies of them.  Each case below
+restore generation.  A key's first read keeps its rows, and every read
+at that stamp is served those row objects, shared and read-only, in a new
+list.  Each case below
 reads until the memo hits (the ``guava.read`` span's ``result_memo``
 attribute says so), then changes something and checks the next read
 misses (or, for a new record entered through a session, is patched) and
@@ -177,19 +178,21 @@ class TestInvalidation:
         _misses(source, query)
 
 
-class TestRowsAreTheCallers:
-    def test_mutating_returned_rows_never_reaches_the_memo(self):
+class TestRowsAreShared:
+    def test_hits_hand_out_the_kept_rows_in_new_lists(self):
         source = _source()
         query = _query(source, None)
         expected = _oracle(source, query)
+        handed: list[dict] = []
         for outcome in ("miss", "hit", "hit", "hit"):
             rows, outcomes = _read(source, query)
             assert outcomes == [outcome]
             assert rows == expected
-            for row in rows:
-                row["smoking"] = "mutated"
-                row["extra"] = 1
-            rows.append({"record_id": -1})
+            if handed:
+                assert all(a is b for a, b in zip(rows, handed))
+            handed = list(rows)
+            rows.append({"record_id": -1})  # the list is the caller's
+        assert handed == expected
 
 
 class TestNothingStored:

@@ -14,8 +14,11 @@ inserts, updates and deletes, restores of a saved extent (which rewind
 data versions), ``plan_cache_clear()``, record-id index builds, and full
 and record-scoped reads, unmapped and under four row maps (one of which
 raises on some records), under a memo bound small enough to clear the
-memo.  Every returned row is mutated before the next step, so a read that
-handed out a kept row would corrupt a later one.
+memo.  Returned rows are shared and read-only (the list is the caller's):
+every returned list is emptied before the next step, so a read that
+handed out a kept list would lose rows, and every returned row is checked
+at the end against a copy taken when it was handed out, so a step that
+changed a handed-out (kept) row fails.
 """
 
 from __future__ import annotations
@@ -128,6 +131,8 @@ class _Harness:
             for c in conditions
         ]
         self.saved = self._extents()
+        #: id -> (every row handed out, a copy of it then).
+        self.handed_out: dict[int, tuple[dict, dict]] = {}
 
     def _tables(self):
         return [
@@ -188,11 +193,11 @@ class _Harness:
     def read(self, which: int, mapping: int, ids: list[int] | None) -> None:
         query = self.queries[which % len(self.queries)]
         row_map = MAPS[mapping % len(MAPS)]
-        returned: list = []
+        handed: list[list] = []
 
         def run():
             rows = self.source.execute(query, record_ids=ids, row_map=row_map)
-            returned.extend(rows)
+            handed.append(rows)
             return rows
 
         got = _outcome(run)
@@ -202,9 +207,14 @@ class _Harness:
         # where the whole read converts (a pick needs a current raw read).
         if ids is None or _oracle(self.source, query, None, None)[0] == "rows":
             assert got == expected
-        for row in returned:  # a kept row handed out would change later reads
-            row.clear()
-            row["mutated"] = True
+        for rows in handed:
+            for row in rows:
+                self.handed_out.setdefault(id(row), (row, dict(row)))
+            rows.clear()  # the list is the caller's, never the memo's
+
+    def assert_handed_out_rows_unchanged(self) -> None:
+        for row, copy in self.handed_out.values():
+            assert row == copy
 
 
 def _oracle(source, query, ids, row_map) -> tuple:
@@ -293,6 +303,7 @@ class TestDifferential:
             for mapping in (1, 2, 3, 4, 0):
                 harness.read(0, mapping, None)
                 harness.read(0, mapping, [1, 2, harness.entered])
+        harness.assert_handed_out_rows_unchanged()
 
 
 def _spans(tracer, name: str) -> list:
@@ -387,19 +398,23 @@ class TestSharedRead:
         assert execution.attrs["rows_out"] == 1
         assert _raw_entry(harness) == (stamp, kept, state)
 
-    def test_returned_rows_are_never_kept_rows(self):
+    def test_returned_rows_are_kept_rows_left_unchanged(self):
         harness = _naive(3)
         query = harness.queries[0]
         for row_map in (None, MAPS[1], MAPS[2]):
             for ids in (None, [1, 2]):
                 first = harness.source.execute(query, record_ids=ids, row_map=row_map)
-                for row in first:
-                    row[RECORD_ID] = -1
-                    row["mutated"] = True
+                copies = [dict(row) for row in first]
+                handed = list(first)
+                first.clear()  # the list is the caller's
                 again = harness.source.execute(query, record_ids=ids, row_map=row_map)
                 assert _outcome(lambda: again) == _oracle(
                     harness.source, query, ids, row_map
                 )
+                assert handed == copies
+                if ids is None or row_map is None:
+                    # A full read, or a pick of raw rows: the kept rows.
+                    assert all(a is b for a, b in zip(handed, again))
 
 
 class TestPinnedRelaxation:
