@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 from repro.clinical.vocabulary import INDICATIONS
 from repro.errors import StudyError
 from repro.guava.source import GuavaSource
 from repro.multiclass.classifier import Classifier, EntityClassifier, Rule
-from repro.multiclass.study import Study
+from repro.multiclass.study import SourceBinding, Study
 
 #: The (attribute, domain) pairs a vendor defines several classifiers for,
 #: and what a choice among them is called.
@@ -31,27 +32,30 @@ VARIANTS = {HABITS: "habits variant", EX_SMOKER: "ex-smoker definition"}
 #: a pair with one definition.
 Key = tuple[tuple[str, str], str | None]
 
+#: What a study selects from a catalogue: its elements, then the variant
+#: asked for of each pair in :data:`VARIANTS`, in that order (used only
+#: when the study selects the pair).
+Selection = tuple[tuple[tuple[str, str, str], ...], str, str]
+
 
 @dataclass(frozen=True)
 class ClassifierDefinition:
     """One catalogue entry: a classifier written down, built on demand.
 
-    A definition is immutable and shared; it parses its rule texts once
-    (:meth:`Rule.of`), and every :meth:`build` returns a new
-    :class:`Classifier` the caller owns, holding those shared ``Rule``
-    objects in a list of its own.
+    A definition is immutable and shared; its rule texts are parsed when
+    it is written down (:func:`_define`, at import for the catalogues), so
+    an error in a text surfaces there and no study build parses.  Every
+    :meth:`build` returns a new :class:`Classifier` the caller owns,
+    holding the shared ``Rule`` objects in a list of its own;
+    :attr:`bound` is the one frozen classifier every shared binding holds.
     """
 
     name: str
     attribute: str
     domain: str
-    texts: tuple[tuple[str, str], ...]  # (output, guard) per rule
+    rules: tuple[Rule, ...]
     description: str = ""
     entity: str = "Procedure"
-
-    @cached_property
-    def rules(self) -> tuple[Rule, ...]:
-        return tuple(Rule.of(output, guard) for output, guard in self.texts)
 
     def build(self) -> Classifier:
         return Classifier(
@@ -63,6 +67,10 @@ class ClassifierDefinition:
             description=self.description,
         )
 
+    @cached_property
+    def bound(self) -> Classifier:
+        return self.build().frozen()
+
 
 def _define(
     name: str,
@@ -72,9 +80,8 @@ def _define(
     description: str = "",
     entity: str = "Procedure",
 ) -> ClassifierDefinition:
-    return ClassifierDefinition(
-        name, attribute, domain, tuple(rules), description, entity
-    )
+    parsed = tuple(Rule.of(output, guard) for output, guard in rules)
+    return ClassifierDefinition(name, attribute, domain, parsed, description, entity)
 
 
 def _flag_from_checkbox(
@@ -141,12 +148,20 @@ class VendorClassifiers:
 
 @dataclass(frozen=True)
 class VendorCatalogue:
-    """One vendor's classifier definitions, keyed by what they target."""
+    """One vendor's classifier definitions, keyed by what they target.
+
+    It also holds the checked bindings :meth:`binding` hands out: per
+    source, held weakly so a dropped source drops its bindings, then per
+    selection.
+    """
 
     entity_classifier: Callable[[], EntityClassifier]
     #: Catalogue order: the base definitions, the habits variants, the
     #: ex-smoker definitions.
     definitions: dict[Key, ClassifierDefinition]
+    bindings: WeakKeyDictionary[GuavaSource, dict[Selection, SourceBinding]] = (
+        field(default_factory=WeakKeyDictionary, compare=False, repr=False)
+    )
 
     @classmethod
     def of(
@@ -176,6 +191,40 @@ class VendorCatalogue:
             ex_smoker_10y=built[(EX_SMOKER, "10y")],
             ex_smoker_ever=built[(EX_SMOKER, "ever")],
         )
+
+    @cached_property
+    def bound_entity_classifier(self) -> EntityClassifier:
+        return self.entity_classifier().frozen()
+
+    def binding(self, source: GuavaSource, selection: Selection) -> SourceBinding:
+        """The one checked binding of ``selection`` over ``source``.
+
+        Made and checked (:meth:`SourceBinding.check`) on first use, and
+        again once the source serves new g-trees (a redeployed tool).  Its
+        classifiers are the definitions' frozen :attr:`~ClassifierDefinition.bound`
+        ones, in catalogue order.  An unknown variant of a wanted pair
+        raises :class:`~repro.errors.StudyError`; no binding is kept for it.
+        """
+        kept = self.bindings.get(source)
+        if kept is None:
+            kept = self.bindings[source] = {}
+        binding = kept.get(selection)
+        if binding is None or not binding.is_current():
+            elements, *variants = selection
+            wanted = {(attribute, domain) for _, attribute, domain in elements}
+            chosen = dict(zip(VARIANTS, variants))
+            for pair, kind in VARIANTS.items():
+                if pair in wanted and (pair, chosen[pair]) not in self.definitions:
+                    raise StudyError(f"unknown {kind} {chosen[pair]!r}")
+            classifiers = [
+                definition.bound
+                for (pair, variant), definition in self.definitions.items()
+                if pair in wanted and variant == chosen.get(pair)
+            ]
+            binding = kept[selection] = SourceBinding.check(
+                source, [self.bound_entity_classifier], classifiers
+            )
+        return binding
 
 
 # ---------------------------------------------------------------------------
@@ -695,27 +744,26 @@ def standard_bindings(
     ex_smoker_definition: str = "ever",
     habits_variant: str = "cancer",
 ) -> None:
-    """Bind every source to ``study`` with the requested variants.
+    """Attach to ``study`` each source's shared binding of its selection.
 
-    Only the classifiers whose targets the study selected are built, in
-    catalogue order, and bound, so one helper serves every study over the
-    endoscopy schema and a study of nine elements builds nine classifiers
-    per source.  Each is a new object (the study may change it); the rules
-    it holds are the catalogue's shared ``Rule`` objects, which is what lets
-    :meth:`Study.bind` and :meth:`Study.row_map` reuse the work of an
-    earlier build.  An unknown tool, or an unknown variant of a selected
-    element, raises :class:`~repro.errors.StudyError`.
+    The selection is the study's elements and the requested variants;
+    only the classifiers of the elements' (attribute, domain) pairs are
+    bound, in catalogue order, each pair that has several in its
+    requested variant.  Each source's catalogue hands out one immutable,
+    checked :class:`SourceBinding` per (source, selection) and g-tree
+    objects (:meth:`VendorCatalogue.binding`), so a rebuilt study builds
+    no classifier and runs no ``validate_against``: it attaches the
+    bindings of the build before (:meth:`Study.attach` runs only the
+    schema checks) and reads through their queries and kept row maps.
+    The study gets its own view of each binding, so changing its
+    classifier choices reaches no other study.  An unknown tool, or an
+    unknown variant of a selected element, raises
+    :class:`~repro.errors.StudyError`, on every call.
     """
-    wanted = {(attribute, domain) for _, attribute, domain in study.elements}
-    chosen = {HABITS: habits_variant, EX_SMOKER: ex_smoker_definition}
+    selection: Selection = (
+        tuple(study.elements),
+        habits_variant,
+        ex_smoker_definition,
+    )
     for source in sources:
-        catalogue = _catalogue_for(source)
-        for pair, kind in VARIANTS.items():
-            if pair in wanted and (pair, chosen[pair]) not in catalogue.definitions:
-                raise StudyError(f"unknown {kind} {chosen[pair]!r}")
-        classifiers = [
-            definition.build()
-            for (pair, variant), definition in catalogue.definitions.items()
-            if pair in wanted and variant == chosen.get(pair)
-        ]
-        study.bind(source, [catalogue.entity_classifier()], classifiers)
+        study.attach(_catalogue_for(source).binding(source, selection))

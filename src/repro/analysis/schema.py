@@ -4,6 +4,10 @@ One study schema serves all of CORI's studies — "we expect that CORI would
 only need to have one study schema" — with the Procedure entity at the top
 of the has-a tree and Finding / New Medication beneath it.  The Smoking
 attribute carries the three domains of Table 2.
+
+The schema is built and frozen once, at import (:data:`ENDOSCOPY_SCHEMA`):
+every study shares it, so a study build makes no schema and the bindings
+can keep the row maps derived from it.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ HABITS4 = Domain.categorical(
 
 FLAG = Domain.boolean("flag", "Yes/no")
 
-# The other domains of the schema.  Module constants, so every built schema
-# holds the same Domain objects and row-map keys reuse their fingerprints.
+# The other domains of the schema.  Module constants, so the schema and its
+# copies hold the same Domain objects and row-map keys reuse their
+# fingerprints.
 PROC_TYPE = Domain.categorical("proc_type", list(PROCEDURE_TYPES))
 INDICATION = Domain.categorical("indication", list(INDICATIONS))
 YEAR = Domain.integer(
@@ -48,7 +53,19 @@ PER_DAY = Domain.integer("per_day", minimum=0)
 
 
 def build_endoscopy_schema() -> StudySchema:
-    """Construct the shared CORI study schema."""
+    """The shared CORI study schema: :data:`ENDOSCOPY_SCHEMA` itself.
+
+    Frozen, so ``add_attribute``, ``add_domain`` and ``add_child`` on it
+    raise :class:`~repro.errors.StudySchemaError` and its attribute and
+    domain maps are read-only.  A caller that changes the schema (a test
+    widening a domain, an analyst growing it for a new study) takes an
+    explicit copy, ``build_endoscopy_schema().copy()``, and hands that to
+    its study or job; the constant stays as it is.
+    """
+    return ENDOSCOPY_SCHEMA
+
+
+def _endoscopy_schema() -> StudySchema:
     procedure = Entity("Procedure", description="The primary entity of interest")
     procedure.add_attribute("ProcedureType", PROC_TYPE)
     procedure.add_attribute("Indication", INDICATION)
@@ -85,4 +102,8 @@ def build_endoscopy_schema() -> StudySchema:
         "created study schema",
         "shared schema for all CORI endoscopy studies (paper Figure 4)",
     )
-    return schema
+    return schema.freeze()
+
+
+#: "We expect that CORI would only need to have one study schema."
+ENDOSCOPY_SCHEMA = _endoscopy_schema()

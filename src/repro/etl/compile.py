@@ -29,7 +29,6 @@ from repro.errors import CompileError, StudyError
 from repro.etl.components import Clean, Extract, FilterRows, Load, UnionInputs
 from repro.multiclass.cleaning import Quarantine
 from repro.etl.workflow import Workflow
-from repro.guava.query import GTreeQuery
 from repro.multiclass.domain import Domain, DomainKind
 from repro.multiclass.study import PARENT_RECORD_ID, Study, element_column
 from repro.relational.database import Database
@@ -83,7 +82,7 @@ def compile_study(study: Study, warehouse: Database) -> Workflow:
         branch_heads: list[str] = []
         for binding in study.bindings:
             source = binding.source
-            ec = binding.entity_classifiers.get(entity)
+            ec = binding.entity_classifier(entity)
             if ec is None:
                 raise CompileError(
                     f"source {source.name!r} lacks an entity classifier for "
@@ -91,10 +90,11 @@ def compile_study(study: Study, warehouse: Database) -> Workflow:
                 )
             # Stages 1 and 2: the entity classifier's g-tree query, read
             # through the source with the study's row map, like a Study.run
-            # preview.  Building the query validates it and building the
-            # map resolves every classifier; translation waits for the
-            # first read.
-            query = GTreeQuery(source.gtree(ec.form)).where(ec.condition)
+            # preview: the binding's own query and kept map, unless the
+            # study replaced their classifiers.  Building a query validates
+            # it and building a map resolves every classifier; translation
+            # waits for the first read.
+            query = binding.query(entity)
             try:
                 row_map = study.row_map(
                     binding, entity, ec.parent_link if linked else None

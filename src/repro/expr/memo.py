@@ -13,8 +13,7 @@ memo would alias distinct trees.  Each entry holds its key object, which
 keeps the key alive, so its ``id`` cannot be reused by another object while
 the entry exists.  The memo is bounded: an insert at the limit first clears
 every entry, which costs one recomputation per live key and keeps the
-bookkeeping to one dict.  An :class:`IdentityTupleMemo` keys the same way
-on a tuple of objects, item by item.
+bookkeeping to one dict.
 """
 
 from __future__ import annotations
@@ -56,24 +55,3 @@ class IdentityMemo(Generic[V]):
     def __len__(self) -> int:
         return len(self._entries)
 
-
-class IdentityTupleMemo(IdentityMemo[V]):
-    """An :class:`IdentityMemo` keyed by a tuple of objects, item by item.
-
-    Two keys match when they hold the very same objects in the same order.
-    The entry holds the key tuple, so none of its items' ids can be reused
-    while it lives.
-    """
-
-    __slots__ = ()
-
-    def get(self, key: tuple) -> V | None:  # type: ignore[override]
-        entry = self._entries.get(tuple(map(id, key)))
-        return None if entry is None else entry[1]
-
-    def put(self, key: tuple, value: V) -> V:  # type: ignore[override]
-        entries = self._entries
-        if len(entries) >= self.limit:
-            entries.clear()
-        entries[tuple(map(id, key))] = (key, value)
-        return value

@@ -69,8 +69,9 @@ def derive_gtree(
     for control in form.iter_controls():
         all_nodes[parent[control.name]].children.append(nodes[control.name])
 
-    log = AnnotationLog(clock) if clock is not None else AnnotationLog()
-    tree = GTree(tool.name, tool.version, root, annotations=log)
+    tree = GTree(tool.name, tool.version, root)
+    if clock is not None:
+        tree.annotations = AnnotationLog(clock)
     tree.annotate(
         author,
         "derived g-tree",

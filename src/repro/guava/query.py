@@ -16,6 +16,7 @@ from repro.expr.analysis import referenced_identifiers
 from repro.expr.ast import Expression
 from repro.expr.parser import parse
 from repro.guava.gtree import GTree
+from repro.relational.query import _fingerprint
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,24 @@ class GTreeQuery:
         )
 
     # -- introspection ---------------------------------------------------------------
+
+    def shape(self) -> str:
+        """The form and a type-tagged fingerprint of the nodes, condition
+        and derivations: what a source's plan-cache and memo keys name.
+
+        Kept on the query once its text is fixed (no mutable value below
+        it, see :func:`~repro.relational.query._fingerprint`), so a query a
+        binding holds is walked once, not on every read.
+        """
+        kept = self.__dict__.get("_shape")
+        if kept is not None:
+            return kept
+        parts = [self.gtree.form_name, ":"]
+        fixed = _fingerprint((self.nodes, self.condition, self.derivations), parts.append)
+        text = "".join(parts)
+        if fixed:
+            object.__setattr__(self, "_shape", text)
+        return text
 
     def referenced_nodes(self) -> set[str]:
         """All g-tree node names this query touches."""

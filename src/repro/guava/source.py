@@ -37,7 +37,6 @@ from repro.relational.algebra import Plan, Select
 from repro.obs.trace import current_tracer
 from repro.relational.database import Database, restore_generation
 from repro.relational.query import (
-    _fingerprint,
     cached_plan,
     extent_driver,
     optimize,
@@ -666,20 +665,17 @@ class GuavaSource:
         return plan.execute(db)
 
     def _shape(self, query: GTreeQuery) -> str | None:
-        """The query's shape — form plus a type-tagged fingerprint of its
-        nodes, condition and derivations — or None if it has none.
+        """The query's shape (:meth:`GTreeQuery.shape`), or None if it has
+        none.
 
         Plan-cache keys are the source's prefix, a scope and the shape.  A
         query over a g-tree object this source did not derive could select
         different default nodes under the same form name, so it is planned
         fresh (through the structural cache) instead.
         """
-        form = query.gtree.form_name
-        if self.gtrees.get(form) is not query.gtree:
+        if self.gtrees.get(query.gtree.form_name) is not query.gtree:
             return None
-        parts = [form, ":"]
-        _fingerprint((query.nodes, query.condition, query.derivations), parts.append)
-        return "".join(parts)
+        return query.shape()
 
     def explain(self, query: GTreeQuery) -> str:
         """The SQL the translated query corresponds to (documentation)."""

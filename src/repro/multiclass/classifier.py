@@ -8,8 +8,8 @@ is a Boolean condition.  Both clauses use nodes in a g-tree as arguments."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence, TypeVar
 
 from repro.errors import ClassifierError
 from repro.expr.analysis import is_union_of_conjunctions, referenced_identifiers
@@ -26,6 +26,40 @@ Environment = dict[str, object]
 CompiledClassifier = Callable[[Environment], object]
 
 _MISS = object()
+
+F = TypeVar("F", bound="Freezable")
+
+
+class Freezable:
+    """Mixin: :meth:`frozen` gives a read-only copy, which refuses assignment.
+
+    A bound classifier is shared by every study its binding serves, and
+    the row maps compiled from it are kept, so it must not change: studies
+    bind frozen copies, and the caller keeps its own object, free to
+    change (and to bind again).
+    """
+
+    _frozen = False
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if self._frozen:
+            raise ClassifierError(
+                f"{self!r} is bound and frozen: change a copy "
+                "(dataclasses.replace) and bind that"
+            )
+        object.__setattr__(self, name, value)
+
+    def frozen(self: F) -> F:
+        """This object if it is frozen already, else a frozen copy."""
+        if self._frozen:
+            return self
+        copy = self._copy_to_freeze()
+        object.__setattr__(copy, "_log", getattr(self, "_log", None))
+        object.__setattr__(copy, "_frozen", True)
+        return copy
+
+    def _copy_to_freeze(self: F) -> F:
+        return replace(self)  # type: ignore[type-var]
 
 
 @memoized_fingerprint
@@ -57,26 +91,30 @@ class Rule:
 
 
 @dataclass
-class Classifier(Annotated):
+class Classifier(Freezable, Annotated):
     """Maps g-tree data into one domain of one study-schema attribute.
 
     Rules are tried top to bottom; the first satisfied guard produces the
     value.  No satisfied guard (or a NULL guard, e.g. the question was
     never answered) leaves the record *unclassified* (NULL), never a
-    silently wrong category.
+    silently wrong category.  A :meth:`frozen` copy holds its rules as a
+    tuple.
     """
 
     name: str
     target_entity: str
     target_attribute: str
     target_domain: str
-    rules: list[Rule] = field(default_factory=list)
+    rules: Sequence[Rule] = field(default_factory=list)
     description: str = ""
     source_form: str = ""
 
     def __post_init__(self) -> None:
         if not self.rules:
             raise ClassifierError(f"classifier {self.name!r} has no rules")
+
+    def _copy_to_freeze(self) -> "Classifier":
+        return replace(self, rules=tuple(self.rules))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -215,7 +253,7 @@ class Classifier(Annotated):
 
 
 @dataclass
-class EntityClassifier(Annotated):
+class EntityClassifier(Freezable, Annotated):
     """Identifies unique objects in a g-tree to bring into the study.
 
     "An analyst creates an entity classifier just like any other

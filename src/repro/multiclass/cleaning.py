@@ -111,8 +111,12 @@ class Quarantine:
     rows: list[QuarantinedRow] = field(default_factory=list)
 
     def add(self, rule: CleaningRule, source: str, row: Row) -> None:
+        """Quarantine ``row`` itself: the caller hands over a dict of its
+        own (a row map's :meth:`~repro.multiclass.study.EntityRowMap.sift`
+        builds one per discarded record; :func:`apply_rules` copies the
+        shared rows it discards)."""
         self.rows.append(
-            QuarantinedRow(rule=rule.name, reason=rule.reason, source=source, row=dict(row))
+            QuarantinedRow(rule=rule.name, reason=rule.reason, source=source, row=row)
         )
 
     def by_rule(self, name: str) -> list[QuarantinedRow]:
@@ -136,7 +140,11 @@ def apply_rules(
     scope: str,
     quarantine: Quarantine,
 ) -> list[Row]:
-    """Filter ``rows`` through every rule of ``scope``; quarantine discards."""
+    """Filter ``rows`` through every rule of ``scope``; quarantine discards.
+
+    The rows may be shared (a read's kept rows), so a discarded row is
+    quarantined as a copy.
+    """
     active = [
         rule
         for rule in rules
@@ -149,7 +157,7 @@ def apply_rules(
         discarded = False
         for rule in active:
             if rule.discards(row):
-                quarantine.add(rule, source, row)
+                quarantine.add(rule, source, dict(row))
                 discarded = True
                 break
         if not discarded:

@@ -19,19 +19,27 @@ data version, so a record is classified once per data version, whichever
 of a preview or a publish reads it first.  Direct execution here is the
 semantic reference; :mod:`repro.etl.compile` turns the same study into an
 ETL workflow over the same row maps, and Hypothesis 3 checks the two agree.
+
+Definitions are data.  A :class:`SourceBinding` is one contributor's
+checked classifier choices: immutable, checked once when it is made, and
+shared by every study that binds the same choices, with its entity
+queries and, per study shape, its row maps.  A study holds a
+:class:`StudyBinding` per source, its own view of a binding.
 """
 
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable
 
 from repro.errors import StudyError
 from repro.expr.ast import BinaryOp, Expression
 from repro.expr.evaluator import Evaluator
-from repro.expr.memo import IdentityTupleMemo
 from repro.expr.parser import parse
+from repro.guava.gtree import GTree
 from repro.guava.query import GTreeQuery
 from repro.guava.source import GuavaSource, RowMap
 from repro.multiclass.classifier import Classifier, EntityClassifier
@@ -52,16 +60,6 @@ Element = tuple[str, str, str]
 
 #: Output column carrying the has-a parent's record id (child entities).
 PARENT_RECORD_ID = "parent_record_id"
-
-
-#: Bind checks and row maps, kept per the identity of their immutable
-#: inputs (``Rule``, AST, ``Domain`` and g-tree objects, names and cleaning
-#: rules), so a study rebuilt from the same definitions repeats none of the
-#: work.  Never keyed on a ``Classifier`` or ``EntityClassifier``: those
-#: are the caller's own, mutable objects.
-_CLASSIFIER_CHECKS: IdentityTupleMemo[list[str]] = IdentityTupleMemo()
-_ENTITY_CHECKS: IdentityTupleMemo[list[str]] = IdentityTupleMemo()
-_ROW_MAPS: IdentityTupleMemo["EntityRowMap"] = IdentityTupleMemo()
 
 
 #: Marks a mapped row as a record a record-scoped cleaning rule discarded:
@@ -86,11 +84,14 @@ class EntityRowMap(RowMap):
     ``apply`` takes one raw g-tree record to its study row, or to the raw
     record marked :data:`DISCARDED` by the first of ``rules`` (the active
     record-scoped cleaning rules) that discards it.  :meth:`sift` turns a
-    read's rows back into study rows and quarantine entries.
+    read's rows back into study rows and quarantine entries.  ``fixed``
+    says ``key`` can never change (no mutable value below it), so the map
+    may be kept.
     """
 
     source_name: str
     rules: tuple[CleaningRule, ...]
+    fixed: bool = True
 
     def sift(self, rows: list[Row], quarantine: Quarantine) -> list[Row]:
         """The study rows of a mapped read; discarded records go to
@@ -99,7 +100,9 @@ class EntityRowMap(RowMap):
         The rows are shared and read-only (see
         :meth:`~repro.guava.source.GuavaSource.execute`): a study row is
         handed on as it is, and a discarded one is quarantined as a new
-        dict of the raw record, without the :data:`DISCARDED` mark.
+        dict of the raw record, without the :data:`DISCARDED` mark, the
+        one copy made of it (:meth:`Quarantine.add` keeps the dict it is
+        given).
         """
         if not self.rules:
             return rows
@@ -134,24 +137,15 @@ def entity_row_map(
     Classifier names and descriptions are left out, so a definition
     rebuilt from the same rules shares the memoized rows of the one
     before.  Its text holds no set or id, so it is the same in every
-    interpreter.  The map itself, key text and compiled closures, is kept
-    per the identity of those inputs, so a rebuilt definition, which
-    holds the same objects, gets the very map of the build before.  A map
-    is kept only when its key text is fixed (see
-    :func:`~repro.relational.query._fingerprint`), so one over a
-    ``Literal`` or ``Domain`` holding a list is built on every call.
+    interpreter.  Each call builds a new map; a caller that reads through
+    one definition many times keeps the map it gets (a shared
+    :class:`SourceBinding` keeps its studies' maps, see
+    :meth:`Study.row_map`), but only a ``fixed`` one (see
+    :func:`~repro.relational.query._fingerprint`): one over a ``Literal``
+    or ``Domain`` holding a list must be built on every call.
     """
     resolved = [(column, tuple(c.rules), domain, c) for column, c, domain in columns]
     conditions = tuple(rule.condition for rule in discards)
-    # One flat tuple, each item by identity; the items' types fix where
-    # each column's name, domain and rules begin.
-    key = (source_name, parent_link, *discards, *conditions)
-    for column, rules, domain, _ in resolved:
-        key += (column, domain, *rules)
-    kept = _ROW_MAPS.get(key)
-    if kept is not None:
-        return kept
-
     structure = (
         source_name,
         parent_link,
@@ -175,19 +169,182 @@ def entity_row_map(
             row[column] = classify(record)
         return row
 
-    row_map = EntityRowMap("".join(parts), apply, source_name, discards)
-    if fixed:
-        _ROW_MAPS.put(key, row_map)
-    return row_map
+    return EntityRowMap("".join(parts), apply, source_name, discards, fixed)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SourceBinding:
-    """One contributor's classifiers for a study."""
+    """One contributor's checked classifier choices: immutable, shared.
 
-    source: GuavaSource
-    entity_classifiers: dict[str, EntityClassifier] = field(default_factory=dict)
-    classifiers: dict[Element, Classifier] = field(default_factory=dict)
+    Made by :meth:`check`, which runs every check that depends on the
+    source alone, once.  Its classifiers are frozen (see
+    :meth:`~repro.multiclass.classifier.Freezable.frozen`), so nothing a
+    study reads through it can change after the check: ``queries`` holds
+    each entity classifier's g-tree query, built once (its read shape is
+    kept on the query), and ``row_maps`` the row maps of the studies that
+    bind it, filled by :meth:`Study.row_map` per (entity, parent link,
+    selected elements, frozen schema).  A study whose record-scoped
+    cleaning rules discard from this source builds its own map instead,
+    so no study's rules reach the binding.
+
+    ``gtrees`` are the (form, g-tree object) pairs the checks ran
+    against: a redeployed tool's new g-trees make the binding stale
+    (:meth:`is_current`), and its maker checks a new one.  The binding
+    holds its source weakly, so a table of bindings kept per source (see
+    :meth:`~repro.analysis.classifiers.VendorCatalogue.binding`) never
+    keeps a dropped source, and its database, alive; a study's
+    :class:`StudyBinding` holds the source itself.
+    """
+
+    source_ref: weakref.ReferenceType[GuavaSource]
+    entity_classifiers: MappingProxyType[str, EntityClassifier]
+    classifiers: MappingProxyType[Element, Classifier]
+    queries: MappingProxyType[str, GTreeQuery]
+    gtrees: tuple[tuple[str, GTree], ...]
+    row_maps: dict[tuple, EntityRowMap] = field(default_factory=dict)
+
+    @classmethod
+    def check(
+        cls,
+        source: GuavaSource,
+        entity_classifiers: Iterable[EntityClassifier],
+        classifiers: Iterable[Classifier],
+    ) -> "SourceBinding":
+        """Check frozen copies of the classifiers against ``source``.
+
+        Every entity classifier must validate against its form's g-tree,
+        at most one per entity; every classifier needs its entity's
+        classifier and must name only nodes its g-tree has.  Any failure
+        raises :class:`~repro.errors.StudyError`.  Building the entity
+        queries validates them too.
+        """
+        source_name = source.name
+        bound_entities: dict[str, EntityClassifier] = {}
+        gtrees: dict[str, GTree] = {}
+        for ec in map(EntityClassifier.frozen, entity_classifiers):
+            gtree = gtrees[ec.form] = source.gtree(ec.form)
+            problems = ec.validate_against(gtree)
+            if problems:
+                raise StudyError(
+                    f"entity classifier {ec.name!r} invalid for source "
+                    f"{source_name!r}: {problems}"
+                )
+            if ec.target_entity in bound_entities:
+                raise StudyError(
+                    f"duplicate entity classifier for {ec.target_entity!r}"
+                )
+            bound_entities[ec.target_entity] = ec
+        bound: dict[Element, Classifier] = {}
+        for classifier in map(Classifier.frozen, classifiers):
+            ec = bound_entities.get(classifier.target_entity)
+            if ec is None:
+                raise StudyError(
+                    f"classifier {classifier.name!r} targets entity "
+                    f"{classifier.target_entity!r} with no entity classifier bound"
+                )
+            form = classifier.source_form or ec.form
+            gtree = gtrees[form] = source.gtree(form)
+            missing = classifier.validate_against(gtree)
+            if missing:
+                raise StudyError(
+                    f"classifier {classifier.name!r} references unknown "
+                    f"node(s) {missing} in source {source_name!r}"
+                )
+            bound[classifier.target] = classifier
+        queries = {
+            entity: _entity_query(source, ec) for entity, ec in bound_entities.items()
+        }
+        return cls(
+            weakref.ref(source),
+            MappingProxyType(bound_entities),
+            MappingProxyType(bound),
+            MappingProxyType(queries),
+            tuple(gtrees.items()),
+        )
+
+    @property
+    def source(self) -> GuavaSource | None:
+        """The source, or None once nothing else holds it."""
+        return self.source_ref()
+
+    def is_current(self) -> bool:
+        """True while the source lives and still serves the g-trees the
+        binding was checked on."""
+        source = self.source_ref()
+        if source is None:
+            return False
+        gtrees = source.gtrees
+        for form, tree in self.gtrees:
+            if gtrees.get(form) is not tree:
+                return False
+        return True
+
+
+def _entity_query(source: GuavaSource, ec: EntityClassifier) -> GTreeQuery:
+    """The g-tree query of ``ec``'s records in ``source``."""
+    return GTreeQuery(source.gtree(ec.form)).where(ec.condition)
+
+
+class StudyBinding:
+    """A study's own view of a shared :class:`SourceBinding`.
+
+    ``entity_classifiers`` and ``classifiers`` are the study's own dicts,
+    copied from the binding's on first access, so the study may replace an
+    entry (swap in another classifier, say) without reaching the binding
+    or any other study.  A replaced entry is read as it is, and nothing
+    derived from it is kept: :meth:`query` and :meth:`Study.row_map` use
+    the binding's query and kept maps only for the entries that are still
+    the binding's own objects.  Reads through :meth:`entity_classifier`
+    and :meth:`classifier` copy nothing, so a study nobody edits costs no
+    copy.
+    """
+
+    __slots__ = ("binding", "source", "_entity_classifiers", "_classifiers")
+
+    def __init__(self, binding: SourceBinding, source: GuavaSource) -> None:
+        self.binding = binding
+        self.source = source
+        self._entity_classifiers: dict[str, EntityClassifier] | None = None
+        self._classifiers: dict[Element, Classifier] | None = None
+
+    @property
+    def entity_classifiers(self) -> dict[str, EntityClassifier]:
+        if self._entity_classifiers is None:
+            self._entity_classifiers = self.binding.entity_classifiers.copy()
+        return self._entity_classifiers
+
+    @property
+    def classifiers(self) -> dict[Element, Classifier]:
+        if self._classifiers is None:
+            self._classifiers = self.binding.classifiers.copy()
+        return self._classifiers
+
+    def entity_classifier(self, entity: str) -> EntityClassifier | None:
+        own = self._entity_classifiers
+        return (self.binding.entity_classifiers if own is None else own).get(entity)
+
+    def classifier(self, element: Element) -> Classifier | None:
+        own = self._classifiers
+        return (self.binding.classifiers if own is None else own).get(element)
+
+    def keeps(self, elements: Iterable[Element]) -> bool:
+        """True when every element's classifier is the binding's own."""
+        own = self._classifiers
+        if own is None:
+            return True
+        shared = self.binding.classifiers
+        return all(own.get(element) is shared.get(element) for element in elements)
+
+    def query(self, entity: str) -> GTreeQuery:
+        """The g-tree query of ``entity``'s records (which must have an
+        entity classifier): the binding's own when the study kept the
+        binding's entity classifier."""
+        own = self._entity_classifiers
+        if own is not None:
+            ec = own[entity]
+            if ec is not self.binding.entity_classifiers.get(entity):
+                return _entity_query(self.source, ec)
+        return self.binding.queries[entity]
 
 
 @dataclass
@@ -196,7 +353,10 @@ class Study(Annotated):
 
     :meth:`run` previews it; :func:`repro.etl.compile_study` publishes it.
     Both read each (binding, entity) through the same :meth:`row_map`, so
-    they share the source's memoized, classified rows.
+    they share the source's memoized, classified rows.  A study is cheap
+    to build: its bindings are views of shared, checked
+    :class:`SourceBinding` objects, and its schema is usually a shared,
+    frozen one.
     """
 
     name: str
@@ -204,7 +364,7 @@ class Study(Annotated):
     description: str = ""
     elements: list[Element] = field(default_factory=list)
     filters: dict[str, Expression] = field(default_factory=dict)  # entity -> filter
-    bindings: list[SourceBinding] = field(default_factory=list)
+    bindings: list[StudyBinding] = field(default_factory=list)
     #: §6 data cleaning: DISCARD WHEN rules per entity.
     cleaning: dict[str, list[CleaningRule]] = field(default_factory=dict)
 
@@ -247,71 +407,42 @@ class Study(Annotated):
         source: GuavaSource,
         entity_classifiers: list[EntityClassifier],
         classifiers: list[Classifier],
-    ) -> SourceBinding:
+    ) -> StudyBinding:
         """Attach one contributor with its classifier choices.
 
-        Validates every classifier against the source's g-trees and
-        against the study schema, so binding errors surface at study
-        definition time, not mid-run.  A ``validate_against`` result is
-        a function of immutable objects alone, so it is kept: per (the
-        ``Rule`` objects, the g-tree) for a classifier, and per (the
-        condition AST, form, ``parent_link``, the g-tree) for an entity
-        classifier, each by identity.  A rebuilt definition, which holds
-        the same objects, is checked by lookup; a redeployed tool's new
-        g-tree objects are checked afresh.  The schema and duplicate
-        checks run on every bind.
+        Validates every classifier against the source's g-trees
+        (:meth:`SourceBinding.check`) and against the study schema
+        (:meth:`attach`), so binding errors surface at study definition
+        time, not mid-run.  Every call runs every check.  The binding
+        holds frozen copies of the classifiers: the caller keeps its own
+        objects, and changing one later changes neither this study nor
+        any other.  Studies that bind the same choices over and over share
+        a checked binding instead (:meth:`attach`, as
+        :func:`~repro.analysis.classifiers.standard_bindings` does).
         """
-        binding = SourceBinding(source)
-        for ec in entity_classifiers:
+        return self.attach(SourceBinding.check(source, entity_classifiers, classifiers))
+
+    def attach(self, binding: SourceBinding) -> StudyBinding:
+        """Attach a checked binding, shared or not: only the schema checks
+        run (every entity and classifier target must be in the schema)."""
+        source = binding.source
+        if source is None:
+            raise StudyError("the binding's source no longer exists")
+        for ec in binding.entity_classifiers.values():
             if not self.schema.has_entity(ec.target_entity):
                 raise StudyError(
                     f"entity classifier {ec.name!r} targets unknown entity "
                     f"{ec.target_entity!r}"
                 )
-            gtree = source.gtree(ec.form)
-            key = (ec.condition, ec.form, ec.parent_link, gtree)
-            problems = _ENTITY_CHECKS.get(key)
-            if problems is None:
-                problems = _ENTITY_CHECKS.put(key, ec.validate_against(gtree))
-            if problems:
-                raise StudyError(
-                    f"entity classifier {ec.name!r} invalid for source "
-                    f"{source.name!r}: {problems}"
-                )
-            if ec.target_entity in binding.entity_classifiers:
-                raise StudyError(
-                    f"duplicate entity classifier for {ec.target_entity!r}"
-                )
-            binding.entity_classifiers[ec.target_entity] = ec
-        for classifier in classifiers:
-            target = classifier.target
-            self.schema.domain_of(*target)  # raises if unknown
-            ec = binding.entity_classifiers.get(classifier.target_entity)
-            if ec is None:
-                raise StudyError(
-                    f"classifier {classifier.name!r} targets entity "
-                    f"{classifier.target_entity!r} with no entity classifier bound"
-                )
-            gtree = source.gtree(classifier.source_form or ec.form)
-            key = (*classifier.rules, gtree)
-            missing = _CLASSIFIER_CHECKS.get(key)
-            if missing is None:
-                missing = _CLASSIFIER_CHECKS.put(
-                    key, classifier.validate_against(gtree)
-                )
-            if missing:
-                raise StudyError(
-                    f"classifier {classifier.name!r} references unknown "
-                    f"node(s) {missing} in source {source.name!r}"
-                )
-            binding.classifiers[target] = classifier
-        self.bindings.append(binding)
-        return binding
+        self.schema.check_targets(binding.classifiers.keys())
+        view = StudyBinding(binding, source)
+        self.bindings.append(view)
+        return view
 
     # -- execution -------------------------------------------------------------
 
-    def elements_of(self, entity: str) -> list[Element]:
-        return [element for element in self.elements if element[0] == entity]
+    def elements_of(self, entity: str) -> tuple[Element, ...]:
+        return tuple(element for element in self.elements if element[0] == entity)
 
     def entities_in_play(self) -> list[str]:
         """Entities with at least one selected element, in schema order."""
@@ -344,21 +475,20 @@ class Study(Annotated):
         return StudyResult(self.name, tables, quarantine)
 
     def _run_entity(
-        self, binding: SourceBinding, entity: str, quarantine: Quarantine
+        self, binding: StudyBinding, entity: str, quarantine: Quarantine
     ) -> list[Row]:
-        ec = binding.entity_classifiers.get(entity)
+        ec = binding.entity_classifier(entity)
         if ec is None:
             raise StudyError(
                 f"source {binding.source.name!r} has no entity classifier "
                 f"for {entity!r}"
             )
         row_map = self.row_map(binding, entity, ec.parent_link)
-        query = GTreeQuery(binding.source.gtree(ec.form)).where(ec.condition)
-        records = binding.source.execute(query, row_map=row_map)
+        records = binding.source.execute(binding.query(entity), row_map=row_map)
         return row_map.sift(records, quarantine)
 
     def row_map(
-        self, binding: SourceBinding, entity: str, parent_link: str | None
+        self, binding: StudyBinding, entity: str, parent_link: str | None
     ) -> EntityRowMap:
         """The row map of ``entity``'s read from ``binding``'s source.
 
@@ -367,6 +497,14 @@ class Study(Annotated):
         Every element's classifier and domain are resolved here, before
         any record is read, so a missing classifier fails the same way
         whatever the source holds.
+
+        The map is kept on the shared :class:`SourceBinding`, per
+        (entity, ``parent_link``, selected elements, schema), when nothing
+        in it is this study's own: the schema is frozen, every selected
+        element's classifier is still the binding's, and no record-scoped
+        rule of the study discards from this source.  So every later
+        build of the same definition gets the very map, and a study's
+        cleaning rules or replaced classifiers reach no other study.
         """
         source_name = binding.source.name
         discards = tuple(
@@ -374,16 +512,27 @@ class Study(Annotated):
             for rule in self.cleaning.get(entity, [])
             if rule.scope == "record" and rule.source in (None, source_name)
         )
+        elements = self.elements_of(entity)
+        kept = not discards and self.schema.frozen and binding.keeps(elements)
+        row_maps = binding.binding.row_maps
+        key = (entity, parent_link, elements, self.schema)
+        if kept:
+            row_map = row_maps.get(key)
+            if row_map is not None:
+                return row_map
         columns = []
-        for element in self.elements_of(entity):
-            classifier = binding.classifiers.get(element)
+        for element in elements:
+            classifier = binding.classifier(element)
             if classifier is None:
                 raise StudyError(
                     f"source {source_name!r} has no classifier for {element}"
                 )
             column = element_column(*element[1:])
             columns.append((column, classifier, self.schema.domain_of(*element)))
-        return entity_row_map(source_name, columns, parent_link, discards)
+        row_map = entity_row_map(source_name, columns, parent_link, discards)
+        if kept and row_map.fixed:
+            row_maps[key] = row_map
+        return row_map
 
     def output_columns(self, entity: str) -> tuple[str, ...]:
         """Column names of an entity's study table."""
@@ -401,11 +550,8 @@ class Study(Annotated):
         The link column only appears when it is total: a partially-linked
         union would silently mix linkable and orphan rows.
         """
-        classifiers = [
-            binding.entity_classifiers[entity]
-            for binding in self.bindings
-            if entity in binding.entity_classifiers
-        ]
+        found = (binding.entity_classifier(entity) for binding in self.bindings)
+        classifiers = [ec for ec in found if ec is not None]
         return bool(classifiers) and all(
             ec.parent_link is not None for ec in classifiers
         )

@@ -8,16 +8,20 @@ that gives g-trees, classifiers, study schemas, and studies that capability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.util.clock import Clock, SystemClock
 
+#: The clock of every log not given one; it holds no state.
+_SYSTEM_CLOCK = SystemClock()
 
-@dataclass(frozen=True)
-class Annotation:
-    """One provenance record: who did what to an artifact, when, and why."""
+
+class Annotation(NamedTuple):
+    """One provenance record: who did what to an artifact, when, and why.
+
+    A named tuple: immutable, and cheap to make on every study build.
+    """
 
     author: str
     action: str
@@ -31,9 +35,17 @@ class Annotation:
 class AnnotationLog:
     """Append-only log of :class:`Annotation` records for one artifact."""
 
+    __slots__ = ("_clock", "_records")
+
     def __init__(self, clock: Clock | None = None):
-        self._clock = clock or SystemClock()
+        self._clock = clock or _SYSTEM_CLOCK
         self._records: list[Annotation] = []
+
+    def copy(self) -> "AnnotationLog":
+        """A new log holding this one's records, stamped by the same clock."""
+        log = AnnotationLog(self._clock)
+        log._records = list(self._records)
+        return log
 
     def add(self, author: str, action: str, rationale: str = "") -> Annotation:
         """Record and return a new annotation stamped by the log's clock."""
@@ -71,16 +83,32 @@ class AnnotationLog:
         return iter(self._records)
 
 
-@dataclass
 class Annotated:
     """Mixin giving an artifact an annotation log.
 
     Subclasses call :meth:`annotate` whenever the artifact is created or
     modified; analysts use the log to audit integration decisions from
-    prior studies before reusing them.
+    prior studies before reusing them.  The log is made on the first
+    :meth:`annotate` or read of :attr:`annotations`, so an artifact nobody
+    annotates costs no log.  Not a dataclass field: a dataclass artifact's
+    equality and ``repr`` leave its log out, and a frozen artifact can
+    still be annotated.
     """
 
-    annotations: AnnotationLog = field(default_factory=AnnotationLog, kw_only=True)
+    _log: AnnotationLog | None = None
+
+    @property
+    def annotations(self) -> AnnotationLog:
+        log = self._log
+        if log is None:
+            log = AnnotationLog()
+            object.__setattr__(self, "_log", log)
+        return log
+
+    @annotations.setter
+    def annotations(self, log: AnnotationLog) -> None:
+        """Give the artifact a log of the caller's (one with its own clock)."""
+        object.__setattr__(self, "_log", log)
 
     def annotate(self, author: str, action: str, rationale: str = "") -> Annotation:
         """Attach a provenance record to this artifact."""

@@ -72,7 +72,10 @@ class MaterializationJob:
 
     ``entity_classifiers`` maps source name → the entity classifier that
     identifies the entity's records in that source; ``classifiers`` are
-    the candidate columns (every classifier targeting the entity).
+    the candidate columns (every classifier targeting the entity).  The
+    job holds frozen copies of them (see
+    :meth:`~repro.multiclass.classifier.Freezable.frozen`), so over a
+    frozen schema it keeps each row map it builds for its life.
     """
 
     schema: StudySchema
@@ -99,7 +102,9 @@ class MaterializationJob:
                     f"classifier {classifier.name!r} targets "
                     f"{classifier.target_entity!r}, not {self.entity!r}"
                 )
+        self.classifiers = [classifier.frozen() for classifier in self.classifiers]
         self._by_name = {c.name: c for c in self.classifiers}
+        self._row_maps: dict[tuple[str, tuple[str, ...]], EntityRowMap] = {}
 
     def classifier(self, name: str) -> Classifier:
         try:
@@ -118,16 +123,30 @@ class MaterializationJob:
         self, source: GuavaSource, classifiers: Iterable[Classifier]
     ) -> EntityRowMap:
         """The study row map with one column per classifier, named after
-        it (Figure 7), kept as a study's maps are (:func:`entity_row_map`).
-        Names are interned: the kept map is found by the identity of its
-        column names, and a rebuilt job's names are equal, not the same."""
-        return entity_row_map(
+        it (Figure 7; names interned, as a study's columns are).
+
+        Kept per (source, column names) when the classifiers are the job's
+        own and the schema is frozen, since then nothing the map reads can
+        change; a job over a schema copy builds its map on every call, so
+        a changed domain shows in the next lineage fingerprint.
+        """
+        classifiers = list(classifiers)
+        key = (source.name, tuple(c.name for c in classifiers))
+        own = all(self._by_name.get(c.name) is c for c in classifiers)
+        if own:
+            kept = self._row_maps.get(key)
+            if kept is not None:
+                return kept
+        row_map = entity_row_map(
             source.name,
             [
                 (sys.intern(c.name), c, self.schema.domain_of(*c.target))
                 for c in classifiers
             ],
         )
+        if own and self.schema.frozen and row_map.fixed:
+            self._row_maps[key] = row_map
+        return row_map
 
     def read(
         self,

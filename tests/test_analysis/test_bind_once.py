@@ -1,11 +1,11 @@
-"""Bind once: a rebuilt study repeats no definition work after parsing.
+"""Bind once: a rebuilt study repeats no definition work.
 
-``standard_bindings`` builds only the classifiers a study's elements
-select, ``Study.bind`` keeps each ``validate_against`` result per the
-identity of the rules (or entity condition) and g-tree it checked, and
-``Study.row_map`` keeps each map per the identity of its immutable inputs.
-Only immutable objects are shared: every classifier a caller gets is its
-own, so changing one changes no later study.
+``standard_bindings`` attaches one shared, checked ``SourceBinding`` per
+(source, selection) and g-tree objects, whose frozen classifiers are
+built and checked once and whose row maps ``Study.row_map`` keeps.  Only
+immutable objects are shared: every classifier a caller gets from the
+catalogue is its own, a bound classifier refuses change, and a study's
+own view of a binding may swap classifiers without reaching any other.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from repro.analysis import (
 )
 from repro.analysis.schema import build_endoscopy_schema
 from repro.clinical import build_world
-from repro.errors import StudyError
+from repro.errors import ClassifierError, StudyError
 from repro.etl import compile_study
 from repro.expr.ast import BinaryOp, Identifier, Literal
 from repro.guava.derive import derive_all
 from repro.multiclass import Classifier, EntityClassifier, Rule, Study
+from repro.multiclass.study import element_column
 from repro.relational import Database
 
 
@@ -92,15 +93,18 @@ class TestSecondBuild:
         built, checks = [], []
         with (
             _counting(Classifier, "__init__", built),
+            _counting(EntityClassifier, "__init__", built),
             _counting(Classifier, "validate_against", checks),
             _counting(EntityClassifier, "validate_against", checks),
         ):
             second = build(world)
             second_maps = _row_maps(second)
         bound = [c for binding in second.bindings for c in binding.classifiers.values()]
-        assert len(built) == len(bound) == BOUND_PER_SOURCE[label] * len(world.sources)
-        assert {id(c) for c in built} == {id(c) for c in bound}
-        assert checks == []
+        assert len(bound) == BOUND_PER_SOURCE[label] * len(world.sources)
+        assert built == checks == []
+        assert all(
+            a.binding is b.binding for a, b in zip(second.bindings, first.bindings)
+        )
         assert len(second_maps) == len(first_maps)
         assert all(a is b for a, b in zip(second_maps, first_maps))
 
@@ -162,9 +166,24 @@ class TestSharing:
     def test_changing_a_bound_classifier_changes_no_later_study(self, world):
         before = build_study1(world).run().tables
         study = build_study1(world)
+        nothing = [Rule.of("NULL", "TRUE")]
         for binding in study.bindings:
-            for classifier in binding.classifiers.values():
-                classifier.rules[:] = [Rule.of("NULL", "TRUE")]
+            for element, classifier in list(binding.classifiers.items()):
+                # A bound classifier is frozen ...
+                with pytest.raises(TypeError):
+                    classifier.rules[:] = nothing
+                with pytest.raises(ClassifierError, match="frozen"):
+                    classifier.rules = nothing
+                # ... but the study may bind another in its own view.
+                binding.classifiers[element] = Classifier(
+                    classifier.name, *classifier.target, rules=nothing
+                )
+        rows = study.run().rows("Procedure")
+        assert rows and all(
+            row[element_column(*element[1:])] is None
+            for row in rows
+            for element in study.elements
+        )
         assert build_study1(world).run().tables == before
 
 

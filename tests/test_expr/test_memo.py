@@ -7,7 +7,7 @@ import weakref
 
 from repro.expr import compile as compile_module
 from repro.expr.ast import Literal
-from repro.expr.memo import IdentityMemo, IdentityTupleMemo
+from repro.expr.memo import IdentityMemo
 
 
 class TestIdentityMemo:
@@ -42,40 +42,6 @@ class TestIdentityMemo:
         memo.put(keys[3], 3)
         assert len(memo) == 1
         assert [memo.get(key) for key in keys] == [None, None, None, 3]
-
-
-class TestIdentityTupleMemo:
-    def test_keys_item_by_item_by_identity(self):
-        memo: IdentityTupleMemo[str] = IdentityTupleMemo()
-        one, true, name = Literal(1), Literal(True), "column"
-        memo.put((one, name), "kept")
-        assert memo.get((one, name)) == "kept"  # another tuple, same items
-        assert memo.get((true, name)) is None  # an equal item is not the item
-        assert memo.get((name, one)) is None  # order counts
-        assert memo.get((one,)) is None
-        assert memo.get((one, name, None)) is None
-
-    def test_an_entry_keeps_every_item_alive(self):
-        memo: IdentityTupleMemo[str] = IdentityTupleMemo()
-        first, second = Literal("a"), Literal("b")
-        alive = [weakref.ref(first), weakref.ref(second)]
-        memo.put((first, second), "text")
-        del first, second
-        gc.collect()
-        assert all(ref() is not None for ref in alive)
-        assert memo.get(tuple(ref() for ref in alive)) == "text"
-        memo.clear()
-        gc.collect()
-        assert all(ref() is None for ref in alive)
-
-    def test_an_insert_at_the_limit_clears_every_entry(self):
-        memo: IdentityTupleMemo[int] = IdentityTupleMemo(limit=2)
-        keys = [(Literal(n), Literal(n)) for n in range(3)]
-        memo.put(keys[0], 0)
-        memo.put(keys[1], 1)
-        memo.put(keys[2], 2)
-        assert len(memo) == 1
-        assert [memo.get(key) for key in keys] == [None, None, 2]
 
 
 class TestCompileMemo:

@@ -175,3 +175,63 @@ class TestStudyCleaning:
         workflow = compile_study(study, Database("wh"))
         names = [step.name for step in workflow.steps]
         assert names.index("Procedure__union") < names.index("Procedure__clean")
+
+
+class TestQuarantineCopies:
+    """A discarded record is copied once: a row map's ``sift`` builds the
+    record without its mark and the quarantine keeps that very dict;
+    study-scoped rules discard shared rows, so ``apply_rules`` copies."""
+
+    def test_each_discarded_record_is_copied_once(self):
+        from repro.analysis import build_study2
+        from repro.clinical import build_world
+        from repro.multiclass.study import DISCARDED
+
+        world = build_world(40, seed=23)
+        study = build_study2(world, "ever")
+        for source, condition in (
+            ("cori_warehouse_feed", "packs_per_day >= 1"),
+            ("endopro_clinic", "cigarettes_per_day >= 20"),
+            ("medscribe_clinic", "packs_daily >= 1"),
+        ):
+            study.add_cleaning_rule(
+                "Procedure", CleaningRule.of(f"heavy_{source}", condition, source=source)
+            )
+        study.add_cleaning_rule(
+            "Procedure",
+            CleaningRule.of("hypoxic", "AnyHypoxia_flag = TRUE", scope="study"),
+        )
+        handed = []
+        add = Quarantine.add
+
+        def spy(self, rule, source, row):
+            handed.append(row)
+            return add(self, rule, source, row)
+
+        for _ in range(2):  # a miss, then a memo hit
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Quarantine, "add", spy)
+                result = study.run()
+            expected, kept, records = [], [], []
+            for binding in study.bindings:
+                query = binding.query("Procedure")
+                row_map = study.row_map(binding, "Procedure", None)
+                raw = binding.source.execute(query)
+                mapped = binding.source.execute(query, row_map=row_map)
+                kept += raw + mapped
+                records += [r for r in mapped if DISCARDED in r]
+                expected += [
+                    (row_map.rules[row[DISCARDED]].name, binding.source.name, record)
+                    for record, row in zip(raw, mapped)
+                    if DISCARDED in row
+                ]
+            by_record = [q for q in result.quarantine.rows if q.source != "study"]
+            assert by_record and len(result.quarantine) > len(by_record)
+            assert [(q.rule, q.source, q.row) for q in by_record] == expected
+            assert all(DISCARDED not in q.row for q in by_record)
+            # The quarantined row is the dict the quarantine was handed ...
+            assert [id(q.row) for q in result.quarantine.rows] == list(map(id, handed))
+            # ... and never a kept row (raw, mapped or marked).
+            ids = {id(row) for row in kept + records}
+            assert all(id(q.row) not in ids for q in result.quarantine.rows)
+            handed.clear()

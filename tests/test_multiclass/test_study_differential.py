@@ -27,7 +27,6 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.multiclass.study as study_module
 import repro.relational.query as relational_query
 from repro.analysis import (
     build_cohort_study,
@@ -429,6 +428,7 @@ class TestMemoKey:
         assert keys(ruled)[0] != base[0] and keys(ruled)[1:] == base[1:]
 
         domained = build_study1(world)
+        domained.schema = domained.schema.copy()  # the shared one is frozen
         entity, attribute, domain_name = domained.elements[0]
         domain = domained.schema.domain_of(entity, attribute, domain_name)
         attribute_of = domained.schema.entity(entity).attribute(attribute)
@@ -469,9 +469,8 @@ def _keys(study):
 class TestRebuild:
     def test_a_rebuild_walks_no_rule_ast(self):
         world = build_world(20, seed=3)
-        # So the first build's texts all fit and its row maps are built.
+        # So the first build's texts all fit.
         relational_query._TEXTS.clear()
-        study_module._ROW_MAPS.clear()
         first = [_keys(build(world)) for build in _DEFINITIONS]
         walked = []
         uncached = relational_query._fingerprint_fields
@@ -488,11 +487,13 @@ class TestRebuild:
                 study.run()
                 _publish(study)
             assert walked == []
-            # The count sees walks: with the texts and the kept row maps
-            # gone, the same keys come from walking every rule, domain and
-            # condition again.
+            # The count sees walks: with the texts and the bindings' kept
+            # row maps gone, the same keys come from walking every rule,
+            # domain and condition again.
             relational_query._TEXTS.clear()
-            study_module._ROW_MAPS.clear()
+            for study in rebuilt:
+                for binding in study.bindings:
+                    binding.binding.row_maps.clear()
             assert [_keys(study) for study in rebuilt] == first
         assert {type(value) for value in walked} >= {Rule, Domain}
 

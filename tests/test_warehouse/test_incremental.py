@@ -43,7 +43,9 @@ def cori(small_world):
 def make_job(world, source):
     vendor = vendor_classifiers_for(source)
     return MaterializationJob(
-        schema=build_endoscopy_schema(),
+        # A copy: TestDomainChanges swaps a domain of the job's schema, and
+        # the shared endoscopy schema is frozen.
+        schema=build_endoscopy_schema().copy(),
         entity="Procedure",
         sources=[source],
         entity_classifiers={source.name: vendor.entity_classifier},

@@ -407,13 +407,28 @@ class TestProportionalDelete:
 class TestOneMapPerDefinition:
     def test_a_rebuilt_job_reads_through_the_same_map(self, world):
         """Classifiers rebuilt from the same rules, under names built at
-        run time (equal, not the same objects), get the kept map."""
+        run time (equal, not the same objects), get a map under the same
+        key, so the rebuilt job's read is a hit on the first job's rows."""
+        from repro.obs import tracing
+
         source = world.source("cori_warehouse_feed")
-        maps = []
-        for _ in range(2):
-            job = _job(source, [_twin(c) for c in _classifiers(source)])
-            maps.append(job.row_map(source, job.classifiers))
-        assert maps[0] is maps[1]
+        jobs = [
+            _job(source, [_twin(c) for c in _classifiers(source)]) for _ in range(2)
+        ]
+        maps = [job.row_map(source, job.classifiers) for job in jobs]
+        assert maps[0].key == maps[1].key
+        first = jobs[0].read(source, jobs[0].classifiers)
+        with tracing() as tracer:
+            second = jobs[1].read(source, jobs[1].classifiers)
+        reads = [
+            span.attrs["result_memo"]
+            for root in tracer.roots
+            for span in root.walk()
+            if span.name == "guava.read"
+        ]
+        assert reads == ["hit"]
+        assert len(second) == len(first)
+        assert all(a is b for a, b in zip(first, second))
 
 
 _FINGERPRINT = """
