@@ -44,10 +44,8 @@ from repro.relational import (
     Database,
     DataType,
     Join,
-    Limit,
     Scan,
     Select,
-    Sort,
     TableSchema,
     execute_interpreted,
     optimize,
@@ -199,10 +197,6 @@ def _join_aggregate_plan():
     )
 
 
-def _topk_plan():
-    return Limit(Sort(Scan("visits"), (("score", False),)), 25)
-
-
 def _wide_scan_plan():
     """Filter + derive over the 13-column table: the columnar sweet spot."""
     return Compute(
@@ -220,7 +214,6 @@ def make_cases():
         ("filtered_scan", db, _filtered_scan_plan()),
         ("indexed_lookup", db, _indexed_lookup_plan()),
         ("join_aggregate", db, _join_aggregate_plan()),
-        ("topk", db, _topk_plan()),
         ("wide_scan", db, _wide_scan_plan()),
         (f"pattern_chain_depth{CHAIN_DEPTH}", chain_db, chain_plan),
     ]

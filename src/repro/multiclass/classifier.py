@@ -18,7 +18,6 @@ from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.parser import parse
 from repro.guava.gtree import GTree
 from repro.multiclass.domain import Domain
-from repro.relational.query import memoized_fingerprint
 from repro.relational.types import MEMO_LIMIT
 from repro.util.annotations import Annotated
 
@@ -62,7 +61,6 @@ class Freezable:
         return replace(self)  # type: ignore[type-var]
 
 
-@memoized_fingerprint
 @dataclass(frozen=True)
 class Rule:
     """One statement ``output <- guard``."""

@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import DomainError
-from repro.relational.query import memoized_fingerprint
 
 
 class DomainKind(enum.Enum):
@@ -23,7 +22,6 @@ class DomainKind(enum.Enum):
     TEXT = "text"
 
 
-@memoized_fingerprint
 @dataclass(frozen=True)
 class Domain:
     """One representation for an attribute's values."""

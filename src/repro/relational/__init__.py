@@ -15,12 +15,10 @@ from repro.relational.algebra import (
     AggregateSpec,
     Coerce,
     Compute,
-    Distinct,
     ExecContext,
     IndexLookup,
     InLookup,
     Join,
-    Limit,
     Pivot,
     Plan,
     Project,
@@ -28,9 +26,7 @@ from repro.relational.algebra import (
     Scan,
     Select,
     Sort,
-    TopK,
     Union,
-    Unpivot,
     Values,
 )
 from repro.relational.algebra import canonical_key
@@ -47,13 +43,11 @@ __all__ = [
     "Compute",
     "DataType",
     "Database",
-    "Distinct",
     "ExecContext",
     "HashIndex",
     "IndexLookup",
     "InLookup",
     "Join",
-    "Limit",
     "Pivot",
     "Plan",
     "Project",
@@ -64,9 +58,7 @@ __all__ = [
     "Sort",
     "Table",
     "TableSchema",
-    "TopK",
     "Union",
-    "Unpivot",
     "Values",
     "canonical_key",
     "column_ndv",

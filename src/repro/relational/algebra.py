@@ -18,17 +18,16 @@ per row; ``repro.relational.interpret`` keeps the original materializing
 interpreter as the executable specification both paths are property-tested
 against.
 
-``Unpivot`` and ``Pivot`` are first-class because the paper's *Generic*
-design pattern (EAV layouts) hinges on them: "Execute an un-pivot
-operation, either in code or SQL if the operator exists in the DBMS".
+``Pivot`` is first-class because the paper's *Generic* design pattern
+(EAV layouts) hinges on folding attribute/value rows back into wide rows,
+which the paper calls un-pivoting: "Execute an un-pivot operation, either
+in code or SQL if the operator exists in the DBMS".
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import islice
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -48,7 +47,7 @@ class ExecContext:
     """Per-execution memo shared across one plan tree.
 
     ``output_columns`` of a node is O(depth) to compute; operators that
-    consult child schemas (Project, Join, Union, Distinct) would otherwise
+    consult child schemas (Project, Join, Union) would otherwise
     each trigger a full recursion, turning deep pattern chains into
     O(depth²) schema work (ablation A6).  The context memoizes columns by
     node identity so one execute computes each node's schema exactly once.
@@ -615,60 +614,6 @@ class Union(Plan):
 
 
 @dataclass(frozen=True)
-class Distinct(Plan):
-    """Remove duplicate rows, preserving first-seen order."""
-
-    child: Plan
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        columns = ctx.columns(self.child)
-
-        def generate() -> Iterator[Row]:
-            seen: set[tuple[object, ...]] = set()
-            for row in self.child.stream(ctx):
-                key = tuple(canonical_key(row.get(column)) for column in columns)
-                if key not in seen:
-                    seen.add(key)
-                    yield row
-
-        return generate()
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
-
-    def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
-        return ctx.columns(self.child)
-
-
-@dataclass(frozen=True)
-class Unpivot(Plan):
-    """Wide → EAV: each value column becomes an (attribute, value) row."""
-
-    child: Plan
-    id_columns: tuple[str, ...]
-    value_columns: tuple[str, ...]
-    attribute_column: str = "attribute"
-    value_column: str = "value"
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        for row in self.child.stream(ctx):
-            for column in self.value_columns:
-                record: Row = {c: row.get(c) for c in self.id_columns}
-                record[self.attribute_column] = column
-                record[self.value_column] = row.get(column)
-                yield record
-
-    def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
-        return self.id_columns + (self.attribute_column, self.value_column)
-
-
-@dataclass(frozen=True)
 class Pivot(Plan):
     """EAV → wide: rows sharing key columns fold into one row per key.
 
@@ -834,88 +779,6 @@ class Sort(Plan):
         return ctx.columns(self.child)
 
 
-@dataclass(frozen=True)
-class TopK(Plan):
-    """Fused Sort+Limit: heap-select the first ``count`` rows by ``keys``.
-
-    Produced by the optimizer from ``Limit(Sort(child, keys), count)``.
-    Uniform-direction key lists ride ``heapq.nsmallest``/``nlargest`` with
-    plain tuple keys (both are documented equivalent to a stable
-    ``sorted(...)[:n]``, so tie order matches :class:`Sort`'s repeated
-    stable sorts); mixed ascending/descending keys fall back to the sort
-    itself, truncated.
-    """
-
-    child: Plan
-    keys: tuple[tuple[str, bool], ...]
-    count: int
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        rows = self.child.stream(ctx)
-        if self.count <= 0:
-            # Nothing to select, yet the child runs to the end, as in the
-            # interpreter: its errors (a SUM over text) must still surface.
-            for _ in rows:
-                pass
-            return iter(())
-        directions = {ascending for _, ascending in self.keys}
-        if len(directions) <= 1:
-            select = heapq.nsmallest if directions != {False} else heapq.nlargest
-            if len(self.keys) == 1:
-                column = self.keys[0][0]
-
-                def single_key(row: Row) -> tuple[int, object]:
-                    return _sort_key(row.get(column))
-
-                return iter(select(self.count, rows, key=single_key))
-            columns = tuple(column for column, _ in self.keys)
-
-            def key_of(row: Row) -> tuple[tuple[int, object], ...]:
-                return tuple(_sort_key(row.get(column)) for column in columns)
-
-            return iter(select(self.count, rows, key=key_of))
-        materialized = list(rows)
-        for column, ascending in reversed(self.keys):
-            materialized.sort(
-                key=lambda row: _sort_key(row.get(column)), reverse=not ascending
-            )
-        return iter(materialized[: self.count])
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
-
-    def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
-        return ctx.columns(self.child)
-
-
-@dataclass(frozen=True)
-class Limit(Plan):
-    """Keep the first ``count`` rows."""
-
-    child: Plan
-    count: int
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.child,)
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        if self.count < 0:
-            # Negative counts keep Python slice semantics (drop from the end),
-            # which requires the full child extent.
-            rows = list(self.child.stream(ctx))
-            return iter(rows[: self.count])
-        return islice(self.child.stream(ctx), self.count)
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
-
-    def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
-        return ctx.columns(self.child)
-
-
 # -- helpers -------------------------------------------------------------------
 
 
@@ -945,8 +808,6 @@ def trace_label(plan: Plan) -> str:
         return f"Union[{len(plan.inputs)} inputs]"
     if isinstance(plan, Pivot):
         return f"Pivot[{','.join(plan.key_columns)}: {len(plan.attributes)} attrs]"
-    if isinstance(plan, Unpivot):
-        return f"Unpivot[{','.join(plan.value_columns)}]"
     if isinstance(plan, Coerce):
         return f"Coerce[{','.join(column for column, _ in plan.column_types)}]"
     if isinstance(plan, Aggregate):
@@ -955,11 +816,6 @@ def trace_label(plan: Plan) -> str:
     if isinstance(plan, Sort):
         keys = ",".join(("" if asc else "-") + col for col, asc in plan.keys)
         return f"Sort[{keys}]"
-    if isinstance(plan, TopK):
-        keys = ",".join(("" if asc else "-") + col for col, asc in plan.keys)
-        return f"TopK[{keys} limit {plan.count}]"
-    if isinstance(plan, Limit):
-        return f"Limit[{plan.count}]"
     return type(plan).__name__
 
 
@@ -973,7 +829,7 @@ def canonical_key(value: object) -> object:
 
     Python's ``hash(True) == hash(1)`` (and ``True == 1``) would silently
     merge a BOOLEAN column's ``TRUE`` with an INTEGER ``1`` in group-by,
-    distinct, COUNT_DISTINCT, and hash-join keys — but ``sql_equal``
+    COUNT_DISTINCT, and hash-join keys — but ``sql_equal``
     distinguishes them, so the keys must too.  Booleans are tagged with a
     private sentinel; unhashable containers collapse to their ``repr``.
     Both executors (interpreter, streaming) share this one function so

@@ -16,8 +16,7 @@ else consults data.
   defaults.
 * **Plan rows** — :func:`estimate_plan_rows` folds those numbers through
   the operator tree (index probes count their buckets, joins divide by
-  the larger key NDV, aggregates cap at the product of group-key NDVs,
-  limits truncate).
+  the larger key NDV, aggregates cap at the product of group-key NDVs).
 
 Nothing is cached: an estimate is computed when ``explain_analyze`` asks.
 """
@@ -30,19 +29,15 @@ from typing import TYPE_CHECKING
 from repro.expr.ast import BinaryOp, Expression, Identifier, InList, IsNull, Literal
 from repro.relational.algebra import (
     Aggregate,
-    Distinct,
     IndexLookup,
     InLookup,
     Join,
-    Limit,
     Pivot,
     Plan,
     Scan,
     Select,
     Sort,
-    TopK,
     Union,
-    Unpivot,
     Values,
     canonical_key,
 )
@@ -180,12 +175,12 @@ def predicate_selectivity(table: "Table | None", predicate: Expression) -> float
 def base_table_of(plan: Plan, db: "Database") -> "Table | None":
     """The base table whose columns a node's rows still carry, or None.
 
-    Descends through row-preserving wrappers (Select/Sort/Limit/TopK/
-    Distinct) to the scanned table; stops at anything that renames,
-    projects, or synthesizes columns — estimates above those fall back to
-    defaults rather than misattribute statistics.
+    Descends through row-preserving wrappers (Select/Sort) to the scanned
+    table; stops at anything that renames, projects, or synthesizes
+    columns — estimates above those fall back to defaults rather than
+    misattribute statistics.
     """
-    while isinstance(plan, (Select, Sort, Limit, TopK, Distinct)):
+    while isinstance(plan, (Select, Sort)):
         plan = plan.child
     if isinstance(plan, (Scan, IndexLookup, InLookup)):
         if db.has_table(plan.table):
@@ -266,20 +261,12 @@ def _estimate(plan: Plan, db: "Database", memo: dict[int, float]) -> float:
             estimate = column_ndv(table, column) if table is not None else None
             groups *= max(estimate[0], 1.0) if estimate is not None else max(child, 1.0)
         return max(min(groups, child), 0.0)
-    if isinstance(plan, (Limit, TopK)):
-        child = estimate_plan_rows(plan.child, db, memo)
-        if isinstance(plan, Limit) and plan.count < 0:
-            return max(child + plan.count, 0.0)
-        return min(child, float(max(plan.count, 0)))
     if isinstance(plan, Union):
         return sum(estimate_plan_rows(branch, db, memo) for branch in plan.inputs)
-    if isinstance(plan, Unpivot):
-        child = estimate_plan_rows(plan.child, db, memo)
-        return child * len(plan.value_columns)
     children = plan.children()
     if len(children) == 1:
         # Row-preserving or unknown wrappers (Project/Compute/Rename/Sort/
-        # Distinct/Coerce/...): pass the child through.
+        # Coerce/...): pass the child through.
         return estimate_plan_rows(children[0], db, memo)
     if not children:
         return 0.0

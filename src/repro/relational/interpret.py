@@ -19,11 +19,9 @@ from repro.relational.algebra import (
     Aggregate,
     Coerce,
     Compute,
-    Distinct,
     IndexLookup,
     InLookup,
     Join,
-    Limit,
     Pivot,
     Plan,
     Project,
@@ -32,9 +30,7 @@ from repro.relational.algebra import (
     Scan,
     Select,
     Sort,
-    TopK,
     Union,
-    Unpivot,
     Values,
     _aggregate,
     _sort_key,
@@ -96,25 +92,6 @@ def execute_interpreted(plan: Plan, db: Database) -> list[Row]:
         return _join(plan, db)
     if isinstance(plan, Union):
         return _union(plan, db)
-    if isinstance(plan, Distinct):
-        columns = plan.child.output_columns(db)
-        seen: set[tuple[object, ...]] = set()
-        out = []
-        for row in execute_interpreted(plan.child, db):
-            key = tuple(canonical_key(row.get(column)) for column in columns)
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-        return out
-    if isinstance(plan, Unpivot):
-        out = []
-        for row in execute_interpreted(plan.child, db):
-            for column in plan.value_columns:
-                record: Row = {c: row.get(c) for c in plan.id_columns}
-                record[plan.attribute_column] = column
-                record[plan.value_column] = row.get(column)
-                out.append(record)
-        return out
     if isinstance(plan, Pivot):
         return _pivot(plan, db)
     if isinstance(plan, Coerce):
@@ -133,14 +110,6 @@ def execute_interpreted(plan: Plan, db: Database) -> list[Row]:
         for column, ascending in reversed(plan.keys):
             rows.sort(key=lambda row: _sort_key(row.get(column)), reverse=not ascending)
         return rows
-    if isinstance(plan, TopK):
-        # Specification of the fused top-k: full sort, then slice.
-        rows = execute_interpreted(plan.child, db)
-        for column, ascending in reversed(plan.keys):
-            rows.sort(key=lambda row: _sort_key(row.get(column)), reverse=not ascending)
-        return rows[: max(plan.count, 0)]
-    if isinstance(plan, Limit):
-        return execute_interpreted(plan.child, db)[: plan.count]
     raise QueryError(f"interpreter cannot execute plan node {type(plan).__name__}")
 
 

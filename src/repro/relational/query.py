@@ -1,19 +1,19 @@
 """Fluent query builder and a plan optimizer.
 
-The optimizer applies safe rewrites only: select merge/pushdown, projection
-pushdown with dead-column pruning, fusing ``Limit`` over ``Sort`` into a
-heap top-k, and — when a database handle is supplied — lowering equality
-selections over base tables onto :class:`~repro.relational.algebra.IndexLookup`
-backed by the table's hash indexes.  Correctness is checked by property
-tests asserting optimized, naive-streaming, and interpreted executions
-agree on every database they run against.
+The optimizer applies safe rewrites only: select merge/pushdown, merging
+and dropping redundant projections, and — when a database handle is
+supplied — lowering equality selections over base tables onto
+:class:`~repro.relational.algebra.IndexLookup` backed by the table's hash
+indexes.  Correctness is checked by property tests asserting optimized,
+naive-streaming, and interpreted executions agree on every database they
+run against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Callable, Iterator, TypeVar, cast
+from typing import Callable, Iterator, cast
 
 from repro.expr.analysis import referenced_identifiers
 from repro.obs.trace import Span, Tracer, current_tracer
@@ -28,19 +28,16 @@ from repro.expr.ast import (
     UnaryOp,
     conjunction,
 )
-from repro.expr.memo import IdentityMemo
 from repro.expr.parser import parse
 from repro.relational.algebra import (
     Aggregate,
     AggregateSpec,
     Coerce,
     Compute,
-    Distinct,
     ExecContext,
     IndexLookup,
     InLookup,
     Join,
-    Limit,
     Pivot,
     Plan,
     Project,
@@ -48,16 +45,13 @@ from repro.relational.algebra import (
     Scan,
     Select,
     Sort,
-    TopK,
     Union,
-    Unpivot,
 )
 from repro.relational.database import Database
 from repro.relational.table import Table
 from repro.relational.types import DataType
 
 Row = dict[str, object]
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -105,18 +99,12 @@ class Query:
         plans.extend(o.plan if isinstance(o, Query) else o for o in others)
         return Query(Union(tuple(plans)))
 
-    def distinct(self) -> "Query":
-        return Query(Distinct(self.plan))
-
     def order_by(self, *keys: str) -> "Query":
         """Keys like ``"age"`` (ascending) or ``"-age"`` (descending)."""
         parsed = tuple(
             (key[1:], False) if key.startswith("-") else (key, True) for key in keys
         )
         return Query(Sort(self.plan, parsed))
-
-    def limit(self, count: int) -> "Query":
-        return Query(Limit(self.plan, count))
 
     def aggregate(
         self, group_by: list[str] | tuple[str, ...], *specs: AggregateSpec
@@ -141,10 +129,11 @@ def optimize(
     """Apply safe rewrites; ``db`` unlocks schema- and index-aware rules.
 
     Without a database the optimizer falls back to statically derivable
-    column sets, as before.  With one (``Query.execute`` always passes it),
-    it can additionally lower equality filters onto hash indexes and prune
-    dead columns through joins and unions.  The optimizer is deliberately
-    conservative — correctness is checked by property tests asserting
+    column sets.  With one (``Query.execute`` always passes it), it can
+    additionally lower equality filters onto hash indexes and check which
+    filters cannot raise, which the pushdowns past joins, computes and
+    aggregates need.  The optimizer is deliberately conservative —
+    correctness is checked by property tests asserting
     optimized and naive plans agree on every database they run against.
 
     With a database the result is also memoized in the database's plan
@@ -284,9 +273,8 @@ def extent_driver(
     way (joined on ``column = column``) or reads no table with
     ``column``.  A new record whose leaf rows all sit past the old extent
     then adds rows after every old record's, and changes no other
-    record's rows.  None for anything else (a ``Sort``, ``TopK``,
-    ``Limit``, ``Union`` or ``Distinct`` on the spine, a join across
-    records).
+    record's rows.  None for anything else (a ``Sort`` or ``Union`` on
+    the spine, a join across records).
     """
     path: list[Plan] = []
     node = plan
@@ -377,34 +365,8 @@ def plan_fingerprint(plan: Plan) -> str:
 #: type are not dataclass instances.  Keyed by type, so it holds no plans.
 _FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
 
-#: The types whose fingerprint text is kept per object: frozen dataclasses
-#: built from scalars, tuples and one another, so an instance's text is
-#: fixed for its life.  An explicit list, not every frozen dataclass: plan
-#: nodes carry payloads and closures.  :func:`memoized_fingerprint` adds a
-#: type from a module this one cannot import.
-_MEMOIZED_TYPES: set[type] = {
-    BinaryOp,
-    FunctionCall,
-    Identifier,
-    InList,
-    IsNull,
-    Literal,
-    UnaryOp,
-}
-_TEXTS: IdentityMemo[str] = IdentityMemo()
 #: Leaf types whose ``repr`` cannot change (enum members count too).
 _FIXED_SCALARS = frozenset({type(None), bool, int, float, str})
-
-
-def memoized_fingerprint(kind: type[T]) -> type[T]:
-    """Class decorator: keep fingerprint texts of ``kind``'s instances.
-
-    Only for a frozen dataclass whose fields hold scalars, tuples and
-    other such objects.  An instance that holds anything else (a list, a
-    date) is still walked every time.
-    """
-    _MEMOIZED_TYPES.add(kind)
-    return kind
 
 
 def _field_names(kind: type) -> tuple[str, ...] | None:
@@ -417,61 +379,19 @@ def _field_names(kind: type) -> tuple[str, ...] | None:
 def _fingerprint(value: object, emit: Callable[[str], None]) -> bool:
     """Emit ``value``'s fingerprint text; True when that text is fixed.
 
-    The text of an instance of a memoized type is kept per object (see
-    :mod:`repro.expr.memo`) once it is known to be fixed: every leaf below
-    it is a plain scalar or an enum member and every dataclass a memoized
-    type.  So a ``Literal`` over a list, and every node above it, is walked
-    on each call, and ``Literal(1)``, ``Literal(True)`` and
-    ``Literal(1.0)`` keep their own texts.
-
-    The items of a memoized value's tuple field (an ``IN`` list's items,
-    a call's arguments) store no text of their own: a rebuilt definition
-    hits the text of the value above them, and a new 5,000-item ``IN``
-    list would otherwise store 5,000 texts and clear the memo of the kept
-    ``Rule`` and ``Domain`` texts (:func:`_fingerprint_items`).
+    The text is fixed when every leaf below ``value`` is a plain scalar or
+    an enum member and every dataclass on the way is frozen, so no later
+    change can alter it.  A ``Literal`` over a list, and every node above
+    it, is not: callers that keep a text (a row map's key, a read's shape)
+    keep only fixed ones.
     """
-    if type(value) not in _MEMOIZED_TYPES:
-        return _fingerprint_fields(value, emit)
-    text = _TEXTS.get(value)
-    if text is not None:
-        emit(text)
-        return True
-    parts: list[str] = []
-    fixed = _fingerprint_fields(value, parts.append)
-    text = "".join(parts)
-    if fixed:
-        _TEXTS.put(value, text)
-    emit(text)
-    return fixed
-
-
-def _fingerprint_items(items: tuple, emit: Callable[[str], None]) -> bool:
-    """:func:`_fingerprint` of a memoized value's tuple field: an item's
-    kept text is used, no item's text is stored."""
-    fixed = True
-    emit("[")
-    for item in items:
-        text = _TEXTS.get(item) if type(item) in _MEMOIZED_TYPES else None
-        if text is None:
-            fixed &= _fingerprint_fields(item, emit)
-        else:
-            emit(text)
-        emit(",")
-    emit("]")
-    return fixed
-
-
-def _fingerprint_fields(value: object, emit: Callable[[str], None]) -> bool:
-    """One level of the uncached walk; fields and items go back through
-    :func:`_fingerprint` (a memoized value's tuple fields through
-    :func:`_fingerprint_items`)."""
     kind = type(value)
     try:
         names = _FIELD_NAMES[kind]
     except KeyError:
         names = _FIELD_NAMES[kind] = _field_names(kind)
     if names is not None:
-        memoized = fixed = kind in _MEMOIZED_TYPES
+        fixed: bool = kind.__dataclass_params__.frozen  # type: ignore[attr-defined]
         emit(kind.__name__)
         emit("(")
         for name in names:
@@ -479,8 +399,6 @@ def _fingerprint_fields(value: object, emit: Callable[[str], None]) -> bool:
             field_kind = type(field)
             if field_kind in _FIXED_SCALARS:  # the common leaf, inline
                 emit(f"{field_kind.__name__}:{field!r};")
-            elif memoized and field_kind is tuple:
-                fixed &= _fingerprint_items(field, emit)
             else:
                 fixed &= _fingerprint(field, emit)
             emit(",")
@@ -563,9 +481,6 @@ def _rewrite(plan: Plan, ctx: _OptContext) -> Plan:
         return _rewrite_select(plan, ctx)
     if isinstance(plan, Project):
         return _rewrite_project(plan, ctx)
-    if isinstance(plan, Limit) and isinstance(plan.child, Sort) and plan.count >= 0:
-        ctx.note("topk_fusion")
-        return TopK(plan.child.child, plan.child.keys, plan.count)
     if isinstance(plan, Pivot):
         return _rewrite_pivot(plan, ctx)
     return plan
@@ -653,13 +568,6 @@ def _rewrite_select(plan: Select, ctx: _OptContext) -> Plan:
                 child.value_column,
                 child.attributes,
             )
-    # Push select below union (always safe).
-    if isinstance(child, Union):
-        ctx.note("select_below_union")
-        pushed = tuple(
-            _rewrite(Select(branch, plan.predicate), ctx) for branch in child.inputs
-        )
-        return Union(pushed)
     # Push below a Sort: it drops no row and never raises, and a stable
     # sort of the surviving rows keeps their relative order.
     if isinstance(child, Sort):
@@ -1053,8 +961,6 @@ def _lookup_predicate(lookup: IndexLookup | InLookup) -> Expression:
 
 def _rewrite_project(plan: Project, ctx: _OptContext) -> Plan:
     child = plan.child
-    col_set = set(plan.columns)
-
     # An identity projection (same columns, same order) is a pure copy
     # pass; dropping it cannot change rows or error behaviour.
     if ctx.columns_of(child) == plan.columns:
@@ -1063,86 +969,10 @@ def _rewrite_project(plan: Project, ctx: _OptContext) -> Plan:
 
     # Merge stacked projections (only when the outer survives the inner's
     # validity check, so error behaviour is preserved).
-    if isinstance(child, Project) and col_set <= set(child.columns):
+    if isinstance(child, Project) and set(plan.columns) <= set(child.columns):
         ctx.note("project_merge")
         return _rewrite_project(Project(child.child, plan.columns), ctx)
-
-    # Dead-derivation pruning: drop computed columns the projection discards
-    # (derivations are independent — each evaluates against the child row).
-    if isinstance(child, Compute):
-        kept = tuple(d for d in child.derivations if d[0] in col_set)
-        if len(kept) < len(child.derivations):
-            ctx.note("dead_derivation_prune")
-            inner: Plan = Compute(child.child, kept) if kept else child.child
-            return _rewrite_project(Project(inner, plan.columns), ctx)
-
-    # Push below a Sort when every sort key survives the projection: stable
-    # sort of projected rows by the same keys yields the same order.
-    if isinstance(child, Sort) and {c for c, _ in child.keys} <= col_set:
-        ctx.note("project_below_sort")
-        return Sort(
-            _rewrite_project(Project(child.child, plan.columns), ctx), child.keys
-        )
-
-    # Prune dead columns into both sides of a join.
-    if isinstance(child, Join):
-        pushed = _push_project_into_join(plan, child, ctx)
-        if pushed is not None:
-            return pushed
-
-    # Push into every union branch (when branches verifiably agree, so the
-    # union's column-mismatch check is not silently skipped).
-    if isinstance(child, Union) and child.inputs:
-        branch_cols = [ctx.column_set(branch) for branch in child.inputs]
-        if all(columns is not None for columns in branch_cols):
-            agreed = {frozenset(columns) for columns in branch_cols}  # type: ignore[arg-type]
-            if len(agreed) == 1:
-                full = next(iter(agreed))
-                if col_set <= full and col_set != full:
-                    ctx.note("project_into_union")
-                    pushed_branches = tuple(
-                        _rewrite_project(Project(branch, plan.columns), ctx)
-                        for branch in child.inputs
-                    )
-                    return Union(pushed_branches)
-
     return plan
-
-
-def _push_project_into_join(
-    project: Project, join: Join, ctx: _OptContext
-) -> Plan | None:
-    left_cols = ctx.columns_of(join.left)
-    right_cols = ctx.columns_of(join.right)
-    if left_cols is None or right_cols is None:
-        return None
-    left_keys = {lk for lk, _ in join.on}
-    right_keys = {rk for _, rk in join.on}
-    # Keep the original plan when the join would refuse a column collision.
-    if (set(left_cols) & set(right_cols)) - right_keys:
-        return None
-    needed = set(project.columns)
-    left_keep = tuple(c for c in left_cols if c in needed or c in left_keys)
-    right_keep = tuple(c for c in right_cols if c in needed or c in right_keys)
-    if len(left_keep) == len(left_cols) and len(right_keep) == len(right_cols):
-        return None  # nothing to prune
-    produced = set(left_keep) | (set(right_keep) - right_keys)
-    if not needed <= produced:
-        return None  # let the original projection raise its unknown-column error
-    ctx.note("project_into_join")
-    new_left = (
-        _rewrite_project(Project(join.left, left_keep), ctx)
-        if len(left_keep) < len(left_cols)
-        else join.left
-    )
-    new_right = (
-        _rewrite_project(Project(join.right, right_keep), ctx)
-        if len(right_keep) < len(right_cols)
-        else join.right
-    )
-    return Project(
-        Join(new_left, new_right, join.on, join.how), project.columns
-    )
 
 
 def prepare_stream_plan(
@@ -1209,7 +1039,7 @@ def _static_columns(plan: Plan) -> set[str] | None:
             return None
         mapping = dict(plan.mapping)
         return {mapping.get(column, column) for column in base}
-    if isinstance(plan, (Select, Distinct, Sort, Limit, TopK)):
+    if isinstance(plan, (Select, Sort)):
         return _static_columns(plan.child)
     if isinstance(plan, Compute):
         base = _static_columns(plan.child)
@@ -1227,7 +1057,7 @@ def _declared_types(plan: Plan, db: Database) -> dict[str, DataType]:
         return {
             column.name: column.dtype for column in db.table(plan.table).schema.columns
         }
-    if isinstance(plan, (Select, Project, Sort, TopK, Limit, Distinct)):
+    if isinstance(plan, (Select, Project, Sort)):
         return _declared_types(plan.children()[0], db)
     if isinstance(plan, Rename):
         mapping = dict(plan.mapping)
@@ -1278,26 +1108,12 @@ def _with_children(plan: Plan, children: tuple[Plan, ...]) -> Plan:
         return Join(children[0], children[1], plan.on, plan.how)
     if isinstance(plan, Union):
         return Union(children)
-    if isinstance(plan, Distinct):
-        return Distinct(children[0])
     if isinstance(plan, Sort):
         return Sort(children[0], plan.keys)
-    if isinstance(plan, TopK):
-        return TopK(children[0], plan.keys, plan.count)
-    if isinstance(plan, Limit):
-        return Limit(children[0], plan.count)
     if isinstance(plan, Aggregate):
         return Aggregate(children[0], plan.group_by, plan.aggregates)
     if isinstance(plan, Coerce):
         return Coerce(children[0], plan.column_types)
-    if isinstance(plan, Unpivot):
-        return Unpivot(
-            children[0],
-            plan.id_columns,
-            plan.value_columns,
-            plan.attribute_column,
-            plan.value_column,
-        )
     if isinstance(plan, Pivot):
         return Pivot(
             children[0],

@@ -9,15 +9,15 @@ dialect; it is documentation-quality output, not re-parsed by the engine.
 
 from __future__ import annotations
 
+import re
+
 from repro.expr.ast import Expression
 from repro.relational.algebra import (
     Aggregate,
     Coerce,
     Compute,
-    Distinct,
     IndexLookup,
     Join,
-    Limit,
     Pivot,
     Plan,
     Project,
@@ -25,9 +25,7 @@ from repro.relational.algebra import (
     Scan,
     Select,
     Sort,
-    TopK,
     Union,
-    Unpivot,
     Values,
 )
 
@@ -82,19 +80,9 @@ def _render(plan: Plan, depth: int) -> str:
         parts = [f"({_render(p, depth + 1).lstrip()})" for p in plan.inputs]
         joiner = f"\n{pad}UNION ALL\n{pad}"
         return f"{pad}" + joiner.join(parts)
-    if isinstance(plan, Distinct):
-        return f"{pad}SELECT DISTINCT * FROM (\n{_render(plan.child, depth + 1)}\n{pad}) AS t"
     if isinstance(plan, Sort):
         keys = ", ".join(f"{c} {'ASC' if asc else 'DESC'}" for c, asc in plan.keys)
         return f"{pad}SELECT * FROM (\n{_render(plan.child, depth + 1)}\n{pad}) AS t ORDER BY {keys}"
-    if isinstance(plan, Limit):
-        return f"{pad}SELECT * FROM (\n{_render(plan.child, depth + 1)}\n{pad}) AS t LIMIT {plan.count}"
-    if isinstance(plan, TopK):
-        keys = ", ".join(f"{c} {'ASC' if asc else 'DESC'}" for c, asc in plan.keys)
-        return (
-            f"{pad}SELECT * FROM (\n{_render(plan.child, depth + 1)}\n{pad}) AS t "
-            f"ORDER BY {keys} LIMIT {plan.count}"
-        )
     if isinstance(plan, Aggregate):
         aggs = ", ".join(
             f"{_sql_aggregate(s.func, s.column)} AS {s.alias}" for s in plan.aggregates
@@ -104,22 +92,10 @@ def _render(plan: Plan, depth: int) -> str:
         return (
             f"{pad}SELECT {select_list} FROM (\n{_render(plan.child, depth + 1)}\n{pad}) AS t{group}"
         )
-    if isinstance(plan, Unpivot):
-        # Generic SQL lacks a standard UNPIVOT; emit the union-of-projections form.
-        parts = []
-        for column in plan.value_columns:
-            ids = ", ".join(plan.id_columns)
-            prefix = f"{ids}, " if ids else ""
-            parts.append(
-                f"(SELECT {prefix}'{column}' AS {plan.attribute_column}, "
-                f"{column} AS {plan.value_column} FROM (\n{_render(plan.child, depth + 1)}\n{pad}) AS t)"
-            )
-        joiner = f"\n{pad}UNION ALL\n{pad}"
-        return f"{pad}" + joiner.join(parts)
     if isinstance(plan, Pivot):
         cases = ", ".join(
-            f"MAX(CASE WHEN {plan.attribute_column} = '{a}' "
-            f"THEN {plan.value_column} END) AS {a}"
+            f"MAX(CASE WHEN {plan.attribute_column} = {_sql_literal(a)} "
+            f"THEN {plan.value_column} END) AS {_sql_identifier(a)}"
             for a in plan.attributes
         )
         keys = ", ".join(plan.key_columns)
@@ -154,6 +130,19 @@ def _sql_literal(value: object) -> str:
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
     return str(value)
+
+
+_PLAIN_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _sql_identifier(name: str) -> str:
+    """``name`` as is when it is a plain identifier, else double-quoted.
+
+    Pivot attributes are g-tree node names, which may hold any character.
+    """
+    if _PLAIN_IDENTIFIER.fullmatch(name):
+        return name
+    return '"' + name.replace('"', '""') + '"'
 
 
 def _sql_expr(expr: Expression) -> str:

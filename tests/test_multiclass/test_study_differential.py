@@ -469,28 +469,25 @@ def _keys(study):
 class TestRebuild:
     def test_a_rebuild_walks_no_rule_ast(self):
         world = build_world(20, seed=3)
-        # So the first build's texts all fit.
-        relational_query._TEXTS.clear()
         first = [_keys(build(world)) for build in _DEFINITIONS]
         walked = []
-        uncached = relational_query._fingerprint_fields
+        walk = relational_query._fingerprint
 
         def counting(value, emit):
-            if type(value) in relational_query._MEMOIZED_TYPES:
+            if isinstance(value, (Rule, Domain)):
                 walked.append(value)
-            return uncached(value, emit)
+            return walk(value, emit)
 
-        with mock.patch.object(relational_query, "_fingerprint_fields", counting):
+        with mock.patch.object(relational_query, "_fingerprint", counting):
             rebuilt = [build(world) for build in _DEFINITIONS]
             assert [_keys(study) for study in rebuilt] == first
             for study in rebuilt:
                 study.run()
                 _publish(study)
             assert walked == []
-            # The count sees walks: with the texts and the bindings' kept
-            # row maps gone, the same keys come from walking every rule,
-            # domain and condition again.
-            relational_query._TEXTS.clear()
+            # The count sees walks: with the bindings' kept row maps gone,
+            # the same keys come from walking every rule, domain and
+            # condition again.
             for study in rebuilt:
                 for binding in study.bindings:
                     binding.binding.row_maps.clear()

@@ -53,7 +53,7 @@ def db() -> Database:
 
 
 def queries(db: Database) -> list[Query]:
-    """Three representative shapes: indexed filter, join+aggregate, top-k."""
+    """Three representative shapes: indexed filter, join, filtered sort."""
     return [
         Query.table("patients").where("city = 'metz' and age > 30").select(
             "patient_id", "age"
@@ -62,7 +62,7 @@ def queries(db: Database) -> list[Query]:
         .join(Query.table("visits"), on=[("patient_id", "patient_id")])
         .where("score >= 3")
         .select("patient_id", "score"),
-        Query.table("patients").order_by("-age").limit(7),
+        Query.table("patients").order_by("-age").where("age > 60"),
     ]
 
 
@@ -91,7 +91,7 @@ class TestExplainAnalyze:
 
     def test_optimizer_span_records_rewrites(self, db):
         report = explain_analyze(queries(db)[2], db)
-        assert report.rewrites_applied().get("topk_fusion") == 1
+        assert report.rewrites_applied().get("select_below_sort") == 1
         indexed = explain_analyze(queries(db)[0], db)
         assert indexed.rewrites_applied().get("index_lowering") == 1
         assert any(

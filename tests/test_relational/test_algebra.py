@@ -11,9 +11,7 @@ from repro.relational import (
     Compute,
     Database,
     DataType,
-    Distinct,
     Join,
-    Limit,
     Pivot,
     Project,
     Rename,
@@ -22,7 +20,6 @@ from repro.relational import (
     Sort,
     TableSchema,
     Union,
-    Unpivot,
     Values,
 )
 
@@ -148,25 +145,21 @@ class TestUnionDistinct:
     def test_union_empty(self, db):
         assert Union(()).execute(db) == []
 
-    def test_distinct(self, db):
-        plan = Distinct(Project(Scan("labs"), ("visit_id",)))
-        assert len(plan.execute(db)) == 2
-
 
 class TestUnpivotPivot:
-    def test_unpivot_shape(self, db):
-        plan = Unpivot(
-            Scan("visits"),
-            id_columns=("id",),
-            value_columns=("patient", "age"),
-        )
-        rows = plan.execute(db)
-        assert len(rows) == 6
-        assert rows[0] == {"id": 1, "attribute": "patient", "value": "ann"}
-
     def test_pivot_inverts_unpivot(self, db):
-        unpivoted = Unpivot(
-            Scan("visits"), id_columns=("id",), value_columns=("patient", "age", "hypoxia")
+        # The un-pivot spelled as a union of one projection per attribute.
+        unpivoted = Union(
+            tuple(
+                Project(
+                    Compute(
+                        Scan("visits"),
+                        (("attribute", parse(f"'{column}'")), ("value", parse(column))),
+                    ),
+                    ("id", "attribute", "value"),
+                )
+                for column in ("patient", "age", "hypoxia")
+            )
         )
         pivoted = Pivot(
             unpivoted,
@@ -262,9 +255,6 @@ class TestSortLimitCoerce:
         plan = Sort(Scan("visits"), (("hypoxia", True), ("age", False)))
         ids = [r["id"] for r in plan.execute(db)]
         assert ids == [2, 3, 1]
-
-    def test_limit(self, db):
-        assert len(Limit(Scan("visits"), 2).execute(db)) == 2
 
     def test_coerce(self, db):
         plan = Coerce(

@@ -2,7 +2,7 @@
 
 Python's ``True == 1`` / ``hash(True) == hash(1)`` would silently merge a
 BOOLEAN ``TRUE`` with an INTEGER ``1`` anywhere values become dict keys —
-group-by, DISTINCT, COUNT_DISTINCT, hash-join build sides — even though
+group-by, COUNT_DISTINCT, hash-join build sides — even though
 ``sql_equal`` (and therefore every ``=`` predicate) distinguishes them.
 Both executors route keys through :func:`canonical_key`, and these
 tests pin that shared behaviour so a future "optimization" reintroducing
@@ -19,7 +19,6 @@ from repro.relational import (
     Aggregate,
     AggregateSpec,
     Database,
-    Distinct,
     Join,
     Rename,
     Sort,
@@ -53,12 +52,6 @@ class TestCanonicalKeyFunction:
 
     def test_unhashable_containers_collapse_to_repr(self):
         assert canonical_key([1, 2]) == repr([1, 2])
-
-
-class TestDistinct:
-    def test_true_and_one_stay_distinct(self):
-        for rows in _all_executors(Distinct(_mixed())):
-            assert [row["k"] for row in rows] == [True, 1, False, 0, None]
 
 
 class TestGroupBy:

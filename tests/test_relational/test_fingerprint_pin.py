@@ -1,14 +1,13 @@
 """Pins the structural fingerprints to the field-by-field reference.
 
-``_fingerprint`` caches each type's dataclass field names, and keeps the
-text of expression nodes, ``Rule`` and ``Domain`` per object once the
-text is known to be fixed (never the items of a tuple field, such as an
-``IN`` list's).  Plan-cache keys, g-tree read shapes and
+``_fingerprint`` caches each type's dataclass field names and emits the
+common scalar leaves inline.  Plan-cache keys, g-tree read shapes and
 row-map keys are built from its output, so the strings must stay
 byte-identical to the uncached walk below, which asks ``dataclasses`` for
-every node: on a first call, on a repeat call (served by the memo), and
-after the memo is cleared at its limit, even in the middle of a walk.
-``referenced_identifiers`` is pinned to the uncached ``walk()`` likewise.
+every node, on a first call and on a repeat call.  Its "fixed" flag
+(no mutable value below) decides whether a row map or a read shape is
+kept.  ``referenced_identifiers`` is pinned to the uncached ``walk()``
+likewise.
 """
 
 from __future__ import annotations
@@ -42,14 +41,15 @@ from repro.multiclass.domain import DomainKind
 from repro.relational import (
     Aggregate,
     AggregateSpec,
+    Coerce,
     Compute,
-    Distinct,
+    DataType,
     Join,
-    Limit,
     Project,
     Scan,
     Select,
     Sort,
+    Union,
     optimize,
     plan_fingerprint,
 )
@@ -122,11 +122,11 @@ def _plans(draw, depth=3):
     if kind == 2:
         return Compute(child, (("d", BinaryOp("+", Identifier.of("a"), Literal(1))),))
     if kind == 3:
-        return Distinct(child)
+        return Union((child, child))
     if kind == 4:
         return Sort(child, (("a", draw(st.booleans())),))
     if kind == 5:
-        return Limit(child, draw(st.integers(0, 5)))
+        return Coerce(child, (("a", draw(st.sampled_from(list(DataType)))),))
     if kind == 6:
         spec = AggregateSpec(draw(st.sampled_from(["COUNT", "SUM", "MAX"])), "b", "agg")
         return Aggregate(child, ("a",), (spec,))
@@ -201,6 +201,10 @@ def _text(value: object) -> str:
     return "".join(parts)
 
 
+def _fixed(value: object) -> bool:
+    return query_module._fingerprint(value, lambda _text: None)
+
+
 def _uncached_identifiers(expr: Expression) -> set[str]:
     return {node.name for node in expr.walk() if isinstance(node, Identifier)}
 
@@ -214,33 +218,12 @@ class TestMemoizedFingerprint:
         rule = Rule(output, guard)
         for value in (output, guard, rule, domain, (rule, domain, (guard,))):
             expected = _reference_text(value)
-            assert _text(value) == expected  # first call: walked
-            if type(value) in (Rule, Domain):
-                # Its text was the walk's last insert, so it is still kept.
-                assert query_module._TEXTS.get(value) == expected
-            assert _text(value) == expected  # repeat call: the memo's text
-
-    @given(_expressions(), _expressions())
-    @settings(max_examples=100, deadline=None)
-    def test_texts_survive_eviction_at_the_limit(self, output, guard):
-        rule = Rule(output, guard)
-        expected = _reference_text(rule)
-        memo = query_module._TEXTS
-        limit = memo.limit
-        memo.limit = 3  # cleared again and again, mid-walk too
-        try:
-            assert _text(rule) == expected
-            assert len(memo) <= 3
-            assert _text(rule) == expected
-            for _ in range(4):
-                _text(Literal(0))  # fresh keys push the memo past its limit
-            assert _text(rule) == expected
-        finally:
-            memo.limit = limit
+            assert _text(value) == expected
+            assert _text(value) == expected  # a repeat call, the same text
 
     def test_equal_literals_of_other_types_keep_their_own_texts(self):
         column = Identifier.of("a")
-        for _ in range(2):  # first call, then the memo's texts
+        for _ in range(2):  # first call, then a repeat call
             literals = [Literal(1), Literal(True), Literal(1.0)]
             texts = [_text(literal) for literal in literals]
             assert texts == [_reference_text(literal) for literal in literals]
@@ -262,56 +245,16 @@ class TestMemoizedFingerprint:
         assert _text(rule) == _reference_text(rule)
         assert "[1, 2]" in _text(rule)
         for value in (literal, parent, rule):
-            assert query_module._TEXTS.get(value) is None
+            assert not _fixed(value)
+        assert _fixed(Rule(BinaryOp("=", Identifier.of("a"), Literal(1)), Literal(True)))
         # A domain over a list is walked every time too.
         categories = ["x"]
         domain = Domain("d", DomainKind.CATEGORICAL, "", categories)  # type: ignore[arg-type]
         assert _text(domain) == _reference_text(domain)
         categories.append("y")
         assert _text(domain) == _reference_text(domain)
-        assert query_module._TEXTS.get(domain) is None
-
-    def test_a_new_literal_list_keeps_the_kept_texts(self):
-        memo = query_module._TEXTS
-        memo.clear()
-        rule = Rule.of("'Heavy'", "packs_per_day >= 5")
-        expected = _reference_text(rule)
-        assert _text(rule) == expected
-        limit = memo.limit
-        memo.limit = 64  # far fewer entries than the list has items
-        try:
-            for negated in (False, True):
-                before = len(memo)
-                listed = InList(
-                    Identifier.of("code"),
-                    tuple(Literal(n) for n in range(5000)),
-                    negated=negated,
-                )
-                for _ in range(2):
-                    assert _text(listed) == _reference_text(listed)
-                assert len(memo) - before <= 2  # the list and its operand
-                assert memo.get(rule) == expected
-                assert all(memo.get(item) is None for item in listed.items)
-                called = FunctionCall("COALESCE", listed.items[:100])
-                assert _text(called) == _reference_text(called)
-                assert memo.get(rule) == expected
-        finally:
-            memo.limit = limit
-
-    def test_an_item_reads_a_kept_text(self):
-        item = BinaryOp("+", Identifier.of("a"), Literal(1))
-        kept = _text(item)
-        listed = InList(Identifier.of("b"), (item, Literal(2)))
-        with_memo = _text(listed)
-        query_module._TEXTS.clear()
-        assert with_memo == _text(listed) == _reference_text(listed)
-        assert kept in with_memo
-
-    def test_plan_nodes_are_not_memoized(self):
-        plan = Select(Scan("t"), BinaryOp("=", Identifier.of("a"), Literal(1)))
-        assert plan_fingerprint(plan) == _reference_text(plan)
-        assert query_module._TEXTS.get(plan) is None
-        assert query_module._TEXTS.get(plan.predicate) is not None
+        assert not _fixed(domain)
+        assert _fixed(Domain.categorical("d", ["x", "y"]))
 
 
 class TestMemoizedIdentifiers:

@@ -4,13 +4,10 @@ The tentpole guarantee of the streaming/compiled/index-aware executor:
 ``Query.execute(db, optimized=True)`` must agree with ``optimized=False``
 and with the reference interpreter (`execute_interpreted`, the seed
 semantics preserved as an executable spec) on every database — including
-plans the optimizer rewrites into IndexLookup, TopK, and pushed-down
-projections, NULL-heavy columns and mixed bool/int keys, and EAV pivots
-and coercions.  When the interpreter raises, streaming must raise an
-error of the same type.  One documented relaxation: the lazy ``Limit``
-(DESIGN.md §5), where the streaming executor stops pulling rows after
-``count`` and may return rows where the materializing interpreter raises
-on a row past the limit.
+plans the optimizer rewrites into IndexLookup and pushed-down filters,
+NULL-heavy columns and mixed bool/int keys, and EAV pivots and
+coercions.  When the interpreter raises, streaming must raise an error
+of the same type.
 """
 
 from datetime import date, datetime, timedelta
@@ -30,11 +27,9 @@ from repro.relational import (
     Compute,
     Database,
     DataType,
-    Distinct,
     IndexLookup,
     InLookup,
     Join,
-    Limit,
     Pivot,
     Project,
     Query,
@@ -43,15 +38,13 @@ from repro.relational import (
     Select,
     Sort,
     TableSchema,
-    TopK,
     Union,
-    Unpivot,
     Values,
     execute_interpreted,
     optimize,
     prepare_stream_plan,
 )
-from repro.relational.query import _with_children, rebind_in_lists
+from repro.relational.query import rebind_in_lists
 
 _NAMES = ["ann", "bob", "cal", "dee", "eve"]
 
@@ -175,14 +168,6 @@ class TestPropertyEquivalence:
         )
         _assert_all_paths_agree(plan, db)
 
-    @given(_patient_rows, st.integers(0, 15))
-    @settings(max_examples=60)
-    def test_topk_fusion(self, patients, count):
-        db = _load(patients, [])
-        plan = Limit(Sort(Scan("patients"), (("age", True), ("name", False))), count)
-        assert isinstance(optimize(plan, db), TopK)
-        _assert_all_paths_agree(plan, db)
-
     @given(_patient_rows, st.sampled_from(_NAMES))
     @settings(max_examples=50)
     def test_union_with_select_pushdown(self, patients, name):
@@ -193,9 +178,9 @@ class TestPropertyEquivalence:
         )
         _assert_all_paths_agree(plan, db)
 
-    @given(_patient_rows, _visit_rows, st.integers(0, 99), st.integers(0, 10))
+    @given(_patient_rows, _visit_rows, st.integers(0, 99))
     @settings(max_examples=40)
-    def test_full_query_pipeline(self, patients, visits, cutoff, count):
+    def test_full_query_pipeline(self, patients, visits, cutoff):
         db = _load(patients, visits)
         query = (
             Query.table("patients")
@@ -204,7 +189,6 @@ class TestPropertyEquivalence:
             .compute(half_score="score / 2")
             .select("patient_id", "visit_id", "half_score")
             .order_by("patient_id", "-visit_id")
-            .limit(count)
         )
         reference = execute_interpreted(query.plan, db)
         assert query.execute(db, optimized=False) == reference
@@ -278,21 +262,6 @@ class TestOptimizerShapes:
         optimized = optimize(plan, db)
         assert isinstance(optimized, IndexLookup)
         assert optimized.execute(db) == execute_interpreted(plan, db) == []
-
-    def test_negative_limit_not_fused(self):
-        plan = Limit(Sort(Scan("patients"), (("age", True),)), -2)
-        db = self._db()
-        assert not isinstance(optimize(plan, db), TopK)
-        _assert_all_paths_agree(plan, db)
-
-    def test_topk_keeps_stable_tie_order(self):
-        db = Database("d")
-        db.create_table(
-            TableSchema.build("t", [("k", DataType.INTEGER), ("seq", DataType.INTEGER)])
-        )
-        db.insert("t", [{"k": 1, "seq": i} for i in range(8)])
-        plan = Limit(Sort(Scan("t"), (("k", True),)), 5)
-        assert [r["seq"] for r in optimize(plan, db).execute(db)] == [0, 1, 2, 3, 4]
 
     def test_projection_pushdown_preserves_collision_error(self):
         db = self._db()
@@ -707,34 +676,10 @@ def _load_mixed(patients, visits) -> Database:
     return db
 
 
-def _without_limits(plan):
-    """``plan`` with every non-negative ``Limit`` replaced by its child."""
-    if isinstance(plan, Limit) and plan.count >= 0:
-        return _without_limits(plan.child)
-    return _with_children(plan, tuple(map(_without_limits, plan.children())))
-
-
-def _lazy_limit_relaxation(plan, db, reference) -> bool:
-    """True exactly when the lazy-``Limit`` relaxation may apply: the plan
-    has a non-negative ``Limit``, and the same plan with every such
-    ``Limit`` removed raises the interpreter's error type."""
-    if reference[0] != "error" or not any(
-        isinstance(node, Limit) and node.count >= 0 for node in plan.walk()
-    ):
-        return False
-    return _outcome(lambda: execute_interpreted(_without_limits(plan), db)) == reference
-
-
 def _assert_streaming_agrees(plan, db) -> None:
     """Interpreter (spec) and streaming agree: the rows, or the error type."""
     reference = _outcome(lambda: execute_interpreted(plan, db))
-    streaming = _outcome(lambda: plan.execute(db))
-    if streaming != reference and _lazy_limit_relaxation(plan, db, reference):
-        # The raising row lies past a Limit the streaming executor stopped
-        # pulling at; it returns the prefix it read.
-        assert streaming[0] == "rows"
-        return
-    assert streaming == reference
+    assert _outcome(lambda: plan.execute(db)) == reference
 
 
 # -- random plan generation ----------------------------------------------------
@@ -780,7 +725,7 @@ def _random_plans(draw, depth=2):
         table = draw(st.sampled_from(["patients", "visits"]))
         return Scan(table), _PATIENT_COLS if table == "patients" else _VISIT_COLS
     child, columns = draw(_random_plans(depth=depth - 1))
-    kind = draw(st.integers(0, 7))
+    kind = draw(st.integers(0, 5))
     if kind == 0:
         return Select(child, draw(_random_predicates(columns))), columns
     if kind == 1:
@@ -796,18 +741,12 @@ def _random_plans(draw, depth=2):
         )
         return Compute(child, (("derived", derived),)), columns + ("derived",)
     if kind == 3:
-        return Distinct(child), columns
-    if kind == 4:
         keys = tuple(
             (c, draw(st.booleans()))
             for c in draw(st.sets(st.sampled_from(columns), min_size=1))
         )
-        if draw(st.booleans()):
-            return Sort(child, keys), columns
-        return TopK(child, keys, draw(st.integers(0, 8))), columns
-    if kind == 5:
-        return Limit(child, draw(st.integers(-4, 12))), columns
-    if kind == 6:
+        return Sort(child, keys), columns
+    if kind == 4:
         group = tuple(draw(st.sets(st.sampled_from(columns), max_size=2)))
         value_column = draw(st.sampled_from(columns))
         func = draw(st.sampled_from(["COUNT", "SUM", "MIN", "MAX", "AVG", "COUNT_DISTINCT"]))
@@ -858,12 +797,18 @@ class TestRandomizedPlans:
     def test_unpivot_then_pivot_agrees(self, patients):
         unique = list({row["patient_id"]: row for row in patients}.values())
         db = _load_mixed(unique, [])
-        unpivoted = Unpivot(
-            Scan("patients"),
-            id_columns=("patient_id",),
-            value_columns=("age", "name"),
-            attribute_column="attribute",
-            value_column="value",
+        # The un-pivot spelled as a union of one projection per attribute.
+        unpivoted = Union(
+            tuple(
+                Project(
+                    Compute(
+                        Scan("patients"),
+                        (("attribute", Literal(column)), ("value", Identifier.of(column))),
+                    ),
+                    ("patient_id", "attribute", "value"),
+                )
+                for column in ("age", "name")
+            )
         )
         pivoted = Pivot(
             unpivoted,
@@ -958,58 +903,6 @@ class TestErrorParity:
         ):
             with pytest.raises(QueryError, match="disagree"):
                 executor()
-
-    def test_a_top_k_of_no_rows_still_runs_its_child(self):
-        # SUM over names raises; a TopK of count 0 must still reach it.
-        db = _load_mixed([{"patient_id": 1, "age": 2, "name": "ann", "smoker": True}], [])
-        summed = Aggregate(
-            Scan("patients"), (), (AggregateSpec("SUM", "name", "total"),)
-        )
-        for keys in ((("total", False),), (("total", False), ("total", True))):
-            plan = TopK(summed, keys, 0)
-            for executor in (
-                lambda: execute_interpreted(plan, db),
-                lambda: plan.execute(db),
-            ):
-                with pytest.raises(TypeError):
-                    executor()
-
-    def test_a_negative_top_k_returns_no_rows(self):
-        rows = [
-            {"patient_id": i, "age": i, "name": "ann", "smoker": True}
-            for i in range(3)
-        ]
-        db = _load_mixed(rows, [])
-        for keys in ((("age", False),), (("age", False), ("name", True))):
-            plan = TopK(Scan("patients"), keys, -1)
-            _assert_streaming_agrees(plan, db)
-            assert plan.execute(db) == []
-
-
-class TestLazyLimit:
-    """Pins the lazy-``Limit`` relaxation (DESIGN.md §5)."""
-
-    def test_limit_zero_never_pulls_a_raising_row(self):
-        # ``name < 3`` raises (str vs int ordering) on every named row.
-        db = _load_mixed([{"patient_id": 1, "age": 3, "name": "ann", "smoker": False}], [])
-        plan = Limit(Select(Scan("patients"), parse("name < 3")), 0)
-        with pytest.raises(EvaluationError):
-            execute_interpreted(plan, db)
-        assert plan.execute(db) == []
-        _assert_streaming_agrees(plan, db)
-
-    def test_limit_stops_streaming_before_a_raising_row(self):
-        rows = [
-            {"patient_id": 1, "age": 3, "name": "ann", "smoker": True},
-            {"patient_id": 2, "age": 4, "name": "bob", "smoker": False},
-        ]
-        db = _load_mixed(rows, [])
-        # Row 1 passes on ``smoker`` alone; row 2 reaches ``name < 3``.
-        plan = Limit(Select(Scan("patients"), parse("smoker = TRUE OR name < 3")), 1)
-        with pytest.raises(EvaluationError):
-            execute_interpreted(plan, db)
-        assert plan.execute(db) == [rows[0]]
-        _assert_streaming_agrees(plan, db)
 
 
 # -- Pivot and Coerce -----------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.expr.ast import BinaryOp, Identifier, Literal
 from repro.relational import (
     Database,
     DataType,
-    Distinct,
+    Compute,
     Pivot,
     Project,
     Query,
@@ -15,7 +15,6 @@ from repro.relational import (
     Sort,
     TableSchema,
     Union,
-    Unpivot,
     optimize,
 )
 
@@ -79,14 +78,6 @@ class TestAlgebraLaws:
 
     @given(_rows)
     @settings(max_examples=60)
-    def test_distinct_idempotent(self, rows):
-        db = _load(rows)
-        once = Distinct(Scan("t")).execute(db)
-        twice = Distinct(Distinct(Scan("t"))).execute(db)
-        assert once == twice
-
-    @given(_rows)
-    @settings(max_examples=60)
     def test_sort_is_permutation(self, rows):
         db = _load(rows)
         sorted_rows = Sort(Scan("t"), (("age", True),)).execute(db)
@@ -109,8 +100,18 @@ class TestPivotRoundTrip:
         # Deduplicate ids: pivot keys must be unique to invert exactly.
         unique = list({row["id"]: row for row in rows}.values())
         db = _load(unique)
-        unpivoted = Unpivot(
-            Scan("t"), id_columns=("id",), value_columns=("age", "name", "flag")
+        # The un-pivot spelled as a union of one projection per attribute.
+        unpivoted = Union(
+            tuple(
+                Project(
+                    Compute(
+                        Scan("t"),
+                        (("attribute", Literal(column)), ("value", Identifier.of(column))),
+                    ),
+                    ("id", "attribute", "value"),
+                )
+                for column in ("age", "name", "flag")
+            )
         )
         pivoted = Pivot(
             unpivoted,

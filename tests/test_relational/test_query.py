@@ -12,7 +12,6 @@ from repro.relational import (
     Scan,
     Select,
     TableSchema,
-    Union,
     optimize,
 )
 
@@ -75,18 +74,9 @@ class TestBuilder:
         q = Query.table("people")
         assert len(q.union(q).execute(db)) == 6
 
-    def test_distinct(self, db):
-        rows = (
-            Query.table("visits").select("person_id").distinct().execute(db)
-        )
-        assert len(rows) == 2
-
     def test_order_by_desc_prefix(self, db):
         rows = Query.table("people").order_by("-age").execute(db)
         assert rows[0]["name"] == "cal"
-
-    def test_limit_and_count(self, db):
-        assert Query.table("people").limit(2).count(db) == 2
 
     def test_immutable_builder(self, db):
         base = Query.table("people")
@@ -102,12 +92,6 @@ class TestOptimizer:
         assert isinstance(optimized, Select)
         assert isinstance(optimized.child, Scan)
         assert optimized.predicate.op == "AND"
-
-    def test_pushes_select_below_union(self):
-        plan = Select(Union((Scan("a"), Scan("b"))), parse("x = 1"))
-        optimized = optimize(plan)
-        assert isinstance(optimized, Union)
-        assert all(isinstance(branch, Select) for branch in optimized.inputs)
 
     def test_pushes_select_into_join_side(self):
         join = Join(

@@ -7,9 +7,7 @@ from repro.relational import (
     Coerce,
     Compute,
     DataType,
-    Distinct,
     Join,
-    Limit,
     Pivot,
     Project,
     Rename,
@@ -17,7 +15,6 @@ from repro.relational import (
     Select,
     Sort,
     Union,
-    Unpivot,
     Values,
     to_sql,
 )
@@ -53,12 +50,9 @@ class TestRendering:
         sql = to_sql(Union((Scan("a"), Scan("b"))))
         assert "UNION ALL" in sql
 
-    def test_distinct(self):
-        assert "SELECT DISTINCT" in to_sql(Distinct(Scan("t")))
-
-    def test_sort_limit(self):
+    def test_sort(self):
         assert "ORDER BY a ASC" in to_sql(Sort(Scan("t"), (("a", True),)))
-        assert "LIMIT 5" in to_sql(Limit(Scan("t"), 5))
+        assert "ORDER BY a DESC" in to_sql(Sort(Scan("t"), (("a", False),)))
 
     def test_aggregate(self):
         sql = to_sql(
@@ -72,18 +66,24 @@ class TestRendering:
         )
         assert "COUNT(DISTINCT x)" in sql
 
-    def test_unpivot_is_union_of_projections(self):
-        sql = to_sql(
-            Unpivot(Scan("t"), id_columns=("id",), value_columns=("a", "b"))
-        )
-        assert sql.count("UNION ALL") == 1
-        assert "'a' AS attribute" in sql
-
     def test_pivot_is_case_group(self):
         sql = to_sql(
             Pivot(Scan("t"), ("id",), "attr", "val", ("a", "b"))
         )
         assert "CASE WHEN attr = 'a'" in sql and "GROUP BY id" in sql
+        assert "END) AS a," in sql
+
+    def test_pivot_quotes_attribute_names(self):
+        # g-tree node names are arbitrary strings: the CASE literal is
+        # escaped and the alias becomes a quoted identifier.
+        attributes = ("patient's_age", 'say "hi"', "two words", "9lives")
+        sql = to_sql(Pivot(Scan("eav"), ("entity",), "attribute", "value", attributes))
+        assert "WHEN attribute = 'patient''s_age' THEN" in sql
+        assert "END) AS \"patient's_age\"," in sql
+        assert "WHEN attribute = 'say \"hi\"' THEN" in sql
+        assert "END) AS \"say \"\"hi\"\"\"," in sql
+        assert "END) AS \"two words\"," in sql
+        assert "END) AS \"9lives\" FROM" in sql
 
     def test_values(self):
         sql = to_sql(Values(("a",), ((1,), (None,))))

@@ -1,13 +1,12 @@
 """Streaming executor contracts: laziness and the defensive-copy boundary."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.expr.ast import BinaryOp, Identifier, Literal
 from repro.relational import (
     Database,
     DataType,
     IndexLookup,
-    Limit,
     Plan,
     Project,
     Scan,
@@ -26,25 +25,6 @@ def _db(n: int = 10) -> Database:
     db.insert("t", [{"id": i, "v": i * 2} for i in range(n)])
     db.table("t").create_index(("id",))
     return db
-
-
-@dataclass(frozen=True, eq=False)
-class CountingScan(Plan):
-    """Scan that records how many rows were actually pulled from it."""
-
-    table: str
-    pulled: list = field(default_factory=list, compare=False)
-
-    def stream(self, ctx):
-        for row in ctx.db.table(self.table).iter_rows():
-            self.pulled.append(row)
-            yield row
-
-    def shares_storage(self) -> bool:
-        return True
-
-    def _columns(self, ctx):
-        return ctx.db.table(self.table).schema.column_names
 
 
 class TestCopyBoundary:
@@ -71,9 +51,6 @@ class TestCopyBoundary:
     def test_sort_over_scan_detached(self):
         self._assert_result_is_detached(Sort(Scan("t"), (("v", False),)), _db())
 
-    def test_limit_over_scan_detached(self):
-        self._assert_result_is_detached(Limit(Scan("t"), 4), _db())
-
     def test_project_builds_fresh_rows(self):
         # Project constructs new dicts, so it does not share storage …
         plan = Project(Scan("t"), ("id",))
@@ -83,32 +60,6 @@ class TestCopyBoundary:
 
 
 class TestLaziness:
-    def test_limit_stops_pulling_from_child(self):
-        db = _db(100)
-        source = CountingScan("t")
-        rows = Limit(source, 5).execute(db)
-        assert len(rows) == 5
-        assert len(source.pulled) == 5
-
-    def test_limit_zero_pulls_nothing(self):
-        db = _db(100)
-        source = CountingScan("t")
-        assert Limit(source, 0).execute(db) == []
-        assert source.pulled == []
-
-    def test_select_streams_through_limit(self):
-        # Limit(Select(Scan)) stops as soon as enough rows pass the filter.
-        db = _db(100)
-        source = CountingScan("t")
-        predicate = BinaryOp(">=", Identifier.of("id"), Literal(10))
-        rows = Limit(Select(source, predicate), 3).execute(db)
-        assert [row["id"] for row in rows] == [10, 11, 12]
-        assert len(source.pulled) == 13  # 0..12 examined, not all 100
-
-    def test_negative_limit_keeps_slice_semantics(self):
-        db = _db(10)
-        assert [r["id"] for r in Limit(Scan("t"), -3).execute(db)] == list(range(7))
-
     def test_stream_is_an_iterator(self):
         db = _db(5)
         stream = Select(
