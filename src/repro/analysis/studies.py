@@ -43,7 +43,6 @@ def build_cohort_study(
         ex_smoker_definition=ex_smoker_definition,
         habits_variant=habits_variant,
     )
-    study.annotate("cori-analyst", "defined study", description or name)
     return study
 
 

@@ -1,9 +1,10 @@
 """Compile expression ASTs into Python closures.
 
 ``compile_expression`` lowers an :class:`~repro.expr.ast.Expression` tree
-into a nest of plain Python closures *once*; executing a plan (or applying
-classifier rules) then makes one function call per row instead of recursing
-over the AST through :class:`~repro.expr.evaluator.Evaluator`.
+into a nest of plain Python closures; executing a plan (or applying
+classifier rules) lowers each expression once per run and then makes one
+function call per row instead of recursing over the AST through
+:class:`~repro.expr.evaluator.Evaluator`.
 
 The lowering reuses the evaluator's own semantic helpers (``_compare``,
 ``_arithmetic``, LIKE, Kleene logic, suffix identifier resolution) so SQL
@@ -12,9 +13,9 @@ matches the tree-walking interpreter exactly.  Property tests in
 ``tests/test_expr/test_compile.py`` assert that equivalence on randomized
 expressions and environments.
 
-Compilation against the default function registry is memoized per
-expression object, so plan nodes and classifier rules pay the lowering cost
-once per distinct expression, not once per execute.
+Nothing is memoized: every call lowers its expression afresh, so a caller
+that applies one expression to many rows compiles it once and keeps the
+closure.
 
 A *code book* — ``IIF(x = 'Y', TRUE, IIF(x = 'N', FALSE, NULL))``, the
 chain the Encoding pattern decodes stored codes with — lowers to one dict
@@ -47,7 +48,6 @@ from repro.expr.evaluator import (
     resolve_suffix_key,
 )
 from repro.expr.functions import FunctionRegistry, default_registry
-from repro.expr.memo import IdentityMemo
 
 Environment = Mapping[str, object]
 CompiledExpression = Callable[[Environment], object]
@@ -56,40 +56,20 @@ CompiledPredicate = Callable[[Environment], bool]
 _DEFAULT_REGISTRY = default_registry()
 _MISSING = object()
 
-# Memoization for the default registry, keyed by expression *identity*
-# (see repro.expr.memo): ``Literal(0) == Literal(False)`` under Python's
-# dict semantics, yet ``0 > 0`` and ``FALSE > 0`` evaluate differently, so
-# equality-keyed caching would alias semantically distinct trees.
-_EXPRESSIONS: IdentityMemo[CompiledExpression] = IdentityMemo()
-_PREDICATES: IdentityMemo[CompiledPredicate] = IdentityMemo()
-
 
 def compile_expression(
     expr: Expression, functions: FunctionRegistry | None = None
 ) -> CompiledExpression:
     """Lower ``expr`` to a closure computing its value in an environment."""
-    registry = functions or _DEFAULT_REGISTRY
-    if registry is not _DEFAULT_REGISTRY:
-        return _lower(expr, registry)
-    compiled = _EXPRESSIONS.get(expr)
-    if compiled is None:
-        compiled = _EXPRESSIONS.put(expr, _lower(expr, registry))
-    return compiled
+    return _lower(expr, functions or _DEFAULT_REGISTRY)
 
 
 def compile_predicate(
     expr: Expression, functions: FunctionRegistry | None = None
 ) -> CompiledPredicate:
     """Like :meth:`Evaluator.satisfied`: True iff ``expr`` is boolean TRUE."""
-    registry = functions or _DEFAULT_REGISTRY
-    if registry is not _DEFAULT_REGISTRY:
-        value_of = _lower(expr, registry)
-        return lambda env: value_of(env) is True
-    compiled = _PREDICATES.get(expr)
-    if compiled is None:
-        value_of = compile_expression(expr)
-        compiled = _PREDICATES.put(expr, lambda env: value_of(env) is True)
-    return compiled
+    value_of = compile_expression(expr, functions)
+    return lambda env: value_of(env) is True
 
 
 # -- code books ----------------------------------------------------------------

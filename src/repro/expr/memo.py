@@ -2,9 +2,8 @@
 
 Expression ASTs are frozen, and :func:`~repro.expr.parser.parse` returns
 the very same AST object for the same text, so whatever is computed from
-an AST alone — its compiled closure, its fingerprint text, the names it
-reads — can be kept per AST *object*, and a rebuilt study definition finds
-it there.
+an AST alone — the names it reads (``repro.expr.analysis``) — can be kept
+per AST *object*, and a rebuilt study definition finds it there.
 
 An :class:`IdentityMemo` is keyed by identity, never by equality:
 ``Literal(0) == Literal(False)`` under dict equality, yet the two compare

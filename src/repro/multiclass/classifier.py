@@ -15,6 +15,7 @@ from repro.errors import ClassifierError
 from repro.expr.analysis import is_union_of_conjunctions, referenced_identifiers
 from repro.expr.ast import Expression, Literal
 from repro.expr.compile import compile_expression, compile_predicate
+from repro.expr.evaluator import Evaluator
 from repro.expr.parser import parse
 from repro.guava.gtree import GTree
 from repro.multiclass.domain import Domain
@@ -25,6 +26,7 @@ Environment = dict[str, object]
 CompiledClassifier = Callable[[Environment], object]
 
 _MISS = object()
+_EVALUATOR = Evaluator()
 
 F = TypeVar("F", bound="Freezable")
 
@@ -126,15 +128,12 @@ class Classifier(Freezable, Annotated):
     ) -> tuple[object, int | None]:
         """Like :meth:`classify` but also reports which rule fired (index).
 
-        This is the reference semantics; :meth:`compile` must agree with it
-        on every record (property-tested).
+        This is the reference semantics, evaluated over the rules' ASTs;
+        :meth:`compile` must agree with it on every record (property-tested).
         """
-        # Guards and outputs compile to closures once per distinct expression
-        # (memoized in repro.expr.compile), so classifying N records walks
-        # each rule's AST once, not N times.
         for index, rule in enumerate(self.rules):
-            if compile_predicate(rule.guard)(env):
-                value = compile_expression(rule.output)(env)
+            if _EVALUATOR.satisfied(rule.guard, env):
+                value = _EVALUATOR.evaluate(rule.output, env)
                 if domain is not None:
                     value = domain.check(value)
                 return value, index
@@ -146,10 +145,9 @@ class Classifier(Freezable, Annotated):
         Compile once per run and call the closure per record: the rule
         closures are resolved here, not per record.  First satisfied guard
         wins, the domain check runs only on the rule that fired, and no
-        satisfied guard yields NULL.  Each rule's closures and referenced
-        names are kept per AST object (:mod:`repro.expr.memo`), so
-        compiling a rebuilt classifier, whose :meth:`Rule.of` rules hold
-        the same ASTs, walks none of them.
+        satisfied guard yields NULL.  The rules are lowered on each call;
+        their referenced names are kept per AST object
+        (:mod:`repro.expr.memo`).
 
         Classification is a pure function of the referenced names' values,
         and most classifiers read coded answers that take few distinct
@@ -277,7 +275,7 @@ class EntityClassifier(Freezable, Annotated):
 
     def admits(self, env: Environment) -> bool:
         """True when a record qualifies as an instance of the entity."""
-        return compile_predicate(self.condition)(env)
+        return _EVALUATOR.satisfied(self.condition, env)
 
     def input_nodes(self) -> set[str]:
         names = referenced_identifiers(self.condition)

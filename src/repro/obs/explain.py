@@ -19,7 +19,6 @@ from typing import Any
 
 from repro.obs.trace import Span, Tracer, tracing
 from repro.relational.algebra import Plan
-from repro.relational.cost import estimate_plan_rows
 from repro.relational.database import Database
 from repro.relational.query import Query, optimize
 
@@ -122,41 +121,10 @@ def explain_analyze(
     (and stays self-contained) whether or not the caller is already
     tracing.  Pass ``optimized=False`` to profile the naive plan — the
     EXPERIMENTS.md before/after traces are produced exactly that way.
-
-    Every operator span that reports actual ``rows_out`` is additionally
-    annotated post-execution with the planner's ``estimated_rows`` and the
-    resulting ``q_error`` — ``max(est/actual, actual/est)`` with both
-    sides floored at one row, so 1.0 is a perfect estimate and the metric
-    is symmetric in over- and under-estimation.
     """
     plan = query.plan if isinstance(query, Query) else query
     tracer = Tracer()
     with tracing(tracer):
         final = optimize(plan, db) if optimized else plan
         rows = final.execute(db)
-    report = ExplainReport(rows=rows, plan=final, tracer=tracer, optimized=optimized)
-    _annotate_estimates(report, db)
-    return report
-
-
-def _annotate_estimates(report: ExplainReport, db: Database) -> None:
-    """Attach ``estimated_rows``/``q_error`` to every measured operator span."""
-    memo: dict[int, float] = {}
-    for node, span in report.node_spans():
-        actual = span.attrs.get("rows_out")
-        if not isinstance(actual, int):
-            continue
-        estimate = estimate_plan_rows(node, db, memo)
-        floored_estimate = max(estimate, 1.0)
-        floored_actual = max(float(actual), 1.0)
-        span.set("estimated_rows", round(estimate, 1))
-        span.set(
-            "q_error",
-            round(
-                max(
-                    floored_estimate / floored_actual,
-                    floored_actual / floored_estimate,
-                ),
-                2,
-            ),
-        )
+    return ExplainReport(rows=rows, plan=final, tracer=tracer, optimized=optimized)

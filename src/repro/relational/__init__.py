@@ -30,7 +30,6 @@ from repro.relational.algebra import (
     Values,
 )
 from repro.relational.algebra import canonical_key
-from repro.relational.cost import column_ndv, estimate_plan_rows
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, plan_fingerprint, prepare_stream_plan
 from repro.relational.sql import to_sql
@@ -61,8 +60,6 @@ __all__ = [
     "Union",
     "Values",
     "canonical_key",
-    "column_ndv",
-    "estimate_plan_rows",
     "execute_interpreted",
     "database_version",
     "optimize",

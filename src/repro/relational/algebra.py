@@ -196,8 +196,7 @@ class IndexLookup(Plan):
         (:meth:`never_matches`) — exactly the row count ``_stream``
         yields.  None when no index covers the items (``_stream`` then
         scans) or a probe value is unhashable.  Planning counts probes by
-        this, and only this, so estimates and access-path choices agree
-        with execution.
+        this, and only this, so access-path choices agree with execution.
         """
         index = table.matching_index([column for column, _ in self.items])
         if index is None:
@@ -319,8 +318,8 @@ class InLookup(Plan):
 
         The sum of :meth:`probe_keys`' bucket sizes, which is exactly the
         row count ``_stream`` yields.  None also for an unhashable probe.
-        Planning counts probes by this, and only this, so estimates and
-        access-path choices agree with execution.
+        Planning counts probes by this, and only this, so access-path
+        choices agree with execution.
         """
         index = table.matching_index([self.column])
         if index is None:

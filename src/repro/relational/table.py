@@ -47,7 +47,6 @@ class Table:
         self._pk_index: HashIndex | None = None
         self._version = 0
         self._index_epoch = 0
-        self._column_snapshot: tuple[int, dict[str, list[object]]] | None = None
         # Mutation listener: the durability layer's redo-log hook.  Called
         # once per successful mutating call with (op, payload) *after* the
         # mutation is applied; None (the default) costs one check per call.
@@ -101,24 +100,6 @@ class Table:
     def rows(self) -> list[Row]:
         """A defensive copy of the extent, in insertion order."""
         return [dict(row) for row in self._rows]
-
-    def column_snapshot(self) -> dict[str, list[object]]:
-        """The extent as column → value list, cached per data version.
-
-        The columnar source of a snapshot write.  The lists are shared
-        between calls at one version, so callers must treat them as
-        read-only; any mutation bumps ``version`` and the next call
-        rebuilds them.
-        """
-        cached = self._column_snapshot
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        rows = self._rows
-        columns = {
-            name: [row[name] for row in rows] for name in self.schema.column_names
-        }
-        self._column_snapshot = (self._version, columns)
-        return columns
 
     def iter_rows(self) -> Iterator[Row]:
         """Iterate the extent without copying.
@@ -442,25 +423,16 @@ class Table:
 
     # -- restore (snapshot load / WAL replay only) ----------------------------
 
-    def restore_extent(
-        self,
-        rows: list[Row],
-        columns: dict[str, list[object]] | None = None,
-    ) -> None:
+    def restore_extent(self, rows: list[Row]) -> None:
         """Replace the whole extent with pre-validated ``rows`` (restore only).
 
         Rows are adopted as storage (no copies, no re-validation — they came
-        from this table's own snapshot), indexes are rebuilt, and every
-        version-keyed cache is dropped.  ``columns``, when given, must be the
-        same data column-major; it pre-seeds the columnar snapshot cache so a
-        recovered table's next snapshot write needs no transposition pass.
-        Counters are NOT touched — pair with :meth:`restore_counters`.
+        from this table's own snapshot), indexes are rebuilt, and the
+        registered restore listeners are told.  Counters are NOT touched —
+        pair with :meth:`restore_counters`.
         """
         self._rows = rows
         self._rebuild_indexes()
-        self._drop_version_keyed_caches()
-        if columns is not None:
-            self._column_snapshot = (self._version, columns)
         for callback in _RESTORE_LISTENERS:
             callback(self)
 
@@ -468,21 +440,17 @@ class Table:
         """Set the monotone counters to exact recovered values (restore only).
 
         This CAN rewind — recovery needs the recovered table's counters
-        bit-identical to the crashed process's, not merely fresh.  Because an arbitrary version assignment breaks the
-        "version equality implies content equality" contract every
-        version-keyed cache relies on, the column snapshot is dropped here
-        and the registered restore listeners are told (the result memo's
+        bit-identical to the crashed process's, not merely fresh.  Because
+        an arbitrary version assignment breaks the "version equality
+        implies content equality" contract a version-keyed cache relies
+        on, the registered restore listeners are told (the result memo's
         restore generation).
         """
         self._version = version
         if index_epoch is not None:
             self._index_epoch = index_epoch
-        self._drop_version_keyed_caches()
         for callback in _RESTORE_LISTENERS:
             callback(self)
-
-    def _drop_version_keyed_caches(self) -> None:
-        self._column_snapshot = None
 
     # -- internals -------------------------------------------------------------
 

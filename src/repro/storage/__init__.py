@@ -9,14 +9,13 @@ makes a database survive process death.  Three pieces:
   torn-tail-tolerant replay.
 * :mod:`repro.storage.snapshots` — periodic columnar checkpoints that
   serialize each table as chunks of :data:`~repro.storage.snapshots.CHUNK_ROWS`
-  rows, one list per column, so a cold start rehydrates straight into
-  the table's column cache.
+  rows, one list per column.
 * :mod:`repro.storage.engine` — :class:`DurableStore`, which wires the
   two together: recovery loads the latest valid snapshot and replays the
   WAL segments after it up to the last commit, restoring table versions,
   index epochs, the structural counter, GUAVA change feeds, and
-  warehouse lineage exactly — both executors produce bit-identical
-  results on a recovered database.
+  warehouse lineage exactly, so queries on a recovered database return
+  bit-identical results.
 """
 
 from repro.storage.engine import DurableStore, RecoveryReport

@@ -10,9 +10,7 @@ load):
    data version, index epoch, secondary-index column tuples,
    row count, chunk count);
 2. one frame per :data:`CHUNK_ROWS` rows of each table, in
-   table-manifest order, holding each column's slice of those rows — so
-   writing a snapshot is a per-column list slice of
-   :meth:`Table.column_snapshot`, and loading one seeds that column cache;
+   table-manifest order, holding each column's values for those rows;
 3. a terminator frame recording the expected chunk total.
 
 Snapshots are written to a temp file, fsynced, then renamed into place —
@@ -26,9 +24,7 @@ What is deliberately NOT persisted:
 
 * index hash buckets — ``hash()`` is process-seeded for strings, so
   buckets are meaningless across processes; only the indexed column
-  tuples are stored and the buckets rebuild on load;
-* the column cache — version-keyed, it is re-seeded from the loaded
-  columns.
+  tuples are stored and the buckets rebuild on load.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ import os
 import re
 import zlib
 from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -171,9 +168,8 @@ def write_snapshot(
     everything the WAL would have replayed up to ``lsn`` is also in the
     checkpoint and the WAL prefix can be pruned.
 
-    Returns the final snapshot path.  Each chunk is a slice of each
-    column of the table's shared column snapshot, so the write cost is
-    dominated by C-level list slicing plus JSON serialization.
+    Returns the final snapshot path.  Each chunk frame holds, per
+    column, the values of the next :data:`CHUNK_ROWS` rows of the extent.
     """
     directory = Path(directory)
     final = directory / snapshot_name(lsn)
@@ -181,21 +177,19 @@ def write_snapshot(
     chunks = 0
     with open(temp, "wb") as handle:
         tables_meta = []
-        table_chunks: list[tuple[str, Any, Any]] = []
+        tables = []
         for name in db.table_names():
             table = db.table(name)
-            schema = table.schema
-            columns = table.column_snapshot()
             row_count = len(table)
             chunk_count = (row_count + CHUNK_ROWS - 1) // CHUNK_ROWS
-            meta = schema_to_doc(schema)
+            meta = schema_to_doc(table.schema)
             meta["version"] = table.version
             meta["index_epoch"] = table.index_epoch
             meta["indexes"] = [list(key) for key in table.secondary_index_columns()]
             meta["rows"] = row_count
             meta["chunks"] = chunk_count
             tables_meta.append(meta)
-            table_chunks.append((name, schema, columns))
+            tables.append((table, chunk_count))
         handle.write(
             _frame(
                 {
@@ -208,17 +202,19 @@ def write_snapshot(
                 }
             )
         )
-        for name, schema, columns in table_chunks:
-            names = schema.column_names
-            row_count = len(columns[names[0]]) if names else 0
-            for start in range(0, row_count, CHUNK_ROWS):
-                stop = start + CHUNK_ROWS
+        for table, chunk_count in tables:
+            names = table.schema.column_names
+            rows = table.iter_rows()
+            for _ in range(chunk_count):
+                chunk = list(islice(rows, CHUNK_ROWS))
                 handle.write(
                     _frame(
                         {
-                            "table": name,
+                            "table": table.name,
                             "chunk": chunks,
-                            "columns": {col: columns[col][start:stop] for col in names},
+                            "columns": {
+                                col: [row[col] for row in chunk] for col in names
+                            },
                         }
                     )
                 )
@@ -237,11 +233,11 @@ def write_snapshot(
 def load_snapshot(path: str | Path) -> tuple[Database, int, dict[str, Any]]:
     """Rebuild a Database from a snapshot: ``(db, covered_lsn, state)``.
 
-    Restores, per table: the extent (adopted column-major *and* row-major,
-    pre-seeding the column cache), secondary indexes (rebuilt
-    from metadata), and the exact version and index-epoch counters.  The
-    partition-epoch key that older snapshots carry is ignored: their
-    partitions were views over the same rows.
+    Restores, per table: the extent (its rows built from the chunks'
+    columns), secondary indexes (rebuilt from metadata), and the exact
+    version and index-epoch counters.  The partition-epoch key that older
+    snapshots carry is ignored: their partitions were views over the same
+    rows.
     The database's structural counter is restored last so the recovered
     :attr:`Database.epoch` is bit-identical to the checkpointed one.
     """
@@ -320,14 +316,10 @@ def _load_snapshot(path: Path) -> tuple[Database, int, dict[str, Any]]:
             )
         for key in meta.get("indexes", []):
             table.create_index(tuple(key))
-        # Counters first: restore_extent seeds the column cache keyed on the
-        # *current* version, so the exact recovered version must already be
-        # in place (and restore_counters drops every version-keyed cache,
-        # which would evict a seed made beforehand).
         table.restore_counters(
             int(meta["version"]), index_epoch=int(meta.get("index_epoch", 0))
         )
-        table.restore_extent(rows, columns=columns)
+        table.restore_extent(rows)
     db.restore_structure_version(int(manifest.get("structure_version", 0)))
     return db, int(manifest.get("lsn", 0)), manifest.get("state", {})
 

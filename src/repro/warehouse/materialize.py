@@ -479,12 +479,6 @@ class DerivationRule:
             parse(expression) if isinstance(expression, str) else expression,
         )
 
-    def apply(self, base_value: object) -> object:
-        # Compiled once per distinct expression (memoized in
-        # repro.expr.compile), so applying a rule over a fetched column
-        # walks the AST once, not once per row.
-        return compile_expression(self.expression)({"base": base_value})
-
 
 class DerivedStrategy(MaterializationStrategy):
     """Materialize base classifiers; compute derived ones algebraically.
@@ -535,6 +529,12 @@ class DerivedStrategy(MaterializationStrategy):
             if base not in needed_bases:
                 needed_bases.append(base)
         rows = self._inner.fetch(needed_bases)
+        # Lower each derived expression once per fetch, not once per row.
+        derive = {
+            name: compile_expression(self.derivations[name].expression)
+            for name in classifier_names
+            if name in self.derivations
+        }
         out: list[Row] = []
         for row in rows:
             shaped: Row = {RECORD_ID: row[RECORD_ID], "source": row["source"]}
@@ -548,7 +548,9 @@ class DerivedStrategy(MaterializationStrategy):
                     )
                     value = row.get(rule.base)
                     shaped[name] = (
-                        domain.check(rule.apply(value)) if value is not None else None
+                        domain.check(derive[name]({"base": value}))
+                        if value is not None
+                        else None
                     )
             out.append(shaped)
         return out

@@ -69,11 +69,6 @@ class TestUnitEquivalence:
         assert compile_predicate(expr)({"age": None}) is False
         assert compile_predicate(expr)({"age": 64}) is True
 
-    def test_memoized_per_expression(self):
-        expr = parse("a + b")
-        assert compile_expression(expr) is compile_expression(expr)
-        assert compile_predicate(expr) is compile_predicate(expr)
-
     def test_custom_registry_not_memoized_into_default_cache(self):
         from repro.expr.functions import default_registry
 

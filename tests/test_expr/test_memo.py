@@ -47,7 +47,7 @@ class TestIdentityMemo:
 class TestCompileMemo:
     def test_equal_literals_compile_apart(self):
         zero, false = Literal(0), Literal(False)
-        for _ in range(2):  # compiled, then from the memo
+        for _ in range(2):  # each call lowers its literal afresh
             value = compile_module.compile_expression(zero)({})
             assert type(value) is int and value == 0
             assert compile_module.compile_expression(false)({}) is False

@@ -158,7 +158,6 @@ class TestEavExtractTrace:
         for kind in (Pivot, Coerce):
             attrs = spans[kind].attrs
             assert attrs["rows_out"] == len(report.rows) > 0
-            assert attrs["estimated_rows"] >= 0
 
     def test_study_read_after_a_refresh_probes_its_index(self):
         """A record-scoped refresh builds the EAV table's indexes; the study

@@ -1,8 +1,8 @@
-"""Estimates never change query results, and plans keep their authored order.
+"""Optimized plans keep their authored join sides, join order and conjunct order.
 
-Cardinality estimates feed ``explain_analyze`` only; index access paths
-are ranked by bucket sizes, and nothing reorders joins, join sides or
-conjuncts.  Joins, join chains and conjunctions — including NULL-heavy
+Index access paths are ranked by bucket sizes, and nothing reorders
+joins, join sides or conjuncts.  Joins, join chains and conjunctions —
+including NULL-heavy
 columns, skewed join keys and a conjunct that raises when reached — must
 be *bit-identical* to the interpreted oracle in rows, row order and
 error, both as written and as optimized.
@@ -21,17 +21,15 @@ from repro.relational import (
     execute_interpreted,
 )
 from repro.relational.algebra import Join, Scan, Select
-from repro.relational.cost import NDV_SAMPLE_ROWS, column_ndv
 from repro.relational.query import optimize
-from repro.obs.explain import explain_analyze
 
-ROWS = 2125  # large enough that NDV is sampled, not counted
+ROWS = 2125
 
 VENDORS = ["acme", "globex", "initech", None]
 
 
 def _build_db() -> Database:
-    db = Database("cost-eq")
+    db = Database("plan-order-eq")
     db.create_table(
         TableSchema.build(
             "big",
@@ -121,7 +119,7 @@ def test_no_flip_without_error_freedom_proof(db):
 
 
 def _chain_db() -> Database:
-    db = Database("cost-chain")
+    db = Database("plan-order-chain")
     db.create_table(
         TableSchema.build(
             "base",
@@ -273,7 +271,7 @@ def test_randomized_predicates_four_way(db, conjuncts):
 @settings(max_examples=20, deadline=None)
 @given(keys=st.lists(st.integers(min_value=0, max_value=45), min_size=1, max_size=8))
 def test_randomized_skewed_joins_four_way(db, keys):
-    probe = Database("cost-probe")
+    probe = Database("plan-order-probe")
     probe.create_table(
         TableSchema.build(
             "big",
@@ -289,73 +287,12 @@ def test_randomized_skewed_joins_four_way(db, keys):
     _assert_three_way(probe, plan)
 
 
-# -- estimates surfaced in explain_analyze -------------------------------------
+# -- data changes after planning -------------------------------------------------
 
 
-def test_estimated_rows_and_q_error_in_explain_analyze(db):
-    report = explain_analyze(
-        Query.table("big").where("value = 7 AND note LIKE 'note-3%'"), db
-    )
-    annotated = [
-        span.attrs
-        for _node, span in report.node_spans()
-        if "rows_out" in span.attrs
-    ]
-    assert annotated, "no measured spans"
-    for attrs in annotated:
-        assert "estimated_rows" in attrs
-        assert attrs["q_error"] >= 1.0
-
-
-def test_a_pivot_is_estimated_at_its_key_columns_ndv(world):
-    """CORI's entity read folds its EAV rows into one row per record: the
-    ``Pivot`` and the ``Coerce`` above it estimate the records, not the
-    EAV rows (a row-preserving pass-through read 1,156 against 138)."""
-    from repro.analysis.classifiers import vendor_classifiers_for
-    from repro.guava.query import GTreeQuery
-    from repro.guava.translate import translate_query
-    from repro.relational.algebra import Coerce, Pivot
-
-    source = world.source("cori_warehouse_feed")
-    ec = vendor_classifiers_for(source).entity_classifier
-    plan = translate_query(
-        GTreeQuery(source.gtree(ec.form)).where(ec.condition), source.chain
-    )
-    report = explain_analyze(plan, source.db)
-    folded = [
-        span.attrs
-        for node, span in report.node_spans()
-        if isinstance(node, (Pivot, Coerce))
-    ]
-    assert len(folded) == 2
-    for attrs in folded:
-        assert attrs["rows_out"] > 0
-        assert attrs["q_error"] <= 1.1
-
-
-# -- NDV ------------------------------------------------------------------------
-
-
-def test_ndv_counts_small_extents_and_samples_large_ones(db):
-    small = column_ndv(db.table("small"), "key")
-    assert small == (12.0, "extent")
-    # 2,125 rows: counted outright (a stride of one).
-    assert column_ndv(db.table("big"), "note") == (11.0, "extent")
-    local = _build_db()
-    local.insert(
-        "big",
-        [{"seq": ROWS + i, "key": 1, "vendor": None, "value": None,
-          "note": f"note-{i % 11}", "mixed": "x"} for i in range(NDV_SAMPLE_ROWS * 2)],
-    )
-    ndv, source = column_ndv(local.table("big"), "note")
-    assert source == "sample" and ndv == 11.0
-    assert column_ndv(local.table("big"), "absent") is None
-
-
-def test_stale_estimates_never_leak_into_executed_rows():
-    # Mutations after planning-stats builds must still produce exact rows:
-    # estimates choose among proven-equivalent plans, execution reads
-    # current-version data.
+def test_a_cached_plan_reads_the_rows_inserted_after_planning():
+    # A plan kept in the plan cache before an insert must still produce
+    # exact rows: execution reads current-version data.
     local = _build_db()
     plan = Query.table("big").where("vendor = 'acme' AND value = 7").plan
     _assert_three_way(local, plan)  # warm the plan cache

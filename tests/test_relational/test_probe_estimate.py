@@ -3,12 +3,8 @@
 An ``IndexLookup`` counts the rows of its bucket; an ``InLookup`` sums
 the buckets of its distinct probes, skipping exactly the probes its
 ``_stream`` skips: NULL, and a bool probe against a non-bool column (or
-the reverse).  Two consumers share that count (``bucket_rows``):
-
-* ``estimate_plan_rows`` reports it as ``explain_analyze``'s
-  ``estimated_rows`` (a selectivity estimate when no index matches, and
-  the scan fallback then reads the whole table);
-* index lowering ranks access paths by it.
+the reverse).  Index lowering ranks access paths by that count
+(``bucket_rows``), so it must equal the rows the probe returns.
 """
 
 from unittest import mock
@@ -23,9 +19,7 @@ from repro.relational import (
     TableSchema,
     optimize,
 )
-from repro.obs import explain_analyze
 from repro.relational.index import HashIndex
-from repro.relational.cost import estimate_plan_rows
 from repro.relational.interpret import execute_interpreted
 
 
@@ -128,7 +122,7 @@ class TestInLookupEstimate:
 
 
 class TestPlanRowEstimate:
-    """``estimate_plan_rows`` equals the rows an indexed probe returns."""
+    """``bucket_rows`` equals the rows an indexed probe returns."""
 
     PROBES = [
         InLookup("eav", "flag", (None,)),
@@ -142,17 +136,19 @@ class TestPlanRowEstimate:
 
     def test_null_and_bool_probes_count_what_the_probe_returns(self):
         db = _db()
-        assert estimate_plan_rows(InLookup("eav", "flag", (None,)), db) == 0
-        assert estimate_plan_rows(InLookup("eav", "flag", (1,)), db) == 0
-        assert estimate_plan_rows(InLookup("eav", "record_id", (True, 1)), db) == 4
+        table = db.table("eav")
+        assert InLookup("eav", "flag", (None,)).bucket_rows(table) == 0
+        assert InLookup("eav", "flag", (1,)).bucket_rows(table) == 0
+        assert InLookup("eav", "record_id", (True, 1)).bucket_rows(table) == 4
         # Repeated or Python-equal probes read one bucket once.
-        assert estimate_plan_rows(InLookup("eav", "record_id", (1, 1, 1.0)), db) == 4
+        assert InLookup("eav", "record_id", (1, 1, 1.0)).bucket_rows(table) == 4
         for plan in self.PROBES:
-            assert estimate_plan_rows(plan, db) == len(plan.execute(db))
+            assert plan.bucket_rows(table) == len(plan.execute(db))
 
     def test_a_bool_mismatched_probe_counts_and_returns_nothing(self):
         db = _db()
-        assert estimate_plan_rows(IndexLookup("eav", (("flag", 1),)), db) == 0
+        table = db.table("eav")
+        assert IndexLookup("eav", (("flag", 1),)).bucket_rows(table) == 0
         plans = [
             IndexLookup("eav", (("flag", 1),)),
             IndexLookup("eav", (("record_id", True),)),
@@ -161,29 +157,12 @@ class TestPlanRowEstimate:
         ]
         for plan in plans:
             assert len(execute_interpreted(plan, db)) == 0
-            assert estimate_plan_rows(plan, db) == 0
-            assert _probe_rows(plan, db) == 0
+            assert plan.bucket_rows(table) == 0
         # The hash buckets hold rows (``1 == True``), but none is read.
         assert db.table("eav").matching_index(["flag"]).count((True,)) == 500
         with mock.patch.object(HashIndex, "lookup", side_effect=AssertionError):
             for plan in plans:
                 assert plan.execute(db) == []
-
-    def test_explain_analyze_estimate_has_no_error(self):
-        db = _db()
-        for plan in self.PROBES:
-            report = explain_analyze(plan, db)
-            (span,) = [span for node, span in report.node_spans() if node == plan]
-            assert span.attrs["access_path"] == "index"
-            assert span.attrs["estimated_rows"] == span.attrs["rows_out"]
-            assert span.attrs["q_error"] == 1.0
-
-    def test_scan_fallback_estimates_output_not_input(self):
-        db = _db()
-        plan = InLookup("eav", "attribute", ("a1",))
-        # Execution reads the whole table but keeps a quarter of it.
-        assert _probe_rows(plan, db) == 1000
-        assert estimate_plan_rows(plan, db) == 250
 
 
 class TestIndexLowering:
