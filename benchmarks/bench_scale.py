@@ -18,6 +18,8 @@ from repro.analysis import build_study1
 from repro.clinical import build_world
 
 SIZES = (100, 300, 900)
+#: Cold runs of each size's study in the report; the fastest is kept.
+RUNS = 3
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -37,9 +39,16 @@ def test_scale_report(benchmark):
             build_seconds = time.perf_counter() - started
 
             study = build_study1(world)
-            started = time.perf_counter()
-            result = study.run()
-            run_seconds = time.perf_counter() - started
+            # One sample measures the box as much as the study: keep the
+            # fastest of three, each a cold read (reads are memoized per
+            # data version, so the caches are cleared before every run).
+            run_seconds = float("inf")
+            for _ in range(RUNS):
+                for source in world.sources:
+                    source.db.plan_cache_clear()
+                started = time.perf_counter()
+                result = study.run()
+                run_seconds = min(run_seconds, time.perf_counter() - started)
             rows.append(
                 {
                     "procedures": size,

@@ -3,8 +3,10 @@
 Each benchmark regenerates one of the paper's tables/figures (see
 DESIGN.md §4).  Besides timing, every experiment emits its reproduced
 rows/series through :func:`emit_report`; the collected reports are printed
-after the pytest-benchmark table (and written to ``benchmarks/reports/``)
-so ``pytest benchmarks/ --benchmark-only`` leaves a complete record.
+after the pytest-benchmark table and written to
+``benchmarks/reports/<slug>.latest.txt``, which git ignores.  The tracked
+``<slug>.txt`` files are the committed record: a run never rewrites them,
+so timing churn stays out of the working tree.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def emit_report(
     _REPORTS.append((title, text))
     os.makedirs(_REPORT_DIR, exist_ok=True)
     slug = "".join(ch if ch.isalnum() else "_" for ch in title.lower())[:60]
-    with open(os.path.join(_REPORT_DIR, f"{slug}.txt"), "w") as handle:
+    with open(os.path.join(_REPORT_DIR, f"{slug}.latest.txt"), "w") as handle:
         handle.write(f"{title}\n{'=' * len(title)}\n{text}\n")
 
 

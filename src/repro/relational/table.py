@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from itertools import chain
 from math import isfinite
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from types import NoneType
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from repro.errors import IntegrityError, SchemaError
 from repro.relational.index import HashIndex
@@ -226,7 +227,8 @@ class Table:
         stored rows, version and index entries; the listener hears one
         ``("insert_many", {"rows": rows})`` call for a checked batch, the
         row loop's ``insert`` calls otherwise.  The work is column by
-        column: every check runs over the whole batch first, and only a
+        column: the batch's keys and values are read into one flat list
+        each, every check runs over the whole batch first, and only a
         batch that passes them all changes the table.  Any failed check
         sends the batch to the row-at-a-time loop, which raises the same
         error after inserting the same prefix as calling :meth:`insert`
@@ -274,28 +276,42 @@ class Table:
     ) -> tuple[list[Row], list[tuple[object, ...]]] | None:
         """The batch's coerced rows and primary keys; None if a row fails.
 
-        The column-wise form of :meth:`check_batch`.  It may also raise (a
-        value that does not coerce).  It never changes the table or the
-        caller's rows.
+        The column-wise form of :meth:`check_batch`, in two flat passes.
+        The first lists the batch's keys end to end.  When that list is the
+        schema's column names once per row, every row holds exactly the
+        schema's columns in schema order (a row's keys are distinct, so no
+        row can span more than one run of the names), and each row is
+        copied as it is; otherwise each row is projected onto the schema,
+        NULL for a missing column, unless some key is not a column.  The
+        second lists the stored rows' values end to end, so column ``i`` is
+        the slice ``values[i::width]``.  A column whose values are all NULL
+        or of its type's native class (finite, for FLOAT) needs no
+        coercion.  It may also raise (a value that does not coerce).  It
+        never changes the table or the caller's rows.
         """
         schema = self.schema
         names = schema.column_names
-        if all(map(names.__eq__, map(tuple, batch))):
+        width = len(names)
+        row_keys = list(chain.from_iterable(batch))
+        count = len(batch)
+        if len(row_keys) == width * count and row_keys == list(names) * count:
             stored = list(map(dict, batch))
-        elif all(map(schema.column_set.issuperset, batch)):
+        elif schema.column_set.issuperset(row_keys):
             stored = [{name: row.get(name) for name in names} for row in batch]
         else:
             return None
-        # Every stored row holds the schema's columns in schema order, so
-        # transposing their values gives the columns in one pass.
-        for column, values in zip(schema.columns, zip(*map(dict.values, stored))):
-            converter = Converter(column.dtype)
-            coerced: Sequence[object] = values
-            if not unchanged_by_coerce(values, converter.native):
-                coerced = converter.column(values)
-                name = column.name
-                for row, value in zip(stored, coerced):
-                    row[name] = value
+        values = list(chain.from_iterable(map(dict.values, stored)))
+        for offset, column in enumerate(schema.columns):
+            column_values = values[offset::width]
+            kinds = set(map(type, column_values))
+            if unchanged_by_coerce(column_values, column.dtype.native, kinds):
+                if not column.nullable and NoneType in kinds:
+                    return None
+                continue
+            coerced = Converter(column.dtype).column(column_values)
+            name = column.name
+            for row, value in zip(stored, coerced):
+                row[name] = value
             if not column.nullable and None in coerced:
                 return None
         keys: list[tuple[object, ...]] = []

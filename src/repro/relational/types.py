@@ -154,13 +154,16 @@ _NONE_TYPE = type(None)
 _TEXT_OR_NULL = frozenset((str, _NONE_TYPE))
 
 
-def unchanged_by_coerce(values: Sequence[object], native: type) -> bool:
+def unchanged_by_coerce(
+    values: Sequence[object], native: type, kinds: set[type]
+) -> bool:
     """True when ``coerce`` returns each of ``values`` as it is.
 
     That is, every value is NULL or of the type's ``native`` class, and a
-    float is finite.
+    float is finite.  ``kinds`` is ``set(map(type, values))``, which the
+    caller has at hand.
     """
-    if not set(map(type, values)) <= {native, _NONE_TYPE}:
+    if not kinds <= {native, _NONE_TYPE}:
         return False
     if native is not float:
         return True
@@ -221,9 +224,9 @@ class Converter:
         first occurrence (so a bad value raises exactly where the row loop
         would), then mapped through the memo at C speed.
         """
-        if unchanged_by_coerce(values, self.native):
-            return list(values)
         kinds = set(map(type, values))
+        if unchanged_by_coerce(values, self.native, kinds):
+            return list(values)
         memo = self.memo
         if memo is not None and kinds <= _TEXT_OR_NULL:
             fresh = [

@@ -276,11 +276,13 @@ class MaterializationStrategy(abc.ABC):
             parts.append(self.job.row_map(source, stored).key)
         return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
 
-    def _save_lineage(self) -> None:
+    def _save_lineage(self, fingerprint: str) -> None:
+        """Record the build's lineage: ``fingerprint`` is the
+        :meth:`_definition_fingerprint` the build computed."""
         self.warehouse.set_lineage(
             self.job.table_name(),
             {
-                "fingerprint": self._definition_fingerprint(),
+                "fingerprint": fingerprint,
                 "versions": LINEAGE_VERSIONS,
                 "sources": {
                     source.name: source.data_version() for source in self.job.sources
@@ -293,6 +295,7 @@ class MaterializationStrategy(abc.ABC):
         # raises leaves the previous table and its lineage in place.
         stored = self._stored_columns()
         reads = [self.job.read(source, stored) for source in self.job.sources]
+        fingerprint = self._definition_fingerprint()
         schema = self._table_schema()
         if self.warehouse.has_table(schema.name):
             self.warehouse.drop_table(schema.name)
@@ -307,7 +310,7 @@ class MaterializationStrategy(abc.ABC):
             "materializer", schema.name, len(table), self._load_note()
         )
         build_span.set("rows_extracted", len(table))
-        self._save_lineage()
+        self._save_lineage(fingerprint)
         self._built = True
 
     def _incremental_build(self, build_span: Span = NULL_SPAN) -> bool:
@@ -321,7 +324,8 @@ class MaterializationStrategy(abc.ABC):
         if lineage is None or not self.warehouse.has_table(name):
             build_span.set("fallback_reason", "no_lineage")
             return False
-        if lineage.get("fingerprint") != self._definition_fingerprint():
+        fingerprint = self._definition_fingerprint()
+        if lineage.get("fingerprint") != fingerprint:
             # Definitions changed; every stored row is suspect.
             build_span.set("fallback_reason", "definition_changed")
             return False
@@ -367,7 +371,7 @@ class MaterializationStrategy(abc.ABC):
             )
         build_span.set("records_refreshed", refreshed)
         build_span.set("rows_reextracted", reextracted)
-        self._save_lineage()
+        self._save_lineage(fingerprint)
         self._built = True
         return True
 

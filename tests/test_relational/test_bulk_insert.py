@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 from datetime import date, datetime
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,3 +390,104 @@ class TestLoad:
         with pytest.raises(IntegrityError, match="NOT NULL"):
             Load(db, _load_schema()).run([rows])
         assert db.table("loaded").rows() == [{"id": 1, "flag": None}]
+
+
+def _same_as_the_loop(schema, batch, indexes=(), existing=()):
+    """Insert ``batch`` both ways and compare everything the tables show."""
+    original = copy.deepcopy(list(map(dict, batch)))
+    bulk_log: list = []
+    loop_log: list = []
+    bulk = _table(schema, indexes, existing, bulk_log)
+    loop = _table(schema, indexes, existing, loop_log)
+    got = _outcome(lambda: bulk.insert_many(batch))
+    want = _outcome(lambda: _loop(loop, batch))
+    assert got == want
+    assert _state(bulk, schema, indexes) == _state(loop, schema, indexes)
+    assert _inserted(bulk_log) == _inserted(loop_log)
+    assert list(map(dict, batch)) == original
+    return got, bulk_log
+
+
+def _wide_schema(nullable=True):
+    return TableSchema(
+        "t",
+        (
+            Column("a", DataType.INTEGER, nullable=False),
+            Column("b", DataType.TEXT, nullable=nullable),
+            Column("c", DataType.BOOLEAN),
+            Column("d", DataType.FLOAT),
+        ),
+        ("a",),
+    )
+
+
+def _wide_row(n):
+    return {"a": n, "b": f"r{n}", "c": n % 2 == 0, "d": n / 4}
+
+
+@st.composite
+def _perturbed(draw):
+    """Up to 200 clean rows in schema order, a few of them reordered,
+    missing a column or carrying an unknown one."""
+    count = draw(st.integers(1, 200))
+    batch = [_wide_row(n) for n in range(count)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, count - 1))
+        row = batch[at]
+        change = draw(st.sampled_from(["reorder", "drop", "add"]))
+        if change == "reorder":
+            batch[at] = dict(draw(st.permutations(list(row.items()))))
+        elif change == "drop":
+            row.pop(draw(st.sampled_from(sorted(row))), None)
+        else:
+            row[draw(st.sampled_from(["zz", "b", "e"]))] = draw(_ANY)
+    return batch
+
+
+class TestFlatShape:
+    """``insert_many`` tests a batch's shape with one list of every row's
+    keys; these batches aim at its edges."""
+
+    def test_one_reordered_row_in_a_thousand(self):
+        batch = [_wide_row(n) for n in range(1000)]
+        batch[500] = dict(reversed(list(batch[500].items())))
+        got, log = _same_as_the_loop(_wide_schema(), batch, [("c",)])
+        assert got == ("ok", 1000)
+        assert [op for op, _ in log] == ["insert_many"]
+
+    def test_a_missing_column_beside_an_unknown_one(self):
+        # Row 1 lacks "d" and row 2 carries "zz": the batch holds exactly
+        # width x count keys, yet it is not the schema's names per row.
+        # Every value is a native int, so no coercion failure would hide a
+        # shape test that counted keys alone.
+        schema = TableSchema("t", tuple(Column(n, DataType.INTEGER) for n in "abcd"))
+        batch = [dict.fromkeys("abcd", n) for n in range(6)]
+        del batch[1]["d"]
+        batch[2]["zz"] = 1
+        got, _ = _same_as_the_loop(schema, batch)
+        assert got[:2] == ("error", "SchemaError")
+
+    def test_a_one_column_schema(self):
+        schema = TableSchema("t", (Column("a", DataType.INTEGER),))
+        batch = [{"a": n} for n in range(50)] + [{"a": "7"}, {}, {"a": None}]
+        got, log = _same_as_the_loop(schema, batch)
+        assert got == ("ok", 53)
+        assert [op for op, _ in log] == ["insert_many"]
+
+    def test_mapping_proxy_rows(self):
+        batch = [MappingProxyType(_wide_row(n)) for n in range(20)]
+        batch.append(MappingProxyType({"d": "2.5", "a": 20}))
+        got, log = _same_as_the_loop(_wide_schema(), batch)
+        assert got == ("ok", 21)
+        assert [op for op, _ in log] == ["insert_many"]
+
+    def test_a_not_null_columns_only_null_in_the_last_row(self):
+        batch = [_wide_row(n) for n in range(1000)]
+        batch[999]["b"] = None
+        got, _ = _same_as_the_loop(_wide_schema(nullable=False), batch)
+        assert got[:2] == ("error", "IntegrityError")
+
+    @given(_perturbed())
+    @settings(max_examples=150, deadline=None)
+    def test_perturbed_batches_match_the_row_loop(self, batch):
+        _same_as_the_loop(_wide_schema(), batch, [("b",)])

@@ -341,6 +341,23 @@ class TestWarehouseLineage:
         assert lineage["sources"] == {cori.name: cori.data_version()}
         assert lineage["fingerprint"]
 
+    def test_a_refresh_writes_the_lineage_a_full_build_writes(
+        self, small_world, cori
+    ):
+        warehouse = Warehouse()
+        strategy = FullStrategy(make_job(small_world, cori), warehouse)
+        strategy.build()
+        insert_procedures(small_world, cori, 5)
+        assert build_decision(strategy)["decision"] == "incremental"
+        reference = Warehouse()
+        FullStrategy(make_job(small_world, cori), reference).build()
+        assert warehouse.lineage("mat_procedure") == reference.lineage(
+            "mat_procedure"
+        )
+        assert warehouse.lineage("mat_procedure")["sources"] == {
+            cori.name: cori.data_version()
+        }
+
     def test_drop_table_forgets_lineage(self, small_world, cori):
         warehouse = Warehouse()
         FullStrategy(make_job(small_world, cori), warehouse).build()
