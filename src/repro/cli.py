@@ -310,6 +310,11 @@ def _cmd_storage(args) -> int:
     from repro.errors import StorageError
     from repro.storage import DurableStore
 
+    # Opening a store creates its directory and first log segment, so a
+    # mistyped path would otherwise "recover" a new, empty store.
+    if not os.path.isdir(args.dir):
+        print(f"recovery failed: no store directory at {args.dir}", file=sys.stderr)
+        return 1
     try:
         store = DurableStore(args.dir)
     except StorageError as exc:

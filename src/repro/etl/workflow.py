@@ -166,53 +166,6 @@ class Workflow:
             return {name: results[name] for name in self.outputs}, report
         return results, report
 
-    # -- rendering -----------------------------------------------------------
-
-    def to_dot(self) -> str:
-        """Graphviz DOT rendering of the DAG, clustered by Figure 6 stage.
-
-        Workflow, stage and step names are user-chosen (a compiled study's
-        step names hold its source names), so each is escaped by
-        :func:`_dot_escaped` inside its quotes.
-        """
-        lines = [f'digraph "{_dot_escaped(self.name)}" {{', "  rankdir=LR;"]
-        for index, stage in enumerate(self.stages()):
-            lines.append(
-                f'  subgraph cluster_{index} {{ label="{_dot_escaped(stage)}";'
-            )
-            for step in self._steps.values():
-                if step.stage == stage:
-                    name = _dot_escaped(step.name)
-                    lines.append(
-                        f'    "{name}" '
-                        f'[label="{name}\\n{type(step.component).__name__}"];'
-                    )
-            lines.append("  }")
-        for step in self._steps.values():
-            if not step.stage:
-                lines.append(f'  "{_dot_escaped(step.name)}";')
-        for step in self._steps.values():
-            for input_name in step.inputs:
-                lines.append(
-                    f'  "{_dot_escaped(input_name)}" -> "{_dot_escaped(step.name)}";'
-                )
-        lines.append("}")
-        return "\n".join(lines)
-
-    def describe(self) -> str:
-        """Readable listing of the DAG."""
-        lines = [f"Workflow {self.name!r}:"]
-        for step in self._steps.values():
-            deps = f" <- {list(step.inputs)}" if step.inputs else ""
-            stage = f" [{step.stage}]" if step.stage else ""
-            lines.append(f"  {step.name}: {type(step.component).__name__}{stage}{deps}")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return len(self._steps)
 
-
-def _dot_escaped(text: str) -> str:
-    """``text`` as the inside of a DOT double-quoted string: a backslash
-    or a double quote in it is escaped, so neither can end the string."""
-    return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -28,8 +28,6 @@ from repro.expr.evaluator import Evaluator, evaluate
 from repro.expr.compile import compile_expression, compile_predicate
 from repro.expr.functions import FunctionRegistry, default_registry
 from repro.expr.analysis import (
-    atoms,
-    is_conjunctive,
     is_union_of_conjunctions,
     referenced_identifiers,
     to_dnf,
@@ -48,12 +46,10 @@ __all__ = [
     "Token",
     "TokenType",
     "UnaryOp",
-    "atoms",
     "compile_expression",
     "compile_predicate",
     "default_registry",
     "evaluate",
-    "is_conjunctive",
     "is_union_of_conjunctions",
     "parse",
     "referenced_identifiers",

@@ -17,14 +17,11 @@ from __future__ import annotations
 from repro.expr.ast import (
     BinaryOp,
     Expression,
-    FunctionCall,
     Identifier,
     InList,
     IsNull,
     Literal,
     UnaryOp,
-    conjunction,
-    disjunction,
 )
 from repro.expr.memo import IdentityMemo
 
@@ -48,34 +45,6 @@ def referenced_identifiers(expr: Expression) -> frozenset[str]:
     return names
 
 
-def is_atom(expr: Expression) -> bool:
-    """True when ``expr`` has no logical connectives inside it."""
-    if isinstance(expr, BinaryOp) and expr.is_logical:
-        return False
-    if isinstance(expr, UnaryOp) and expr.op == "NOT":
-        return False
-    return all(is_atom(child) for child in expr.children())
-
-
-def atoms(expr: Expression) -> list[Expression]:
-    """The maximal connective-free subexpressions of ``expr``, pre-order."""
-    if is_atom(expr):
-        return [expr]
-    found: list[Expression] = []
-    for child in expr.children():
-        found.extend(atoms(child))
-    return found
-
-
-def is_conjunctive(expr: Expression) -> bool:
-    """True when ``expr`` is a conjunction of atoms (no OR, no NOT over ANDs)."""
-    if is_atom(expr):
-        return True
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return is_conjunctive(expr.left) and is_conjunctive(expr.right)
-    return False
-
-
 def to_dnf(expr: Expression) -> list[list[Expression]]:
     """Rewrite a boolean expression into disjunctive normal form.
 
@@ -87,11 +56,6 @@ def to_dnf(expr: Expression) -> list[list[Expression]]:
     """
     normalized = _push_not(expr, negate=False)
     return _dnf(normalized)
-
-
-def dnf_to_expression(clauses: list[list[Expression]]) -> Expression:
-    """Reassemble DNF clauses into a single expression (for round-tripping)."""
-    return disjunction([conjunction(clause) for clause in clauses])
 
 
 def is_union_of_conjunctions(expr: Expression, max_clauses: int = 10_000) -> bool:
@@ -171,12 +135,3 @@ def _dnf(expr: Expression) -> list[list[Expression]]:
         ]
     return [[expr]]
 
-
-def complexity(expr: Expression) -> int:
-    """Node count — a rough cost metric used by benchmark reports."""
-    return sum(1 for _ in expr.walk())
-
-
-def referenced_functions(expr: Expression) -> set[str]:
-    """Names of all functions called anywhere in ``expr``."""
-    return {node.name for node in expr.walk() if isinstance(node, FunctionCall)}

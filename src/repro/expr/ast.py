@@ -84,10 +84,8 @@ class Identifier(Expression):
         return cls(tuple(dotted.split(".")))
 
 
-# Binary operators, grouped by family.  The parser guarantees ``op`` is one
-# of these strings.
-ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=", "LIKE")
+# A binary ``op`` is arithmetic (``+ - * / %``), a comparison
+# (``= != < <= > >= LIKE``) or logical; the parser guarantees it.
 LOGICAL_OPS = ("AND", "OR")
 
 
@@ -101,14 +99,6 @@ class BinaryOp(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.left, self.right)
-
-    @property
-    def is_arithmetic(self) -> bool:
-        return self.op in ARITHMETIC_OPS
-
-    @property
-    def is_comparison(self) -> bool:
-        return self.op in COMPARISON_OPS
 
     @property
     def is_logical(self) -> bool:

@@ -124,18 +124,6 @@ class GTree(Annotated):
             return None
         return self._by_name[parent_name]
 
-    def path_of(self, name: str) -> tuple[str, ...]:
-        """Root-to-node name path."""
-        path: list[str] = []
-        current: str | None = name
-        while current is not None:
-            path.append(current)
-            parent = self.parent_of(current)
-            current = parent.name if parent else None
-        if path[-1] != self.root.name:
-            raise GTreeError(f"node {name!r} is not attached to the root")
-        return tuple(reversed(path))
-
     # -- traversal ---------------------------------------------------------------
 
     def iter_nodes(self) -> Iterator[GNode]:

@@ -2,9 +2,9 @@
 
 "The g-tree behaves like a view; when analysts write classifiers, they
 express queries against the g-trees."  A :class:`GTreeQuery` names the
-data nodes of interest, optionally filters with a condition over node
-names, and optionally derives computed values — everything an analyst
-needs without ever seeing the physical schema.
+data nodes of interest and optionally filters with a condition over node
+names — everything an analyst needs without ever seeing the physical
+schema.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ class GTreeQuery:
     """An immutable query over one g-tree.
 
     ``nodes`` — data nodes whose values to return (empty = all data nodes);
-    ``condition`` — boolean filter over node names;
-    ``derivations`` — (name, arithmetic expression) computed columns.
+    ``condition`` — boolean filter over node names.
     The record key is always included so results stay joinable.
     """
 
     gtree: GTree
     nodes: tuple[str, ...] = ()
     condition: Expression | None = None
-    derivations: tuple[tuple[str, Expression], ...] = ()
 
     def __post_init__(self) -> None:
         for name in self.nodes:
@@ -41,8 +39,8 @@ class GTreeQuery:
                 raise GuavaError(
                     f"node {name!r} stores no data and cannot be selected"
                 )
-        for expression in self._expressions():
-            for identifier in referenced_identifiers(expression):
+        if self.condition is not None:
+            for identifier in referenced_identifiers(self.condition):
                 leaf = identifier.split(".")[-1]
                 if not self.gtree.has_node(leaf):
                     raise GuavaError(
@@ -55,17 +53,11 @@ class GTreeQuery:
                         "appear in a condition"
                     )
 
-    def _expressions(self) -> list[Expression]:
-        found = [expr for _, expr in self.derivations]
-        if self.condition is not None:
-            found.append(self.condition)
-        return found
-
     # -- builder API -------------------------------------------------------------
 
     def select(self, *names: str) -> "GTreeQuery":
         """Return a query selecting the named data nodes."""
-        return GTreeQuery(self.gtree, self.nodes + names, self.condition, self.derivations)
+        return GTreeQuery(self.gtree, self.nodes + names, self.condition)
 
     def where(self, condition: str | Expression) -> "GTreeQuery":
         """Add a filter; multiple calls AND together."""
@@ -74,20 +66,13 @@ class GTreeQuery:
             from repro.expr.ast import BinaryOp
 
             expr = BinaryOp("AND", self.condition, expr)
-        return GTreeQuery(self.gtree, self.nodes, expr, self.derivations)
-
-    def derive(self, name: str, expression: str | Expression) -> "GTreeQuery":
-        """Add a computed column."""
-        expr = parse(expression) if isinstance(expression, str) else expression
-        return GTreeQuery(
-            self.gtree, self.nodes, self.condition, self.derivations + ((name, expr),)
-        )
+        return GTreeQuery(self.gtree, self.nodes, expr)
 
     # -- introspection ---------------------------------------------------------------
 
     def shape(self) -> str:
-        """The form and a type-tagged fingerprint of the nodes, condition
-        and derivations: what a source's plan-cache and memo keys name.
+        """The form and a type-tagged fingerprint of the nodes and the
+        condition: what a source's plan-cache and memo keys name.
 
         Kept on the query once its text is fixed (no mutable value below
         it, see :func:`~repro.relational.query._fingerprint`), so a query a
@@ -97,19 +82,11 @@ class GTreeQuery:
         if kept is not None:
             return kept
         parts = [self.gtree.form_name, ":"]
-        fixed = _fingerprint((self.nodes, self.condition, self.derivations), parts.append)
+        fixed = _fingerprint((self.nodes, self.condition), parts.append)
         text = "".join(parts)
         if fixed:
             object.__setattr__(self, "_shape", text)
         return text
-
-    def referenced_nodes(self) -> set[str]:
-        """All g-tree node names this query touches."""
-        names = set(self.nodes)
-        for expression in self._expressions():
-            for identifier in referenced_identifiers(expression):
-                names.add(identifier.split(".")[-1])
-        return names
 
     def selected_nodes(self) -> tuple[str, ...]:
         """The output node columns (all data nodes when none were named)."""

@@ -43,7 +43,6 @@ from repro.relational.query import (
     prepare_stream_plan,
     rebind_in_lists,
 )
-from repro.relational.sql import to_sql
 from repro.ui.form import RECORD_ID
 from repro.ui.session import DataEntrySession
 from repro.ui.toolkit import ReportingTool
@@ -305,7 +304,7 @@ class GuavaSource:
 
         The plan is made once per query *shape*: the database's plan cache
         is keyed on this source, the form, a type-tagged fingerprint of the
-        query's nodes, condition and derivations, and the scope (full read
+        query's nodes and condition, and the scope (full read
         or record-scoped).  A hit skips translation and optimization
         entirely, for as long as the plan's assumptions hold (see
         :func:`~repro.relational.query.optimize`).  A record-scoped key
@@ -677,10 +676,6 @@ class GuavaSource:
             return None
         return query.shape()
 
-    def explain(self, query: GTreeQuery) -> str:
-        """The SQL the translated query corresponds to (documentation)."""
-        return to_sql(translate_query(query, self.chain))
-
     def __repr__(self) -> str:
         return f"GuavaSource({self.name!r}, tool={self.tool.name} v{self.tool.version})"
 
@@ -776,15 +771,6 @@ class BoundQuery:
     def where(self, condition) -> "BoundQuery":
         return BoundQuery(self._source, self._query.where(condition))
 
-    def derive(self, name: str, expression) -> "BoundQuery":
-        return BoundQuery(self._source, self._query.derive(name, expression))
-
-    @property
-    def query(self) -> GTreeQuery:
-        return self._query
-
     def run(self) -> list[Row]:
         return self._source.execute(self._query)
 
-    def sql(self) -> str:
-        return self._source.explain(self._query)

@@ -4,7 +4,7 @@
 queries and ETL components that depend on the database patterns used."
 
 The translation is compositional: the pattern chain reconstructs the naive
-relation; the query's condition/derivations/selection layer on top.  The
+relation; the query's condition and selection layer on top.  The
 result is an ordinary :class:`~repro.relational.algebra.Plan`, renderable
 to SQL with :func:`repro.relational.sql.to_sql`.
 """
@@ -14,15 +14,14 @@ from __future__ import annotations
 from repro.errors import TranslationError
 from repro.guava.query import GTreeQuery
 from repro.patterns.chain import PatternChain
-from repro.relational.algebra import Compute, Plan, Project, Select
+from repro.relational.algebra import Plan, Project, Select
 from repro.ui.form import RECORD_ID
 
 
 def translate_query(query: GTreeQuery, chain: PatternChain) -> Plan:
     """Lower ``query`` to a physical plan through ``chain``.
 
-    Output columns: ``record_id``, the selected node columns, then the
-    derived columns, in that order.
+    Output columns: ``record_id``, then the selected node columns.
     """
     form_name = query.gtree.form_name
     if form_name not in chain.naive_schemas:
@@ -32,9 +31,4 @@ def translate_query(query: GTreeQuery, chain: PatternChain) -> Plan:
     plan: Plan = chain.plan_for(form_name)
     if query.condition is not None:
         plan = Select(plan, query.condition)
-    if query.derivations:
-        plan = Compute(plan, query.derivations)
-    columns = (RECORD_ID,) + query.selected_nodes() + tuple(
-        name for name, _ in query.derivations
-    )
-    return Project(plan, columns)
+    return Project(plan, (RECORD_ID,) + query.selected_nodes())

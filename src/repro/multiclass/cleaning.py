@@ -119,9 +119,6 @@ class Quarantine:
             QuarantinedRow(rule=rule.name, reason=rule.reason, source=source, row=row)
         )
 
-    def by_rule(self, name: str) -> list[QuarantinedRow]:
-        return [q for q in self.rows if q.rule == name]
-
     def counts(self) -> dict[str, int]:
         """Discard count per rule name."""
         out: dict[str, int] = {}

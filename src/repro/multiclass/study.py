@@ -534,16 +534,6 @@ class Study(Annotated):
             row_maps[key] = row_map
         return row_map
 
-    def output_columns(self, entity: str) -> tuple[str, ...]:
-        """Column names of an entity's study table."""
-        base: tuple[str, ...] = (RECORD_ID, "source")
-        if self.has_parent_link(entity):
-            base = base + (PARENT_RECORD_ID,)
-        return base + tuple(
-            element_column(attribute, domain)
-            for _, attribute, domain in self.elements_of(entity)
-        )
-
     def has_parent_link(self, entity: str) -> bool:
         """True when every bound entity classifier provides a parent link.
 
@@ -572,11 +562,3 @@ class StudyResult:
 
     def count(self, entity: str) -> int:
         return len(self.rows(entity))
-
-    def distribution(self, entity: str, column: str) -> dict[object, int]:
-        """Value counts of one output column — the analyst's first look."""
-        counts: dict[object, int] = {}
-        for row in self.rows(entity):
-            key = row.get(column)
-            counts[key] = counts.get(key, 0) + 1
-        return counts

@@ -15,7 +15,6 @@ wall time per operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.obs.trace import Span, Tracer, tracing
 from repro.relational.algebra import Plan
@@ -101,13 +100,6 @@ class ExplainReport:
         if executed is not None:
             lines.append(executed.render())
         return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "row_count": len(self.rows),
-            "optimized": self.optimized,
-            "spans": [root.to_dict() for root in self.tracer.roots],
-        }
 
 
 def explain_analyze(

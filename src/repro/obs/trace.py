@@ -80,13 +80,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> "Span | None":
-        """First span (pre-order) whose name equals or prefixes ``name``."""
-        for candidate in self.walk():
-            if candidate.name == name or candidate.name.startswith(name):
-                return candidate
-        return None
-
     def self_s(self) -> float:
         """Wall time exclusive of children (floored at zero)."""
         return max(0.0, self.duration_s - sum(c.duration_s for c in self.children))
@@ -105,9 +98,6 @@ class Span:
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=str)
 
     def render(self, indent: int = 0) -> str:
         """Annotated tree text: one line per span with time and attrs."""

@@ -8,7 +8,7 @@ light plan optimizer, and a SQL renderer used to document generated ETL.
 from repro.relational.types import DataType
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
-from repro.relational.database import Database, database_version
+from repro.relational.database import Database
 from repro.relational.index import HashIndex
 from repro.relational.algebra import (
     Aggregate,
@@ -61,7 +61,6 @@ __all__ = [
     "Values",
     "canonical_key",
     "execute_interpreted",
-    "database_version",
     "optimize",
     "plan_fingerprint",
     "prepare_stream_plan",

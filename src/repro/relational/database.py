@@ -74,37 +74,18 @@ class Database:
 
     @property
     def structure_version(self) -> int:
-        """The structural (DDL) counter component of :attr:`epoch`."""
+        """The structural (DDL) counter: table creates and drops."""
         return self._structure_version
 
     @property
-    def epoch(self) -> int:
-        """Monotone schema/data/index version of the whole database.
-
-        Sums the structural counter (table create/drop) with every table's
-        data version and index epoch.  Each component only ever increases
-        within one process, so the sum is monotone: any insert, delete,
-        update, index create/drop or table create/drop yields a new epoch.
-        Recovery restores it bit-identical (storage tests pin that).  The
-        plan cache does *not* key on it —
-        data versions only matter to a plan through the facts planning
-        consumed (see :meth:`plan_cache_get`) — and neither does the GUAVA
-        change feed, which versions each source's own tables.
-        """
-        total = self._structure_version
-        for table in self._tables.values():
-            total += table.version + table.index_epoch
-        return total
-
-    @property
     def plan_epoch(self) -> int:
-        """The part of :attr:`epoch` every cached plan depends on.
+        """The version every cached plan depends on.
 
         The structural counter plus every table's index epoch: a table
         create/drop or an index create/drop moves it; inserts, updates and
-        deletes do not.  Monotone for the same reasons as :attr:`epoch`
+        deletes do not.  Each part only grows within one process
         (``drop_table`` folds the dropped table's epochs into the
-        structural counter).
+        structural counter), so the sum is monotone.
         """
         total = self._structure_version
         for table in self._tables.values():
@@ -183,14 +164,14 @@ class Database:
             raise SchemaError(f"no table {name!r} in database {self.name}")
         dropped = self._tables.pop(name)
         # Fold the dropped table's contribution into the structural counter so
-        # the epoch never rewinds to a value it held before the drop.
+        # plan_epoch never rewinds to a value it held before the drop.
         self._structure_version += 1 + dropped.version + dropped.index_epoch
         self._notify("drop_table", {"name": name, "table": dropped})
 
     def restore_structure_version(self, version: int) -> None:
         """Set the structural counter to an exact recovered value (restore only).
 
-        Recovery needs :attr:`epoch` bit-identical to the crashed process's
+        Recovery needs :attr:`plan_epoch` bit-identical to the crashed process's
         so a plan cached before the crash could never be mistaken for one
         planned against the recovered data; the plan cache and the result
         memo are cleared too since their entries were made by a process
@@ -238,14 +219,3 @@ class Database:
     def __repr__(self) -> str:
         return f"Database({self.name!r}, tables={self.table_names()})"
 
-
-def database_version(db: Database) -> int:
-    """Monotone data version of a whole database.
-
-    The sum of per-table versions, which only grows while tables are
-    mutated in place.  Dropping a table makes the sum regress.  A GUAVA
-    source versions only its own chain's tables
-    (:meth:`Database.tables_version`), so a warehouse sharing the database
-    does not move it.
-    """
-    return sum(table.version for table in db)

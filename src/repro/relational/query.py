@@ -1,12 +1,11 @@
 """Fluent query builder and a plan optimizer.
 
 The optimizer applies safe rewrites only: select merge/pushdown, merging
-and dropping redundant projections, and — when a database handle is
-supplied — lowering equality selections over base tables onto
-:class:`~repro.relational.algebra.IndexLookup` backed by the table's hash
-indexes.  Correctness is checked by property tests asserting optimized,
-naive-streaming, and interpreted executions agree on every database they
-run against.
+and dropping redundant projections, and lowering equality selections over
+base tables onto :class:`~repro.relational.algebra.IndexLookup` backed by
+the table's hash indexes.  Correctness is checked by property tests
+asserting optimized, naive-streaming, and interpreted executions agree on
+every database they run against.
 """
 
 from __future__ import annotations
@@ -74,17 +73,6 @@ class Query:
     def select(self, *columns: str) -> "Query":
         return Query(Project(self.plan, tuple(columns)))
 
-    def compute(self, **derivations: str | Expression) -> "Query":
-        parsed = tuple(
-            (name, parse(value) if isinstance(value, str) else value)
-            for name, value in derivations.items()
-        )
-        return Query(Compute(self.plan, parsed))
-
-    def rename(self, **mapping: str) -> "Query":
-        """``rename(old=new)`` pairs."""
-        return Query(Rename(self.plan, tuple(mapping.items())))
-
     def join(
         self,
         other: "Query | Plan",
@@ -94,27 +82,6 @@ class Query:
         right = other.plan if isinstance(other, Query) else other
         return Query(Join(self.plan, right, tuple(on), how))
 
-    def union(self, *others: "Query | Plan") -> "Query":
-        plans = [self.plan]
-        plans.extend(o.plan if isinstance(o, Query) else o for o in others)
-        return Query(Union(tuple(plans)))
-
-    def order_by(self, *keys: str) -> "Query":
-        """Keys like ``"age"`` (ascending) or ``"-age"`` (descending)."""
-        parsed = tuple(
-            (key[1:], False) if key.startswith("-") else (key, True) for key in keys
-        )
-        return Query(Sort(self.plan, parsed))
-
-    def aggregate(
-        self, group_by: list[str] | tuple[str, ...], *specs: AggregateSpec
-    ) -> "Query":
-        return Query(Aggregate(self.plan, tuple(group_by), tuple(specs)))
-
-    def count(self, db: Database) -> int:
-        """Execute and return the row count."""
-        return len(self.execute(db))
-
     def execute(self, db: Database, optimized: bool = True) -> list[Row]:
         plan = optimize(self.plan, db) if optimized else self.plan
         return plan.execute(db)
@@ -122,23 +89,22 @@ class Query:
 
 def optimize(
     plan: Plan,
-    db: Database | None = None,
+    db: Database,
     *,
     cache_key: str | None = None,
 ) -> Plan:
-    """Apply safe rewrites; ``db`` unlocks schema- and index-aware rules.
+    """Apply safe rewrites against ``db``'s schemas and indexes.
 
-    Without a database the optimizer falls back to statically derivable
-    column sets.  With one (``Query.execute`` always passes it), it can
-    additionally lower equality filters onto hash indexes and check which
-    filters cannot raise, which the pushdowns past joins, computes and
-    aggregates need.  The optimizer is deliberately conservative —
-    correctness is checked by property tests asserting
+    The database gives the rewrites their column sets and declared types,
+    so the optimizer can lower equality filters onto hash indexes and
+    check which filters cannot raise, which the pushdowns past joins,
+    computes and aggregates need.  The optimizer is deliberately
+    conservative — correctness is checked by property tests asserting
     optimized and naive plans agree on every database they run against.
 
-    With a database the result is also memoized in the database's plan
-    cache under the structural plan fingerprint.  An entry is planned once
-    per *shape*, not once per data version: it stays valid while
+    The result is memoized in the database's plan cache under the
+    structural plan fingerprint.  An entry is planned once per *shape*,
+    not once per data version: it stays valid while
     ``Database.plan_epoch`` (table create/drop, index create/drop) is
     unchanged and no table an estimate consulted (bucket sizes choosing
     among index paths) has drifted past ``PLANNING_STALENESS_FRACTION``
@@ -160,29 +126,25 @@ def optimize(
     that lowering was skipped.
     """
     tracer = current_tracer()
-    key: str | None = None
-    epoch = 0
-    if db is not None:
-        if cache_key is None:
-            key = plan_fingerprint(plan)
-            cached = _cache_lookup(db, key, tracer)
-            if cached is not None:
-                return cached
-        else:
-            key = cache_key
-        # Captured before planning: an index change racing the rewrite
-        # pass can only make the entry stale-keyed (a harmless miss).
-        epoch = db.plan_epoch
+    if cache_key is None:
+        key = plan_fingerprint(plan)
+        cached = _cache_lookup(db, key, tracer)
+        if cached is not None:
+            return cached
+    else:
+        key = cache_key
+    # Captured before planning: an index change racing the rewrite
+    # pass can only make the entry stale-keyed (a harmless miss).
+    epoch = db.plan_epoch
     ctx = _OptContext(db)
     if tracer is None:
         optimized = _rewrite(plan, ctx)
     else:
         with tracer.span("optimize") as trace:
             ctx.trace = trace
-            trace.set("plan_cache", "miss" if db is not None else "off")
+            trace.set("plan_cache", "miss")
             optimized = _rewrite(plan, ctx)
-    if db is not None and key is not None:
-        db.plan_cache_put(key, epoch, optimized, ctx.estimated.items())
+    db.plan_cache_put(key, epoch, optimized, ctx.estimated.items())
     return optimized
 
 
@@ -215,8 +177,7 @@ def rebind_in_lists(
     ``column IN (literals)`` conjunct of a :class:`Select` predicate — the
     two forms a pushed-down membership filter takes after optimization.
     Returns the rebound plan and the number of slots replaced; nodes and
-    expressions without a slot are returned as the same objects, so their
-    compiled closures stay cached.
+    expressions without a slot are returned as the same objects.
     """
     items = tuple(Literal(value) for value in values)
     count = 0
@@ -426,11 +387,11 @@ class _OptContext:
 
     __slots__ = ("db", "trace", "_exec", "estimated")
 
-    def __init__(self, db: Database | None):
+    def __init__(self, db: Database):
         self.db = db
         #: The ``optimize`` span when tracing, else None (the common case).
         self.trace: Span | None = None
-        self._exec = ExecContext(db) if db is not None else None
+        self._exec = ExecContext(db)
         self.estimated: dict[str, int] = {}
 
     def consult(self, table: Table) -> None:
@@ -446,12 +407,10 @@ class _OptContext:
 
     def columns_of(self, plan: Plan) -> tuple[str, ...] | None:
         """Ordered output columns when derivable, else None."""
-        if self._exec is not None:
-            try:
-                return self._exec.columns(plan)
-            except Exception:
-                return None
-        return None
+        try:
+            return self._exec.columns(plan)
+        except Exception:
+            return None
 
     def column_types(self, plan: Plan) -> dict[str, DataType | None] | None:
         """Output column → declared type (None when not declared), if the
@@ -459,17 +418,14 @@ class _OptContext:
         a base table or converted by a ``Coerce``."""
         columns = self.columns_of(plan)
         if columns is None:
-            static = _static_columns(plan)
-            return None if static is None else dict.fromkeys(static)
-        declared = _declared_types(plan, self.db) if self.db is not None else {}
+            return None
+        declared = _declared_types(plan, self.db)
         return {column: declared.get(column) for column in columns}
 
     def column_set(self, plan: Plan) -> set[str] | None:
-        """Output column set when derivable (statically or via the db)."""
+        """Output column set when derivable."""
         ordered = self.columns_of(plan)
-        if ordered is not None:
-            return set(ordered)
-        return _static_columns(plan)
+        return None if ordered is None else set(ordered)
 
 
 def _rewrite(plan: Plan, ctx: _OptContext) -> Plan:
@@ -871,13 +827,12 @@ def _lower_index_lookup(
 ) -> Plan | None:
     """``Select(Scan, col = literal AND …)`` → IndexLookup (+ residual Select).
 
-    Only fires when the database is known, the table exists, a hash index
-    covers at least the equality columns, and no residual conjunct can
-    raise (it would now skip the rows the probe leaves out) — otherwise the
-    plan is left alone so execution cost and error behaviour stay exactly
-    as written.
+    Only fires when the table exists, a hash index covers at least the
+    equality columns, and no residual conjunct can raise (it would now
+    skip the rows the probe leaves out) — otherwise the plan is left alone
+    so execution cost and error behaviour stay exactly as written.
     """
-    if ctx.db is None or not ctx.db.has_table(scan.table):
+    if not ctx.db.has_table(scan.table):
         return None
     table = ctx.db.table(scan.table)
     columns = set(table.schema.column_names)
@@ -1027,26 +982,6 @@ def _walk(plan: Plan):
     yield plan
     for child in plan.children():
         yield from _walk(child)
-
-
-def _static_columns(plan: Plan) -> set[str] | None:
-    """Output columns when derivable without a database, else None."""
-    if isinstance(plan, Project):
-        return set(plan.columns)
-    if isinstance(plan, Rename):
-        base = _static_columns(plan.child)
-        if base is None:
-            return None
-        mapping = dict(plan.mapping)
-        return {mapping.get(column, column) for column in base}
-    if isinstance(plan, (Select, Sort)):
-        return _static_columns(plan.child)
-    if isinstance(plan, Compute):
-        base = _static_columns(plan.child)
-        if base is None:
-            return None
-        return base | {name for name, _ in plan.derivations}
-    return None
 
 
 def _declared_types(plan: Plan, db: Database) -> dict[str, DataType]:

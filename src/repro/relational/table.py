@@ -143,21 +143,6 @@ class Table:
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows())
 
-    def find(self, predicate: Callable[[Row], bool]) -> list[Row]:
-        """Rows satisfying a Python predicate (copies)."""
-        return [dict(row) for row in self._rows if predicate(row)]
-
-    def lookup(self, columns: tuple[str, ...], key: tuple[object, ...]) -> list[Row]:
-        """Equality lookup, via an index when one exists on ``columns``."""
-        index = self._indexes.get(columns)
-        if index is None and self._pk_index is not None and columns == self.schema.primary_key:
-            index = self._pk_index
-        if index is not None:
-            return [dict(self._rows[pos]) for pos in index.lookup(key)]
-        return self.find(
-            lambda row: tuple(row.get(column) for column in columns) == key
-        )
-
     # -- writing -------------------------------------------------------------
 
     def insert(self, values: Mapping[str, object]) -> Row:

@@ -604,7 +604,6 @@ class DurableStore:
                     }
                     for name in self._db.table_names()
                 },
-                "epoch": self._db.epoch,
                 "structure_version": self._db.structure_version,
                 "last_lsn": self.last_lsn,
                 "committed_lsn": self.committed_lsn,

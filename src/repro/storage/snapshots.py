@@ -239,7 +239,7 @@ def load_snapshot(path: str | Path) -> tuple[Database, int, dict[str, Any]]:
     snapshots carry is ignored: their partitions were views over the same
     rows.
     The database's structural counter is restored last so the recovered
-    :attr:`Database.epoch` is bit-identical to the checkpointed one.
+    :attr:`Database.plan_epoch` is bit-identical to the checkpointed one.
     """
     path = Path(path)
     try:

@@ -112,14 +112,6 @@ else:  # pragma: no cover - depends on the environment
     _loads = json.loads
 
 
-def encode_row(row: dict[str, object]) -> dict[str, object]:
-    """A JSON-safe copy of a validated row (schema coercion decodes it)."""
-    return {
-        name: value.isoformat() if hasattr(value, "isoformat") else value
-        for name, value in row.items()
-    }
-
-
 def segment_name(first_lsn: int) -> str:
     return f"wal-{first_lsn:012d}.log"
 

@@ -128,9 +128,6 @@ class Form:
         """The data control called ``name``; None for a layout or unknown name."""
         return self._data_by_name.get(name)
 
-    def has_control(self, name: str) -> bool:
-        return name in self._by_name
-
     def enablement_parent(self, control: Control) -> Control | None:
         """The control whose answer enables ``control``, if any.
 

@@ -36,9 +36,6 @@ class ReportingTool:
             raise ControlError(f"tool {self.name} has no form {name!r}")
         return self._by_name[name]
 
-    def has_form(self, name: str) -> bool:
-        return name in self._by_name
-
     def form_names(self) -> list[str]:
         return [form.name for form in self.forms]
 

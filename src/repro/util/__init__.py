@@ -1,7 +1,7 @@
-"""Shared utilities: deterministic ids, injectable clock, provenance."""
+"""Shared utilities: name slugs, injectable clock, provenance."""
 
 from repro.util.clock import Clock, FixedClock, SystemClock, TickingClock
-from repro.util.ids import IdGenerator, slugify
+from repro.util.ids import slugify
 from repro.util.annotations import Annotation, AnnotationLog, Annotated
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "AnnotationLog",
     "Clock",
     "FixedClock",
-    "IdGenerator",
     "SystemClock",
     "TickingClock",
     "slugify",

@@ -1,9 +1,8 @@
-"""Deterministic identifier generation and name slugs."""
+"""Name slugs."""
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
@@ -17,23 +16,3 @@ def slugify(text: str) -> str:
     slug = _SLUG_RE.sub("_", text.lower()).strip("_")
     return slug or "unnamed"
 
-
-class IdGenerator:
-    """Produce deterministic, human-readable unique ids per prefix.
-
-    Each prefix has its own counter, so generated ids look like
-    ``procedure_1``, ``procedure_2``, ``finding_1`` — stable across runs
-    given the same call sequence.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, int] = defaultdict(int)
-
-    def next(self, prefix: str) -> str:
-        """Return the next id for ``prefix``."""
-        self._counters[prefix] += 1
-        return f"{prefix}_{self._counters[prefix]}"
-
-    def reset(self) -> None:
-        """Forget all counters (fresh numbering)."""
-        self._counters.clear()

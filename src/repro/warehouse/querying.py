@@ -67,21 +67,8 @@ class StudyTableQuery:
         clone._query = self._query.join(Query(right), renamed_on)
         return clone
 
-    def aggregate(self, group_by: list[str], *specs) -> "StudyTableQuery":
-        """Group-by aggregation over the study table (counts, averages)."""
-        clone = self._clone()
-        clone._query = self._query.aggregate(group_by, *specs)
-        return clone
-
     def run(self) -> list[Row]:
         return self._query.execute(self._warehouse.db)
-
-    def count(self) -> int:
-        return len(self.run())
-
-    @property
-    def plan(self) -> Plan:
-        return self._query.plan
 
     def _clone(self) -> "StudyTableQuery":
         clone = object.__new__(StudyTableQuery)

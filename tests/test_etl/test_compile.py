@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import build_study1, build_study2
 from repro.errors import CompileError
 from repro.etl import Extract, compile_study
+from repro.etl.compile import study_table_schema
 from repro.multiclass import Study
 from repro.relational import Database
 
@@ -30,7 +31,7 @@ class TestFigure6Structure:
         assert {s.name for s in workflow.steps if s.stage == "extract"} == set(
             union.inputs
         )
-        columns = study.output_columns("Procedure")
+        columns = study_table_schema(study, "Procedure").column_names
         for name in union.inputs:
             extract = workflow.step(name).component
             assert isinstance(extract, Extract) and extract.row_map is not None

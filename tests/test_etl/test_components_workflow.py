@@ -123,10 +123,6 @@ class TestWorkflow:
     def test_stages_in_order(self):
         assert self.build().stages() == ["extract", "study"]
 
-    def test_describe(self):
-        text = self.build().describe()
-        assert "filtered: FilterRows" in text
-
     def test_no_outputs_returns_everything(self):
         workflow = Workflow("wf")
         workflow.add("a", Values(ROWS))
@@ -137,45 +133,3 @@ class TestWorkflow:
         _, report = self.build().run()
         assert "src" in report.summary()
 
-    def test_to_dot(self):
-        dot = self.build().to_dot()
-        assert dot.startswith('digraph "wf"')
-        assert '"src" -> "filtered"' in dot
-        assert 'label="extract"' in dot and 'label="study"' in dot
-
-    def test_to_dot_escapes_quotes_and_backslashes(self):
-        odd = 'a"b\\c'  # a, quote, b, backslash, c
-        workflow = Workflow(f"wf {odd}")
-        workflow.add(f"src {odd}", Values(ROWS), stage=f"stage {odd}")
-        workflow.add(f"out {odd}", UnionInputs(), (f"src {odd}",), stage="study")
-        workflow.add(f"loose {odd}", Values([]))
-        lines = workflow.to_dot().splitlines()
-        strings = [_dot_strings(line) for line in lines]
-        assert strings[0] == [f"wf {odd}"]
-        assert [f"stage {odd}"] in strings  # the cluster line
-        node = f"src {odd}"
-        assert [node, f"{node}\\nValues"] in strings
-        assert [f"loose {odd}"] in strings
-        assert [node, f"out {odd}"] in strings  # the edge line
-
-
-def _dot_strings(line: str) -> list[str]:
-    """The double-quoted strings of one DOT line, unescaped; fails on a
-    string left open at the end of the line."""
-    strings: list[str] = []
-    current: list[str] | None = None
-    chars = iter(line)
-    for char in chars:
-        if current is None:
-            if char == '"':
-                current = []
-        elif char == "\\":
-            escaped = next(chars)
-            current.append(escaped if escaped in '"\\' else char + escaped)
-        elif char == '"':
-            strings.append("".join(current))
-            current = None
-        else:
-            current.append(char)
-    assert current is None, f"unbalanced quotes in {line!r}"
-    return strings

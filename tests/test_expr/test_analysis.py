@@ -1,15 +1,13 @@
 """Tests for static expression analysis (DNF, UCQ check, identifiers)."""
 
 from repro.expr import (
-    atoms,
     evaluate,
-    is_conjunctive,
     is_union_of_conjunctions,
     parse,
     referenced_identifiers,
     to_dnf,
 )
-from repro.expr.analysis import complexity, dnf_to_expression, referenced_functions
+from repro.expr.ast import conjunction, disjunction
 
 
 class TestReferencedIdentifiers:
@@ -30,18 +28,21 @@ class TestReferencedIdentifiers:
 
 
 class TestAtoms:
+    """The atoms :func:`to_dnf` leaves in its clauses: maximal
+    connective-free subexpressions."""
+
     def test_conjunction_splits(self):
-        expr = parse("a = 1 AND b = 2")
-        assert len(atoms(expr)) == 2
+        (clause,) = to_dnf(parse("a = 1 AND b = 2"))
+        assert [atom.to_source() for atom in clause] == ["(a = 1)", "(b = 2)"]
 
     def test_atom_with_arithmetic_stays_whole(self):
         expr = parse("a * b > 2")
-        assert len(atoms(expr)) == 1
+        assert to_dnf(expr) == [[expr]]
 
     def test_is_conjunctive(self):
-        assert is_conjunctive(parse("a = 1 AND b = 2 AND c = 3"))
-        assert not is_conjunctive(parse("a = 1 OR b = 2"))
-        assert not is_conjunctive(parse("NOT (a = 1 AND b = 2)"))
+        assert len(to_dnf(parse("a = 1 AND b = 2 AND c = 3"))) == 1
+        assert len(to_dnf(parse("a = 1 OR b = 2"))) == 2
+        assert len(to_dnf(parse("NOT (a = 1 AND b = 2)"))) == 2
 
 
 class TestDNF:
@@ -75,7 +76,7 @@ class TestDNF:
     def test_semantics_preserved(self):
         source = "(a = 1 OR b = 2) AND NOT (c = 3 AND d = 4)"
         original = parse(source)
-        rebuilt = dnf_to_expression(to_dnf(original))
+        rebuilt = disjunction([conjunction(c) for c in to_dnf(original)])
         for env in _environments():
             assert evaluate(original, env) == evaluate(rebuilt, env), env
 
@@ -108,11 +109,3 @@ class TestUnionOfConjunctions:
         parts = " AND ".join(f"(a{i} = 1 OR b{i} = 2)" for i in range(8))
         assert not is_union_of_conjunctions(parse(parts), max_clauses=100)
 
-
-class TestMisc:
-    def test_complexity_counts_nodes(self):
-        assert complexity(parse("1 + 2")) == 3
-
-    def test_referenced_functions(self):
-        expr = parse("COALESCE(a, ABS(b))")
-        assert referenced_functions(expr) == {"COALESCE", "ABS"}

@@ -3,8 +3,16 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.expr import evaluate, parse
-from repro.expr.analysis import dnf_to_expression, to_dnf
-from repro.expr.ast import BinaryOp, Expression, Identifier, Literal, UnaryOp
+from repro.expr.analysis import to_dnf
+from repro.expr.ast import (
+    BinaryOp,
+    Expression,
+    Identifier,
+    Literal,
+    UnaryOp,
+    conjunction,
+    disjunction,
+)
 
 # -- strategies ----------------------------------------------------------------
 
@@ -92,7 +100,8 @@ class TestDNFEquivalence:
     @settings(max_examples=300)
     def test_dnf_preserves_semantics(self, expr: Expression, env):
         original = _safe_eval(expr, env)
-        rebuilt = _safe_eval(dnf_to_expression(to_dnf(expr)), env)
+        clauses = to_dnf(expr)
+        rebuilt = _safe_eval(disjunction([conjunction(c) for c in clauses]), env)
         assert original == rebuilt
 
 

@@ -15,7 +15,6 @@ import pytest
 from repro.guava import GuavaSource
 from repro.patterns import NaivePattern, PatternChain
 from repro.relational.schema import Column, TableSchema
-from repro.relational.database import database_version
 from repro.relational.types import DataType
 from repro.relational.database import Database
 
@@ -54,13 +53,14 @@ class TestTableVersion:
         table.delete(lambda r: r["a"] == 1)
         assert table.version > v
 
-    def test_database_version_sums_tables(self, empty_db):
+    def test_tables_version_sums_the_named_tables(self, empty_db):
         t1 = empty_db.ensure_table(TableSchema("t1", (Column("a", DataType.INTEGER),)))
         t2 = empty_db.ensure_table(TableSchema("t2", (Column("a", DataType.INTEGER),)))
-        v0 = database_version(empty_db)
+        v0 = empty_db.tables_version(["t1", "t2", "absent"])
         t1.insert({"a": 1})
         t2.insert({"a": 2})
-        assert database_version(empty_db) == v0 + 2
+        assert empty_db.tables_version(["t1", "t2", "absent"]) == v0 + 2
+        assert empty_db.tables_version(["t2"]) == t2.version
 
 
 class TestChangeFeed:

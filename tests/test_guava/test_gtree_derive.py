@@ -31,15 +31,6 @@ class TestDerivationStructure:
         tree = derive_gtree(fig2_tool, "procedure")
         assert tree.parent_of("frequency").name == "smoking"
 
-    def test_path_of(self, fig2_tool):
-        tree = derive_gtree(fig2_tool, "procedure")
-        assert tree.path_of("frequency") == (
-            "procedure",
-            "medical_history",
-            "smoking",
-            "frequency",
-        )
-
     def test_enablement_cycle_rejected(self):
         form = Form(
             "f",

@@ -1,7 +1,7 @@
 """Plan reuse: ``GuavaSource.execute`` plans once per query shape.
 
 A g-tree query's plan is cached under its shape (source, form, nodes,
-condition, derivations, scope) and served for as long as its assumptions
+condition, scope) and served for as long as its assumptions
 hold: the same tables and indexes, and row counts within the
 staleness tolerance of any table whose estimates chose it.  No plan
 depends on an exact data version, so a reused plan keeps the authored
@@ -67,12 +67,14 @@ def _source(kind: str, db: Database | None = None) -> GuavaSource:
     return GuavaSource("reuse", tool, chain, db=db)
 
 
-def _query(source: GuavaSource, condition: str | None, derived: bool = False) -> GTreeQuery:
+def _query(
+    source: GuavaSource, condition: str | None, selected: bool = False
+) -> GTreeQuery:
     query = GTreeQuery(source.gtree("procedure"))
     if condition is not None:
         query = query.where(condition)
-    if derived:
-        query = query.select("smoking", "frequency").derive("double", "frequency * 2")
+    if selected:
+        query = query.select("smoking", "frequency")
     return query
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import GuavaError
 from repro.guava import GTreeQuery, GuavaSource, translate_query
 from repro.patterns import AuditPattern, GenericPattern, NaivePattern, PatternChain
+from repro.relational.sql import to_sql
 from tests.conftest import enter_fig2_records
 
 
@@ -27,15 +28,6 @@ class TestGTreeQueryValidation:
         query = GTreeQuery(naive_source.gtree("procedure"))
         with pytest.raises(GuavaError):
             query.where("complications = 'x'")
-
-    def test_referenced_nodes(self, naive_source):
-        query = (
-            GTreeQuery(naive_source.gtree("procedure"))
-            .select("smoking")
-            .where("hypoxia = TRUE")
-            .derive("packs10", "frequency * 10")
-        )
-        assert query.referenced_nodes() == {"smoking", "hypoxia", "frequency"}
 
     def test_selected_defaults_to_all_data_nodes(self, naive_source):
         query = GTreeQuery(naive_source.gtree("procedure"))
@@ -79,16 +71,6 @@ class TestExecution:
         rows = source.query("procedure").where("frequency < 1").run()
         assert {r["record_id"] for r in rows} == {3}
 
-    def test_derive_computed_column(self, source):
-        rows = (
-            source.query("procedure")
-            .where("smoking = 'Current'")
-            .select("smoking")
-            .derive("cigs", "frequency * 20")
-            .run()
-        )
-        assert rows[0]["cigs"] == 50.0
-
     def test_record_id_always_present(self, source):
         rows = source.query("procedure").select("smoking").run()
         assert all("record_id" in r for r in rows)
@@ -128,7 +110,8 @@ class TestTranslationAndSQL:
         assert {scan.table for scan in scans} == {"eav"}
 
     def test_sql_documentation(self, eav_source):
-        sql = eav_source.query("procedure").where("hypoxia = TRUE").sql()
+        query = GTreeQuery(eav_source.gtree("procedure")).where("hypoxia = TRUE")
+        sql = to_sql(translate_query(query, eav_source.chain))
         assert "FROM eav" in sql
         assert "WHERE" in sql
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -86,3 +88,44 @@ class TestArgHandling:
         _, first = run_cli(capsys, "study1", "--procedures", "120", "--seed", "1")
         _, second = run_cli(capsys, "study1", "--procedures", "120", "--seed", "2")
         assert first != second
+
+
+class TestTraceCommand:
+    ROOTS = {"query": ("optimize", "execute:"), "workflow": ("workflow:",)}
+
+    @pytest.mark.parametrize("target", ["query", "workflow"])
+    def test_json_roots(self, capsys, tmp_path, target):
+        path = tmp_path / "trace.json"
+        code, out = run_cli(
+            capsys, "trace", target, "--procedures", "60", "--json", str(path)
+        )
+        assert code == 0 and out
+        roots = [span["name"] for span in json.loads(path.read_text())["spans"]]
+        assert roots
+        assert all(name.startswith(self.ROOTS[target]) for name in roots)
+        if target == "query":
+            assert roots[0] == "optimize"
+            assert any(name.startswith("execute:") for name in roots)
+
+    @pytest.mark.parametrize("target", ["query", "workflow"])
+    def test_flame_lines(self, capsys, target):
+        code, out = run_cli(capsys, "trace", target, "--procedures", "60", "--flame")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines
+        for line in lines:
+            stack, micros = line.rsplit(" ", 1)
+            assert micros.isdigit(), line
+            assert stack.split(";")[0].startswith(self.ROOTS[target]), line
+
+
+class TestStorageCommand:
+    @pytest.mark.parametrize("action", ["recover", "verify", "snapshot"])
+    def test_a_missing_directory_is_refused_and_not_created(
+        self, capsys, tmp_path, action
+    ):
+        missing = tmp_path / "no" / "store"
+        assert main(["storage", action, "--dir", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("recovery failed: ")
+        assert not missing.exists() and not missing.parent.exists()

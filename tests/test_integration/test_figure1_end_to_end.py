@@ -104,10 +104,10 @@ class TestWarehouseRoundTrip:
         warehouse = Warehouse()
         compile_study(study, warehouse.db).run()
         table = "study_study1_hypoxia_interventions_procedure"
-        hypoxia_count = (
+        hypoxia_count = len(
             StudyTableQuery(warehouse, table)
             .where("TransientHypoxia_flag = TRUE")
-            .count()
+            .run()
         )
         direct = sum(
             1

@@ -216,13 +216,13 @@ def _publish(study):
 
 def _shaped(study, tables):
     """The oracle's tables as the warehouse holds them."""
-    return {
-        entity: [
-            {column: row.get(column) for column in study.output_columns(entity)}
-            for row in rows
+    shaped = {}
+    for entity, rows in tables.items():
+        columns = study_table_schema(study, entity).column_names
+        shaped[entity] = [
+            {column: row.get(column) for column in columns} for row in rows
         ]
-        for entity, rows in tables.items()
-    }
+    return shaped
 
 
 class _World:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import MultiClassError, StudyError
+from repro.etl.compile import study_table_schema
 from repro.guava import GuavaSource
 from repro.multiclass import (
     Classifier,
@@ -160,14 +161,9 @@ class TestStudyExecution:
         assert result.count("Procedure") == 1
         assert result.rows("Procedure")[0]["Smoking_status3"] == "Previous"
 
-    def test_distribution(self):
-        result = self.build_study().run()
-        dist = result.distribution("Procedure", "Smoking_status3")
-        assert dist == {"Current": 2, "None": 2, "Previous": 2}
-
     def test_output_columns(self):
         study = self.build_study()
-        assert study.output_columns("Procedure") == (
+        assert study_table_schema(study, "Procedure").column_names == (
             "record_id",
             "source",
             "Smoking_status3",

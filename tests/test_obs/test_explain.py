@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import enabled, explain_analyze
 from repro.relational.database import Database
+from repro.relational.algebra import Scan, Sort
 from repro.relational.query import Query
 from repro.relational.schema import TableSchema
 from repro.relational.types import DataType
@@ -62,7 +63,7 @@ def queries(db: Database) -> list[Query]:
         .join(Query.table("visits"), on=[("patient_id", "patient_id")])
         .where("score >= 3")
         .select("patient_id", "score"),
-        Query.table("patients").order_by("-age").where("age > 60"),
+        Query(Sort(Scan("patients"), (("age", False),))).where("age > 60"),
     ]
 
 

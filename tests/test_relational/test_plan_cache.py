@@ -7,9 +7,11 @@ identical plans on every read.  The invariants under test:
   *same plan object* and applies zero rewrites (observable as an
   ``optimize`` span with ``plan_cache="hit"`` and no ``rewrite.*``
   counters);
-* every mutation class — insert, update, delete, index create/drop,
-  table create/drop — bumps :attr:`Database.epoch`, and it never rewinds,
-  even when ``drop_table`` discards a table whose versions contributed;
+* every mutation class moves a version that never rewinds: insert,
+  update and delete a table's ``version``; index create/drop its
+  ``index_epoch``; table create/drop :attr:`Database.structure_version`
+  — and :attr:`Database.plan_epoch` never rewinds, even when
+  ``drop_table`` discards a table whose versions contributed;
 * an entry is valid while :attr:`Database.plan_epoch` (tables and
   indexes) is unchanged and the tables whose estimates picked it have
   drifted at most ``PLANNING_STALENESS_FRACTION`` in row count — so a
@@ -20,7 +22,7 @@ identical plans on every read.  The invariants under test:
   oracle does after the data changes the conjuncts' type bands.
 """
 
-from repro.obs import explain_analyze, tracing
+from repro.obs import explain_analyze
 from repro.relational import (
     Database,
     DataType,
@@ -111,14 +113,6 @@ class TestCacheHits:
         assert cached.rewrites_applied() == {}
         assert cached.rows == warm.rows
 
-    def test_no_database_means_no_cache(self):
-        plan = Query.table("patients").where("age >= 30").plan
-        assert optimize(plan) is not optimize(plan)
-        with tracing() as tracer:
-            optimize(plan)
-        (span,) = [root for root in tracer.roots if root.name == "optimize"]
-        assert span.attrs.get("plan_cache") == "off"
-
 
 class TestInvalidation:
     def test_insert_keeps_a_data_free_plan(self):
@@ -128,9 +122,9 @@ class TestInvalidation:
         db = _db()
         plan = Query.table("patients").where("age >= 30").plan
         first = optimize(plan, db)
-        before, plan_epoch = db.epoch, db.plan_epoch
+        before, plan_epoch = db.table("patients").version, db.plan_epoch
         db.insert("patients", [{"patient_id": 90 + i, "age": 44} for i in range(20)])
-        assert db.epoch > before
+        assert db.table("patients").version > before
         assert db.plan_epoch == plan_epoch
         assert optimize(plan, db) is first
 
@@ -162,45 +156,45 @@ class TestInvalidation:
     def test_update_and_delete_bump_epoch(self):
         db = _db()
         table = db.table("patients")
-        before = db.epoch
+        before = table.version
         table.update(lambda row: row["patient_id"] == 0, {"age": 99})
-        after_update = db.epoch
+        after_update = table.version
         assert after_update > before
         table.delete(lambda row: row["patient_id"] == 0)
-        assert db.epoch > after_update
+        assert table.version > after_update
 
     def test_index_create_and_drop_bump_epoch(self):
         db = _db()
         table = db.table("patients")
-        before = db.epoch
+        before = table.index_epoch, db.plan_epoch
         table.create_index(("age",))
-        created = db.epoch
-        assert created > before
+        created = table.index_epoch, db.plan_epoch
+        assert created[0] > before[0] and created[1] > before[1]
         # Idempotent re-create of an existing index changes nothing.
         table.create_index(("age",))
-        assert db.epoch == created
+        assert (table.index_epoch, db.plan_epoch) == created
         table.drop_index(("age",))
-        assert db.epoch > created
+        assert table.index_epoch > created[0] and db.plan_epoch > created[1]
 
     def test_table_create_and_drop_bump_epoch(self):
         db = _db()
-        before = db.epoch
+        before = db.structure_version, db.plan_epoch
         db.create_table(TableSchema.build("extra", [("x", DataType.INTEGER)]))
-        created = db.epoch
-        assert created > before
+        created = db.structure_version, db.plan_epoch
+        assert created[0] > before[0] and created[1] > before[1]
         db.drop_table("extra")
-        assert db.epoch > created
+        assert db.structure_version > created[0] and db.plan_epoch > created[1]
 
     def test_epoch_never_rewinds_on_drop_table(self):
         # The dropped table's version/index contributions fold into the
-        # structure version, so the epoch stays strictly monotone.
+        # structure version, so plan_epoch stays strictly monotone.
         db = _db()
         db.create_table(TableSchema.build("scratch", [("x", DataType.INTEGER)]))
         db.insert("scratch", [{"x": i} for i in range(10)])
         db.table("scratch").create_index(("x",))
-        peak = db.epoch
+        peak = db.plan_epoch
         db.drop_table("scratch")
-        assert db.epoch > peak
+        assert db.plan_epoch > peak
 
 
 class TestZoneMapCertificates:

@@ -142,4 +142,4 @@ class TestOptimizerEquivalence:
         db = _load(rows)
         predicate = BinaryOp("<", Identifier.of("age"), Literal(cutoff))
         plan = Select(Union((Scan("t"), Scan("t"))), predicate)
-        assert optimize(plan).execute(db) == plan.execute(db)
+        assert optimize(plan, db).execute(db) == plan.execute(db)

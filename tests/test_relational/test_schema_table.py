@@ -14,6 +14,13 @@ def patients_schema() -> TableSchema:
     )
 
 
+def _indexed(table, columns, key):
+    """The rows ``table``'s index on exactly ``columns`` holds at ``key``."""
+    index = table.matching_index(columns)
+    assert index is not None and index.columns == tuple(columns)
+    return list(table.rows_at(index.lookup(key)))
+
+
 class TestTableSchema:
     def test_build_from_pairs(self):
         schema = patients_schema()
@@ -141,7 +148,7 @@ class TestTableUpdateDelete:
         assert table.rows() == [{"id": i, "a": i, "b": i} for i in range(5)]
         assert table.version == 5
         assert calls == []
-        assert table.lookup(("id",), (2,)) == [{"id": 2, "a": 2, "b": 2}]
+        assert _indexed(table, ("id",), (2,)) == [{"id": 2, "a": 2, "b": 2}]
 
     def test_a_predicate_that_raises_changes_nothing(self):
         table, calls = self._pairs()
@@ -186,8 +193,8 @@ class TestTableUpdateDelete:
         table, calls = self._pairs()
         assert table.update(lambda r: r["id"] == 4, {"id": 9, "b": None}) == 1
         assert table.update(lambda r: r["id"] == 3, {"id": 3, "a": 7}) == 1
-        assert table.lookup(("id",), (9,)) == [{"id": 9, "a": 4, "b": None}]
-        assert table.lookup(("id",), (3,)) == [{"id": 3, "a": 7, "b": 3}]
+        assert _indexed(table, ("id",), (9,)) == [{"id": 9, "a": 4, "b": None}]
+        assert _indexed(table, ("id",), (3,)) == [{"id": 3, "a": 7, "b": 3}]
         assert table.version == 7
         assert calls == ["update", "update"]
 
@@ -212,26 +219,21 @@ class TestIndexes:
             [{"id": i, "smoker": i % 2 == 0} for i in range(1, 11)]
         )
         table.create_index(("smoker",))
-        rows = table.lookup(("smoker",), (True,))
+        rows = _indexed(table, ("smoker",), (True,))
         assert {r["id"] for r in rows} == {2, 4, 6, 8, 10}
-
-    def test_lookup_without_index_scans(self):
-        table = Table(patients_schema())
-        table.insert({"id": 1, "name": "Ada"})
-        assert table.lookup(("name",), ("Ada",))[0]["id"] == 1
 
     def test_pk_lookup(self):
         table = Table(patients_schema())
         table.insert_many([{"id": i} for i in range(1, 6)])
-        assert table.lookup(("id",), (3,))[0]["id"] == 3
+        assert _indexed(table, ("id",), (3,))[0]["id"] == 3
 
     def test_index_stays_fresh_after_update(self):
         table = Table(patients_schema())
         table.insert({"id": 1, "name": "Ada"})
         table.create_index(("name",))
         table.update(lambda r: True, {"name": "Grace"})
-        assert table.lookup(("name",), ("Grace",))
-        assert not table.lookup(("name",), ("Ada",))
+        assert _indexed(table, ("name",), ("Grace",))
+        assert not _indexed(table, ("name",), ("Ada",))
 
     def test_index_on_unknown_column_rejected(self):
         with pytest.raises(SchemaError):

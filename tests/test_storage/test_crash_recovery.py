@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.relational.algebra import Sort
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, prepare_stream_plan
 from repro.storage.crashtest import (
@@ -175,12 +176,12 @@ class TestRecoveredExecution:
         _crash_child(tmp_path, seed=31, kill="torn:250")
         store = DurableStore(tmp_path)
         try:
-            plan = (
+            plan = Sort(
                 Query.table("events")
                 .where("score >= 1.0 AND flagged = TRUE")
                 .select("id", "kind", "score")
-                .order_by("-score", "id")
-                .plan
+                .plan,
+                (("score", False), ("id", True)),
             )
             db = store.db
             expected = execute_interpreted(plan, db)

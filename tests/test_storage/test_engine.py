@@ -16,6 +16,7 @@ from repro.errors import IntegrityError, RecoveryError, ReproError
 from repro.guava import GuavaSource
 from repro.patterns import NaivePattern, PatternChain
 from repro.relational.database import Database
+from repro.relational.algebra import Sort
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import Query, optimize, prepare_stream_plan
 from repro.relational.schema import Column, TableSchema, schema_to_doc
@@ -80,7 +81,7 @@ class TestReopenFidelity:
         expected = (
             table.version,
             table.index_epoch,
-            store.db.epoch,
+            store.db.plan_epoch,
             store.db.structure_version,
         )
         store.close()
@@ -89,7 +90,7 @@ class TestReopenFidelity:
         assert (
             got.version,
             got.index_epoch,
-            reopened.db.epoch,
+            reopened.db.plan_epoch,
             reopened.db.structure_version,
         ) == expected
         reopened.close()
@@ -97,12 +98,12 @@ class TestReopenFidelity:
     def test_all_four_executors_agree_on_recovered_db(self, tmp_path):
         store = DurableStore(tmp_path)
         _populate(store)
-        plan = (
+        plan = Sort(
             Query.table("events")
             .where("score >= 2.0 AND kind <> 'k3'")
             .select("id", "kind", "score")
-            .order_by("-score", "id")
-            .plan
+            .plan,
+            (("score", False), ("id", True)),
         )
         expected = execute_interpreted(plan, store.db)
         store.close()

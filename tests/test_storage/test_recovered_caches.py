@@ -60,20 +60,20 @@ class TestRestoreDropsCaches:
 class TestRecoveredStoreRebuilds:
     def test_plan_cache_cannot_cross_recovery(self, tmp_path):
         """The recovered database starts with an empty plan cache, and the
-        recovered epoch keys any new entries, so a pre-crash cached plan
+        recovered plan epoch keys any new entries, so a pre-crash cached plan
         can never serve a post-recovery query."""
         store = DurableStore(tmp_path)
         table = store.db.create_table(_schema())
         _fill(table, 30)
         query = Query.table("t").where("kind = 'a'").select("id")
         before = query.execute(store.db)  # populates the plan cache
-        epoch = store.db.epoch
+        epoch = store.db.plan_epoch
         store.commit()
         store.close()
         reopened = DurableStore(tmp_path)
         try:
             assert reopened.db.plan_cache_get("anything", epoch) is None
-            assert reopened.db.epoch == epoch
+            assert reopened.db.plan_epoch == epoch
             assert reopened.db.plan_cache_get("anything", epoch) is None
             assert query.execute(reopened.db) == before
         finally:

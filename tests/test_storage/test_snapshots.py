@@ -48,6 +48,13 @@ def _typed_db(rows=10) -> Database:
     return db
 
 
+def _indexed(table, columns, key):
+    """The rows ``table``'s index on exactly ``columns`` holds at ``key``."""
+    index = table.matching_index(columns)
+    assert index is not None and index.columns == tuple(columns)
+    return list(table.rows_at(index.lookup(key)))
+
+
 def test_roundtrip_preserves_rows_types_and_order(tmp_path):
     db = _typed_db(50)
     path = write_snapshot(db, tmp_path, lsn=42)
@@ -65,11 +72,9 @@ def test_roundtrip_preserves_counters_exactly(tmp_path):
     table.create_index(("name",))
     table.update(lambda r: r["id"] < 5, {"score": 0.0})
     expected = (table.version, table.index_epoch)
-    expected_epoch = db.epoch
     loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
     got = loaded.table("mixed")
     assert (got.version, got.index_epoch) == expected
-    assert loaded.epoch == expected_epoch
     assert loaded.structure_version == db.structure_version
 
 
@@ -79,8 +84,9 @@ def test_roundtrip_restores_index_metadata_and_lookups(tmp_path):
     loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
     table = loaded.table("mixed")
     assert table.secondary_index_columns() == [("name", "ok")]
-    assert table.lookup(("name", "ok"), ("n1", False)) == db.table("mixed").lookup(
-        ("name", "ok"), ("n1", False)
+    key = ("n1", False)
+    assert _indexed(table, ("name", "ok"), key) == _indexed(
+        db.table("mixed"), ("name", "ok"), key
     )
 
 

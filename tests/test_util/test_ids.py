@@ -1,6 +1,6 @@
-"""Tests for id generation and slugs."""
+"""Tests for name slugs."""
 
-from repro.util import IdGenerator, slugify
+from repro.util import slugify
 
 
 class TestSlugify:
@@ -16,20 +16,3 @@ class TestSlugify:
     def test_already_clean(self):
         assert slugify("smoking") == "smoking"
 
-
-class TestIdGenerator:
-    def test_sequential_per_prefix(self):
-        gen = IdGenerator()
-        assert gen.next("proc") == "proc_1"
-        assert gen.next("proc") == "proc_2"
-
-    def test_prefixes_independent(self):
-        gen = IdGenerator()
-        gen.next("a")
-        assert gen.next("b") == "b_1"
-
-    def test_reset(self):
-        gen = IdGenerator()
-        gen.next("a")
-        gen.reset()
-        assert gen.next("a") == "a_1"

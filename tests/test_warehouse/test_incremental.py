@@ -434,7 +434,6 @@ class TestSharedDatabase:
 
     def test_feed_from_whole_database_versions_falls_back(self, small_world, cori):
         from repro.guava.source import ChangeFeedState
-        from repro.relational import database_version
 
         warehouse = Warehouse(db=cori.db)
         strategy = FullStrategy(make_job(small_world, cori), warehouse)
@@ -442,7 +441,11 @@ class TestSharedDatabase:
         # A feed recovered from a tree that versioned the whole database:
         # its accounted version counts the warehouse table too.
         legacy = ChangeFeedState.from_doc(
-            {"floor": 0, "accounted": database_version(cori.db), "log": []}
+            {
+                "floor": 0,
+                "accounted": sum(table.version for table in cori.db),
+                "log": [],
+            }
         )
         assert legacy.accounted != cori.data_version()
         cori.adopt_feed(legacy)

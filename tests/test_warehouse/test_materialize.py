@@ -223,18 +223,3 @@ class TestWarehouseAndQuerying:
     def test_unknown_table_rejected(self):
         with pytest.raises(WarehouseError):
             StudyTableQuery(Warehouse(), "ghost")
-
-    def test_aggregate(self, job):
-        from repro.relational import AggregateSpec
-
-        warehouse = Warehouse()
-        FullStrategy(job, warehouse).build()
-        rows = (
-            StudyTableQuery(warehouse, "mat_procedure")
-            .aggregate(
-                ["cori_habits_cancer"], AggregateSpec("COUNT", None, "n")
-            )
-            .run()
-        )
-        total = sum(row["n"] for row in rows)
-        assert total == len(warehouse.table("mat_procedure"))
