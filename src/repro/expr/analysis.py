@@ -23,26 +23,13 @@ from repro.expr.ast import (
     Literal,
     UnaryOp,
 )
-from repro.expr.memo import IdentityMemo
-
-
-_IDENTIFIERS: IdentityMemo[frozenset[str]] = IdentityMemo()
 
 
 def referenced_identifiers(expr: Expression) -> frozenset[str]:
-    """Dotted names of every identifier mentioned anywhere in ``expr``.
-
-    Walked once per AST object (ASTs are frozen; see :mod:`repro.expr.memo`).
-    """
-    names = _IDENTIFIERS.get(expr)
-    if names is None:
-        names = _IDENTIFIERS.put(
-            expr,
-            frozenset(
-                node.name for node in expr.walk() if isinstance(node, Identifier)
-            ),
-        )
-    return names
+    """Dotted names of every identifier mentioned anywhere in ``expr``."""
+    return frozenset(
+        node.name for node in expr.walk() if isinstance(node, Identifier)
+    )
 
 
 def to_dnf(expr: Expression) -> list[list[Expression]]:

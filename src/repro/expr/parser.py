@@ -25,8 +25,6 @@ Grammar (precedence low to high)::
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.errors import ParseError
 from repro.expr.ast import (
     BinaryOp,
@@ -61,23 +59,13 @@ def parse(source: str) -> Expression:
     input, on input nested deeper than the interpreter's recursion limit
     allows or whose AST would be deeper than :data:`MAX_DEPTH`, and on
     input that is not a ``str``.  The result round-trips:
-    ``parse(e.to_source()) == e``.
-
-    Results are memoized on the source text.  ASTs are frozen, so sharing
-    one is safe, and a rebuilt study definition gets the very AST objects
-    it had before — which keeps every identity memo keyed on them warm
-    (:mod:`repro.expr.memo`): compiled closures, fingerprint texts and
-    identifier sets are computed once per AST.  Errors are never cached.
+    ``parse(e.to_source()) == e``.  Each call parses afresh: definitions
+    parse their texts once when they are built, not per record.
     """
     if not isinstance(source, str):
         raise ParseError(
             f"expression source must be a str, not {type(source).__name__}"
         )
-    return _parse_text(source)
-
-
-@lru_cache(maxsize=4096)
-def _parse_text(source: str) -> Expression:
     try:
         expr = _Parser(tokenize(source)).parse()
     except RecursionError:

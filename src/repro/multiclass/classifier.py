@@ -19,13 +19,11 @@ from repro.expr.evaluator import Evaluator
 from repro.expr.parser import parse
 from repro.guava.gtree import GTree
 from repro.multiclass.domain import Domain
-from repro.relational.types import MEMO_LIMIT
 from repro.util.annotations import Annotated
 
 Environment = dict[str, object]
 CompiledClassifier = Callable[[Environment], object]
 
-_MISS = object()
 _EVALUATOR = Evaluator()
 
 F = TypeVar("F", bound="Freezable")
@@ -74,12 +72,10 @@ class Rule:
     def of(cls, output: str | Expression, guard: str | Expression) -> "Rule":
         """A rule from source text or ASTs.
 
-        Each call builds a new ``Rule``; its ASTs are the parse memo's
-        (:func:`~repro.expr.parser.parse` keeps one AST per text).  A
-        rebuilt classifier holds the very ``Rule`` objects of the one
-        before when both come from one catalogue entry, which parses its
-        texts once (``ClassifierDefinition.rules``), so every identity
-        memo keyed on them stays warm.
+        Each call parses its texts afresh.  A rebuilt classifier holds the
+        very ``Rule`` objects of the one before when both come from one
+        catalogue entry, which parses its texts once
+        (``ClassifierDefinition.rules``).
         """
         return cls(
             parse(output) if isinstance(output, str) else output,
@@ -145,25 +141,11 @@ class Classifier(Freezable, Annotated):
         Compile once per run and call the closure per record: the rule
         closures are resolved here, not per record.  First satisfied guard
         wins, the domain check runs only on the rule that fired, and no
-        satisfied guard yields NULL.  The rules are lowered on each call;
-        their referenced names are kept per AST object
-        (:mod:`repro.expr.memo`).
-
-        Classification is a pure function of the referenced names' values,
-        and most classifiers read coded answers that take few distinct
-        combinations, so the closure memoizes per combination (hit shares
-        per site are in EXPERIMENTS.md, "Classify once, extract once").  A
-        classifier over near-unique inputs (a date, a free-text field)
-        would pay the key and the lookup on every record for nothing, so
-        once the memo holds :data:`MEMO_LIMIT` combinations the closure
-        drops it and evaluates directly for the rest of the run.  The key
-        holds the values *and* their types: ``True == 1 == 1.0`` hash
-        alike, yet ``x = 1`` and a ``TRUE`` guard treat them differently.
-        Records that lack a referenced name (the evaluator would resolve it
-        by dotted suffix, which the key cannot see) or carry an unhashable
-        value bypass the memo.  Errors, including a
+        satisfied guard yields NULL.  Errors, including a
         :class:`~repro.errors.DomainError` from an out-of-domain output,
-        propagate and are never cached.
+        propagate.  Nothing is kept between records: a read keeps its
+        classified rows (``GuavaSource.execute``'s result memo), so each
+        record is classified once per data version.
         """
         rules = [
             (compile_predicate(rule.guard), compile_expression(rule.output))
@@ -171,43 +153,12 @@ class Classifier(Freezable, Annotated):
         ]
         check = domain.check if domain is not None else None
 
-        def evaluate(env: Environment) -> object:
+        def classify(env: Environment) -> object:
             for guard, output in rules:
                 if guard(env):
                     value = output(env)
                     return value if check is None else check(value)
             return None
-
-        names = tuple(
-            sorted(
-                set().union(
-                    *(
-                        referenced_identifiers(expr)
-                        for rule in self.rules
-                        for expr in (rule.guard, rule.output)
-                    )
-                )
-            )
-        )
-        memo: dict[tuple, object] | None = {}
-
-        def classify(env: Environment) -> object:
-            nonlocal memo
-            if memo is None:
-                return evaluate(env)
-            try:
-                values = tuple([env[name] for name in names])
-                key = (values, tuple(map(type, values)))
-                value = memo.get(key, _MISS)
-            except (KeyError, TypeError):
-                return evaluate(env)
-            if value is _MISS:
-                value = evaluate(env)
-                if len(memo) < MEMO_LIMIT:
-                    memo[key] = value
-                else:
-                    memo = None
-            return value
 
         return classify
 

@@ -55,6 +55,3 @@ class HashIndex:
         """Recompute the index from scratch (after bulk deletes)."""
         self._buckets.clear()
         self.add_keys(self.keys_of(rows), 0)
-
-    def __len__(self) -> int:
-        return sum(len(positions) for positions in self._buckets.values())

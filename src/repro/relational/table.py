@@ -140,9 +140,6 @@ class Table:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows())
-
     # -- writing -------------------------------------------------------------
 
     def insert(self, values: Mapping[str, object]) -> Row:

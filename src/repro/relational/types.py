@@ -144,14 +144,7 @@ _NATIVE_TYPES: dict[str, type] = {
     DataType.DATE.value: date,
 }
 
-#: Distinct inputs a per-run memo keeps before it drops the memo and
-#: computes directly: one :class:`Converter`'s text inputs, or one compiled
-#: classifier's input combinations (``Classifier.compile``).
-MEMO_LIMIT = 1024
-
-_MISS = object()
 _NONE_TYPE = type(None)
-_TEXT_OR_NULL = frozenset((str, _NONE_TYPE))
 
 
 def unchanged_by_coerce(
@@ -172,72 +165,31 @@ def unchanged_by_coerce(
 
 
 class Converter:
-    """``dtype.coerce`` for one execution of one column, with a text memo.
+    """``dtype.coerce`` for one column, with native values passed through.
 
     Values of the type's native class (``int`` for INTEGER, ``date`` for
     DATE, ... compared by exact type; finite floats for FLOAT) come back
-    unchanged, as ``coerce`` returns them.  Text inputs to a non-TEXT type
-    are parsed once per distinct string: stored EAV answers repeat
-    ("true", "2", ...), so a repeat costs one dict probe (99% of the rows
-    of CORI's boolean answers are repeats; EXPERIMENTS.md).  The memo is
-    keyed by the exact ``str`` only, so ``1``, ``True`` and ``"1"`` never
-    share an entry.  A column of near-unique strings (dates) would pay for
-    the memo on every row, so once it meets more than :data:`MEMO_LIMIT`
-    distinct strings it drops the memo and parses directly for the rest of
-    the execution.
-    Errors propagate from ``coerce`` with its exact message and are never
-    cached.
+    unchanged, as ``coerce`` returns them; everything else goes through
+    ``coerce``, errors included, with its exact message.
     """
 
-    __slots__ = ("coerce", "native", "memo")
+    __slots__ = ("coerce", "native")
 
     def __init__(self, dtype: DataType):
         self.coerce = dtype.coerce
         self.native = dtype.native
-        self.memo: dict[object, object] | None = (
-            None if self.native is str else {}
-        )
 
     def __call__(self, value: object) -> object:
-        kind = type(value)
-        if kind is self.native:
-            if kind is not float or isfinite(value):  # type: ignore[arg-type]
-                return value
-        elif value is None:
+        native = self.native
+        if type(value) is native and (
+            native is not float or isfinite(value)  # type: ignore[arg-type]
+        ):
             return value
-        memo = self.memo
-        if kind is not str or memo is None:
-            return self.coerce(value)
-        result = memo.get(value, _MISS)
-        if result is _MISS:
-            result = self.coerce(value)
-            if len(memo) < MEMO_LIMIT:
-                memo[value] = result
-            else:
-                self.memo = None
-        return result
+        return self.coerce(value)
 
     def column(self, values: Sequence[object]) -> list[object]:
-        """``[self(value) for value in values]``, always a fresh list.
-
-        An all-text column is converted per *distinct* string, in order of
-        first occurrence (so a bad value raises exactly where the row loop
-        would), then mapped through the memo at C speed.
-        """
+        """``[self(value) for value in values]``, always a fresh list."""
         kinds = set(map(type, values))
         if unchanged_by_coerce(values, self.native, kinds):
             return list(values)
-        memo = self.memo
-        if memo is not None and kinds <= _TEXT_OR_NULL:
-            fresh = [
-                value
-                for value in dict.fromkeys(values)
-                if value is not None and value not in memo
-            ]
-            if len(memo) + len(fresh) <= MEMO_LIMIT:
-                coerce = self.coerce
-                for value in fresh:
-                    memo[value] = coerce(value)
-                return list(map(memo.get, values))
-            self.memo = None
-        return [self(value) for value in values]
+        return list(map(self, values))

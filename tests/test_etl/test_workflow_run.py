@@ -1,4 +1,4 @@
-"""The serial workflow walk: run reports, the classify memo, and the
+"""The serial workflow walk: run reports, typed classification, and the
 aliasing contract of the rows a run hands out (``etl/components.py``).
 """
 
@@ -85,7 +85,8 @@ class TestReportSummary:
 
 
 class TestClassifyMemo:
-    """The compiled classifier's memo keys on value *and* type."""
+    """The compiled classifier, like ``explain``, tells ``True``, ``1`` and
+    ``1.0`` apart."""
 
     def test_true_one_and_float_one_classify_apart(self):
         classifier = Classifier(

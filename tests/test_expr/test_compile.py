@@ -69,6 +69,14 @@ class TestUnitEquivalence:
         assert compile_predicate(expr)({"age": None}) is False
         assert compile_predicate(expr)({"age": 64}) is True
 
+    def test_equal_literals_compile_apart(self):
+        # ``Literal(0) == Literal(False)`` under dataclass equality.
+        zero, false = Literal(0), Literal(False)
+        for _ in range(2):  # each call lowers its literal afresh
+            value = compile_expression(zero)({})
+            assert type(value) is int and value == 0
+            assert compile_expression(false)({}) is False
+
     def test_custom_registry_not_memoized_into_default_cache(self):
         from repro.expr.functions import default_registry
 

@@ -30,6 +30,11 @@ class TestLiterals:
         assert parse("FALSE") == Literal(False)
         assert parse("NULL") == Literal(None)
 
+    def test_one_and_true_parse_apart(self):
+        # ``Literal(1) == Literal(True)`` under dataclass equality.
+        assert parse("x = 1").right.value is 1
+        assert parse("x = TRUE").right.value is True
+
 
 class TestIdentifiers:
     def test_simple(self):
@@ -155,17 +160,6 @@ class TestErrors:
         for _ in range(3):
             with pytest.raises((ParseError, LexError)):
                 parse(source)
-
-
-class TestMemo:
-    def test_same_text_shares_one_ast(self):
-        assert parse("a = 1 AND b IS NULL") is parse("a = 1 AND b IS NULL")
-
-    def test_memo_keys_on_exact_text(self):
-        # ``Literal(1) == Literal(True)`` under dataclass equality, so an
-        # equality-keyed memo would alias these two; a text key cannot.
-        assert parse("x = 1").right.value is 1
-        assert parse("x = TRUE").right.value is True
 
 
 class TestRoundTrip:

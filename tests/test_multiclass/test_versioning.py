@@ -1,8 +1,18 @@
 """Tests for classifier propagation across tool versions (paper §6)."""
 
+import pytest
+
 from repro.guava import derive_gtree
 from repro.multiclass import Classifier, Rule, propagate_classifiers
-from repro.ui import CheckBox, Form, NumericBox, RadioGroup, ReportingTool
+from repro.ui import (
+    CheckBox,
+    Control,
+    Form,
+    GroupBox,
+    NumericBox,
+    RadioGroup,
+    ReportingTool,
+)
 
 
 def tool_v1() -> ReportingTool:
@@ -22,11 +32,13 @@ def tool_v2(
     rename_packs: bool = False,
     extend_smoking: bool = False,
     reword_hypoxia: bool = False,
+    packs: Control | None = None,
 ) -> ReportingTool:
     smoking_choices = ["Never", "Current"] + (["Previous"] if extend_smoking else [])
     controls = [
         RadioGroup("smoking", "Does the patient smoke?", choices=smoking_choices),
-        NumericBox(
+        packs
+        or NumericBox(
             "packs_per_day" if rename_packs else "packs",
             "Packs per day",
             integer=False,
@@ -86,6 +98,28 @@ class TestPropagation:
         report = propagate_classifiers(old, new, [classifier])
         assert len(report.flagged) == 1
         assert report.flagged[0][1][0].kind == "question"
+
+    @pytest.mark.parametrize(
+        "packs,detail",
+        [
+            (
+                NumericBox("packs", "Packs per day", integer=True),
+                "stored type changed float -> integer",
+            ),
+            (GroupBox("packs", "Packs per day"), "stored type changed float -> none"),
+        ],
+        ids=["float-to-integer", "float-to-layout"],
+    )
+    def test_stored_type_change_flags(self, packs, detail):
+        old, new = trees(tool_v2(packs=packs))
+        classifier = classifier_on(("packs", "packs > 0"))
+        report = propagate_classifiers(old, new, [classifier])
+        # The node is still there, so the classifier is flagged, not broken.
+        assert not report.propagated and not report.broken
+        assert [c for c, _ in report.flagged] == [classifier]
+        [change] = report.flagged[0][1]
+        assert (change.node, change.kind, change.detail) == ("packs", "type", detail)
+        assert change.suggestion is None
 
     def test_mixed_set_sorted_into_buckets(self):
         old, new = trees(tool_v2(rename_packs=True, extend_smoking=True))

@@ -1,12 +1,12 @@
 """Tests for column types and coercion."""
 
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 
 import pytest
 
 from repro.errors import TypeMismatchError
 from repro.relational import DataType
-from repro.relational.types import MEMO_LIMIT, Converter
+from repro.relational.types import Converter
 
 
 class TestInteger:
@@ -156,7 +156,7 @@ class TestErrorMessagesPerMember:
 
 
 class TestConverter:
-    """The per-execution converter behind both Coerce executors."""
+    """The per-column converter behind ``Coerce`` and bulk loads."""
 
     @pytest.mark.parametrize("dtype", list(DataType), ids=lambda d: d.name)
     def test_matches_coerce_value_and_type(self, dtype):
@@ -174,6 +174,12 @@ class TestConverter:
                 assert ("ok", type(result), result) == want
             except TypeMismatchError as exc:
                 assert ("err", str(exc)) == want
+        # The column path, over the values that convert, twice over.
+        good = [value for value, want in zip(values, expected) if want[0] == "ok"] * 2
+        column = converter.column(good)
+        assert [("ok", type(v), v) for v in column] == [
+            want for want in expected if want[0] == "ok"
+        ] * 2
 
     def test_column_is_always_a_fresh_list(self):
         values = [1, 2, None]
@@ -183,24 +189,11 @@ class TestConverter:
 
     def test_errors_are_not_memoized(self):
         converter = Converter(DataType.INTEGER)
-        for _ in range(2):
-            with pytest.raises(TypeMismatchError, match="'x'"):
-                converter.column(["1", "x"])
-        assert converter.memo == {"1": 1}
-
-    def test_near_unique_text_drops_the_memo(self):
-        texts = [(date(2000, 1, 1) + timedelta(days=i)).isoformat() for i in range(3000)]
-        for convert in (
-            lambda converter: converter.column(texts),
-            lambda converter: [converter(text) for text in texts],
-        ):
-            converter = Converter(DataType.DATE)
-            assert convert(converter) == [DataType.DATE.coerce(text) for text in texts]
-            assert converter.memo is None
-
-    def test_repeated_text_stays_memoized(self):
-        converter = Converter(DataType.BOOLEAN)
-        for _ in range(3):
-            assert converter.column(["yes", " N", None] * 500) == [True, False, None] * 500
-        assert converter.memo is not None
-        assert len(converter.memo) <= MEMO_LIMIT
+        message = (
+            "cannot coerce 'x' to integer: invalid literal for int() with base 10: 'x'"
+        )
+        for convert in (converter.column, lambda values: list(map(converter, values))):
+            for _ in range(2):
+                with pytest.raises(TypeMismatchError) as raised:
+                    convert(["1", "x"])
+                assert str(raised.value) == message
