@@ -202,8 +202,9 @@ class StorageError(ReproError):
 class WalCorruptionError(StorageError):
     """Raised when the write-ahead log holds a corrupt *non-tail* frame.
 
-    A torn tail (the file ends mid-frame, the expected outcome of a crash
-    during an append) is tolerated and truncated; corruption anywhere a
+    A torn tail (a frame cut short by the end of the file or by the
+    reserve's zeros, the expected outcome of a crash during an append) is
+    tolerated and truncated; corruption anywhere a
     complete frame should be — a bad magic, a failed CRC over a complete
     frame — means a committed region was damaged and recovery must fail
     loudly rather than silently drop a durable write.

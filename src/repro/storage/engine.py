@@ -74,6 +74,7 @@ from repro.storage.snapshots import (
 from repro.storage.wal import (
     AppendHook,
     WriteAheadLog,
+    _fsync_directory,
     list_segments,
     prune_segments,
     read_segments,
@@ -186,7 +187,9 @@ class DurableStore:
         append_hook: AppendHook | None = None,
     ):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if not self.directory.is_dir():
+            self.directory.mkdir(parents=True, exist_ok=True)
+            _fsync_directory(self.directory.parent)
         self.name = name
         self.snapshots_kept = snapshots_kept
         self._meta: dict[str, dict] = {}
@@ -298,10 +301,11 @@ class DurableStore:
         self._active_segment = self.directory / segment_name(self._next_lsn)
         if read:
             tail = read[-1]
-            if report.discarded_uncommitted or report.torn_bytes:
+            if os.path.getsize(tail["path"]) > tail["commit_end"]:
                 # Rotation follows a commit, so a torn or uncommitted tail
-                # lies in the last segment: cut it off in place, so the
-                # LSNs handed out next don't collide with dead frames.
+                # and an unused reserve lie in the last segment: cut them
+                # off in place, so the LSNs handed out next don't collide
+                # with dead frames and appends resume at the last commit.
                 with open(tail["path"], "r+b") as handle:
                     handle.truncate(tail["commit_end"])
                     os.fsync(handle.fileno())

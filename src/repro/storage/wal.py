@@ -17,23 +17,39 @@ every sealed segment ends with a commit and the segments chain without
 gaps: each one's name is one past the previous one's last LSN.  Old
 segments are deleted whole (:func:`prune_segments`), never rewritten.
 
-**Torn-tail tolerance vs. corruption.**  A crash mid-append leaves a
-strict *prefix* of the intended frame bytes at the physical end of the
-active segment (appends are sequential; nothing valid can follow a torn
-write).  Replay therefore distinguishes:
+**Reserve.**  A commit's fsync is cheapest when it rewrites blocks the
+file already has: an append past the end also has to journal the new
+size.  So the active segment keeps a zero-filled *reserve* ahead of its
+write position.  A durable sync that finds less than
+:data:`RESERVE_HEADROOM` of it left first zero-fills the file up to the
+next :data:`RESERVE_CHUNK` boundary, inside the same fsync; the commits
+after it overwrite zeros and leave the file's size alone.  The reserve
+is taken lazily (opening a log writes nothing, and ``fsync="never"``
+never syncs, so never reserves), and :meth:`WriteAheadLog.close`, hence
+:meth:`~WriteAheadLog.rotate`, cuts it off: sealed segments and cleanly
+closed logs end exactly at their last frame.
 
-* *torn tail* — the file ends inside a frame (header or payload cut
-  short), the magic prefix matches as far as bytes exist, or the
-  remaining bytes are all zero (filesystem zero-fill after a crash).
+**Torn-tail tolerance vs. corruption.**  A crash mid-append leaves a
+strict *prefix* of the intended frame bytes, followed by nothing (the
+end of the file) or by zeros (the reserve): appends are sequential, and
+nothing valid can follow a torn write.  Replay therefore distinguishes:
+
+* *clean end* — the remaining bytes are all zero: the unused reserve
+  (or a filesystem's zero-fill after a crash).  Nothing is torn.
+* *torn tail* — a frame whose written bytes stop before its end (header
+  or payload cut short), followed only by zeros or by the end of the
+  file, with no valid frame after it.  A frame is complete only when its
+  last byte is non-zero, since a JSON payload never ends in a zero byte.
   Tolerated in the last segment only: replay stops at the last complete
   frame, and recovery cuts the file back in place.
 * *corruption* — a complete frame whose CRC or JSON fails, a magic
-  mismatch, or a bad region with any valid frame *after* it (a torn
-  write cannot be followed by durable bytes).  Raises
-  :class:`~repro.errors.WalCorruptionError`: a committed region was
-  damaged and recovery must fail loudly rather than silently drop a
-  durable write.  In a sealed segment any damage is corruption, torn
-  tails included: nothing was appending to it when the process died.
+  mismatch, non-zero bytes after a cut-short frame, or a bad region with
+  any valid frame *after* it (a torn write cannot be followed by durable
+  bytes).  Raises :class:`~repro.errors.WalCorruptionError`: a committed
+  region was damaged and recovery must fail loudly rather than silently
+  drop a durable write.  In a sealed segment any damage is corruption,
+  torn tails included: nothing was appending to it when the process
+  died.
 
 **Fsync policy** (:data:`FSYNC_POLICIES`): ``"commit"`` (default)
 fsyncs once per commit record — the classic group-commit durability
@@ -49,7 +65,7 @@ import re
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterator
 
 from repro.errors import RecoveryError, StorageError, WalCorruptionError
 
@@ -69,6 +85,14 @@ _PACK_HEADER = struct.Struct(">2sII").pack
 MAX_FRAME_PAYLOAD = 1 << 26  # 64 MiB
 
 FSYNC_POLICIES = ("commit", "always", "never")
+
+#: The reserve grows in whole chunks of zeros, so an active segment's size
+#: is a multiple of this while a reserve is held.
+RESERVE_CHUNK = 1 << 20  # 1 MiB
+
+#: A durable sync tops the reserve up when less than this is left ahead
+#: of the write position.
+RESERVE_HEADROOM = 1 << 16  # 64 KiB
 
 #: Segment files are named ``wal-<first lsn padded to 12>.log``.
 _SEGMENT_NAME = re.compile(r"wal-(\d{12,})\.log")
@@ -146,7 +170,10 @@ class WriteAheadLog:
         #: LSN the next appended record receives; the engine seeds it from
         #: recovery (last seen LSN + 1).
         self.next_lsn = 1
-        self._file = open(self.path, "ab")
+        self._file = _open_segment(self.path)
+        #: Where the zero-filled reserve ends (0: none taken since the file
+        #: was opened).
+        self._reserved = 0
         self.appended_records = 0
         self.appended_bytes = 0
         self.syncs = 0
@@ -182,9 +209,24 @@ class WriteAheadLog:
         self._file.flush()
 
     def sync(self) -> None:
-        """Flush buffers and fsync the file (an explicit durability point)."""
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        """Flush buffers and fsync the file (an explicit durability point).
+
+        Tops the reserve up first when it runs short, so the same fsync
+        makes the new zeros durable and the next commits overwrite them.
+        """
+        handle = self._file
+        handle.flush()
+        end = handle.tell()
+        if self._reserved - end < RESERVE_HEADROOM:
+            # Zeros already lie in [end, reserved); fill from past them to
+            # the chunk boundary beyond the headroom.
+            start = max(end, self._reserved)
+            chunks = (end + RESERVE_HEADROOM) // RESERVE_CHUNK + 1
+            self._reserved = chunks * RESERVE_CHUNK
+            handle.seek(start)
+            handle.write(bytes(self._reserved - start))
+            handle.seek(end)  # flushes the zeros
+        os.fsync(handle.fileno())
         self.syncs += 1
 
     def commit_sync(self) -> None:
@@ -199,16 +241,42 @@ class WriteAheadLog:
         """Seal the active segment and start ``wal-<next_lsn>.log``.
 
         Called right after a commit, so the sealed segment ends with a
-        commit record.  One directory fsync makes the new name durable.
+        commit record, cut back to its last frame.  Creating the new file
+        fsyncs the directory, which makes its name durable.
         """
         self.close()
         self.path = self.path.with_name(segment_name(self.next_lsn))
-        self._file = open(self.path, "ab")
-        _fsync_directory(self.path.parent)
+        self._file = _open_segment(self.path)
+        self._reserved = 0
 
     def close(self) -> None:
-        self._file.flush()
-        self._file.close()
+        """Flush and close the file, cutting off any reserve.
+
+        The cut is not fsynced: zeros past the last frame read as a clean
+        end, so a crash that undoes it loses nothing.
+        """
+        handle = self._file
+        handle.flush()
+        if self._reserved:
+            handle.truncate()  # at the write position: the last frame's end
+        handle.close()
+
+
+def _open_segment(path: Path) -> BinaryIO:
+    """Open a segment read-write (not append-only) at the end of its bytes.
+
+    Creating the file fsyncs its directory once, so the new name is
+    durable before the first commit to it returns; reopening an existing
+    segment does not.
+    """
+    try:
+        handle = open(path, "x+b")
+    except FileExistsError:
+        handle = open(path, "r+b")
+        handle.seek(0, os.SEEK_END)
+    else:
+        _fsync_directory(path.parent)
+    return handle
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -249,8 +317,9 @@ def _has_valid_frame_after(data: bytes, offset: int) -> bool:
 def read_wal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, int]]:
     """Replay a WAL file: (records in LSN order, tail report).
 
-    The tail report carries ``torn_bytes`` (crash-artifact bytes dropped
-    at the physical tail, 0 for a clean log), ``frames``, and
+    The tail report carries ``torn_bytes`` (the torn frame's bytes at the
+    physical tail, up to its last non-zero byte when zeros follow; 0 for
+    a log that ends cleanly, reserve or not), ``frames``, and
     ``commit_end``: the byte offset just past the last commit frame (0
     when there is none), where recovery cuts off an uncommitted tail.  Raises
     :class:`WalCorruptionError` under the rules in the module docstring,
@@ -268,19 +337,19 @@ def read_wal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, int]]:
     previous_lsn: int | None = None
     while offset < total:
         remaining = total - offset
-        if remaining < HEADER_LEN:
-            if data[offset:].startswith(MAGIC[:remaining]) or _all_zero(
-                data, offset
-            ):
-                torn = remaining  # a header cut short by the crash
-                break
-            raise WalCorruptionError(
-                f"{path}: unrecognized {remaining}-byte tail at offset {offset}"
-            )
-        if data[offset : offset + 2] != MAGIC:
+        if remaining < HEADER_LEN or data[offset : offset + 2] != MAGIC:
             if _all_zero(data, offset):
-                torn = remaining  # filesystem zero-fill after a crash
+                break  # the reserve: a clean end
+            if data.startswith(MAGIC[:remaining], offset):
+                torn = remaining  # a header cut short by the end of the file
                 break
+            if data[offset] == MAGIC[0] and _all_zero(data, offset + 1):
+                torn = 1  # a header cut short inside the reserve
+                break
+            if remaining < HEADER_LEN:
+                raise WalCorruptionError(
+                    f"{path}: unrecognized {remaining}-byte tail at offset {offset}"
+                )
             raise WalCorruptionError(f"{path}: bad frame magic at offset {offset}")
         length = int.from_bytes(data[offset + 2 : offset + 6], "big")
         end = offset + HEADER_LEN + length
@@ -288,19 +357,22 @@ def read_wal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, int]]:
             raise WalCorruptionError(
                 f"{path}: implausible frame length {length} at offset {offset}"
             )
-        if end > total:
+        payload = data[offset + HEADER_LEN : end]
+        crc = int.from_bytes(data[offset + 6 : offset + 10], "big")
+        if end > total or not data[end - 1] or zlib.crc32(payload) != crc:
+            # A frame is whole only if its last byte is non-zero; one cut
+            # short by the end of the file or by zeros is a torn append.
+            if end <= total and not _all_zero(data, end - 1):
+                raise WalCorruptionError(
+                    f"{path}: CRC mismatch in frame at offset {offset}"
+                )
             if _has_valid_frame_after(data, offset):
                 raise WalCorruptionError(
                     f"{path}: truncated frame at offset {offset} "
                     "with durable frames after it"
                 )
-            torn = remaining  # payload cut short by the crash
+            torn = remaining if end > total else len(data[offset:end].rstrip(b"\0"))
             break
-        payload = data[offset + HEADER_LEN : end]
-        if zlib.crc32(payload) != int.from_bytes(data[offset + 6 : offset + 10], "big"):
-            raise WalCorruptionError(
-                f"{path}: CRC mismatch in frame at offset {offset}"
-            )
         try:
             record = _loads(payload)
         except ValueError as exc:
@@ -398,7 +470,8 @@ def prune_segments(directory: Path, covered_lsn: int) -> list[Path]:
 
 
 def _all_zero(data: bytes, offset: int) -> bool:
-    return not any(data[offset:])
+    """True when every byte from ``offset`` on is zero (counted in C)."""
+    return data.count(0, offset) == max(len(data) - offset, 0)
 
 
 def iter_commits(records: list[dict[str, Any]]) -> Iterator[int]:

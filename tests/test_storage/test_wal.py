@@ -114,14 +114,27 @@ def test_every_truncation_point_is_tolerated_as_torn(tmp_path):
         assert (tail["torn_bytes"] > 0) == in_frame, f"cut at {cut}"
 
 
-def test_zero_filled_tail_is_torn(tmp_path):
+def test_zero_filled_tail_ends_cleanly(tmp_path):
+    """Zeros after the last frame are the reserve, not a crash artifact."""
     path = tmp_path / "wal.log"
     _write(path, [{"op": "commit"}])
     with open(path, "ab") as handle:
         handle.write(b"\x00" * 64)
     records, tail = read_wal(path)
     assert len(records) == 1
-    assert tail["torn_bytes"] == 64
+    assert tail["torn_bytes"] == 0
+
+
+def test_torn_frame_over_zeros_is_torn(tmp_path):
+    path = tmp_path / "wal.log"
+    _write(path, [{"op": "commit"}, {"op": "insert", "n": 2}])
+    data = path.read_bytes()
+    second = HEADER_LEN + int.from_bytes(data[2:6], "big")
+    cut = second + HEADER_LEN + 3  # three payload bytes of the second frame
+    path.write_bytes(data[:cut] + b"\x00" * 64)
+    records, tail = read_wal(path)
+    assert [r["lsn"] for r in records] == [1]
+    assert tail["torn_bytes"] == cut - second
 
 
 def test_garbage_tail_without_magic_is_loud(tmp_path):
