@@ -8,11 +8,6 @@ from repro.errors import SchemaError
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table, register_restore_listener
 
-#: A cached plan survives data mutations until the row count of a table
-#: whose bucket sizes chose it drifts by this fraction from the count at
-#: planning time (:meth:`Database.plan_cache_get`).
-PLANNING_STALENESS_FRACTION = 0.10
-
 #: Bumped on every table restore (snapshot load, WAL replay).  Restore can
 #: rewind a table's data version to one a result was memoized at while the
 #: extent holds other rows, so the result memo stamps entries with it.
@@ -46,10 +41,8 @@ class Database:
         self.name = name
         self._tables: dict[str, Table] = {}
         self._structure_version = 0
-        #: key -> (plan epoch, estimated row counts, plan).
-        self._plan_cache: dict[
-            str, tuple[int, tuple[tuple[str, int], ...], object]
-        ] = {}
+        #: key -> (plan epoch, plan).
+        self._plan_cache: dict[str, tuple[int, object]] = {}
         #: The result memo: key -> (validity stamp, kept rows, their state).
         #: ``GuavaSource`` reads, fills and bounds it (see
         #: ``GuavaSource._raw``); the database clears it with the plan cache.
@@ -93,44 +86,22 @@ class Database:
         return total
 
     def plan_cache_get(self, key: str, epoch: int) -> object | None:
-        """The plan cached under ``key`` if its planning assumptions hold.
+        """The plan cached under ``key`` if it was planned at ``epoch``.
 
-        An entry is valid when it was planned at :attr:`plan_epoch`
-        ``epoch`` (callers pass the current one) and every table whose
-        estimates planning consulted has a row count within
-        :data:`PLANNING_STALENESS_FRACTION` of the count at planning time.
-        Anything else is a miss.  No plan depends on an exact data
-        version: estimates only choose among equivalent plans.
+        Callers pass the current :attr:`plan_epoch`, so an entry stays
+        valid until the next table or index change; no plan depends on a
+        data version.  Anything else is a miss.
         """
         entry = self._plan_cache.get(key)
         if entry is None or entry[0] != epoch:
             return None
-        _, estimated, plan = entry
-        tables = self._tables
-        for name, rows in estimated:
-            table = tables.get(name)
-            if table is None or abs(len(table) - rows) > (
-                PLANNING_STALENESS_FRACTION * max(rows, 1)
-            ):
-                return None
-        return plan
+        return entry[1]
 
-    def plan_cache_put(
-        self,
-        key: str,
-        epoch: int,
-        plan: object,
-        estimated: Iterable[tuple[str, int]],
-    ) -> None:
-        """Cache ``plan`` as planned at :attr:`plan_epoch` ``epoch``.
-
-        ``estimated`` lists (table, row count) pairs of the tables whose
-        estimates chose among equivalent plans; :meth:`plan_cache_get`
-        checks them.
-        """
+    def plan_cache_put(self, key: str, epoch: int, plan: object) -> None:
+        """Cache ``plan`` as planned at :attr:`plan_epoch` ``epoch``."""
         if len(self._plan_cache) >= self.PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
-        self._plan_cache[key] = (epoch, tuple(estimated), plan)
+        self._plan_cache[key] = (epoch, plan)
 
     def plan_cache_clear(self) -> None:
         """Drop every cached plan and every memoized result."""

@@ -47,7 +47,6 @@ from repro.relational.algebra import (
     Union,
 )
 from repro.relational.database import Database
-from repro.relational.table import Table
 from repro.relational.types import DataType
 
 Row = dict[str, object]
@@ -106,11 +105,9 @@ def optimize(
     structural plan fingerprint.  An entry is planned once per *shape*,
     not once per data version: it stays valid while
     ``Database.plan_epoch`` (table create/drop, index create/drop) is
-    unchanged and no table an estimate consulted (bucket sizes choosing
-    among index paths) has drifted past ``PLANNING_STALENESS_FRACTION``
-    in row count, as recorded by :class:`_OptContext`.  An estimate only
-    picks among equivalent plans, so an index or table change always
-    replans while a plan that consulted no estimate survives every insert.
+    unchanged, so an index or table change replans and no insert does.
+    Where bucket sizes chose among two index paths, that choice holds
+    until the next index or table change.
     ``cache_key`` replaces the structural fingerprint with a caller-built
     key (GUAVA keys a g-tree query by its shape,
     :meth:`repro.guava.source.GuavaSource.execute`): the caller vouches
@@ -144,7 +141,7 @@ def optimize(
             ctx.trace = trace
             trace.set("plan_cache", "miss")
             optimized = _rewrite(plan, ctx)
-    db.plan_cache_put(key, epoch, optimized, ctx.estimated.items())
+    db.plan_cache_put(key, epoch, optimized)
     return optimized
 
 
@@ -378,25 +375,15 @@ def _fingerprint(value: object, emit: Callable[[str], None]) -> bool:
 
 
 class _OptContext:
-    """Column knowledge for the rewrite pass, and the data it consumed.
+    """Column knowledge for the rewrite pass."""
 
-    ``estimated`` is the plan-cache validity fact (see :func:`optimize`):
-    table → row count for every table whose estimates chose among
-    equivalent plans.
-    """
-
-    __slots__ = ("db", "trace", "_exec", "estimated")
+    __slots__ = ("db", "trace", "_exec")
 
     def __init__(self, db: Database):
         self.db = db
         #: The ``optimize`` span when tracing, else None (the common case).
         self.trace: Span | None = None
         self._exec = ExecContext(db)
-        self.estimated: dict[str, int] = {}
-
-    def consult(self, table: Table) -> None:
-        """Record that an estimate over ``table`` picked the plan."""
-        self.estimated.setdefault(table.schema.name, len(table))
 
     def note(self, rule: str, **data: object) -> None:
         """Count one applied rewrite (and log its decision data)."""
@@ -480,17 +467,6 @@ def _rewrite_select(plan: Select, ctx: _OptContext) -> Plan:
         ctx.note("select_merge")
         merged = BinaryOp("AND", child.predicate, plan.predicate)
         return _rewrite(Select(child.child, merged), ctx)
-    # A child lowered to an index path was chosen bottom-up, before this
-    # predicate arrived (e.g. a record-id IN probe pushed down from
-    # above).  Reconstruct the combined filter and re-lower jointly so
-    # the most selective access path wins.
-    if isinstance(child, (IndexLookup, InLookup)):
-        rebuilt = BinaryOp("AND", _lookup_predicate(child), plan.predicate)
-        lowered = _lower_index_lookup(rebuilt, Scan(child.table), ctx)
-        if lowered is not None:
-            ctx.note("select_relower_joint")
-            return lowered
-        return plan
     # Push below a projection when the predicate only reads surviving
     # columns (they exist below too, so evaluation is unchanged, and the
     # projection's own validity check still runs).
@@ -880,8 +856,6 @@ def _lower_index_lookup(
     }
     if not all(_never_raises(conjunct, types) for conjunct in rest):
         return None
-    if len(choices) > 1:
-        ctx.consult(table)
     ctx.note(
         "index_lowering",
         table=scan.table,
@@ -896,11 +870,7 @@ def _lower_index_lookup(
 
 
 def _lookup_predicate(lookup: IndexLookup | InLookup) -> Expression:
-    """The filter an already-lowered lookup node stands for.
-
-    Used to undo a bottom-up lowering so its conjuncts can compete with a
-    predicate pushed down later in one joint access-path choice.
-    """
+    """The filter an already-lowered lookup node stands for."""
     if isinstance(lookup, IndexLookup):
         return conjunction(
             [
@@ -933,24 +903,25 @@ def _rewrite_project(plan: Project, ctx: _OptContext) -> Plan:
 def prepare_stream_plan(
     plan: Plan, db: Database, *, cache_key: str | None = None
 ) -> Plan:
-    """Optimize ``plan`` for repeated streaming, building missing indexes.
+    """Optimize ``plan`` for repeated streaming, building the indexes its
+    membership probes read.
 
-    Equality filters that survive optimization directly over a base table
-    get a supporting hash index built (idempotent — ``create_index``
-    returns the existing one), then the plan is re-optimized so the
-    :class:`IndexLookup` lowering fires.  Index creation is invisible to
-    query semantics, but it is a side effect on the source database;
-    callers that must not build indexes (``Study.run`` previews and the
-    serial ETL path) call :func:`optimize` instead.  ``cache_key`` is
-    passed through to :func:`optimize`, so the settled plan is cached
-    under it.
+    Each ``col IN (literals)`` conjunct that survives optimization
+    directly over a base table (GUAVA's pushed-down ``record_id``
+    membership) gets a single-column hash index on ``col`` built, then the
+    plan is re-optimized so the :class:`InLookup` lowering fires.
+    Equality conjuncts get no index: only a hand-made one lowers them.
+    Index creation is invisible to query semantics, but it is a side
+    effect on the source database; callers that must not build indexes
+    (``Study.run`` previews and the serial ETL path) call :func:`optimize`
+    instead.  ``cache_key`` is passed through to :func:`optimize`, so the
+    settled plan is cached under it.
     """
     optimized = optimize(plan, db, cache_key=cache_key)
     built = False
     for node in _walk(optimized):
-        # A residual select above an already-lowered lookup counts too: an
-        # index on its columns lets re-optimization pick a more selective
-        # access path (the bucket-size choice needs the index to exist).
+        # A membership select above an already-lowered lookup counts too:
+        # the index still serves a delta patch's new-record probe.
         if not (
             isinstance(node, Select)
             and isinstance(node.child, (Scan, IndexLookup, InLookup))
@@ -960,14 +931,6 @@ def prepare_stream_plan(
             continue
         table = db.table(node.child.table)
         columns = set(table.schema.column_names)
-        eq_columns = [
-            item[0]
-            for conjunct in _conjuncts(node.predicate)
-            if (item := _equality_item(conjunct, columns)) is not None
-        ]
-        if eq_columns and table.matching_index(eq_columns) is None:
-            table.create_index(tuple(eq_columns))
-            built = True
         for conjunct in _conjuncts(node.predicate):
             probe = _in_list_item(conjunct, columns)
             if probe is not None and table.matching_index([probe[0]]) is None:

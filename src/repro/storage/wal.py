@@ -53,8 +53,8 @@ nothing valid can follow a torn write.  Replay therefore distinguishes:
 
 **Fsync policy** (:data:`FSYNC_POLICIES`): ``"commit"`` (default)
 fsyncs once per commit record — the classic group-commit durability
-point; ``"always"`` fsyncs every append (paranoid, slow); ``"never"``
-leaves flushing to the OS (fastest, durable only on clean close).
+point; ``"never"`` leaves flushing to the OS (fastest, durable only on
+clean close).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ _PACK_HEADER = struct.Struct(">2sII").pack
 #: length field must not masquerade as an absurdly long torn tail.
 MAX_FRAME_PAYLOAD = 1 << 26  # 64 MiB
 
-FSYNC_POLICIES = ("commit", "always", "never")
+FSYNC_POLICIES = ("commit", "never")
 
 #: The reserve grows in whole chunks of zeros, so an active segment's size
 #: is a multiple of this while a reserve is held.
@@ -93,6 +93,10 @@ RESERVE_CHUNK = 1 << 20  # 1 MiB
 #: A durable sync tops the reserve up when less than this is left ahead
 #: of the write position.
 RESERVE_HEADROOM = 1 << 16  # 64 KiB
+
+#: The reserve is zero-filled by writing this block over and over, so a
+#: fill never allocates a buffer of its own size.
+_ZERO_BLOCK = bytes(1 << 16)  # 64 KiB
 
 #: Segment files are named ``wal-<first lsn padded to 12>.log``.
 _SEGMENT_NAME = re.compile(r"wal-(\d{12,})\.log")
@@ -200,8 +204,6 @@ class WriteAheadLog:
         self.next_lsn = lsn + 1
         self.appended_records += 1
         self.appended_bytes += len(frame)
-        if self.fsync == "always":
-            self.sync()
         return lsn
 
     def flush(self) -> None:
@@ -224,7 +226,9 @@ class WriteAheadLog:
             chunks = (end + RESERVE_HEADROOM) // RESERVE_CHUNK + 1
             self._reserved = chunks * RESERVE_CHUNK
             handle.seek(start)
-            handle.write(bytes(self._reserved - start))
+            block = memoryview(_ZERO_BLOCK)
+            for offset in range(start, self._reserved, len(block)):
+                handle.write(block[: self._reserved - offset])
             handle.seek(end)  # flushes the zeros
         os.fsync(handle.fileno())
         self.syncs += 1
@@ -233,9 +237,8 @@ class WriteAheadLog:
         """The durability action taken right after a commit record."""
         if self.fsync == "never":
             self._file.flush()
-        elif self.fsync == "commit":
+        else:
             self.sync()
-        # "always" already synced inside append()
 
     def rotate(self) -> None:
         """Seal the active segment and start ``wal-<next_lsn>.log``.

@@ -238,15 +238,9 @@ class MaterializationStrategy(abc.ABC):
         if not self._built:
             raise MaterializationError("strategy not built yet; call build()")
 
-    # -- refresh machinery (strategies that own the entity table) -------------
-
-    def _stored_columns(self) -> list[Classifier]:
-        """The classifiers this strategy stores, one column each."""
-        raise NotImplementedError
-
-    def _load_note(self) -> str:
-        """The provenance note recorded for a full build."""
-        raise NotImplementedError
+    # -- refresh machinery -----------------------------------------------------
+    # Every strategy is a SelectiveStrategy, which names the classifiers it
+    # stores (``_stored_columns``) and its full build's ``_load_note``.
 
     def _table_schema(self) -> TableSchema:
         columns = [
@@ -484,12 +478,13 @@ class DerivationRule:
         )
 
 
-class DerivedStrategy(MaterializationStrategy):
+class DerivedStrategy(SelectiveStrategy):
     """Materialize base classifiers; compute derived ones algebraically.
 
     "if classifier A and classifier B share a simple algebraic
     relationship, then we can materialize A's output and compute B as
-    needed."
+    needed."  A selective strategy over the base classifiers that derives
+    the rest when fetched.
     """
 
     def __init__(
@@ -498,41 +493,25 @@ class DerivedStrategy(MaterializationStrategy):
         warehouse: Warehouse,
         derivations: list[DerivationRule],
     ):
-        super().__init__(job, warehouse)
         self.derivations = {rule.derived: rule for rule in derivations}
         for rule in derivations:
-            self.job.classifier(rule.derived)  # validate
-            self.job.classifier(rule.base)
+            job.classifier(rule.derived)  # validate
+            job.classifier(rule.base)
             if rule.base in self.derivations:
                 raise MaterializationError(
                     f"derivation base {rule.base!r} is itself derived"
                 )
-        self._bases = [
-            classifier.name
-            for classifier in job.classifiers
-            if classifier.name not in self.derivations
-        ]
-        self._inner = SelectiveStrategy(job, warehouse, self._bases)
-
-    def build(self, incremental: bool = False) -> None:
-        self._inner.build(incremental)
-        self._built = True
-
-    def adopt_existing(self) -> bool:
-        if self._inner.adopt_existing():
-            self._built = True
-            return True
-        return False
+        bases = [c.name for c in job.classifiers if c.name not in self.derivations]
+        super().__init__(job, warehouse, bases)
 
     def fetch(self, classifier_names: list[str]) -> list[Row]:
-        self._require_built()
         needed_bases: list[str] = []
         for name in classifier_names:
             rule = self.derivations.get(name)
             base = rule.base if rule else name
             if base not in needed_bases:
                 needed_bases.append(base)
-        rows = self._inner.fetch(needed_bases)
+        rows = super().fetch(needed_bases)
         # Lower each derived expression once per fetch, not once per row.
         derive = {
             name: compile_expression(self.derivations[name].expression)
@@ -558,6 +537,3 @@ class DerivedStrategy(MaterializationStrategy):
                     )
             out.append(shaped)
         return out
-
-    def materialized_tables(self) -> list[str]:
-        return self._inner.materialized_tables()

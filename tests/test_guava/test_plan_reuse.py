@@ -1,11 +1,10 @@
 """Plan reuse: ``GuavaSource.execute`` plans once per query shape.
 
 A g-tree query's plan is cached under its shape (source, form, nodes,
-condition, scope) and served for as long as its assumptions
-hold: the same tables and indexes, and row counts within the
-staleness tolerance of any table whose estimates chose it.  No plan
-depends on an exact data version, so a reused plan keeps the authored
-conjunct order and raises exactly where the oracle does.  Record-scoped
+condition, scope) and served for as long as the same tables and
+indexes hold.  No plan depends on a data version, so a reused plan
+keeps the authored conjunct order and raises exactly where the oracle
+does.  Record-scoped
 reads reuse one plan for every id set, rebinding the membership slots.
 
 The differential suite drives random sequences of entries, soft deletes,
@@ -218,8 +217,7 @@ class TestDifferential:
         source = _source(kind)
         warehouse = Warehouse(db=source.db)
         session = source.session()
-        # Enough rows that one entry often stays inside the estimates'
-        # drift bound, so reads are served reused plans as well as fresh.
+        # Enough rows that reads are served reused plans as well as fresh.
         for values in seed_records * copies:
             session.enter("procedure", values)
         columns = sorted(
@@ -342,8 +340,8 @@ class TestPinnedCases:
             session.enter("procedure", {"smoking": smoking})
         query = _query(source, "smoking = 'Never'")
         source.execute(query)
-        # A new data version within the estimates' drift bound, written
-        # past the change feed so the kept rows cannot be patched.
+        # A new data version, written past the change feed so the kept
+        # rows cannot be patched.
         source.db.table("procedure").insert({"record_id": 1000, "smoking": "Current"})
         calls = []
         real_get = Database.plan_cache_get

@@ -161,14 +161,15 @@ class TestEavExtractTrace:
             assert attrs["rows_out"] == len(report.rows) > 0
 
     def test_study_read_after_a_refresh_probes_its_index(self):
-        """A record-scoped refresh builds the EAV table's indexes; the study
-        read then probes one of them for every stored procedure row, and
+        """A record-scoped refresh builds the EAV table's ``record_id``
+        index, and only that one; a record-scoped read then probes it, and
         Pivot and Coerce report the rows they pass on."""
         from repro.analysis.classifiers import vendor_classifiers_for
         from repro.clinical.sources import build_world
+        from repro.expr.ast import Identifier, InList, Literal
         from repro.guava.query import GTreeQuery
         from repro.guava.translate import translate_query
-        from repro.relational.algebra import Coerce, IndexLookup, Pivot
+        from repro.relational.algebra import Coerce, InLookup, Pivot, Select
         from repro.relational.interpret import execute_interpreted
 
         source = build_world(300, seed=7).source("cori_warehouse_feed")
@@ -176,12 +177,15 @@ class TestEavExtractTrace:
         query = GTreeQuery(source.gtree(entity.form)).where(entity.condition)
         refreshed = source.execute(query, record_ids=[1, 2, 3])
         assert sorted(row["record_id"] for row in refreshed) == [1, 2, 3]
+        eav = source.db.table("cori_eav")
+        assert eav.secondary_index_columns() == [("record_id",)]
 
-        plan = translate_query(query, source.chain)
+        ids = InList(Identifier.of("record_id"), tuple(Literal(i) for i in (4, 5)))
+        plan = Select(translate_query(query, source.chain), ids)
         report = explain_analyze(plan, source.db)
         assert report.rows == execute_interpreted(plan, source.db)
         nodes = {type(node): node for node, _ in report.node_spans()}
-        assert IndexLookup in nodes
+        assert nodes[InLookup].column == "record_id"
         spans = {type(node): span for node, span in report.node_spans()}
         for kind in (Pivot, Coerce):
             attrs = spans[kind].attrs

@@ -346,20 +346,6 @@ class TestInListAccessPaths:
         assert isinstance(optimized.child, InLookup)
         assert optimized.child.column == "patient_id"
 
-    def test_select_over_lowered_lookup_is_relowered_jointly(self):
-        # A membership select pushed down after its child already lowered
-        # (the rewrite is bottom-up) must still reach the cost-based
-        # choice: lookup nodes are reconstituted and re-lowered jointly.
-        db = self._db()
-        lowered = IndexLookup("patients", (("name", "ann"),))
-        plan = Select(lowered, _in_list("patient_id", [5]))
-        optimized = optimize(plan, db)
-        assert isinstance(optimized, Select)
-        assert isinstance(optimized.child, InLookup)
-        assert optimized.child.column == "patient_id"
-        reference = execute_interpreted(plan, db)
-        assert optimized.execute(db) == reference
-
     def test_prepare_stream_plan_builds_index_above_existing_lookup(self):
         # With only the name index present, the first optimize leaves the
         # membership select above an IndexLookup; preparing for streaming

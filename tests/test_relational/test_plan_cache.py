@@ -13,10 +13,8 @@ identical plans on every read.  The invariants under test:
   — and :attr:`Database.plan_epoch` never rewinds, even when
   ``drop_table`` discards a table whose versions contributed;
 * an entry is valid while :attr:`Database.plan_epoch` (tables and
-  indexes) is unchanged and the tables whose estimates picked it have
-  drifted at most ``PLANNING_STALENESS_FRACTION`` in row count — so a
-  mutate-then-query sequence is never served a stale plan, yet inserts
-  alone do not replan;
+  indexes) is unchanged — so a mutate-then-query sequence is never
+  served a stale plan, yet inserts alone do not replan;
 * no plan depends on an exact data version: conjuncts keep their
   authored order, so a cached plan raises exactly where the interpreted
   oracle does after the data changes the conjuncts' type bands.
@@ -27,6 +25,7 @@ from repro.relational import (
     Database,
     DataType,
     IndexLookup,
+    InLookup,
     Plan,
     Query,
     Select,
@@ -127,24 +126,6 @@ class TestInvalidation:
         assert db.table("patients").version > before
         assert db.plan_epoch == plan_epoch
         assert optimize(plan, db) is first
-
-    def test_estimates_hold_until_the_row_count_drifts(self):
-        # Two index paths compete, so bucket sizes picked the plan: it is
-        # reused within PLANNING_STALENESS_FRACTION of the planned count
-        # and replanned beyond it.
-        db = _db(100)
-        db.table("patients").create_index(("age",))
-        db.table("patients").create_index(("patient_id",))
-        plan = Query.table("patients").where("age = 22 AND patient_id IN (2, 7)").plan
-        first = optimize(plan, db)
-        db.insert("patients", [{"patient_id": 100 + i, "age": 44} for i in range(10)])
-        assert optimize(plan, db) is first
-        db.insert("patients", [{"patient_id": 200, "age": 44}])
-        replanned = optimize(plan, db)
-        assert replanned is not first
-        assert [row["patient_id"] for row in replanned.execute(db)] == [
-            row["patient_id"] for row in Query(plan).execute(db, optimized=False)
-        ]
 
     def test_mutate_then_query_sees_new_rows(self):
         db = _db()
@@ -273,16 +254,21 @@ class TestStaleIndexRegression:
         assert [row["patient_id"] for row in relowered.execute(db)] == [3]
 
     def test_prepare_stream_plan_settles_into_the_cache(self):
-        # ``prepare_stream_plan`` may *create* a supporting index, bumping
-        # the epoch mid-call; its re-optimize then stores a fresh entry, so
-        # subsequent plain ``optimize`` calls hit it.
+        # ``prepare_stream_plan`` may *create* the index a membership probe
+        # reads, bumping the epoch mid-call; its re-optimize then stores a
+        # fresh entry, so subsequent plain ``optimize`` calls hit it.  An
+        # equality conjunct gets no index built: only ``IN`` probes do.
         from repro.relational import prepare_stream_plan
 
         db = _db()
-        plan = Query.table("patients").where("patient_id = 3").plan
+        table = db.table("patients")
+        plan = Query.table("patients").where("patient_id IN (3, 5) AND age = 23").plan
         prepared = prepare_stream_plan(plan, db)
-        assert _contains(prepared, IndexLookup)
+        assert _contains(prepared, InLookup)
+        assert table.matching_index(["patient_id"]) is not None
+        assert table.matching_index(["age"]) is None
         assert optimize(plan, db) is prepared
+        assert [row["patient_id"] for row in prepared.execute(db)] == [3]
 
 
 class TestCacheBounds:

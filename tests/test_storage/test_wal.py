@@ -1,5 +1,6 @@
 """WAL framing, fsync policies, and the torn-tail / corruption rules."""
 
+import tracemalloc
 import zlib
 
 import pytest
@@ -8,7 +9,10 @@ from repro.errors import RecoveryError, StorageError, WalCorruptionError
 from repro.storage.wal import (
     HEADER_LEN,
     MAGIC,
+    RESERVE_CHUNK,
+    RESERVE_HEADROOM,
     WriteAheadLog,
+    _ZERO_BLOCK,
     iter_commits,
     list_segments,
     prune_segments,
@@ -67,12 +71,35 @@ def test_fsync_policy_validation(tmp_path):
         WriteAheadLog(tmp_path / "wal.log", fsync="sometimes")
 
 
-def test_fsync_always_syncs_every_append(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.log", fsync="always")
-    wal.append({"op": "commit"})
-    wal.append({"op": "commit"})
-    assert wal.syncs == 2
+def test_a_reserve_fill_spanning_several_blocks_writes_block_by_block(tmp_path):
+    # Each fill below spans many zero blocks from an unaligned start; it
+    # writes the shared block over and over, so it allocates no buffer of
+    # its own size, and the file holds the frames, then zeros to a chunk
+    # boundary.
+    path = tmp_path / segment_name(1)
+    wal = WriteAheadLog(path)
+    for blob in (5000, RESERVE_CHUNK):
+        wal.append({"op": "insert", "blob": "y" * blob})
+        wal.append({"op": "commit"})
+        reserved = (wal.appended_bytes + RESERVE_HEADROOM) // RESERVE_CHUNK + 1
+        fill = reserved * RESERVE_CHUNK - wal.appended_bytes
+        assert fill > 4 * len(_ZERO_BLOCK) and wal.appended_bytes % len(_ZERO_BLOCK)
+        tracemalloc.start()
+        try:
+            wal.commit_sync()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fill // 4
+        data = path.read_bytes()
+        end = wal.appended_bytes
+        assert len(data) == reserved * RESERVE_CHUNK
+        assert data[end:] == bytes(fill)
+        records, tail = read_wal(path)
+        assert [r["op"] for r in records][-2:] == ["insert", "commit"]
+        assert tail == {"frames": len(records), "torn_bytes": 0, "commit_end": end}
     wal.close()
+    assert path.stat().st_size == wal.appended_bytes
 
 
 def test_fsync_commit_syncs_only_on_commit_sync(tmp_path):
