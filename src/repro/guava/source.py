@@ -119,7 +119,8 @@ class ChangeFeedState:
         return {
             "floor": self.floor,
             "accounted": self.accounted,
-            "log": [[version, form, rid] for version, form, rid in self.log],
+            # (version, form, record id) tuples encode as JSON arrays.
+            "log": self.log,
         }
 
     @classmethod

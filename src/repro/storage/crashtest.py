@@ -29,6 +29,7 @@ that legitimately differ across processes.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import signal
@@ -36,6 +37,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Any
 
+from repro.obs.trace import tracing
 from repro.relational.database import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -213,7 +215,8 @@ def run_workload(
     * ``post_rotation:K`` — after the K-th commit, checkpoint and SIGKILL
       once the next segment exists, before any obsolete segment is deleted
     * ``post_snapshot:K`` — after the K-th commit, complete a snapshot
-      (including the segment prune), then SIGKILL
+      (including the segment prune), print its ``storage.snapshot`` span's
+      ``chunks_copied``/``chunks_encoded`` as one JSON line, then SIGKILL
 
     ``snapshot_every`` > 0 checkpoints after every that-many commits —
     combined with a later kill it exercises snapshot + WAL-suffix
@@ -260,7 +263,11 @@ def run_workload(
             setattr(wal, step, _then_die(getattr(wal, step)))
             store.snapshot()
         if spec == "post_snapshot" and commit_count == arg:
-            store.snapshot()
+            with tracing() as tracer:
+                store.snapshot()
+            attrs = tracer.roots[0].attrs
+            counts = {key: attrs[key] for key in ("chunks_copied", "chunks_encoded")}
+            print(json.dumps(counts), flush=True)
             _die()
         if snapshot_every and commit_count % snapshot_every == 0:
             store.snapshot()

@@ -57,7 +57,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import RecoveryError, SnapshotCorruptionError
+from repro.errors import RecoveryError, SnapshotCorruptionError, StorageError
 from repro.guava.source import ChangeFeedState
 from repro.obs.trace import span as trace_span
 from repro.relational.database import Database
@@ -65,6 +65,7 @@ from repro.relational.schema import schema_from_doc, schema_to_doc
 from repro.relational.table import Table
 from repro.storage.snapshots import (
     MALFORMED,
+    SnapshotLayout,
     list_snapshots,
     load_snapshot,
     prune_snapshots,
@@ -186,6 +187,11 @@ class DurableStore:
         snapshots_kept: int = 2,
         append_hook: AppendHook | None = None,
     ):
+        if snapshots_kept < 1:
+            raise StorageError(
+                f"snapshots_kept must be at least 1, got {snapshots_kept}: "
+                "a checkpoint keeps the snapshot it just wrote"
+            )
         self.directory = Path(directory)
         if not self.directory.is_dir():
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -195,6 +201,9 @@ class DurableStore:
         self._meta: dict[str, dict] = {}
         self._feeds: dict[str, ChangeFeedState] = {}
         self._committed_lsn = 0
+        # The snapshot this store wrote last, so the next checkpoint can
+        # copy its unchanged chunk frames; empty until the first one.
+        self._layout = SnapshotLayout()
         with trace_span("storage.recover", directory=str(self.directory)) as span:
             started = perf_counter()
             self.report = self._recover()
@@ -448,7 +457,11 @@ class DurableStore:
 
         Committing first makes the checkpoint a committed point — a
         snapshot may never capture effects that could later be rolled back
-        as uncommitted.  The newest :attr:`snapshots_kept` snapshots stay.
+        as uncommitted.  The full chunk frames of tables that only grew
+        since this store's previous checkpoint are copied from that file
+        rather than encoded again (see
+        :class:`~repro.storage.snapshots.SnapshotLayout`).  The newest
+        :attr:`snapshots_kept` snapshots stay.
         The log then rotates to a segment starting just past the snapshot,
         and the segments whose records all sit at or below the *oldest
         retained* snapshot's LSN are deleted, so a fallback to that older
@@ -462,13 +475,17 @@ class DurableStore:
                 "meta": self._meta,
                 "feeds": {name: feed.to_doc() for name, feed in self._feeds.items()},
             }
-            path = write_snapshot(self._db, self.directory, lsn, state=state)
+            path = write_snapshot(
+                self._db, self.directory, lsn, state=state, layout=self._layout
+            )
             prune_snapshots(self.directory, keep=self.snapshots_kept)
             self._wal.rotate()
             oldest = snapshot_lsn(list_snapshots(self.directory)[0])
             pruned = prune_segments(self.directory, oldest)
             span.set("lsn", lsn)
             span.set("bytes", path.stat().st_size)
+            span.set("chunks_copied", self._layout.copied)
+            span.set("chunks_encoded", self._layout.encoded)
             span.set("wal_segments_pruned", len(pruned))
             span.set("duration_ms", round((perf_counter() - started) * 1000, 3))
         return path

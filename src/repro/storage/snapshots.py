@@ -13,6 +13,10 @@ load):
    table-manifest order, holding each column's values for those rows;
 3. a terminator frame recording the expected chunk total.
 
+A writer given a :class:`SnapshotLayout` copies, byte for byte, each full
+chunk frame of a table that has only grown since the snapshot that layout
+describes, and encodes the rest; the file is the same bytes either way.
+
 Snapshots are written to a temp file, fsynced, then renamed into place —
 a crash mid-write leaves the previous snapshot untouched.  *Any* invalid
 frame on read (bad magic, short file, CRC mismatch, missing terminator,
@@ -32,15 +36,18 @@ from __future__ import annotations
 import json
 import os
 import re
+import weakref
 import zlib
+from dataclasses import dataclass, field
 from datetime import date
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 from repro.errors import ReproError, SnapshotCorruptionError
 from repro.relational.database import Database
 from repro.relational.schema import schema_from_doc, schema_to_doc
+from repro.relational.table import Table
 from repro.relational.types import DataType
 from repro.storage.wal import _dumps, _fsync_directory
 from repro.storage.wal import _loads as _wal_loads
@@ -155,11 +162,73 @@ def _loads(payload: bytes) -> Any:
 # -- writing --------------------------------------------------------------------
 
 
+@dataclass
+class _TableFrames:
+    """One table's full chunk frames in a written snapshot."""
+
+    table: weakref.ref[Table]
+    #: Global number of the table's first chunk.
+    first_chunk: int
+    version: int
+    rows: int
+    #: (offset, length, crc) per full chunk frame, in chunk order.
+    frames: list[tuple[int, int, int]]
+
+
+@dataclass
+class SnapshotLayout:
+    """Where the snapshot a store wrote last put each table's full chunks.
+
+    A store hands the same layout to every :func:`write_snapshot`, which
+    copies from the file it describes and then describes the new file.
+    ``copied``/``encoded`` count the chunk frames of the last write.
+    """
+
+    path: Path | None = None
+    tables: dict[str, _TableFrames] = field(default_factory=dict)
+    copied: int = 0
+    encoded: int = 0
+
+    def reusable(self, table: Table, first_chunk: int) -> list[tuple[int, int, int]]:
+        """The frames of ``table`` that can be copied: none unless it is the
+        same object, numbered from the same chunk, and has only grown.
+
+        Every update or delete bumps the version without adding a row, and
+        nothing lowers ``version - rows``, so equal growth of both means
+        the rows of the old full chunks are untouched.
+        """
+        then = self.tables.get(table.name)
+        if (
+            then is None
+            or then.table() is not table
+            or then.first_chunk != first_chunk
+            or table.version - then.version != len(table) - then.rows
+        ):
+            return []
+        return then.frames
+
+
+def _copied_frame(source: BinaryIO, offset: int, length: int, crc: int) -> bytes | None:
+    """The frame at ``offset`` if it is still the one written there."""
+    source.seek(offset)
+    frame = source.read(length)
+    if (
+        len(frame) != length
+        or frame[:2] != SNAP_MAGIC
+        or int.from_bytes(frame[2:6], "big") != length - HEADER_LEN
+        or int.from_bytes(frame[6:10], "big") != crc
+        or zlib.crc32(frame[HEADER_LEN:]) != crc
+    ):
+        return None
+    return frame
+
+
 def write_snapshot(
     db: Database,
     directory: str | Path,
     lsn: int,
     state: dict[str, Any] | None = None,
+    layout: SnapshotLayout | None = None,
 ) -> Path:
     """Checkpoint ``db`` (covering WAL records up to ``lsn``) atomically.
 
@@ -170,60 +239,103 @@ def write_snapshot(
 
     Returns the final snapshot path.  Each chunk frame holds, per
     column, the values of the next :data:`CHUNK_ROWS` rows of the extent.
+    With a ``layout``, the full chunk frames :meth:`SnapshotLayout.reusable`
+    allows are read back one at a time from the file it describes and
+    copied if their CRC still checks (any other chunk is encoded), and on
+    success the layout describes the new file.
     """
     directory = Path(directory)
     final = directory / snapshot_name(lsn)
     temp = directory / (snapshot_name(lsn) + ".tmp")
-    chunks = 0
-    with open(temp, "wb") as handle:
-        tables_meta = []
-        tables = []
-        for name in db.table_names():
-            table = db.table(name)
-            row_count = len(table)
-            chunk_count = (row_count + CHUNK_ROWS - 1) // CHUNK_ROWS
-            meta = schema_to_doc(table.schema)
-            meta["version"] = table.version
-            meta["index_epoch"] = table.index_epoch
-            meta["indexes"] = [list(key) for key in table.secondary_index_columns()]
-            meta["rows"] = row_count
-            meta["chunks"] = chunk_count
-            tables_meta.append(meta)
-            tables.append((table, chunk_count))
-        handle.write(
-            _frame(
-                {
-                    "format": FORMAT_VERSION,
-                    "database": db.name,
-                    "lsn": lsn,
-                    "structure_version": db.structure_version,
-                    "state": state or {},
-                    "tables": tables_meta,
-                }
-            )
-        )
-        for table, chunk_count in tables:
-            names = table.schema.column_names
-            rows = table.iter_rows()
-            for _ in range(chunk_count):
-                chunk = list(islice(rows, CHUNK_ROWS))
-                handle.write(
-                    _frame(
-                        {
-                            "table": table.name,
-                            "chunk": chunks,
-                            "columns": {
-                                col: [row[col] for row in chunk] for col in names
-                            },
-                        }
-                    )
+    chunks = copied = 0
+    written: dict[str, _TableFrames] = {}
+    source: BinaryIO | None = None
+    if layout is not None and layout.path is not None:
+        try:
+            source = open(layout.path, "rb")
+        except OSError:
+            pass  # the previous snapshot is gone: encode every chunk
+    try:
+        with open(temp, "wb") as handle:
+            tables_meta = []
+            tables = []
+            for name in db.table_names():
+                table = db.table(name)
+                row_count = len(table)
+                chunk_count = (row_count + CHUNK_ROWS - 1) // CHUNK_ROWS
+                meta = schema_to_doc(table.schema)
+                meta["version"] = table.version
+                meta["index_epoch"] = table.index_epoch
+                meta["indexes"] = [
+                    list(key) for key in table.secondary_index_columns()
+                ]
+                meta["rows"] = row_count
+                meta["chunks"] = chunk_count
+                tables_meta.append(meta)
+                tables.append((table, row_count, chunk_count))
+            offset = handle.write(
+                _frame(
+                    {
+                        "format": FORMAT_VERSION,
+                        "database": db.name,
+                        "lsn": lsn,
+                        "structure_version": db.structure_version,
+                        "state": state or {},
+                        "tables": tables_meta,
+                    }
                 )
-                chunks += 1
-        handle.write(_frame({"end": True, "chunks": chunks}))
-        handle.flush()
-        os.fsync(handle.fileno())
+            )
+            for table, row_count, chunk_count in tables:
+                names = table.schema.column_names
+                rows = table.iter_rows()
+                reusable = (
+                    layout.reusable(table, chunks)
+                    if layout is not None and source is not None
+                    else []
+                )
+                full = row_count // CHUNK_ROWS
+                frames = []
+                for number in range(chunk_count):
+                    frame = None
+                    if number < len(reusable) and source is not None:
+                        frame = _copied_frame(source, *reusable[number])
+                    if frame is None:
+                        chunk = list(islice(rows, CHUNK_ROWS))
+                        frame = _frame(
+                            {
+                                "table": table.name,
+                                "chunk": chunks + number,
+                                "columns": {
+                                    col: [row[col] for row in chunk] for col in names
+                                },
+                            }
+                        )
+                    else:
+                        # Step past the copied chunk's rows.
+                        next(islice(rows, CHUNK_ROWS, CHUNK_ROWS), None)
+                        copied += 1
+                    if number < full:
+                        frames.append(
+                            (offset, len(frame), int.from_bytes(frame[6:10], "big"))
+                        )
+                    offset += handle.write(frame)
+                written[table.name] = _TableFrames(
+                    weakref.ref(table), chunks, table.version, row_count, frames
+                )
+                chunks += chunk_count
+            handle.write(_frame({"end": True, "chunks": chunks}))
+            handle.flush()
+            os.fsync(handle.fileno())
+    finally:
+        if source is not None:
+            source.close()
     os.replace(temp, final)
     _fsync_directory(directory)
+    if layout is not None:
+        layout.path = final
+        layout.tables = written
+        layout.copied = copied
+        layout.encoded = chunks - copied
     return final
 
 

@@ -13,6 +13,7 @@ no IPC with the dead child is needed.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -31,14 +32,28 @@ from repro.storage.crashtest import (
     run_workload,
 )
 from repro.storage.engine import DurableStore, state_fingerprint
-from repro.storage.snapshots import list_snapshots, snapshot_lsn
+from repro.storage.snapshots import CHUNK_ROWS, list_snapshots, snapshot_lsn
 from repro.storage.wal import list_segments, segment_name
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _crash_child(directory, seed, kill, commits=8, snapshot_every=0):
-    """Run the harness in a subprocess and assert it died by SIGKILL."""
+def _commit_end(ops, commits):
+    """The index just past the ``commits``-th commit op."""
+    seen = 0
+    for index, op in enumerate(ops):
+        if op[0] == "commit":
+            seen += 1
+            if seen == commits:
+                return index + 1
+    raise AssertionError(f"the workload has fewer than {commits} commits")
+
+
+def _crash_child(
+    directory, seed, kill, commits=8, snapshot_every=0, rows_per_commit=50
+):
+    """Run the harness in a subprocess, assert it died by SIGKILL, and
+    return what it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     argv = [
@@ -53,6 +68,8 @@ def _crash_child(directory, seed, kill, commits=8, snapshot_every=0):
         kill,
         "--commits",
         str(commits),
+        "--rows-per-commit",
+        str(rows_per_commit),
     ]
     if snapshot_every:
         argv += ["--snapshot-every", str(snapshot_every)]
@@ -61,13 +78,16 @@ def _crash_child(directory, seed, kill, commits=8, snapshot_every=0):
         f"expected the child to die by SIGKILL, got {proc.returncode}\n"
         f"stdout: {proc.stdout}\nstderr: {proc.stderr}"
     )
+    return proc.stdout
 
 
-def _assert_recovered_matches_oracle(directory, seed, commits=8):
+def _assert_recovered_matches_oracle(directory, seed, commits=8, rows_per_commit=50):
     store = DurableStore(directory)
     try:
         reached = recovered_commit(store.db)
-        oracle = oracle_fingerprints(seed, commits=commits)
+        oracle = oracle_fingerprints(
+            seed, commits=commits, rows_per_commit=rows_per_commit
+        )
         assert state_fingerprint(store.db) == oracle[reached], (
             f"recovered state diverges from the oracle at commit {reached}"
         )
@@ -157,6 +177,35 @@ class TestKillPoints:
         assert reached == commit_index
         assert report.snapshot is not None
         assert report.replayed == 0  # the checkpoint captured everything
+
+    def test_sigkill_after_a_checkpoint_that_copied_chunks(self, tmp_path):
+        # Seed 11 at 400 rows a commit: a delete in commit 1 and an update
+        # in commit 2 make those checkpoints encode the events table, and
+        # commit 4 only inserts (and drops an index), so the killed fourth
+        # checkpoint copies the full chunk the third one wrote.
+        printed = _crash_child(
+            tmp_path,
+            seed=11,
+            kill="post_snapshot:4",
+            commits=6,
+            snapshot_every=1,
+            rows_per_commit=400,
+        )
+        ops = build_ops(11, commits=6, rows_per_commit=400)
+        kinds = {op[0] for op in ops[: _commit_end(ops, 2)]}
+        assert {"update_mod", "delete_mod"} <= kinds
+        counts = json.loads(printed.strip().splitlines()[-1])
+        assert counts["chunks_copied"] >= 1
+        reached, report = _assert_recovered_matches_oracle(
+            tmp_path, seed=11, commits=6, rows_per_commit=400
+        )
+        assert reached == 4
+        assert report.replayed == 0
+        store = DurableStore(tmp_path)
+        try:
+            assert len(store.db.table("events")) > CHUNK_ROWS
+        finally:
+            store.close()
 
     def test_torn_append_with_periodic_checkpoints(self, tmp_path):
         _crash_child(tmp_path, seed=19, kill="torn:300", snapshot_every=2)
