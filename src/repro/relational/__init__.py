@@ -16,7 +16,6 @@ from repro.relational.algebra import (
     Coerce,
     Compute,
     ExecContext,
-    IndexLookup,
     InLookup,
     Join,
     Pivot,
@@ -44,7 +43,6 @@ __all__ = [
     "Database",
     "ExecContext",
     "HashIndex",
-    "IndexLookup",
     "InLookup",
     "Join",
     "Pivot",

@@ -8,7 +8,7 @@ run here unchanged.
 
 Execution is *streaming*: every operator implements :meth:`Plan.stream`,
 yielding rows through iterators instead of materializing a list at each
-node.  ``Scan`` (and the index-backed ``IndexLookup``) yield the table's
+node.  ``Scan`` (and the index-backed ``InLookup``) yield the table's
 internal row dicts without copying; operators never mutate rows they
 receive, and ``Plan.execute`` restores the defensive-copy contract at the
 API boundary — only for plans whose output can still alias table storage
@@ -176,119 +176,18 @@ class Scan(Plan):
 
 
 @dataclass(frozen=True)
-class IndexLookup(Plan):
-    """Conjunctive equality probe on a base table, via a hash index.
-
-    Produced by the optimizer from ``Select(Scan(t), col = literal AND …)``
-    when the table has a covering :class:`~repro.relational.index.HashIndex`.
-    Falls back to a filtered scan when no index matches at execution time,
-    so the node is always executable; the equality post-filter keeps SQL
-    semantics exact even across hash-equal keys (``1`` vs ``TRUE``).
-    """
-
-    table: str
-    items: tuple[tuple[str, object], ...]
-
-    def bucket_rows(self, table: Table) -> int | None:
-        """Rows the probe returns, or None when no index matches.
-
-        The bucket's size, or 0 when some item can never match
-        (:meth:`never_matches`) — exactly the row count ``_stream``
-        yields.  None when no index covers the items (``_stream`` then
-        scans) or a probe value is unhashable.  Planning counts probes by
-        this, and only this, so access-path choices agree with execution.
-        """
-        index = table.matching_index([column for column, _ in self.items])
-        if index is None:
-            return None
-        if self.never_matches(table):
-            return 0
-        values = dict(self.items)
-        try:
-            return index.count(tuple(values[column] for column in index.columns))
-        except TypeError:
-            return None
-
-    def never_matches(self, table: Table) -> bool:
-        """True when some item SQL-equals no row of ``table``.
-
-        A NULL probe, a probe on a column the table lacks, or a probe whose
-        bool-ness differs from its column's (TRUE vs an INTEGER column, 1
-        vs a BOOLEAN one): hash buckets hold such rows (``1 == True``) but
-        the ``sql_equal`` check drops them all, the same rule by which
-        :meth:`InLookup.probe_keys` skips a probe.
-        """
-        schema = table.schema
-        return any(
-            value is None
-            or column not in schema.column_set
-            or isinstance(value, bool)
-            != (schema.column(column).dtype is DataType.BOOLEAN)
-            for column, value in self.items
-        )
-
-    def _stream(self, ctx: ExecContext) -> Iterator[Row]:
-        table = ctx.db.table(self.table)
-        items = self.items
-        index = table.matching_index([column for column, _ in items])
-        if index is None:
-            ctx.annotate(self, access_path="scan_fallback")
-            return (
-                row
-                for row in table.iter_rows()
-                if all(sql_equal(row.get(column), value) for column, value in items)
-            )
-        if self.never_matches(table):
-            ctx.annotate(
-                self,
-                access_path="index",
-                index_columns=",".join(index.columns),
-                bucket_rows=0,
-            )
-            return iter(())
-        values = dict(items)
-        key = tuple(values[column] for column in index.columns)
-        positions = index.lookup(key)
-        ctx.annotate(
-            self,
-            access_path="index",
-            index_columns=",".join(index.columns),
-            bucket_rows=len(positions),
-        )
-        candidates = table.rows_at(positions)
-        # Bucket rows are Python-equal to the probe on the indexed columns,
-        # table extents are coerced to their declared types on write, and
-        # every probe's bool-ness matches its column's, so SQL equality
-        # agrees with bucket membership: only the items the index does not
-        # cover need a per-row check.
-        covered = set(index.columns)
-        residual = tuple(
-            (column, value) for column, value in items if column not in covered
-        )
-        if not residual:
-            return candidates
-        return (
-            row
-            for row in candidates
-            if all(sql_equal(row.get(column), value) for column, value in residual)
-        )
-
-    def shares_storage(self) -> bool:
-        return True
-
-    def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
-        return ctx.db.table(self.table).schema.column_names
-
-
-@dataclass(frozen=True)
 class InLookup(Plan):
-    """Multi-probe equality lookup: ``column IN (v1, …)`` via a hash index.
+    """Hash-index probe: ``column IN (v1, …)``, or ``column = v1`` as a
+    one-value list.
 
-    Produced by the optimizer from a ``col IN (literals)`` conjunct over a
-    scanned table with a single-column hash index on ``col``; remaining
-    conjuncts stay behind in a residual :class:`Select` above this node.
-    Matched positions are merged and sorted, so rows stream in extent
-    order — exactly the order of the filtered scan this replaces.
+    Produced by the optimizer from a ``col IN (literals)`` or
+    ``col = literal`` conjunct over a scanned table with a single-column
+    hash index on ``col``; remaining conjuncts stay behind in a residual
+    :class:`Select` above this node.  Rows stream in extent order —
+    exactly the order of the filtered scan this replaces: one bucket
+    already is in that order, several are merged and sorted.  Falls back
+    to that filtered scan when no index matches at execution time, so the
+    node is always executable.
     """
 
     table: str
@@ -340,16 +239,20 @@ class InLookup(Plan):
                 for row in table.iter_rows()
                 if any(sql_equal(row.get(column), value) for value in values)
             )
-        positions: set[int] = set()
-        for key in self.probe_keys(table):
-            positions.update(index.lookup(key))
+        keys = self.probe_keys(table)
+        if len(keys) == 1:
+            positions = index.lookup(keys[0])
+        else:
+            positions = sorted(
+                position for key in keys for position in index.lookup(key)
+            )
         ctx.annotate(
             self,
             access_path="index",
             probe_values=len(self.values),
             bucket_rows=len(positions),
         )
-        return table.rows_at(sorted(positions))
+        return table.rows_at(positions)
 
     def shares_storage(self) -> bool:
         return True
@@ -785,9 +688,6 @@ def trace_label(plan: Plan) -> str:
     """One-line span label for a plan node (type plus its key parameters)."""
     if isinstance(plan, Scan):
         return f"Scan[{plan.table}]"
-    if isinstance(plan, IndexLookup):
-        columns = ",".join(column for column, _ in plan.items)
-        return f"IndexLookup[{plan.table}: {columns}]"
     if isinstance(plan, InLookup):
         return f"InLookup[{plan.table}.{plan.column} IN ({len(plan.values)})]"
     if isinstance(plan, Values):

@@ -19,7 +19,6 @@ from repro.relational.algebra import (
     Aggregate,
     Coerce,
     Compute,
-    IndexLookup,
     InLookup,
     Join,
     Pivot,
@@ -45,13 +44,6 @@ def execute_interpreted(plan: Plan, db: Database) -> list[Row]:
     """Run ``plan`` with the naive materializing interpreter."""
     if isinstance(plan, Scan):
         return db.table(plan.table).rows()
-    if isinstance(plan, IndexLookup):
-        # Semantics of the optimizer's index probe, spelled as a full scan.
-        return [
-            row
-            for row in db.table(plan.table).rows()
-            if all(sql_equal(row.get(column), value) for column, value in plan.items)
-        ]
     if isinstance(plan, InLookup):
         # Semantics of the optimizer's membership probe, as a full scan.
         return [

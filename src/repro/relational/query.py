@@ -1,11 +1,11 @@
 """Fluent query builder and a plan optimizer.
 
 The optimizer applies safe rewrites only: select merge/pushdown, merging
-and dropping redundant projections, and lowering equality selections over
-base tables onto :class:`~repro.relational.algebra.IndexLookup` backed by
-the table's hash indexes.  Correctness is checked by property tests
-asserting optimized, naive-streaming, and interpreted executions agree on
-every database they run against.
+and dropping redundant projections, and lowering equality and membership
+selections over base tables onto :class:`~repro.relational.algebra.InLookup`
+backed by the table's single-column hash indexes.  Correctness is checked
+by property tests asserting optimized, naive-streaming, and interpreted
+executions agree on every database they run against.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.relational.algebra import (
     Coerce,
     Compute,
     ExecContext,
-    IndexLookup,
     InLookup,
     Join,
     Pivot,
@@ -236,7 +235,7 @@ def extent_driver(
     """
     path: list[Plan] = []
     node = plan
-    while not isinstance(node, (Scan, IndexLookup, InLookup)):
+    while not isinstance(node, (Scan, InLookup)):
         if isinstance(node, Join):
             if not (
                 (column, column) in node.on and _record_local(node.right, column, db)
@@ -249,14 +248,15 @@ def extent_driver(
             node = node.children()[0]
         else:
             return None
-    assert isinstance(node, (Scan, IndexLookup, InLookup))
+    assert isinstance(node, (Scan, InLookup))
     if not db.has_table(node.table) or not db.table(node.table).schema.has_column(
         column
     ):
         return None
-    filters = (
-        [_lookup_predicate(node)] if isinstance(node, (IndexLookup, InLookup)) else []
-    )
+    filters: list[Expression] = []
+    if isinstance(node, InLookup):
+        items = tuple(Literal(value) for value in node.values)
+        filters.append(InList(Identifier.of(node.column), items))
     for above in reversed(path):
         if not isinstance(above, Select):
             break
@@ -281,7 +281,7 @@ def _keyed_on(node: Plan, column: str) -> bool:
 def _record_local(node: Plan, column: str, db: Database) -> bool:
     """Does every row of ``node`` derive from the rows of one ``column``
     value?  (Order does not matter below a join's right side.)"""
-    if isinstance(node, (Scan, IndexLookup, InLookup)):
+    if isinstance(node, (Scan, InLookup)):
         return True
     if isinstance(node, Join):
         return _record_local(node.left, column, db) and (
@@ -296,7 +296,7 @@ def _record_local(node: Plan, column: str, db: Database) -> bool:
 def _reads_column(plan: Plan, column: str, db: Database) -> bool:
     """Does any base table under ``plan`` have ``column``?"""
     return any(
-        isinstance(node, (Scan, IndexLookup, InLookup))
+        isinstance(node, (Scan, InLookup))
         and (
             not db.has_table(node.table)
             or db.table(node.table).schema.has_column(column)
@@ -737,46 +737,31 @@ def _conjuncts(expr: Expression) -> Iterator[Expression]:
         yield expr
 
 
-def _equality_item(
-    conjunct: Expression, columns: set[str]
-) -> tuple[str, object] | None:
-    """``col = literal`` (either side) over a plain existing column, or None."""
-    if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
-        return None
-    for ident, literal in (
-        (conjunct.left, conjunct.right),
-        (conjunct.right, conjunct.left),
-    ):
-        if not (isinstance(ident, Identifier) and isinstance(literal, Literal)):
-            continue
-        if len(ident.path) != 1 or ident.name not in columns:
-            continue
-        value = literal.value
-        # NULL never matches (stays in the residual predicate and filters
-        # everything); unhashable values cannot probe a hash bucket.
-        if value is None:
-            continue
-        try:
-            hash(value)
-        except TypeError:
-            continue
-        return (ident.name, value)
-    return None
-
-
-def _in_list_item(
+def _probe_item(
     conjunct: Expression, columns: set[str]
 ) -> tuple[str, tuple[object, ...]] | None:
-    """``col IN (literals)`` over a plain existing column, or None.
+    """``col IN (literals)`` or ``col = literal`` (either side) over a plain
+    existing column, as the column and its probe values, or None.
 
-    NULL items are dropped from the probe tuple: in filter context a row
-    either matches a non-NULL item (kept either way) or yields NULL
+    An equality is a one-value list.  ``col = NULL`` is None: it never
+    matches, so it stays in the residual predicate and filters everything.
+    NULL items are dropped from a list's probe tuple: in filter context a
+    row either matches a non-NULL item (kept either way) or yields NULL
     (dropped either way), so the kept set is unchanged.  Negated lists
     never lower — ``NOT IN`` with a NULL item filters everything.
+    Unhashable values cannot probe a hash bucket.
     """
-    if not (isinstance(conjunct, InList) and not conjunct.negated):
+    if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
+        ident, literal = conjunct.left, conjunct.right
+        if isinstance(ident, Literal):
+            ident, literal = literal, ident
+        if not isinstance(literal, Literal) or literal.value is None:
+            return None
+        items: tuple[Expression, ...] = (literal,)
+    elif isinstance(conjunct, InList) and not conjunct.negated:
+        ident, items = conjunct.operand, conjunct.items
+    else:
         return None
-    ident = conjunct.operand
     if not (
         isinstance(ident, Identifier)
         and len(ident.path) == 1
@@ -784,7 +769,7 @@ def _in_list_item(
     ):
         return None
     values: list[object] = []
-    for item in conjunct.items:
+    for item in items:
         if not isinstance(item, Literal):
             return None
         value = item.value
@@ -801,54 +786,35 @@ def _in_list_item(
 def _lower_index_lookup(
     predicate: Expression, scan: Scan, ctx: _OptContext
 ) -> Plan | None:
-    """``Select(Scan, col = literal AND …)`` → IndexLookup (+ residual Select).
+    """``Select(Scan, col = literal AND …)`` → InLookup (+ residual Select).
 
-    Only fires when the table exists, a hash index covers at least the
-    equality columns, and no residual conjunct can raise (it would now
-    skip the rows the probe leaves out) — otherwise the plan is left alone
-    so execution cost and error behaviour stay exactly as written.
+    Only fires when the table exists, a single-column hash index serves
+    some ``col IN (literals)`` or ``col = literal`` conjunct, and no
+    residual conjunct can raise (it would now skip the rows the probe
+    leaves out) — otherwise the plan is left alone so execution cost and
+    error behaviour stay exactly as written.
     """
     if not ctx.db.has_table(scan.table):
         return None
     table = ctx.db.table(scan.table)
     columns = set(table.schema.column_names)
-    eq_items: list[tuple[str, object]] = []
-    in_items: list[tuple[tuple[str, tuple[object, ...]], Expression]] = []
-    residual: list[Expression] = []
-    for conjunct in _conjuncts(predicate):
-        item = _equality_item(conjunct, columns)
-        if item is not None:
-            eq_items.append(item)
+    conjuncts = list(_conjuncts(predicate))
+    # Every index-servable probe with its actual candidate count (bucket
+    # sizes are known, so this is a measurement, not an estimate); the
+    # most selective one is taken.
+    choices: list[tuple[int, int, InLookup]] = []
+    for position, conjunct in enumerate(conjuncts):
+        probe = _probe_item(conjunct, columns)
+        if probe is None:
             continue
-        probe = _in_list_item(conjunct, columns)
-        if probe is not None:
-            in_items.append((probe, conjunct))
-            continue
-        residual.append(conjunct)
-    # Collect every index-servable access path with its actual candidate
-    # count (bucket sizes are known, so this is a measurement, not an
-    # estimate), then take the most selective one.
-    choices: list[tuple[int, Plan, list[Expression]]] = []
-    if eq_items:
-        eq_lookup = IndexLookup(scan.table, tuple(eq_items))
-        count = eq_lookup.bucket_rows(table)
+        lookup = InLookup(scan.table, *probe)
+        count = lookup.bucket_rows(table)
         if count is not None:
-            rest = residual + [conjunct for _, conjunct in in_items]
-            choices.append((count, eq_lookup, rest))
-    for position, ((column, values), _conjunct) in enumerate(in_items):
-        in_lookup = InLookup(scan.table, column, values)
-        count = in_lookup.bucket_rows(table)
-        if count is None:
-            continue
-        rest = (
-            [BinaryOp("=", Identifier.of(c), Literal(v)) for c, v in eq_items]
-            + residual
-            + [c for index, (_, c) in enumerate(in_items) if index != position]
-        )
-        choices.append((count, in_lookup, rest))
+            choices.append((count, position, lookup))
     if not choices:
         return None
-    count, lookup, rest = min(choices, key=lambda choice: choice[0])
+    count, chosen, lookup = min(choices, key=lambda choice: choice[0])
+    rest = conjuncts[:chosen] + conjuncts[chosen + 1 :]
     # The residual filter now meets only the probed rows: a conjunct that
     # could raise on a row the probe skips keeps the plan a filtered scan.
     types: dict[str, DataType | None] = {
@@ -859,29 +825,14 @@ def _lower_index_lookup(
     ctx.note(
         "index_lowering",
         table=scan.table,
-        chosen=type(lookup).__name__,
+        column=lookup.column,
         candidate_rows=count,
         alternatives=[
-            {"path": type(path).__name__, "candidate_rows": rows}
-            for rows, path, _ in choices
+            {"column": path.column, "candidate_rows": rows}
+            for rows, _, path in choices
         ],
     )
     return Select(lookup, conjunction(rest)) if rest else lookup
-
-
-def _lookup_predicate(lookup: IndexLookup | InLookup) -> Expression:
-    """The filter an already-lowered lookup node stands for."""
-    if isinstance(lookup, IndexLookup):
-        return conjunction(
-            [
-                BinaryOp("=", Identifier.of(column), Literal(value))
-                for column, value in lookup.items
-            ]
-        )
-    return InList(
-        Identifier.of(lookup.column),
-        tuple(Literal(value) for value in lookup.values),
-    )
 
 
 def _rewrite_project(plan: Project, ctx: _OptContext) -> Plan:
@@ -919,20 +870,19 @@ def prepare_stream_plan(
     """
     optimized = optimize(plan, db, cache_key=cache_key)
     built = False
-    for node in _walk(optimized):
+    for node in optimized.walk():
         # A membership select above an already-lowered lookup counts too:
         # the index still serves a delta patch's new-record probe.
-        if not (
-            isinstance(node, Select)
-            and isinstance(node.child, (Scan, IndexLookup, InLookup))
-        ):
+        if not (isinstance(node, Select) and isinstance(node.child, (Scan, InLookup))):
             continue
         if not db.has_table(node.child.table):
             continue
         table = db.table(node.child.table)
         columns = set(table.schema.column_names)
         for conjunct in _conjuncts(node.predicate):
-            probe = _in_list_item(conjunct, columns)
+            if not isinstance(conjunct, InList):
+                continue
+            probe = _probe_item(conjunct, columns)
             if probe is not None and table.matching_index([probe[0]]) is None:
                 table.create_index((probe[0],))
                 built = True
@@ -941,15 +891,9 @@ def prepare_stream_plan(
     return optimized
 
 
-def _walk(plan: Plan):
-    yield plan
-    for child in plan.children():
-        yield from _walk(child)
-
-
 def _declared_types(plan: Plan, db: Database) -> dict[str, DataType]:
     """The declared types of the columns ``plan`` passes on unchanged."""
-    if isinstance(plan, (Scan, IndexLookup, InLookup)):
+    if isinstance(plan, (Scan, InLookup)):
         if not db.has_table(plan.table):
             return {}
         return {

@@ -16,7 +16,7 @@ from repro.relational.algebra import (
     Aggregate,
     Coerce,
     Compute,
-    IndexLookup,
+    InLookup,
     Join,
     Pivot,
     Plan,
@@ -43,11 +43,11 @@ def _render(plan: Plan, depth: int) -> str:
     pad = _indent(depth)
     if isinstance(plan, Scan):
         return f"{pad}SELECT * FROM {plan.table}"
-    if isinstance(plan, IndexLookup):
-        conditions = " AND ".join(
-            f"{column} = {_sql_literal(value)}" for column, value in plan.items
-        )
-        return f"{pad}SELECT * FROM {plan.table} WHERE {conditions}"
+    if isinstance(plan, InLookup):
+        # A probe whose IN items were all NULL has no values; IN (NULL)
+        # keeps no row either, and is valid SQL.
+        values = ", ".join(_sql_literal(value) for value in plan.values) or "NULL"
+        return f"{pad}SELECT * FROM {plan.table} WHERE {plan.column} IN ({values})"
     if isinstance(plan, Values):
         rows = ", ".join(
             "(" + ", ".join(_sql_literal(v) for v in row) + ")" for row in plan.rows

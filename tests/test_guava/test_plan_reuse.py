@@ -11,8 +11,9 @@ The differential suite drives random sequences of entries, soft deletes,
 index create/drop, warehouse full rebuilds (a table dropped and created
 in the source's database) and record-scoped reads with varying ids, and
 after every read compares ``source.execute`` with a fresh translation run
-through ``interpret.py``.  Every ``IndexLookup``/``InLookup`` executed is
-also checked to find its index: a reused plan never probes a dropped one.
+through ``interpret.py``.  Every ``InLookup`` executed (an equality probe
+or a membership one) is also checked to find its index: a reused plan
+never probes a dropped one.
 ``TestProportionalDeltas`` checks, on every chain kind here and the three
 vendor chains, that a record-scoped plan reads each table with a
 ``record_id`` column through a record-id probe that returns no more rows
@@ -34,7 +35,7 @@ from repro.guava import GTreeQuery, GuavaSource, translate_query
 from repro.obs import explain_analyze, tracing
 from repro.patterns import AuditPattern, GenericPattern, NaivePattern, PatternChain
 from repro.relational import Database, DataType, TableSchema
-from repro.relational.algebra import IndexLookup, InLookup, Scan, Select
+from repro.relational.algebra import InLookup, Scan, Select
 from repro.relational.interpret import execute_interpreted
 from repro.relational.query import prepare_stream_plan
 from repro.ui import ReportingTool
@@ -122,22 +123,14 @@ def _check(source: GuavaSource, query: GTreeQuery, ids=None) -> object:
 
 @contextmanager
 def probes_must_find_their_index():
-    """Fail any IndexLookup/InLookup that executes without its index."""
-    index_stream = IndexLookup._stream
+    """Fail any InLookup that executes without its index."""
     in_stream = InLookup._stream
-
-    def checked_index(self, ctx):
-        columns = [column for column, _ in self.items]
-        assert ctx.db.table(self.table).matching_index(columns) is not None
-        return index_stream(self, ctx)
 
     def checked_in(self, ctx):
         assert ctx.db.table(self.table).matching_index([self.column]) is not None
         return in_stream(self, ctx)
 
-    with mock.patch.object(IndexLookup, "_stream", checked_index), mock.patch.object(
-        InLookup, "_stream", checked_in
-    ):
+    with mock.patch.object(InLookup, "_stream", checked_in):
         yield
 
 
@@ -402,7 +395,7 @@ class TestProportionalDeltas:
             record_leaves = [
                 node
                 for node in prepared.walk()
-                if isinstance(node, (Scan, IndexLookup, InLookup))
+                if isinstance(node, (Scan, InLookup))
                 and source.db.table(node.table).schema.has_column("record_id")
             ]
             assert record_leaves, name

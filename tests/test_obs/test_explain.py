@@ -103,7 +103,7 @@ class TestExplainAnalyze:
     def test_index_access_path_is_annotated(self, db):
         report = explain_analyze(queries(db)[0], db)
         lookup = next(
-            s for _, s in report.node_spans() if s.name.startswith("IndexLookup")
+            s for _, s in report.node_spans() if s.name.startswith("InLookup")
         )
         assert lookup.attrs["access_path"] == "index"
         assert lookup.attrs["bucket_rows"] >= lookup.attrs["rows_out"]

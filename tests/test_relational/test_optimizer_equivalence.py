@@ -4,7 +4,7 @@ The tentpole guarantee of the streaming/compiled/index-aware executor:
 ``Query.execute(db, optimized=True)`` must agree with ``optimized=False``
 and with the reference interpreter (`execute_interpreted`, the seed
 semantics preserved as an executable spec) on every database — including
-plans the optimizer rewrites into IndexLookup and pushed-down filters,
+plans the optimizer rewrites into InLookup probes and pushed-down filters,
 NULL-heavy columns and mixed bool/int keys, and EAV pivots and
 coercions.  When the interpreter raises, streaming must raise an error
 of the same type.
@@ -20,6 +20,7 @@ from repro.errors import TypeMismatchError
 from repro.expr.ast import BinaryOp, Identifier, InList, IsNull, Literal, UnaryOp
 from repro.expr.analysis import referenced_identifiers
 from repro.expr.parser import parse
+from repro.obs.explain import explain_analyze
 from repro.relational import (
     Aggregate,
     AggregateSpec,
@@ -27,7 +28,6 @@ from repro.relational import (
     Compute,
     Database,
     DataType,
-    IndexLookup,
     InLookup,
     Join,
     Pivot,
@@ -72,8 +72,37 @@ _visit_rows = st.lists(
 )
 
 
+_patient_edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), st.sampled_from(_NAMES), st.sampled_from(_NAMES)),
+        st.tuples(st.just("delete"), st.sampled_from(_NAMES), st.integers(0, 99)),
+        st.tuples(st.just("insert"), st.sampled_from(_NAMES), st.integers(0, 40)),
+    ),
+    max_size=6,
+)
+
+
+def _apply_edits(db: Database, edits) -> None:
+    """Renames, deletes (by name and minimum age) and inserts, in order."""
+    table = db.table("patients")
+    for op, name, arg in edits:
+        if op == "update":
+            table.update(lambda row, name=name: row["name"] == name, {"name": arg})
+        elif op == "delete":
+            table.delete(
+                lambda row, name=name, age=arg: row["name"] == name
+                and row["age"] is not None
+                and row["age"] >= age
+            )
+        else:
+            db.insert(
+                "patients",
+                [{"patient_id": arg, "age": None, "name": name, "smoker": False}],
+            )
+
+
 def _load(patients, visits) -> Database:
-    """Two indexed tables so equality filters can lower onto IndexLookup."""
+    """Two indexed tables so equality filters can lower onto InLookup."""
     db = Database("prop")
     db.create_table(
         TableSchema.build(
@@ -112,32 +141,60 @@ def _assert_all_paths_agree(plan, db) -> None:
 
 
 class TestPropertyEquivalence:
-    @given(_patient_rows, st.sampled_from(_NAMES))
+    @given(_patient_rows, _patient_edits)
     @settings(max_examples=60)
-    def test_indexed_equality_filter(self, patients, name):
+    def test_indexed_equality_filter(self, patients, edits):
+        # A one-value probe returns its bucket as it stands, so every
+        # bucket must stay in extent order through updates, deletes and
+        # inserts.
         db = _load(patients, [])
-        plan = Select(
-            Scan("patients"),
-            BinaryOp("=", Identifier.of("name"), Literal(name)),
-        )
-        assert isinstance(optimize(plan, db), IndexLookup)
-        _assert_all_paths_agree(plan, db)
-
-    @given(_patient_rows, st.sampled_from(_NAMES), st.integers(0, 99))
-    @settings(max_examples=60)
-    def test_indexed_equality_with_residual(self, patients, name, cutoff):
-        db = _load(patients, [])
-        plan = Select(
-            Scan("patients"),
-            BinaryOp(
-                "AND",
+        _apply_edits(db, edits)
+        for name in _NAMES:
+            plan = Select(
+                Scan("patients"),
                 BinaryOp("=", Identifier.of("name"), Literal(name)),
-                BinaryOp(">=", Identifier.of("age"), Literal(cutoff)),
-            ),
+            )
+            assert optimize(plan, db) == InLookup("patients", "name", (name,))
+            _assert_all_paths_agree(plan, db)
+
+    @given(
+        _patient_rows,
+        st.sampled_from(_NAMES),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.integers(0, 99),
+    )
+    @settings(max_examples=60)
+    def test_indexed_equality_with_residual(self, patients, name, patient_id, cutoff):
+        # With a second indexed equality, the smaller bucket is probed (a
+        # tie goes to the first conjunct) and the others stay as written.
+        db = _load(patients, [])
+        table = db.table("patients")
+        probes = {"name": (f"'{name}'", name)}
+        if patient_id is not None:
+            probes["patient_id"] = (str(patient_id), patient_id)
+        sizes = {
+            column: table.matching_index([column]).count((value,))
+            for column, (_, value) in probes.items()
+        }
+        chosen = min(sizes, key=sizes.__getitem__)
+        conjuncts = {column: f"{column} = {text}" for column, (text, _) in probes.items()}
+        conjuncts["age"] = f"age >= {cutoff}"
+        plan = Select(Scan("patients"), parse(" AND ".join(conjuncts.values())))
+        del conjuncts[chosen]
+        (event,) = [
+            event
+            for event in explain_analyze(plan, db).optimize_span.events
+            if event["event"] == "index_lowering"
+        ]
+        assert event["column"] == chosen
+        assert event["candidate_rows"] == sizes[chosen]
+        assert event["alternatives"] == [
+            {"column": column, "candidate_rows": rows} for column, rows in sizes.items()
+        ]
+        assert optimize(plan, db) == Select(
+            InLookup("patients", chosen, (probes[chosen][1],)),
+            parse(" AND ".join(conjuncts.values())),
         )
-        optimized = optimize(plan, db)
-        assert isinstance(optimized, Select)
-        assert isinstance(optimized.child, IndexLookup)
         _assert_all_paths_agree(plan, db)
 
     @given(_visit_rows, st.integers(0, 40), st.integers(-5, 20))
@@ -152,7 +209,9 @@ class TestPropertyEquivalence:
                 BinaryOp("=", Identifier.of("score"), Literal(score)),
             ),
         )
-        assert isinstance(optimize(plan, db), IndexLookup)
+        # Only single-column indexes serve a probe: over the composite
+        # (patient_id, score) index the plan stays the filtered scan.
+        assert optimize(plan, db) == plan
         _assert_all_paths_agree(plan, db)
 
     @given(_patient_rows, _visit_rows, st.integers(0, 99))
@@ -235,25 +294,25 @@ class TestOptimizerShapes:
         plan = Select(
             Scan("patients"), BinaryOp("=", Identifier.of("name"), Literal("ann"))
         )
-        assert not isinstance(optimize(plan, _load_mixed([], [])), IndexLookup)
-        assert isinstance(optimize(plan, self._db()), IndexLookup)
+        assert not isinstance(optimize(plan, _load_mixed([], [])), InLookup)
+        assert isinstance(optimize(plan, self._db()), InLookup)
 
     def test_index_lowering_skips_unindexed_column(self):
         plan = Select(
             Scan("patients"), BinaryOp("=", Identifier.of("age"), Literal(33))
         )
-        assert not isinstance(optimize(plan, self._db()), IndexLookup)
+        assert not isinstance(optimize(plan, self._db()), InLookup)
 
     def test_index_lowering_skips_null_literal(self):
         plan = Select(
             Scan("patients"), BinaryOp("=", Identifier.of("name"), Literal(None))
         )
-        assert not isinstance(optimize(plan, self._db()), IndexLookup)
+        assert not isinstance(optimize(plan, self._db()), InLookup)
 
     def test_index_lookup_respects_sql_equality(self):
         # hash(True) == hash(1), so probing an INTEGER index with TRUE lands
         # in the 1-bucket — but SQL `=` distinguishes booleans from numbers,
-        # so the lookup's post-filter must reject those rows.
+        # so the probe must skip that bucket.
         db = Database("d")
         db.create_table(
             TableSchema.build("t", [("k", DataType.INTEGER), ("v", DataType.TEXT)])
@@ -263,7 +322,7 @@ class TestOptimizerShapes:
         assert index.lookup((True,))  # the raw bucket DOES contain k=1 rows
         plan = Select(Scan("t"), BinaryOp("=", Identifier.of("k"), Literal(True)))
         optimized = optimize(plan, db)
-        assert isinstance(optimized, IndexLookup)
+        assert isinstance(optimized, InLookup)
         assert optimized.execute(db) == execute_interpreted(plan, db) == []
 
     def test_projection_pushdown_preserves_collision_error(self):
@@ -348,7 +407,7 @@ class TestInListAccessPaths:
 
     def test_prepare_stream_plan_builds_index_above_existing_lookup(self):
         # With only the name index present, the first optimize leaves the
-        # membership select above an IndexLookup; preparing for streaming
+        # membership select above a name probe; preparing for streaming
         # must still build the single-column index and re-plan onto it.
         db = self._db()
         table = db.table("patients")
@@ -813,7 +872,7 @@ class TestRandomizedPlans:
         db.table("visits").create_index(("score",))
         plan = Select(Scan("visits"), parse(f"score = {score}"))
         optimized = optimize(plan, db)
-        assert isinstance(optimized, IndexLookup)
+        assert isinstance(optimized, InLookup)
         assert optimized.execute(db) == execute_interpreted(plan, db)
 
 

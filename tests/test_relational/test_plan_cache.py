@@ -24,7 +24,6 @@ from repro.obs import explain_analyze
 from repro.relational import (
     Database,
     DataType,
-    IndexLookup,
     InLookup,
     Plan,
     Query,
@@ -239,18 +238,18 @@ class TestZoneMapCertificates:
 
 class TestStaleIndexRegression:
     def test_dropped_index_plan_is_not_served(self):
-        """A cached IndexLookup plan must be re-lowered after drop_index."""
+        """A cached index-probe plan must be re-lowered after drop_index."""
         db = _db()
         db.table("patients").create_index(("patient_id",))
         plan = Query.table("patients").where("patient_id = 3").plan
         lowered = optimize(plan, db)
-        assert _contains(lowered, IndexLookup)
+        assert lowered == InLookup("patients", "patient_id", (3,))
         assert [row["patient_id"] for row in lowered.execute(db)] == [3]
 
         db.table("patients").drop_index(("patient_id",))
         relowered = optimize(plan, db)
         assert relowered is not lowered
-        assert not _contains(relowered, IndexLookup)
+        assert not _contains(relowered, InLookup)
         assert [row["patient_id"] for row in relowered.execute(db)] == [3]
 
     def test_prepare_stream_plan_settles_into_the_cache(self):

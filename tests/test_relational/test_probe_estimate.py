@@ -1,10 +1,10 @@
 """Index probes are counted one way: by the buckets they read.
 
-An ``IndexLookup`` counts the rows of its bucket; an ``InLookup`` sums
-the buckets of its distinct probes, skipping exactly the probes its
-``_stream`` skips: NULL, and a bool probe against a non-bool column (or
-the reverse).  Index lowering ranks access paths by that count
-(``bucket_rows``), so it must equal the rows the probe returns.
+An ``InLookup`` sums the buckets of its distinct probes (an equality
+probe has one), skipping exactly the probes its ``_stream`` skips: NULL,
+and a bool probe against a non-bool column (or the reverse).  Index
+lowering ranks access paths by that count (``bucket_rows``), so it must
+equal the rows the probe returns.
 """
 
 from unittest import mock
@@ -12,7 +12,6 @@ from unittest import mock
 from repro.relational import (
     Database,
     DataType,
-    IndexLookup,
     InLookup,
     Query,
     Select,
@@ -57,7 +56,7 @@ def _db(rows: int = 1000) -> Database:
     return db
 
 
-def _probe_rows(plan: IndexLookup | InLookup, db: Database) -> int:
+def _probe_rows(plan: InLookup, db: Database) -> int:
     """The rows a probe reads: its buckets, or the whole table when no
     index matches (the scan fallback)."""
     if not db.has_table(plan.table):
@@ -68,23 +67,26 @@ def _probe_rows(plan: IndexLookup | InLookup, db: Database) -> int:
 
 
 class TestIndexLookupEstimate:
+    """An equality probe: a one-value ``InLookup`` reads one bucket."""
+
     def test_hit_bucket_counts_its_rows(self):
         db = _db()
-        assert _probe_rows(IndexLookup("eav", (("kind", "bulk"),)), db) == 900
-        assert _probe_rows(IndexLookup("eav", (("kind", "rare"),)), db) == 100
+        assert _probe_rows(InLookup("eav", "kind", ("bulk",)), db) == 900
+        assert _probe_rows(InLookup("eav", "kind", ("rare",)), db) == 100
 
     def test_empty_bucket_counts_zero(self):
         db = _db()
-        assert _probe_rows(IndexLookup("eav", (("kind", "none"),)), db) == 0
+        assert _probe_rows(InLookup("eav", "kind", ("none",)), db) == 0
 
     def test_scan_fallback_counts_the_table(self):
         db = _db()
         # No index covers ``attribute``: execution scans the whole extent.
-        plan = IndexLookup("eav", (("attribute", "a1"),))
+        plan = InLookup("eav", "attribute", ("a1",))
         assert _probe_rows(plan, db) == 1000
+        assert len(plan.execute(db)) == 250
 
     def test_missing_table_counts_zero(self):
-        assert _probe_rows(IndexLookup("gone", (("kind", "x"),)), _db()) == 0
+        assert _probe_rows(InLookup("gone", "kind", ("x",)), _db()) == 0
 
 
 class TestInLookupEstimate:
@@ -130,8 +132,8 @@ class TestPlanRowEstimate:
         InLookup("eav", "flag", (None, 1, True)),
         InLookup("eav", "record_id", (True, 1)),
         InLookup("eav", "record_id", (None, 2, 2, 2.0)),
-        IndexLookup("eav", (("kind", "rare"),)),
-        IndexLookup("eav", (("flag", 1),)),
+        InLookup("eav", "kind", ("rare",)),
+        InLookup("eav", "kind", ("none",)),
     ]
 
     def test_null_and_bool_probes_count_what_the_probe_returns(self):
@@ -148,12 +150,12 @@ class TestPlanRowEstimate:
     def test_a_bool_mismatched_probe_counts_and_returns_nothing(self):
         db = _db()
         table = db.table("eav")
-        assert IndexLookup("eav", (("flag", 1),)).bucket_rows(table) == 0
+        assert InLookup("eav", "flag", (1,)).bucket_rows(table) == 0
         plans = [
-            IndexLookup("eav", (("flag", 1),)),
-            IndexLookup("eav", (("record_id", True),)),
-            IndexLookup("eav", (("kind", "rare"), ("flag", 0))),
-            IndexLookup("eav", (("kind", None),)),
+            InLookup("eav", "flag", (1,)),
+            InLookup("eav", "flag", (0,)),
+            InLookup("eav", "record_id", (True,)),
+            InLookup("eav", "kind", (None,)),
         ]
         for plan in plans:
             assert len(execute_interpreted(plan, db)) == 0

@@ -6,7 +6,9 @@ from repro.relational import (
     AggregateSpec,
     Coerce,
     Compute,
+    Database,
     DataType,
+    InLookup,
     Join,
     Pivot,
     Project,
@@ -14,8 +16,10 @@ from repro.relational import (
     Scan,
     Select,
     Sort,
+    TableSchema,
     Union,
     Values,
+    optimize,
     to_sql,
 )
 
@@ -23,6 +27,27 @@ from repro.relational import (
 class TestRendering:
     def test_scan(self):
         assert to_sql(Scan("t")) == "SELECT * FROM t"
+
+    def test_in_lookup(self):
+        assert to_sql(InLookup("t", "a", (1, 2))) == "SELECT * FROM t WHERE a IN (1, 2)"
+        assert to_sql(InLookup("t", "k", ("x'y",))) == (
+            "SELECT * FROM t WHERE k IN ('x''y')"
+        )
+        assert to_sql(InLookup("t", "a", ())) == "SELECT * FROM t WHERE a IN (NULL)"
+
+    def test_lowered_equality(self):
+        db = Database("d")
+        db.create_table(
+            TableSchema.build("t", [("k", DataType.TEXT), ("n", DataType.INTEGER)])
+        )
+        db.table("t").create_index(("k",))
+        optimized = optimize(Select(Scan("t"), parse("k = 'x' AND n > 1")), db)
+        assert to_sql(optimized) == (
+            "SELECT * FROM (\n"
+            "  SELECT * FROM t WHERE k IN ('x')\n"
+            ") AS t\n"
+            "WHERE (n > 1)"
+        )
 
     def test_select_where(self):
         sql = to_sql(Select(Scan("t"), parse("a = 1")))

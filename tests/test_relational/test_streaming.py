@@ -6,7 +6,7 @@ from repro.expr.ast import BinaryOp, Identifier, Literal
 from repro.relational import (
     Database,
     DataType,
-    IndexLookup,
+    InLookup,
     Plan,
     Project,
     Scan,
@@ -46,7 +46,7 @@ class TestCopyBoundary:
         self._assert_result_is_detached(plan, _db())
 
     def test_index_lookup_detached(self):
-        self._assert_result_is_detached(IndexLookup("t", (("id", 3),)), _db())
+        self._assert_result_is_detached(InLookup("t", "id", (3,)), _db())
 
     def test_sort_over_scan_detached(self):
         self._assert_result_is_detached(Sort(Scan("t"), (("v", False),)), _db())
