@@ -26,7 +26,6 @@ from operator import itemgetter
 from typing import Callable, Iterable
 
 from repro.errors import GuavaError, ReproError
-from repro.expr.compile import compile_predicate
 from repro.expr.ast import Identifier, InList, Literal
 from repro.guava.derive import derive_all
 from repro.guava.gtree import GTree
@@ -38,10 +37,10 @@ from repro.obs.trace import current_tracer
 from repro.relational.database import Database, restore_generation
 from repro.relational.query import (
     cached_plan,
-    extent_driver,
     optimize,
     prepare_stream_plan,
     rebind_in_lists,
+    record_local,
 )
 from repro.ui.form import RECORD_ID
 from repro.ui.session import DataEntrySession
@@ -313,7 +312,9 @@ class GuavaSource:
         later hits rebind the membership slots to theirs.
 
         A full read's *rows* are also kept, and brought forward by the
-        records appended since (see :meth:`_read`).  Each shape has one
+        records changed since (see :meth:`_read`).  A full read's rows are
+        a multiset: their order is unspecified, and a patched read lists
+        the changed records' rows after the kept ones.  Each shape has one
         kept raw read; ``row_map`` turns each record of it into the row
         returned for it, so a mapped read keeps the mapped rows, maps a
         record once per data version, and reads the chain tables only
@@ -366,9 +367,9 @@ class GuavaSource:
         The *raw* read is kept under the shape's plan-cache key: its first
         read keeps its own rows, so the second is a hit.  Kept rows
         at an older stamp are *patched* when only the data versions moved
-        and the change feed vouches that the change is records appended
-        since (see :meth:`_patch`): a record-scoped read of just those
-        records is appended, so a live read costs what changed.  A query
+        and the change feed vouches that no record the kept rows hold
+        changed since (see :meth:`_patch`): a record-scoped read of the
+        changed records is appended, so a live read costs what changed.  A query
         without a key (a g-tree this source did not derive) bypasses the
         memo.
 
@@ -479,7 +480,7 @@ class GuavaSource:
         if plan is None:
             # Passing the database unlocks index lowering and the plan cache.
             plan = optimize(translate_query(query, self.chain), db, cache_key=key)
-        return plan.execute(db), _KeptRead(plan, self._lengths())
+        return plan.execute(db), _KeptRead(plan)
 
     def _raw(
         self, query: GTreeQuery, shape: str, stamp: tuple, full: bool = True
@@ -573,7 +574,7 @@ class GuavaSource:
         state: "_KeptRead",
     ) -> int | None:
         """Append to a raw read kept at ``kept_stamp`` the rows of the
-        records added since.
+        records changed since.
 
         Returns the number of records changed, or None, having changed
         nothing, and the caller reads in full, unless every condition
@@ -581,17 +582,21 @@ class GuavaSource:
 
         * only the chain tables' data versions moved (same plan epoch and
           restore generation);
-        * the kept rows follow one driving table's extent record by record
-          (:func:`~repro.relational.query.extent_driver`);
+        * the plan is record-local, each row derived from one record's
+          rows (:func:`~repro.relational.query.record_local`), and the
+          kept rows carry ``record_id``;
         * the change feed enumerates the records of this form changed
           since then (no untracked write, no pruned span);
         * none of them is in the kept rows (no update or delete of a read
-          record), and none has a row that passes the driving table's leaf
-          filter below that table's row count at the kept read (so each
-          is new to the read and its rows follow every kept row);
-        * the driving table has a ``record_id`` index to find them by;
+          record);
+        * the table at the end of the plan's left spine has a
+          ``record_id`` index, so the scoped read scans no table a
+          record-scoped read would not;
         * a record-scoped read of them succeeds.
 
+        The kept rows are then exactly the unchanged records' rows, and the
+        scoped read exactly the changed records' rows, so the patched rows
+        equal a full read's as a multiset (row order is unspecified).
         Maps' images are extended from the raw rows this appends (see
         :meth:`_read`), so this runs once per shape and data version
         whatever the number of maps.  The scoped read reuses the refresh
@@ -609,22 +614,10 @@ class GuavaSource:
         changed = self.changed_record_ids(sum(versions), query.gtree.form_name)
         if changed is None or not changed.isdisjoint(state.index(kept)):
             return None
-        table = self.db.table(state.driver)
         if changed:
-            index = table.matching_index((RECORD_ID,))
-            if index is None:
+            if self.db.table(state.driver).matching_index((RECORD_ID,)) is None:
                 return None
-            length = state.lengths[state.driver]
-            old = [
-                position
-                for rid in changed
-                for position in index.lookup((rid,))
-                if position < length
-            ]
-            keep = state.keep
             try:
-                if old and (keep is None or any(map(keep, table.rows_at(old)))):
-                    return None
                 scoped = self._scoped_rows(query, shape, tuple(sorted(changed)))
             except ReproError:
                 return None
@@ -632,18 +625,8 @@ class GuavaSource:
                 return None
             state.extend(scoped, len(kept))
             kept.extend(scoped)
-        state.lengths = self._lengths()
         state.changed += len(changed)
         return len(changed)
-
-    def _lengths(self) -> dict[str, int]:
-        """Each chain table's row count."""
-        db = self.db
-        return {
-            name: len(db.table(name))
-            for name in self._chain_tables
-            if db.has_table(name)
-        }
 
     def _scoped_rows(
         self, query: GTreeQuery, shape: str, ids: tuple[int, ...]
@@ -695,11 +678,11 @@ class _KeptRead:
     """The state of a kept raw read: its patch state (see
     :meth:`GuavaSource._patch`) and its maps' images.
 
-    Made cheaply at every full read (the plan and the chain tables' row
-    counts); a patch keeps the object and appends to the rows, so one
-    object stands for one full read and its patches.  The analysis a
-    patch needs is done on the first patch and kept: the driving table
-    and its compiled leaf filter.  The record-id index (record id -> the
+    Made cheaply at every full read (it holds the plan); a patch keeps the
+    object and appends to the rows, so one object stands for one full read
+    and its patches.  The analysis a patch needs is done on the first
+    patch and kept: the table at the end of the plan's left spine, when
+    the plan is record-local.  The record-id index (record id -> the
     position of its row in the kept rows) is built on first use and
     extended by each patch; ``single`` says every record has one row, so
     the index finds all of them.  ``changed`` counts the records patched
@@ -709,15 +692,11 @@ class _KeptRead:
     from.
     """
 
-    __slots__ = (
-        "plan", "lengths", "driver", "keep", "positions", "single", "changed", "maps"
-    )
+    __slots__ = ("plan", "driver", "positions", "single", "changed", "maps")
 
-    def __init__(self, plan: Plan, lengths: dict[str, int]):
+    def __init__(self, plan: Plan):
         self.plan: Plan | None = plan
-        self.lengths = lengths
         self.driver: str | None = None
-        self.keep: Callable[[Row], bool] | None = None
         self.positions: dict[object, int] | None = None
         self.single = True
         self.changed = 0
@@ -728,12 +707,9 @@ class _KeptRead:
         plan = self.plan
         if plan is not None:
             self.plan = None
-            driver = extent_driver(plan, RECORD_ID, db)
-            if driver is not None and all(RECORD_ID in row for row in kept[:1]):
-                self.driver, leaf_filter = driver
-                if leaf_filter is not None:
-                    self.keep = compile_predicate(leaf_filter)
-        return self.driver is not None and self.driver in self.lengths
+            if all(RECORD_ID in row for row in kept[:1]):
+                self.driver = record_local(plan, RECORD_ID, db)
+        return self.driver is not None
 
     def index(self, kept: list[Row]) -> dict[object, int]:
         """Record id -> the position of its (last) row in ``kept``."""

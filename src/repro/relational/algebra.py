@@ -741,10 +741,6 @@ def canonical_key(value: object) -> object:
     return value
 
 
-# Historical internal name, kept for callers predating the audit.
-_hashable = canonical_key
-
-
 def _sort_key(value: object) -> tuple[int, object]:
     """Total order with NULLs first and types segregated.
 

@@ -215,58 +215,34 @@ def rebind_in_lists(
     return rebind(plan), count
 
 
-def extent_driver(
-    plan: Plan, column: str, db: Database
-) -> tuple[str, Expression | None] | None:
-    """The base table whose extent order ``plan``'s rows follow, if any.
+def record_local(plan: Plan, column: str, db: Database) -> str | None:
+    """The base table at the end of ``plan``'s left spine (each operator's
+    first child, each join's left side), when every row of ``plan``
+    derives from the rows of one ``column`` value; else None.
 
-    Follows the plan's spine (each unary operator's child, each join's
-    left side) down to a base-table leaf.  Returns that table and the
-    filter its rows pass at the leaf (None when unfiltered) when every
-    output row derives from the rows of one ``column`` value and rows
-    leave in the order their records first reach the spine: the spine
-    holds only row-wise operators, pivots and aggregates keyed on
-    ``column`` and joins, and each join's right side is keyed the same
-    way (joined on ``column = column``) or reads no table with
-    ``column``.  A new record whose leaf rows all sit past the old extent
-    then adds rows after every old record's, and changes no other
-    record's rows.  None for anything else (a ``Sort`` or ``Union`` on
-    the spine, a join across records).
+    Accepts row-wise operators, sorts, pivots and aggregates keyed on
+    ``column``, and joins whose right side is record-local and joined on
+    ``column = column``, or reads no table with ``column`` (a lookup).
+    Refuses anything else: a ``Union``, a join across records, a rename
+    of ``column``.  Row order plays no part: a record-local read's rows
+    are the union of its records' rows, so the rows of the records that
+    did not change, plus a read of those that did, are its rows as a
+    multiset.
     """
-    path: list[Plan] = []
-    node = plan
-    while not isinstance(node, (Scan, InLookup)):
-        if isinstance(node, Join):
-            if not (
-                (column, column) in node.on and _record_local(node.right, column, db)
-            ) and _reads_column(node.right, column, db):
-                return None
-            path.append(node)
-            node = node.left
-        elif _keyed_on(node, column):
-            path.append(node)
-            node = node.children()[0]
-        else:
-            return None
-    assert isinstance(node, (Scan, InLookup))
-    if not db.has_table(node.table) or not db.table(node.table).schema.has_column(
-        column
-    ):
-        return None
-    filters: list[Expression] = []
-    if isinstance(node, InLookup):
-        items = tuple(Literal(value) for value in node.values)
-        filters.append(InList(Identifier.of(node.column), items))
-    for above in reversed(path):
-        if not isinstance(above, Select):
-            break
-        filters.append(above.predicate)
-    return node.table, conjunction(filters) if filters else None
+    if isinstance(plan, (Scan, InLookup)):
+        return plan.table
+    if isinstance(plan, Join):
+        right_ok = (
+            (column, column) in plan.on and record_local(plan.right, column, db)
+        ) or not _reads_column(plan.right, column, db)
+        return record_local(plan.left, column, db) if right_ok else None
+    if isinstance(plan, Sort) or _keyed_on(plan, column):
+        return record_local(plan.children()[0], column, db)
+    return None
 
 
 def _keyed_on(node: Plan, column: str) -> bool:
-    """Does ``node`` map each record's rows to rows of that record only,
-    in arrival order?"""
+    """Does ``node`` map each record's rows to rows of that record only?"""
     if isinstance(node, (Select, Project, Compute, Coerce)):
         return True
     if isinstance(node, Rename):
@@ -275,21 +251,6 @@ def _keyed_on(node: Plan, column: str) -> bool:
         return column in node.key_columns
     if isinstance(node, Aggregate):
         return column in node.group_by
-    return False
-
-
-def _record_local(node: Plan, column: str, db: Database) -> bool:
-    """Does every row of ``node`` derive from the rows of one ``column``
-    value?  (Order does not matter below a join's right side.)"""
-    if isinstance(node, (Scan, InLookup)):
-        return True
-    if isinstance(node, Join):
-        return _record_local(node.left, column, db) and (
-            ((column, column) in node.on and _record_local(node.right, column, db))
-            or not _reads_column(node.right, column, db)
-        )
-    if isinstance(node, Sort) or _keyed_on(node, column):
-        return _record_local(node.children()[0], column, db)
     return False
 
 
@@ -872,7 +833,7 @@ def prepare_stream_plan(
     built = False
     for node in optimized.walk():
         # A membership select above an already-lowered lookup counts too:
-        # the index still serves a delta patch's new-record probe.
+        # a delta patch reads only when its left-spine table has the index.
         if not (isinstance(node, Select) and isinstance(node.child, (Scan, InLookup))):
             continue
         if not db.has_table(node.child.table):

@@ -94,8 +94,9 @@ class Table:
     def index_epoch(self) -> int:
         """Monotone index-structure version: bumps when an index is actually
         created or dropped.  ``create_index`` returning an existing index does
-        NOT bump it — ``prepare_stream_plan`` re-requests indexes on every
-        call, and those no-ops must not churn the plan cache."""
+        NOT bump it — the warehouse's ``_delete_stored`` re-requests its
+        indexes on every call, and those no-ops must not churn the plan
+        cache."""
         return self._index_epoch
 
     def rows(self) -> list[Row]:
@@ -356,7 +357,9 @@ class Table:
         coercion: identical coercion, identical single version bump,
         identical index rebuild — so replaying a logged update reproduces
         the original bit for bit without re-evaluating its
-        (unserializable) predicate.
+        (unserializable) predicate.  Only the indexes (primary key
+        included) over a changed column are re-keyed; positions do not
+        move, so every other index is still exact.
         """
         coerced = self._coerced_changes(changes)
         rows = self._rows
@@ -365,7 +368,9 @@ class Table:
             rows[position].update(coerced)
         if position_list:
             self._version += 1
-            self._rebuild_indexes()
+            for index in (self._pk_index, *self._indexes.values()):
+                if index is not None and not coerced.keys().isdisjoint(index.columns):
+                    index.rebuild(rows)
             self._notify(
                 "update", {"positions": position_list, "changes": dict(changes)}
             )

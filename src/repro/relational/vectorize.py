@@ -4,7 +4,7 @@ No plan contains a ``Vectorized`` node: the streaming executor is the one
 executor.  The class stays only because the end-to-end benchmark's layer
 breakdown (``benchmarks/e2e/layers.py``) imports it to count vectorized
 plans, so ``relational.vectorized_plan_pct`` reads 0.  The next benchmark
-refresh (ROADMAP item 8) drops that metric and this module.
+refresh (ROADMAP item 1) drops that metric and this module.
 """
 
 from dataclasses import dataclass

@@ -4,6 +4,8 @@ import pytest
 
 from repro.expr import parse
 from repro.relational import (
+    Aggregate,
+    AggregateSpec,
     Compute,
     Database,
     DataType,
@@ -18,6 +20,7 @@ from repro.relational import (
     Union,
     optimize,
 )
+from repro.relational.query import record_local
 
 
 @pytest.fixture
@@ -150,3 +153,56 @@ class TestOptimizer:
             .select("name", "kind")
         )
         assert query.execute(db, optimized=True) == query.execute(db, optimized=False)
+
+
+@pytest.fixture
+def records() -> Database:
+    """Two tables keyed on ``record_id`` and a code book without it."""
+    database = Database("records")
+    for name, columns in (
+        ("items", [("record_id", DataType.INTEGER), ("code", DataType.INTEGER)]),
+        ("notes", [("record_id", DataType.INTEGER), ("code", DataType.INTEGER)]),
+        ("codes", [("code", DataType.INTEGER), ("label", DataType.TEXT)]),
+    ):
+        database.create_table(TableSchema.build(name, columns))
+    return database
+
+
+class TestRecordLocal:
+    """``record_local``: the left-spine table of a plan each of whose rows
+    comes from one record's rows, or None."""
+
+    def test_a_lookup_join_is_accepted(self, records):
+        plan = Join(Scan("items"), Scan("codes"), on=(("code", "code"),))
+        assert record_local(plan, "record_id", records) == "items"
+
+    def test_a_join_on_the_record_is_accepted(self, records):
+        plan = Join(
+            Select(Scan("items"), parse("code > 1")),
+            Scan("notes"),
+            on=(("record_id", "record_id"),),
+        )
+        assert record_local(plan, "record_id", records) == "items"
+
+    def test_a_sort_is_accepted(self, records):
+        plan = Sort(Project(Scan("items"), ("record_id", "code")), (("code", True),))
+        assert record_local(plan, "record_id", records) == "items"
+
+    def test_an_aggregate_keyed_on_the_record_is_accepted(self, records):
+        count = (AggregateSpec("COUNT", None, "n"),)
+        keyed = Aggregate(Scan("notes"), ("record_id",), count)
+        assert record_local(keyed, "record_id", records) == "notes"
+        across = Aggregate(Scan("notes"), ("code",), count)
+        assert record_local(across, "record_id", records) is None
+
+    def test_a_union_is_refused(self, records):
+        plan = Union((Scan("items"), Scan("notes")))
+        assert record_local(plan, "record_id", records) is None
+
+    def test_a_join_across_records_is_refused(self, records):
+        plan = Join(Scan("items"), Scan("notes"), on=(("code", "code"),))
+        assert record_local(plan, "record_id", records) is None
+
+    def test_a_rename_of_the_record_column_is_refused(self, records):
+        plan = Rename(Scan("items"), (("record_id", "rid"),))
+        assert record_local(plan, "record_id", records) is None
