@@ -36,13 +36,14 @@ class EncodingPattern(DesignPattern):
                 raise PatternConfigError(
                     f"{table}.{column}: distinct values share a code"
                 )
+        # Per table, its encoded columns' code books: built once, read
+        # for every written row.
+        self._by_table: dict[str, dict[str, dict[object, object]]] = {}
+        for (table, column), mapping in self.encodings.items():
+            self._by_table.setdefault(table, {})[column] = mapping
 
     def _columns_of(self, table: str) -> dict[str, dict[object, object]]:
-        return {
-            column: mapping
-            for (t, column), mapping in self.encodings.items()
-            if t == table
-        }
+        return self._by_table.get(table, {})
 
     @staticmethod
     def _code_type(mapping: Mapping[object, object]) -> DataType:

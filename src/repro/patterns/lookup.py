@@ -35,6 +35,11 @@ class LookupPattern(DesignPattern):
         lookup_names = list(self.columns.values())
         if len(set(lookup_names)) != len(lookup_names):
             raise PatternConfigError("lookup tables must be distinct per column")
+        # Per table, its looked-up columns' lookup tables: built once, read
+        # for every written row.
+        self._by_table: dict[str, dict[str, str]] = {}
+        for (table, column), lookup in self.columns.items():
+            self._by_table.setdefault(table, {})[column] = lookup
         # Write-time state: per database, per lookup table, label -> code.
         self._codes: WeakKeyDictionary[Database, dict[str, dict[str, int]]] = (
             WeakKeyDictionary()
@@ -47,11 +52,7 @@ class LookupPattern(DesignPattern):
         }
 
     def _columns_of(self, table: str) -> dict[str, str]:
-        return {
-            column: lookup
-            for (t, column), lookup in self.columns.items()
-            if t == table
-        }
+        return self._by_table.get(table, {})
 
     def apply_schema(self, schemas: Schemas) -> Schemas:
         out: Schemas = {}

@@ -8,11 +8,11 @@ run here unchanged.
 
 Execution is *streaming*: every operator implements :meth:`Plan.stream`,
 yielding rows through iterators instead of materializing a list at each
-node.  ``Scan`` (and the index-backed ``InLookup``) yield the table's
-internal row dicts without copying; operators never mutate rows they
-receive, and ``Plan.execute`` restores the defensive-copy contract at the
-API boundary — only for plans whose output can still alias table storage
-(see :meth:`Plan.shares_storage`).  Predicates and derivations are lowered
+node.  Tables store rows as tuples, so ``Scan`` (and the index-backed
+``InLookup``) build a new dict per row they yield: no plan can hand out
+a stored row, and ``Plan.execute`` returns the streamed dicts as they
+are.  Operators never mutate rows they receive, except ``Coerce``, whose
+input is always new dicts.  Predicates and derivations are lowered
 once per plan node via :mod:`repro.expr.compile` rather than tree-walked
 per row; ``repro.relational.interpret`` keeps the original materializing
 interpreter as the executable specification both paths are property-tested
@@ -100,31 +100,20 @@ class Plan:
         tracer = current_tracer()
         if tracer is not None:
             return self._execute_traced(db, tracer)
-        rows = self.stream(ExecContext(db))
-        if self.shares_storage():
-            # The stream may yield dicts owned by table storage; copy at the
-            # boundary so callers can mutate results freely.
-            return [dict(row) for row in rows]
-        return list(rows)
+        return list(self.stream(ExecContext(db)))
 
     def _execute_traced(self, db: Database, tracer) -> list[Row]:
         with tracer.span(f"execute:{type(self).__name__}") as root:
             recorder = TreeRecorder(
                 self, root, label=trace_label, children=lambda p: p.children()
             )
-            rows = self.stream(ExecContext(db, recorder))
-            if self.shares_storage():
-                result = [dict(row) for row in rows]
-            else:
-                result = list(rows)
+            result = list(self.stream(ExecContext(db, recorder)))
             root.set("rows_out", len(result))
             return result
 
     def stream(self, ctx: ExecContext) -> Iterator[Row]:
         """Yield result rows lazily.
 
-        Rows may alias table storage when :meth:`shares_storage` is true;
-        treat streamed rows as read-only unless that method returns False.
         Dispatches to the node's :meth:`_stream`; when the context carries
         a recorder, the iterator is metered into the node's span (any
         eager setup work a node does — e.g. a join's build side — counts
@@ -140,10 +129,6 @@ class Plan:
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         """The node's streaming implementation (see :meth:`stream`)."""
         raise NotImplementedError
-
-    def shares_storage(self) -> bool:
-        """True when streamed rows may be the backing table's own dicts."""
-        return False
 
     def output_columns(self, db: Database) -> tuple[str, ...]:
         """Column names this node produces, in order."""
@@ -161,15 +146,12 @@ class Plan:
 
 @dataclass(frozen=True)
 class Scan(Plan):
-    """Read a base table's full extent (zero-copy; see ``shares_storage``)."""
+    """Read a base table's full extent, one new dict per stored row."""
 
     table: str
 
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         return ctx.db.table(self.table).iter_rows()
-
-    def shares_storage(self) -> bool:
-        return True
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.db.table(self.table).schema.column_names
@@ -254,9 +236,6 @@ class InLookup(Plan):
         )
         return table.rows_at(positions)
 
-    def shares_storage(self) -> bool:
-        return True
-
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.db.table(self.table).schema.column_names
 
@@ -288,9 +267,6 @@ class Select(Plan):
 
     def _stream(self, ctx: ExecContext) -> Iterator[Row]:
         return filter(compile_predicate(self.predicate), self.child.stream(ctx))
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)
@@ -588,15 +564,13 @@ class Coerce(Plan):
         converters = tuple(
             (column, Converter(dtype)) for column, dtype in self.column_types
         )
-        # Rows that already left table storage (fresh dicts from the child)
-        # can be converted in place; aliased rows still get copied.
-        copy = self.child.shares_storage()
+        # Every row reaching here is a new dict (no plan yields a stored
+        # row), so it is converted in place.
         for row in self.child.stream(ctx):
-            converted = dict(row) if copy else row
             for column, coerce in converters:
-                if column in converted:
-                    converted[column] = coerce(converted[column])
-            yield converted
+                if column in row:
+                    row[column] = coerce(row[column])
+            yield row
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)
@@ -673,9 +647,6 @@ class Sort(Plan):
         for column, ascending in reversed(self.keys):
             rows.sort(key=lambda row: _sort_key(row.get(column)), reverse=not ascending)
         return iter(rows)
-
-    def shares_storage(self) -> bool:
-        return self.child.shares_storage()
 
     def _columns(self, ctx: ExecContext) -> tuple[str, ...]:
         return ctx.columns(self.child)

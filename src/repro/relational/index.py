@@ -2,33 +2,43 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
-Row = Mapping[str, object]
+#: A row as an index reads it: a stored tuple (subscripted by position) or
+#: a mapping (subscripted by column name).
+Row = Sequence[object] | Mapping[str, object]
 
 
 class HashIndex:
     """Equality index on one or more columns.
 
-    Values are row positions within the owning table's row list; the table
-    keeps indexes synchronized on insert/delete.
+    Values are row positions within the owning table's row list, each
+    bucket in ascending position order; the table keeps indexes
+    synchronized on insert/update/delete.  ``slots`` says where each
+    column sits in the rows the index reads: a table passes the columns'
+    positions in its stored tuples, and the default (the column names)
+    reads mapping rows.
     """
 
-    def __init__(self, columns: tuple[str, ...]):
+    def __init__(
+        self, columns: tuple[str, ...], slots: tuple[Hashable, ...] | None = None
+    ):
         if not columns:
             raise ValueError("index requires at least one column")
         self.columns = columns
+        self.slots = columns if slots is None else slots
         self._buckets: dict[tuple[object, ...], list[int]] = defaultdict(list)
 
     def key_of(self, row: Row) -> tuple[object, ...]:
         """The index key tuple for ``row``."""
-        return tuple(row.get(column) for column in self.columns)
+        return tuple(row[slot] for slot in self.slots)  # type: ignore[index]
 
     def keys_of(self, rows: Sequence[Row]) -> list[tuple[object, ...]]:
-        """:meth:`key_of` for each of ``rows``, which hold every indexed column."""
-        return list(zip(*(map(itemgetter(column), rows) for column in self.columns)))
+        """:meth:`key_of` for each of ``rows``."""
+        return list(zip(*(map(itemgetter(slot), rows) for slot in self.slots)))
 
     def add(self, row: Row, position: int) -> None:
         self._buckets[self.key_of(row)].append(position)
@@ -44,14 +54,36 @@ class HashIndex:
         return not self._buckets.keys().isdisjoint(keys)
 
     def lookup(self, key: tuple[object, ...]) -> list[int]:
-        """Positions of rows whose indexed columns equal ``key``."""
+        """Positions of rows whose indexed columns equal ``key``, ascending."""
         return list(self._buckets.get(key, ()))
 
     def count(self, key: tuple[object, ...]) -> int:
         """Size of ``key``'s bucket, without copying it."""
         return len(self._buckets.get(key, ()))
 
-    def rebuild(self, rows: Sequence[Row]) -> None:
-        """Recompute the index from scratch (after bulk deletes)."""
-        self._buckets.clear()
-        self.add_keys(self.keys_of(rows), 0)
+    def rebuild(
+        self, rows: Sequence[Row], replaced: Mapping[int, Row] | None = None
+    ) -> None:
+        """Re-key the index from ``rows``.
+
+        Without ``replaced`` every bucket is recomputed (after a delete
+        shifts positions).  With it — position → the row that stood there
+        before — only those positions can have changed key: each one whose
+        key did moves from its old bucket to its place in the new one, and
+        a bucket left empty goes, so :meth:`holds_any` sees only live keys.
+        """
+        buckets = self._buckets
+        if replaced is None:
+            buckets.clear()
+            self.add_keys(self.keys_of(rows), 0)
+            return
+        key_of = self.key_of
+        for position, before in replaced.items():
+            old, new = key_of(before), key_of(rows[position])
+            if old == new:
+                continue
+            bucket = buckets[old]
+            del bucket[bisect_left(bucket, position)]
+            if not bucket:
+                del buckets[old]
+            insort(buckets[new], position)

@@ -2,7 +2,7 @@
 
 This module preserves the original (pre-streaming) execution strategy as an
 executable specification of plan semantics: every node materializes a full
-``list[Row]``, ``Scan`` copies each row defensively, and predicates and
+``list[Row]``, ``Scan`` reads the table's rows as new dicts, and predicates and
 derivations recurse through :class:`~repro.expr.evaluator.Evaluator` once
 per row.  The streaming executor in :mod:`repro.relational.algebra` and the
 optimizer's rewrites must agree with this interpreter row for row —

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import chain
 from math import isfinite
 from types import NoneType
-from typing import Callable, Container, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import IntegrityError, SchemaError
 from repro.relational.index import HashIndex
@@ -14,9 +14,12 @@ from repro.relational.types import Converter, unchanged_by_coerce
 
 Row = dict[str, object]
 
+#: A stored row: its values in schema column order.
+Stored = tuple[object, ...]
+
 #: A batch :meth:`Table.check_batch` accepted: (the table's version when
 #: checked, the rows to store, their primary keys).
-CheckedBatch = tuple[int, list[Row], list[tuple[object, ...]]]
+CheckedBatch = tuple[int, list[Stored], list[tuple[object, ...]]]
 
 #: Callbacks fired whenever a table's extent or counters are *restored*
 #: (snapshot load, WAL replay) rather than mutated through the normal
@@ -37,13 +40,18 @@ class Table:
 
     Inserts coerce values through column types, reject unknown columns,
     fill missing columns with ``None``, and enforce NOT NULL and primary-key
-    uniqueness.  Rows handed out by :meth:`rows` are copies; the extent can
-    only change through the table's own methods, which keep indexes fresh.
+    uniqueness.  The extent is a list of tuples, each row's values in
+    schema column order, built by the table's own write paths (which never
+    keep a caller's object) and replaced, never changed, by an update.
+    Rows leave as dicts built on the way out (:meth:`rows`,
+    :meth:`iter_rows`, :meth:`rows_at`), so no reader can reach storage;
+    :meth:`stored_rows` is the read-only view of the tuples themselves.
+    Indexes key on column positions in those tuples.
     """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self._rows: list[Row] = []
+        self._rows: list[Stored] = []
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
         self._pk_index: HashIndex | None = None
         self._version = 0
@@ -53,7 +61,7 @@ class Table:
         # mutation is applied; None (the default) costs one check per call.
         self._listener: Callable[[str, dict[str, object]], None] | None = None
         if schema.primary_key:
-            self._pk_index = HashIndex(schema.primary_key)
+            self._pk_index = self._new_index(schema.primary_key)
 
     # -- change notification --------------------------------------------------
 
@@ -65,7 +73,8 @@ class Table:
         The durability layer uses this to mirror every successful mutation
         into its write-ahead log; payloads are position/value based so a
         replay reproduces the extent, the insertion order, and the data
-        version exactly without re-running predicates.
+        version exactly without re-running predicates.  Inserted rows are
+        passed as stored: tuples in schema column order.
         """
         self._listener = listener
 
@@ -100,21 +109,30 @@ class Table:
         return self._index_epoch
 
     def rows(self) -> list[Row]:
-        """A defensive copy of the extent, in insertion order."""
-        return [dict(row) for row in self._rows]
+        """The extent as new dicts, in insertion order."""
+        return list(map(self.schema.row_dict, self._rows))
 
     def iter_rows(self) -> Iterator[Row]:
-        """Iterate the extent without copying.
+        """Iterate the extent, building each row's dict as it is reached.
 
-        The streaming executor's ``Scan`` uses this; yielded dicts are the
-        table's own storage, so callers must treat them as read-only.
+        The streaming executor's ``Scan`` uses this; every dict is new, so
+        the caller owns it.
         """
-        return iter(self._rows)
+        return map(self.schema.row_dict, self._rows)
 
     def rows_at(self, positions: Iterable[int]) -> Iterator[Row]:
-        """Rows at index positions, uncopied (read-only, like iter_rows)."""
-        rows = self._rows
-        return (rows[position] for position in positions)
+        """The rows at index positions, as new dicts."""
+        return map(self.schema.row_dict, map(self._rows.__getitem__, positions))
+
+    def stored_rows(self) -> Sequence[Stored]:
+        """The stored tuples themselves, in insertion order (read-only).
+
+        For readers that want values by position and no dicts: the
+        snapshot writer, ``state_fingerprint`` and the warehouse's refresh
+        delete.  The sequence is the table's own; a caller must not change
+        it, and a table write may change it under an open iteration.
+        """
+        return self._rows
 
     def secondary_index_columns(self) -> list[tuple[str, ...]]:
         """Column tuples of every secondary index, in creation order.
@@ -144,7 +162,7 @@ class Table:
     # -- writing -------------------------------------------------------------
 
     def insert(self, values: Mapping[str, object]) -> Row:
-        """Validate, coerce, store, and return the new row (as a copy)."""
+        """Validate, coerce, store, and return the new row (as a dict)."""
         row = self._validate(values)
         pk_index = self._pk_index
         if pk_index is not None:
@@ -157,7 +175,7 @@ class Table:
         for index in self._indexes.values():
             index.add(row, position)
         self._notify("insert", {"row": row})
-        return dict(row)
+        return self.schema.row_dict(row)
 
     def check_batch(self, rows: Iterable[Mapping[str, object]]) -> CheckedBatch:
         """Check a batch of rows as :meth:`insert` checks each; change nothing.
@@ -172,7 +190,7 @@ class Table:
         """
         validate = self._validate
         pk_index = self._pk_index
-        stored: list[Row] = []
+        stored: list[Stored] = []
         # Insertion-ordered: the keys of ``stored``, since a repeat raises.
         keys: dict[tuple[object, ...], None] = {}
         for values in rows:
@@ -239,7 +257,7 @@ class Table:
         self._append(*checked)
         return len(batch)
 
-    def _append(self, stored: list[Row], keys: list[tuple[object, ...]]) -> None:
+    def _append(self, stored: list[Stored], keys: list[tuple[object, ...]]) -> None:
         start = len(self._rows)
         self._rows.extend(stored)
         self._version += len(stored)
@@ -256,21 +274,23 @@ class Table:
 
     def _checked(
         self, batch: list[Mapping[str, object]]
-    ) -> tuple[list[Row], list[tuple[object, ...]]] | None:
+    ) -> tuple[list[Stored], list[tuple[object, ...]]] | None:
         """The batch's coerced rows and primary keys; None if a row fails.
 
         The column-wise form of :meth:`check_batch`, in two flat passes.
         The first lists the batch's keys end to end.  When that list is the
         schema's column names once per row, every row holds exactly the
         schema's columns in schema order (a row's keys are distinct, so no
-        row can span more than one run of the names), and each row is
-        copied as it is; otherwise each row is projected onto the schema,
-        NULL for a missing column, unless some key is not a column.  The
-        second lists the stored rows' values end to end, so column ``i`` is
-        the slice ``values[i::width]``.  A column whose values are all NULL
-        or of its type's native class (finite, for FLOAT) needs no
-        coercion.  It may also raise (a value that does not coerce).  It
-        never changes the table or the caller's rows.
+        row can span more than one run of the names), and each row's values
+        are read as they are; otherwise each row is projected onto the
+        schema, NULL for a missing column, unless some key is not a column.
+        The second lists those values end to end, so column ``i`` is the
+        slice ``values[i::width]``; a column that needs coercion is written
+        back into its slice, and the rows are then cut from the list
+        ``width`` values at a time.  A column whose values are all NULL or
+        of its type's native class (finite, for FLOAT) needs no coercion.
+        It may also raise (a value that does not coerce).  It never changes
+        the table or the caller's rows.
         """
         schema = self.schema
         names = schema.column_names
@@ -278,12 +298,11 @@ class Table:
         row_keys = list(chain.from_iterable(batch))
         count = len(batch)
         if len(row_keys) == width * count and row_keys == list(names) * count:
-            stored = list(map(dict, batch))
+            values = list(chain.from_iterable(row.values() for row in batch))
         elif schema.column_set.issuperset(row_keys):
-            stored = [{name: row.get(name) for name in names} for row in batch]
+            values = [row.get(name) for row in batch for name in names]
         else:
             return None
-        values = list(chain.from_iterable(map(dict.values, stored)))
         for offset, column in enumerate(schema.columns):
             column_values = values[offset::width]
             kinds = set(map(type, column_values))
@@ -292,11 +311,10 @@ class Table:
                     return None
                 continue
             coerced = Converter(column.dtype).column(column_values)
-            name = column.name
-            for row, value in zip(stored, coerced):
-                row[name] = value
+            values[offset::width] = coerced
             if not column.nullable and None in coerced:
                 return None
+        stored: list[Stored] = list(zip(*[iter(values)] * width)) if width else [()] * count
         keys: list[tuple[object, ...]] = []
         pk_index = self._pk_index
         if pk_index is not None:
@@ -325,7 +343,7 @@ class Table:
         positions.
         """
         positions = [
-            position for position, row in enumerate(self._rows) if predicate(row)
+            position for position, row in enumerate(self.iter_rows()) if predicate(row)
         ]
         coerced = self._coerced_changes(changes)
         for name, value in coerced.items():
@@ -334,10 +352,11 @@ class Table:
         pk_index = self._pk_index
         if pk_index is not None and not coerced.keys().isdisjoint(pk_index.columns):
             rows = self._rows
+            changed_at = self._by_position(coerced)
             changed = set(positions)
             pending: dict[tuple[object, ...], None] = {}
             for position in positions:
-                key = pk_index.key_of({**rows[position], **coerced})
+                key = pk_index.key_of(_replaced(rows[position], changed_at))
                 if None in key:
                     raise IntegrityError(
                         f"{self.name}: primary key columns "
@@ -354,23 +373,32 @@ class Table:
         """Apply ``changes`` to the rows at ``positions`` (the redo path).
 
         Position-based replay of an :meth:`update`, with no checks beyond
-        coercion: identical coercion, identical single version bump,
-        identical index rebuild — so replaying a logged update reproduces
-        the original bit for bit without re-evaluating its
-        (unserializable) predicate.  Only the indexes (primary key
-        included) over a changed column are re-keyed; positions do not
-        move, so every other index is still exact.
+        coercion and the positions' range: identical coercion, identical
+        single version bump, identical index entries — so replaying a
+        logged update reproduces the original bit for bit without
+        re-evaluating its (unserializable) predicate.  Each changed row's
+        tuple is replaced by a new one.  Only the indexes (primary key
+        included) over a changed column are re-keyed, and only at the
+        changed positions: each one whose key changed moves between
+        buckets.  Positions do not move, so every other index is still
+        exact.  A position outside the extent raises :class:`IndexError`
+        before anything changes.
         """
         coerced = self._coerced_changes(changes)
         rows = self._rows
         position_list = list(positions)
-        for position in position_list:
-            rows[position].update(coerced)
+        # Position -> the row it held; indexing first rejects a bad position.
+        replaced = {position: rows[position] for position in position_list}
+        if replaced and min(replaced) < 0:
+            raise IndexError(f"{self.name}: no row at position {min(replaced)}")
+        changed_at = self._by_position(coerced)
+        for position, row in replaced.items():
+            rows[position] = _replaced(row, changed_at)
         if position_list:
             self._version += 1
             for index in (self._pk_index, *self._indexes.values()):
                 if index is not None and not coerced.keys().isdisjoint(index.columns):
-                    index.rebuild(rows)
+                    index.rebuild(rows, replaced)
             self._notify(
                 "update", {"positions": position_list, "changes": dict(changes)}
             )
@@ -379,7 +407,7 @@ class Table:
     def delete(self, predicate: Callable[[Row], bool]) -> int:
         """Remove rows matching ``predicate``; returns count removed."""
         return self.delete_at(
-            [position for position, row in enumerate(self._rows) if predicate(row)]
+            [position for position, row in enumerate(self.iter_rows()) if predicate(row)]
         )
 
     def delete_at(self, positions: Iterable[int]) -> int:
@@ -404,7 +432,7 @@ class Table:
                 raise SchemaError(f"table {self.name} has no column {column!r}")
         if key in self._indexes:
             return self._indexes[key]
-        index = HashIndex(key)
+        index = self._new_index(key)
         index.rebuild(self._rows)
         self._indexes[key] = index
         self._index_epoch += 1
@@ -426,15 +454,20 @@ class Table:
 
     # -- restore (snapshot load / WAL replay only) ----------------------------
 
-    def restore_extent(self, rows: list[Row]) -> None:
+    def restore_extent(self, rows: Iterable[Mapping[str, object] | Stored]) -> None:
         """Replace the whole extent with pre-validated ``rows`` (restore only).
 
-        Rows are adopted as storage (no copies, no re-validation — they came
-        from this table's own snapshot), indexes are rebuilt, and the
-        registered restore listeners are told.  Counters are NOT touched —
-        pair with :meth:`restore_counters`.
+        Each row is a tuple in schema column order (a snapshot's) or a
+        mapping holding every column; either is stored as a tuple with no
+        re-validation — they came from this table's own snapshot.  Indexes
+        are rebuilt and the registered restore listeners are told.
+        Counters are NOT touched — pair with :meth:`restore_counters`.
         """
-        self._rows = rows
+        names = self.schema.column_names
+        self._rows = [
+            row if type(row) is tuple else tuple([row[name] for name in names])  # type: ignore[index]
+            for row in rows
+        ]
         self._rebuild_indexes()
         for callback in _RESTORE_LISTENERS:
             callback(self)
@@ -468,13 +501,22 @@ class Table:
             for column, value in changes.items()
         }
 
-    def _validate(self, values: Mapping[str, object]) -> Row:
+    def _by_position(self, coerced: Mapping[str, object]) -> list[tuple[int, object]]:
+        """``(position, value)`` per coerced change."""
+        positions = self.schema.positions
+        return [(positions[name], value) for name, value in coerced.items()]
+
+    def _new_index(self, columns: tuple[str, ...]) -> HashIndex:
+        positions = self.schema.positions
+        return HashIndex(columns, tuple(positions[column] for column in columns))
+
+    def _validate(self, values: Mapping[str, object]) -> Stored:
         if not self.schema.column_set.issuperset(values):
             unknown = set(values) - self.schema.column_set
             raise SchemaError(
                 f"table {self.name} has no column(s) {sorted(unknown)}"
             )
-        row: Row = {}
+        row: list[object] = []
         get = values.get
         for name, native, coerce, nullable in self.schema.checks:
             value = get(name)
@@ -487,8 +529,8 @@ class Table:
                     raise IntegrityError(
                         f"{self.name}.{name} is NOT NULL but got NULL"
                     )
-            row[name] = value
-        return row
+            row.append(value)
+        return tuple(row)
 
     def _check_key(
         self, key: tuple[object, ...], pending: Container[tuple[object, ...]]
@@ -509,3 +551,11 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self.schema.name}, {len(self)} rows)"
+
+
+def _replaced(row: Stored, changed_at: list[tuple[int, object]]) -> Stored:
+    """``row`` with each ``(position, value)`` of ``changed_at`` applied."""
+    values = list(row)
+    for position, value in changed_at:
+        values[position] = value
+    return tuple(values)

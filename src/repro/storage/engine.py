@@ -55,7 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import RecoveryError, SnapshotCorruptionError, StorageError
 from repro.guava.source import ChangeFeedState
@@ -159,14 +159,37 @@ def state_fingerprint(db: Database) -> str:
                 "version": table.version,
                 "index_epoch": table.index_epoch,
                 "indexes": [list(k) for k in table.secondary_index_columns()],
-                "rows": [
-                    [row[c] for c in schema.column_names]
-                    for row in table.iter_rows()
-                ],
+                "rows": table.stored_rows(),
             }
         )
     payload = json.dumps(doc, separators=(",", ":"), default=str, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _logged_row(
+    table: Table, row: object, record: dict[str, Any]
+) -> Mapping[str, object]:
+    """A logged row as :meth:`Table.insert` takes it.
+
+    The log holds each row as an array in schema column order; logs written
+    before rows were stored as tuples hold objects keyed by column name,
+    which are taken as they are.  Anything else is a :class:`RecoveryError`
+    naming the record's LSN.
+    """
+    if isinstance(row, list):
+        names = table.schema.column_names
+        if len(row) == len(names):
+            return dict(zip(names, row))
+        raise RecoveryError(
+            f"WAL record lsn {record.get('lsn')}: a row of {len(row)} values "
+            f"for the {len(names)} columns of {table.name!r}"
+        )
+    if isinstance(row, dict):
+        return row
+    raise RecoveryError(
+        f"WAL record lsn {record.get('lsn')}: a row of type "
+        f"{type(row).__name__} for {table.name!r}"
+    )
 
 
 class DurableStore:
@@ -337,11 +360,11 @@ class DurableStore:
             db.drop_table(record["name"])
         elif op == "insert_many":
             table = db.table(record["table"])
-            table.append_checked(table.check_batch(record["rows"]))
+            rows = [_logged_row(table, row, record) for row in record["rows"]]
+            table.append_checked(table.check_batch(rows))
         elif op == "insert":
-            # The per-row record of logs written before batches were
-            # logged whole.
-            db.table(record["table"]).insert(record["row"])
+            table = db.table(record["table"])
+            table.insert(_logged_row(table, record["row"], record))
         elif op == "update":
             db.table(record["table"]).apply_update_at(
                 record["positions"], record["changes"]
@@ -386,9 +409,10 @@ class DurableStore:
         table.set_mutation_listener(mirror)
 
     def _on_mutation(self, name: str, op: str, payload: dict[str, Any]) -> None:
-        # Rows and change dicts are passed by reference and serialized
-        # synchronously inside append() (dates via its JSON default hook),
-        # so the hot insert path never copies the row.
+        # Rows (stored tuples, logged as arrays in schema order) and change
+        # dicts are passed by reference and serialized synchronously inside
+        # append() (dates via its JSON default hook), so the hot insert
+        # path never copies the row.
         record: dict[str, Any] = {"op": op, "table": name}
         if op == "insert":
             record["row"] = payload["row"]

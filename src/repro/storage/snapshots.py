@@ -287,7 +287,7 @@ def write_snapshot(
             )
             for table, row_count, chunk_count in tables:
                 names = table.schema.column_names
-                rows = table.iter_rows()
+                rows = iter(table.stored_rows())
                 reusable = (
                     layout.reusable(table, chunks)
                     if layout is not None and source is not None
@@ -300,14 +300,13 @@ def write_snapshot(
                     if number < len(reusable) and source is not None:
                         frame = _copied_frame(source, *reusable[number])
                     if frame is None:
-                        chunk = list(islice(rows, CHUNK_ROWS))
+                        # The chunk's tuples, transposed into its columns.
+                        columns = zip(*islice(rows, CHUNK_ROWS), strict=True)
                         frame = _frame(
                             {
                                 "table": table.name,
                                 "chunk": chunks + number,
-                                "columns": {
-                                    col: [row[col] for row in chunk] for col in names
-                                },
+                                "columns": dict(zip(names, columns, strict=True)),
                             }
                         )
                     else:
@@ -415,12 +414,10 @@ def _load_snapshot(path: Path) -> tuple[Database, int, dict[str, Any]]:
         table = db.table(name)
         columns = columns_by_table[name]
         names = table.schema.column_names
-        # strict: every column must hold the same number of values (a
-        # ValueError here is reported as a corrupt snapshot).
-        rows = [
-            dict(zip(names, values))
-            for values in zip(*(columns[col] for col in names), strict=True)
-        ]
+        # The stored tuples, straight from the columns.  strict: every
+        # column must hold the same number of values (a ValueError here is
+        # reported as a corrupt snapshot).
+        rows = list(zip(*(columns[col] for col in names), strict=True))
         if len(rows) != meta.get("rows"):
             raise SnapshotCorruptionError(
                 f"{path}: table {name!r} carries {len(rows)} rows, "

@@ -379,11 +379,13 @@ class MaterializationStrategy(abc.ABC):
         refresh that only appends records scans and deletes nothing.
         """
         index = table.create_index((RECORD_ID,))
-        positions = [position for rid in changed for position in index.lookup((rid,))]
+        rows = table.stored_rows()
+        source = table.schema.positions["source"]
         doomed = [
             position
-            for position, row in zip(positions, table.rows_at(positions))
-            if row["source"] == source_name
+            for rid in changed
+            for position in index.lookup((rid,))
+            if rows[position][source] == source_name
         ]
         return table.delete_at(doomed)
 

@@ -104,12 +104,12 @@ class TestClassifyMemo:
 
 
 class TestExtractRowsAreFresh:
-    """A bare whole-table extract optimizes to a plain scan, which streams
-    the table's own row dicts; the rows a workflow hands out must never be
-    those dicts, on the first read (whose rows the result memo keeps) or
-    any memo hit.  They are the memo's rows, shared and read-only: steps
-    pass them on without copying them, a step that changes a row builds a
-    new one, and the load stores copies."""
+    """A bare whole-table extract optimizes to a plain scan.  Tables store
+    tuples and a scan builds a new dict per row, so the rows a workflow
+    hands out are never stored rows, on the first read (whose rows the
+    result memo keeps) or any memo hit.  They are the memo's rows, shared
+    and read-only: steps pass them on without copying them, a step that
+    changes a row builds a new one, and the load stores its own tuples."""
 
     @staticmethod
     def scanned_source():
@@ -148,7 +148,8 @@ class TestExtractRowsAreFresh:
             outputs, _ = workflow.run()
             rows = outputs["extract"]
             assert rows[0]["other"] == "x"
-            assert {id(row) for row in table.iter_rows()}.isdisjoint(map(id, rows))
+            assert {type(row) for row in table.stored_rows()} == {tuple}
+            assert {id(row) for row in table.stored_rows()}.isdisjoint(map(id, rows))
             if kept is not None:  # a memo hit: the kept rows, in a new list
                 assert rows is not kept
                 assert all(a is b for a, b in zip(rows, kept))
@@ -173,9 +174,11 @@ class TestExtractRowsAreFresh:
             outputs, _ = workflow.run()
             published = outputs["load"]
             assert len(published) == 800
-            # The load stored copies: no published row is a warehouse row.
+            # The load stored its own tuples: no published row is a
+            # warehouse row.
             loaded = warehouse.table("published")
-            assert {id(row) for row in loaded.iter_rows()}.isdisjoint(
+            assert {type(row) for row in loaded.stored_rows()} == {tuple}
+            assert {id(row) for row in loaded.stored_rows()}.isdisjoint(
                 map(id, published)
             )
             assert {row["other"] for row in loaded.rows()} == {"x"}

@@ -52,11 +52,24 @@ class TestCopyBoundary:
         self._assert_result_is_detached(Sort(Scan("t"), (("v", False),)), _db())
 
     def test_project_builds_fresh_rows(self):
-        # Project constructs new dicts, so it does not share storage …
         plan = Project(Scan("t"), ("id",))
-        assert not plan.shares_storage()
-        # … and the result is still safely mutable.
-        self._assert_result_is_detached(plan, _db())
+        db = _db()
+        first, second = plan.execute(db), plan.execute(db)
+        # Every execution builds its own dicts …
+        assert {id(row) for row in first}.isdisjoint(map(id, second))
+        # … and the result is safely mutable.
+        self._assert_result_is_detached(plan, db)
+
+    def test_scans_build_a_new_dict_per_stored_row(self):
+        db = _db()
+        table = db.table("t")
+        assert all(type(row) is tuple for row in table.stored_rows())
+        for plan in (Scan("t"), InLookup("t", "id", (3, 4))):
+            stream = plan.stream(ExecContext(db))
+            row = next(stream)
+            assert type(row) is dict
+            row["v"] = -1
+            assert next(plan.stream(ExecContext(db)))["v"] != -1
 
 
 class TestLaziness:

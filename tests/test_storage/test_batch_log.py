@@ -123,7 +123,8 @@ class TestBatchRecords:
         store.close()
         records, _ = read_wal(list_segments(tmp_path)[-1])
         batches = [r for r in records if r["op"] == "insert_many"]
-        assert [[row["id"] for row in r["rows"]] for r in batches] == [[1, 2, 3], [4, 5]]
+        # Each row is logged as an array in schema order: ``id`` first.
+        assert [[row[0] for row in r["rows"]] for r in batches] == [[1, 2, 3], [4, 5]]
         assert not [r for r in records if r["op"] == "insert"]
 
     def test_a_torn_batch_is_lost_whole(self, tmp_path):

@@ -6,8 +6,10 @@ fail only with a typed :mod:`repro.errors` exception (the CLI reports it
 and exits 1).  The directories here start from a real checkpointed store
 and get its files dropped, bit-flipped, truncated or extended, plus
 segments of well-framed records with arbitrary contents (so the damage
-reaches replay, past the CRC checks), snapshots of well-framed junk, and
-stray files under the names recovery scans for.
+reaches replay, past the CRC checks: among them ``insert`` and
+``insert_many`` rows logged as arrays of any length, as objects, and as
+other values), snapshots of well-framed junk, and stray files under the
+names recovery scans for.
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ _json = st.recursive(
     | st.dictionaries(st.sampled_from(["id", "n", "day", "name", "x"]), inner, max_size=3),
     max_leaves=8,
 )
+#: A logged row: an array (the crash workload's tables have 6 and 2
+#: columns, so most lengths are wrong), an object, or any other value.
+_row = (
+    st.lists(_scalars, max_size=7)
+    | st.dictionaries(st.sampled_from(["id", "n", "day", "zz"]), _scalars)
+    | _json
+)
 _SCHEMA = {
     "name": "t",
     "columns": [{"name": "id", "dtype": "integer", "nullable": False}],
@@ -72,7 +81,8 @@ _SCHEMA = {
 }
 _FIELDS = {
     "table": st.sampled_from(["events", "ckpt", "t", "nope"]) | _json,
-    "row": st.dictionaries(st.sampled_from(["id", "n", "day", "zz"]), _scalars) | _json,
+    "row": _row,
+    "rows": st.lists(_row, max_size=3) | _json,
     "positions": st.lists(st.integers(-2, 30), max_size=4) | _json,
     "changes": st.dictionaries(st.sampled_from(["n", "flagged", "zz"]), _scalars)
     | _json,
@@ -92,6 +102,7 @@ _OPS = [
     "create_table",
     "drop_table",
     "insert",
+    "insert_many",
     "update",
     "delete",
     "create_index",
