@@ -19,10 +19,10 @@ instead of trusting a stale feed.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, repeat
-from operator import itemgetter
 from typing import Callable, Iterable
 
 from repro.errors import GuavaError, ReproError
@@ -53,8 +53,10 @@ Row = dict[str, object]
 #: can no longer be enumerated and force a full rebuild.
 CHANGE_LOG_LIMIT = 100_000
 
-#: The data version of a change-feed entry.
-_VERSION = itemgetter(0)
+#: The record ids a change feed can log: 64-bit signed integers (the log
+#: keeps them in an ``array('q')``); an id outside them is noted as an
+#: unknown change.
+_ID_MIN, _ID_MAX = -(2**63), 2**63 - 1
 
 #: Tags each source's plan-cache keys, so two sources sharing a database
 #: (even under one name, with different chains) never share an entry.
@@ -89,30 +91,50 @@ class ChangeFeedState:
     therefore changes which refreshes fall back to full rebuilds.
     """
 
-    __slots__ = ("log", "floor", "accounted")
+    __slots__ = ("versions", "forms", "record_ids", "floor", "accounted")
 
     def __init__(self, accounted: int = 0):
-        #: (data version after the write, form name, record id) entries.
-        #: Forms have independent record-id spaces, so entries carry both.
-        self.log: list[tuple[int, str | None, int]] = []
+        #: The entries, in three parallel sequences: the data version after
+        #: each write, its form name and its record id.  Forms have
+        #: independent record-id spaces, so entries carry both.
+        self.versions = array("q")
+        self.forms: list[str | None] = []
+        self.record_ids = array("q")
         #: Versions at or below the floor cannot be enumerated (pruned log
         #: or an unattributed change).
         self.floor = 0
         self.accounted = accounted
 
+    @property
+    def log(self) -> list[tuple[int, str | None, int]]:
+        """The entries as ``(version, form, record id)`` tuples (a copy)."""
+        return list(zip(self.versions, self.forms, self.record_ids))
+
     def note(self, version: int, record_id: int | None, form: str | None) -> None:
         """Account one mutation at ``version`` (None record id = unknown)."""
         self.accounted = version
-        if record_id is None:
+        if record_id is None or not _ID_MIN <= record_id <= _ID_MAX:
             # Unattributable change: everything before it is unenumerable.
             self.floor = version
-            self.log.clear()
+            del self.versions[:], self.forms[:], self.record_ids[:]
             return
-        self.log.append((version, form, record_id))
-        if len(self.log) > CHANGE_LOG_LIMIT:
-            half = len(self.log) // 2
-            self.floor = self.log[half - 1][0]
-            del self.log[:half]
+        self.versions.append(version)
+        self.forms.append(form)
+        self.record_ids.append(record_id)
+        if len(self.versions) > CHANGE_LOG_LIMIT:
+            half = len(self.versions) // 2
+            self.floor = self.versions[half - 1]
+            del self.versions[:half], self.forms[:half], self.record_ids[:half]
+
+    def since(self, version: int) -> Iterable[tuple[str | None, int]]:
+        """``(form, record id)`` of the entries after data ``version``.
+
+        The log is appended in non-decreasing version order (pruning drops
+        a prefix, recovery replays notes in log order), so the span is a
+        suffix found by bisection.
+        """
+        start = bisect_right(self.versions, version)
+        return zip(self.forms[start:], self.record_ids[start:])
 
     def to_doc(self) -> dict:
         return {
@@ -126,10 +148,10 @@ class ChangeFeedState:
     def from_doc(cls, doc: dict) -> "ChangeFeedState":
         state = cls(int(doc.get("accounted", 0)))
         state.floor = int(doc.get("floor", 0))
-        state.log = [
-            (int(version), form, int(rid))
-            for version, form, rid in doc.get("log", [])
-        ]
+        for version, form, rid in doc.get("log", []):
+            state.versions.append(int(version))
+            state.forms.append(form)
+            state.record_ids.append(int(rid))
         return state
 
 
@@ -242,14 +264,9 @@ class GuavaSource:
             return None  # mutations bypassed the feed
         if since > current or since < feed.floor:
             return None  # foreign or pruned lineage
-        # The log is appended in non-decreasing version order (pruning
-        # drops a prefix, recovery replays notes in log order), so the
-        # span after ``since`` is a suffix found by bisection.
-        log = feed.log
-        start = bisect_right(log, since, key=_VERSION)
         return {
             rid
-            for _, logged_form, rid in log[start:]
+            for logged_form, rid in feed.since(since)
             if form is None or logged_form is None or logged_form == form
         }
 

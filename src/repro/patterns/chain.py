@@ -153,20 +153,24 @@ class PatternChain:
         return locators
 
     def soft_delete(self, db: Database, form_name: str, record_id: object) -> int:
-        """Deprecate one record (Audit sentinel) or delete it physically."""
+        """Deprecate one record (Audit sentinel) or delete it physically.
+
+        Each physical locator's rows are found by
+        :meth:`Table.positions_where` (through an index on the locator's
+        columns when the table has one, ``record_id``'s for a record
+        probed before) and changed by position.
+        """
         affected = 0
+        audit = _audit_column(self) if self.provides_audit else None
         for table, key in self.locate_physical(form_name, record_id):
             if not db.has_table(table):
                 continue
             target = db.table(table)
-
-            def matches(row: Row, key: dict[str, object] = key) -> bool:
-                return all(row.get(column) == value for column, value in key.items())
-
-            if self.provides_audit and target.schema.has_column(_audit_column(self)):
-                affected += target.update(matches, {_audit_column(self): True})
+            positions = target.positions_where(key)
+            if audit is not None and target.schema.has_column(audit):
+                affected += target.update_at(positions, {audit: True})
             else:
-                affected += target.delete(matches)
+                affected += target.delete_at(positions)
         return affected
 
     # -- description ---------------------------------------------------------------

@@ -8,7 +8,7 @@ run here unchanged.
 
 Execution is *streaming*: every operator implements :meth:`Plan.stream`,
 yielding rows through iterators instead of materializing a list at each
-node.  Tables store rows as tuples, so ``Scan`` (and the index-backed
+node.  Tables store columns, so ``Scan`` (and the index-backed
 ``InLookup``) build a new dict per row they yield: no plan can hand out
 a stored row, and ``Plan.execute`` returns the streamed dicts as they
 are.  Operators never mutate rows they receive, except ``Coerce``, whose

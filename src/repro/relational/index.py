@@ -4,23 +4,25 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict
-from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
-#: A row as an index reads it: a stored tuple (subscripted by position) or
-#: a mapping (subscripted by column name).
+#: A row as an index reads it: its values subscripted by slot.
 Row = Sequence[object] | Mapping[str, object]
+
+#: A table's columns as an index reads them: each column's values,
+#: subscripted by slot.
+Columns = Sequence[Sequence[object]] | Mapping[str, Sequence[object]]
 
 
 class HashIndex:
     """Equality index on one or more columns.
 
-    Values are row positions within the owning table's row list, each
+    Values are row positions within the owning table's columns, each
     bucket in ascending position order; the table keeps indexes
     synchronized on insert/update/delete.  ``slots`` says where each
-    column sits in the rows the index reads: a table passes the columns'
-    positions in its stored tuples, and the default (the column names)
-    reads mapping rows.
+    column sits among the columns and in a row's values: a table passes
+    the columns' schema positions, and the default (the column names)
+    reads mappings keyed by column name.
     """
 
     def __init__(
@@ -36,9 +38,14 @@ class HashIndex:
         """The index key tuple for ``row``."""
         return tuple(row[slot] for slot in self.slots)  # type: ignore[index]
 
-    def keys_of(self, rows: Sequence[Row]) -> list[tuple[object, ...]]:
-        """:meth:`key_of` for each of ``rows``."""
-        return list(zip(*(map(itemgetter(slot), rows) for slot in self.slots)))
+    def key_at(self, columns: Columns, position: int) -> tuple[object, ...]:
+        """The index key tuple of the row at ``position`` of ``columns``."""
+        slots = self.slots
+        return tuple(columns[slot][position] for slot in slots)  # type: ignore[index]
+
+    def keys_of(self, columns: Columns) -> list[tuple[object, ...]]:
+        """:meth:`key_at` for each position of ``columns``, in order."""
+        return list(zip(*(columns[slot] for slot in self.slots)))  # type: ignore[index]
 
     def add(self, row: Row, position: int) -> None:
         self._buckets[self.key_of(row)].append(position)
@@ -62,9 +69,9 @@ class HashIndex:
         return len(self._buckets.get(key, ()))
 
     def rebuild(
-        self, rows: Sequence[Row], replaced: Mapping[int, Row] | None = None
+        self, columns: Columns, replaced: Mapping[int, Row] | None = None
     ) -> None:
-        """Re-key the index from ``rows``.
+        """Re-key the index from ``columns``.
 
         Without ``replaced`` every bucket is recomputed (after a delete
         shifts positions).  With it — position → the row that stood there
@@ -75,11 +82,11 @@ class HashIndex:
         buckets = self._buckets
         if replaced is None:
             buckets.clear()
-            self.add_keys(self.keys_of(rows), 0)
+            self.add_keys(self.keys_of(columns), 0)
             return
-        key_of = self.key_of
+        key_of, key_at = self.key_of, self.key_at
         for position, before in replaced.items():
-            old, new = key_of(before), key_of(rows[position])
+            old, new = key_of(before), key_at(columns, position)
             if old == new:
                 continue
             bucket = buckets[old]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cache, cached_property
+from typing import Callable
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType
@@ -12,6 +12,11 @@ from repro.relational.types import DataType
 #: What a stored value of one column must pass: (column name, native type,
 #: coercer, nullable).
 ColumnCheck = tuple[str, type, Callable[[object], object], bool]
+
+#: A row as it leaves a table, and a reader of one by its position.
+RowDict = dict[str, object]
+RowAt = Callable[[int], RowDict]
+
 
 @dataclass(frozen=True)
 class Column:
@@ -85,28 +90,23 @@ class TableSchema:
         return {name: position for position, name in enumerate(self.column_names)}
 
     @cached_property
-    def row_dict(self) -> Callable[[Sequence[object]], dict[str, object]]:
-        """``row_dict(values)``: a stored row (values in schema order) as a
-        new dict, the form every row leaves its table in.
+    def _row_builders(self) -> tuple[Callable[..., RowDict], Callable[..., RowAt]]:
+        """The generated :attr:`row_dict` and :attr:`row_reader`."""
+        return _row_builder_factory(len(self.columns))(*self.column_names)
 
-        Generated once per schema, as ``collections.namedtuple`` generates
-        its methods: unpacking into locals and a dict display build a row
-        about twice as fast as ``dict(zip(column_names, values))``.  The
-        column names are closure cells, never source text.
-        """
-        keys = [f"k{position}" for position in range(len(self.columns))]
-        slots = [f"v{position}" for position in range(len(self.columns))]
-        pairs = ", ".join(f"{key}: {slot}" for key, slot in zip(keys, slots))
-        source = (
-            f"def make({', '.join(keys)}):\n"
-            "    def row_dict(values):\n"
-            f"        ({''.join(slot + ', ' for slot in slots)}) = values\n"
-            f"        return {{{pairs}}}\n"
-            "    return row_dict\n"
-        )
-        namespace: dict[str, Callable] = {}
-        exec(source, namespace)
-        return namespace["make"](*self.column_names)
+    @property
+    def row_dict(self) -> Callable[..., RowDict]:
+        """``row_dict(v0, v1, …)``: one row's values, in schema order, as a
+        new dict — the form every row leaves its table in."""
+        return self._row_builders[0]
+
+    @property
+    def row_reader(self) -> Callable[..., RowAt]:
+        """``row_reader(c0, c1, …)(position)``: the row at ``position`` of
+        the column lists ``c0, c1, …`` (schema order) as a new dict.  The
+        reader holds the lists themselves, so it sees later changes to
+        them."""
+        return self._row_builders[1]
 
     @cached_property
     def checks(self) -> tuple[ColumnCheck, ...]:
@@ -143,6 +143,36 @@ class TableSchema:
         cols = ", ".join(str(column) for column in self.columns)
         pk = f", PRIMARY KEY ({', '.join(self.primary_key)})" if self.primary_key else ""
         return f"{self.name}({cols}{pk})"
+
+
+@cache
+def _row_builder_factory(width: int) -> Callable[..., tuple[Callable, Callable]]:
+    """``make(*column_names)``: the row builders of a ``width``-column schema.
+
+    Generated once per width, as ``collections.namedtuple`` generates its
+    methods: arguments or list cells read into a dict display build a row
+    about twice as fast as ``dict(zip(column_names, values))``.  The
+    column names are closure cells, never source text, so every schema of
+    one width shares the code and pays only for its closures.
+    """
+    keys = ", ".join(f"k{position}" for position in range(width))
+    values = ", ".join(f"v{position}" for position in range(width))
+    columns = ", ".join(f"c{position}" for position in range(width))
+    by_value = ", ".join(f"k{position}: v{position}" for position in range(width))
+    by_cell = ", ".join(f"k{position}: c{position}[p]" for position in range(width))
+    source = (
+        f"def make({keys}):\n"
+        f"    def row_dict({values}):\n"
+        f"        return {{{by_value}}}\n"
+        f"    def row_reader({columns}):\n"
+        "        def row_at(p):\n"
+        f"            return {{{by_cell}}}\n"
+        "        return row_at\n"
+        "    return row_dict, row_reader\n"
+    )
+    namespace: dict[str, Callable] = {}
+    exec(source, namespace)
+    return namespace["make"]
 
 
 def schema_to_doc(schema: TableSchema) -> dict:

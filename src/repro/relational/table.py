@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import isfinite
 from types import NoneType
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
@@ -14,8 +14,12 @@ from repro.relational.types import Converter, unchanged_by_coerce
 
 Row = dict[str, object]
 
-#: A stored row: its values in schema column order.
+#: One row's values in schema column order: how a row is validated,
+#: keyed and logged (never how it is stored).
 Stored = tuple[object, ...]
+
+#: Rows by column: one list of values per schema column, in schema order.
+Columns = list[list[object]]
 
 #: A batch :meth:`Table.check_batch` accepted: (the table's version when
 #: checked, the rows to store, their primary keys).
@@ -40,18 +44,22 @@ class Table:
 
     Inserts coerce values through column types, reject unknown columns,
     fill missing columns with ``None``, and enforce NOT NULL and primary-key
-    uniqueness.  The extent is a list of tuples, each row's values in
-    schema column order, built by the table's own write paths (which never
-    keep a caller's object) and replaced, never changed, by an update.
-    Rows leave as dicts built on the way out (:meth:`rows`,
-    :meth:`iter_rows`, :meth:`rows_at`), so no reader can reach storage;
-    :meth:`stored_rows` is the read-only view of the tuples themselves.
-    Indexes key on column positions in those tuples.
+    uniqueness.  The extent is stored by column: one list of values per
+    schema column, in schema order, so a stored row costs one pointer per
+    column.  Inserts append to every list, an update sets cells, and a
+    delete builds new lists without the deleted rows.  Rows leave as dicts
+    built on the way out (:meth:`rows`, :meth:`iter_rows`,
+    :meth:`rows_at`), so no reader can reach storage;
+    :meth:`stored_columns` is the read-only view of the lists themselves.
+    Indexes key on the columns' schema positions.
     """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self._rows: list[Stored] = []
+        self._columns: Columns = [[] for _ in schema.columns]
+        #: The row count (a schema with no columns has no list to count).
+        self._size = 0
+        self._row_at = schema.row_reader(*self._columns)
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
         self._pk_index: HashIndex | None = None
         self._version = 0
@@ -74,7 +82,7 @@ class Table:
         into its write-ahead log; payloads are position/value based so a
         replay reproduces the extent, the insertion order, and the data
         version exactly without re-running predicates.  Inserted rows are
-        passed as stored: tuples in schema column order.
+        passed as tuples of their values in schema column order.
         """
         self._listener = listener
 
@@ -110,29 +118,34 @@ class Table:
 
     def rows(self) -> list[Row]:
         """The extent as new dicts, in insertion order."""
-        return list(map(self.schema.row_dict, self._rows))
+        return list(self.iter_rows())
 
     def iter_rows(self) -> Iterator[Row]:
         """Iterate the extent, building each row's dict as it is reached.
 
         The streaming executor's ``Scan`` uses this; every dict is new, so
-        the caller owns it.
+        the caller owns it.  The iteration walks the column lists as they
+        stand when it starts: it sees rows appended and cells set before
+        it ends, and a delete (which builds new lists) not at all.
         """
-        return map(self.schema.row_dict, self._rows)
+        if self._columns:
+            return map(self.schema.row_dict, *self._columns)
+        return map(dict, repeat((), self._size))
 
     def rows_at(self, positions: Iterable[int]) -> Iterator[Row]:
-        """The rows at index positions, as new dicts."""
-        return map(self.schema.row_dict, map(self._rows.__getitem__, positions))
+        """The rows at index positions, as new dicts (read from the column
+        lists as they stand when the call is made)."""
+        return map(self._row_at, positions)
 
-    def stored_rows(self) -> Sequence[Stored]:
-        """The stored tuples themselves, in insertion order (read-only).
+    def stored_columns(self) -> Sequence[Sequence[object]]:
+        """The stored column lists themselves, in schema order (read-only).
 
         For readers that want values by position and no dicts: the
         snapshot writer, ``state_fingerprint`` and the warehouse's refresh
-        delete.  The sequence is the table's own; a caller must not change
-        it, and a table write may change it under an open iteration.
+        delete.  The lists are the table's own; a caller must not change
+        them, and a table write may change them under an open iteration.
         """
-        return self._rows
+        return tuple(self._columns)
 
     def secondary_index_columns(self) -> list[tuple[str, ...]]:
         """Column tuples of every secondary index, in creation order.
@@ -157,7 +170,7 @@ class Table:
         return best
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._size
 
     # -- writing -------------------------------------------------------------
 
@@ -167,15 +180,17 @@ class Table:
         pk_index = self._pk_index
         if pk_index is not None:
             self._check_key(pk_index.key_of(row), ())
-        position = len(self._rows)
-        self._rows.append(row)
+        position = self._size
+        for column, value in zip(self._columns, row):
+            column.append(value)
+        self._size += 1
         self._version += 1
         if pk_index is not None:
             pk_index.add(row, position)
         for index in self._indexes.values():
             index.add(row, position)
         self._notify("insert", {"row": row})
-        return self.schema.row_dict(row)
+        return self.schema.row_dict(*row)
 
     def check_batch(self, rows: Iterable[Mapping[str, object]]) -> CheckedBatch:
         """Check a batch of rows as :meth:`insert` checks each; change nothing.
@@ -207,9 +222,9 @@ class Table:
 
         Stores what :meth:`insert` on each row would (rows, one version
         bump per row, index entries) with no second check, and tells the
-        mutation listener once: ``("insert_many", {"rows": rows})``.  A
-        batch checked before the table last changed raises
-        :class:`IntegrityError` and stores nothing.
+        mutation listener once: ``("insert_many", {"rows": rows})``, the
+        rows as tuples.  A batch checked before the table last changed
+        raises :class:`IntegrityError` and stores nothing.
         """
         version, stored, keys = batch
         if version != self._version:
@@ -218,7 +233,8 @@ class Table:
                 f"the table is at {self._version}"
             )
         if stored:
-            self._append(stored, keys)
+            columns = list(zip(*stored)) if self._columns else []
+            self._append(columns, len(stored), keys, stored)
         return len(stored)
 
     def insert_many(self, rows: Iterable[Mapping[str, object]]) -> int:
@@ -254,18 +270,31 @@ class Table:
             pass
         if checked is None:
             return self._insert_each(batch)
-        self._append(*checked)
+        columns, keys = checked
+        self._append(columns, len(batch), keys)
         return len(batch)
 
-    def _append(self, stored: list[Stored], keys: list[tuple[object, ...]]) -> None:
-        start = len(self._rows)
-        self._rows.extend(stored)
-        self._version += len(stored)
+    def _append(
+        self,
+        columns: Sequence[Sequence[object]],
+        count: int,
+        keys: list[tuple[object, ...]],
+        rows: list[Stored] | None = None,
+    ) -> None:
+        """Store ``count`` rows given by column (and, if known, as ``rows``)."""
+        start = self._size
+        for column, values in zip(self._columns, columns):
+            column.extend(values)
+        self._size += count
+        self._version += count
         if self._pk_index is not None:
             self._pk_index.add_keys(keys, start)
         for index in self._indexes.values():
-            index.add_keys(index.keys_of(stored), start)
-        self._notify("insert_many", {"rows": stored})
+            index.add_keys(index.keys_of(columns), start)
+        if self._listener is not None:
+            if rows is None:
+                rows = list(zip(*columns)) if columns else [()] * count
+            self._notify("insert_many", {"rows": rows})
 
     def _insert_each(self, rows: list[Mapping[str, object]]) -> int:
         for values in rows:
@@ -274,8 +303,8 @@ class Table:
 
     def _checked(
         self, batch: list[Mapping[str, object]]
-    ) -> tuple[list[Stored], list[tuple[object, ...]]] | None:
-        """The batch's coerced rows and primary keys; None if a row fails.
+    ) -> tuple[Columns, list[tuple[object, ...]]] | None:
+        """The batch's coerced columns and primary keys; None if a row fails.
 
         The column-wise form of :meth:`check_batch`, in two flat passes.
         The first lists the batch's keys end to end.  When that list is the
@@ -285,10 +314,10 @@ class Table:
         are read as they are; otherwise each row is projected onto the
         schema, NULL for a missing column, unless some key is not a column.
         The second lists those values end to end, so column ``i`` is the
-        slice ``values[i::width]``; a column that needs coercion is written
-        back into its slice, and the rows are then cut from the list
-        ``width`` values at a time.  A column whose values are all NULL or
-        of its type's native class (finite, for FLOAT) needs no coercion.
+        slice ``values[i::width]``, which is stored as it is unless it
+        needs coercion (then its coerced copy is).  A column whose values
+        are all NULL or of its type's native class (finite, for FLOAT)
+        needs no coercion.
         It may also raise (a value that does not coerce).  It never changes
         the table or the caller's rows.
         """
@@ -303,29 +332,29 @@ class Table:
             values = [row.get(name) for row in batch for name in names]
         else:
             return None
+        columns: Columns = []
         for offset, column in enumerate(schema.columns):
             column_values = values[offset::width]
             kinds = set(map(type, column_values))
             if unchanged_by_coerce(column_values, column.dtype.native, kinds):
-                if not column.nullable and NoneType in kinds:
-                    return None
-                continue
-            coerced = Converter(column.dtype).column(column_values)
-            values[offset::width] = coerced
-            if not column.nullable and None in coerced:
+                nulls = NoneType in kinds
+            else:
+                column_values = Converter(column.dtype).column(column_values)
+                nulls = None in column_values
+            if nulls and not column.nullable:
                 return None
-        stored: list[Stored] = list(zip(*[iter(values)] * width)) if width else [()] * count
+            columns.append(column_values)
         keys: list[tuple[object, ...]] = []
         pk_index = self._pk_index
         if pk_index is not None:
-            keys = pk_index.keys_of(stored)
+            keys = pk_index.keys_of(columns)
             if (
                 None in chain.from_iterable(keys)
                 or len(set(keys)) != len(keys)
                 or pk_index.holds_any(keys)
             ):
                 return None
-        return stored, keys
+        return columns, keys
 
     def update(
         self,
@@ -334,29 +363,38 @@ class Table:
     ) -> int:
         """Apply ``changes`` to rows matching ``predicate``; returns count.
 
-        All or nothing: the rows are matched, then the changes coerced and
-        checked as :meth:`insert` checks a row (NOT NULL, and the primary
-        key against the rows left as they are and the rows changed), all
-        before any row changes, so a predicate, coercion or check that
-        raises leaves the table, its version and the listener untouched.
-        The change is then :meth:`apply_update_at` over the matched
-        positions.
+        :meth:`update_at` over the matching positions (a predicate that
+        raises changes nothing).
         """
-        positions = [
-            position for position, row in enumerate(self.iter_rows()) if predicate(row)
-        ]
+        return self.update_at(self._matching(predicate), changes)
+
+    def update_at(self, positions: Iterable[int], changes: Mapping[str, object]) -> int:
+        """Apply ``changes`` to the rows at ``positions``; returns count.
+
+        All or nothing: the changes are coerced and checked as
+        :meth:`insert` checks a row (NOT NULL, and the primary key against
+        the rows left as they are and the rows changed), all before any
+        row changes, so a coercion or check that raises leaves the table,
+        its version and the listener untouched.  The change is then
+        :meth:`apply_update_at` over the positions.
+        """
+        position_list = list(positions)
         coerced = self._coerced_changes(changes)
         for name, value in coerced.items():
             if value is None and not self.schema.column(name).nullable:
                 raise IntegrityError(f"{self.name}.{name} is NOT NULL but got NULL")
         pk_index = self._pk_index
         if pk_index is not None and not coerced.keys().isdisjoint(pk_index.columns):
-            rows = self._rows
             changed_at = self._by_position(coerced)
-            changed = set(positions)
+            slots: tuple[int, ...] = pk_index.slots  # type: ignore[assignment]
+            key_columns = [(slot, self._columns[slot]) for slot in slots]
+            changed = set(position_list)
             pending: dict[tuple[object, ...], None] = {}
-            for position in positions:
-                key = pk_index.key_of(_replaced(rows[position], changed_at))
+            for position in position_list:
+                key = tuple(
+                    changed_at[slot] if slot in changed_at else column[position]
+                    for slot, column in key_columns
+                )
                 if None in key:
                     raise IntegrityError(
                         f"{self.name}: primary key columns "
@@ -365,19 +403,19 @@ class Table:
                 if key in pending or not changed.issuperset(pk_index.lookup(key)):
                     raise IntegrityError(f"{self.name}: duplicate primary key {key}")
                 pending[key] = None
-        return self.apply_update_at(positions, changes)
+        return self.apply_update_at(position_list, changes)
 
     def apply_update_at(
         self, positions: Iterable[int], changes: Mapping[str, object]
     ) -> int:
         """Apply ``changes`` to the rows at ``positions`` (the redo path).
 
-        Position-based replay of an :meth:`update`, with no checks beyond
-        coercion and the positions' range: identical coercion, identical
-        single version bump, identical index entries — so replaying a
-        logged update reproduces the original bit for bit without
-        re-evaluating its (unserializable) predicate.  Each changed row's
-        tuple is replaced by a new one.  Only the indexes (primary key
+        Position-based replay of an :meth:`update_at`, with no checks
+        beyond coercion and the positions' range: identical coercion,
+        identical single version bump, identical index entries — so
+        replaying a logged update reproduces the original bit for bit
+        without re-evaluating its (unserializable) predicate.  Each changed
+        cell is set in its column list.  Only the indexes (primary key
         included) over a changed column are re-keyed, and only at the
         changed positions: each one whose key changed moves between
         buckets.  Positions do not move, so every other index is still
@@ -385,44 +423,85 @@ class Table:
         before anything changes.
         """
         coerced = self._coerced_changes(changes)
-        rows = self._rows
         position_list = list(positions)
-        # Position -> the row it held; indexing first rejects a bad position.
-        replaced = {position: rows[position] for position in position_list}
-        if replaced and min(replaced) < 0:
-            raise IndexError(f"{self.name}: no row at position {min(replaced)}")
-        changed_at = self._by_position(coerced)
-        for position, row in replaced.items():
-            rows[position] = _replaced(row, changed_at)
-        if position_list:
-            self._version += 1
-            for index in (self._pk_index, *self._indexes.values()):
-                if index is not None and not coerced.keys().isdisjoint(index.columns):
-                    index.rebuild(rows, replaced)
-            self._notify(
-                "update", {"positions": position_list, "changes": dict(changes)}
-            )
+        if not position_list:
+            return 0
+        if not 0 <= min(position_list) <= max(position_list) < self._size:
+            raise IndexError(f"{self.name}: a position outside the {self._size} rows")
+        columns = self._columns
+        rekeyed = [
+            index
+            for index in (self._pk_index, *self._indexes.values())
+            if index is not None and not coerced.keys().isdisjoint(index.columns)
+        ]
+        # Position -> the row it held, for the indexes to move.
+        replaced = {
+            position: [column[position] for column in columns]
+            for position in (position_list if rekeyed else ())
+        }
+        for slot, value in self._by_position(coerced).items():
+            column = columns[slot]
+            for position in position_list:
+                column[position] = value
+        self._version += 1
+        for index in rekeyed:
+            index.rebuild(columns, replaced)
+        self._notify("update", {"positions": position_list, "changes": dict(changes)})
         return len(position_list)
 
     def delete(self, predicate: Callable[[Row], bool]) -> int:
         """Remove rows matching ``predicate``; returns count removed."""
-        return self.delete_at(
-            [position for position, row in enumerate(self.iter_rows()) if predicate(row)]
-        )
+        return self.delete_at(self._matching(predicate))
 
     def delete_at(self, positions: Iterable[int]) -> int:
-        """Remove the rows at ``positions`` (the redo path of a delete)."""
+        """Remove the rows at ``positions`` (the redo path of a delete).
+
+        Every column list is compacted through one keep-mask into a new
+        list, so an iteration already open goes on over the old lists.
+        """
         doomed = set(positions)
         if not doomed:
             return 0
         position_list = sorted(doomed)
-        self._rows = [
-            row for position, row in enumerate(self._rows) if position not in doomed
-        ]
+        size = self._size
+        keep = [True] * size
+        for position in doomed:
+            if 0 <= position < size:
+                keep[position] = False
+        self._columns = [list(compress(column, keep)) for column in self._columns]
+        self._size = keep.count(True)
+        self._row_at = self.schema.row_reader(*self._columns)
         self._version += 1
         self._rebuild_indexes()
         self._notify("delete", {"positions": position_list})
         return len(position_list)
+
+    def positions_where(self, key: Mapping[str, object]) -> list[int]:
+        """Positions of the rows whose columns equal ``key``'s values,
+        ascending — the rows ``lambda row: all(row.get(column) == value
+        …)`` matches, found without building a row.
+
+        The widest index over key columns narrows the candidates to its
+        bucket; each key column then keeps the candidates whose stored
+        value equals the key's, so the answer is a scan's.  With no such
+        index the candidates are every row.  A column the schema lacks
+        reads as NULL.
+        """
+        slots = self.schema.positions
+        if any(value is not None for name, value in key.items() if name not in slots):
+            return []
+        index = self.matching_index(key)
+        candidates: Iterable[int] = (
+            range(self._size)
+            if index is None
+            else index.lookup(tuple(key[name] for name in index.columns))
+        )
+        for name, value in key.items():
+            column = self._columns[slots[name]]
+            candidates = [
+                position for position in candidates if column[position] == value
+            ]
+        return list(candidates)
 
     def create_index(self, columns: tuple[str, ...] | list[str]) -> HashIndex:
         """Add (or return an existing) equality index on ``columns``."""
@@ -433,7 +512,7 @@ class Table:
         if key in self._indexes:
             return self._indexes[key]
         index = self._new_index(key)
-        index.rebuild(self._rows)
+        index.rebuild(self._columns)
         self._indexes[key] = index
         self._index_epoch += 1
         self._notify("create_index", {"columns": list(key)})
@@ -454,20 +533,21 @@ class Table:
 
     # -- restore (snapshot load / WAL replay only) ----------------------------
 
-    def restore_extent(self, rows: Iterable[Mapping[str, object] | Stored]) -> None:
-        """Replace the whole extent with pre-validated ``rows`` (restore only).
+    def restore_extent(self, columns: Sequence[list[object]], size: int = 0) -> None:
+        """Replace the whole extent with pre-validated ``columns`` (restore only).
 
-        Each row is a tuple in schema column order (a snapshot's) or a
-        mapping holding every column; either is stored as a tuple with no
-        re-validation — they came from this table's own snapshot.  Indexes
-        are rebuilt and the registered restore listeners are told.
-        Counters are NOT touched — pair with :meth:`restore_counters`.
+        ``columns`` holds one list per schema column, in schema order, all
+        of one length (the snapshot loader checks them against its
+        manifest); the table keeps the lists themselves, with no
+        re-validation — they came from this table's own snapshot.  ``size``
+        is the row count of a schema with no columns (any other schema's
+        lists say it).  Indexes are rebuilt and the registered restore
+        listeners are told.  Counters are NOT touched — pair with
+        :meth:`restore_counters`.
         """
-        names = self.schema.column_names
-        self._rows = [
-            row if type(row) is tuple else tuple([row[name] for name in names])  # type: ignore[index]
-            for row in rows
-        ]
+        self._columns = list(columns)
+        self._size = len(columns[0]) if columns else size
+        self._row_at = self.schema.row_reader(*self._columns)
         self._rebuild_indexes()
         for callback in _RESTORE_LISTENERS:
             callback(self)
@@ -490,6 +570,12 @@ class Table:
 
     # -- internals -------------------------------------------------------------
 
+    def _matching(self, predicate: Callable[[Row], bool]) -> list[int]:
+        """Positions of the rows ``predicate`` holds for, ascending."""
+        return [
+            position for position, row in enumerate(self.iter_rows()) if predicate(row)
+        ]
+
     def _coerced_changes(self, changes: Mapping[str, object]) -> Row:
         """``changes`` coerced through their columns' types."""
         schema = self.schema
@@ -501,10 +587,10 @@ class Table:
             for column, value in changes.items()
         }
 
-    def _by_position(self, coerced: Mapping[str, object]) -> list[tuple[int, object]]:
-        """``(position, value)`` per coerced change."""
+    def _by_position(self, coerced: Mapping[str, object]) -> dict[int, object]:
+        """Each coerced change's value by its column's schema position."""
         positions = self.schema.positions
-        return [(positions[name], value) for name, value in coerced.items()]
+        return {positions[name]: value for name, value in coerced.items()}
 
     def _new_index(self, columns: tuple[str, ...]) -> HashIndex:
         positions = self.schema.positions
@@ -545,17 +631,9 @@ class Table:
 
     def _rebuild_indexes(self) -> None:
         if self._pk_index is not None:
-            self._pk_index.rebuild(self._rows)
+            self._pk_index.rebuild(self._columns)
         for index in self._indexes.values():
-            index.rebuild(self._rows)
+            index.rebuild(self._columns)
 
     def __repr__(self) -> str:
         return f"Table({self.schema.name}, {len(self)} rows)"
-
-
-def _replaced(row: Stored, changed_at: list[tuple[int, object]]) -> Stored:
-    """``row`` with each ``(position, value)`` of ``changed_at`` applied."""
-    values = list(row)
-    for position, value in changed_at:
-        values[position] = value
-    return tuple(values)

@@ -159,11 +159,18 @@ def state_fingerprint(db: Database) -> str:
                 "version": table.version,
                 "index_epoch": table.index_epoch,
                 "indexes": [list(k) for k in table.secondary_index_columns()],
-                "rows": table.stored_rows(),
+                "rows": _stored_rows(table),
             }
         )
     payload = json.dumps(doc, separators=(",", ":"), default=str, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _stored_rows(table: Table) -> list[tuple[object, ...]]:
+    """The table's rows as tuples of values in schema order, in storage
+    order: the form the fingerprint has always digested."""
+    columns = table.stored_columns()
+    return list(zip(*columns)) if columns else [()] * len(table)
 
 
 def _logged_row(
@@ -409,7 +416,7 @@ class DurableStore:
         table.set_mutation_listener(mirror)
 
     def _on_mutation(self, name: str, op: str, payload: dict[str, Any]) -> None:
-        # Rows (stored tuples, logged as arrays in schema order) and change
+        # Rows (tuples of values, logged as arrays in schema order) and change
         # dicts are passed by reference and serialized synchronously inside
         # append() (dates via its JSON default hook), so the hot insert
         # path never copies the row.

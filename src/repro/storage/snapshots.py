@@ -40,7 +40,6 @@ import weakref
 import zlib
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import islice
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
@@ -287,7 +286,7 @@ def write_snapshot(
             )
             for table, row_count, chunk_count in tables:
                 names = table.schema.column_names
-                rows = iter(table.stored_rows())
+                columns = table.stored_columns()
                 reusable = (
                     layout.reusable(table, chunks)
                     if layout is not None and source is not None
@@ -300,18 +299,18 @@ def write_snapshot(
                     if number < len(reusable) and source is not None:
                         frame = _copied_frame(source, *reusable[number])
                     if frame is None:
-                        # The chunk's tuples, transposed into its columns.
-                        columns = zip(*islice(rows, CHUNK_ROWS), strict=True)
+                        start = number * CHUNK_ROWS
                         frame = _frame(
                             {
                                 "table": table.name,
                                 "chunk": chunks + number,
-                                "columns": dict(zip(names, columns, strict=True)),
+                                "columns": {
+                                    name: column[start : start + CHUNK_ROWS]
+                                    for name, column in zip(names, columns)
+                                },
                             }
                         )
                     else:
-                        # Step past the copied chunk's rows.
-                        next(islice(rows, CHUNK_ROWS, CHUNK_ROWS), None)
                         copied += 1
                     if number < full:
                         frames.append(
@@ -412,23 +411,21 @@ def _load_snapshot(path: Path) -> tuple[Database, int, dict[str, Any]]:
     for meta in tables_meta:
         name = meta["name"]
         table = db.table(name)
-        columns = columns_by_table[name]
-        names = table.schema.column_names
-        # The stored tuples, straight from the columns.  strict: every
-        # column must hold the same number of values (a ValueError here is
-        # reported as a corrupt snapshot).
-        rows = list(zip(*(columns[col] for col in names), strict=True))
-        if len(rows) != meta.get("rows"):
-            raise SnapshotCorruptionError(
-                f"{path}: table {name!r} carries {len(rows)} rows, "
-                f"manifest says {meta.get('rows')}"
-            )
+        columns = [columns_by_table[name][col] for col in table.schema.column_names]
+        # The decoded lists are the table's columns; each must hold the
+        # manifest's row count.
+        for column in columns:
+            if len(column) != meta.get("rows"):
+                raise SnapshotCorruptionError(
+                    f"{path}: table {name!r} carries {len(column)} rows, "
+                    f"manifest says {meta.get('rows')}"
+                )
         for key in meta.get("indexes", []):
             table.create_index(tuple(key))
         table.restore_counters(
             int(meta["version"]), index_epoch=int(meta.get("index_epoch", 0))
         )
-        table.restore_extent(rows)
+        table.restore_extent(columns, int(meta.get("rows", 0)))
     db.restore_structure_version(int(manifest.get("structure_version", 0)))
     return db, int(manifest.get("lsn", 0)), manifest.get("state", {})
 

@@ -379,13 +379,12 @@ class MaterializationStrategy(abc.ABC):
         refresh that only appends records scans and deletes nothing.
         """
         index = table.create_index((RECORD_ID,))
-        rows = table.stored_rows()
-        source = table.schema.positions["source"]
+        source = table.stored_columns()[table.schema.positions["source"]]
         doomed = [
             position
             for rid in changed
             for position in index.lookup((rid,))
-            if rows[position][source] == source_name
+            if source[position] == source_name
         ]
         return table.delete_at(doomed)
 

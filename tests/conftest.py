@@ -21,6 +21,12 @@ from repro.ui import (
 )
 
 
+def by_column(table, rows) -> list[list[object]]:
+    """``rows`` (mappings holding every column) as ``table``'s column
+    lists, the form :meth:`Table.restore_extent` takes."""
+    return [[row[name] for row in rows] for name in table.schema.column_names]
+
+
 def build_fig2_form() -> Form:
     """The paper's Figure 2 dialog: Procedure with Complications and
     Medical History groups; the frequency box enables once smoking is

@@ -30,7 +30,7 @@ from repro.patterns import GenericPattern, NaivePattern, PatternChain
 from repro.relational import Database
 from repro.relational.interpret import execute_interpreted
 from repro.ui import ReportingTool
-from tests.conftest import build_fig2_form
+from tests.conftest import build_fig2_form, by_column
 
 CHAINS = {
     "naive": lambda: [NaivePattern()],
@@ -155,7 +155,7 @@ class TestInvalidation:
         # Other rows at the very data version the memo stamped.
         rows = [dict(row) for row in table.rows()]
         del rows[0]
-        table.restore_extent(rows)
+        table.restore_extent(by_column(table, rows))
         table.restore_counters(stamped)
         assert table.version == stamped
         after = _misses(source, query)

@@ -39,7 +39,7 @@ from repro.relational.algebra import Select
 from repro.relational.interpret import execute_interpreted
 from repro.ui import ReportingTool
 from repro.ui.form import RECORD_ID
-from tests.conftest import build_fig2_form
+from tests.conftest import build_fig2_form, by_column
 
 TRUTHS = generate_truths(40, seed=17)
 
@@ -183,7 +183,7 @@ class _Harness:
     def restore(self) -> None:
         """Put back the saved extents at their saved data versions."""
         for table, rows, version in self.saved:
-            table.restore_extent([dict(row) for row in rows])
+            table.restore_extent(by_column(table, rows))
             table.restore_counters(version)
 
     def index(self) -> None:

@@ -48,6 +48,7 @@ from repro.multiclass.study import PARENT_RECORD_ID, element_column
 from repro.obs import tracing
 from repro.relational import Database
 from repro.ui.form import RECORD_ID
+from tests.conftest import by_column
 
 _EVALUATOR = Evaluator()
 
@@ -294,7 +295,7 @@ class _World:
         version = table.version
         rows = [dict(row) for row in table.rows()]
         del rows[pick % len(rows)]
-        table.restore_extent(rows)
+        table.restore_extent(by_column(table, rows))
         table.restore_counters(version)
 
 

@@ -1,5 +1,5 @@
-"""Tables store rows as tuples: a differential against dict rows, and the
-cost of an update's index maintenance.
+"""Tables store columns: a differential against dict rows, the memory a
+stored row costs, and the cost of an update's index maintenance.
 
 The reference model below keeps its extent as a list of dicts and
 re-derives everything (coercion through ``DataType.coerce``, NOT NULL,
@@ -7,8 +7,11 @@ primary keys, index lookups by scanning) the plain way.  Random schemas
 take random ``insert``/``insert_many``/``update``/``delete``/
 ``create_index``/``drop_index`` programs, and after every step the table
 must show what the model shows: ``rows()``, ``iter_rows()``,
-``rows_at()``, ``stored_rows()``, every index's lookups, the version, and
-the mutation listener's payloads (rows as tuples in schema order).
+``rows_at()``, ``stored_columns()``, every index's lookups, the version,
+and the mutation listener's payloads (rows as tuples in schema order).
+The programs also open scans and ``rows_at`` iterations and step them
+between writes: the model's list of rows, appended to, set in place by
+an update and replaced by a delete, is what an open iteration yields.
 
 An update re-keys only the indexes over a column it changes, and only at
 the rows it changed: each changed row moves from its old key's bucket to
@@ -18,6 +21,7 @@ its new key's, so the work is per changed row, not per stored row.
 from __future__ import annotations
 
 import copy
+import sys
 from datetime import date, datetime
 from itertools import combinations
 from unittest import mock
@@ -26,9 +30,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import IntegrityError, ReproError, SchemaError
-from repro.relational import Column, DataType, Table, TableSchema
+from repro.relational import Column, Database, DataType, Table, TableSchema
+from repro.relational.algebra import ExecContext, Scan
 from repro.relational import index as index_module
 from repro.relational.index import HashIndex
+from repro.storage.engine import state_fingerprint
+from repro.storage.snapshots import load_snapshot, write_snapshot
 
 _NAMES = ("a", "b", "c", "d")
 
@@ -143,6 +150,8 @@ def _programs(draw):
         st.tuples(st.just("delete"), _delete(schema)),
         st.tuples(st.just("create_index"), column_sets),
         st.tuples(st.just("drop_index"), column_sets),
+        st.tuples(st.just("open"), st.none() | st.lists(st.integers(0, 9))),
+        *[st.tuples(st.just("step"), st.none())] * 2,
     )
     # Programs start from indexed, filled tables, so updates and deletes
     # have entries to move.
@@ -272,6 +281,28 @@ class Reference:
             if tuple(row[name] for name in columns) == key
         ]
 
+    def iter_rows(self):
+        return iter(self.rows)
+
+    def rows_at(self, positions):
+        return map(self.rows.__getitem__, positions)
+
+
+def _open(target, positions):
+    """A scan (``positions`` None) or a ``rows_at`` iteration of ``target``."""
+    if positions is None:
+        return target.iter_rows()
+    return target.rows_at(iter(positions))
+
+
+def _step(iterator):
+    try:
+        return ("row", dict(next(iterator)))
+    except StopIteration:
+        return ("end",)
+    except IndexError:
+        return ("error", "IndexError")
+
 
 def _run(target, op: str, arg):
     try:
@@ -297,8 +328,10 @@ def _compare(table: Table, model: Reference, log: list) -> None:
     assert len(table) == len(model.rows)
     assert table.rows() == model.rows
     assert list(table.iter_rows()) == model.rows
-    assert list(table.stored_rows()) == [model._stored(row) for row in model.rows]
-    assert all(type(row) is tuple for row in table.stored_rows())
+    assert list(table.stored_columns()) == [
+        [row[name] for row in model.rows] for name in table.schema.column_names
+    ]
+    assert all(type(column) is list for column in table.stored_columns())
     assert table.secondary_index_columns() == model.indexes
     assert log == model.log
     keyed = [table.schema.primary_key] if table.schema.primary_key else []
@@ -319,16 +352,27 @@ def _compare(table: Table, model: Reference, log: list) -> None:
 class TestDifferential:
     @given(_programs())
     @settings(max_examples=300, deadline=None)
-    def test_tuple_rows_match_dict_rows(self, program):
+    def test_column_rows_match_dict_rows(self, program):
         schema, ops = program
         table, model = Table(schema), Reference(schema)
         log: list = []
         table.set_mutation_listener(
             lambda op, payload: log.append((op, copy.deepcopy(payload)))
         )
+        opened: list = []  # (the table's iteration, the model's)
         for op, arg in ops:
-            assert _run(table, op, arg) == _run(model, op, arg), (op, arg)
+            if op == "open":
+                opened.append((_open(table, arg), _open(model, arg)))
+            elif op == "step":
+                for ours, theirs in opened:
+                    assert _step(ours) == _step(theirs)
+            else:
+                assert _run(table, op, arg) == _run(model, op, arg), (op, arg)
             _compare(table, model, log)
+        for ours, theirs in opened:
+            while (step := _step(ours)) != ("end",):
+                assert step == _step(theirs)
+            assert _step(theirs) == ("end",)
 
     @given(_programs())
     @settings(max_examples=100, deadline=None)
@@ -336,12 +380,111 @@ class TestDifferential:
         schema, ops = program
         table = Table(schema)
         for op, arg in ops:
-            _run(table, op, arg)
-        stored = list(table.stored_rows())
+            if op not in ("open", "step"):
+                _run(table, op, arg)
+        stored = copy.deepcopy(list(table.stored_columns()))
         for rows in (table.rows(), list(table.iter_rows())):
             for row in rows:
                 row.clear()
-        assert list(table.stored_rows()) == stored
+        assert list(table.stored_columns()) == stored
+
+
+class TestOpenIterations:
+    """An iteration opened before a write, spelled out: a scan walks the
+    lists it started on, seeing appended rows and set cells; a delete
+    builds new lists, which it never sees."""
+
+    def _table(self) -> Table:
+        table = Table(TableSchema.build("t", [("id", DataType.INTEGER)]))
+        table.insert_many([{"id": i} for i in range(5)])
+        return table
+
+    def test_a_scan_sees_inserts_and_updates_but_not_a_delete(self):
+        db = Database("d")
+        table = db.create_table(TableSchema.build("t", [("id", DataType.INTEGER)]))
+        table.insert_many([{"id": i} for i in range(5)])
+        scan = Scan("t").stream(ExecContext(db))
+        assert next(scan) == {"id": 0}
+        table.insert({"id": 5})
+        table.update(lambda row: row["id"] == 3, {"id": 30})
+        assert next(scan) == {"id": 1}
+        table.delete(lambda row: row["id"] in (2, 4))
+        table.insert({"id": 6})
+        assert list(scan) == [{"id": 2}, {"id": 30}, {"id": 4}, {"id": 5}]
+        assert [row["id"] for row in table.rows()] == [0, 1, 30, 5, 6]
+
+    def test_rows_at_reads_the_lists_of_its_call(self):
+        table = self._table()
+        picked = table.rows_at(iter([0, 3, 5, 2]))
+        assert next(picked) == {"id": 0}
+        table.insert({"id": 5})
+        table.update(lambda row: row["id"] == 3, {"id": 30})
+        assert next(picked) == {"id": 30}
+        table.delete(lambda row: row["id"] == 0)
+        assert list(picked) == [{"id": 5}, {"id": 2}]
+        assert list(table.rows_at([0, 3])) == [{"id": 1}, {"id": 4}]
+
+
+class TestZeroColumns:
+    """A schema with no columns has no list to count its rows."""
+
+    def test_the_row_count_survives_inserts_deletes_and_a_snapshot(self, tmp_path):
+        db = Database("d")
+        table = db.create_table(TableSchema("t", ()))
+        table.insert({})
+        assert table.insert_many([{}, {}, {}]) == 3
+        table.append_checked(table.check_batch([{}]))
+        assert (len(table), table.version) == (5, 5)
+        assert table.rows() == [{}] * 5 and list(table.iter_rows()) == [{}] * 5
+        assert list(table.rows_at([4, 0])) == [{}, {}]
+        assert table.stored_columns() == ()
+        assert table.delete_at([1, 3, 99]) == 3
+        assert len(table) == 3
+        assert table.delete(lambda row: True) == 3
+        assert len(table) == 0 and table.rows() == []
+        table.insert_many([{}, {}])
+        loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
+        assert len(loaded.table("t")) == 2
+        assert state_fingerprint(loaded) == state_fingerprint(db)
+
+
+class TestMemory:
+    """A stored row costs one pointer per column, give or take the lists'
+    over-allocation (an eighth, as a list grows)."""
+
+    @pytest.mark.parametrize("batch", [1, 97])
+    def test_columns_cost_a_pointer_per_value(self, batch):
+        count = 20_000
+        table = Table(
+            TableSchema.build(
+                "eav",
+                [
+                    ("record_id", DataType.INTEGER),
+                    ("entity", DataType.TEXT),
+                    ("attribute", DataType.TEXT),
+                    ("value", DataType.TEXT),
+                    ("source", DataType.TEXT),
+                ],
+            )
+        )
+        rows = [
+            {
+                "record_id": i // 40,
+                "entity": "procedure",
+                "attribute": "field",
+                "value": "v",
+                "source": "cori",
+            }
+            for i in range(count)
+        ]
+        for start in range(0, count, batch):
+            if batch == 1:
+                table.insert(rows[start])
+            else:
+                table.insert_many(rows[start : start + batch])
+        assert len(table) == count
+        stored = sum(map(sys.getsizeof, table.stored_columns()))
+        assert stored <= 5 * 8 * count * 1.15 + 5 * 1024
 
 
 def _table(size: int) -> Table:

@@ -41,7 +41,7 @@ def _check(table: Table) -> None:
         index = table.matching_index(columns)
         assert index is not None and index.columns == columns
         fresh = HashIndex(columns)
-        fresh.rebuild(rows)
+        fresh.rebuild({name: [row[name] for row in rows] for name in columns})
         values = [
             {*DOMAIN[column], *(row[column] for row in rows)} for column in columns
         ]

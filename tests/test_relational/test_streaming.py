@@ -63,7 +63,7 @@ class TestCopyBoundary:
     def test_scans_build_a_new_dict_per_stored_row(self):
         db = _db()
         table = db.table("t")
-        assert all(type(row) is tuple for row in table.stored_rows())
+        assert all(type(column) is list for column in table.stored_columns())
         for plan in (Scan("t"), InLookup("t", "id", (3, 4))):
             stream = plan.stream(ExecContext(db))
             row = next(stream)

@@ -29,6 +29,7 @@ from repro.storage.wal import (
     segment_name,
 )
 from repro.ui import NumericBox
+from tests.conftest import by_column
 
 SCHEMA = TableSchema(
     "visits",
@@ -204,7 +205,7 @@ class TestOldFormats:
         db = Database("old")
         table = db.create_table(SCHEMA)
         rows = [dict(_row(1), score=float("nan")), _row(2)]
-        table.restore_extent(rows)
+        table.restore_extent(by_column(table, rows))
         monkeypatch.setattr(
             snapshots,
             "_dumps",

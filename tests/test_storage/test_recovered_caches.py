@@ -15,6 +15,7 @@ from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.storage.engine import DurableStore
 from repro.storage.snapshots import load_snapshot, write_snapshot
+from tests.conftest import by_column
 
 
 def _schema() -> TableSchema:
@@ -50,7 +51,7 @@ class TestRestoreDropsCaches:
             {"id": i, "kind": f"k{i}", "score": 1000.0 + i} for i in range(300)
         ]
         table.restore_counters(version)  # same version, on purpose
-        table.restore_extent(replacement)
+        table.restore_extent(by_column(table, replacement))
         assert table.version == version
         second, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=2))
         assert second.table("t").version == version

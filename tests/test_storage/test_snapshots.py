@@ -107,10 +107,10 @@ def test_loaded_table_is_scan_ready_without_rebuild(tmp_path):
     db = _typed_db(10)
     loaded, _, _ = load_snapshot(write_snapshot(db, tmp_path, lsn=1))
     table = loaded.table("mixed")
-    # The loaded extent is the tuples the columns zip to, in schema order.
+    # The loaded extent is the decoded columns, in schema order.
     names = table.schema.column_names
-    assert list(table.stored_rows()) == [
-        tuple(row[name] for name in names) for row in db.table("mixed").rows()
+    assert list(table.stored_columns()) == [
+        [row[name] for row in db.table("mixed").rows()] for name in names
     ]
     assert list(table.iter_rows()) == db.table("mixed").rows()
     assert table.version == db.table("mixed").version
